@@ -13,17 +13,20 @@
 //!
 //! Functionally the baseline runs the identical kernels, so its results
 //! are bit-exact against the in-storage engine — the comparison is purely
-//! about time, traffic and energy.
+//! about time, traffic and energy. The state image, the master-weight
+//! decode and the step accounting are core's ([`optimstore_core::pages`],
+//! [`optimstore_core::report`]); this module holds only the host path.
 
-use optim_math::kernels::encode_grads_into;
 use optim_math::state::StateLayoutSpec;
-use optim_math::{Optimizer, F16};
-use optimstore_core::energy::{ActivityCounts, EnergyModel};
-use optimstore_core::pages::UpdatePages;
-use optimstore_core::report::TrafficBytes;
-use optimstore_core::{CoreError, LayoutPolicy, StateComponent, StateLayout, StepReport};
+use optim_math::Optimizer;
+use optimstore_core::energy::EnergyModel;
+use optimstore_core::pages::{self, OperandPage, UpdatePages};
+use optimstore_core::report::CounterSnapshot;
+use optimstore_core::{
+    CoreError, ExecutionTier, LayoutPolicy, StateComponent, StateLayout, StepReport,
+};
 use simkit::pool::PageBuf;
-use simkit::{SimDuration, SimTime, Timeline};
+use simkit::{SimDuration, SimTime, Timeline, Window};
 use ssdsim::{Device, SsdConfig};
 
 /// Host-side configuration of the offload baseline.
@@ -51,7 +54,6 @@ pub struct HostNvmeBaseline {
     optimizer: Box<dyn Optimizer>,
     host: Timeline,
     host_cfg: HostNvmeConfig,
-    energy_model: EnergyModel,
     step: u64,
 }
 
@@ -91,33 +93,20 @@ impl HostNvmeBaseline {
         optimizer: Box<dyn Optimizer>,
         spec: StateLayoutSpec,
     ) -> Result<Self, CoreError> {
-        if optimizer.kind() != spec.kind {
-            return Err(CoreError::Config(format!(
-                "optimizer {:?} does not match layout spec {:?}",
-                optimizer.kind(),
-                spec.kind
-            )));
-        }
         if host_cfg.update_bytes_per_sec == 0 {
             return Err(CoreError::Config(
                 "host updater throughput must be positive".into(),
             ));
         }
         // Gradients are spilled to flash, so they occupy layout pages.
-        let layout = StateLayout::new(
+        let layout = pages::fit_layout(
+            &device,
             LayoutPolicy::CoLocated,
             params,
-            optimizer.state_slots() as u8,
-            device.config().nand.geometry.page_bytes,
-            device.config().total_dies(),
+            optimizer.as_ref(),
+            &spec,
             true,
-        );
-        if layout.required_pages() > device.logical_pages() {
-            return Err(CoreError::CapacityExceeded {
-                need: layout.required_pages(),
-                have: device.logical_pages(),
-            });
-        }
+        )?;
         Ok(HostNvmeBaseline {
             device,
             layout,
@@ -125,7 +114,6 @@ impl HostNvmeBaseline {
             optimizer,
             host: Timeline::new("host-updater"),
             host_cfg,
-            energy_model: EnergyModel::default(),
             step: 0,
         })
     }
@@ -145,65 +133,15 @@ impl HostNvmeBaseline {
         self.step
     }
 
-    fn page_bytes(&self) -> usize {
-        self.device.page_bytes()
-    }
-
-    /// Loads initial weights (functional mode), mirroring
+    /// Loads initial weights (functional mode): the same state image as
     /// [`optimstore_core::OptimStoreDevice::load_weights`].
     pub fn load_weights(&mut self, weights: &[f32], at: SimTime) -> Result<SimTime, CoreError> {
-        if weights.len() as u64 != self.layout.params() {
-            return Err(CoreError::GradLength {
-                got: weights.len(),
-                want: self.layout.params(),
-            });
-        }
-        let pb = self.page_bytes();
-        let mut end = at;
-        for g in 0..self.layout.num_groups() {
-            let group = self.layout.group(g);
-            let start = group.param_start as usize;
-            let count = group.param_count as usize;
-            let mut w32 = vec![0u8; 2 * pb];
-            for (i, &w) in weights[start..start + count].iter().enumerate() {
-                w32[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
-            }
-            for idx in 0..2u32 {
-                let lpn = self.layout.lpn(g, StateComponent::Master, idx);
-                let page = &w32[idx as usize * pb..(idx as usize + 1) * pb];
-                end = end.max(self.device.host_write_page(lpn, Some(page), at)?.end);
-            }
-            let zero = vec![0u8; pb];
-            for s in 0..self.layout.slots() {
-                for idx in 0..2u32 {
-                    let lpn = self.layout.lpn(g, StateComponent::Slot(s), idx);
-                    end = end.max(self.device.host_write_page(lpn, Some(&zero), at)?.end);
-                }
-            }
-            let mut w16 = vec![0u8; pb];
-            for (i, &w) in weights[start..start + count].iter().enumerate() {
-                w16[2 * i..2 * i + 2].copy_from_slice(&F16::from_f32(w).to_le_bytes());
-            }
-            let lpn = self.layout.lpn(g, StateComponent::Weight16, 0);
-            end = end.max(self.device.host_write_page(lpn, Some(&w16), at)?.end);
-            let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
-            end = end.max(self.device.host_write_page(lpn, Some(&zero), at)?.end);
-        }
-        Ok(end)
+        pages::load_state_image(&mut self.device, &self.layout, Some(weights), at)
     }
 
     /// Initializes phantom state (dataless pages).
     pub fn load_phantom(&mut self, at: SimTime) -> Result<SimTime, CoreError> {
-        let mut end = at;
-        for g in 0..self.layout.num_groups() {
-            for (comp, idx) in self.layout.write_set() {
-                let lpn = self.layout.lpn(g, comp, idx);
-                end = end.max(self.device.host_write_page(lpn, None, at)?.end);
-            }
-            let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
-            end = end.max(self.device.host_write_page(lpn, None, at)?.end);
-        }
-        Ok(end)
+        pages::load_state_image(&mut self.device, &self.layout, None, at)
     }
 
     /// Spills gradients to flash (the backward-phase traffic; ZeRO-Infinity
@@ -214,29 +152,11 @@ impl HostNvmeBaseline {
         grads: Option<&[f32]>,
         at: SimTime,
     ) -> Result<SimTime, CoreError> {
-        if self.device.is_functional() {
-            match grads {
-                Some(g) if g.len() as u64 == self.layout.params() => {}
-                Some(g) => {
-                    return Err(CoreError::GradLength {
-                        got: g.len(),
-                        want: self.layout.params(),
-                    })
-                }
-                None => return Err(CoreError::ModeMismatch("functional spill needs gradients")),
-            }
-        }
-        let pb = self.page_bytes();
+        pages::check_grads(&self.device, &self.layout, grads)?;
         let mut end = at;
         for g in 0..self.layout.num_groups() {
-            let group = self.layout.group(g);
-            let data: Option<PageBuf> = grads.map(|gr| {
-                let start = group.param_start as usize;
-                let count = group.param_count as usize;
-                let mut page = PageBuf::zeroed(pb);
-                encode_grads_into(&gr[start..start + count], self.spec.grad_dtype, &mut page);
-                page
-            });
+            let data: Option<PageBuf> =
+                grads.map(|gr| pages::encode_grad_page(&self.layout, g, gr, self.spec.grad_dtype));
             let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
             end = end.max(self.device.host_write_page(lpn, data.as_deref(), at)?.end);
         }
@@ -248,8 +168,8 @@ impl HostNvmeBaseline {
     pub fn run_step(&mut self, at: SimTime) -> Result<StepReport, CoreError> {
         self.step += 1;
         let functional = self.device.is_functional();
-        let pb = self.page_bytes();
-        let before = self.snapshot();
+        let pb = self.layout.page_bytes();
+        let before = CounterSnapshot::of(&self.device);
         let mut step_end = at;
 
         // Batched two-phase issue, one group per die per batch: all of a
@@ -276,12 +196,12 @@ impl HostNvmeBaseline {
             for g in batch_start..batch_end {
                 // ---- read state + gradient up to the host ------------------
                 let mut host_start = at;
-                let mut pages: Vec<(StateComponent, u32, Option<bytes::Bytes>)> = Vec::new();
+                let mut read_pages: Vec<OperandPage> = Vec::new();
                 for (comp, idx) in self.layout.read_set() {
                     let lpn = self.layout.lpn(g, comp, idx);
                     let (win, data) = self.device.host_read_page(lpn, at)?;
                     host_start = host_start.max(win.end);
-                    pages.push((comp, idx, data));
+                    read_pages.push((comp, idx, data));
                 }
 
                 // ---- host update --------------------------------------------
@@ -294,17 +214,12 @@ impl HostNvmeBaseline {
 
                 // ---- functional update --------------------------------------
                 let update: Option<UpdatePages> = if functional {
-                    let mut up = UpdatePages::gather(pb, self.layout.slots(), &pages);
+                    let mut up = UpdatePages::gather(pb, self.layout.slots(), &read_pages);
                     // The gradient page feeds the kernel straight from the
                     // read buffer — no staging copy.
-                    let grad_bytes: &[u8] = pages
-                        .iter()
-                        .find(|(c, i, _)| *c == StateComponent::Grad && *i == 0)
-                        .and_then(|(_, _, d)| d.as_deref())
-                        .expect("functional read returns data");
                     up.apply(
                         self.optimizer.as_ref(),
-                        grad_bytes,
+                        pages::staged_grad(&read_pages),
                         self.spec.grad_dtype,
                         self.step,
                     )
@@ -333,118 +248,24 @@ impl HostNvmeBaseline {
             batch_start = batch_end;
         }
 
-        let after = self.snapshot();
-        Ok(self.make_report(at, step_end, before, after))
+        let delta = CounterSnapshot::of(&self.device).since(&before);
+        Ok(StepReport::from_counters(
+            ExecutionTier::HostNvme,
+            &self.layout,
+            &self.spec,
+            &EnergyModel::default(),
+            Window {
+                start: at,
+                end: step_end,
+            },
+            delta,
+        ))
     }
 
     /// Reads back fp32 master weights (functional mode, verification).
     pub fn read_master_weights(&mut self, at: SimTime) -> Result<Vec<f32>, CoreError> {
-        if !self.device.is_functional() {
-            return Err(CoreError::ModeMismatch(
-                "read_master_weights needs functional mode",
-            ));
-        }
-        let pb = self.page_bytes();
-        let mut out = Vec::with_capacity(self.layout.params() as usize);
-        for g in 0..self.layout.num_groups() {
-            let group = self.layout.group(g);
-            let mut raw = Vec::with_capacity(2 * pb);
-            for idx in 0..2u32 {
-                let lpn = self.layout.lpn(g, StateComponent::Master, idx);
-                let (_, data) = self.device.host_read_page(lpn, at)?;
-                raw.extend_from_slice(&data.expect("functional device has data"));
-            }
-            for i in 0..group.param_count as usize {
-                out.push(f32::from_le_bytes(
-                    raw[4 * i..4 * i + 4].try_into().unwrap(),
-                ));
-            }
-        }
-        Ok(out)
+        pages::read_master_weights(&mut self.device, &self.layout, Device::host_read_page, at)
     }
-
-    fn snapshot(&self) -> Snapshot {
-        let mut bus = 0;
-        let mut array_read = 0;
-        let mut array_program = 0;
-        for ch in self.device.channels() {
-            bus += ch.bus().bytes_moved();
-            for d in ch.dies() {
-                array_read += d.stats().bytes_read.get();
-                array_program += d.stats().bytes_programmed.get();
-            }
-        }
-        Snapshot {
-            pcie_in: self.device.pcie_in().bytes_moved(),
-            pcie_out: self.device.pcie_out().bytes_moved(),
-            bus,
-            array_read,
-            array_program,
-            dram: self.device.dram().bytes_moved(),
-            erases: self.device.stats().erases.get(),
-            gc_copies: self.device.stats().gc_copies.get(),
-        }
-    }
-
-    fn make_report(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        before: Snapshot,
-        after: Snapshot,
-    ) -> StepReport {
-        let traffic = TrafficBytes {
-            pcie_in: after.pcie_in - before.pcie_in,
-            pcie_out: after.pcie_out - before.pcie_out,
-            bus: after.bus - before.bus,
-            array_read: after.array_read - before.array_read,
-            array_program: after.array_program - before.array_program,
-            dram: after.dram - before.dram,
-        };
-        let state_bytes = self.layout.params() * self.spec.state_write_bytes();
-        let counts = ActivityCounts {
-            array_read_bytes: traffic.array_read,
-            array_program_bytes: traffic.array_program,
-            erase_blocks: after.erases - before.erases,
-            bus_bytes: traffic.bus,
-            pcie_bytes: traffic.pcie_total(),
-            dram_bytes: traffic.dram,
-            host_bytes: traffic.pcie_total(), // staged through host memory
-            ndp_compute_bytes: 0,
-            host_compute_bytes: state_bytes,
-        };
-        StepReport {
-            tier: "host-nvme",
-            params: self.layout.params(),
-            start,
-            end,
-            duration: end - start,
-            traffic,
-            energy: counts.energy(&self.energy_model),
-            erases: after.erases - before.erases,
-            gc_copies: after.gc_copies - before.gc_copies,
-            groups_total: self.layout.num_groups(),
-            groups_skipped: 0,
-            groups_replayed: 0,
-            scrub_reads: 0,
-            scrub_repairs: 0,
-            scrub_refreshes: 0,
-            parity_writes: 0,
-            parity_reconstructions: 0,
-        }
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Snapshot {
-    pcie_in: u64,
-    pcie_out: u64,
-    bus: u64,
-    array_read: u64,
-    array_program: u64,
-    dram: u64,
-    erases: u64,
-    gc_copies: u64,
 }
 
 #[cfg(test)]
@@ -476,6 +297,31 @@ mod tests {
         assert_eq!(b.step_count(), 1);
         let out = b.read_master_weights(r.end).unwrap();
         assert!(out.iter().all(|&w| w < 1.0));
+    }
+
+    #[test]
+    fn functional_and_phantom_loads_write_the_same_image() {
+        let params = 20_000u64;
+        let adam = || Box::new(Adam::default());
+        let host = HostNvmeConfig::default();
+        let mut func =
+            HostNvmeBaseline::new_functional(SsdConfig::tiny(), host, params, adam(), spec())
+                .unwrap();
+        let mut phantom =
+            HostNvmeBaseline::new(SsdConfig::tiny(), host, params, adam(), spec()).unwrap();
+        assert_eq!(func.layout(), phantom.layout());
+        let weights = vec![0.5f32; params as usize];
+        let t_func = func.load_weights(&weights, SimTime::ZERO).unwrap();
+        let t_phantom = phantom.load_phantom(SimTime::ZERO).unwrap();
+        assert_eq!(t_func, t_phantom);
+
+        let (a, b) = (func.ssd().stats(), phantom.ssd().stats());
+        // Every write-set page plus the spilled-gradient page per group.
+        let layout = func.layout();
+        let pages = layout.write_set().len() as u64 + 1;
+        assert_eq!(a.host_writes.get(), layout.num_groups() * pages);
+        assert_eq!(a.host_writes, b.host_writes);
+        assert_eq!(a.user_programs, b.user_programs);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks for the hot kernels: optimizer buffer
-//! updates, fp16 conversion, the FTL write path, and the event queue.
+//! updates, fp16 conversion, and the FTL write path.
 //! These measure *host* wall-clock throughput of the simulator's building
 //! blocks (not simulated time).
 
@@ -7,7 +7,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use optim_math::kernels::{encode_grads, StateBuffers};
 use optim_math::state::GradDtype;
 use optim_math::{Adam, AdamW, Optimizer, SgdMomentum, F16};
-use simkit::{EventQueue, SimTime};
+use simkit::SimTime;
 use ssdsim::{Device, Lpn, SsdConfig};
 use std::hint::black_box;
 use workloads::GradientGen;
@@ -80,25 +80,10 @@ fn bench_ftl_write_path(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_event_queue(c: &mut Criterion) {
-    c.bench_function("event-queue push+pop 1k", |b| {
-        b.iter(|| {
-            let mut q = EventQueue::new();
-            for i in 0..1000u64 {
-                q.push(SimTime::from_ns(i * 37 % 1000), i);
-            }
-            let mut sum = 0u64;
-            q.drain_ordered(|_, e| sum += e);
-            black_box(sum)
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_optimizer_kernels,
     bench_f16,
-    bench_ftl_write_path,
-    bench_event_queue
+    bench_ftl_write_path
 );
 criterion_main!(benches);

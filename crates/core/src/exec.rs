@@ -13,17 +13,15 @@
 //! reference.
 
 use crate::config::{ExecutionTier, GradStaging, OptimStoreConfig};
-use crate::energy::{ActivityCounts, EnergyModel};
+use crate::energy::EnergyModel;
 use crate::layout::{StateComponent, StateLayout};
-use crate::pages::UpdatePages;
+use crate::pages::{self, OperandPage, UpdatePages};
 use crate::protocol::UpdateCommand;
-use crate::report::{RecoveryReport, StepReport, TrafficBytes};
-use bytes::Bytes;
-use optim_math::kernels::encode_grads_into;
+use crate::report::{CounterSnapshot, RecoveryReport, StepReport};
 use optim_math::state::StateLayoutSpec;
 use optim_math::{Optimizer, F16};
 use simkit::pool::PageBuf;
-use simkit::{SimTime, Timeline};
+use simkit::{SimTime, Timeline, Window};
 use ssdsim::{Device, SsdConfig, SsdError};
 use std::error::Error;
 use std::fmt;
@@ -84,21 +82,6 @@ impl From<SsdError> for CoreError {
     }
 }
 
-/// Snapshot of cumulative device counters, for per-step deltas.
-#[derive(Debug, Clone, Copy, Default)]
-struct CounterSnapshot {
-    pcie_in: u64,
-    pcie_out: u64,
-    bus: u64,
-    array_read: u64,
-    array_program: u64,
-    dram: u64,
-    erases: u64,
-    gc_copies: u64,
-    parity_writes: u64,
-    parity_reconstructions: u64,
-}
-
 /// An SSD with in-storage optimizer-update capability.
 #[derive(Debug)]
 pub struct OptimStoreDevice {
@@ -147,28 +130,15 @@ impl OptimStoreDevice {
         spec: StateLayoutSpec,
     ) -> Result<Self, CoreError> {
         cfg.validate().map_err(CoreError::Config)?;
-        if optimizer.kind() != spec.kind {
-            return Err(CoreError::Config(format!(
-                "optimizer {:?} does not match layout spec {:?}",
-                optimizer.kind(),
-                spec.kind
-            )));
-        }
         let grad_staged = cfg.grad_staging == GradStaging::StoreToFlash;
-        let layout = StateLayout::new(
+        let layout = pages::fit_layout(
+            &device,
             cfg.layout,
             params,
-            optimizer.state_slots() as u8,
-            device.config().nand.geometry.page_bytes,
-            device.config().total_dies(),
+            optimizer.as_ref(),
+            &spec,
             grad_staged,
-        );
-        if layout.required_pages() > device.logical_pages() {
-            return Err(CoreError::CapacityExceeded {
-                need: layout.required_pages(),
-                have: device.logical_pages(),
-            });
-        }
+        )?;
         // An engine double-buffers update groups: one group's operands and
         // results must fit half its SRAM.
         let group_bytes = (layout.read_set().len() + layout.write_set().len()) as u64
@@ -291,56 +261,7 @@ impl OptimStoreDevice {
                 "load_weights needs a functional device",
             ));
         }
-        if weights.len() as u64 != self.layout.params() {
-            return Err(CoreError::GradLength {
-                got: weights.len(),
-                want: self.layout.params(),
-            });
-        }
-        let pb = self.page_bytes();
-        let ppg = self.layout.params_per_group() as usize;
-        let mut end = at;
-        for g in 0..self.layout.num_groups() {
-            let group = self.layout.group(g);
-            let start = group.param_start as usize;
-            let count = group.param_count as usize;
-            // Master weight pages (2 × fp32).
-            let mut w32 = vec![0u8; 2 * pb];
-            for (i, &w) in weights[start..start + count].iter().enumerate() {
-                w32[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
-            }
-            for idx in 0..2u32 {
-                let lpn = self.layout.lpn(g, StateComponent::Master, idx);
-                let page = &w32[idx as usize * pb..(idx as usize + 1) * pb];
-                end = end.max(self.device.host_write_page(lpn, Some(page), at)?.end);
-            }
-            // Zeroed slots.
-            let zero = vec![0u8; pb];
-            for s in 0..self.layout.slots() {
-                for idx in 0..2u32 {
-                    let lpn = self.layout.lpn(g, StateComponent::Slot(s), idx);
-                    end = end.max(self.device.host_write_page(lpn, Some(&zero), at)?.end);
-                }
-            }
-            // Working weights (one 16-bit page).
-            let mut w16 = vec![0u8; pb];
-            for (i, &w) in weights[start..start + count].iter().enumerate() {
-                w16[2 * i..2 * i + 2].copy_from_slice(&F16::from_f32(w).to_le_bytes());
-            }
-            let lpn = self.layout.lpn(g, StateComponent::Weight16, 0);
-            end = end.max(self.device.host_write_page(lpn, Some(&w16), at)?.end);
-            // Gradient staging pages start zeroed when staged.
-            if self.layout.grad_staged() {
-                let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
-                end = end.max(self.device.host_write_page(lpn, Some(&zero), at)?.end);
-            }
-            let _ = ppg;
-        }
-        // The initial load is epoch 0, implicitly committed; flushing its
-        // commit record makes the mapping journal-covered, so a crash
-        // before the first step mounts without a full OOB scan.
-        end = end.max(self.device.commit_epoch(end)?);
-        Ok(end)
+        self.load(Some(weights), at)
     }
 
     /// Initializes phantom state: every layout page is written (dataless)
@@ -351,19 +272,16 @@ impl OptimStoreDevice {
                 "load_phantom needs a phantom device",
             ));
         }
-        let mut end = at;
-        for g in 0..self.layout.num_groups() {
-            for (comp, idx) in self.layout.write_set() {
-                let lpn = self.layout.lpn(g, comp, idx);
-                end = end.max(self.device.host_write_page(lpn, None, at)?.end);
-            }
-            if self.layout.grad_staged() {
-                let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
-                end = end.max(self.device.host_write_page(lpn, None, at)?.end);
-            }
-        }
-        end = end.max(self.device.commit_epoch(end)?);
-        Ok(end)
+        self.load(None, at)
+    }
+
+    /// Writes the state image ([`pages::load_state_image`]) and commits it.
+    fn load(&mut self, weights: Option<&[f32]>, at: SimTime) -> Result<SimTime, CoreError> {
+        let end = pages::load_state_image(&mut self.device, &self.layout, weights, at)?;
+        // The initial load is epoch 0, implicitly committed; flushing its
+        // commit record makes the mapping journal-covered, so a crash
+        // before the first step mounts without a full OOB scan.
+        Ok(end.max(self.device.commit_epoch(end)?))
     }
 
     /// Executes one in-storage optimizer step.
@@ -376,18 +294,7 @@ impl OptimStoreDevice {
         at: SimTime,
     ) -> Result<StepReport, CoreError> {
         let functional = self.device.is_functional();
-        if functional {
-            match grads {
-                Some(g) if g.len() as u64 == self.layout.params() => {}
-                Some(g) => {
-                    return Err(CoreError::GradLength {
-                        got: g.len(),
-                        want: self.layout.params(),
-                    })
-                }
-                None => return Err(CoreError::ModeMismatch("functional device needs gradients")),
-            }
-        }
+        pages::check_grads(&self.device, &self.layout, grads)?;
         // Patrol scrub in the idle window before the step begins: every
         // stripe is clean here (the previous commit rebuilt parity), so any
         // latent loss the sweep finds is still a *single* loss and
@@ -415,9 +322,8 @@ impl OptimStoreDevice {
         debug_assert_eq!(cmd.step, self.step);
         debug_assert_eq!(cmd.hyper, self.optimizer.hyper_wire());
 
-        let before = self.snapshot();
+        let before = CounterSnapshot::of(&self.device);
         let pb = self.page_bytes();
-        let ppg = self.layout.params_per_group() as usize;
         let mut step_end = at;
         let mut skipped = 0u64;
         let mut groups_replayed = 0u64;
@@ -455,13 +361,12 @@ impl OptimStoreDevice {
         }
         struct PendingWrite {
             g: u64,
-            die_flat: u32,
             channel: u32,
             /// Engine completion per sub-group (fp32 page-pair); identical
             /// entries under group-granular scheduling.
             compute_end: [SimTime; 2],
             /// Operand pages as read (functional: real bytes).
-            read_pages: Vec<(StateComponent, u32, Option<Bytes>)>,
+            read_pages: Vec<OperandPage>,
             /// The streamed gradient page (input to the A2 kernel pass).
             grad_page: Option<PageBuf>,
         }
@@ -475,20 +380,9 @@ impl OptimStoreDevice {
             // ---- phase A0: gradient prep (parallel data plane) ---------
             let prep_one = |g: u64| -> GradPrep {
                 let group = self.layout.group(g);
-                let page: Option<PageBuf> = if functional {
-                    let grads = grads.unwrap();
-                    let start = group.param_start as usize;
-                    let count = group.param_count as usize;
-                    let mut page = PageBuf::zeroed(pb);
-                    encode_grads_into(
-                        &grads[start..start + count],
-                        self.spec.grad_dtype,
-                        &mut page,
-                    );
-                    Some(page)
-                } else {
-                    None
-                };
+                let page: Option<PageBuf> = grads.filter(|_| functional).map(|grads| {
+                    pages::encode_grad_page(&self.layout, g, grads, self.spec.grad_dtype)
+                });
                 // Compressed gradients shrink the delivery stream: only the
                 // selected (index, value) pairs cross PCIe/DRAM/bus; the
                 // engine scatters them into a dense page in its buffer.
@@ -631,10 +525,8 @@ impl OptimStoreDevice {
                     [whole.end, whole.end]
                 };
 
-                let _ = ppg;
                 pending.push(PendingWrite {
                     g,
-                    die_flat,
                     channel,
                     compute_end: compute_ends,
                     read_pages,
@@ -655,11 +547,7 @@ impl OptimStoreDevice {
                 simkit::par::map_indexed(&pending, |_, p| {
                     let mut up = UpdatePages::gather(pb, layout.slots(), &p.read_pages);
                     let grad_bytes: &[u8] = if layout.grad_staged() {
-                        p.read_pages
-                            .iter()
-                            .find(|(c, i, _)| *c == StateComponent::Grad && *i == 0)
-                            .and_then(|(_, _, d)| d.as_deref())
-                            .expect("functional read returns data")
+                        pages::staged_grad(&p.read_pages)
                     } else {
                         p.grad_page.as_deref().expect("streamed grads present")
                     };
@@ -673,7 +561,6 @@ impl OptimStoreDevice {
 
             // ---- phase B: write-backs for the batch --------------------
             for (p, up) in pending.iter().zip(&updates_by_group) {
-                let _ = p.die_flat;
                 for (comp, idx) in self.layout.write_set() {
                     let lpn = self.layout.lpn(p.g, comp, idx);
                     let local = self.layout.is_local(p.g, comp, idx);
@@ -714,8 +601,25 @@ impl OptimStoreDevice {
         // instant rolls the whole step back at mount.
         step_end = step_end.max(self.device.commit_epoch(step_end)?);
 
-        let after = self.snapshot();
-        Ok(self.make_report(at, step_end, before, after, skipped, groups_replayed, scrub))
+        let delta = CounterSnapshot::of(&self.device).since(&before);
+        Ok(StepReport {
+            groups_skipped: skipped,
+            groups_replayed,
+            scrub_reads: scrub.pages_read,
+            scrub_repairs: scrub.repairs,
+            scrub_refreshes: scrub.refreshes,
+            ..StepReport::from_counters(
+                self.cfg.tier,
+                &self.layout,
+                &self.spec,
+                &self.energy_model,
+                Window {
+                    start: at,
+                    end: step_end,
+                },
+                delta,
+            )
+        })
     }
 
     /// Remounts the device after a sudden power loss and resynchronizes the
@@ -753,19 +657,18 @@ impl OptimStoreDevice {
     /// read and the per-sub-group readiness times (earliest engine start).
     /// Re-invoked verbatim by `run_step`'s replay loop when a read
     /// surfaces an uncorrectable media fault.
-    #[allow(clippy::type_complexity)]
     fn read_group_operands(
         &mut self,
         g: u64,
         channel: u32,
         grad_ready: SimTime,
         at: SimTime,
-    ) -> Result<(Vec<(StateComponent, u32, Option<Bytes>)>, [SimTime; 2]), CoreError> {
+    ) -> Result<(Vec<OperandPage>, [SimTime; 2]), CoreError> {
         let pb = self.page_bytes();
         // Track operand readiness per sub-group (fp32 page-pair): the grad
         // (and a staged grad page) feeds both.
         let mut sub_start = [grad_ready; 2];
-        let mut read_pages: Vec<(StateComponent, u32, Option<Bytes>)> = Vec::new();
+        let mut read_pages: Vec<OperandPage> = Vec::new();
         for (comp, idx) in self.layout.read_set() {
             let lpn = self.layout.lpn(g, comp, idx);
             let local = self.layout.is_local(g, comp, idx);
@@ -781,7 +684,7 @@ impl OptimStoreDevice {
                         .bus_mut()
                         .transfer(w.end, pb as u64);
                     (
-                        simkit::Window {
+                        Window {
                             start: w.start,
                             end: hop.end,
                         },
@@ -809,28 +712,12 @@ impl OptimStoreDevice {
     /// Reads back the fp32 master weights (functional mode, for
     /// verification). Timing is incidental — this is a debug path.
     pub fn read_master_weights(&mut self, at: SimTime) -> Result<Vec<f32>, CoreError> {
-        if !self.device.is_functional() {
-            return Err(CoreError::ModeMismatch(
-                "read_master_weights needs functional mode",
-            ));
-        }
-        let pb = self.page_bytes();
-        let mut out = Vec::with_capacity(self.layout.params() as usize);
-        for g in 0..self.layout.num_groups() {
-            let group = self.layout.group(g);
-            let mut raw = Vec::with_capacity(2 * pb);
-            for idx in 0..2u32 {
-                let lpn = self.layout.lpn(g, StateComponent::Master, idx);
-                let (_, data) = self.device.internal_read_array(lpn, at)?;
-                raw.extend_from_slice(&data.expect("functional device has data"));
-            }
-            for i in 0..group.param_count as usize {
-                out.push(f32::from_le_bytes(
-                    raw[4 * i..4 * i + 4].try_into().unwrap(),
-                ));
-            }
-        }
-        Ok(out)
+        pages::read_master_weights(
+            &mut self.device,
+            &self.layout,
+            Device::internal_read_array,
+            at,
+        )
     }
 
     /// Reads back the 16-bit working weights, widened to f32 (functional
@@ -874,85 +761,6 @@ impl OptimStoreDevice {
             }
         }
         Ok((end, bytes))
-    }
-
-    fn snapshot(&self) -> CounterSnapshot {
-        let mut s = CounterSnapshot {
-            pcie_in: 0,
-            pcie_out: 0,
-            bus: 0,
-            array_read: 0,
-            array_program: 0,
-            dram: 0,
-            erases: self.device.stats().erases.get(),
-            gc_copies: self.device.stats().gc_copies.get(),
-            parity_writes: self.device.stats().parity_writes.get(),
-            parity_reconstructions: self.device.stats().parity_reconstructions.get(),
-        };
-        for ch in self.device.channels() {
-            s.bus += ch.bus().bytes_moved();
-            for d in ch.dies() {
-                s.array_read += d.stats().bytes_read.get();
-                s.array_program += d.stats().bytes_programmed.get();
-            }
-        }
-        // Link byte counters are cumulative on the links themselves.
-        s.pcie_in = self.device.pcie_in().bytes_moved();
-        s.pcie_out = self.device.pcie_out().bytes_moved();
-        s.dram = self.device.dram().bytes_moved();
-        s
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn make_report(
-        &self,
-        start: SimTime,
-        end: SimTime,
-        before: CounterSnapshot,
-        after: CounterSnapshot,
-        groups_skipped: u64,
-        groups_replayed: u64,
-        scrub: ssdsim::ScrubReport,
-    ) -> StepReport {
-        let traffic = TrafficBytes {
-            pcie_in: after.pcie_in - before.pcie_in,
-            pcie_out: after.pcie_out - before.pcie_out,
-            bus: after.bus - before.bus,
-            array_read: after.array_read - before.array_read,
-            array_program: after.array_program - before.array_program,
-            dram: after.dram - before.dram,
-        };
-        let state_bytes = self.layout.params() * self.spec.state_write_bytes();
-        let counts = ActivityCounts {
-            array_read_bytes: traffic.array_read,
-            array_program_bytes: traffic.array_program,
-            erase_blocks: after.erases - before.erases,
-            bus_bytes: traffic.bus,
-            pcie_bytes: traffic.pcie_total(),
-            dram_bytes: traffic.dram,
-            host_bytes: 0,
-            ndp_compute_bytes: state_bytes,
-            host_compute_bytes: 0,
-        };
-        StepReport {
-            tier: self.cfg.tier.label(),
-            params: self.layout.params(),
-            start,
-            end,
-            duration: end - start,
-            traffic,
-            energy: counts.energy(&self.energy_model),
-            erases: after.erases - before.erases,
-            gc_copies: after.gc_copies - before.gc_copies,
-            groups_total: self.layout.num_groups(),
-            groups_skipped,
-            groups_replayed,
-            scrub_reads: scrub.pages_read,
-            scrub_repairs: scrub.repairs,
-            scrub_refreshes: scrub.refreshes,
-            parity_writes: after.parity_writes - before.parity_writes,
-            parity_reconstructions: after.parity_reconstructions - before.parity_reconstructions,
-        }
     }
 }
 
@@ -1042,6 +850,35 @@ mod tests {
         let w16 = dev.read_weights16(r2.end).unwrap();
         for (i, (w, e)) in w16.iter().zip(&expect).enumerate() {
             assert_eq!(w.to_bits(), F16::from_f32(*e).to_f32().to_bits(), "w16 {i}");
+        }
+    }
+
+    #[test]
+    fn functional_and_phantom_loads_write_the_same_image() {
+        let params = 20_000u64;
+        for grad_staging in [GradStaging::Stream, GradStaging::StoreToFlash] {
+            let cfg = OptimStoreConfig {
+                grad_staging,
+                ..OptimStoreConfig::die_ndp()
+            };
+            let adam = || Box::new(Adam::default());
+            let mut func =
+                OptimStoreDevice::new_functional(SsdConfig::tiny(), cfg, params, adam(), spec())
+                    .unwrap();
+            let mut phantom =
+                OptimStoreDevice::new(SsdConfig::tiny(), cfg, params, adam(), spec()).unwrap();
+            assert_eq!(func.layout(), phantom.layout());
+            let weights = vec![0.5f32; params as usize];
+            let t_func = func.load_weights(&weights, SimTime::ZERO).unwrap();
+            let t_phantom = phantom.load_phantom(SimTime::ZERO).unwrap();
+            assert_eq!(t_func, t_phantom, "{grad_staging:?}");
+
+            let (a, b) = (func.ssd().stats(), phantom.ssd().stats());
+            let layout = func.layout();
+            let pages = layout.write_set().len() as u64 + u64::from(layout.grad_staged());
+            assert_eq!(a.host_writes.get(), layout.num_groups() * pages);
+            assert_eq!(a.host_writes, b.host_writes);
+            assert_eq!(a.user_programs, b.user_programs);
         }
     }
 

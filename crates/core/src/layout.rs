@@ -143,6 +143,11 @@ impl StateLayout {
         }
     }
 
+    /// NAND page size in bytes.
+    pub fn page_bytes(&self) -> usize {
+        self.page_bytes as usize
+    }
+
     /// Number of optimizer slots.
     pub fn slots(&self) -> u8 {
         self.slots

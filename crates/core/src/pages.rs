@@ -1,20 +1,210 @@
-//! Pooled operand-page assembly for the optimizer kernel pass.
+//! The optimizer state image and its operand pages.
 //!
-//! Both the in-storage executor ([`crate::OptimStoreDevice`]) and the
-//! host-NVMe baseline run the same functional inner loop per update group:
-//! join the group's master/slot page pairs into contiguous kernel buffers,
-//! run [`optim_math::kernels::update_chunk`], then write each half back to
-//! its own page. [`UpdatePages`] is that loop's working set, built on
-//! [`simkit::pool::PageBuf`] so the steady-state step path checks buffers
-//! out of the pool instead of allocating — and write-back slices the joined
-//! buffers in place instead of splitting them into per-page copies.
+//! Core owns the state image and the step accounting, so the in-storage
+//! executor ([`crate::OptimStoreDevice`]) and the host-NVMe baseline load,
+//! read and account for the same bytes the same way — the tier comparison
+//! differs only in the update *path*. This module holds the image:
+//!
+//! * [`fit_layout`] checks an optimizer against its spec and the layout
+//!   against the device;
+//! * [`load_state_image`] writes every group's pages in one order,
+//!   functional or phantom;
+//! * [`encode_grad_page`] packs one group's gradient page, and
+//!   [`staged_grad`] finds a staged one among the operands read;
+//! * [`read_master_weights`] decodes the fp32 masters back;
+//! * [`UpdatePages`] is the per-group kernel working set: the group's
+//!   master/slot page pairs joined into contiguous buffers for
+//!   [`optim_math::kernels::update_chunk`], each half written back to its
+//!   own page. It is built on [`simkit::pool::PageBuf`], so the
+//!   steady-state step path checks buffers out of the pool instead of
+//!   allocating, and write-back slices the joined buffers in place.
+//!
+//! The step accounting — one [`crate::report::CounterSnapshot`] per step
+//! edge and [`crate::StepReport::from_counters`] — lives beside the report.
 
-use crate::layout::StateComponent;
+use crate::config::LayoutPolicy;
+use crate::exec::CoreError;
+use crate::layout::{StateComponent, StateLayout};
 use bytes::Bytes;
-use optim_math::kernels::{update_chunk, KernelError};
-use optim_math::state::GradDtype;
-use optim_math::Optimizer;
+use optim_math::kernels::{encode_grads_into, update_chunk, KernelError};
+use optim_math::state::{GradDtype, StateLayoutSpec};
+use optim_math::{Optimizer, F16};
 use simkit::pool::PageBuf;
+use simkit::{SimTime, Window};
+use ssdsim::{Device, Lpn, SsdError};
+
+/// One operand page as the read phase returns it: component, page index
+/// and the bytes read (`None` on phantom devices).
+pub type OperandPage = (StateComponent, u32, Option<Bytes>);
+
+/// A device read path: [`Device::internal_read_array`] for an on-die
+/// engine, [`Device::host_read_page`] for the host.
+pub type ReadPath = fn(&mut Device, Lpn, SimTime) -> Result<(Window, Option<Bytes>), SsdError>;
+
+/// Checks that `optimizer` runs the rule `spec` lays out, and that the
+/// layout of `params` parameters under `policy` fits `device`. Returns the
+/// layout.
+pub fn fit_layout(
+    device: &Device,
+    policy: LayoutPolicy,
+    params: u64,
+    optimizer: &dyn Optimizer,
+    spec: &StateLayoutSpec,
+    grad_staged: bool,
+) -> Result<StateLayout, CoreError> {
+    if optimizer.kind() != spec.kind {
+        return Err(CoreError::Config(format!(
+            "optimizer {:?} does not match layout spec {:?}",
+            optimizer.kind(),
+            spec.kind
+        )));
+    }
+    let layout = StateLayout::new(
+        policy,
+        params,
+        optimizer.state_slots() as u8,
+        device.config().nand.geometry.page_bytes,
+        device.config().total_dies(),
+        grad_staged,
+    );
+    if layout.required_pages() > device.logical_pages() {
+        return Err(CoreError::CapacityExceeded {
+            need: layout.required_pages(),
+            have: device.logical_pages(),
+        });
+    }
+    Ok(layout)
+}
+
+/// Writes the initial state image through the host interface, every page
+/// issued at `at`: per group, its [`StateLayout::write_set`] and then, when
+/// staged, its gradient page. With `weights` the masters hold them as fp32,
+/// the working weights hold them narrowed to fp16, and slot and gradient
+/// pages are zero; without, every page is dataless (phantom). Returns the
+/// time the last page persists. Epoch commit is the caller's.
+pub fn load_state_image(
+    device: &mut Device,
+    layout: &StateLayout,
+    weights: Option<&[f32]>,
+    at: SimTime,
+) -> Result<SimTime, CoreError> {
+    if let Some(w) = weights {
+        if w.len() as u64 != layout.params() {
+            return Err(CoreError::GradLength {
+                got: w.len(),
+                want: layout.params(),
+            });
+        }
+    }
+    let pb = layout.page_bytes();
+    let mut image = layout.write_set();
+    if layout.grad_staged() {
+        image.push((StateComponent::Grad, 0));
+    }
+    let mut w32 = vec![0u8; 2 * pb];
+    let mut w16 = vec![0u8; pb];
+    let zero = vec![0u8; pb];
+    let mut end = at;
+    for g in 0..layout.num_groups() {
+        if let Some(weights) = weights {
+            let r = layout.group(g).param_range();
+            w32.fill(0);
+            w16.fill(0);
+            for (i, &w) in weights[r.start as usize..r.end as usize].iter().enumerate() {
+                w32[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
+                w16[2 * i..2 * i + 2].copy_from_slice(&F16::from_f32(w).to_le_bytes());
+            }
+        }
+        for &(comp, idx) in &image {
+            let data: Option<&[u8]> = weights.map(|_| match comp {
+                StateComponent::Master => &w32[idx as usize * pb..(idx as usize + 1) * pb],
+                StateComponent::Weight16 => &w16[..],
+                StateComponent::Slot(_) | StateComponent::Grad => &zero[..],
+            });
+            let lpn = layout.lpn(g, comp, idx);
+            end = end.max(device.host_write_page(lpn, data, at)?.end);
+        }
+    }
+    Ok(end)
+}
+
+/// Checks a step's gradients: a functional device needs one per parameter;
+/// a phantom device ignores them.
+pub fn check_grads(
+    device: &Device,
+    layout: &StateLayout,
+    grads: Option<&[f32]>,
+) -> Result<(), CoreError> {
+    if !device.is_functional() {
+        return Ok(());
+    }
+    match grads {
+        Some(g) if g.len() as u64 == layout.params() => Ok(()),
+        Some(g) => Err(CoreError::GradLength {
+            got: g.len(),
+            want: layout.params(),
+        }),
+        None => Err(CoreError::ModeMismatch("functional device needs gradients")),
+    }
+}
+
+/// Packs group `g`'s slice of `grads` into one `dtype` gradient page.
+pub fn encode_grad_page(layout: &StateLayout, g: u64, grads: &[f32], dtype: GradDtype) -> PageBuf {
+    let r = layout.group(g).param_range();
+    let mut page = PageBuf::zeroed(layout.page_bytes());
+    encode_grads_into(&grads[r.start as usize..r.end as usize], dtype, &mut page);
+    page
+}
+
+/// The bytes of operand page `(comp, idx)` among a group's read pages.
+///
+/// # Panics
+/// Panics if the page was not read or carries no data.
+fn operand(read_pages: &[OperandPage], comp: StateComponent, idx: u32) -> &[u8] {
+    read_pages
+        .iter()
+        .find(|(c, i, _)| *c == comp && *i == idx)
+        .and_then(|(_, _, d)| d.as_deref())
+        .expect("functional read returns data")
+}
+
+/// The staged gradient page among a group's operands; the kernel reads it
+/// straight from the read buffer, with no staging copy.
+pub fn staged_grad(read_pages: &[OperandPage]) -> &[u8] {
+    operand(read_pages, StateComponent::Grad, 0)
+}
+
+/// Reads back every group's two master pages over `read`, issued at `at`,
+/// and decodes the fp32 master weights (functional devices only).
+pub fn read_master_weights(
+    device: &mut Device,
+    layout: &StateLayout,
+    read: ReadPath,
+    at: SimTime,
+) -> Result<Vec<f32>, CoreError> {
+    if !device.is_functional() {
+        return Err(CoreError::ModeMismatch(
+            "read_master_weights needs functional mode",
+        ));
+    }
+    let per_page = layout.page_bytes() / 4;
+    let mut out = Vec::with_capacity(layout.params() as usize);
+    for g in 0..layout.num_groups() {
+        let mut left = layout.group(g).param_count as usize;
+        for idx in 0..2u32 {
+            let (_, data) = read(device, layout.lpn(g, StateComponent::Master, idx), at)?;
+            let data = data.expect("functional device has data");
+            let n = left.min(per_page);
+            out.extend(
+                data[..4 * n]
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+            );
+            left -= n;
+        }
+    }
+    Ok(out)
+}
 
 /// The kernel working set for one update group: joined fp32 master pages,
 /// joined per-slot pages, and the 16-bit working-weight output page — all
@@ -35,18 +225,8 @@ impl UpdatePages {
     /// Gathers a group's operand pages (as returned by the read phase) into
     /// pooled kernel buffers. `read_pages` must contain data for
     /// `(Master, 0..2)` and `(Slot(s), 0..2)` for every `s < nslots`.
-    pub fn gather(
-        pb: usize,
-        nslots: u8,
-        read_pages: &[(StateComponent, u32, Option<Bytes>)],
-    ) -> Self {
-        let find = |comp: StateComponent, idx: u32| -> &[u8] {
-            read_pages
-                .iter()
-                .find(|(c, i, _)| *c == comp && *i == idx)
-                .and_then(|(_, _, d)| d.as_deref())
-                .expect("functional read returns data")
-        };
+    pub fn gather(pb: usize, nslots: u8, read_pages: &[OperandPage]) -> Self {
+        let find = |comp: StateComponent, idx: u32| operand(read_pages, comp, idx);
         let mut w32 = PageBuf::zeroed(2 * pb);
         w32[..pb].copy_from_slice(find(StateComponent::Master, 0));
         w32[pb..].copy_from_slice(find(StateComponent::Master, 1));

@@ -1,8 +1,17 @@
-//! Per-step measurement report.
+//! Per-step measurement report and the step accounting behind it.
+//!
+//! Every tier — die-NDP, channel-NDP and the host-NVMe baseline — brackets
+//! its step with two [`CounterSnapshot`]s and builds its [`StepReport`]
+//! with [`StepReport::from_counters`], so traffic and energy are counted
+//! the same way on both sides of the comparison.
 
-use crate::energy::EnergyBreakdown;
+use crate::config::ExecutionTier;
+use crate::energy::{ActivityCounts, EnergyBreakdown, EnergyModel};
+use crate::layout::StateLayout;
+use optim_math::state::StateLayoutSpec;
 use serde::{Deserialize, Serialize};
-use simkit::{SimDuration, SimTime};
+use simkit::{SimDuration, SimTime, Window};
+use ssdsim::Device;
 
 /// Bytes moved per resource during one optimizer step.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,7 +99,113 @@ pub struct RecoveryReport {
     pub end: SimTime,
 }
 
+/// Cumulative device counters at one instant; the difference of two
+/// bracketing snapshots ([`CounterSnapshot::since`]) is a step's activity.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CounterSnapshot {
+    traffic: TrafficBytes,
+    erases: u64,
+    gc_copies: u64,
+    parity_writes: u64,
+    parity_reconstructions: u64,
+}
+
+impl CounterSnapshot {
+    /// Reads `device`'s cumulative link, bus, array and FTL counters.
+    pub fn of(device: &Device) -> Self {
+        let mut traffic = TrafficBytes {
+            pcie_in: device.pcie_in().bytes_moved(),
+            pcie_out: device.pcie_out().bytes_moved(),
+            dram: device.dram().bytes_moved(),
+            ..TrafficBytes::default()
+        };
+        for ch in device.channels() {
+            traffic.bus += ch.bus().bytes_moved();
+            for d in ch.dies() {
+                traffic.array_read += d.stats().bytes_read.get();
+                traffic.array_program += d.stats().bytes_programmed.get();
+            }
+        }
+        let stats = device.stats();
+        CounterSnapshot {
+            traffic,
+            erases: stats.erases.get(),
+            gc_copies: stats.gc_copies.get(),
+            parity_writes: stats.parity_writes.get(),
+            parity_reconstructions: stats.parity_reconstructions.get(),
+        }
+    }
+
+    /// The activity between `before` and this snapshot.
+    pub fn since(&self, before: &CounterSnapshot) -> CounterSnapshot {
+        let (a, b) = (&self.traffic, &before.traffic);
+        CounterSnapshot {
+            traffic: TrafficBytes {
+                pcie_in: a.pcie_in - b.pcie_in,
+                pcie_out: a.pcie_out - b.pcie_out,
+                bus: a.bus - b.bus,
+                array_read: a.array_read - b.array_read,
+                array_program: a.array_program - b.array_program,
+                dram: a.dram - b.dram,
+            },
+            erases: self.erases - before.erases,
+            gc_copies: self.gc_copies - before.gc_copies,
+            parity_writes: self.parity_writes - before.parity_writes,
+            parity_reconstructions: self.parity_reconstructions - before.parity_reconstructions,
+        }
+    }
+}
+
 impl StepReport {
+    /// The report of a step of `layout` on `tier` over `window`, during
+    /// which the device did `delta` ([`CounterSnapshot::since`]). Energy is
+    /// `delta` under `model`, with the state update charged to the host
+    /// (which also stages every PCIe byte) on [`ExecutionTier::HostNvme`]
+    /// and to the NDP engines otherwise. Executor-side counts — skipped
+    /// and replayed groups, scrub — are zero for the caller to fill in.
+    pub fn from_counters(
+        tier: ExecutionTier,
+        layout: &StateLayout,
+        spec: &StateLayoutSpec,
+        model: &EnergyModel,
+        window: Window,
+        delta: CounterSnapshot,
+    ) -> StepReport {
+        let traffic = delta.traffic;
+        let state_bytes = layout.params() * spec.state_write_bytes();
+        let on_host = tier == ExecutionTier::HostNvme;
+        let counts = ActivityCounts {
+            array_read_bytes: traffic.array_read,
+            array_program_bytes: traffic.array_program,
+            erase_blocks: delta.erases,
+            bus_bytes: traffic.bus,
+            pcie_bytes: traffic.pcie_total(),
+            dram_bytes: traffic.dram,
+            host_bytes: if on_host { traffic.pcie_total() } else { 0 },
+            ndp_compute_bytes: if on_host { 0 } else { state_bytes },
+            host_compute_bytes: if on_host { state_bytes } else { 0 },
+        };
+        StepReport {
+            tier: tier.label(),
+            params: layout.params(),
+            start: window.start,
+            end: window.end,
+            duration: window.duration(),
+            traffic,
+            energy: counts.energy(model),
+            erases: delta.erases,
+            gc_copies: delta.gc_copies,
+            groups_total: layout.num_groups(),
+            groups_skipped: 0,
+            groups_replayed: 0,
+            scrub_reads: 0,
+            scrub_repairs: 0,
+            scrub_refreshes: 0,
+            parity_writes: delta.parity_writes,
+            parity_reconstructions: delta.parity_reconstructions,
+        }
+    }
+
     /// Parameters updated per second of simulated time.
     pub fn params_per_sec(&self) -> f64 {
         let s = self.duration.as_secs_f64();

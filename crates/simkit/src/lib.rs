@@ -5,16 +5,13 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — a nanosecond-resolution virtual clock
 //!   with saturating arithmetic, so timing code never silently wraps.
-//! * [`EventQueue`] — a deterministic priority queue of timestamped events.
-//!   Ties are broken by insertion order, so a simulation driven from the same
-//!   inputs always replays identically.
 //! * [`Timeline`] and [`BandwidthLink`] — resource-occupancy models. A
 //!   `Timeline` represents a unit that can do one thing at a time (a NAND
 //!   plane, a DMA engine); a `BandwidthLink` represents a shared byte pipe
 //!   (an ONFI channel, a PCIe link) that converts transfer sizes into busy
 //!   windows.
-//! * [`stats`] — counters, histograms, and time-weighted utilization
-//!   trackers used for every report the simulators produce.
+//! * [`stats`] — counters and histograms used for every report the
+//!   simulators produce.
 //! * [`par`] — the deterministic parallel *data plane*: a scoped worker
 //!   pool whose [`par::map_indexed`] returns results in input order, so
 //!   byte-level work parallelizes while the timing plane stays serial.
@@ -44,7 +41,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod event;
 mod resource;
 mod time;
 
@@ -52,6 +48,5 @@ pub mod par;
 pub mod pool;
 pub mod stats;
 
-pub use event::{EventQueue, ScheduledEvent};
 pub use resource::{BandwidthLink, Timeline, Window};
 pub use time::{SimDuration, SimTime};

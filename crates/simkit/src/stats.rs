@@ -1,9 +1,8 @@
-//! Measurement infrastructure: counters, streaming summaries, and
-//! fixed-bucket histograms.
+//! Measurement infrastructure: counters and fixed-bucket histograms.
 //!
 //! Every report a simulator in this repository prints is assembled from
-//! these types, so they favour exactness (integer counters, Welford
-//! variance) over speed tricks.
+//! these types, so they favour exactness (integer counts and sums) over
+//! speed tricks.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -40,93 +39,6 @@ impl Counter {
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.0)
-    }
-}
-
-/// Streaming summary of a sequence of observations: count, min, max, mean,
-/// and (Welford) variance, without storing the samples.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct Summary {
-    count: u64,
-    min: f64,
-    max: f64,
-    mean: f64,
-    m2: f64,
-}
-
-impl Summary {
-    /// An empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            mean: 0.0,
-            m2: 0.0,
-        }
-    }
-
-    /// Records one observation. Non-finite samples are ignored.
-    pub fn record(&mut self, x: f64) {
-        if !x.is_finite() {
-            return;
-        }
-        self.count += 1;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-    }
-
-    /// Number of observations recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Smallest observation, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Arithmetic mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.mean)
-    }
-
-    /// Population variance, or `None` if empty.
-    pub fn variance(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.m2 / self.count as f64)
-    }
-
-    /// Population standard deviation, or `None` if empty.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Merges another summary into this one (parallel-sweep reduction).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -226,50 +138,6 @@ mod tests {
         assert_eq!(c.get(), 5);
         c.add(u64::MAX);
         assert_eq!(c.get(), u64::MAX);
-    }
-
-    #[test]
-    fn summary_moments() {
-        let mut s = Summary::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert_eq!(s.mean(), Some(5.0));
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.variance().unwrap() - 4.0).abs() < 1e-12);
-        assert!((s.std_dev().unwrap() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_ignores_non_finite() {
-        let mut s = Summary::new();
-        s.record(f64::NAN);
-        s.record(f64::INFINITY);
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), None);
-    }
-
-    #[test]
-    fn summary_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = Summary::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut left = Summary::new();
-        let mut right = Summary::new();
-        for &x in &xs[..37] {
-            left.record(x);
-        }
-        for &x in &xs[37..] {
-            right.record(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), all.count());
-        assert!((left.mean().unwrap() - all.mean().unwrap()).abs() < 1e-9);
-        assert!((left.variance().unwrap() - all.variance().unwrap()).abs() < 1e-9);
     }
 
     #[test]

@@ -210,7 +210,6 @@ impl Device {
 
     fn build(config: SsdConfig, functional: bool) -> Self {
         config.validate().expect("invalid SsdConfig");
-        let mut dies_all = Vec::new();
         let channels: Vec<Channel> = (0..config.channels)
             .map(|ch| {
                 let dies: Vec<Die> = (0..config.dies_per_channel)
@@ -234,19 +233,7 @@ impl Device {
                 Channel::new(ch, bus, dies)
             })
             .collect();
-        for ch in &channels {
-            for d in ch.dies() {
-                dies_all.push(d);
-            }
-        }
-        // Ftl::new needs a flat die slice; rebuild the view.
-        let ftl = {
-            let flat: Vec<&Die> = channels.iter().flat_map(|c| c.dies().iter()).collect();
-            // DieAlloc::new only reads geometry, so cloning through refs is
-            // avoided by constructing from the config directly.
-            let _ = &flat;
-            Ftl::new(&config, &make_ftl_seed_dies(&config))
-        };
+        let ftl = Ftl::new(&config, channels.iter().flat_map(Channel::dies));
         let pcie = config.pcie.bytes_per_sec();
         Device {
             channels,
@@ -783,7 +770,7 @@ impl Device {
 
         // Phase 4 — commit point: rebuild mapping, validity, and allocators
         // into fresh structures, then install everything at once.
-        let mut ftl = Ftl::new(&self.config, &make_ftl_seed_dies(&self.config));
+        let mut ftl = Ftl::new(&self.config, self.channels.iter().flat_map(Channel::dies));
         let mut sorted: Vec<(PageOob, u32, u64, Ppa)> = winners.values().copied().collect();
         sorted.sort_by_key(|w| w.0.lpn);
         let mut winning: HashSet<(u32, u64)> = HashSet::new();
@@ -1980,14 +1967,6 @@ fn invalidate(channels: &mut [Channel], stale: Ppa) {
     if let Ok(block) = die.block_mut(stale.page.block_addr()) {
         block.invalidate(stale.page.page);
     }
-}
-
-/// `Ftl::new` sizes its allocators from die geometry; give it throwaway
-/// dies built from the same config (cheap: no data, just block tables).
-fn make_ftl_seed_dies(config: &SsdConfig) -> Vec<Die> {
-    (0..config.total_dies())
-        .map(|i| Die::new(i, config.nand))
-        .collect()
 }
 
 #[cfg(test)]

@@ -35,7 +35,9 @@ pub struct Ftl {
 
 impl Ftl {
     /// Creates the FTL for `config`, with every block of every die free.
-    pub fn new(config: &SsdConfig, dies: &[Die]) -> Self {
+    /// `dies` are the device's dies in flat order; only their geometry is
+    /// read.
+    pub fn new<'a>(config: &SsdConfig, dies: impl IntoIterator<Item = &'a Die>) -> Self {
         let geo = config.nand.geometry;
         Ftl {
             // Sized to the addressable space: host-visible pages plus (with
@@ -46,7 +48,7 @@ impl Ftl {
                 geo.blocks_per_die(),
                 geo.pages_per_block,
             ),
-            alloc: dies.iter().map(DieAlloc::new).collect(),
+            alloc: dies.into_iter().map(DieAlloc::new).collect(),
             dies_per_channel: config.dies_per_channel,
             blocks_per_plane: geo.blocks_per_plane,
         }

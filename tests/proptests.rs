@@ -1,13 +1,13 @@
 //! Property-based tests over the core invariants: FTL mapping laws,
 //! numeric round-trips, in-storage/reference agreement, partition
-//! coverage, and event ordering — with inputs chosen by proptest.
+//! coverage, and pool ordering — with inputs chosen by proptest.
 
 use optimstore::dnn_model::ZeroPartition;
 use optimstore::optim_math::kernels::{encode_grads, StateBuffers};
 use optimstore::optim_math::state::GradDtype;
 use optimstore::optim_math::{Adam, Bf16, F16};
 use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice};
-use optimstore::simkit::{EventQueue, SimTime};
+use optimstore::simkit::SimTime;
 use optimstore::ssdsim::{Device, Lpn, SsdConfig};
 use optimstore::workloads::SlicedRun;
 use proptest::prelude::*;
@@ -134,25 +134,6 @@ proptest! {
             let r = p.range_of(owner);
             prop_assert!(r.contains(&probe));
         }
-    }
-
-    /// Event queues pop in nondecreasing time order with FIFO ties.
-    #[test]
-    fn event_queue_is_stable_sorted(times in prop::collection::vec(0u64..1000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.push(SimTime::from_ns(t), (t, i));
-        }
-        let mut last = (0u64, 0usize);
-        let mut first = true;
-        q.drain_ordered(|time, (t, i)| {
-            assert_eq!(time, SimTime::from_ns(t));
-            if !first {
-                assert!(t > last.0 || (t == last.0 && i > last.1), "order violated");
-            }
-            first = false;
-            last = (t, i);
-        });
     }
 
     /// Slices always cover the model exactly when scaled.
