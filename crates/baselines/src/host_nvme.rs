@@ -11,22 +11,23 @@
 //!    throughput pipeline) applies the rule;
 //! 4. the step **writes** every updated page back down the same path.
 //!
-//! Functionally the baseline runs the identical kernels, so its results
-//! are bit-exact against the in-storage engine — the comparison is purely
-//! about time, traffic and energy. The state image, the master-weight
-//! decode and the step accounting are core's ([`optimstore_core::pages`],
-//! [`optimstore_core::report`]); this module holds only the host path.
+//! Steps 2–4 are the [`ExecutionTier::HostNvme`] arm of core's one step
+//! executor ([`OptimStoreDevice`] under [`OptimStoreConfig::host_nvme`]),
+//! so the baseline runs the identical kernels, state image and step
+//! accounting as the in-storage tiers and its results are bit-exact
+//! against them — the comparison is purely about time, traffic and
+//! energy. This module holds only the configuration mapping and the
+//! backward-phase gradient spill.
+//!
+//! [`ExecutionTier::HostNvme`]: optimstore_core::ExecutionTier::HostNvme
 
 use optim_math::state::StateLayoutSpec;
 use optim_math::Optimizer;
-use optimstore_core::energy::EnergyModel;
-use optimstore_core::pages::{self, OperandPage, UpdatePages};
-use optimstore_core::report::CounterSnapshot;
+use optimstore_core::pages;
 use optimstore_core::{
-    CoreError, ExecutionTier, LayoutPolicy, StateComponent, StateLayout, StepReport,
+    CoreError, OptimStoreConfig, OptimStoreDevice, StateComponent, StateLayout, StepReport,
 };
-use simkit::pool::PageBuf;
-use simkit::{SimDuration, SimTime, Timeline, Window};
+use simkit::SimTime;
 use ssdsim::{Device, SsdConfig};
 
 /// Host-side configuration of the offload baseline.
@@ -48,13 +49,7 @@ impl Default for HostNvmeConfig {
 /// The host NVMe-offload baseline system.
 #[derive(Debug)]
 pub struct HostNvmeBaseline {
-    device: Device,
-    layout: StateLayout,
-    spec: StateLayoutSpec,
-    optimizer: Box<dyn Optimizer>,
-    host: Timeline,
-    host_cfg: HostNvmeConfig,
-    step: u64,
+    dev: OptimStoreDevice,
 }
 
 impl HostNvmeBaseline {
@@ -66,7 +61,9 @@ impl HostNvmeBaseline {
         optimizer: Box<dyn Optimizer>,
         spec: StateLayoutSpec,
     ) -> Result<Self, CoreError> {
-        Self::build(Device::new(ssd), host_cfg, params, optimizer, spec)
+        let cfg = OptimStoreConfig::host_nvme(host_cfg.update_bytes_per_sec);
+        let dev = OptimStoreDevice::new(ssd, cfg, params, optimizer, spec)?;
+        Ok(HostNvmeBaseline { dev })
     }
 
     /// Creates a functional baseline.
@@ -77,71 +74,35 @@ impl HostNvmeBaseline {
         optimizer: Box<dyn Optimizer>,
         spec: StateLayoutSpec,
     ) -> Result<Self, CoreError> {
-        Self::build(
-            Device::new_functional(ssd),
-            host_cfg,
-            params,
-            optimizer,
-            spec,
-        )
-    }
-
-    fn build(
-        device: Device,
-        host_cfg: HostNvmeConfig,
-        params: u64,
-        optimizer: Box<dyn Optimizer>,
-        spec: StateLayoutSpec,
-    ) -> Result<Self, CoreError> {
-        if host_cfg.update_bytes_per_sec == 0 {
-            return Err(CoreError::Config(
-                "host updater throughput must be positive".into(),
-            ));
-        }
-        // Gradients are spilled to flash, so they occupy layout pages.
-        let layout = pages::fit_layout(
-            &device,
-            LayoutPolicy::CoLocated,
-            params,
-            optimizer.as_ref(),
-            &spec,
-            true,
-        )?;
-        Ok(HostNvmeBaseline {
-            device,
-            layout,
-            spec,
-            optimizer,
-            host: Timeline::new("host-updater"),
-            host_cfg,
-            step: 0,
-        })
+        let cfg = OptimStoreConfig::host_nvme(host_cfg.update_bytes_per_sec);
+        let dev = OptimStoreDevice::new_functional(ssd, cfg, params, optimizer, spec)?;
+        Ok(HostNvmeBaseline { dev })
     }
 
     /// The state layout in use.
     pub fn layout(&self) -> &StateLayout {
-        &self.layout
+        self.dev.layout()
     }
 
     /// The underlying SSD.
     pub fn ssd(&self) -> &Device {
-        &self.device
+        self.dev.ssd()
     }
 
     /// Completed steps.
     pub fn step_count(&self) -> u64 {
-        self.step
+        self.dev.step_count()
     }
 
     /// Loads initial weights (functional mode): the same state image as
-    /// [`optimstore_core::OptimStoreDevice::load_weights`].
+    /// [`OptimStoreDevice::load_weights`].
     pub fn load_weights(&mut self, weights: &[f32], at: SimTime) -> Result<SimTime, CoreError> {
-        pages::load_state_image(&mut self.device, &self.layout, Some(weights), at)
+        self.dev.load_weights(weights, at)
     }
 
     /// Initializes phantom state (dataless pages).
     pub fn load_phantom(&mut self, at: SimTime) -> Result<SimTime, CoreError> {
-        pages::load_state_image(&mut self.device, &self.layout, None, at)
+        self.dev.load_phantom(at)
     }
 
     /// Spills gradients to flash (the backward-phase traffic; ZeRO-Infinity
@@ -152,13 +113,18 @@ impl HostNvmeBaseline {
         grads: Option<&[f32]>,
         at: SimTime,
     ) -> Result<SimTime, CoreError> {
-        pages::check_grads(&self.device, &self.layout, grads)?;
+        pages::check_grads(self.dev.ssd(), self.dev.layout(), grads)?;
+        let dtype = self.dev.spec().grad_dtype;
         let mut end = at;
-        for g in 0..self.layout.num_groups() {
-            let data: Option<PageBuf> =
-                grads.map(|gr| pages::encode_grad_page(&self.layout, g, gr, self.spec.grad_dtype));
-            let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
-            end = end.max(self.device.host_write_page(lpn, data.as_deref(), at)?.end);
+        for g in 0..self.dev.layout().num_groups() {
+            let layout = self.dev.layout();
+            let lpn = layout.lpn(g, StateComponent::Grad, 0);
+            let data = grads.map(|gr| pages::encode_grad_page(layout, g, gr, dtype));
+            let win = self
+                .dev
+                .ssd_mut()
+                .host_write_page(lpn, data.as_deref(), at)?;
+            end = end.max(win.end);
         }
         Ok(end)
     }
@@ -166,105 +132,12 @@ impl HostNvmeBaseline {
     /// Executes one host-offload optimizer step: read up, update on host,
     /// write back. Gradients must have been spilled for this step already.
     pub fn run_step(&mut self, at: SimTime) -> Result<StepReport, CoreError> {
-        self.step += 1;
-        let functional = self.device.is_functional();
-        let pb = self.layout.page_bytes();
-        let before = CounterSnapshot::of(&self.device);
-        let mut step_end = at;
-
-        // Batched two-phase issue, one group per die per batch: all of a
-        // batch's reads (and the host updates they feed) are issued before
-        // any of its write-backs, keeping issue order consistent with start
-        // times on the shared PCIe/DRAM/bus resources. Interleaving each
-        // group's late writes before the next group's early reads would
-        // create false convoys under busy-until arbitration — an artifact a
-        // real NVMe queue pair does not have.
-        struct PendingWrite {
-            g: u64,
-            host_end: SimTime,
-            /// Kernel output buffers (functional mode only) — write-back
-            /// slices these in place.
-            update: Option<UpdatePages>,
-        }
-        let batch = self.device.config().total_dies() as u64;
-        let num_groups = self.layout.num_groups();
-        let mut batch_start = 0u64;
-        while batch_start < num_groups {
-            let batch_end = (batch_start + batch).min(num_groups);
-            let mut pending: Vec<PendingWrite> = Vec::with_capacity(batch as usize);
-
-            for g in batch_start..batch_end {
-                // ---- read state + gradient up to the host ------------------
-                let mut host_start = at;
-                let mut read_pages: Vec<OperandPage> = Vec::new();
-                for (comp, idx) in self.layout.read_set() {
-                    let lpn = self.layout.lpn(g, comp, idx);
-                    let (win, data) = self.device.host_read_page(lpn, at)?;
-                    host_start = host_start.max(win.end);
-                    read_pages.push((comp, idx, data));
-                }
-
-                // ---- host update --------------------------------------------
-                let work_bytes = (self.layout.read_set().len() + self.layout.write_set().len())
-                    as u64
-                    * pb as u64;
-                let service =
-                    SimDuration::for_transfer(work_bytes, self.host_cfg.update_bytes_per_sec);
-                let host = self.host.acquire(host_start, service);
-
-                // ---- functional update --------------------------------------
-                let update: Option<UpdatePages> = if functional {
-                    let mut up = UpdatePages::gather(pb, self.layout.slots(), &read_pages);
-                    // The gradient page feeds the kernel straight from the
-                    // read buffer — no staging copy.
-                    up.apply(
-                        self.optimizer.as_ref(),
-                        pages::staged_grad(&read_pages),
-                        self.spec.grad_dtype,
-                        self.step,
-                    )
-                    .expect("layout-derived buffers are consistent");
-                    Some(up)
-                } else {
-                    None
-                };
-
-                pending.push(PendingWrite {
-                    g,
-                    host_end: host.end,
-                    update,
-                });
-            }
-
-            // ---- write back ---------------------------------------------
-            for p in &pending {
-                for (comp, idx) in self.layout.write_set() {
-                    let lpn = self.layout.lpn(p.g, comp, idx);
-                    let data: Option<&[u8]> = p.update.as_ref().map(|up| up.page(comp, idx));
-                    let win = self.device.host_write_page(lpn, data, p.host_end)?;
-                    step_end = step_end.max(win.end);
-                }
-            }
-            batch_start = batch_end;
-        }
-
-        let delta = CounterSnapshot::of(&self.device).since(&before);
-        Ok(StepReport::from_counters(
-            ExecutionTier::HostNvme,
-            &self.layout,
-            &self.spec,
-            &EnergyModel::default(),
-            Window {
-                start: at,
-                end: step_end,
-            },
-            delta,
-        ))
+        self.dev.run_step(None, at)
     }
 
     /// Reads back fp32 master weights (functional mode, verification).
     pub fn read_master_weights(&mut self, at: SimTime) -> Result<Vec<f32>, CoreError> {
-        pages::read_master_weights(&mut self.device, &self.layout, Device::host_read_page, at)
+        self.dev.read_master_weights(at)
     }
 }
 

@@ -3,7 +3,8 @@
 //! * [`HostNvmeBaseline`] — ZeRO-Infinity-style NVMe offload: optimizer
 //!   state lives on the same simulated SSD, but every step streams it to
 //!   the host over PCIe, updates it there, and streams it back. This is the
-//!   paper's primary comparison point.
+//!   paper's primary comparison point; its step is the host tier of core's
+//!   one executor.
 //! * [`HostDramBaseline`] — optimizer state held in host DRAM and updated
 //!   by the CPU: no flash in the loop. An upper bound on host-side update
 //!   speed (and a lower bound on capacity: it only exists when state fits
@@ -12,8 +13,9 @@
 //!   co-located layout (each tensor striped independently): the layout
 //!   ablation.
 //!
-//! All baselines run the same [`optim_math`] kernels as the in-storage
-//! engine, so functional results are bit-identical across systems — only
+//! The two flash-backed baselines are configurations of
+//! [`OptimStoreDevice`], and the DRAM one runs the same [`optim_math`]
+//! kernels, so functional results are bit-identical across systems — only
 //! time, traffic and energy differ.
 
 #![warn(missing_docs)]

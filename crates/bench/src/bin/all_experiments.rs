@@ -2,9 +2,5 @@
 //! Pass a parameter cap as the first argument to trade fidelity for time.
 
 fn main() {
-    let cap = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(optimstore_bench::runners::DEFAULT_SLICE_CAP);
-    optimstore_bench::experiments::run_all(cap);
+    optimstore_bench::experiments::run_all(optimstore_bench::runners::cap_arg());
 }

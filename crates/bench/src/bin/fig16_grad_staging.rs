@@ -3,9 +3,5 @@
 //! (default: the standard slice cap).
 
 fn main() {
-    let cap = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(optimstore_bench::runners::DEFAULT_SLICE_CAP);
-    optimstore_bench::experiments::fig16_grad_staging(cap);
+    optimstore_bench::experiments::fig16_grad_staging(optimstore_bench::runners::cap_arg());
 }

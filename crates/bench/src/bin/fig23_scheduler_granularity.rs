@@ -2,9 +2,5 @@
 //! (see DESIGN.md §4). Pass a parameter cap as the first argument.
 
 fn main() {
-    let cap = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(optimstore_bench::runners::DEFAULT_SLICE_CAP);
-    optimstore_bench::experiments::fig23_scheduler_granularity(cap);
+    optimstore_bench::experiments::fig23_scheduler_granularity(optimstore_bench::runners::cap_arg());
 }

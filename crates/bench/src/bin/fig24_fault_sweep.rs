@@ -3,9 +3,5 @@
 //! fidelity for time.
 
 fn main() {
-    let cap = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(optimstore_bench::runners::DEFAULT_SLICE_CAP);
-    optimstore_bench::experiments::fig24_fault_sweep(cap);
+    optimstore_bench::experiments::fig24_fault_sweep(optimstore_bench::runners::cap_arg());
 }

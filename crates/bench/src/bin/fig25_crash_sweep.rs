@@ -3,9 +3,5 @@
 //! parameter cap is accepted for interface symmetry but unused.
 
 fn main() {
-    let cap = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(optimstore_bench::runners::DEFAULT_SLICE_CAP);
-    optimstore_bench::experiments::fig25_crash_sweep(cap);
+    optimstore_bench::experiments::fig25_crash_sweep(optimstore_bench::runners::cap_arg());
 }

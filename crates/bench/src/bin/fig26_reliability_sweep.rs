@@ -4,9 +4,5 @@
 //! can run a smoke-sized grid.
 
 fn main() {
-    let cap = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(optimstore_bench::runners::DEFAULT_SLICE_CAP);
-    optimstore_bench::experiments::fig26_reliability_sweep(cap);
+    optimstore_bench::experiments::fig26_reliability_sweep(optimstore_bench::runners::cap_arg());
 }

@@ -2,9 +2,5 @@
 //! DESIGN.md §4). Pass a parameter cap as the first argument.
 
 fn main() {
-    let cap = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(optimstore_bench::runners::DEFAULT_SLICE_CAP);
-    optimstore_bench::experiments::table21_time_to_train(cap);
+    optimstore_bench::experiments::table21_time_to_train(optimstore_bench::runners::cap_arg());
 }

@@ -896,7 +896,7 @@ pub fn table21_time_to_train(cap: u64) {
 /// quantization kernels and their convergence are unit-tested in
 /// `optim-math::quant`).
 pub fn fig22_quantized_state() {
-    use optimstore_core::audit::audit_ndp;
+    use optimstore_core::audit::audit;
     header(
         "F22",
         "8-bit optimizer state (gpt3-13b, die-ndp; audit-based)",
@@ -918,7 +918,7 @@ pub fn fig22_quantized_state() {
             StateLayoutSpec::with_quantized_slots(ADAM, GradDtype::F16, 2),
         ),
     ] {
-        let a = audit_ndp(&ssd, &cfg, &spec);
+        let a = audit(&ssd, &cfg, &spec);
         let erases = analytic_erases_per_step(params, &spec, &ssd, 1.05);
         t.row(&[
             name.into(),

@@ -5,10 +5,10 @@
 use baselines::{HostNvmeBaseline, HostNvmeConfig};
 use optim_math::state::{GradDtype, StateLayoutSpec};
 use optim_math::{make_optimizer, AdamParams, MomentumParams, Optimizer, OptimizerKind};
-use optimstore_core::audit::{audit_host_nvme, audit_ndp, AuditReport};
+use optimstore_core::audit::{audit, AuditReport};
 use optimstore_core::energy::EnergyBreakdown;
 use optimstore_core::report::TrafficBytes;
-use optimstore_core::{OptimStoreConfig, OptimStoreDevice};
+use optimstore_core::{OptimStoreConfig, OptimStoreDevice, StepReport};
 use simkit::{SimDuration, SimTime};
 use ssdsim::SsdConfig;
 use workloads::SlicedRun;
@@ -38,6 +38,15 @@ pub fn run_parallel<'scope, T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send + 's
 /// Default slice cap: 2²⁵ parameters (≈33 M) — hundreds of update groups
 /// per die, deep into steady state, yet simulated in well under a second.
 pub const DEFAULT_SLICE_CAP: u64 = 1 << 25;
+
+/// The parameter cap an experiment binary was given as its first argument,
+/// or [`DEFAULT_SLICE_CAP`] when there is none or it does not parse.
+pub fn cap_arg() -> u64 {
+    std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(DEFAULT_SLICE_CAP)
+}
 
 /// Host updater throughput used by every host-NVMe measurement.
 pub fn default_host_cfg() -> HostNvmeConfig {
@@ -137,19 +146,7 @@ pub fn run_ndp(
     let r1 = dev.run_step(None, t0).expect("warm-up step");
     let t1 = dev.quiesce_time().max(r1.end);
     let r2 = dev.run_step(None, t1).expect("measured step");
-    let audit = audit_ndp(ssd, cfg, &spec);
-    Measured {
-        sim_bottleneck: step_bottleneck(ssd, &r2.traffic, r2.duration.as_secs_f64()),
-        tier: r2.tier,
-        params,
-        slice,
-        step_time: slice.scale_duration(r2.duration),
-        params_per_sec: params as f64 / slice.scale_duration(r2.duration).as_secs_f64(),
-        traffic: scale_traffic(r2.traffic, &slice),
-        energy: scale_energy(r2.energy, slice.scale),
-        erases_per_step: slice.scale_f64(r2.erases as f64),
-        audit,
-    }
+    measured(ssd, cfg, &spec, params, slice, &r2)
 }
 
 /// Measures the host-NVMe-offload baseline.
@@ -169,18 +166,32 @@ pub fn run_host_nvme(
     let r1 = dev.run_step(t1).expect("warm-up step");
     let t2 = dev.spill_gradients(None, r1.end).expect("spill 2");
     let r2 = dev.run_step(t2).expect("measured step");
-    let audit = audit_host_nvme(ssd, &spec, host.update_bytes_per_sec);
+    let cfg = OptimStoreConfig::host_nvme(host.update_bytes_per_sec);
+    measured(ssd, &cfg, &spec, params, slice, &r2)
+}
+
+/// Scales the measured step `r2` of `slice` to the full `params`-parameter
+/// model and pairs it with the audit of `cfg`.
+fn measured(
+    ssd: &SsdConfig,
+    cfg: &OptimStoreConfig,
+    spec: &StateLayoutSpec,
+    params: u64,
+    slice: SlicedRun,
+    r2: &StepReport,
+) -> Measured {
+    let step_time = slice.scale_duration(r2.duration);
     Measured {
         sim_bottleneck: step_bottleneck(ssd, &r2.traffic, r2.duration.as_secs_f64()),
         tier: r2.tier,
         params,
         slice,
-        step_time: slice.scale_duration(r2.duration),
-        params_per_sec: params as f64 / slice.scale_duration(r2.duration).as_secs_f64(),
+        step_time,
+        params_per_sec: params as f64 / step_time.as_secs_f64(),
         traffic: scale_traffic(r2.traffic, &slice),
         energy: scale_energy(r2.energy, slice.scale),
         erases_per_step: slice.scale_f64(r2.erases as f64),
-        audit,
+        audit: audit(ssd, cfg, spec),
     }
 }
 
@@ -362,8 +373,8 @@ mod tests {
     fn sharding_scales_ndp_linearly_but_caps_host() {
         let ssd = SsdConfig::base();
         let (_, spec) = optimizer_and_spec(OptimizerKind::Adam);
-        let die = audit_ndp(&ssd, &OptimStoreConfig::die_ndp(), &spec);
-        let host = audit_host_nvme(&ssd, &spec, 20_000_000_000);
+        let die = audit(&ssd, &OptimStoreConfig::die_ndp(), &spec);
+        let host = audit(&ssd, &OptimStoreConfig::host_nvme(20_000_000_000), &spec);
         let die8 = sharded_rate(&ssd, &die, 8, None);
         assert!((die8 / die.params_per_sec - 8.0).abs() < 1e-9);
         let host1 = sharded_rate(&ssd, &host, 1, Some(20_000_000_000));

@@ -60,12 +60,8 @@ impl AuditReport {
     }
 }
 
-/// Audits an in-storage tier (`DieNdp` or `ChannelNdp`).
-///
-/// # Panics
-/// Panics if called with [`ExecutionTier::HostNvme`] — use
-/// [`audit_host_nvme`] for the baseline.
-pub fn audit_ndp(ssd: &SsdConfig, core: &OptimStoreConfig, spec: &StateLayoutSpec) -> AuditReport {
+/// Audits one tier of `core` on `ssd`.
+pub fn audit(ssd: &SsdConfig, core: &OptimStoreConfig, spec: &StateLayoutSpec) -> AuditReport {
     let read = spec.state_read_bytes() as f64; // 12 for Adam
     let write = spec.state_write_bytes() as f64; // 14
     let grad = spec.grad_bytes() as f64; // 2
@@ -74,63 +70,53 @@ pub fn audit_ndp(ssd: &SsdConfig, core: &OptimStoreConfig, spec: &StateLayoutSpe
         GradStaging::StoreToFlash => grad, // programmed once, read back once
     };
 
-    let bpp = match core.tier {
-        ExecutionTier::DieNdp => BytesPerParam {
-            pcie_in: grad,
-            pcie_out: 0.0,
-            dram: 2.0 * grad, // store-and-forward: DRAM write + read
-            bus: grad,
-            array_read: read + staged_extra,
-            array_program: write + staged_extra,
-            compute: read + write + grad,
-        },
-        ExecutionTier::ChannelNdp => BytesPerParam {
-            pcie_in: grad,
-            pcie_out: 0.0,
-            dram: 2.0 * grad, // store-and-forward: DRAM write + read
-            bus: grad + read + write + 2.0 * staged_extra,
-            array_read: read + staged_extra,
-            array_program: write + staged_extra,
-            compute: read + write + grad,
-        },
-        ExecutionTier::HostNvme => panic!("use audit_host_nvme for the baseline"),
+    let (bpp, engines) = match core.tier {
+        ExecutionTier::DieNdp => (
+            BytesPerParam {
+                pcie_in: grad,
+                pcie_out: 0.0,
+                dram: 2.0 * grad, // store-and-forward: DRAM write + read
+                bus: grad,
+                array_read: read + staged_extra,
+                array_program: write + staged_extra,
+                compute: read + write + grad,
+            },
+            ssd.total_dies(),
+        ),
+        ExecutionTier::ChannelNdp => (
+            BytesPerParam {
+                pcie_in: grad,
+                pcie_out: 0.0,
+                dram: 2.0 * grad, // store-and-forward: DRAM write + read
+                bus: grad + read + write + 2.0 * staged_extra,
+                array_read: read + staged_extra,
+                array_program: write + staged_extra,
+                compute: read + write + grad,
+            },
+            ssd.channels,
+        ),
+        ExecutionTier::HostNvme => {
+            // Gradients were spilled to flash during backward
+            // (ZeRO-Infinity); the step reads state+grad up and writes
+            // state+w16 down, through one host updater.
+            let up = read + grad;
+            let down = write;
+            (
+                BytesPerParam {
+                    pcie_in: down,
+                    pcie_out: up,
+                    dram: 2.0 * (up + down), // store-and-forward both ways
+                    bus: up + down,
+                    array_read: up,
+                    array_program: down,
+                    compute: read + write + grad,
+                },
+                1,
+            )
+        }
     };
-
-    let engines = match core.tier {
-        ExecutionTier::DieNdp => ssd.total_dies() as f64,
-        _ => ssd.channels as f64,
-    };
-    let compute_cap = engines * core.engine.bytes_per_sec as f64;
+    let compute_cap = engines as f64 * core.engine.bytes_per_sec as f64;
     bottleneck(core.tier.label(), ssd, bpp, compute_cap)
-}
-
-/// Audits the host-NVMe-offload baseline.
-///
-/// `host_update_bytes_per_sec` is the host updater's throughput over state
-/// bytes (a CPU update is host-DRAM-bound; a GPU update adds another PCIe
-/// crossing — model either by choosing the rate).
-pub fn audit_host_nvme(
-    ssd: &SsdConfig,
-    spec: &StateLayoutSpec,
-    host_update_bytes_per_sec: u64,
-) -> AuditReport {
-    let read = spec.state_read_bytes() as f64;
-    let write = spec.state_write_bytes() as f64;
-    let grad = spec.grad_bytes() as f64;
-    // Gradients were spilled to flash during backward (ZeRO-Infinity);
-    // the step reads state+grad up and writes state+w16 down.
-    let up = read + grad;
-    let down = write;
-    let bpp = BytesPerParam {
-        pcie_in: down,
-        pcie_out: up,
-        dram: 2.0 * (up + down), // store-and-forward in both directions
-        bus: up + down,
-        array_read: up,
-        array_program: down,
-        compute: read + write + grad,
-    };
-    bottleneck("host-nvme", ssd, bpp, host_update_bytes_per_sec as f64)
 }
 
 fn bottleneck(
@@ -202,12 +188,16 @@ mod tests {
     /// read-modify-write).
     const HOST_RATE: u64 = 20_000_000_000;
 
+    fn host() -> OptimStoreConfig {
+        OptimStoreConfig::host_nvme(HOST_RATE)
+    }
+
     #[test]
     fn die_ndp_beats_channel_beats_host_on_base_device() {
         let ssd = SsdConfig::base();
-        let die = audit_ndp(&ssd, &OptimStoreConfig::die_ndp(), &spec());
-        let ch = audit_ndp(&ssd, &OptimStoreConfig::channel_ndp(), &spec());
-        let host = audit_host_nvme(&ssd, &spec(), HOST_RATE);
+        let die = audit(&ssd, &OptimStoreConfig::die_ndp(), &spec());
+        let ch = audit(&ssd, &OptimStoreConfig::channel_ndp(), &spec());
+        let host = audit(&ssd, &host(), &spec());
         assert!(
             die.params_per_sec > ch.params_per_sec,
             "die {} vs channel {}",
@@ -230,14 +220,14 @@ mod tests {
         // (program-dominated, with reads sharing the planes) — exactly the
         // paper's claim that NDP unlocks all the bandwidth there is.
         let ssd = SsdConfig::base();
-        let die = audit_ndp(&ssd, &OptimStoreConfig::die_ndp(), &spec());
+        let die = audit(&ssd, &OptimStoreConfig::die_ndp(), &spec());
         assert_eq!(die.bottleneck, "array-combined");
     }
 
     #[test]
     fn host_is_external_interface_bound() {
         let ssd = SsdConfig::base();
-        let host = audit_host_nvme(&ssd, &spec(), HOST_RATE);
+        let host = audit(&ssd, &host(), &spec());
         assert!(
             host.bottleneck == "onfi-bus"
                 || host.bottleneck.starts_with("pcie")
@@ -254,10 +244,10 @@ mod tests {
         let mut gen5 = SsdConfig::base();
         gen5.pcie = ssdsim::PciGen::Gen5x4;
         let s = spec();
-        let sp3 = audit_ndp(&gen3, &OptimStoreConfig::die_ndp(), &s).params_per_sec
-            / audit_host_nvme(&gen3, &s, HOST_RATE).params_per_sec;
-        let sp5 = audit_ndp(&gen5, &OptimStoreConfig::die_ndp(), &s).params_per_sec
-            / audit_host_nvme(&gen5, &s, HOST_RATE).params_per_sec;
+        let sp3 = audit(&gen3, &OptimStoreConfig::die_ndp(), &s).params_per_sec
+            / audit(&gen3, &host(), &s).params_per_sec;
+        let sp5 = audit(&gen5, &OptimStoreConfig::die_ndp(), &s).params_per_sec
+            / audit(&gen5, &host(), &s).params_per_sec;
         assert!(sp3 > sp5, "gen3 speedup {sp3} vs gen5 {sp5}");
     }
 
@@ -266,10 +256,10 @@ mod tests {
         let small = SsdConfig::small(); // 16 dies
         let big = SsdConfig::big(); // 128 dies
         let s = spec();
-        let die_ratio = audit_ndp(&big, &OptimStoreConfig::die_ndp(), &s).params_per_sec
-            / audit_ndp(&small, &OptimStoreConfig::die_ndp(), &s).params_per_sec;
-        let host_ratio = audit_host_nvme(&big, &s, HOST_RATE).params_per_sec
-            / audit_host_nvme(&small, &s, HOST_RATE).params_per_sec;
+        let die_ratio = audit(&big, &OptimStoreConfig::die_ndp(), &s).params_per_sec
+            / audit(&small, &OptimStoreConfig::die_ndp(), &s).params_per_sec;
+        let host_ratio =
+            audit(&big, &host(), &s).params_per_sec / audit(&small, &host(), &s).params_per_sec;
         assert!(die_ratio > 4.0, "die scaling {die_ratio}");
         assert!(host_ratio < die_ratio, "host scaling {host_ratio}");
     }
@@ -277,8 +267,8 @@ mod tests {
     #[test]
     fn grad_staging_costs_array_bandwidth() {
         let ssd = SsdConfig::base();
-        let stream = audit_ndp(&ssd, &OptimStoreConfig::die_ndp(), &spec());
-        let stored = audit_ndp(
+        let stream = audit(&ssd, &OptimStoreConfig::die_ndp(), &spec());
+        let stored = audit(
             &ssd,
             &OptimStoreConfig {
                 grad_staging: GradStaging::StoreToFlash,
@@ -292,20 +282,25 @@ mod tests {
     #[test]
     fn step_time_scales_linearly() {
         let ssd = SsdConfig::base();
-        let a = audit_ndp(&ssd, &OptimStoreConfig::die_ndp(), &spec());
+        let a = audit(&ssd, &OptimStoreConfig::die_ndp(), &spec());
         let t1 = a.step_time(1_000_000_000).as_secs_f64();
         let t2 = a.step_time(2_000_000_000).as_secs_f64();
         assert!((t2 / t1 - 2.0).abs() < 1e-6);
     }
 
     #[test]
-    #[should_panic(expected = "audit_host_nvme")]
-    fn host_tier_panics_in_ndp_audit() {
-        let cfg = OptimStoreConfig {
-            tier: ExecutionTier::HostNvme,
-            ..OptimStoreConfig::die_ndp()
-        };
-        let _ = audit_ndp(&SsdConfig::base(), &cfg, &spec());
+    fn host_arm_keeps_the_baseline_audit() {
+        // Values of the host-offload audit before it became a tier arm.
+        let base = audit(&SsdConfig::base(), &host(), &spec());
+        assert_eq!(base.tier, "host-nvme");
+        assert_eq!(base.bottleneck, "pcie-in");
+        assert_eq!(base.params_per_sec, 250_000_000.0);
+        let small = audit(&SsdConfig::small(), &host(), &spec());
+        assert_eq!(small.bottleneck, "onfi-bus");
+        assert_eq!(small.params_per_sec, 171_428_571.428_571_43);
+        let tiny = audit(&SsdConfig::tiny(), &host(), &spec());
+        assert_eq!(tiny.bottleneck, "array-combined");
+        assert_eq!(tiny.params_per_sec, 5_685_607.757_791_699);
     }
 
     #[test]
@@ -313,7 +308,7 @@ mod tests {
         let ssd = SsdConfig::base();
         let mut cfg = OptimStoreConfig::die_ndp();
         cfg.engine.bytes_per_sec = 1_000_000; // 1 MB/s per engine
-        let a = audit_ndp(&ssd, &cfg, &spec());
+        let a = audit(&ssd, &cfg, &spec());
         assert_eq!(a.bottleneck, "compute");
     }
 }

@@ -6,8 +6,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ExecutionTier {
     /// On the host: state streams out over PCIe and back (the
-    /// ZeRO-Infinity-style baseline; implemented in the `baselines` crate
-    /// but named here so every report shares one vocabulary).
+    /// ZeRO-Infinity-style baseline, [`OptimStoreConfig::host_nvme`]); one
+    /// host updater is the engine.
     HostNvme,
     /// In the SSD controller, one engine per channel: operands cross the
     /// ONFI bus but not PCIe.
@@ -87,11 +87,10 @@ impl Default for EngineConfig {
     }
 }
 
-/// Full configuration of the in-storage update path.
+/// Full configuration of the optimizer update path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OptimStoreConfig {
-    /// Engine placement ([`ExecutionTier::HostNvme`] is rejected here —
-    /// that tier has no in-storage engines).
+    /// Engine placement: every tier is an arm of the one step executor.
     pub tier: ExecutionTier,
     /// State placement policy.
     pub layout: LayoutPolicy,
@@ -148,10 +147,31 @@ impl OptimStoreConfig {
         }
     }
 
+    /// The host-NVMe offload baseline: one host updater streaming
+    /// `update_bytes_per_sec` of state (a CPU update is host-DRAM-bound; a
+    /// GPU update adds another PCIe crossing — model either by choosing
+    /// the rate), gradients spilled to flash during backward and read back
+    /// with the state. Host DRAM holds any update group, the schedule is
+    /// group-granular, and an uncorrectable read aborts the step (no
+    /// replay).
+    pub fn host_nvme(update_bytes_per_sec: u64) -> Self {
+        OptimStoreConfig {
+            tier: ExecutionTier::HostNvme,
+            engine: EngineConfig {
+                bytes_per_sec: update_bytes_per_sec,
+                buffer_bytes: u64::MAX,
+                subgroup_pipelining: false,
+            },
+            grad_staging: GradStaging::StoreToFlash,
+            max_group_replays: 0,
+            ..Self::die_ndp()
+        }
+    }
+
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tier == ExecutionTier::HostNvme {
-            return Err("HostNvme has no in-storage engines; use the baselines crate".into());
+        if self.tier == ExecutionTier::HostNvme && self.grad_staging != GradStaging::StoreToFlash {
+            return Err("the host tier reads spilled gradients back from flash".into());
         }
         if self.engine.bytes_per_sec == 0 {
             return Err("engine throughput must be positive".into());
@@ -191,7 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn host_tier_rejected() {
+    fn host_tier_needs_spilled_gradients() {
+        let host = OptimStoreConfig::host_nvme(20_000_000_000);
+        host.validate().unwrap();
+        let streamed = OptimStoreConfig {
+            grad_staging: GradStaging::Stream,
+            ..host
+        };
+        assert!(streamed.validate().is_err());
         let mut c = OptimStoreConfig::die_ndp();
         c.tier = ExecutionTier::HostNvme;
         assert!(c.validate().is_err());

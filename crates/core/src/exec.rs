@@ -1,11 +1,13 @@
-//! The in-storage optimizer-step executor.
+//! The optimizer-step executor, one for every [`ExecutionTier`].
 //!
-//! `OptimStoreDevice` owns a simulated SSD plus the NDP engines and drives
-//! one full optimizer step: gradients stream in over PCIe, every update
-//! group's state pages are read from its die, the engine applies the
+//! `OptimStoreDevice` owns a simulated SSD plus the update engines and
+//! drives one full optimizer step: gradients reach the engines, every
+//! update group's state pages are read, the engine applies the
 //! element-wise rule, and fresh pages are programmed back out-of-place —
 //! all pipelined per group, with the shared resources (PCIe, DRAM, buses,
 //! planes, engines) arbitrating naturally through busy-until scheduling.
+//! The tiers differ only in gradient delivery, engine placement and the
+//! operand read and write-back paths, one small function each.
 //!
 //! In functional mode the executor really computes: page bytes are read,
 //! run through [`optim_math::kernels::update_chunk`], and programmed back,
@@ -16,13 +18,15 @@ use crate::config::{ExecutionTier, GradStaging, OptimStoreConfig};
 use crate::energy::EnergyModel;
 use crate::layout::{StateComponent, StateLayout};
 use crate::pages::{self, OperandPage, UpdatePages};
-use crate::protocol::UpdateCommand;
+use crate::protocol::{ProtocolError, UpdateCommand};
 use crate::report::{CounterSnapshot, RecoveryReport, StepReport};
+use bytes::Bytes;
+use optim_math::kernels::KernelError;
 use optim_math::state::StateLayoutSpec;
 use optim_math::{Optimizer, F16};
 use simkit::pool::PageBuf;
-use simkit::{SimTime, Timeline, Window};
-use ssdsim::{Device, SsdConfig, SsdError};
+use simkit::{SimDuration, SimTime, Timeline, Window};
+use ssdsim::{Device, ScrubReport, SsdConfig, SsdError};
 use std::error::Error;
 use std::fmt;
 
@@ -49,6 +53,10 @@ pub enum CoreError {
     ModeMismatch(&'static str),
     /// The underlying SSD failed.
     Ssd(SsdError),
+    /// The update kernel rejected a group's buffers.
+    Kernel(KernelError),
+    /// The step's update command did not decode.
+    Protocol(ProtocolError),
 }
 
 impl fmt::Display for CoreError {
@@ -63,6 +71,8 @@ impl fmt::Display for CoreError {
             }
             CoreError::ModeMismatch(msg) => write!(f, "mode mismatch: {msg}"),
             CoreError::Ssd(e) => write!(f, "ssd: {e}"),
+            CoreError::Kernel(e) => write!(f, "update kernel: {e}"),
+            CoreError::Protocol(e) => write!(f, "update command: {e}"),
         }
     }
 }
@@ -71,6 +81,8 @@ impl Error for CoreError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             CoreError::Ssd(e) => Some(e),
+            CoreError::Kernel(e) => Some(e),
+            CoreError::Protocol(e) => Some(e),
             _ => None,
         }
     }
@@ -82,7 +94,7 @@ impl From<SsdError> for CoreError {
     }
 }
 
-/// An SSD with in-storage optimizer-update capability.
+/// A storage device whose optimizer update runs on one [`ExecutionTier`].
 #[derive(Debug)]
 pub struct OptimStoreDevice {
     device: Device,
@@ -97,6 +109,39 @@ pub struct OptimStoreDevice {
     /// above this count are treated as all-zero-gradient when
     /// `skip_zero_gradients` is on.
     phantom_hot_groups: Option<u64>,
+}
+
+/// One group's gradient, prepared off the timing plane (phase A0).
+struct GradPrep {
+    /// Dense encoded gradient page (functional mode only).
+    page: Option<PageBuf>,
+    /// Bytes the delivery stream actually moves (compression-aware).
+    wire_bytes: u64,
+    /// The gradient is all-zero (only computed under
+    /// `skip_zero_gradients`; the lazy-skip gate).
+    cold: bool,
+}
+
+/// One group whose reads and engine time are issued (phase A1), waiting
+/// for its kernel (A2) and write-back (B).
+struct PendingWrite {
+    g: u64,
+    /// Engine completion per sub-group (fp32 page-pair); identical
+    /// entries under group-granular scheduling.
+    compute_end: [SimTime; 2],
+    /// Operand pages as read (functional: real bytes).
+    read_pages: Vec<OperandPage>,
+    /// The streamed gradient page (input to the A2 kernel pass).
+    grad_page: Option<PageBuf>,
+}
+
+/// What a step has done so far: when its last write persists, and how
+/// many groups it skipped and replayed.
+#[derive(Default)]
+struct StepTally {
+    end: SimTime,
+    skipped: u64,
+    replayed: u64,
 }
 
 impl OptimStoreDevice {
@@ -156,7 +201,7 @@ impl OptimStoreDevice {
             ExecutionTier::ChannelNdp => (0..device.config().channels)
                 .map(|c| Timeline::new(format!("ndp-ch{c}")))
                 .collect(),
-            ExecutionTier::HostNvme => unreachable!("rejected by validate"),
+            ExecutionTier::HostNvme => vec![Timeline::new("host-updater")],
         };
         Ok(OptimStoreDevice {
             device,
@@ -179,6 +224,11 @@ impl OptimStoreDevice {
     /// The configuration in use.
     pub fn config(&self) -> &OptimStoreConfig {
         &self.cfg
+    }
+
+    /// The state layout spec (optimizer and gradient dtype) in use.
+    pub fn spec(&self) -> &StateLayoutSpec {
+        &self.spec
     }
 
     /// The underlying SSD (read-only).
@@ -284,24 +334,77 @@ impl OptimStoreDevice {
         Ok(end.max(self.device.commit_epoch(end)?))
     }
 
-    /// Executes one in-storage optimizer step.
+    /// Executes one optimizer step.
     ///
-    /// `grads` must be `Some` on functional devices (one f32 per parameter)
-    /// and is ignored on phantom devices. Returns the step's report.
+    /// `grads` must be `Some` on functional in-storage devices (one f32
+    /// per parameter) and is ignored on phantom devices. The host tier
+    /// takes `None`: its gradients were spilled to flash before the step.
+    /// Returns the step's report.
+    ///
+    /// After `begin_step`, groups are processed in *batches* of one
+    /// group per die. Each batch runs in four phases, split along the
+    /// data-plane/timing-plane boundary (see `simkit::par`):
+    ///
+    /// * A0. **parallel** gradient prep (`prep_grads`);
+    /// * A1. **serial** issue (`issue_batch`) — gradient delivery,
+    ///   operand reads and engine occupancy for every group, in group
+    ///   order, exactly as a controller's command queue would issue them;
+    /// * A2. **parallel** kernels (`run_kernels`);
+    /// * B. **serial** write-backs for the batch (`write_back`).
+    ///
+    /// A0/A2 never touch a `Timeline`, and A1/B consume their results in
+    /// input order, so the schedule of every shared resource (PCIe, DRAM,
+    /// channel buses, planes, engines) is identical to the fully serial
+    /// path: same seed ⇒ same bytes ⇒ same timings. Phase-batching (A
+    /// before B) additionally keeps issue order consistent with start
+    /// times — interleaving a group's late write-backs before the next
+    /// group's early reads would otherwise create false convoys under
+    /// busy-until arbitration. `commit_step` closes the step.
     pub fn run_step(
         &mut self,
         grads: Option<&[f32]>,
         at: SimTime,
     ) -> Result<StepReport, CoreError> {
-        let functional = self.device.is_functional();
-        pages::check_grads(&self.device, &self.layout, grads)?;
+        let (at, scrub, cmd) = self.begin_step(grads, at)?;
+        let before = CounterSnapshot::of(&self.device);
+        let mut tally = StepTally {
+            end: at,
+            ..StepTally::default()
+        };
+        let batch = self.device.config().total_dies() as u64;
+        let num_groups = self.layout.num_groups();
+        for batch_start in (0..num_groups).step_by(batch as usize) {
+            let groups: Vec<u64> = (batch_start..(batch_start + batch).min(num_groups)).collect();
+            let preps = self.prep_grads(grads, &groups);
+            let pending = self.issue_batch(&groups, preps, at, &mut tally)?;
+            let updates = self.run_kernels(&pending, &cmd)?;
+            self.write_back(&pending, &updates, &mut tally)?;
+        }
+        self.commit_step(at, tally, scrub, &before)
+    }
+
+    /// Scrub and begin-epoch: checks the step's gradients, patrols in the
+    /// idle window, opens the step's crash-safe epoch and decodes its
+    /// update command. Returns when the step starts, the patrol's report
+    /// and the command.
+    fn begin_step(
+        &mut self,
+        grads: Option<&[f32]>,
+        at: SimTime,
+    ) -> Result<(SimTime, ScrubReport, UpdateCommand), CoreError> {
+        if self.cfg.tier != ExecutionTier::HostNvme {
+            pages::check_grads(&self.device, &self.layout, grads)?;
+        } else if grads.is_some() {
+            return Err(CoreError::ModeMismatch(
+                "the host tier reads gradients spilled before the step",
+            ));
+        }
         // Patrol scrub in the idle window before the step begins: every
         // stripe is clean here (the previous commit rebuilt parity), so any
         // latent loss the sweep finds is still a *single* loss and
         // repairable. The step starts when the sweep's reads drain. No-op
         // unless `SsdConfig::scrub` is armed.
         let (at, scrub) = self.device.scrub_tick(at)?;
-
         self.step += 1;
         // Crash-safe epoch: every write-back of this step is stamped with
         // the step number and becomes visible only once the commit record
@@ -318,293 +421,207 @@ impl OptimStoreDevice {
             group_count: self.layout.num_groups(),
             hyper: self.optimizer.hyper_wire(),
         };
-        let cmd = UpdateCommand::decode(&cmd.encode()).expect("self-encoded command must decode");
+        let cmd = UpdateCommand::decode(&cmd.encode()).map_err(CoreError::Protocol)?;
         debug_assert_eq!(cmd.step, self.step);
         debug_assert_eq!(cmd.hyper, self.optimizer.hyper_wire());
+        Ok((at, scrub, cmd))
+    }
 
-        let before = CounterSnapshot::of(&self.device);
+    /// Phase A0: encode every group's gradient page, count its non-zeros
+    /// and scan for all-zero pages — pure byte work, on the worker pool
+    /// when there are bytes, merged back in group order.
+    fn prep_grads(&self, grads: Option<&[f32]>, groups: &[u64]) -> Vec<GradPrep> {
+        let prep = |&g: &u64| -> GradPrep {
+            let page: Option<PageBuf> = grads
+                .filter(|_| self.device.is_functional())
+                .map(|grads| pages::encode_grad_page(&self.layout, g, grads, self.spec.grad_dtype));
+            // Compressed gradients shrink the delivery stream: only the
+            // selected (index, value) pairs cross PCIe/DRAM/bus; the engine
+            // scatters them into a dense page in its buffer.
+            let wire_bytes: u64 = match self.cfg.grad_topk_permille {
+                None => self.page_bytes() as u64,
+                Some(permille) => {
+                    let nnz = match &page {
+                        Some(page) => page
+                            .chunks_exact(2)
+                            .filter(|c| c[0] != 0 || c[1] != 0)
+                            .count() as u64,
+                        // Phantom: hot groups carry k‰ of their params.
+                        None => match self.phantom_hot_groups {
+                            Some(hot) if g >= hot => 0,
+                            _ => self.layout.group(g).param_count * permille as u64 / 1000,
+                        },
+                    };
+                    optim_math::compress::SPARSE_HEADER_BYTES
+                        + optim_math::compress::SPARSE_ENTRY_BYTES * nnz
+                }
+            };
+            let cold = self.cfg.skip_zero_gradients
+                && match (&page, self.phantom_hot_groups) {
+                    (Some(page), _) => page.iter().all(|&b| b == 0),
+                    (None, Some(hot)) => g >= hot,
+                    (None, None) => false,
+                };
+            GradPrep {
+                page,
+                wire_bytes,
+                cold,
+            }
+        };
+        if self.device.is_functional() {
+            simkit::par::map_indexed(groups, |_, g| prep(g))
+        } else {
+            // Phantom prep is a handful of integer ops — not worth a trip
+            // through the pool.
+            groups.iter().map(prep).collect()
+        }
+    }
+
+    /// Phase A1: gradient delivery, operand reads and engine time for
+    /// every group of the batch, serially in group order. Returns the
+    /// groups still to update; a lazily skipped one only costs its engine
+    /// a gradient scan.
+    fn issue_batch(
+        &mut self,
+        groups: &[u64],
+        preps: Vec<GradPrep>,
+        at: SimTime,
+        tally: &mut StepTally,
+    ) -> Result<Vec<PendingWrite>, CoreError> {
+        let pb = self.page_bytes() as u64;
+        let rate = self.cfg.engine.bytes_per_sec;
+        let mut pending = Vec::with_capacity(groups.len());
+        for (&g, prep) in groups.iter().zip(preps) {
+            let grad_ready = self.deliver_grad(g, &prep, at)?;
+            let engine = self.engine_index(g);
+            // Lazy skip: an all-zero gradient page leaves the group's state
+            // untouched (the engine merely scanned the gradient).
+            if prep.cold {
+                let w =
+                    self.engines[engine].acquire(grad_ready, SimDuration::for_transfer(pb, rate));
+                tally.end = tally.end.max(w.end);
+                tally.skipped += 1;
+                continue;
+            }
+
+            // Operand reads with bounded group replay. A read that stays
+            // uncorrectable after the device's own bounded retries surfaces
+            // as [`SsdError::UncorrectableRead`]. Nothing of the group has
+            // been written back yet, so the executor replays the whole
+            // group: every operand is re-read (fresh sense attempts against
+            // fresh physical pages where recovery re-homed them) and the
+            // update recomputed — bit-exact, since operand reads have no
+            // side effects on state pages. Bounded by
+            // [`OptimStoreConfig::max_group_replays`].
+            let mut replays_left = self.cfg.max_group_replays;
+            let (read_pages, sub_start) = loop {
+                match self.read_group_operands(g, grad_ready, at) {
+                    Ok(ok) => break ok,
+                    Err(CoreError::Ssd(SsdError::UncorrectableRead { .. })) if replays_left > 0 => {
+                        replays_left -= 1;
+                        tally.replayed += 1;
+                    }
+                    Err(e) => return Err(e),
+                }
+            };
+
+            let work_bytes =
+                (self.layout.read_set().len() + self.layout.write_set().len()) as u64 * pb;
+            let engine = &mut self.engines[engine];
+            let compute_end: [SimTime; 2] = if self.cfg.engine.subgroup_pipelining {
+                let half = SimDuration::for_transfer(work_bytes / 2, rate);
+                let c0 = engine.acquire(sub_start[0], half);
+                let c1 = engine.acquire(sub_start[1], half);
+                [c0.end, c1.end]
+            } else {
+                let service = SimDuration::for_transfer(work_bytes, rate);
+                let whole = engine.acquire(sub_start[0].max(sub_start[1]), service);
+                [whole.end, whole.end]
+            };
+            pending.push(PendingWrite {
+                g,
+                compute_end,
+                read_pages,
+                grad_page: prep.page,
+            });
+        }
+        Ok(pending)
+    }
+
+    /// Phase A2: the optimizer kernel and write-back page assembly for
+    /// every pending group of a functional device. Each group's update
+    /// depends only on its own operand pages and gradient — the paper's
+    /// element-wise independence argument — so the kernels fan out on the
+    /// pool and merge back in group order before any write-back is issued.
+    fn run_kernels(
+        &self,
+        pending: &[PendingWrite],
+        cmd: &UpdateCommand,
+    ) -> Result<Vec<Option<UpdatePages>>, CoreError> {
+        if !self.device.is_functional() {
+            return Ok(pending.iter().map(|_| None).collect());
+        }
         let pb = self.page_bytes();
-        let mut step_end = at;
-        let mut skipped = 0u64;
-        let mut groups_replayed = 0u64;
-
-        // Groups are processed in *batches* of one group per die. Each batch
-        // runs in four phases, split along the data-plane/timing-plane
-        // boundary (see `simkit::par`):
-        //
-        //   A0. **parallel** gradient prep — encode every group's gradient
-        //       page, count its non-zeros, scan for all-zero pages — pure
-        //       byte work on the worker pool, merged back in group order;
-        //   A1. **serial** timing — gradient delivery + operand reads +
-        //       engine occupancy for every group, in group order, exactly
-        //       as a controller's command queue would issue them;
-        //   A2. **parallel** kernels — `update_chunk` plus write-back page
-        //       assembly for every non-skipped group, again on the pool;
-        //   B.  **serial** write-backs for the batch.
-        //
-        // A0/A2 never touch a `Timeline`, and A1/B consume their results in
-        // input order, so the schedule of every shared resource (PCIe, DRAM,
-        // channel buses, planes, engines) is identical to the fully serial
-        // path: same seed ⇒ same bytes ⇒ same timings. Phase-batching (A
-        // before B) additionally keeps issue order consistent with start
-        // times — interleaving a group's late write-backs before the next
-        // group's early reads would otherwise create false convoys under
-        // busy-until arbitration.
-        struct GradPrep {
-            /// Dense encoded gradient page (functional mode only).
-            page: Option<PageBuf>,
-            /// Bytes the delivery stream actually moves (compression-aware).
-            wire_bytes: u64,
-            /// The gradient is all-zero (only computed under
-            /// `skip_zero_gradients`; the lazy-skip gate).
-            cold: bool,
-        }
-        struct PendingWrite {
-            g: u64,
-            channel: u32,
-            /// Engine completion per sub-group (fp32 page-pair); identical
-            /// entries under group-granular scheduling.
-            compute_end: [SimTime; 2],
-            /// Operand pages as read (functional: real bytes).
-            read_pages: Vec<OperandPage>,
-            /// The streamed gradient page (input to the A2 kernel pass).
-            grad_page: Option<PageBuf>,
-        }
-        let batch = self.device.config().total_dies() as u64;
-        let num_groups = self.layout.num_groups();
-        let mut batch_start = 0u64;
-        while batch_start < num_groups {
-            let batch_end = (batch_start + batch).min(num_groups);
-            let mut pending: Vec<PendingWrite> = Vec::with_capacity(batch as usize);
-
-            // ---- phase A0: gradient prep (parallel data plane) ---------
-            let prep_one = |g: u64| -> GradPrep {
-                let group = self.layout.group(g);
-                let page: Option<PageBuf> = grads.filter(|_| functional).map(|grads| {
-                    pages::encode_grad_page(&self.layout, g, grads, self.spec.grad_dtype)
-                });
-                // Compressed gradients shrink the delivery stream: only the
-                // selected (index, value) pairs cross PCIe/DRAM/bus; the
-                // engine scatters them into a dense page in its buffer.
-                let wire_bytes: u64 = match self.cfg.grad_topk_permille {
-                    None => pb as u64,
-                    Some(permille) => {
-                        let nnz = match &page {
-                            Some(page) => page
-                                .chunks_exact(2)
-                                .filter(|c| c[0] != 0 || c[1] != 0)
-                                .count() as u64,
-                            None => {
-                                // Phantom: hot groups carry k‰ of their params.
-                                let hot = self.phantom_hot_groups.map(|h| g < h).unwrap_or(true);
-                                if hot {
-                                    group.param_count * permille as u64 / 1000
-                                } else {
-                                    0
-                                }
-                            }
-                        };
-                        optim_math::compress::SPARSE_HEADER_BYTES
-                            + optim_math::compress::SPARSE_ENTRY_BYTES * nnz
-                    }
-                };
-                let cold = self.cfg.skip_zero_gradients
-                    && match (&page, self.phantom_hot_groups) {
-                        (Some(page), _) => page.iter().all(|&b| b == 0),
-                        (None, Some(hot)) => g >= hot,
-                        (None, None) => false,
-                    };
-                GradPrep {
-                    page,
-                    wire_bytes,
-                    cold,
-                }
-            };
-            let batch_groups: Vec<u64> = (batch_start..batch_end).collect();
-            let mut preps: Vec<GradPrep> = if functional {
-                simkit::par::map_indexed(&batch_groups, |_, &g| prep_one(g))
+        simkit::par::map_indexed(pending, |_, p| {
+            let mut up = UpdatePages::gather(pb, self.layout.slots(), &p.read_pages);
+            // A staged gradient feeds the kernel straight from the read
+            // buffer; a missing streamed one reaches it empty and is
+            // rejected as a length mismatch.
+            let grad_bytes: &[u8] = if self.layout.grad_staged() {
+                pages::staged_grad(&p.read_pages)
             } else {
-                // Phantom prep is a handful of integer ops — not worth a
-                // trip through the pool.
-                batch_groups.iter().map(|&g| prep_one(g)).collect()
+                p.grad_page.as_deref().unwrap_or_default()
             };
+            let opt = self.optimizer.as_ref();
+            up.apply(opt, grad_bytes, cmd.grad_dtype, cmd.step)
+                .map_err(CoreError::Kernel)?;
+            Ok(Some(up))
+        })
+        .into_iter()
+        .collect()
+    }
 
-            // ---- phase A1: grads, reads, engine timing (serial) --------
-            for (prep_idx, &g) in batch_groups.iter().enumerate() {
-                let group = self.layout.group(g);
-                let die_flat = group.die_flat;
-                let channel = die_flat / self.device.config().dies_per_channel;
-                let prep = &mut preps[prep_idx];
-                let grad_page = prep.page.take();
-                let grad_wire_bytes = prep.wire_bytes;
-                let pcie = self.device.pcie_in_mut().transfer(at, grad_wire_bytes);
-                // Store-and-forward through controller DRAM (write + read).
-                let dram_in = self.device.dram_mut().transfer(pcie.end, grad_wire_bytes);
-                let dram = self
-                    .device
-                    .dram_mut()
-                    .transfer(dram_in.end, grad_wire_bytes);
-                let grad_ready = match (self.cfg.grad_staging, self.cfg.tier) {
-                    (GradStaging::Stream, ExecutionTier::DieNdp) => {
-                        // Stream over the channel bus into the die-side buffer.
-                        self.device
-                            .channel_mut(channel)
-                            .bus_mut()
-                            .transfer(dram.end, grad_wire_bytes)
-                            .end
-                    }
-                    (GradStaging::Stream, _) => dram.end,
-                    (GradStaging::StoreToFlash, _) => {
-                        let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
-                        self.device
-                            .internal_program(lpn, None, grad_page.as_deref(), dram.end, true)?
-                            .end
-                    }
+    /// Phase B: every pending group's write-backs, serially in group and
+    /// write-set order.
+    fn write_back(
+        &mut self,
+        pending: &[PendingWrite],
+        updates: &[Option<UpdatePages>],
+        tally: &mut StepTally,
+    ) -> Result<(), CoreError> {
+        for (p, up) in pending.iter().zip(updates) {
+            for (comp, idx) in self.layout.write_set() {
+                // Write-back slices the joined kernel buffers in place —
+                // `up` is populated exactly when the device is functional.
+                let data: Option<&[u8]> = up.as_ref().map(|up| up.page(comp, idx));
+                // The 16-bit weight page spans both sub-groups; fp32 pages
+                // belong to their own sub-group.
+                let ready = match comp {
+                    StateComponent::Weight16 => p.compute_end[0].max(p.compute_end[1]),
+                    _ => p.compute_end[(idx as usize).min(1)],
                 };
-
-                // ---- lazy skip: an all-zero gradient page leaves the
-                // group's state untouched (the engine merely scanned the
-                // gradient) -----------------------------------------------
-                let engine_idx = match self.cfg.tier {
-                    ExecutionTier::DieNdp => die_flat as usize,
-                    ExecutionTier::ChannelNdp => channel as usize,
-                    ExecutionTier::HostNvme => unreachable!(),
-                };
-                if prep.cold {
-                    let scan =
-                        simkit::SimDuration::for_transfer(pb as u64, self.cfg.engine.bytes_per_sec);
-                    let w = self.engines[engine_idx].acquire(grad_ready, scan);
-                    step_end = step_end.max(w.end);
-                    skipped += 1;
-                    continue;
-                }
-
-                // ---- operand reads (with bounded group replay) -------------
-                // A read that stays uncorrectable after the device's own
-                // bounded retries surfaces here as
-                // [`SsdError::UncorrectableRead`]. Nothing of the group has
-                // been written back yet, so the executor replays the whole
-                // group: every operand is re-read (fresh sense attempts against
-                // fresh physical pages where recovery re-homed them) and the
-                // update recomputed — bit-exact, since operand reads have no
-                // side effects on state pages. Bounded by
-                // [`OptimStoreConfig::max_group_replays`].
-                let mut replays_left = self.cfg.max_group_replays;
-                let (read_pages, sub_start) = loop {
-                    match self.read_group_operands(g, channel, grad_ready, at) {
-                        Ok(ok) => break ok,
-                        Err(CoreError::Ssd(SsdError::UncorrectableRead { .. }))
-                            if replays_left > 0 =>
-                        {
-                            replays_left -= 1;
-                            groups_replayed += 1;
-                        }
-                        Err(e) => return Err(e),
-                    }
-                };
-
-                // ---- engine compute ----------------------------------------
-                let work_bytes = (self.layout.read_set().len() + self.layout.write_set().len())
-                    as u64
-                    * pb as u64;
-                let compute_ends: [SimTime; 2] = if self.cfg.engine.subgroup_pipelining {
-                    let half = simkit::SimDuration::for_transfer(
-                        work_bytes / 2,
-                        self.cfg.engine.bytes_per_sec,
-                    );
-                    let c0 = self.engines[engine_idx].acquire(sub_start[0], half);
-                    let c1 = self.engines[engine_idx].acquire(sub_start[1], half);
-                    [c0.end, c1.end]
-                } else {
-                    let service = simkit::SimDuration::for_transfer(
-                        work_bytes,
-                        self.cfg.engine.bytes_per_sec,
-                    );
-                    let whole =
-                        self.engines[engine_idx].acquire(sub_start[0].max(sub_start[1]), service);
-                    [whole.end, whole.end]
-                };
-
-                pending.push(PendingWrite {
-                    g,
-                    channel,
-                    compute_end: compute_ends,
-                    read_pages,
-                    grad_page,
-                });
+                let win = self.write_page(p.g, comp, idx, data, ready)?;
+                tally.end = tally.end.max(win.end);
             }
-
-            // ---- phase A2: optimizer kernels + write-back page assembly
-            //      (parallel data plane) ---------------------------------
-            // Each pending group's update depends only on its own operand
-            // pages and gradient — the paper's element-wise independence
-            // argument — so the kernels fan out on the pool and merge back
-            // in group order before any write-back is issued.
-            let updates_by_group: Vec<Option<UpdatePages>> = if functional {
-                let optimizer = self.optimizer.as_ref();
-                let layout = &self.layout;
-                let cmd = &cmd;
-                simkit::par::map_indexed(&pending, |_, p| {
-                    let mut up = UpdatePages::gather(pb, layout.slots(), &p.read_pages);
-                    let grad_bytes: &[u8] = if layout.grad_staged() {
-                        pages::staged_grad(&p.read_pages)
-                    } else {
-                        p.grad_page.as_deref().expect("streamed grads present")
-                    };
-                    up.apply(optimizer, grad_bytes, cmd.grad_dtype, cmd.step)
-                        .expect("layout-derived buffers are consistent");
-                    Some(up)
-                })
-            } else {
-                pending.iter().map(|_| None).collect()
-            };
-
-            // ---- phase B: write-backs for the batch --------------------
-            for (p, up) in pending.iter().zip(&updates_by_group) {
-                for (comp, idx) in self.layout.write_set() {
-                    let lpn = self.layout.lpn(p.g, comp, idx);
-                    let local = self.layout.is_local(p.g, comp, idx);
-                    // Write-back slices the joined kernel buffers in place —
-                    // `up` is populated exactly when the device is functional.
-                    let data: Option<&[u8]> = up.as_ref().map(|up| up.page(comp, idx));
-                    // The 16-bit weight page spans both sub-groups; fp32
-                    // pages belong to their own sub-group.
-                    let ready = match comp {
-                        StateComponent::Weight16 => p.compute_end[0].max(p.compute_end[1]),
-                        _ => p.compute_end[(idx as usize).min(1)],
-                    };
-                    let (start_at, cross_bus) = match (self.cfg.tier, local) {
-                        (ExecutionTier::DieNdp, true) => (ready, false),
-                        (ExecutionTier::DieNdp, false) => {
-                            // Hop out of the engine die's channel first.
-                            let hop = self
-                                .device
-                                .channel_mut(p.channel)
-                                .bus_mut()
-                                .transfer(ready, pb as u64);
-                            (hop.end, true)
-                        }
-                        (ExecutionTier::ChannelNdp, _) => (ready, true),
-                        (ExecutionTier::HostNvme, _) => unreachable!(),
-                    };
-                    let win = self
-                        .device
-                        .internal_program(lpn, None, data, start_at, cross_bus)?;
-                    step_end = step_end.max(win.end);
-                }
-            }
-            batch_start = batch_end;
         }
+        Ok(())
+    }
 
-        // Atomic commit: the step's write-backs become authoritative only
-        // when the commit record is durable; a crash anywhere before this
-        // instant rolls the whole step back at mount.
-        step_end = step_end.max(self.device.commit_epoch(step_end)?);
-
-        let delta = CounterSnapshot::of(&self.device).since(&before);
+    /// Commit and report: the step's write-backs become authoritative only
+    /// when the commit record is durable; a crash anywhere before this
+    /// instant rolls the whole step back at mount.
+    fn commit_step(
+        &mut self,
+        at: SimTime,
+        tally: StepTally,
+        scrub: ScrubReport,
+        before: &CounterSnapshot,
+    ) -> Result<StepReport, CoreError> {
+        let end = tally.end.max(self.device.commit_epoch(tally.end)?);
+        let delta = CounterSnapshot::of(&self.device).since(before);
         Ok(StepReport {
-            groups_skipped: skipped,
-            groups_replayed,
+            groups_skipped: tally.skipped,
+            groups_replayed: tally.replayed,
             scrub_reads: scrub.pages_read,
             scrub_repairs: scrub.repairs,
             scrub_refreshes: scrub.refreshes,
@@ -613,13 +630,145 @@ impl OptimStoreDevice {
                 &self.layout,
                 &self.spec,
                 &self.energy_model,
-                Window {
-                    start: at,
-                    end: step_end,
-                },
+                Window { start: at, end },
                 delta,
             )
         })
+    }
+
+    /// The channel of the die holding group `g`.
+    fn channel(&self, g: u64) -> u32 {
+        self.layout.group(g).die_flat / self.device.config().dies_per_channel
+    }
+
+    /// Moves `bytes` over the bus of group `g`'s channel from `at`;
+    /// returns when they have crossed.
+    fn channel_hop(&mut self, g: u64, bytes: u64, at: SimTime) -> SimTime {
+        let channel = self.channel(g);
+        self.device
+            .channel_mut(channel)
+            .bus_mut()
+            .transfer(at, bytes)
+            .end
+    }
+
+    /// Delivers group `g`'s prepared gradient to its engine, starting at
+    /// `at`; returns when it is there. In-storage tiers store-and-forward
+    /// it through controller DRAM, then stream it to the engine or stage
+    /// it in flash. The host tier spilled it to flash before the step.
+    fn deliver_grad(&mut self, g: u64, prep: &GradPrep, at: SimTime) -> Result<SimTime, CoreError> {
+        if self.cfg.tier == ExecutionTier::HostNvme {
+            return Ok(at);
+        }
+        let bytes = prep.wire_bytes;
+        let pcie = self.device.pcie_in_mut().transfer(at, bytes);
+        // Store-and-forward through controller DRAM (write + read).
+        let dram_in = self.device.dram_mut().transfer(pcie.end, bytes);
+        let dram = self.device.dram_mut().transfer(dram_in.end, bytes);
+        Ok(match (self.cfg.grad_staging, self.cfg.tier) {
+            // Stream over the channel bus into the die-side buffer.
+            (GradStaging::Stream, ExecutionTier::DieNdp) => self.channel_hop(g, bytes, dram.end),
+            (GradStaging::Stream, _) => dram.end,
+            (GradStaging::StoreToFlash, _) => {
+                let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
+                let page = prep.page.as_deref();
+                self.device
+                    .internal_program(lpn, None, page, dram.end, true)?
+                    .end
+            }
+        })
+    }
+
+    /// The engine that updates group `g`: its die's, its channel's, or the
+    /// one host updater.
+    fn engine_index(&self, g: u64) -> usize {
+        match self.cfg.tier {
+            ExecutionTier::DieNdp => self.layout.group(g).die_flat as usize,
+            ExecutionTier::ChannelNdp => self.channel(g) as usize,
+            ExecutionTier::HostNvme => 0,
+        }
+    }
+
+    /// Issues every operand read of update group `g`, returning the pages
+    /// read and the per-sub-group readiness times (earliest engine start).
+    /// Re-invoked verbatim by the replay loop of [`Self::issue_batch`]
+    /// when a read surfaces an uncorrectable media fault.
+    fn read_group_operands(
+        &mut self,
+        g: u64,
+        grad_ready: SimTime,
+        at: SimTime,
+    ) -> Result<(Vec<OperandPage>, [SimTime; 2]), CoreError> {
+        // Track operand readiness per sub-group (fp32 page-pair): the grad
+        // (and a staged grad page) feeds both.
+        let mut sub_start = [grad_ready; 2];
+        let mut read_pages: Vec<OperandPage> = Vec::new();
+        for (comp, idx) in self.layout.read_set() {
+            let (win, data) = self.read_operand(g, comp, idx, at)?;
+            match comp {
+                StateComponent::Grad => {
+                    sub_start[0] = sub_start[0].max(win.end);
+                    sub_start[1] = sub_start[1].max(win.end);
+                }
+                _ => {
+                    let k = (idx as usize).min(1);
+                    sub_start[k] = sub_start[k].max(win.end);
+                }
+            }
+            read_pages.push((comp, idx, data));
+        }
+        Ok((read_pages, sub_start))
+    }
+
+    /// Reads operand page `(comp, idx)` of group `g` into the engine that
+    /// updates it, issued at `at`.
+    fn read_operand(
+        &mut self,
+        g: u64,
+        comp: StateComponent,
+        idx: u32,
+        at: SimTime,
+    ) -> Result<(Window, Option<Bytes>), CoreError> {
+        let lpn = self.layout.lpn(g, comp, idx);
+        Ok(match (self.cfg.tier, self.layout.is_local(g, comp, idx)) {
+            (ExecutionTier::DieNdp, true) => self.device.internal_read_array(lpn, at)?,
+            (ExecutionTier::DieNdp, false) => {
+                // Remote operand: array + source bus, then hop over the
+                // engine die's bus into its buffer.
+                let (w, d) = self.device.internal_read_channel(lpn, at)?;
+                let end = self.channel_hop(g, self.page_bytes() as u64, w.end);
+                (Window { end, ..w }, d)
+            }
+            (ExecutionTier::ChannelNdp, _) => self.device.internal_read_channel(lpn, at)?,
+            (ExecutionTier::HostNvme, _) => self.device.host_read_page(lpn, at)?,
+        })
+    }
+
+    /// Writes updated page `(comp, idx)` of group `g` back out-of-place
+    /// from its engine, once the engine is done at `ready`.
+    fn write_page(
+        &mut self,
+        g: u64,
+        comp: StateComponent,
+        idx: u32,
+        data: Option<&[u8]>,
+        ready: SimTime,
+    ) -> Result<Window, CoreError> {
+        let lpn = self.layout.lpn(g, comp, idx);
+        let (start, cross_bus) = match (self.cfg.tier, self.layout.is_local(g, comp, idx)) {
+            (ExecutionTier::HostNvme, _) => {
+                return Ok(self.device.host_write_page(lpn, data, ready)?)
+            }
+            (ExecutionTier::ChannelNdp, _) => (ready, true),
+            (ExecutionTier::DieNdp, true) => (ready, false),
+            // Hop out of the engine die's channel first.
+            (ExecutionTier::DieNdp, false) => {
+                (self.channel_hop(g, self.page_bytes() as u64, ready), true)
+            }
+        };
+        Ok(self
+            .device
+            .internal_program(lpn, None, data, start, cross_bus)?)
     }
 
     /// Remounts the device after a sudden power loss and resynchronizes the
@@ -653,71 +802,38 @@ impl OptimStoreDevice {
         })
     }
 
-    /// Issues every operand read of update group `g`, returning the pages
-    /// read and the per-sub-group readiness times (earliest engine start).
-    /// Re-invoked verbatim by `run_step`'s replay loop when a read
-    /// surfaces an uncorrectable media fault.
-    fn read_group_operands(
-        &mut self,
-        g: u64,
-        channel: u32,
-        grad_ready: SimTime,
-        at: SimTime,
-    ) -> Result<(Vec<OperandPage>, [SimTime; 2]), CoreError> {
-        let pb = self.page_bytes();
-        // Track operand readiness per sub-group (fp32 page-pair): the grad
-        // (and a staged grad page) feeds both.
-        let mut sub_start = [grad_ready; 2];
-        let mut read_pages: Vec<OperandPage> = Vec::new();
-        for (comp, idx) in self.layout.read_set() {
-            let lpn = self.layout.lpn(g, comp, idx);
-            let local = self.layout.is_local(g, comp, idx);
-            let (win, data) = match (self.cfg.tier, local) {
-                (ExecutionTier::DieNdp, true) => self.device.internal_read_array(lpn, at)?,
-                (ExecutionTier::DieNdp, false) => {
-                    // Remote operand: array + source bus, then hop over
-                    // the engine die's bus into its buffer.
-                    let (w, d) = self.device.internal_read_channel(lpn, at)?;
-                    let hop = self
-                        .device
-                        .channel_mut(channel)
-                        .bus_mut()
-                        .transfer(w.end, pb as u64);
-                    (
-                        Window {
-                            start: w.start,
-                            end: hop.end,
-                        },
-                        d,
-                    )
-                }
-                (ExecutionTier::ChannelNdp, _) => self.device.internal_read_channel(lpn, at)?,
-                (ExecutionTier::HostNvme, _) => unreachable!(),
-            };
-            match comp {
-                StateComponent::Grad => {
-                    sub_start[0] = sub_start[0].max(win.end);
-                    sub_start[1] = sub_start[1].max(win.end);
-                }
-                _ => {
-                    let k = (idx as usize).min(1);
-                    sub_start[k] = sub_start[k].max(win.end);
-                }
-            }
-            read_pages.push((comp, idx, data));
-        }
-        Ok((read_pages, sub_start))
-    }
-
     /// Reads back the fp32 master weights (functional mode, for
-    /// verification). Timing is incidental — this is a debug path.
+    /// verification): every group's two master pages, through the host
+    /// interface on the host tier and straight from the array otherwise.
+    /// Timing is incidental — this is a debug path.
     pub fn read_master_weights(&mut self, at: SimTime) -> Result<Vec<f32>, CoreError> {
-        pages::read_master_weights(
-            &mut self.device,
-            &self.layout,
-            Device::internal_read_array,
-            at,
-        )
+        if !self.device.is_functional() {
+            return Err(CoreError::ModeMismatch(
+                "read_master_weights needs functional mode",
+            ));
+        }
+        let read = match self.cfg.tier {
+            ExecutionTier::HostNvme => Device::host_read_page,
+            ExecutionTier::ChannelNdp | ExecutionTier::DieNdp => Device::internal_read_array,
+        };
+        let per_page = self.layout.page_bytes() / 4;
+        let mut out = Vec::with_capacity(self.layout.params() as usize);
+        for g in 0..self.layout.num_groups() {
+            let mut left = self.layout.group(g).param_count as usize;
+            for idx in 0..2u32 {
+                let lpn = self.layout.lpn(g, StateComponent::Master, idx);
+                let (_, data) = read(&mut self.device, lpn, at)?;
+                let data = data.expect("functional device has data");
+                let n = left.min(per_page);
+                out.extend(
+                    data[..4 * n]
+                        .chunks_exact(4)
+                        .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
+                );
+                left -= n;
+            }
+        }
+        Ok(out)
     }
 
     /// Reads back the 16-bit working weights, widened to f32 (functional
@@ -978,6 +1094,35 @@ mod tests {
         assert!(
             matches!(err, CoreError::Ssd(SsdError::UncorrectableRead { .. })),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn host_tier_reads_spilled_gradients_instead_of_taking_them() {
+        let mut dev = OptimStoreDevice::new_functional(
+            SsdConfig::tiny(),
+            OptimStoreConfig::host_nvme(20_000_000_000),
+            1000,
+            Box::new(Adam::default()),
+            spec(),
+        )
+        .unwrap();
+        let t0 = dev.load_weights(&vec![0.5; 1000], SimTime::ZERO).unwrap();
+        let err = dev.run_step(Some(&vec![0.1; 1000]), t0).unwrap_err();
+        assert!(matches!(err, CoreError::ModeMismatch(_)), "{err}");
+        assert_eq!(dev.step_count(), 0);
+        // The loaded (zero) gradient page is read up with the state, and
+        // every updated page comes back down.
+        let r = dev.run_step(None, t0).unwrap();
+        assert_eq!(r.tier, "host-nvme");
+        let pb = dev.ssd().page_bytes() as u64;
+        assert_eq!(
+            r.traffic.pcie_out,
+            dev.layout().read_set().len() as u64 * pb
+        );
+        assert_eq!(
+            r.traffic.pcie_in,
+            dev.layout().write_set().len() as u64 * pb
         );
     }
 

@@ -6,9 +6,11 @@
 //! * a **state layout** ([`StateLayout`]) that co-locates each parameter
 //!   shard's master weight, optimizer slots, gradient and working weight on
 //!   one NAND die, so the element-wise update is entirely die-local;
-//! * **processing engines** placed per die ([`ExecutionTier::DieNdp`]) or
-//!   per channel ([`ExecutionTier::ChannelNdp`]), modelled as throughput
-//!   pipelines ([`EngineConfig`]);
+//! * **processing engines** placed per die ([`ExecutionTier::DieNdp`]), per
+//!   channel ([`ExecutionTier::ChannelNdp`]) or on the host
+//!   ([`ExecutionTier::HostNvme`], the offload baseline), modelled as
+//!   throughput pipelines ([`EngineConfig`]) and driven by one step
+//!   executor;
 //! * an **in-storage command protocol** ([`protocol`]) the host uses to
 //!   trigger updates without moving state;
 //! * a **scheduler** that pipelines `read → update → program` per update

@@ -1,9 +1,9 @@
 //! The optimizer state image and its operand pages.
 //!
-//! Core owns the state image and the step accounting, so the in-storage
-//! executor ([`crate::OptimStoreDevice`]) and the host-NVMe baseline load,
-//! read and account for the same bytes the same way — the tier comparison
-//! differs only in the update *path*. This module holds the image:
+//! Every tier of the one step executor ([`crate::OptimStoreDevice`]) loads,
+//! updates and accounts for the same bytes the same way — the tier
+//! comparison differs only in the update *path*. This module holds the
+//! image:
 //!
 //! * [`fit_layout`] checks an optimizer against its spec and the layout
 //!   against the device;
@@ -11,7 +11,6 @@
 //!   functional or phantom;
 //! * [`encode_grad_page`] packs one group's gradient page, and
 //!   [`staged_grad`] finds a staged one among the operands read;
-//! * [`read_master_weights`] decodes the fp32 masters back;
 //! * [`UpdatePages`] is the per-group kernel working set: the group's
 //!   master/slot page pairs joined into contiguous buffers for
 //!   [`optim_math::kernels::update_chunk`], each half written back to its
@@ -30,16 +29,12 @@ use optim_math::kernels::{encode_grads_into, update_chunk, KernelError};
 use optim_math::state::{GradDtype, StateLayoutSpec};
 use optim_math::{Optimizer, F16};
 use simkit::pool::PageBuf;
-use simkit::{SimTime, Window};
-use ssdsim::{Device, Lpn, SsdError};
+use simkit::SimTime;
+use ssdsim::Device;
 
 /// One operand page as the read phase returns it: component, page index
 /// and the bytes read (`None` on phantom devices).
 pub type OperandPage = (StateComponent, u32, Option<Bytes>);
-
-/// A device read path: [`Device::internal_read_array`] for an on-die
-/// engine, [`Device::host_read_page`] for the host.
-pub type ReadPath = fn(&mut Device, Lpn, SimTime) -> Result<(Window, Option<Bytes>), SsdError>;
 
 /// Checks that `optimizer` runs the rule `spec` lays out, and that the
 /// layout of `params` parameters under `policy` fits `device`. Returns the
@@ -172,38 +167,6 @@ fn operand(read_pages: &[OperandPage], comp: StateComponent, idx: u32) -> &[u8] 
 /// straight from the read buffer, with no staging copy.
 pub fn staged_grad(read_pages: &[OperandPage]) -> &[u8] {
     operand(read_pages, StateComponent::Grad, 0)
-}
-
-/// Reads back every group's two master pages over `read`, issued at `at`,
-/// and decodes the fp32 master weights (functional devices only).
-pub fn read_master_weights(
-    device: &mut Device,
-    layout: &StateLayout,
-    read: ReadPath,
-    at: SimTime,
-) -> Result<Vec<f32>, CoreError> {
-    if !device.is_functional() {
-        return Err(CoreError::ModeMismatch(
-            "read_master_weights needs functional mode",
-        ));
-    }
-    let per_page = layout.page_bytes() / 4;
-    let mut out = Vec::with_capacity(layout.params() as usize);
-    for g in 0..layout.num_groups() {
-        let mut left = layout.group(g).param_count as usize;
-        for idx in 0..2u32 {
-            let (_, data) = read(device, layout.lpn(g, StateComponent::Master, idx), at)?;
-            let data = data.expect("functional device has data");
-            let n = left.min(per_page);
-            out.extend(
-                data[..4 * n]
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
-            );
-            left -= n;
-        }
-    }
-    Ok(out)
 }
 
 /// The kernel working set for one update group: joined fp32 master pages,

@@ -1,9 +1,9 @@
 //! Per-step measurement report and the step accounting behind it.
 //!
-//! Every tier — die-NDP, channel-NDP and the host-NVMe baseline — brackets
-//! its step with two [`CounterSnapshot`]s and builds its [`StepReport`]
-//! with [`StepReport::from_counters`], so traffic and energy are counted
-//! the same way on both sides of the comparison.
+//! The executor brackets every tier's step — die-NDP, channel-NDP and the
+//! host-NVMe baseline — with two [`CounterSnapshot`]s and builds its
+//! [`StepReport`] with [`StepReport::from_counters`], so traffic and energy
+//! are counted the same way on every side of the comparison.
 
 use crate::config::ExecutionTier;
 use crate::energy::{ActivityCounts, EnergyBreakdown, EnergyModel};

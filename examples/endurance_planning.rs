@@ -9,7 +9,7 @@
 use optimstore::dnn_model::{zoo, TrainingFootprint, ZeroPartition};
 use optimstore::optim_math::state::{GradDtype, StateLayoutSpec};
 use optimstore::optim_math::OptimizerKind;
-use optimstore::optimstore_core::audit::audit_ndp;
+use optimstore::optimstore_core::audit::audit;
 use optimstore::optimstore_core::endurance::analytic_erases_per_step;
 use optimstore::optimstore_core::OptimStoreConfig;
 use optimstore::ssdsim::SsdConfig;
@@ -35,7 +35,7 @@ fn devices_needed(params: u64, ssd: &SsdConfig, spec: &StateLayoutSpec) -> u32 {
 fn main() {
     let ssd = SsdConfig::base();
     let spec = StateLayoutSpec::new(OptimizerKind::Adam, GradDtype::F16);
-    let die = audit_ndp(&ssd, &OptimStoreConfig::die_ndp(), &spec);
+    let die = audit(&ssd, &OptimStoreConfig::die_ndp(), &spec);
 
     println!(
         "deployment planning on the base SSD (8 TB TLC, {} rated P/E), \

@@ -8,7 +8,7 @@ use optimstore::baselines::HostNvmeConfig;
 use optimstore::dnn_model::{zoo, GpuSpec, IterationBreakdown, TrainingFootprint};
 use optimstore::optim_math::state::{GradDtype, StateLayoutSpec};
 use optimstore::optim_math::OptimizerKind;
-use optimstore::optimstore_core::audit::{audit_host_nvme, audit_ndp};
+use optimstore::optimstore_core::audit::audit;
 use optimstore::optimstore_core::OptimStoreConfig;
 use optimstore::ssdsim::SsdConfig;
 
@@ -27,9 +27,10 @@ fn main() {
 
     // Steady-state analysis of each execution tier (the analytic audit;
     // the bench harness cross-checks it with event simulation).
-    let host = audit_host_nvme(&ssd, &spec, HostNvmeConfig::default().update_bytes_per_sec);
-    let channel = audit_ndp(&ssd, &OptimStoreConfig::channel_ndp(), &spec);
-    let die = audit_ndp(&ssd, &OptimStoreConfig::die_ndp(), &spec);
+    let host_rate = HostNvmeConfig::default().update_bytes_per_sec;
+    let host = audit(&ssd, &OptimStoreConfig::host_nvme(host_rate), &spec);
+    let channel = audit(&ssd, &OptimStoreConfig::channel_ndp(), &spec);
+    let die = audit(&ssd, &OptimStoreConfig::die_ndp(), &spec);
 
     println!("tier          step time   bottleneck      params/s");
     println!("----------------------------------------------------");

@@ -171,6 +171,39 @@ proptest! {
         }
     }
 
+    /// The update command is the device's host-facing wire format: decoding
+    /// any buffer of up to 96 bytes returns `Ok` or `Err` without
+    /// panicking (and accepts only canonical encodings), and every valid
+    /// command survives encode → decode bit for bit.
+    #[test]
+    fn update_command_wire_format_round_trips(
+        bytes in prop::collection::vec(any::<u8>(), 0..97),
+        (opt, bf16, step, group_start, group_count) in
+            (0usize..5, any::<bool>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        hyper in prop::collection::vec(any::<u32>(), 5..6),
+    ) {
+        use optimstore::optim_math::OptimizerKind;
+        use optimstore::optimstore_core::protocol::UpdateCommand;
+        if let Ok(cmd) = UpdateCommand::decode(&bytes) {
+            prop_assert_eq!(cmd.encode().to_vec(), bytes);
+        }
+        let cmd = UpdateCommand {
+            optimizer: OptimizerKind::all()[opt],
+            grad_dtype: if bf16 { GradDtype::Bf16 } else { GradDtype::F16 },
+            step,
+            group_start,
+            group_count,
+            hyper: std::array::from_fn(|i| f32::from_bits(hyper[i])),
+        };
+        let back = UpdateCommand::decode(&cmd.encode()).unwrap();
+        prop_assert_eq!(
+            (back.optimizer, back.grad_dtype, back.step, back.group_start, back.group_count),
+            (cmd.optimizer, cmd.grad_dtype, cmd.step, cmd.group_start, cmd.group_count)
+        );
+        // Compared as bits: arbitrary hyperparameters include NaNs.
+        prop_assert_eq!(back.hyper.map(f32::to_bits), cmd.hyper.map(f32::to_bits));
+    }
+
     /// Top-k compression round-trips: dense → sparse → dense keeps exactly
     /// the selected entries and zeroes the rest; wire accounting matches.
     #[test]

@@ -12,11 +12,12 @@
 //! setting `TIMING_SANITY_PROFILE=full` (the same env-parameterization
 //! pattern as `tests/crash_consistency.rs`).
 
-use optimstore::baselines::HostNvmeConfig;
+use optimstore::baselines::{HostNvmeBaseline, HostNvmeConfig};
 use optimstore::optim_math::OptimizerKind;
-use optimstore::optimstore_core::OptimStoreConfig;
+use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice, StepReport, TrafficBytes};
+use optimstore::simkit::SimTime;
 use optimstore::ssdsim::{PciGen, SsdConfig};
-use optimstore_bench::runners::{run_host_nvme, run_ndp};
+use optimstore_bench::runners::{optimizer_and_spec, run_host_nvme, run_ndp};
 
 const MODEL: u64 = 1_000_000_000; // 1 B params
 
@@ -254,4 +255,111 @@ fn simulation_is_deterministic() {
     );
     assert_eq!(a.step_time, b.step_time);
     assert_eq!(a.traffic, b.traffic);
+}
+
+/// One step's simulated outcome, as pinned below: `(start ns, end ns,
+/// traffic, erases, gc_copies)`.
+type Pinned = (u64, u64, TrafficBytes, u64, u64);
+
+fn pinned(r: &StepReport) -> Pinned {
+    (
+        r.start.as_ns(),
+        r.end.as_ns(),
+        r.traffic,
+        r.erases,
+        r.gc_copies,
+    )
+}
+
+/// Parameters for the pinned runs: enough state on the tiny device that
+/// both steps reclaim blocks.
+const PINNED_PARAMS: u64 = 2_500_000;
+
+/// Phantom load plus two steps of one in-storage tier on the tiny device.
+fn two_ndp_steps(cfg: OptimStoreConfig) -> [Pinned; 2] {
+    let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
+    let mut dev =
+        OptimStoreDevice::new(SsdConfig::tiny(), cfg, PINNED_PARAMS, optimizer, spec).unwrap();
+    let t0 = dev.load_phantom(SimTime::ZERO).unwrap();
+    let r1 = dev.run_step(None, t0).unwrap();
+    let r2 = dev.run_step(None, r1.end).unwrap();
+    [pinned(&r1), pinned(&r2)]
+}
+
+/// Phantom load plus two spilled-gradient steps of the host tier on the
+/// tiny device.
+fn two_host_steps() -> [Pinned; 2] {
+    let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
+    let mut dev = HostNvmeBaseline::new(
+        SsdConfig::tiny(),
+        HostNvmeConfig::default(),
+        PINNED_PARAMS,
+        optimizer,
+        spec,
+    )
+    .unwrap();
+    let t0 = dev.load_phantom(SimTime::ZERO).unwrap();
+    let t1 = dev.spill_gradients(None, t0).unwrap();
+    let r1 = dev.run_step(t1).unwrap();
+    let t2 = dev.spill_gradients(None, r1.end).unwrap();
+    let r2 = dev.run_step(t2).unwrap();
+    [pinned(&r1), pinned(&r2)]
+}
+
+const fn traffic(
+    pcie_in: u64,
+    pcie_out: u64,
+    bus: u64,
+    array_read: u64,
+    array_program: u64,
+    dram: u64,
+) -> TrafficBytes {
+    TrafficBytes {
+        pcie_in,
+        pcie_out,
+        bus,
+        array_read,
+        array_program,
+        dram,
+    }
+}
+
+/// Every tier's simulated step timing, traffic and reclamation are pinned
+/// to recorded values, so a refactor of the step engine that moves any
+/// schedule by a nanosecond fails here.
+#[test]
+fn step_timing_is_pinned_for_every_tier() {
+    let ndp_traffic = |bus| traffic(5_001_216, 0, bus, 30_007_296, 35_008_512, 10_002_432);
+    assert_eq!(
+        two_ndp_steps(OptimStoreConfig::die_ndp()),
+        [
+            (374_858_854, 917_400_866, ndp_traffic(5_587_296), 40, 0),
+            (917_400_866, 1_780_915_976, ndp_traffic(5_587_296), 280, 0),
+        ],
+        "die-ndp"
+    );
+    assert_eq!(
+        two_ndp_steps(OptimStoreConfig::channel_ndp()),
+        [
+            (374_858_854, 958_096_560, ndp_traffic(72_634_848), 40, 0),
+            (958_096_560, 2_012_451_216, ndp_traffic(72_634_848), 280, 0),
+        ],
+        "channel-ndp"
+    );
+    let host_traffic = traffic(
+        35_008_512,
+        35_008_512,
+        78_222_144,
+        35_008_512,
+        35_008_512,
+        140_034_048,
+    );
+    assert_eq!(
+        two_host_steps(),
+        [
+            (481_971_522, 1_295_927_152, host_traffic, 120, 0),
+            (1_433_032_192, 2_360_790_850, host_traffic, 265, 0),
+        ],
+        "host-nvme"
+    );
 }
