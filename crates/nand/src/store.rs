@@ -1,10 +1,15 @@
 //! Page lifecycle state and (optional) functional data storage.
 //!
-//! Every page is always tracked through the `Free → Valid → Invalid → Free`
-//! lifecycle (the FTL depends on it), but the *contents* of pages are
-//! optional: [`Backing::Data`] keeps real bytes for functional verification,
-//! [`Backing::Phantom`] keeps none so that terabyte-scale timing experiments
-//! fit in host memory.
+//! Every page moves through the `Free → Valid → Invalid → Free` lifecycle
+//! (the FTL depends on it). A block stores no per-page state for it:
+//! programs are sequential, so pages at or past the write cursor are
+//! `Free`, and a page below it is `Invalid` exactly when its bit is set in
+//! a bitset allocated on the block's first invalidation and dropped on
+//! erase. A block that was never invalidated costs no heap at all.
+//!
+//! The *contents* of pages are optional: [`Backing::Data`] keeps real bytes
+//! for functional verification, [`Backing::Phantom`] keeps none so that
+//! terabyte-scale timing experiments fit in host memory.
 
 use crate::geometry::NandGeometry;
 use bytes::Bytes;
@@ -24,9 +29,13 @@ pub enum PageState {
 /// Per-block bookkeeping: page states, sequential-program cursor, wear.
 #[derive(Debug, Clone)]
 pub struct BlockState {
-    states: Vec<PageState>,
-    /// Index of the next page that may legally be programmed.
+    pages_per_block: u32,
+    /// Index of the next page that may legally be programmed; every page
+    /// at or past it is `Free`.
     write_cursor: u32,
+    /// One bit per page, set for programmed pages that are `Invalid`.
+    /// `None` until the first invalidation since the last erase.
+    invalid: Option<Box<[u64]>>,
     /// Number of pages currently `Valid`.
     valid_pages: u32,
     /// Completed program/erase cycles.
@@ -45,8 +54,9 @@ impl BlockState {
     /// A freshly erased block with zero wear.
     pub fn new(pages_per_block: u32) -> Self {
         BlockState {
-            states: vec![PageState::Free; pages_per_block as usize],
+            pages_per_block,
             write_cursor: 0,
+            invalid: None,
             valid_pages: 0,
             erase_count: 0,
             retired: false,
@@ -56,14 +66,46 @@ impl BlockState {
     }
 
     /// State of page `page`.
+    ///
+    /// # Panics
+    /// If `page` is not below the block's page count.
     pub fn page_state(&self, page: u32) -> PageState {
-        self.states[page as usize]
+        assert!(
+            page < self.pages_per_block,
+            "page {page} out of range for a {}-page block",
+            self.pages_per_block
+        );
+        if page >= self.write_cursor {
+            PageState::Free
+        } else if self.invalid_bit(page) {
+            PageState::Invalid
+        } else {
+            PageState::Valid
+        }
+    }
+
+    fn invalid_bit(&self, page: u32) -> bool {
+        self.invalid
+            .as_ref()
+            .is_some_and(|w| w[page as usize / 64] & (1 << (page % 64)) != 0)
+    }
+
+    /// Sets or clears `page`'s invalid bit, allocating the bitset only to
+    /// set a bit.
+    fn set_invalid_bit(&mut self, page: u32, invalid: bool) {
+        let (word, bit) = (page as usize / 64, 1u64 << (page % 64));
+        if invalid {
+            let words = self.pages_per_block.div_ceil(64) as usize;
+            self.invalid.get_or_insert_with(|| vec![0; words].into())[word] |= bit;
+        } else if let Some(w) = &mut self.invalid {
+            w[word] &= !bit;
+        }
     }
 
     /// The next page index that may legally be programmed, or `None` if the
     /// block is full.
     pub fn next_programmable(&self) -> Option<u32> {
-        (self.write_cursor < self.states.len() as u32).then_some(self.write_cursor)
+        (self.write_cursor < self.pages_per_block).then_some(self.write_cursor)
     }
 
     /// Number of `Valid` pages.
@@ -73,7 +115,7 @@ impl BlockState {
 
     /// Number of `Free` (programmable) pages remaining.
     pub fn free_pages(&self) -> u32 {
-        self.states.len() as u32 - self.write_cursor
+        self.pages_per_block - self.write_cursor
     }
 
     /// Completed P/E cycles.
@@ -114,7 +156,6 @@ impl BlockState {
     /// Marks `page` programmed. Caller must have validated ordering.
     pub(crate) fn mark_programmed(&mut self, page: u32) {
         debug_assert_eq!(page, self.write_cursor);
-        self.states[page as usize] = PageState::Valid;
         self.write_cursor += 1;
         self.valid_pages += 1;
     }
@@ -122,8 +163,8 @@ impl BlockState {
     /// Marks a `Valid` page `Invalid` (its logical contents moved elsewhere).
     /// Returns `false` if the page was not valid.
     pub fn invalidate(&mut self, page: u32) -> bool {
-        if self.states[page as usize] == PageState::Valid {
-            self.states[page as usize] = PageState::Invalid;
+        if self.page_state(page) == PageState::Valid {
+            self.set_invalid_bit(page, true);
             self.valid_pages -= 1;
             true
         } else {
@@ -136,12 +177,7 @@ impl BlockState {
     /// lost RAM state). Returns `false` — and changes nothing — for a
     /// `Free` page, which has no validity to rewrite.
     pub fn set_validity(&mut self, page: u32, valid: bool) -> bool {
-        let target = if valid {
-            PageState::Valid
-        } else {
-            PageState::Invalid
-        };
-        match self.states[page as usize] {
+        match self.page_state(page) {
             PageState::Free => false,
             current => {
                 if current == PageState::Valid && !valid {
@@ -149,7 +185,7 @@ impl BlockState {
                 } else if current == PageState::Invalid && valid {
                     self.valid_pages += 1;
                 }
-                self.states[page as usize] = target;
+                self.set_invalid_bit(page, !valid);
                 true
             }
         }
@@ -163,10 +199,8 @@ impl BlockState {
 
     /// Resets the block after an erase and bumps the wear counter.
     pub(crate) fn mark_erased(&mut self) {
-        for s in &mut self.states {
-            *s = PageState::Free;
-        }
         self.write_cursor = 0;
+        self.invalid = None;
         self.valid_pages = 0;
         self.erase_count += 1;
         self.reads_since_erase = 0;
@@ -269,6 +303,38 @@ mod tests {
         assert_eq!(b.valid_pages(), 2);
         assert!(b.set_validity(0, true), "idempotent re-set keeps the count");
         assert_eq!(b.valid_pages(), 2);
+    }
+
+    #[test]
+    fn invalid_bitset_is_lazy_and_dropped_on_erase() {
+        let mut b = BlockState::new(130);
+        for page in 0..130 {
+            b.mark_programmed(page);
+        }
+        assert!(b.invalid.is_none(), "programs alone allocate nothing");
+        assert!(b.set_validity(64, true));
+        assert!(
+            b.invalid.is_none(),
+            "re-validating a valid page allocates nothing"
+        );
+        assert!(b.invalidate(129));
+        assert_eq!(b.invalid.as_ref().map(|w| w.len()), Some(3));
+        assert!(b.set_validity(63, false));
+        assert_eq!(b.page_state(63), PageState::Invalid);
+        assert_eq!(b.page_state(64), PageState::Valid);
+        assert_eq!(b.page_state(129), PageState::Invalid);
+        assert_eq!(b.valid_pages(), 128);
+        b.mark_erased();
+        assert!(b.invalid.is_none(), "erase drops the bitset");
+        assert_eq!(b.page_state(129), PageState::Free);
+        b.mark_programmed(0);
+        assert_eq!(b.page_state(0), PageState::Valid);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn page_past_the_block_panics() {
+        BlockState::new(4).page_state(4);
     }
 
     #[test]

@@ -680,10 +680,9 @@ impl Device {
                     if this.is_journal_block(die_flat, addr) {
                         continue;
                     }
-                    for pidx in 0..geo.pages_per_block {
-                        if b.page_state(pidx) == nandsim::store::PageState::Free {
-                            continue;
-                        }
+                    // Programs are sequential: only pages below the write
+                    // cursor were ever programmed (torn ones included).
+                    for pidx in 0..geo.pages_per_block - b.free_pages() {
                         let page = addr.page(pidx);
                         if die.is_torn(page) {
                             scan.torn += 1;
@@ -788,10 +787,7 @@ impl Device {
                     if self.is_journal_block(die_flat, addr) {
                         continue;
                     }
-                    for pidx in 0..geo.pages_per_block {
-                        if b.page_state(pidx) == nandsim::store::PageState::Free {
-                            continue;
-                        }
+                    for pidx in 0..geo.pages_per_block - b.free_pages() {
                         let idx = geo.page_index(addr.page(pidx));
                         updates.push((addr, pidx, winning.contains(&(die_flat, idx))));
                     }

@@ -236,38 +236,44 @@ proptest! {
     }
 
     /// The NAND die enforces its discipline against a shadow model under
-    /// random operation sequences (fuzz).
+    /// random operation sequences (fuzz): program order, readability, and
+    /// every page's `Free/Valid/Invalid` state through invalidation,
+    /// forced validity and erase.
     #[test]
-    fn nand_discipline_fuzz(ops in prop::collection::vec((0u8..3, 0u32..2, 0u32..4, 0u32..8), 1..200)) {
+    fn nand_discipline_fuzz(ops in prop::collection::vec((0u8..6, 0u32..2, 0u32..4, 0u32..8), 1..200)) {
+        use optimstore::nandsim::store::PageState;
         use optimstore::nandsim::{Die, NandConfig, PhysPage, BlockAddr};
+        const PAGES: u32 = 8;
         let cfg = NandConfig {
             geometry: optimstore::nandsim::NandGeometry {
                 planes: 2,
                 blocks_per_plane: 4,
-                pages_per_block: 8,
+                pages_per_block: PAGES,
                 page_bytes: 64,
             },
             ..NandConfig::tiny_test_die()
         };
         let mut die = Die::new(7, cfg);
-        // Shadow: per block, number of programmed pages.
-        let mut shadow = std::collections::HashMap::<(u32, u32), u32>::new();
+        // Shadow: per block, the state of every page.
+        let mut shadow = HashMap::<(u32, u32), Vec<PageState>>::new();
         for (op, plane, block, page) in ops {
+            let pages = shadow
+                .entry((plane, block))
+                .or_insert_with(|| vec![PageState::Free; PAGES as usize]);
+            let cursor = pages.iter().position(|&s| s == PageState::Free).unwrap_or(PAGES as usize) as u32;
+            let b = BlockAddr { plane, block };
+            let p = PhysPage { plane, block, page };
             match op {
                 0 => {
-                    let p = PhysPage { plane, block, page };
-                    let cursor = *shadow.get(&(plane, block)).unwrap_or(&0);
                     let r = die.program_page(p, SimTime::ZERO, None);
-                    if page == cursor && cursor < 8 {
+                    if page == cursor {
                         prop_assert!(r.is_ok(), "legal program rejected: {r:?}");
-                        shadow.insert((plane, block), cursor + 1);
+                        pages[page as usize] = PageState::Valid;
                     } else {
                         prop_assert!(r.is_err(), "illegal program accepted at {p:?}");
                     }
                 }
                 1 => {
-                    let p = PhysPage { plane, block, page };
-                    let cursor = *shadow.get(&(plane, block)).unwrap_or(&0);
                     let r = die.read_page(p, SimTime::ZERO);
                     if page < cursor {
                         prop_assert!(r.is_ok(), "legal read rejected");
@@ -275,12 +281,35 @@ proptest! {
                         prop_assert!(r.is_err(), "read of unwritten page accepted");
                     }
                 }
-                _ => {
-                    let b = BlockAddr { plane, block };
+                2 => {
                     prop_assert!(die.erase_block(b, SimTime::ZERO).is_ok());
-                    shadow.insert((plane, block), 0);
+                    pages.fill(PageState::Free);
+                }
+                3 => {
+                    let was_valid = pages[page as usize] == PageState::Valid;
+                    prop_assert_eq!(die.block_mut(b).unwrap().invalidate(page), was_valid);
+                    if was_valid {
+                        pages[page as usize] = PageState::Invalid;
+                    }
+                }
+                _ => {
+                    let valid = op == 4;
+                    let programmed = pages[page as usize] != PageState::Free;
+                    prop_assert_eq!(die.block_mut(b).unwrap().set_validity(page, valid), programmed);
+                    if programmed {
+                        pages[page as usize] = if valid { PageState::Valid } else { PageState::Invalid };
+                    }
                 }
             }
+            let state = die.block(b).unwrap();
+            for (i, &want) in pages.iter().enumerate() {
+                prop_assert_eq!(state.page_state(i as u32), want, "page {} of {:?}", i, b);
+            }
+            let valid = pages.iter().filter(|&&s| s == PageState::Valid).count() as u32;
+            let free = pages.iter().filter(|&&s| s == PageState::Free).count() as u32;
+            prop_assert_eq!(state.valid_pages(), valid);
+            prop_assert_eq!(state.free_pages(), free);
+            prop_assert_eq!(state.next_programmable(), (free > 0).then_some(PAGES - free));
         }
     }
 }
