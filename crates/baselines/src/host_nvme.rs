@@ -4,7 +4,7 @@
 //! layout is free either way); the difference is the update *path*:
 //!
 //! 1. during backward, fp16 gradients are **spilled** to flash
-//!    ([`HostNvmeBaseline::spill_gradients`], not charged to the step);
+//!    ([`OptimStoreDevice::spill_gradients`], not charged to the step);
 //! 2. the step **reads** every state page and the gradient page to the
 //!    host over `array → bus → DRAM → PCIe`;
 //! 3. the host updater (a streaming CPU/GPU kernel, modelled as a
@@ -16,17 +16,13 @@
 //! so the baseline runs the identical kernels, state image and step
 //! accounting as the in-storage tiers and its results are bit-exact
 //! against them — the comparison is purely about time, traffic and
-//! energy. This module holds only the configuration mapping and the
-//! backward-phase gradient spill.
+//! energy. This module holds only the configuration mapping.
 //!
 //! [`ExecutionTier::HostNvme`]: optimstore_core::ExecutionTier::HostNvme
 
 use optim_math::state::StateLayoutSpec;
 use optim_math::Optimizer;
-use optimstore_core::pages;
-use optimstore_core::{
-    CoreError, OptimStoreConfig, OptimStoreDevice, StateComponent, StateLayout, StepReport,
-};
+use optimstore_core::{CoreError, OptimStoreConfig, OptimStoreDevice, StateLayout, StepReport};
 use simkit::SimTime;
 use ssdsim::{Device, SsdConfig};
 
@@ -105,28 +101,14 @@ impl HostNvmeBaseline {
         self.dev.load_phantom(at)
     }
 
-    /// Spills gradients to flash (the backward-phase traffic; ZeRO-Infinity
-    /// offloads gradients to NVMe). Not charged to the optimizer step —
-    /// it overlaps backward compute. Returns the spill completion time.
+    /// Spills gradients to flash (the backward-phase traffic; see
+    /// [`OptimStoreDevice::spill_gradients`]). Not charged to the step.
     pub fn spill_gradients(
         &mut self,
         grads: Option<&[f32]>,
         at: SimTime,
     ) -> Result<SimTime, CoreError> {
-        pages::check_grads(self.dev.ssd(), self.dev.layout(), grads)?;
-        let dtype = self.dev.spec().grad_dtype;
-        let mut end = at;
-        for g in 0..self.dev.layout().num_groups() {
-            let layout = self.dev.layout();
-            let lpn = layout.lpn(g, StateComponent::Grad, 0);
-            let data = grads.map(|gr| pages::encode_grad_page(layout, g, gr, dtype));
-            let win = self
-                .dev
-                .ssd_mut()
-                .host_write_page(lpn, data.as_deref(), at)?;
-            end = end.max(win.end);
-        }
-        Ok(end)
+        self.dev.spill_gradients(grads, at)
     }
 
     /// Executes one host-offload optimizer step: read up, update on host,

@@ -1,12 +1,14 @@
 //! The reconstructed tables and figures (DESIGN.md §4).
 //!
 //! Each function prints one experiment's rows/series to stdout in the
-//! fixed-width format EXPERIMENTS.md records. Functions take a `cap`
-//! (maximum simulated parameters per run) so the `figures` bench target
-//! can trade fidelity for time; binaries use [`crate::runners::DEFAULT_SLICE_CAP`].
+//! fixed-width format EXPERIMENTS.md records. [`REGISTRY`] lists them in
+//! output order under the ids the `experiments` binary accepts; each takes
+//! a `cap` (maximum simulated parameters per run) to trade fidelity for
+//! time, [`crate::runners::DEFAULT_SLICE_CAP`] by default.
 
 use crate::runners::{
-    default_host_cfg, optimizer_and_spec, run_host_fleet, run_host_nvme, run_ndp, Measured,
+    default_host_cfg, host_tier, measure, optimizer_and_spec, run_cell, run_host_fleet, Measured,
+    DEFAULT_SLICE_CAP,
 };
 use crate::table::{bar_chart, fmt_bytes, fmt_rate, fmt_secs, Table};
 use baselines::{HostNvmeBaseline, HostNvmeConfig};
@@ -99,7 +101,7 @@ pub fn fig3_motivation(cap: u64) {
     let gpu = GpuSpec::a100();
     let mut t = Table::new(&["model", "fwd+bwd", "opt step (host)", "opt share"]);
     for m in zoo::evaluation_models() {
-        let host = run_host_nvme(&ssd, &default_host_cfg(), ADAM, m.params(), cap);
+        let host = measure(&ssd, &host_tier(), ADAM, m.params(), cap);
         let compute = gpu.iteration_time(&m, 8);
         let it = IterationBreakdown::synchronous(compute, host.step_time);
         t.row(&[
@@ -117,10 +119,10 @@ fn three_tiers(ssd: &SsdConfig, params: u64, cap: u64) -> [Measured; 3] {
     let s2 = *ssd;
     let s3 = *ssd;
     let mut out = crate::runners::run_parallel(vec![
-        Box::new(move || run_host_nvme(&s1, &default_host_cfg(), ADAM, params, cap))
+        Box::new(move || measure(&s1, &host_tier(), ADAM, params, cap))
             as Box<dyn FnOnce() -> Measured + Send>,
-        Box::new(move || run_ndp(&s2, &OptimStoreConfig::channel_ndp(), ADAM, params, cap)),
-        Box::new(move || run_ndp(&s3, &OptimStoreConfig::die_ndp(), ADAM, params, cap)),
+        Box::new(move || measure(&s2, &OptimStoreConfig::channel_ndp(), ADAM, params, cap)),
+        Box::new(move || measure(&s3, &OptimStoreConfig::die_ndp(), ADAM, params, cap)),
     ])
     .into_iter();
     [
@@ -145,8 +147,13 @@ pub fn fig4_step_latency(cap: u64) {
         "audit err (die)",
         "die bottleneck",
     ]);
+    let chart_model = zoo::gpt3_13b();
+    let mut chart = None;
     for m in zoo::evaluation_models() {
         let [host, ch, die] = three_tiers(&ssd, m.params(), cap);
+        if m.name == chart_model.name {
+            chart = Some([host.step_time, ch.step_time, die.step_time]);
+        }
         t.row(&[
             m.name.into(),
             fmt_secs(host.step_time.as_secs_f64()),
@@ -162,15 +169,15 @@ pub fn fig4_step_latency(cap: u64) {
     }
     t.print();
     // The gpt3-13b row as a bar chart, for the at-a-glance comparison.
-    let [host, ch, die] = three_tiers(&ssd, zoo::gpt3_13b().params(), cap);
-    println!("\ngpt3-13b step time:");
+    let [host, ch, die] = chart.expect("the zoo evaluates gpt3-13b");
+    println!("\n{} step time:", chart_model.name);
     print!(
         "{}",
         bar_chart(
             &[
-                ("host-nvme".into(), host.step_time.as_secs_f64()),
-                ("channel-ndp".into(), ch.step_time.as_secs_f64()),
-                ("die-ndp".into(), die.step_time.as_secs_f64()),
+                ("host-nvme".into(), host.as_secs_f64()),
+                ("channel-ndp".into(), ch.as_secs_f64()),
+                ("die-ndp".into(), die.as_secs_f64()),
             ],
             40,
             "s",
@@ -210,8 +217,8 @@ pub fn fig6_end_to_end(cap: u64) {
     let gpu = GpuSpec::a100();
     let mut t = Table::new(&["model", "iter (host)", "iter (die-ndp)", "speedup"]);
     for m in zoo::evaluation_models() {
-        let host = run_host_nvme(&ssd, &default_host_cfg(), ADAM, m.params(), cap);
-        let die = run_ndp(&ssd, &OptimStoreConfig::die_ndp(), ADAM, m.params(), cap);
+        let host = measure(&ssd, &host_tier(), ADAM, m.params(), cap);
+        let die = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, m.params(), cap);
         let compute = gpu.iteration_time(&m, 8);
         let it_host = IterationBreakdown::synchronous(compute, host.step_time);
         let it_die = IterationBreakdown::synchronous(compute, die.step_time);
@@ -253,8 +260,8 @@ pub fn fig7_parallelism(cap: u64) {
             if spec.model_footprint(params) > cfg.logical_bytes() {
                 continue;
             }
-            let die = run_ndp(&cfg, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
-            let host = run_host_nvme(&cfg, &default_host_cfg(), ADAM, params, cap);
+            let die = measure(&cfg, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
+            let host = measure(&cfg, &host_tier(), ADAM, params, cap);
             t.row(&[
                 channels.to_string(),
                 dies.to_string(),
@@ -290,8 +297,8 @@ pub fn fig8_pcie(cap: u64) {
             pcie: PciGen::Custom(gbps * 1_000_000_000),
             ..SsdConfig::base()
         };
-        let host = run_host_nvme(&cfg, &default_host_cfg(), ADAM, params, cap);
-        let die = run_ndp(&cfg, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
+        let host = measure(&cfg, &host_tier(), ADAM, params, cap);
+        let die = measure(&cfg, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
         t.row(&[
             gbps.to_string(),
             fmt_secs(host.step_time.as_secs_f64()),
@@ -342,8 +349,8 @@ pub fn fig10_layout(cap: u64) {
     );
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
-    let co = run_ndp(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
-    let striped = run_ndp(
+    let co = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
+    let striped = measure(
         &ssd,
         &OptimStoreConfig {
             layout: LayoutPolicy::TensorStriped,
@@ -448,8 +455,8 @@ pub fn fig12_batch(cap: u64) {
     let m = zoo::gpt3_13b();
     let ssd = SsdConfig::base();
     let gpu = GpuSpec::a100();
-    let host = run_host_nvme(&ssd, &default_host_cfg(), ADAM, m.params(), cap);
-    let die = run_ndp(&ssd, &OptimStoreConfig::die_ndp(), ADAM, m.params(), cap);
+    let host = measure(&ssd, &host_tier(), ADAM, m.params(), cap);
+    let die = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, m.params(), cap);
     let mut t = Table::new(&["batch", "fwd+bwd", "share (host)", "share (die-ndp)"]);
     for batch in [1u32, 2, 4, 8, 16, 32, 64] {
         let compute = gpu.iteration_time(&m, batch);
@@ -483,7 +490,7 @@ pub fn fig13_scaling(cap: u64) {
         // Die-NDP shards run independently: the fleet step is one shard's
         // simulated step. The host fleet shares one updater (simulated I/O
         // per shard, shared-updater bound across shards).
-        let die = run_ndp(&ssd, &OptimStoreConfig::die_ndp(), ADAM, shard, cap);
+        let die = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, shard, cap);
         let host_time =
             run_host_fleet(&ssd, &default_host_cfg(), ADAM, params, devices, cap).as_secs_f64();
         t.row(&[
@@ -605,12 +612,12 @@ pub fn fig15_optimizers(cap: u64) {
         "step time",
         "vs adam",
     ]);
-    let adam_time = run_ndp(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params, cap)
+    let adam_time = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params, cap)
         .step_time
         .as_secs_f64();
     for kind in OptimizerKind::all() {
         let spec = StateLayoutSpec::new(kind, GradDtype::F16);
-        let m = run_ndp(&ssd, &OptimStoreConfig::die_ndp(), kind, params, cap);
+        let m = measure(&ssd, &OptimStoreConfig::die_ndp(), kind, params, cap);
         t.row(&[
             format!("{kind:?}"),
             spec.persistent_bytes().to_string(),
@@ -628,8 +635,8 @@ pub fn fig16_grad_staging(cap: u64) {
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
     let mut t = Table::new(&["staging", "step time", "array prog bytes", "slowdown"]);
-    let stream = run_ndp(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
-    let store = run_ndp(
+    let stream = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
+    let store = measure(
         &ssd,
         &OptimStoreConfig {
             grad_staging: GradStaging::StoreToFlash,
@@ -674,17 +681,9 @@ pub fn fig17_sparse_updates(cap: u64) {
             skip_zero_gradients: true,
             ..OptimStoreConfig::die_ndp()
         };
-        let granule = crate::runners::granule(&ssd);
-        let slice = workloads::SlicedRun::plan(params, cap, granule);
-        let (optimizer, spec) = optimizer_and_spec(ADAM);
-        let mut dev =
-            optimstore_core::OptimStoreDevice::new(ssd, cfg, slice.sim_params, optimizer, spec)
-                .unwrap();
-        dev.set_phantom_hot_fraction(hot);
-        let t0 = dev.load_phantom(SimTime::ZERO).unwrap();
-        let r1 = dev.run_step(None, t0).unwrap();
-        let t1 = dev.quiesce_time().max(r1.end);
-        let r2 = dev.run_step(None, t1).unwrap();
+        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, cap, |dev| {
+            dev.set_phantom_hot_fraction(hot)
+        });
         t.row(&[
             format!("{:.0}%", hot * 100.0),
             fmt_secs(slice.scale_duration(r2.duration).as_secs_f64()),
@@ -714,22 +713,8 @@ pub fn fig18_aging(cap: u64) {
     let mut fresh_time = 0.0f64;
     for frac in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
         let pe = (rated as f64 * frac) as u64;
-        let granule = crate::runners::granule(&ssd);
-        let slice = workloads::SlicedRun::plan(params, cap, granule);
-        let (optimizer, spec) = optimizer_and_spec(ADAM);
-        let mut dev = optimstore_core::OptimStoreDevice::new(
-            ssd,
-            OptimStoreConfig::die_ndp(),
-            slice.sim_params,
-            optimizer,
-            spec,
-        )
-        .unwrap();
-        dev.simulate_wear(pe);
-        let t0 = dev.load_phantom(SimTime::ZERO).unwrap();
-        let r1 = dev.run_step(None, t0).unwrap();
-        let t1 = dev.quiesce_time().max(r1.end);
-        let r2 = dev.run_step(None, t1).unwrap();
+        let cfg = OptimStoreConfig::die_ndp();
+        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, cap, |dev| dev.simulate_wear(pe));
         let step = slice.scale_duration(r2.duration).as_secs_f64();
         if frac == 0.0 {
             fresh_time = step;
@@ -781,7 +766,7 @@ pub fn fig19_checkpoint(cap: u64) {
         "overhead on die-ndp",
         "overhead on host-nvme",
     ]);
-    let host = run_host_nvme(&ssd, &default_host_cfg(), ADAM, params, cap);
+    let host = measure(&ssd, &host_tier(), ADAM, params, cap);
     let host_step = host.step_time.as_secs_f64();
     for interval in [100u32, 500, 1000, 5000] {
         let die_oh = ck_time / (step_time * interval as f64);
@@ -815,17 +800,9 @@ pub fn fig20_compression(cap: u64) {
             grad_topk_permille: topk,
             ..OptimStoreConfig::die_ndp()
         };
-        let granule = crate::runners::granule(&ssd);
-        let slice = workloads::SlicedRun::plan(params, cap, granule);
-        let (optimizer, spec) = optimizer_and_spec(ADAM);
-        let mut dev =
-            optimstore_core::OptimStoreDevice::new(ssd, cfg, slice.sim_params, optimizer, spec)
-                .unwrap();
-        dev.set_phantom_hot_fraction(0.25);
-        let t0 = dev.load_phantom(SimTime::ZERO).unwrap();
-        let r1 = dev.run_step(None, t0).unwrap();
-        let t1 = dev.quiesce_time().max(r1.end);
-        let r2 = dev.run_step(None, t1).unwrap();
+        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, cap, |dev| {
+            dev.set_phantom_hot_fraction(0.25)
+        });
         t.row(&[
             name.to_string(),
             fmt_secs(slice.scale_duration(r2.duration).as_secs_f64()),
@@ -868,7 +845,7 @@ pub fn table21_time_to_train(cap: u64) {
         let devices = for_capacity.max(for_endurance);
 
         let shard = ZeroPartition::new(m.params(), devices).max_shard();
-        let die = run_ndp(&ssd, &OptimStoreConfig::die_ndp(), ADAM, shard, cap);
+        let die = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, shard, cap);
         let host_step = run_host_fleet(&ssd, &default_host_cfg(), ADAM, m.params(), devices, cap);
         let compute = gpu.iteration_time(&m, 8);
         let it_host = IterationBreakdown::synchronous(compute, host_step)
@@ -950,7 +927,7 @@ pub fn fig23_scheduler_granularity(cap: u64) {
         for (name, subgroup) in [("group", false), ("sub-group", true)] {
             let mut cfg = OptimStoreConfig::die_ndp();
             cfg.engine.subgroup_pipelining = subgroup;
-            let m = run_ndp(&ssd, &cfg, kind, params, cap);
+            let m = measure(&ssd, &cfg, kind, params, cap);
             let secs = m.step_time.as_secs_f64();
             if !subgroup {
                 base_time = secs;
@@ -1013,22 +990,10 @@ pub fn fig24_fault_sweep(cap: u64) {
                 } else {
                     base
                 };
-                let granule = crate::runners::granule(&ssd);
-                let slice = workloads::SlicedRun::plan(params, cap, granule);
-                let (optimizer, spec) = optimizer_and_spec(ADAM);
-                let mut dev = OptimStoreDevice::new(
-                    ssd,
-                    OptimStoreConfig::die_ndp(),
-                    slice.sim_params,
-                    optimizer,
-                    spec,
-                )
-                .unwrap();
-                dev.simulate_wear(s.pe_cycles(rated));
-                let t0 = dev.load_phantom(SimTime::ZERO).unwrap();
-                let r1 = dev.run_step(None, t0).unwrap();
-                let t1 = dev.quiesce_time().max(r1.end);
-                let r2 = dev.run_step(None, t1).unwrap();
+                let cfg = OptimStoreConfig::die_ndp();
+                let (slice, r2, dev) = run_cell(&ssd, &cfg, ADAM, params, cap, |dev| {
+                    dev.simulate_wear(s.pe_cycles(rated))
+                });
                 let st = dev.ssd().stats();
                 Cell {
                     rate,
@@ -1443,33 +1408,210 @@ pub fn fig26_reliability_sweep(cap: u64) {
     );
 }
 
-/// Runs every experiment (the `figures` bench target and the full harness
-/// binary both call this).
-pub fn run_all(cap: u64) {
-    table1_models();
-    table2_ssd_config();
-    fig3_motivation(cap);
-    fig4_step_latency(cap);
-    fig5_speedup(cap);
-    fig6_end_to_end(cap);
-    fig7_parallelism(cap);
-    fig8_pcie(cap);
-    fig9_energy(cap);
-    fig10_layout(cap);
-    fig11_endurance();
-    fig12_batch(cap);
-    fig13_scaling(cap);
-    table14_correctness();
-    fig15_optimizers(cap);
-    fig16_grad_staging(cap);
-    fig17_sparse_updates(cap);
-    fig18_aging(cap);
-    fig19_checkpoint(cap);
-    fig20_compression(cap);
-    table21_time_to_train(cap);
-    fig22_quantized_state();
-    fig23_scheduler_granularity(cap);
-    fig24_fault_sweep(cap);
-    fig25_crash_sweep(cap);
-    fig26_reliability_sweep(cap);
+/// One registered experiment: its id (the `experiments` binary's argument)
+/// and its entry point, which takes the slice cap.
+pub type Experiment = (&'static str, fn(u64));
+
+/// Every experiment, in the order `experiments all` prints them.
+pub static REGISTRY: [Experiment; 26] = [
+    ("table1_models", |_| table1_models()),
+    ("table2_ssd_config", |_| table2_ssd_config()),
+    ("fig3_motivation", fig3_motivation),
+    ("fig4_step_latency", fig4_step_latency),
+    ("fig5_speedup", fig5_speedup),
+    ("fig6_end_to_end", fig6_end_to_end),
+    ("fig7_parallelism", fig7_parallelism),
+    ("fig8_pcie", fig8_pcie),
+    ("fig9_energy", fig9_energy),
+    ("fig10_layout", fig10_layout),
+    ("fig11_endurance", |_| fig11_endurance()),
+    ("fig12_batch", fig12_batch),
+    ("fig13_scaling", fig13_scaling),
+    ("table14_correctness", |_| table14_correctness()),
+    ("fig15_optimizers", fig15_optimizers),
+    ("fig16_grad_staging", fig16_grad_staging),
+    ("fig17_sparse_updates", fig17_sparse_updates),
+    ("fig18_aging", fig18_aging),
+    ("fig19_checkpoint", fig19_checkpoint),
+    ("fig20_compression", fig20_compression),
+    ("table21_time_to_train", table21_time_to_train),
+    ("fig22_quantized_state", |_| fig22_quantized_state()),
+    ("fig23_scheduler_granularity", fig23_scheduler_granularity),
+    ("fig24_fault_sweep", fig24_fault_sweep),
+    ("fig25_crash_sweep", fig25_crash_sweep),
+    ("fig26_reliability_sweep", fig26_reliability_sweep),
+];
+
+/// A parsed `experiments` command line: what to run, and at which cap.
+#[derive(Debug, Clone, Copy)]
+pub struct Invocation {
+    /// The selected experiments: one entry, or all of [`REGISTRY`].
+    pub experiments: &'static [Experiment],
+    /// The slice cap handed to each experiment.
+    pub cap: u64,
+}
+
+impl Invocation {
+    /// Runs the selected experiments in order.
+    pub fn run(&self) {
+        for (_, run) in self.experiments {
+            run(self.cap);
+        }
+    }
+}
+
+/// Why an `experiments` command line was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ArgError {
+    /// No experiment id was given.
+    MissingId,
+    /// The id is neither `all` nor in [`REGISTRY`].
+    UnknownId(String),
+    /// The cap is not a positive integer.
+    BadCap(String),
+    /// More than `<id> [cap]` was given.
+    ExtraArgs(Vec<String>),
+}
+
+impl std::fmt::Display for ArgError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ArgError::MissingId => write!(f, "missing experiment id"),
+            ArgError::UnknownId(id) => write!(f, "unknown experiment id `{id}`"),
+            ArgError::BadCap(cap) => write!(f, "cap `{cap}` is not a positive integer"),
+            ArgError::ExtraArgs(rest) => write!(f, "unexpected arguments: {}", rest.join(" ")),
+        }
+    }
+}
+
+impl std::error::Error for ArgError {}
+
+/// Parses `<id>|all [cap]` (the arguments after the program name). The cap
+/// defaults to [`DEFAULT_SLICE_CAP`].
+pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Invocation, ArgError> {
+    let (id, rest) = args.split_first().ok_or(ArgError::MissingId)?;
+    let id = id.as_ref();
+    let experiments = if id == "all" {
+        &REGISTRY[..]
+    } else {
+        let i = REGISTRY
+            .iter()
+            .position(|(name, _)| *name == id)
+            .ok_or_else(|| ArgError::UnknownId(id.to_string()))?;
+        &REGISTRY[i..=i]
+    };
+    let cap = match rest {
+        [] => DEFAULT_SLICE_CAP,
+        [cap] => match cap.as_ref().parse() {
+            Ok(c) if c > 0 => c,
+            _ => return Err(ArgError::BadCap(cap.as_ref().to_string())),
+        },
+        [_, extra @ ..] => {
+            return Err(ArgError::ExtraArgs(
+                extra.iter().map(|a| a.as_ref().to_string()).collect(),
+            ))
+        }
+    };
+    Ok(Invocation { experiments, cap })
+}
+
+/// The `experiments` usage text, listing every registered id.
+pub fn usage() -> String {
+    let mut u = format!(
+        "usage: experiments <id>|all [cap]\n\
+         cap: simulated parameters per run (default {DEFAULT_SLICE_CAP})\n\
+         ids:"
+    );
+    for (id, _) in &REGISTRY {
+        u.push_str("\n  ");
+        u.push_str(id);
+    }
+    u
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(inv: &Invocation) -> Vec<&'static str> {
+        inv.experiments.iter().map(|(id, _)| *id).collect()
+    }
+
+    #[test]
+    fn accepted_forms_parse() {
+        let all = parse_args(&["all"]).unwrap();
+        assert_eq!(ids(&all), REGISTRY.iter().map(|e| e.0).collect::<Vec<_>>());
+        assert_eq!(all.cap, DEFAULT_SLICE_CAP);
+        let one = parse_args(&["fig10_layout"]).unwrap();
+        assert_eq!(ids(&one), ["fig10_layout"]);
+        assert_eq!(one.cap, DEFAULT_SLICE_CAP);
+        let capped = parse_args(&["fig26_reliability_sweep", "50000"]).unwrap();
+        assert_eq!(ids(&capped), ["fig26_reliability_sweep"]);
+        assert_eq!(capped.cap, 50_000);
+        assert_eq!(parse_args(&["all", "16777216"]).unwrap().cap, 1 << 24);
+    }
+
+    #[test]
+    fn missing_id_is_rejected() {
+        assert_eq!(parse_args::<&str>(&[]).unwrap_err(), ArgError::MissingId);
+    }
+
+    #[test]
+    fn unknown_id_is_rejected() {
+        for id in ["fig99", "ALL", "", "fig4"] {
+            assert_eq!(
+                parse_args(&[id]).unwrap_err(),
+                ArgError::UnknownId(id.into())
+            );
+        }
+    }
+
+    #[test]
+    fn unparsable_cap_is_rejected() {
+        for cap in ["", "2^25", "-1", "0", "1e6", "big"] {
+            assert_eq!(
+                parse_args(&["all", cap]).unwrap_err(),
+                ArgError::BadCap(cap.into())
+            );
+        }
+    }
+
+    #[test]
+    fn extra_arguments_are_rejected() {
+        assert_eq!(
+            parse_args(&["all", "1000", "x"]).unwrap_err(),
+            ArgError::ExtraArgs(vec!["x".into()])
+        );
+    }
+
+    #[test]
+    fn usage_lists_every_id() {
+        let u = usage();
+        assert!(REGISTRY.iter().all(|(id, _)| u.contains(id)));
+    }
+
+    /// The registry is the golden output's table of contents: its entries,
+    /// in order, are exactly the `=== <label>:` headers of
+    /// `tests/golden/all_experiments.txt` (`table1_models` -> `T1`,
+    /// `fig3_motivation` -> `F3`, ...).
+    #[test]
+    fn registry_matches_golden_headers() {
+        let golden = include_str!("../../../tests/golden/all_experiments.txt");
+        let headers: Vec<&str> = golden
+            .lines()
+            .filter_map(|l| l.strip_prefix("=== "))
+            .map(|l| l.split(':').next().unwrap())
+            .collect();
+        let labels: Vec<String> = REGISTRY
+            .iter()
+            .map(|(id, _)| {
+                let num = id.split('_').next().unwrap();
+                match num.strip_prefix("table") {
+                    Some(n) => format!("T{n}"),
+                    None => format!("F{}", num.strip_prefix("fig").unwrap()),
+                }
+            })
+            .collect();
+        assert_eq!(headers, labels);
+    }
 }

@@ -1,16 +1,21 @@
 //! # optimstore-bench — the experiment harness
 //!
-//! One binary per reconstructed table/figure (see DESIGN.md §4), all built
-//! from the shared machinery here:
+//! One `experiments <id>|all [cap]` binary regenerates the reconstructed
+//! tables and figures (see DESIGN.md §4), all built from the shared
+//! machinery here:
 //!
-//! * [`runners`] — builds a device for a tier, runs a warm-up step and a
-//!   measured step over a [`workloads::SlicedRun`] slice, and returns
-//!   full-model-scaled results cross-checked against the analytic audit.
+//! * [`runners`] — one phantom-cell runner for every tier: builds the
+//!   device, runs a warm-up step and a measured step over a
+//!   [`workloads::SlicedRun`] slice, and returns full-model-scaled results
+//!   cross-checked against the analytic audit.
 //! * [`table`] — fixed-width table printing so every experiment's output
-//!   is grep-able and diff-able (EXPERIMENTS.md records these verbatim).
-//! * [`experiments`] — the experiment implementations; each `fig*`/`table*`
-//!   binary is a two-liner calling one of them, and the `figures` bench
-//!   target runs them all under `cargo bench`.
+//!   is grep-able and diff-able (`tests/golden/all_experiments.txt` holds
+//!   it byte for byte).
+//! * [`experiments`] — the experiment implementations, their ordered
+//!   registry and the binary's argument parser.
+//!
+//! `bench_hotpath` (kernel and hot-path gates), `bench_parallel` (pool
+//! width) and `trace_view` (a gantt of one step) are the other binaries.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -2,13 +2,13 @@
 //! measured steady-state step over a slice, scale to the full model, and
 //! cross-check against the analytic audit.
 
-use baselines::{HostNvmeBaseline, HostNvmeConfig};
+use baselines::HostNvmeConfig;
 use optim_math::state::{GradDtype, StateLayoutSpec};
 use optim_math::{make_optimizer, AdamParams, MomentumParams, Optimizer, OptimizerKind};
 use optimstore_core::audit::{audit, AuditReport};
 use optimstore_core::energy::EnergyBreakdown;
 use optimstore_core::report::TrafficBytes;
-use optimstore_core::{OptimStoreConfig, OptimStoreDevice, StepReport};
+use optimstore_core::{ExecutionTier, OptimStoreConfig, OptimStoreDevice, StepReport};
 use simkit::{SimDuration, SimTime};
 use ssdsim::SsdConfig;
 use workloads::SlicedRun;
@@ -39,18 +39,14 @@ pub fn run_parallel<'scope, T: Send>(jobs: Vec<Box<dyn FnOnce() -> T + Send + 's
 /// per die, deep into steady state, yet simulated in well under a second.
 pub const DEFAULT_SLICE_CAP: u64 = 1 << 25;
 
-/// The parameter cap an experiment binary was given as its first argument,
-/// or [`DEFAULT_SLICE_CAP`] when there is none or it does not parse.
-pub fn cap_arg() -> u64 {
-    std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(DEFAULT_SLICE_CAP)
-}
-
 /// Host updater throughput used by every host-NVMe measurement.
 pub fn default_host_cfg() -> HostNvmeConfig {
     HostNvmeConfig::default()
+}
+
+/// The host-NVMe tier at [`default_host_cfg`]'s updater throughput.
+pub fn host_tier() -> OptimStoreConfig {
+    OptimStoreConfig::host_nvme(default_host_cfg().update_bytes_per_sec)
 }
 
 /// The slice granule for a device: one update group per die.
@@ -128,46 +124,55 @@ fn scale_traffic(t: TrafficBytes, slice: &SlicedRun) -> TrafficBytes {
     }
 }
 
-/// Measures an in-storage tier (die- or channel-level NDP) on `ssd` for a
-/// `params`-parameter model, simulating at most `cap` parameters.
-pub fn run_ndp(
+/// Runs one phantom cell of any tier: plans the slice of a
+/// `params`-parameter model on `ssd` (at most `cap` simulated parameters),
+/// builds the device, lets `prepare` adjust it (wear, sparsity hints),
+/// loads phantom state, then runs a warm-up step and the measured step.
+/// Returns the slice, the measured step's report and the device.
+///
+/// The warm-up step fills the pipeline and seeds the FTL's steady state.
+/// The host tier spills each step's gradients to flash first (backward
+/// traffic, not charged to the step); the in-storage tiers start the
+/// measured step once the device is quiet.
+pub fn run_cell(
+    ssd: &SsdConfig,
+    cfg: &OptimStoreConfig,
+    kind: OptimizerKind,
+    params: u64,
+    cap: u64,
+    prepare: impl FnOnce(&mut OptimStoreDevice),
+) -> (SlicedRun, StepReport, OptimStoreDevice) {
+    let slice = SlicedRun::plan(params, cap, granule(ssd));
+    let (optimizer, spec) = optimizer_and_spec(kind);
+    let mut dev = OptimStoreDevice::new(*ssd, *cfg, slice.sim_params, optimizer, spec)
+        .expect("experiment configuration must fit the device");
+    prepare(&mut dev);
+    let t0 = dev.load_phantom(SimTime::ZERO).expect("phantom load");
+    let r2 = if cfg.tier == ExecutionTier::HostNvme {
+        let t1 = dev.spill_gradients(None, t0).expect("spill 1");
+        let r1 = dev.run_step(None, t1).expect("warm-up step");
+        let t2 = dev.spill_gradients(None, r1.end).expect("spill 2");
+        dev.run_step(None, t2).expect("measured step")
+    } else {
+        let r1 = dev.run_step(None, t0).expect("warm-up step");
+        let t1 = dev.quiesce_time().max(r1.end);
+        dev.run_step(None, t1).expect("measured step")
+    };
+    (slice, r2, dev)
+}
+
+/// Measures `cfg`'s tier on `ssd` for a `params`-parameter model,
+/// simulating at most `cap` parameters ([`run_cell`] without preparation),
+/// scaled to the full model.
+pub fn measure(
     ssd: &SsdConfig,
     cfg: &OptimStoreConfig,
     kind: OptimizerKind,
     params: u64,
     cap: u64,
 ) -> Measured {
-    let slice = SlicedRun::plan(params, cap, granule(ssd));
-    let (optimizer, spec) = optimizer_and_spec(kind);
-    let mut dev = OptimStoreDevice::new(*ssd, *cfg, slice.sim_params, optimizer, spec)
-        .expect("experiment configuration must fit the device");
-    let t0 = dev.load_phantom(SimTime::ZERO).expect("phantom load");
-    // Warm-up step fills the pipeline and seeds the FTL's steady state.
-    let r1 = dev.run_step(None, t0).expect("warm-up step");
-    let t1 = dev.quiesce_time().max(r1.end);
-    let r2 = dev.run_step(None, t1).expect("measured step");
-    measured(ssd, cfg, &spec, params, slice, &r2)
-}
-
-/// Measures the host-NVMe-offload baseline.
-pub fn run_host_nvme(
-    ssd: &SsdConfig,
-    host: &HostNvmeConfig,
-    kind: OptimizerKind,
-    params: u64,
-    cap: u64,
-) -> Measured {
-    let slice = SlicedRun::plan(params, cap, granule(ssd));
-    let (optimizer, spec) = optimizer_and_spec(kind);
-    let mut dev = HostNvmeBaseline::new(*ssd, *host, slice.sim_params, optimizer, spec)
-        .expect("experiment configuration must fit the device");
-    let t0 = dev.load_phantom(SimTime::ZERO).expect("phantom load");
-    let t1 = dev.spill_gradients(None, t0).expect("spill 1");
-    let r1 = dev.run_step(t1).expect("warm-up step");
-    let t2 = dev.spill_gradients(None, r1.end).expect("spill 2");
-    let r2 = dev.run_step(t2).expect("measured step");
-    let cfg = OptimStoreConfig::host_nvme(host.update_bytes_per_sec);
-    measured(ssd, &cfg, &spec, params, slice, &r2)
+    let (slice, r2, dev) = run_cell(ssd, cfg, kind, params, cap, |_| {});
+    measured(ssd, cfg, dev.spec(), params, slice, &r2)
 }
 
 /// Scales the measured step `r2` of `slice` to the full `params`-parameter
@@ -237,37 +242,13 @@ pub fn run_host_fleet(
     cap: u64,
 ) -> SimDuration {
     let shard = dnn_model::ZeroPartition::new(params, devices).max_shard();
-    let io_only = HostNvmeConfig {
-        update_bytes_per_sec: u64::MAX,
-    };
-    let io = run_host_nvme(ssd, &io_only, kind, shard, cap).step_time;
+    let io_only = OptimStoreConfig::host_nvme(u64::MAX);
+    let io = measure(ssd, &io_only, kind, shard, cap).step_time;
     let (_, spec) = optimizer_and_spec(kind);
     let update_bytes =
         params * (spec.state_read_bytes() + spec.state_write_bytes() + spec.grad_bytes());
     let update = SimDuration::for_transfer(update_bytes, host.update_bytes_per_sec);
     io.max(update)
-}
-
-/// Audit-only multi-device rate (reconstructed Figure 13): `devices` SSDs
-/// shard the model ZeRO-style. In-storage tiers scale with devices; the
-/// host tier is additionally capped by the single shared host updater.
-pub fn sharded_rate(
-    ssd: &SsdConfig,
-    tier_audit: &AuditReport,
-    devices: u32,
-    host_update_cap: Option<u64>,
-) -> f64 {
-    let _ = ssd;
-    let per_device = tier_audit.params_per_sec;
-    let aggregate = per_device * devices as f64;
-    match host_update_cap {
-        None => aggregate,
-        Some(cap) => {
-            // The updater processes read+write state bytes for every shard.
-            let bytes_per_param = tier_audit.bytes_per_param.compute;
-            aggregate.min(cap as f64 / bytes_per_param)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -284,7 +265,7 @@ mod tests {
 
         // Parallel measurement equals sequential measurement.
         let ssd = SsdConfig::tiny();
-        let seq = run_ndp(
+        let seq = measure(
             &ssd,
             &OptimStoreConfig::die_ndp(),
             OptimizerKind::Adam,
@@ -292,7 +273,7 @@ mod tests {
             1 << 20,
         );
         let par = run_parallel(vec![Box::new(move || {
-            run_ndp(
+            measure(
                 &ssd,
                 &OptimStoreConfig::die_ndp(),
                 OptimizerKind::Adam,
@@ -306,7 +287,7 @@ mod tests {
     #[test]
     fn ndp_measurement_agrees_with_audit() {
         let ssd = SsdConfig::base();
-        let m = run_ndp(
+        let m = measure(
             &ssd,
             &OptimStoreConfig::die_ndp(),
             OptimizerKind::Adam,
@@ -326,9 +307,9 @@ mod tests {
     #[test]
     fn host_measurement_agrees_with_audit() {
         let ssd = SsdConfig::base();
-        let m = run_host_nvme(
+        let m = measure(
             &ssd,
-            &HostNvmeConfig::default(),
+            &host_tier(),
             OptimizerKind::Adam,
             1_000_000_000,
             1 << 22,
@@ -346,16 +327,16 @@ mod tests {
     #[test]
     fn die_ndp_beats_host_in_simulation() {
         let ssd = SsdConfig::base();
-        let die = run_ndp(
+        let die = measure(
             &ssd,
             &OptimStoreConfig::die_ndp(),
             OptimizerKind::Adam,
             1_000_000_000,
             1 << 22,
         );
-        let host = run_host_nvme(
+        let host = measure(
             &ssd,
-            &HostNvmeConfig::default(),
+            &host_tier(),
             OptimizerKind::Adam,
             1_000_000_000,
             1 << 22,
@@ -367,18 +348,5 @@ mod tests {
             die.step_time,
             host.step_time
         );
-    }
-
-    #[test]
-    fn sharding_scales_ndp_linearly_but_caps_host() {
-        let ssd = SsdConfig::base();
-        let (_, spec) = optimizer_and_spec(OptimizerKind::Adam);
-        let die = audit(&ssd, &OptimStoreConfig::die_ndp(), &spec);
-        let host = audit(&ssd, &OptimStoreConfig::host_nvme(20_000_000_000), &spec);
-        let die8 = sharded_rate(&ssd, &die, 8, None);
-        assert!((die8 / die.params_per_sec - 8.0).abs() < 1e-9);
-        let host1 = sharded_rate(&ssd, &host, 1, Some(20_000_000_000));
-        let host8 = sharded_rate(&ssd, &host, 8, Some(20_000_000_000));
-        assert!(host8 / host1 < 8.0, "host must not scale linearly");
     }
 }

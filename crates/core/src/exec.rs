@@ -247,11 +247,6 @@ impl OptimStoreDevice {
         self.step
     }
 
-    /// Replaces the energy model (sensitivity studies).
-    pub fn set_energy_model(&mut self, model: EnergyModel) {
-        self.energy_model = model;
-    }
-
     /// Phantom-mode sparsity hint: treat only the first `fraction` of
     /// update groups as having non-zero gradients (frozen-layer fine-tune).
     /// Effective only with [`OptimStoreConfig::skip_zero_gradients`];
@@ -332,6 +327,27 @@ impl OptimStoreDevice {
         // commit record makes the mapping journal-covered, so a crash
         // before the first step mounts without a full OOB scan.
         Ok(end.max(self.device.commit_epoch(end)?))
+    }
+
+    /// Spills gradients to flash (the host tier's backward-phase traffic;
+    /// ZeRO-Infinity offloads gradients to NVMe). Not charged to the
+    /// optimizer step — it overlaps backward compute. Returns the spill
+    /// completion time.
+    pub fn spill_gradients(
+        &mut self,
+        grads: Option<&[f32]>,
+        at: SimTime,
+    ) -> Result<SimTime, CoreError> {
+        pages::check_grads(&self.device, &self.layout, grads)?;
+        let dtype = self.spec.grad_dtype;
+        let mut end = at;
+        for g in 0..self.layout.num_groups() {
+            let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
+            let data = grads.map(|gr| pages::encode_grad_page(&self.layout, g, gr, dtype));
+            let win = self.device.host_write_page(lpn, data.as_deref(), at)?;
+            end = end.max(win.end);
+        }
+        Ok(end)
     }
 
     /// Executes one optimizer step.

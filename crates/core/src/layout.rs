@@ -113,12 +113,6 @@ impl StateLayout {
         self.page_bytes as u64 / 2
     }
 
-    /// fp32 pages per component per group (always 2: a group's parameters
-    /// fill two fp32 pages).
-    pub fn f32_pages_per_group(&self) -> u32 {
-        2
-    }
-
     /// Total update groups (last one may be partial).
     pub fn num_groups(&self) -> u64 {
         self.params.div_ceil(self.params_per_group())

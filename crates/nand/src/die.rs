@@ -274,15 +274,6 @@ impl Die {
         self.planes[plane as usize].busy_total()
     }
 
-    /// The earliest instant at which *any* plane is free.
-    pub fn earliest_free(&self) -> SimTime {
-        self.planes
-            .iter()
-            .map(Timeline::free_at)
-            .min()
-            .unwrap_or(SimTime::ZERO)
-    }
-
     /// Per-block state (read-only).
     pub fn block(&self, b: BlockAddr) -> Result<&BlockState, NandError> {
         if !self.config.geometry.contains_block(b) {

@@ -118,32 +118,6 @@ impl NandTiming {
         }
     }
 
-    /// SLC-mode timing (fast cache blocks).
-    pub fn slc() -> Self {
-        NandTiming {
-            t_read_lower: SimDuration::from_us(25),
-            t_read_middle: SimDuration::from_us(25),
-            t_read_upper: SimDuration::from_us(25),
-            t_program: SimDuration::from_us(100),
-            t_erase: SimDuration::from_ms(2),
-            t_cmd_overhead: SimDuration::from_ns(400),
-            io_mts: 1200,
-        }
-    }
-
-    /// QLC timing (dense archival dies).
-    pub fn qlc() -> Self {
-        NandTiming {
-            t_read_lower: SimDuration::from_us(70),
-            t_read_middle: SimDuration::from_us(110),
-            t_read_upper: SimDuration::from_us(160),
-            t_program: SimDuration::from_us(700),
-            t_erase: SimDuration::from_ms(4),
-            t_cmd_overhead: SimDuration::from_ns(400),
-            io_mts: 1200,
-        }
-    }
-
     /// Array read latency for the given page type.
     pub fn t_read(&self, ty: PageType) -> SimDuration {
         match ty {

@@ -79,11 +79,6 @@ impl SparseGrad {
         }
     }
 
-    /// Length of the original dense tensor.
-    pub fn dense_len(&self) -> usize {
-        self.n
-    }
-
     /// Number of transmitted entries.
     pub fn nnz(&self) -> usize {
         self.indices.len()
@@ -159,11 +154,6 @@ impl ErrorFeedback {
             self.residual[i as usize] = 0.0;
         }
         sparse
-    }
-
-    /// Total magnitude currently deferred in the residual.
-    pub fn residual_l1(&self) -> f64 {
-        self.residual.iter().map(|&x| x.abs() as f64).sum()
     }
 }
 

@@ -160,12 +160,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Span in microseconds, as a float (for reporting only).
-    #[inline]
-    pub fn as_us_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Span in milliseconds, as a float (for reporting only).
     #[inline]
     pub fn as_ms_f64(self) -> f64 {

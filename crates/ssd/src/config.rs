@@ -315,12 +315,6 @@ impl SsdConfig {
         self
     }
 
-    /// The same configuration with a custom read-retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// The same configuration with media aging armed.
     pub fn with_aging(mut self, aging: AgingConfig) -> Self {
         self.aging = Some(aging);

@@ -865,11 +865,6 @@ impl Device {
         &mut self.pcie_in
     }
 
-    /// The outbound (device→host) PCIe link.
-    pub fn pcie_out_mut(&mut self) -> &mut BandwidthLink {
-        &mut self.pcie_out
-    }
-
     /// The controller DRAM port.
     pub fn dram_mut(&mut self) -> &mut BandwidthLink {
         &mut self.dram

@@ -17,9 +17,6 @@
 //!   allocation. Exposes *internal* operations (array-only reads, die-local
 //!   programs) that the OptimStore engine uses to bypass the external
 //!   interface — the whole point of in-storage processing.
-//! * [`NvmeQueue`] — a bounded-depth submission/completion queue pair in
-//!   front of the device, for hosts that must obey NVMe queueing
-//!   discipline rather than the raw saturating-stream API.
 //! * [`DeviceStats`] — write amplification, erase histograms, per-link
 //!   utilization; everything the evaluation section reports.
 //! * **Fault recovery** — when [`SsdConfig::fault`] arms seeded injection
@@ -61,7 +58,6 @@ mod channel;
 mod config;
 mod device;
 mod error;
-mod nvme;
 mod stats;
 
 pub mod ftl;
@@ -74,7 +70,6 @@ pub use config::{
 };
 pub use device::{Device, MountReport, ScrubReport};
 pub use error::SsdError;
-pub use nvme::NvmeQueue;
 pub use stats::{erase_histogram, wear_imbalance, DeviceStats, UtilizationReport};
 
 // Fault-injection configuration and counters, re-exported so clients that

@@ -330,7 +330,7 @@ proptest! {
         use optimstore::optimstore_core::OptimStoreConfig;
         use optimstore::ssdsim::{PciGen, SsdConfig};
         use optimstore::optim_math::OptimizerKind;
-        use optimstore_bench::runners::run_ndp;
+        use optimstore_bench::runners::measure;
 
         let mut ssd = SsdConfig {
             channels: 1 << channels_pow,
@@ -343,7 +343,7 @@ proptest! {
         // property's wall-clock, while the 2^21-param slice occupies well
         // under 1% of either block count — audit agreement is unaffected.
         ssd.nand.geometry.blocks_per_plane = 64;
-        let m = run_ndp(
+        let m = measure(
             &ssd,
             &OptimStoreConfig::die_ndp(),
             OptimizerKind::Adam,

@@ -17,7 +17,7 @@ use optimstore::optim_math::OptimizerKind;
 use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice, StepReport, TrafficBytes};
 use optimstore::simkit::SimTime;
 use optimstore::ssdsim::{PciGen, SsdConfig};
-use optimstore_bench::runners::{optimizer_and_spec, run_host_nvme, run_ndp};
+use optimstore_bench::runners::{host_tier, measure, optimizer_and_spec};
 
 const MODEL: u64 = 1_000_000_000; // 1 B params
 
@@ -46,21 +46,15 @@ fn profiled(mut ssd: SsdConfig) -> SsdConfig {
 #[test]
 fn tier_ordering_holds_in_simulation() {
     let ssd = profiled(SsdConfig::base());
-    let host = run_host_nvme(
-        &ssd,
-        &HostNvmeConfig::default(),
-        OptimizerKind::Adam,
-        MODEL,
-        cap(),
-    );
-    let ch = run_ndp(
+    let host = measure(&ssd, &host_tier(), OptimizerKind::Adam, MODEL, cap());
+    let ch = measure(
         &ssd,
         &OptimStoreConfig::channel_ndp(),
         OptimizerKind::Adam,
         MODEL,
         cap(),
     );
-    let die = run_ndp(
+    let die = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
@@ -83,14 +77,14 @@ fn tier_ordering_holds_in_simulation() {
 fn more_dies_make_die_ndp_faster_not_host() {
     let small = profiled(SsdConfig::small());
     let base = profiled(SsdConfig::base());
-    let die_small = run_ndp(
+    let die_small = measure(
         &small,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
         cap(),
     );
-    let die_base = run_ndp(
+    let die_base = measure(
         &base,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
@@ -104,20 +98,8 @@ fn more_dies_make_die_ndp_faster_not_host() {
         "die-ndp scaling with 4x dies was only {scale:.2}x"
     );
 
-    let host_small = run_host_nvme(
-        &small,
-        &HostNvmeConfig::default(),
-        OptimizerKind::Adam,
-        MODEL,
-        cap(),
-    );
-    let host_base = run_host_nvme(
-        &base,
-        &HostNvmeConfig::default(),
-        OptimizerKind::Adam,
-        MODEL,
-        cap(),
-    );
+    let host_small = measure(&small, &host_tier(), OptimizerKind::Adam, MODEL, cap());
+    let host_base = measure(&base, &host_tier(), OptimizerKind::Adam, MODEL, cap());
     let host_scale = host_small.step_time.as_secs_f64() / host_base.step_time.as_secs_f64();
     assert!(
         host_scale < scale,
@@ -132,20 +114,8 @@ fn host_improves_with_pcie_but_die_ndp_does_not_care() {
     let mut gen5 = profiled(SsdConfig::base());
     gen5.pcie = PciGen::Custom(16_000_000_000);
 
-    let host3 = run_host_nvme(
-        &gen3,
-        &HostNvmeConfig::default(),
-        OptimizerKind::Adam,
-        MODEL,
-        cap(),
-    );
-    let host5 = run_host_nvme(
-        &gen5,
-        &HostNvmeConfig::default(),
-        OptimizerKind::Adam,
-        MODEL,
-        cap(),
-    );
+    let host3 = measure(&gen3, &host_tier(), OptimizerKind::Adam, MODEL, cap());
+    let host5 = measure(&gen5, &host_tier(), OptimizerKind::Adam, MODEL, cap());
     assert!(
         host5.step_time.as_secs_f64() < host3.step_time.as_secs_f64() * 0.8,
         "host must benefit substantially from faster PCIe: {} vs {}",
@@ -153,14 +123,14 @@ fn host_improves_with_pcie_but_die_ndp_does_not_care() {
         host5.step_time
     );
 
-    let die3 = run_ndp(
+    let die3 = measure(
         &gen3,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
         cap(),
     );
-    let die5 = run_ndp(
+    let die5 = measure(
         &gen5,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
@@ -179,7 +149,7 @@ fn host_improves_with_pcie_but_die_ndp_does_not_care() {
 #[test]
 fn traffic_accounting_matches_state_arithmetic() {
     let ssd = profiled(SsdConfig::base());
-    let die = run_ndp(
+    let die = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
@@ -195,13 +165,7 @@ fn traffic_accounting_matches_state_arithmetic() {
     assert!((per_param(die.traffic.pcie_in) - 2.0).abs() / 2.0 < tol);
     assert_eq!(die.traffic.pcie_out, 0);
 
-    let host = run_host_nvme(
-        &ssd,
-        &HostNvmeConfig::default(),
-        OptimizerKind::Adam,
-        MODEL,
-        cap(),
-    );
+    let host = measure(&ssd, &host_tier(), OptimizerKind::Adam, MODEL, cap());
     assert!((per_param(host.traffic.pcie_out) - 14.0).abs() / 14.0 < tol);
     assert!((per_param(host.traffic.pcie_in) - 14.0).abs() / 14.0 < tol);
 }
@@ -209,27 +173,21 @@ fn traffic_accounting_matches_state_arithmetic() {
 #[test]
 fn energy_hierarchy_holds() {
     let ssd = profiled(SsdConfig::base());
-    let die = run_ndp(
+    let die = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
         cap(),
     );
-    let ch = run_ndp(
+    let ch = measure(
         &ssd,
         &OptimStoreConfig::channel_ndp(),
         OptimizerKind::Adam,
         MODEL,
         cap(),
     );
-    let host = run_host_nvme(
-        &ssd,
-        &HostNvmeConfig::default(),
-        OptimizerKind::Adam,
-        MODEL,
-        cap(),
-    );
+    let host = measure(&ssd, &host_tier(), OptimizerKind::Adam, MODEL, cap());
     assert!(die.energy.total() < ch.energy.total());
     assert!(ch.energy.total() < host.energy.total());
     // Most of the host's energy is in moving bytes off-device.
@@ -239,14 +197,14 @@ fn energy_hierarchy_holds() {
 #[test]
 fn simulation_is_deterministic() {
     let ssd = profiled(SsdConfig::base());
-    let a = run_ndp(
+    let a = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
         cap(),
     );
-    let b = run_ndp(
+    let b = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
