@@ -57,6 +57,16 @@ pub enum CoreError {
     Kernel(KernelError),
     /// The step's update command did not decode.
     Protocol(ProtocolError),
+    /// A functional device returned no bytes for a state page: the read
+    /// path lost data it must carry.
+    MissingData {
+        /// Update group the page belongs to.
+        group: u64,
+        /// The page's state tensor.
+        component: StateComponent,
+        /// The page's index within the tensor's pages for the group.
+        idx: u32,
+    },
 }
 
 impl fmt::Display for CoreError {
@@ -73,6 +83,14 @@ impl fmt::Display for CoreError {
             CoreError::Ssd(e) => write!(f, "ssd: {e}"),
             CoreError::Kernel(e) => write!(f, "update kernel: {e}"),
             CoreError::Protocol(e) => write!(f, "update command: {e}"),
+            CoreError::MissingData {
+                group,
+                component,
+                idx,
+            } => write!(
+                f,
+                "functional read of group {group} {component:?}[{idx}] returned no data"
+            ),
         }
     }
 }
@@ -101,6 +119,10 @@ pub struct OptimStoreDevice {
     cfg: OptimStoreConfig,
     spec: StateLayoutSpec,
     layout: StateLayout,
+    /// The page plan every group follows, built once from the layout:
+    /// `(component, page-idx)` in read order and in write-back order.
+    read_set: Box<[(StateComponent, u32)]>,
+    write_set: Box<[(StateComponent, u32)]>,
     optimizer: Box<dyn Optimizer>,
     engines: Vec<Timeline>,
     energy_model: EnergyModel,
@@ -129,7 +151,8 @@ struct PendingWrite {
     /// Engine completion per sub-group (fp32 page-pair); identical
     /// entries under group-granular scheduling.
     compute_end: [SimTime; 2],
-    /// Operand pages as read (functional: real bytes).
+    /// Operand pages as read, with their bytes (functional devices only:
+    /// a phantom read carries none, so its group keeps an empty list).
     read_pages: Vec<OperandPage>,
     /// The streamed gradient page (input to the A2 kernel pass).
     grad_page: Option<PageBuf>,
@@ -184,9 +207,11 @@ impl OptimStoreDevice {
             &spec,
             grad_staged,
         )?;
+        let read_set: Box<[_]> = layout.read_set().into();
+        let write_set: Box<[_]> = layout.write_set().into();
         // An engine double-buffers update groups: one group's operands and
         // results must fit half its SRAM.
-        let group_bytes = (layout.read_set().len() + layout.write_set().len()) as u64
+        let group_bytes = (read_set.len() + write_set.len()) as u64
             * device.config().nand.geometry.page_bytes as u64;
         if group_bytes > cfg.engine.buffer_bytes / 2 {
             return Err(CoreError::Config(format!(
@@ -208,6 +233,8 @@ impl OptimStoreDevice {
             cfg,
             spec,
             layout,
+            read_set,
+            write_set,
             optimizer,
             engines,
             energy_model: EnergyModel::default(),
@@ -541,8 +568,7 @@ impl OptimStoreDevice {
                 }
             };
 
-            let work_bytes =
-                (self.layout.read_set().len() + self.layout.write_set().len()) as u64 * pb;
+            let work_bytes = (self.read_set.len() + self.write_set.len()) as u64 * pb;
             let engine = &mut self.engines[engine];
             let compute_end: [SimTime; 2] = if self.cfg.engine.subgroup_pipelining {
                 let half = SimDuration::for_transfer(work_bytes / 2, rate);
@@ -579,12 +605,12 @@ impl OptimStoreDevice {
         }
         let pb = self.page_bytes();
         simkit::par::map_indexed(pending, |_, p| {
-            let mut up = UpdatePages::gather(pb, self.layout.slots(), &p.read_pages);
+            let mut up = UpdatePages::gather(pb, self.layout.slots(), p.g, &p.read_pages)?;
             // A staged gradient feeds the kernel straight from the read
             // buffer; a missing streamed one reaches it empty and is
             // rejected as a length mismatch.
             let grad_bytes: &[u8] = if self.layout.grad_staged() {
-                pages::staged_grad(&p.read_pages)
+                pages::staged_grad(&p.read_pages, p.g)?
             } else {
                 p.grad_page.as_deref().unwrap_or_default()
             };
@@ -606,7 +632,9 @@ impl OptimStoreDevice {
         tally: &mut StepTally,
     ) -> Result<(), CoreError> {
         for (p, up) in pending.iter().zip(updates) {
-            for (comp, idx) in self.layout.write_set() {
+            // Indexed, not iterated: `write_page` needs `&mut self`.
+            for i in 0..self.write_set.len() {
+                let (comp, idx) = self.write_set[i];
                 // Write-back slices the joined kernel buffers in place —
                 // `up` is populated exactly when the device is functional.
                 let data: Option<&[u8]> = up.as_ref().map(|up| up.page(comp, idx));
@@ -706,7 +734,8 @@ impl OptimStoreDevice {
     }
 
     /// Issues every operand read of update group `g`, returning the pages
-    /// read and the per-sub-group readiness times (earliest engine start).
+    /// that carried bytes and the per-sub-group readiness times (earliest
+    /// engine start).
     /// Re-invoked verbatim by the replay loop of [`Self::issue_batch`]
     /// when a read surfaces an uncorrectable media fault.
     fn read_group_operands(
@@ -718,8 +747,15 @@ impl OptimStoreDevice {
         // Track operand readiness per sub-group (fp32 page-pair): the grad
         // (and a staged grad page) feeds both.
         let mut sub_start = [grad_ready; 2];
-        let mut read_pages: Vec<OperandPage> = Vec::new();
-        for (comp, idx) in self.layout.read_set() {
+        let kept = if self.device.is_functional() {
+            self.read_set.len()
+        } else {
+            0
+        };
+        let mut read_pages: Vec<OperandPage> = Vec::with_capacity(kept);
+        // Indexed, not iterated: `read_operand` needs `&mut self`.
+        for i in 0..self.read_set.len() {
+            let (comp, idx) = self.read_set[i];
             let (win, data) = self.read_operand(g, comp, idx, at)?;
             match comp {
                 StateComponent::Grad => {
@@ -731,7 +767,9 @@ impl OptimStoreDevice {
                     sub_start[k] = sub_start[k].max(win.end);
                 }
             }
-            read_pages.push((comp, idx, data));
+            if data.is_some() {
+                read_pages.push((comp, idx, data));
+            }
         }
         Ok((read_pages, sub_start))
     }
@@ -839,7 +877,11 @@ impl OptimStoreDevice {
             for idx in 0..2u32 {
                 let lpn = self.layout.lpn(g, StateComponent::Master, idx);
                 let (_, data) = read(&mut self.device, lpn, at)?;
-                let data = data.expect("functional device has data");
+                let data = data.ok_or(CoreError::MissingData {
+                    group: g,
+                    component: StateComponent::Master,
+                    idx,
+                })?;
                 let n = left.min(per_page);
                 out.extend(
                     data[..4 * n]
@@ -865,7 +907,11 @@ impl OptimStoreDevice {
             let group = self.layout.group(g);
             let lpn = self.layout.lpn(g, StateComponent::Weight16, 0);
             let (_, data) = self.device.internal_read_array(lpn, at)?;
-            let raw = data.expect("functional device has data");
+            let raw = data.ok_or(CoreError::MissingData {
+                group: g,
+                component: StateComponent::Weight16,
+                idx: 0,
+            })?;
             for i in 0..group.param_count as usize {
                 out.push(F16::from_le_bytes(raw[2 * i..2 * i + 2].try_into().unwrap()).to_f32());
             }
@@ -885,7 +931,7 @@ impl OptimStoreDevice {
         let mut end = at;
         let mut bytes = 0u64;
         for g in 0..self.layout.num_groups() {
-            for (comp, idx) in self.layout.write_set() {
+            for &(comp, idx) in self.write_set.iter() {
                 let lpn = self.layout.lpn(g, comp, idx);
                 let (win, _) = self.device.host_read_page(lpn, at)?;
                 end = end.max(win.end);

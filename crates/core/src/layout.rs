@@ -72,6 +72,9 @@ pub struct StateLayout {
     page_bytes: u32,
     dies: u32,
     grad_staged: bool,
+    /// `params.div_ceil(params_per_group())`, fixed at construction: every
+    /// LPN lookup bounds-checks its group against it.
+    num_groups: u64,
 }
 
 impl StateLayout {
@@ -105,6 +108,7 @@ impl StateLayout {
             page_bytes,
             dies,
             grad_staged,
+            num_groups: params.div_ceil(page_bytes as u64 / 2),
         }
     }
 
@@ -115,7 +119,7 @@ impl StateLayout {
 
     /// Total update groups (last one may be partial).
     pub fn num_groups(&self) -> u64 {
-        self.params.div_ceil(self.params_per_group())
+        self.num_groups
     }
 
     /// Flash pages (LPNs) one group occupies.
@@ -213,7 +217,7 @@ impl StateLayout {
     /// Panics on out-of-range `g`, `idx`, slot number, or a `Grad` request
     /// when gradients are not staged.
     pub fn lpn(&self, g: u64, component: StateComponent, idx: u32) -> Lpn {
-        assert!(g < self.num_groups(), "group {g} out of range");
+        assert!(g < self.num_groups, "group {g} out of range");
         let offset = self.component_offset(component, idx);
         match self.policy {
             LayoutPolicy::CoLocated => {
@@ -225,7 +229,7 @@ impl StateLayout {
             LayoutPolicy::TensorStriped => {
                 // Tensors are laid out sequentially: all w32 pages, then
                 // each slot tensor, then w16, then grad.
-                let groups = self.num_groups();
+                let groups = self.num_groups;
                 let (base, within) = match component {
                     StateComponent::Master => (0, 2 * g + idx as u64),
                     StateComponent::Slot(s) => {
@@ -245,10 +249,16 @@ impl StateLayout {
     }
 
     /// True if `component` page `idx` of group `g` is local to the group's
-    /// engine die.
+    /// engine die. Always true under [`LayoutPolicy::CoLocated`], whose
+    /// LPNs are `row · D + g mod D`.
     pub fn is_local(&self, g: u64, component: StateComponent, idx: u32) -> bool {
-        let group_die = (g % self.dies as u64) as u32;
-        self.die_of_lpn(self.lpn(g, component, idx)) == group_die
+        match self.policy {
+            LayoutPolicy::CoLocated => true,
+            LayoutPolicy::TensorStriped => {
+                let group_die = (g % self.dies as u64) as u32;
+                self.die_of_lpn(self.lpn(g, component, idx)) == group_die
+            }
+        }
     }
 
     /// Page offset of a component within a co-located group record.
@@ -343,13 +353,14 @@ mod tests {
 
     #[test]
     fn colocated_groups_are_fully_local() {
-        let l = co(1_000_000, 8);
-        for g in [0u64, 1, 7, 8, 63] {
-            for (comp, idx) in l.read_set() {
-                assert!(l.is_local(g, comp, idx), "group {g} {comp:?}[{idx}]");
-            }
-            for (comp, idx) in l.write_set() {
-                assert!(l.is_local(g, comp, idx), "group {g} {comp:?}[{idx}]");
+        let staged = StateLayout::new(LayoutPolicy::CoLocated, 1_000_000, 2, 4096, 8, true);
+        for l in [co(1_000_000, 8), staged] {
+            for g in [0u64, 1, 7, 8, 63] {
+                for (comp, idx) in l.read_set().into_iter().chain(l.write_set()) {
+                    // `is_local` answers without the LPN; the LPN agrees.
+                    assert!(l.is_local(g, comp, idx), "group {g} {comp:?}[{idx}]");
+                    assert_eq!(l.die_of_lpn(l.lpn(g, comp, idx)), l.group(g).die_flat);
+                }
             }
         }
     }

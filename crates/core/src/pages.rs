@@ -151,22 +151,30 @@ pub fn encode_grad_page(layout: &StateLayout, g: u64, grads: &[f32], dtype: Grad
     page
 }
 
-/// The bytes of operand page `(comp, idx)` among a group's read pages.
-///
-/// # Panics
-/// Panics if the page was not read or carries no data.
-fn operand(read_pages: &[OperandPage], comp: StateComponent, idx: u32) -> &[u8] {
+/// The bytes of operand page `(component, idx)` among group `group`'s read
+/// pages, or [`CoreError::MissingData`] if the page was not read or carries
+/// no data.
+fn operand(
+    read_pages: &[OperandPage],
+    group: u64,
+    component: StateComponent,
+    idx: u32,
+) -> Result<&[u8], CoreError> {
     read_pages
         .iter()
-        .find(|(c, i, _)| *c == comp && *i == idx)
+        .find(|(c, i, _)| *c == component && *i == idx)
         .and_then(|(_, _, d)| d.as_deref())
-        .expect("functional read returns data")
+        .ok_or(CoreError::MissingData {
+            group,
+            component,
+            idx,
+        })
 }
 
-/// The staged gradient page among a group's operands; the kernel reads it
-/// straight from the read buffer, with no staging copy.
-pub fn staged_grad(read_pages: &[OperandPage]) -> &[u8] {
-    operand(read_pages, StateComponent::Grad, 0)
+/// The staged gradient page among group `group`'s operands; the kernel
+/// reads it straight from the read buffer, with no staging copy.
+pub fn staged_grad(read_pages: &[OperandPage], group: u64) -> Result<&[u8], CoreError> {
+    operand(read_pages, group, StateComponent::Grad, 0)
 }
 
 /// The kernel working set for one update group: joined fp32 master pages,
@@ -185,28 +193,34 @@ pub struct UpdatePages {
 }
 
 impl UpdatePages {
-    /// Gathers a group's operand pages (as returned by the read phase) into
-    /// pooled kernel buffers. `read_pages` must contain data for
-    /// `(Master, 0..2)` and `(Slot(s), 0..2)` for every `s < nslots`.
-    pub fn gather(pb: usize, nslots: u8, read_pages: &[OperandPage]) -> Self {
-        let find = |comp: StateComponent, idx: u32| operand(read_pages, comp, idx);
+    /// Gathers group `group`'s operand pages (as returned by the read
+    /// phase) into pooled kernel buffers. `read_pages` must contain data
+    /// for `(Master, 0..2)` and `(Slot(s), 0..2)` for every `s < nslots`;
+    /// a missing one is [`CoreError::MissingData`].
+    pub fn gather(
+        pb: usize,
+        nslots: u8,
+        group: u64,
+        read_pages: &[OperandPage],
+    ) -> Result<Self, CoreError> {
+        let find = |comp: StateComponent, idx: u32| operand(read_pages, group, comp, idx);
         let mut w32 = PageBuf::zeroed(2 * pb);
-        w32[..pb].copy_from_slice(find(StateComponent::Master, 0));
-        w32[pb..].copy_from_slice(find(StateComponent::Master, 1));
+        w32[..pb].copy_from_slice(find(StateComponent::Master, 0)?);
+        w32[pb..].copy_from_slice(find(StateComponent::Master, 1)?);
         let slots = (0..nslots)
             .map(|s| {
                 let mut buf = PageBuf::zeroed(2 * pb);
-                buf[..pb].copy_from_slice(find(StateComponent::Slot(s), 0));
-                buf[pb..].copy_from_slice(find(StateComponent::Slot(s), 1));
-                buf
+                buf[..pb].copy_from_slice(find(StateComponent::Slot(s), 0)?);
+                buf[pb..].copy_from_slice(find(StateComponent::Slot(s), 1)?);
+                Ok(buf)
             })
-            .collect();
-        UpdatePages {
+            .collect::<Result<_, CoreError>>()?;
+        Ok(UpdatePages {
             w32,
             slots,
             w16: PageBuf::zeroed(pb),
             pb,
-        }
+        })
     }
 
     /// Runs one optimizer step over the gathered buffers in place.
@@ -261,6 +275,34 @@ mod tests {
     }
 
     #[test]
+    fn gather_without_data_is_a_typed_error() {
+        // Phantom read pages carry no bytes: the kernel path reports which
+        // page it was missing instead of panicking.
+        let read_pages = vec![
+            (StateComponent::Master, 0, Some(bytes_of(vec![0; 64]))),
+            (StateComponent::Master, 1, None),
+        ];
+        let err = UpdatePages::gather(64, 0, 7, &read_pages).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::MissingData {
+                group: 7,
+                component: StateComponent::Master,
+                idx: 1
+            }
+        ));
+        assert!(err.to_string().contains("group 7 Master[1]"));
+        assert!(matches!(
+            staged_grad(&read_pages, 3),
+            Err(CoreError::MissingData {
+                group: 3,
+                component: StateComponent::Grad,
+                idx: 0
+            })
+        ));
+    }
+
+    #[test]
     fn gather_apply_page_round_trip_matches_state_buffers() {
         let pb = 64; // 16 params per page half, 32 per group
         let n = pb / 2;
@@ -307,7 +349,7 @@ mod tests {
                 Some(bytes_of(init.slots[1][pb..].to_vec())),
             ),
         ];
-        let mut up = UpdatePages::gather(pb, 2, &read_pages);
+        let mut up = UpdatePages::gather(pb, 2, 0, &read_pages).unwrap();
         up.apply(&adam, &grads, GradDtype::F16, 1).unwrap();
 
         assert_eq!(up.page(StateComponent::Master, 0), &reference.w32[..pb]);

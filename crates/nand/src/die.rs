@@ -7,7 +7,7 @@ use crate::geometry::{BlockAddr, NandGeometry, PhysPage};
 use crate::power::PageOob;
 use crate::store::{new_block_table, Backing, BlockState, PageState};
 use crate::timing::NandConfig;
-use crate::wear::{read_retries, AgingConfig, RberModel};
+use crate::wear::{read_retries, AgingConfig, RberMemo, RberModel};
 use bytes::Bytes;
 use simkit::stats::Counter;
 use simkit::{SimTime, Timeline, Window};
@@ -44,7 +44,8 @@ pub struct Die {
     blocks: Vec<BlockState>,
     backing: Backing,
     stats: DieStats,
-    rber: RberModel,
+    /// The cells' P/E curve, memoized by erase count for this die's blocks.
+    rber: RberMemo,
     /// Seeded fault source; `None` (the default) means the fault-free
     /// path performs no draws and stays bit-identical to a faultless die.
     fault: Option<FaultInjector>,
@@ -129,7 +130,10 @@ impl Die {
             blocks: new_block_table(&config.geometry),
             backing,
             stats: DieStats::default(),
-            rber: RberModel::for_cell(config.cell),
+            rber: RberMemo::new(
+                RberModel::for_cell(config.cell),
+                config.cell.rated_pe_cycles(),
+            ),
             fault: None,
             aging: None,
             power: None,
@@ -163,7 +167,7 @@ impl Die {
 
     /// The P/E reliability model of this die's cells.
     pub fn rber_model(&self) -> &RberModel {
-        &self.rber
+        self.rber.model()
     }
 
     /// Effective RBER of block `b` if sensed at `now`: the P/E base curve
@@ -312,7 +316,8 @@ impl Die {
         // the uncorrectable probability below, so aging makes hot pages
         // slower *before* it makes them lossy.
         let rber = self.block_rber(block, at);
-        let retries = read_retries(rber, self.rber.ecc_ceiling);
+        let ecc_ceiling = self.rber.model().ecc_ceiling;
+        let retries = read_retries(rber, ecc_ceiling);
         let t_read = self
             .config
             .timing
@@ -349,7 +354,7 @@ impl Die {
             });
         }
         if let Some(fault) = &mut self.fault {
-            if fault.roll_read(rber, self.rber.ecc_ceiling) {
+            if fault.roll_read(rber, ecc_ceiling) {
                 // The sense (and its retries) consumed the plane, but the
                 // ECC could not converge: no data leaves the die.
                 return Err(NandError::ReadUncorrectable {
@@ -434,7 +439,7 @@ impl Die {
         let win = self.planes[p.plane as usize].acquire(at, self.config.timing.t_program);
         let rber = self.rber.rber(self.blocks[block_idx].erase_count());
         if let Some(fault) = &mut self.fault {
-            if fault.roll_program(rber, self.rber.ecc_ceiling) {
+            if fault.roll_program(rber, self.rber.model().ecc_ceiling) {
                 // Bad program status: the plane was occupied for the full
                 // tPROG but the page holds nothing usable. The caller must
                 // treat the block as bad and re-home the page.
@@ -483,7 +488,7 @@ impl Die {
         let win = self.planes[b.plane as usize].acquire(at, self.config.timing.t_erase);
         let rber = self.rber.rber(self.blocks[block_idx].erase_count());
         if let Some(fault) = &mut self.fault {
-            if fault.roll_erase(rber, self.rber.ecc_ceiling) {
+            if fault.roll_erase(rber, self.rber.model().ecc_ceiling) {
                 // Bad erase status: the block keeps its stale contents and
                 // must be retired by the caller.
                 return Err(NandError::EraseFailed {
@@ -493,10 +498,14 @@ impl Die {
             }
         }
         self.blocks[block_idx].mark_erased();
-        for page in 0..geo.pages_per_block {
-            let idx = geo.page_index(b.page(page));
-            self.backing.remove(idx);
-            self.torn.remove(&idx);
+        self.rber.cover(self.blocks[block_idx].erase_count());
+        // A phantom die with no torn page has no per-page state to drop.
+        if self.backing.is_functional() || !self.torn.is_empty() {
+            for page in 0..geo.pages_per_block {
+                let idx = geo.page_index(b.page(page));
+                self.backing.remove(idx);
+                self.torn.remove(&idx);
+            }
         }
         // One slab drop clears every stamp in the block.
         self.oob.clear_block(block_idx as u64);

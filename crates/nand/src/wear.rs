@@ -58,6 +58,53 @@ impl RberModel {
     }
 }
 
+/// [`RberModel::rber`] memoized by erase count, so a sense or program pays
+/// a table load instead of a `powf`.
+///
+/// The table holds `rber(pe)` for every `pe` below its length. It grows
+/// through [`Self::cover`] as erase counts rise, never past `limit` (a
+/// cell's rated P/E cycles: an erase there retires the block). A count the
+/// table does not hold is computed, so every lookup returns the model's
+/// value bit for bit.
+#[derive(Debug, Clone)]
+pub struct RberMemo {
+    model: RberModel,
+    limit: u64,
+    table: Vec<f64>,
+}
+
+impl RberMemo {
+    /// A memo over `model` holding erase count 0, growable to `limit`.
+    pub fn new(model: RberModel, limit: u64) -> Self {
+        RberMemo {
+            model,
+            limit,
+            table: vec![model.rber(0)],
+        }
+    }
+
+    /// The memoized model.
+    pub fn model(&self) -> &RberModel {
+        &self.model
+    }
+
+    /// Grows the table to hold every erase count up to `pe` (capped at the
+    /// limit).
+    pub fn cover(&mut self, pe: u64) {
+        for p in self.table.len() as u64..=pe.min(self.limit) {
+            self.table.push(self.model.rber(p));
+        }
+    }
+
+    /// `RberModel::rber(pe)`, from the table when it holds `pe`.
+    pub fn rber(&self, pe: u64) -> f64 {
+        match usize::try_from(pe).ok().and_then(|i| self.table.get(i)) {
+            Some(&r) => r,
+            None => self.model.rber(pe),
+        }
+    }
+}
+
 /// Media-aging model: RBER growth beyond P/E wear.
 ///
 /// Two additive mechanisms on top of [`RberModel::rber`]:
@@ -189,6 +236,32 @@ mod tests {
             let r = m.rber(pe);
             assert!(r >= prev, "rber must not decrease");
             prev = r;
+        }
+    }
+
+    #[test]
+    fn memo_is_bit_exact_over_rated_endurance() {
+        for cell in [CellKind::Slc, CellKind::Mlc, CellKind::Tlc, CellKind::Qlc] {
+            let model = RberModel::for_cell(cell);
+            let rated = cell.rated_pe_cycles();
+            let mut memo = RberMemo::new(model, rated);
+            // A fresh table (count 0 only) and a full one agree with the model.
+            for pe in [0, 1, rated, rated + 1] {
+                assert_eq!(memo.rber(pe).to_bits(), model.rber(pe).to_bits());
+            }
+            memo.cover(u64::MAX);
+            assert_eq!(
+                memo.table.len() as u64,
+                rated + 1,
+                "{cell:?}: cover is capped"
+            );
+            for pe in 0..=rated {
+                assert_eq!(
+                    memo.rber(pe).to_bits(),
+                    model.rber(pe).to_bits(),
+                    "{cell:?}: rber({pe})"
+                );
+            }
         }
     }
 

@@ -103,6 +103,9 @@ pub struct Device {
     dram: BandwidthLink,
     stats: DeviceStats,
     functional: bool,
+    /// Host-visible capacity in pages, `config.logical_pages()` cached: every
+    /// operation's range check reads it.
+    logical_pages: u64,
     /// Optional operation trace (off by default; see [`crate::trace`]).
     trace: Option<TraceLog>,
     /// Per-die erase counters (cheap cadence gate for static WL).
@@ -243,6 +246,7 @@ impl Device {
             dram: BandwidthLink::new("ctrl-dram", config.dram_bytes_per_sec),
             stats: DeviceStats::default(),
             functional,
+            logical_pages: config.logical_pages(),
             trace: None,
             per_die_erases: vec![0; config.total_dies() as usize],
             wl_marks: vec![0; config.total_dies() as usize],
@@ -476,10 +480,16 @@ impl Device {
         Ok(block.page(0))
     }
 
-    /// True if `addr` on flat die `die_flat` is a journal block (excluded
-    /// from data allocation, GC victims, and static wear levelling).
-    fn is_journal_block(&self, die_flat: u32, addr: BlockAddr) -> bool {
-        die_flat == JOURNAL_DIE_FLAT && self.journal_blocks.contains(&addr)
+    /// True if the block with die-flat index `block_index` on flat die
+    /// `die_flat` is a journal block (excluded from data allocation, GC
+    /// victims, and static wear levelling).
+    fn is_journal_block(&self, die_flat: u32, block_index: u64) -> bool {
+        let geo = &self.config.nand.geometry;
+        die_flat == JOURNAL_DIE_FLAT
+            && self
+                .journal_blocks
+                .iter()
+                .any(|&b| geo.block_index(b) == block_index)
     }
 
     /// Crash-safe mapping commit for a completed data program: stamps the
@@ -676,10 +686,10 @@ impl Device {
                     no_oob: 0,
                 };
                 for (bflat, b) in die.iter_blocks() {
-                    let addr = geo.block_at(bflat);
-                    if this.is_journal_block(die_flat, addr) {
+                    if this.is_journal_block(die_flat, bflat) {
                         continue;
                     }
+                    let addr = geo.block_at(bflat);
                     // Programs are sequential: only pages below the write
                     // cursor were ever programmed (torn ones included).
                     for pidx in 0..geo.pages_per_block - b.free_pages() {
@@ -783,10 +793,10 @@ impl Device {
             {
                 let die = self.die(die_id);
                 for (bflat, b) in die.iter_blocks() {
-                    let addr = geo.block_at(bflat);
-                    if self.is_journal_block(die_flat, addr) {
+                    if self.is_journal_block(die_flat, bflat) {
                         continue;
                     }
+                    let addr = geo.block_at(bflat);
                     for pidx in 0..geo.pages_per_block - b.free_pages() {
                         let idx = geo.page_index(addr.page(pidx));
                         updates.push((addr, pidx, winning.contains(&(die_flat, idx))));
@@ -877,7 +887,7 @@ impl Device {
 
     /// Host-visible capacity in pages.
     pub fn logical_pages(&self) -> u64 {
-        self.config.logical_pages()
+        self.logical_pages
     }
 
     /// Page size in bytes.
@@ -893,10 +903,10 @@ impl Device {
     }
 
     fn check_lpn(&self, lpn: Lpn) -> Result<(), SsdError> {
-        if lpn.0 >= self.logical_pages() {
+        if lpn.0 >= self.logical_pages {
             return Err(SsdError::LpnOutOfRange {
                 lpn,
-                capacity: self.logical_pages(),
+                capacity: self.logical_pages,
             });
         }
         Ok(())
@@ -1143,7 +1153,7 @@ impl Device {
     /// without changing them, so parity stays valid across GC and rescue.
     fn mark_stripe_dirty(&mut self, lpn: Lpn) {
         if let Some(w) = self.config.stripe_data_width() {
-            if lpn.0 < self.config.logical_pages() {
+            if lpn.0 < self.logical_pages {
                 self.dirty_stripes.insert(lpn.0 / w);
             }
         }
@@ -1152,7 +1162,7 @@ impl Device {
     /// The stripe a data *or parity* LPN belongs to.
     fn stripe_of(&self, lpn: Lpn) -> u64 {
         let w = self.config.stripe_data_width().expect("rain armed");
-        let logical = self.config.logical_pages();
+        let logical = self.logical_pages;
         if lpn.0 < logical {
             lpn.0 / w
         } else {
@@ -1162,7 +1172,7 @@ impl Device {
 
     /// Internal LPN of stripe `stripe`'s parity page (beyond host space).
     fn parity_lpn(&self, stripe: u64) -> Lpn {
-        Lpn(self.config.logical_pages() + stripe)
+        Lpn(self.logical_pages + stripe)
     }
 
     /// Placement for a not-yet-written parity page: the die residue the
@@ -1200,7 +1210,7 @@ impl Device {
     /// page instead.
     fn rebuild_stripe(&mut self, stripe: u64, at: SimTime) -> Result<SimTime, SsdError> {
         let w = self.config.stripe_data_width().expect("rain armed");
-        let logical = self.config.logical_pages();
+        let logical = self.logical_pages;
         let lo = stripe * w;
         let hi = (lo + w).min(logical);
         let parity = self.parity_lpn(stripe);
@@ -1268,7 +1278,7 @@ impl Device {
             return Ok(None); // parity out of date mid-epoch: cannot trust it
         }
         let w = self.config.stripe_data_width().expect("rain armed");
-        let logical = self.config.logical_pages();
+        let logical = self.logical_pages;
         let lo = stripe * w;
         let hi = (lo + w).min(logical);
         let parity = self.parity_lpn(stripe);
@@ -1688,37 +1698,34 @@ impl Device {
     /// One GC pass on a die: pick the fullest-of-invalid victim, relocate
     /// its valid pages die-locally (copyback — no bus traffic), erase it.
     /// Returns `false` if no block was worth collecting.
+    ///
+    /// The victim is the full, unretired block with the fewest valid pages
+    /// and at least one invalid page, ties to the lowest flat index, that
+    /// is neither being filled nor a journal block. The scan runs the
+    /// per-block filters first and asks about active and journal blocks
+    /// only for a block that would beat the best so far; only the winner's
+    /// flat index is turned into an address.
     fn gc_once(&mut self, die_id: DieId, at: SimTime) -> Result<bool, SsdError> {
         let die_flat = die_id.flat(self.config.dies_per_channel);
         let geo = self.config.nand.geometry;
-        let actives = self.ftl.active_blocks(die_flat);
-
-        // Victim: a full block with the fewest valid pages and ≥1 invalid.
-        let victim = {
-            let die = self.die(die_id);
-            die.iter_blocks()
-                .filter_map(|(flat, b)| {
-                    let addr = geo.block_at(flat);
-                    if actives.contains(&addr)
-                        || b.is_retired()
-                        || self.is_journal_block(die_flat, addr)
-                    {
-                        return None;
-                    }
-                    if b.next_programmable().is_some() {
-                        return None; // not full yet
-                    }
-                    if b.valid_pages() == geo.pages_per_block {
-                        return None; // nothing reclaimable
-                    }
-                    Some((b.valid_pages(), flat, addr))
-                })
-                .min_by_key(|&(valid, flat, _)| (valid, flat))
-        };
-        let Some((_, _, victim_addr)) = victim else {
+        let mut best: Option<(u32, u64)> = None;
+        for (flat, b) in self.die(die_id).iter_blocks() {
+            let valid = b.valid_pages();
+            if b.next_programmable().is_some() || valid == geo.pages_per_block || b.is_retired() {
+                continue; // not full yet, nothing reclaimable, or out of service
+            }
+            if best.is_some_and(|best| (valid, flat) >= best) {
+                continue;
+            }
+            if self.ftl.is_active(die_flat, flat) || self.is_journal_block(die_flat, flat) {
+                continue;
+            }
+            best = Some((valid, flat));
+        }
+        let Some((_, flat)) = best else {
             return Ok(false);
         };
-        self.relocate_and_erase(die_id, victim_addr, at)?;
+        self.relocate_and_erase(die_id, geo.block_at(flat), at)?;
         Ok(true)
     }
 
@@ -1734,7 +1741,13 @@ impl Device {
     ) -> Result<(), SsdError> {
         let die_flat = die_id.flat(self.config.dies_per_channel);
         let geo = self.config.nand.geometry;
-        for page_idx in 0..geo.pages_per_block {
+        // A victim whose pages are all stale (the steady state of full-state
+        // rewrites) has nothing to relocate.
+        let pages = match self.die(die_id).block(victim_addr)?.valid_pages() {
+            0 => 0,
+            _ => geo.pages_per_block,
+        };
+        for page_idx in 0..pages {
             let src = victim_addr.page(page_idx);
             let is_valid = {
                 let die = self.die(die_id);
@@ -1750,7 +1763,7 @@ impl Device {
             let owner = self
                 .ftl
                 .owner_of(src_ppa, self.die(die_id))
-                .expect("valid page must have an owner");
+                .ok_or(SsdError::OrphanPage(src_ppa))?;
             let (read_win, data) = self.read_array_with_retry(owner, src_ppa, at)?;
             self.program_no_gc(
                 owner,
@@ -1824,29 +1837,27 @@ impl Device {
         self.wl_marks[die_flat] = self.per_die_erases[die_flat];
 
         let geo = self.config.nand.geometry;
-        let actives = self.ftl.active_blocks(die_flat as u32);
-        let (mut max_erase, mut cold): (u64, Option<(u64, nandsim::BlockAddr)>) = (0, None);
+        let (mut max_erase, mut cold): (u64, Option<(u64, u64)>) = (0, None);
         {
             let die = self.die(die_id);
             for (flat, b) in die.iter_blocks() {
                 max_erase = max_erase.max(b.erase_count());
-                let addr = geo.block_at(flat);
-                if actives.contains(&addr)
-                    || b.is_retired()
+                if b.is_retired()
                     || b.next_programmable().is_some()
                     || b.valid_pages() == 0
-                    || self.is_journal_block(die_flat as u32, addr)
+                    || self.ftl.is_active(die_flat as u32, flat)
+                    || self.is_journal_block(die_flat as u32, flat)
                 {
                     continue;
                 }
                 if cold.map(|(e, _)| b.erase_count() < e).unwrap_or(true) {
-                    cold = Some((b.erase_count(), addr));
+                    cold = Some((b.erase_count(), flat));
                 }
             }
         }
-        if let Some((erases, addr)) = cold {
+        if let Some((erases, flat)) = cold {
             if max_erase.saturating_sub(erases) > threshold {
-                self.relocate_and_erase(die_id, addr, at)?;
+                self.relocate_and_erase(die_id, geo.block_at(flat), at)?;
             }
         }
         Ok(())

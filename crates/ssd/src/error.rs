@@ -1,6 +1,6 @@
 //! Device-level error type.
 
-use crate::address::{DieId, Lpn};
+use crate::address::{DieId, Lpn, Ppa};
 use nandsim::NandError;
 use simkit::SimTime;
 use std::error::Error;
@@ -49,6 +49,10 @@ pub enum SsdError {
         /// The instant the power failed.
         at: SimTime,
     },
+    /// A physical page the die holds valid has no logical owner in the
+    /// FTL's reverse map, so relocation cannot tell whose data it is: the
+    /// mapping tables are inconsistent (a bug, not a media fault).
+    OrphanPage(Ppa),
 }
 
 impl fmt::Display for SsdError {
@@ -71,6 +75,9 @@ impl fmt::Display for SsdError {
             }
             SsdError::PowerLoss { at } => {
                 write!(f, "power failed at {at}; mount the device to recover")
+            }
+            SsdError::OrphanPage(ppa) => {
+                write!(f, "valid page {ppa} has no logical owner")
             }
         }
     }
@@ -121,5 +128,18 @@ mod tests {
             attempts: 5,
         };
         assert!(unc.to_string().contains("5 read attempts"));
+        let orphan = SsdError::OrphanPage(Ppa {
+            die: DieId {
+                channel: 1,
+                index: 0,
+            },
+            page: PhysPage {
+                plane: 1,
+                block: 3,
+                page: 7,
+            },
+        });
+        assert!(orphan.to_string().contains("has no logical owner"));
+        assert!(Error::source(&orphan).is_none());
     }
 }

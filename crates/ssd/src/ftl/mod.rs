@@ -74,6 +74,14 @@ impl Ftl {
         self.alloc[die_flat as usize].active_blocks().collect()
     }
 
+    /// True if the block with die-flat index `block_index` (as produced by
+    /// [`nandsim::NandGeometry::block_index`]) is one `die_flat` is filling.
+    pub fn is_active(&self, die_flat: u32, block_index: u64) -> bool {
+        self.alloc[die_flat as usize]
+            .active_blocks()
+            .any(|a| rmap_key(a, self.blocks_per_plane) == block_index)
+    }
+
     /// Picks the next physical page to program on `die`, honouring the
     /// wear-levelling policy. Pure allocation — the caller programs it.
     pub fn allocate_page(
