@@ -32,6 +32,11 @@ impl Channel {
         &self.dies
     }
 
+    /// Dies on this channel, mutably.
+    pub(crate) fn dies_mut(&mut self) -> &mut [Die] {
+        &mut self.dies
+    }
+
     /// Mutable access to a die.
     pub fn die_mut(&mut self, index: u32) -> &mut Die {
         &mut self.dies[index as usize]

@@ -76,80 +76,25 @@ impl JournalConfig {
     pub fn every(n: u32) -> Self {
         JournalConfig { flush_interval: n }
     }
-
-    /// Sanity-checks the configuration.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.flush_interval == 0 {
-            return Err("journal flush interval must be positive".into());
-        }
-        Ok(())
-    }
-}
-
-/// Read-retry policy: how many times the controller re-issues a sense that
-/// came back ECC-uncorrectable, and how the backoff between attempts grows.
-///
-/// The defaults reproduce the historical hard-coded behaviour (4 retries,
-/// linearly growing backoff of one lower-page read time per attempt), so
-/// existing experiments are byte-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RetryPolicy {
-    /// Re-issues after the first failed sense (total attempts = this + 1).
-    pub max_retries: u32,
-    /// Backoff before attempt *n* (1-based) is `n * backoff_units` lower-page
-    /// read times after the failed sense releases the plane.
-    pub backoff_units: u64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 4,
-            backoff_units: 1,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Sanity-checks the policy.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_retries > 64 {
-            return Err(format!(
-                "retry limit {} is unreasonably large (max 64)",
-                self.max_retries
-            ));
-        }
-        Ok(())
-    }
 }
 
 /// Die-level RAIN parity configuration.
 ///
 /// When armed, logical pages are grouped into fixed stripes of
-/// `stripe_width` data pages plus one XOR parity page. Parity pages live at
-/// logical addresses beyond the host-visible space and flow through the
-/// ordinary FTL / journal / GC machinery, so they are crash-consistent for
-/// free. A read that exhausts its retries is reconstructed from the stripe
-/// peers instead of surfacing `UncorrectableRead`; only a second loss in
-/// the same stripe is fatal.
+/// `total_dies - 1` data pages plus one XOR parity page, so each stripe
+/// (data + parity) spans every die once — the classic rotating layout.
+/// Parity pages live at logical addresses beyond the host-visible space and
+/// flow through the ordinary FTL / journal / GC machinery, so they are
+/// crash-consistent for free. A read that exhausts its retries is
+/// reconstructed from the stripe peers instead of surfacing
+/// `UncorrectableRead`; only a second loss in the same stripe is fatal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RainConfig {
-    /// Data pages per stripe. `0` picks `total_dies - 1` so each stripe
-    /// (data + parity) spans every die once — the classic rotating layout.
-    pub stripe_width: u32,
-}
+pub struct RainConfig;
 
 impl RainConfig {
-    /// The rotating full-device layout (`stripe_width` auto-derived).
+    /// The rotating full-device layout.
     pub fn rotating() -> Self {
-        RainConfig { stripe_width: 0 }
-    }
-
-    /// Sanity-checks the configuration.
-    pub fn validate(&self) -> Result<(), String> {
-        // 0 is the auto sentinel; any explicit width >= 1 is legal (width 1
-        // degenerates to mirroring).
-        Ok(())
+        RainConfig
     }
 }
 
@@ -158,43 +103,19 @@ impl RainConfig {
 /// The device sweeps stripes during the idle window at the start of every
 /// optimizer step, verifying that each mapped page is still readable and
 /// repairing/refreshing it before a single loss can become a fatal double
-/// loss. `pages_per_tick` is the rate budget; `refresh_fraction` sets how
-/// aggressively still-readable-but-aged pages are rewritten (which resets
-/// their read-disturb and retention clocks).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// loss. `pages_per_tick` is the rate budget; still-readable pages whose
+/// aged RBER passes half the ECC ceiling are rewritten (which resets their
+/// read-disturb and retention clocks).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ScrubConfig {
     /// Patrol reads performed per scrub tick (one tick per optimizer step).
     pub pages_per_tick: u32,
-    /// Refresh (rewrite) a page once its effective RBER exceeds this
-    /// fraction of the ECC ceiling. 1.0 repairs only after actual loss.
-    pub refresh_fraction: f64,
 }
 
 impl ScrubConfig {
-    /// A patrol budget of `n` pages per optimizer step, refreshing pages
-    /// past half the ECC ceiling.
+    /// A patrol budget of `n` pages per optimizer step.
     pub fn per_step(n: u32) -> Self {
-        ScrubConfig {
-            pages_per_tick: n,
-            refresh_fraction: 0.5,
-        }
-    }
-
-    /// Sanity-checks the configuration.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.pages_per_tick == 0 {
-            return Err("scrub budget must be positive (omit scrub to disable)".into());
-        }
-        if !self.refresh_fraction.is_finite() || !(0.0..=1.0).contains(&self.refresh_fraction) {
-            return Err(format!(
-                "scrub refresh fraction must be in (0, 1], got {}",
-                self.refresh_fraction
-            ));
-        }
-        if self.refresh_fraction == 0.0 {
-            return Err("scrub refresh fraction 0 would rewrite every page every tick".into());
-        }
-        Ok(())
+        ScrubConfig { pages_per_tick: n }
     }
 }
 
@@ -225,8 +146,6 @@ pub struct SsdConfig {
     /// bit- and timing-identical to a journal-free build: no OOB stamping,
     /// no journal traffic, and `mount` is unavailable.
     pub journal: Option<JournalConfig>,
-    /// Read-retry policy (defaults reproduce the historical constants).
-    pub retry: RetryPolicy,
     /// Media-aging model (read disturb + retention), armed on every die at
     /// build time. `None` (all presets) keeps the pure P/E RBER curve.
     pub aging: Option<AgingConfig>,
@@ -254,7 +173,6 @@ impl SsdConfig {
             gc: GcPolicy::default(),
             fault: None,
             journal: None,
-            retry: RetryPolicy::default(),
             aging: None,
             rain: None,
             scrub: None,
@@ -288,18 +206,7 @@ impl SsdConfig {
             pcie: PciGen::Gen4x4,
             dram_bytes_per_sec: 12_800_000_000,
             overprovision: 0.25,
-            gc: GcPolicy {
-                low_watermark: 4,
-                high_watermark: 8,
-                wear_leveling: true,
-                static_wl_threshold: None,
-            },
-            fault: None,
-            journal: None,
-            retry: RetryPolicy::default(),
-            aging: None,
-            rain: None,
-            scrub: None,
+            ..Self::base()
         }
     }
 
@@ -353,38 +260,19 @@ impl SsdConfig {
         self.logical_bytes() / self.nand.geometry.page_bytes as u64
     }
 
-    /// Host-visible logical pages that map to one die's share (used by
-    /// die-striped layouts).
-    pub fn logical_pages_per_die(&self) -> u64 {
-        self.logical_pages() / self.total_dies() as u64
-    }
-
-    /// Data pages per RAIN stripe, `None` when parity is off. Resolves the
-    /// `stripe_width == 0` auto sentinel to `total_dies - 1` (minimum 1).
+    /// Data pages per RAIN stripe, `None` when parity is off:
+    /// `total_dies - 1` (minimum 1).
     pub fn stripe_data_width(&self) -> Option<u64> {
-        let rain = self.rain?;
-        Some(if rain.stripe_width == 0 {
-            (self.total_dies() as u64 - 1).max(1)
-        } else {
-            rain.stripe_width as u64
-        })
-    }
-
-    /// Number of RAIN stripes covering the host-visible space (0 when
-    /// parity is off). The last stripe may be partial; absent members XOR
-    /// as zero pages.
-    pub fn parity_stripes(&self) -> u64 {
-        match self.stripe_data_width() {
-            None => 0,
-            Some(w) => self.logical_pages().div_ceil(w),
-        }
+        self.rain.map(|_| (self.total_dies() as u64 - 1).max(1))
     }
 
     /// Pages the FTL must be able to map: the host-visible space plus (with
-    /// RAIN armed) one internal parity page per stripe. Parity LPNs start
-    /// at `logical_pages()` and are never host-addressable.
+    /// RAIN armed) one internal parity page per stripe — the last stripe
+    /// may be partial, its absent members XOR as zero pages. Parity LPNs
+    /// start at `logical_pages()` and are never host-addressable.
     pub fn addressable_pages(&self) -> u64 {
-        self.logical_pages() + self.parity_stripes()
+        let logical = self.logical_pages();
+        logical + self.stripe_data_width().map_or(0, |w| logical.div_ceil(w))
     }
 
     /// Aggregate ONFI bus bandwidth across channels, bytes/second.
@@ -428,16 +316,13 @@ impl SsdConfig {
         if let Some(fault) = &self.fault {
             fault.validate()?;
         }
-        if let Some(journal) = &self.journal {
-            journal.validate()?;
+        if self.journal.is_some_and(|j| j.flush_interval == 0) {
+            return Err("journal flush interval must be positive".into());
         }
-        self.retry.validate()?;
         if let Some(aging) = &self.aging {
             aging.validate()?;
         }
-        if let Some(rain) = &self.rain {
-            rain.validate()?;
-            let w = self.stripe_data_width().unwrap();
+        if let Some(w) = self.stripe_data_width() {
             if w >= self.logical_pages() {
                 return Err(format!(
                     "RAIN stripe width {w} is not smaller than the logical space"
@@ -445,7 +330,9 @@ impl SsdConfig {
             }
         }
         if let Some(scrub) = &self.scrub {
-            scrub.validate()?;
+            if scrub.pages_per_tick == 0 {
+                return Err("scrub budget must be positive (omit scrub to disable)".into());
+            }
             if self.rain.is_none() {
                 return Err("scrub requires RAIN parity (nothing to repair without it)".into());
             }
@@ -533,10 +420,6 @@ mod tests {
         cfg.validate().unwrap();
         assert_eq!(cfg.journal, Some(JournalConfig { flush_interval: 64 }));
 
-        let mut cfg = SsdConfig::base();
-        cfg.retry.max_retries = 100;
-        assert!(cfg.validate().is_err());
-
         let cfg = SsdConfig::base().with_aging(AgingConfig {
             read_disturb_per_read: -1.0,
             retention_per_sec: 0.0,
@@ -550,17 +433,7 @@ mod tests {
         );
         let cfg = SsdConfig::base()
             .with_rain(RainConfig::rotating())
-            .with_scrub(ScrubConfig {
-                pages_per_tick: 0,
-                refresh_fraction: 0.5,
-            });
-        assert!(cfg.validate().is_err());
-        let cfg = SsdConfig::base()
-            .with_rain(RainConfig::rotating())
-            .with_scrub(ScrubConfig {
-                pages_per_tick: 8,
-                refresh_fraction: 2.0,
-            });
+            .with_scrub(ScrubConfig::per_step(0));
         assert!(cfg.validate().is_err());
     }
 
@@ -568,7 +441,6 @@ mod tests {
     fn stripe_geometry_accounting() {
         let plain = SsdConfig::tiny();
         assert_eq!(plain.stripe_data_width(), None);
-        assert_eq!(plain.parity_stripes(), 0);
         assert_eq!(plain.addressable_pages(), plain.logical_pages());
 
         let cfg = SsdConfig::tiny().with_rain(RainConfig::rotating());
@@ -576,16 +448,9 @@ mod tests {
         // 2×2 dies → auto width 3 (dies − 1).
         assert_eq!(cfg.stripe_data_width(), Some(3));
         let l = cfg.logical_pages();
-        let stripes = cfg.parity_stripes();
-        assert_eq!(stripes, l.div_ceil(3));
-        assert_eq!(cfg.addressable_pages(), l + stripes);
+        assert_eq!(cfg.addressable_pages(), l + l.div_ceil(3));
         // Host-visible capacity is unchanged by parity.
         assert_eq!(cfg.logical_pages(), plain.logical_pages());
-
-        // Explicit width wins over the auto sentinel.
-        let wide = SsdConfig::tiny().with_rain(RainConfig { stripe_width: 7 });
-        wide.validate().unwrap();
-        assert_eq!(wide.stripe_data_width(), Some(7));
 
         // Full scrub-enabled config validates.
         SsdConfig::tiny()
@@ -593,14 +458,6 @@ mod tests {
             .with_scrub(ScrubConfig::per_step(16))
             .validate()
             .unwrap();
-    }
-
-    #[test]
-    fn retry_policy_defaults_match_historical_constants() {
-        let r = RetryPolicy::default();
-        assert_eq!(r.max_retries, 4);
-        assert_eq!(r.backoff_units, 1);
-        r.validate().unwrap();
     }
 
     #[test]
@@ -612,6 +469,5 @@ mod tests {
             pages,
             cfg.logical_bytes() / cfg.nand.geometry.page_bytes as u64
         );
-        assert_eq!(cfg.logical_pages_per_die(), pages / cfg.total_dies() as u64);
     }
 }

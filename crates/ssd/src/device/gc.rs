@@ -1,0 +1,267 @@
+//! Space reclamation and block relocation: greedy garbage collection,
+//! static wear levelling, and the retirement (with rescue of live pages) of
+//! blocks that fail a program.
+
+use super::{Device, ProgramKind, ReadRoute};
+use crate::address::{DieId, Lpn, Ppa};
+use crate::error::SsdError;
+use crate::trace::OpKind;
+use nandsim::store::PageState;
+use nandsim::{BlockAddr, NandError, PhysPage};
+use simkit::{SimTime, Window};
+
+/// Static wear-levelling state, present when
+/// [`crate::GcPolicy::static_wl_threshold`] is set.
+#[derive(Debug)]
+pub(super) struct StaticWl {
+    /// Erase-count spread within a die that triggers a migration.
+    pub(super) threshold: u64,
+    /// Per-die erases since the die's last scan (cheap cadence gate).
+    pub(super) erases_since_scan: Vec<u64>,
+}
+
+impl Device {
+    /// Runs garbage collection on a die until its free-block pool is back
+    /// above the low watermark.
+    pub(super) fn ensure_space(&mut self, die_id: DieId, at: SimTime) -> Result<(), SsdError> {
+        let die_flat = die_id.flat(self.config.dies_per_channel);
+        if self.ftl.free_blocks(die_flat) >= self.config.gc.low_watermark as usize {
+            return Ok(());
+        }
+        while self.ftl.free_blocks(die_flat) < self.config.gc.high_watermark as usize {
+            if !self.gc_once(die_id, at)? {
+                // No reclaimable block. Fatal only if allocation is truly
+                // impossible: no free blocks and no programmable page in
+                // any active block.
+                let die = self.die(die_id);
+                let any_programmable = self
+                    .ftl
+                    .active_blocks(die_flat)
+                    .iter()
+                    .any(|&b| die.block(b).is_ok_and(|s| s.next_programmable().is_some()));
+                if self.ftl.free_blocks(die_flat) == 0 && !any_programmable {
+                    return Err(SsdError::OutOfSpace(die_id));
+                }
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// One GC pass on a die: pick the fullest-of-invalid victim, relocate
+    /// its valid pages die-locally (copyback — no bus traffic), erase it.
+    /// Returns `false` if no block was worth collecting.
+    ///
+    /// The victim is the full, unretired block with the fewest valid pages
+    /// and at least one invalid page, ties to the lowest flat index, that
+    /// is neither being filled nor a journal block. The scan runs the
+    /// per-block filters first and asks about active and journal blocks
+    /// only for a block that would beat the best so far; only the winner's
+    /// flat index is turned into an address.
+    fn gc_once(&mut self, die_id: DieId, at: SimTime) -> Result<bool, SsdError> {
+        let die_flat = die_id.flat(self.config.dies_per_channel);
+        let geo = self.config.nand.geometry;
+        let mut best: Option<(u32, u64)> = None;
+        for (flat, b) in self.die(die_id).iter_blocks() {
+            let valid = b.valid_pages();
+            if b.next_programmable().is_some() || valid == geo.pages_per_block || b.is_retired() {
+                continue; // not full yet, nothing reclaimable, or out of service
+            }
+            if best.is_some_and(|best| (valid, flat) >= best) {
+                continue;
+            }
+            if self.ftl.is_active(die_flat, flat) || self.is_journal_block(die_flat, flat) {
+                continue;
+            }
+            best = Some((valid, flat));
+        }
+        let Some((_, flat)) = best else {
+            return Ok(false);
+        };
+        self.relocate_and_erase(die_id, geo.block_at(flat), at)?;
+        Ok(true)
+    }
+
+    /// Relocates every valid page of `victim` die-locally (copyback) and
+    /// erases it, returning the block to the free pool. An erase that
+    /// reports bad status retires the victim instead — its pages were all
+    /// relocated or stale, so nothing else is lost.
+    fn relocate_and_erase(
+        &mut self,
+        die_id: DieId,
+        victim_addr: BlockAddr,
+        at: SimTime,
+    ) -> Result<(), SsdError> {
+        let die_flat = die_id.flat(self.config.dies_per_channel);
+        let geo = self.config.nand.geometry;
+        // A victim whose pages are all stale (the steady state of full-state
+        // rewrites) has nothing to relocate.
+        let pages = match self.die(die_id).block(victim_addr)?.valid_pages() {
+            0 => 0,
+            _ => geo.pages_per_block,
+        };
+        for page_idx in 0..pages {
+            if self.die(die_id).block(victim_addr)?.page_state(page_idx) != PageState::Valid {
+                continue;
+            }
+            let src_ppa = Ppa {
+                die: die_id,
+                page: victim_addr.page(page_idx),
+            };
+            let owner = self
+                .ftl
+                .owner_of(src_ppa, self.die(die_id))
+                .ok_or(SsdError::OrphanPage(src_ppa))?;
+            let (read_win, data) = self.read_with_retry(owner, src_ppa, at, ReadRoute::Array)?;
+            self.program_no_gc(
+                owner,
+                die_id,
+                data.as_deref(),
+                read_win.end,
+                false,
+                None,
+                ProgramKind::Relocate(src_ppa),
+            )?;
+            self.stats.gc_copies.incr();
+        }
+
+        let channel = &mut self.channels[die_id.channel as usize];
+        match channel.die_mut(die_id.index).erase_block(victim_addr, at) {
+            Ok(erase_win) => {
+                self.trace_op(OpKind::Erase, None, die_id, erase_win);
+                self.ftl.reclaim_block(
+                    die_flat,
+                    victim_addr,
+                    self.channels[die_id.channel as usize].die(die_id.index),
+                );
+                // The erase may have pushed the block past its rated P/E
+                // cycles: a wear-retired block must not re-enter the pool.
+                if self.die(die_id).block(victim_addr)?.is_retired() {
+                    self.ftl.discard_block(die_flat, victim_addr);
+                }
+                self.stats.erases.incr();
+                if let Some(wl) = &mut self.wl {
+                    wl.erases_since_scan[die_flat as usize] += 1;
+                }
+            }
+            Err(NandError::EraseFailed { busy_until, .. }) => {
+                self.stats.erase_failures.incr();
+                let t_erase = self.config.nand.timing.t_erase;
+                self.trace_op(
+                    OpKind::EraseFail,
+                    None,
+                    die_id,
+                    Window {
+                        start: busy_until - t_erase,
+                        end: busy_until,
+                    },
+                );
+                // Bad erase status: the block cannot be reclaimed. Retire
+                // it and take it out of allocation for good.
+                self.retire(die_id, victim_addr)?;
+            }
+            Err(e) => return Err(e.into()),
+        }
+        Ok(())
+    }
+
+    /// Static wear levelling: if the erase-count spread within a die
+    /// exceeds the configured threshold, migrate the coldest *data* block
+    /// (lowest erase count among full blocks holding valid pages) so its
+    /// low-wear cells rejoin the free pool. Dynamic allocation alone can
+    /// never recycle a block whose data is simply never rewritten.
+    pub(super) fn maybe_static_wl(&mut self, die_id: DieId, at: SimTime) -> Result<(), SsdError> {
+        let die_flat = die_id.flat(self.config.dies_per_channel);
+        let Some(wl) = &mut self.wl else {
+            return Ok(());
+        };
+        // Cheap cadence gate: scan at most once every few erases.
+        let since_scan = &mut wl.erases_since_scan[die_flat as usize];
+        if *since_scan < 4 {
+            return Ok(());
+        }
+        *since_scan = 0;
+        let threshold = wl.threshold;
+
+        let geo = self.config.nand.geometry;
+        let (mut max_erase, mut cold): (u64, Option<(u64, u64)>) = (0, None);
+        for (flat, b) in self.die(die_id).iter_blocks() {
+            max_erase = max_erase.max(b.erase_count());
+            if b.is_retired()
+                || b.next_programmable().is_some()
+                || b.valid_pages() == 0
+                || self.ftl.is_active(die_flat, flat)
+                || self.is_journal_block(die_flat, flat)
+            {
+                continue;
+            }
+            if cold.map(|(e, _)| b.erase_count() < e).unwrap_or(true) {
+                cold = Some((b.erase_count(), flat));
+            }
+        }
+        if let Some((erases, flat)) = cold {
+            if max_erase.saturating_sub(erases) > threshold {
+                self.relocate_and_erase(die_id, geo.block_at(flat), at)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Marks `block` bad on its die and takes it out of allocation forever.
+    fn retire(&mut self, die_id: DieId, block: BlockAddr) -> Result<(), SsdError> {
+        self.channels[die_id.channel as usize]
+            .die_mut(die_id.index)
+            .block_mut(block)?
+            .retire();
+        self.ftl
+            .discard_block(die_id.flat(self.config.dies_per_channel), block);
+        self.stats.retired_blocks.incr();
+        Ok(())
+    }
+
+    /// Retires `block` after a media fault and relocates its valid pages
+    /// die-locally. Rescue reads run the bounded retry policy; rescue
+    /// programs run the full recovery loop, so a failure *during* rescue
+    /// retires further blocks before resuming. Returns the instant the
+    /// rescue finished draining.
+    pub(super) fn retire_and_rescue(
+        &mut self,
+        die_id: DieId,
+        block: BlockAddr,
+        at: SimTime,
+    ) -> Result<SimTime, SsdError> {
+        self.retire(die_id, block)?;
+        let geo = self.config.nand.geometry;
+        let victims: Vec<(Lpn, PhysPage)> = (0..geo.pages_per_block)
+            .filter_map(|idx| {
+                let die = self.die(die_id);
+                if die.block(block).ok()?.page_state(idx) != PageState::Valid {
+                    return None;
+                }
+                let page = block.page(idx);
+                let ppa = Ppa { die: die_id, page };
+                self.ftl.owner_of(ppa, die).map(|lpn| (lpn, page))
+            })
+            .collect();
+        let mut t = at;
+        for (owner, src) in victims {
+            let src_ppa = Ppa {
+                die: die_id,
+                page: src,
+            };
+            let (read_win, data) = self.read_with_retry(owner, src_ppa, t, ReadRoute::Array)?;
+            let win = self.program_no_gc(
+                owner,
+                die_id,
+                data.as_deref(),
+                read_win.end,
+                false,
+                Some(src.plane),
+                ProgramKind::Relocate(src_ppa),
+            )?;
+            self.stats.rescue_copies.incr();
+            t = win.end;
+        }
+        Ok(t)
+    }
+}

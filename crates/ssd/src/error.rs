@@ -23,8 +23,6 @@ pub enum SsdError {
     OutOfSpace(DieId),
     /// The underlying NAND refused an operation (bug in the FTL or wear-out).
     Nand(NandError),
-    /// Functional data was required but the device is in phantom mode.
-    PhantomData(Lpn),
     /// Data length does not match the page size.
     WrongLength {
         /// Bytes supplied.
@@ -64,9 +62,6 @@ impl fmt::Display for SsdError {
             SsdError::Unmapped(lpn) => write!(f, "read of unmapped {lpn}"),
             SsdError::OutOfSpace(d) => write!(f, "die {d} has no free blocks after GC"),
             SsdError::Nand(e) => write!(f, "nand: {e}"),
-            SsdError::PhantomData(lpn) => {
-                write!(f, "functional data requested for {lpn} on a phantom device")
-            }
             SsdError::WrongLength { got, want } => {
                 write!(f, "page data is {got} bytes, expected {want}")
             }

@@ -23,8 +23,8 @@
 //!   (see [`nandsim::FaultConfig`]), the device recovers: failed programs
 //!   retire the block and re-home the page (rescuing the block's valid
 //!   pages), failed erases retire the GC victim, and uncorrectable reads
-//!   are retried with backoff (bounds set by [`RetryPolicy`]) before
-//!   surfacing a typed [`SsdError::UncorrectableRead`].
+//!   are retried with backoff (four retries) before surfacing a typed
+//!   [`SsdError::UncorrectableRead`].
 //! * **Die-level parity (RAIN) + background scrub** — [`SsdConfig::rain`]
 //!   stripes user pages across dies with one rotating XOR parity page per
 //!   stripe, rebuilt at every [`Device::commit_epoch`]; a read that stays
@@ -65,9 +65,7 @@ pub mod trace;
 
 pub use address::{DieId, Lpn, Ppa};
 pub use channel::Channel;
-pub use config::{
-    GcPolicy, JournalConfig, PciGen, RainConfig, RetryPolicy, ScrubConfig, SsdConfig,
-};
+pub use config::{GcPolicy, JournalConfig, PciGen, RainConfig, ScrubConfig, SsdConfig};
 pub use device::{Device, MountReport, ScrubReport};
 pub use error::SsdError;
 pub use stats::{erase_histogram, wear_imbalance, DeviceStats, UtilizationReport};

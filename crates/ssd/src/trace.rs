@@ -61,53 +61,6 @@ impl OpKind {
             OpKind::ScrubRead => 's',
         }
     }
-
-    /// Stable lowercase name, used by the text record format (the serde
-    /// shim in this workspace is a no-op marker, so persistence goes
-    /// through [`TraceEvent::to_record`] instead of derives).
-    pub fn name(self) -> &'static str {
-        match self {
-            OpKind::Read => "read",
-            OpKind::Program => "program",
-            OpKind::Erase => "erase",
-            OpKind::ProgramFail => "program-fail",
-            OpKind::EraseFail => "erase-fail",
-            OpKind::ReadFail => "read-fail",
-            OpKind::JournalWrite => "journal-write",
-            OpKind::MountReplay => "mount-replay",
-            OpKind::MountScan => "mount-scan",
-            OpKind::ParityWrite => "parity-write",
-            OpKind::ParityRepair => "parity-repair",
-            OpKind::ScrubRead => "scrub-read",
-        }
-    }
-
-    /// Parses a [`Self::name`] back into the kind.
-    pub fn from_name(s: &str) -> Option<OpKind> {
-        Some(match s {
-            "read" => OpKind::Read,
-            "program" => OpKind::Program,
-            "erase" => OpKind::Erase,
-            "program-fail" => OpKind::ProgramFail,
-            "erase-fail" => OpKind::EraseFail,
-            "read-fail" => OpKind::ReadFail,
-            "journal-write" => OpKind::JournalWrite,
-            "mount-replay" => OpKind::MountReplay,
-            "mount-scan" => OpKind::MountScan,
-            "parity-write" => OpKind::ParityWrite,
-            "parity-repair" => OpKind::ParityRepair,
-            "scrub-read" => OpKind::ScrubRead,
-            _ => return None,
-        })
-    }
-
-    /// True for the fault-event kinds.
-    pub fn is_fault(self) -> bool {
-        matches!(
-            self,
-            OpKind::ProgramFail | OpKind::EraseFail | OpKind::ReadFail
-        )
-    }
 }
 
 /// One traced operation.
@@ -125,70 +78,12 @@ pub struct TraceEvent {
     pub end: SimTime,
 }
 
-impl TraceEvent {
-    /// Serializes the event to a stable one-line text record:
-    /// `kind lpn die_flat start_ns end_ns` (`-` for no LPN).
-    pub fn to_record(&self) -> String {
-        let lpn = match self.lpn {
-            Some(l) => l.0.to_string(),
-            None => "-".to_string(),
-        };
-        format!(
-            "{} {} {} {} {}",
-            self.kind.name(),
-            lpn,
-            self.die_flat,
-            self.start.as_ns(),
-            self.end.as_ns()
-        )
-    }
-
-    /// Parses a record produced by [`Self::to_record`].
-    pub fn from_record(s: &str) -> Result<TraceEvent, String> {
-        let mut it = s.split_whitespace();
-        let mut next = |what: &str| {
-            it.next()
-                .ok_or_else(|| format!("trace record missing {what}: {s:?}"))
-        };
-        let kind = {
-            let name = next("kind")?;
-            OpKind::from_name(name).ok_or_else(|| format!("unknown op kind {name:?}"))?
-        };
-        let lpn = match next("lpn")? {
-            "-" => None,
-            n => Some(Lpn(n
-                .parse::<u64>()
-                .map_err(|e| format!("bad lpn in {s:?}: {e}"))?)),
-        };
-        let die_flat = next("die")?
-            .parse::<u32>()
-            .map_err(|e| format!("bad die in {s:?}: {e}"))?;
-        let start = next("start")?
-            .parse::<u64>()
-            .map_err(|e| format!("bad start in {s:?}: {e}"))?;
-        let end = next("end")?
-            .parse::<u64>()
-            .map_err(|e| format!("bad end in {s:?}: {e}"))?;
-        if it.next().is_some() {
-            return Err(format!("trailing fields in trace record {s:?}"));
-        }
-        Ok(TraceEvent {
-            kind,
-            lpn,
-            die_flat,
-            start: SimTime::from_ns(start),
-            end: SimTime::from_ns(end),
-        })
-    }
-}
-
 /// A bounded ring buffer of trace events.
 #[derive(Debug, Clone)]
 pub struct TraceLog {
     events: Vec<TraceEvent>,
     capacity: usize,
     next: usize,
-    dropped: u64,
 }
 
 impl TraceLog {
@@ -202,7 +97,6 @@ impl TraceLog {
             events: Vec::with_capacity(capacity.min(4096)),
             capacity,
             next: 0,
-            dropped: 0,
         }
     }
 
@@ -213,7 +107,6 @@ impl TraceLog {
         } else {
             self.events[self.next] = event;
             self.next = (self.next + 1) % self.capacity;
-            self.dropped += 1;
         }
     }
 
@@ -223,21 +116,6 @@ impl TraceLog {
         out.extend_from_slice(&self.events[self.next..]);
         out.extend_from_slice(&self.events[..self.next]);
         out
-    }
-
-    /// Events evicted due to the capacity bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 }
 
@@ -335,9 +213,8 @@ mod tests {
         for i in 0..5u64 {
             log.record(ev(OpKind::Read, 0, i, i + 1));
         }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 2);
         let events = log.events();
+        assert_eq!(events.len(), 3);
         assert_eq!(events[0].start, SimTime::from_us(2));
         assert_eq!(events[2].start, SimTime::from_us(4));
     }
@@ -391,8 +268,6 @@ mod tests {
             !g.contains('P'),
             "program must not overwrite the fault: {g}"
         );
-        assert!(OpKind::EraseFail.is_fault());
-        assert!(!OpKind::Erase.is_fault());
         assert_eq!(OpKind::EraseFail.glyph(), 'X');
     }
 
@@ -417,8 +292,6 @@ mod tests {
         );
         let die1 = g.lines().nth(1).unwrap();
         assert!(die1.contains('E') && !die1.contains('J'), "{g}");
-        assert!(!OpKind::JournalWrite.is_fault());
-        assert!(!OpKind::MountReplay.is_fault());
     }
 
     #[test]
@@ -437,44 +310,6 @@ mod tests {
         assert!(g.contains('p'), "{g}");
         let die2 = g.lines().nth(2).unwrap();
         assert!(die2.contains('s'), "{g}");
-        assert!(!OpKind::ParityWrite.is_fault());
-        assert!(!OpKind::ScrubRead.is_fault());
-        assert!(!OpKind::ParityRepair.is_fault());
-    }
-
-    #[test]
-    fn text_records_round_trip_every_kind() {
-        use crate::address::Lpn;
-        let kinds = [
-            OpKind::Read,
-            OpKind::Program,
-            OpKind::Erase,
-            OpKind::ProgramFail,
-            OpKind::EraseFail,
-            OpKind::ReadFail,
-            OpKind::JournalWrite,
-            OpKind::MountReplay,
-            OpKind::MountScan,
-            OpKind::ParityWrite,
-            OpKind::ParityRepair,
-            OpKind::ScrubRead,
-        ];
-        for (i, kind) in kinds.into_iter().enumerate() {
-            let e = TraceEvent {
-                kind,
-                lpn: (i % 2 == 0).then_some(Lpn(1000 + i as u64)),
-                die_flat: i as u32,
-                start: SimTime::from_us(i as u64),
-                end: SimTime::from_us(i as u64 + 7),
-            };
-            let back = TraceEvent::from_record(&e.to_record()).unwrap();
-            assert_eq!(back, e, "round trip of {:?}", kind.name());
-            assert_eq!(OpKind::from_name(kind.name()), Some(kind));
-        }
-        assert!(TraceEvent::from_record("bogus 1 2 3 4").is_err());
-        assert!(TraceEvent::from_record("read - 0 5").is_err());
-        assert!(TraceEvent::from_record("read - 0 5 9 extra").is_err());
-        assert!(OpKind::from_name("nope").is_none());
     }
 
     #[test]
