@@ -16,6 +16,15 @@ pub struct F16(pub u16);
 const EXP_MASK: u16 = 0x7C00;
 const FRAC_MASK: u16 = 0x03FF;
 
+/// f32 bits of ∞.
+const F32_INF: u32 = 0x7F80_0000;
+/// f32 bits of 2⁻¹⁴, the smallest f16 normal.
+const F32_F16_MIN_NORMAL: u32 = 113 << 23;
+/// f32 bits of 2¹⁶, where f16 overflows to ∞ whatever the rounding.
+const F32_F16_OVERFLOW: u32 = 143 << 23;
+/// The exponent bias difference (127 − 15) at the f32 exponent position.
+const REBIAS: u32 = (127 - 15) << 23;
+
 impl F16 {
     /// Positive zero.
     pub const ZERO: F16 = F16(0);
@@ -33,6 +42,107 @@ impl F16 {
     pub const MIN_POSITIVE: F16 = F16(0x0400);
 
     /// Converts from `f32` with round-to-nearest-even.
+    ///
+    /// Branchless: every case is computed and one is selected, so a loop
+    /// over this call has no data-dependent branch and can vectorize.
+    pub fn from_f32(x: f32) -> F16 {
+        let bits = x.to_bits();
+        let sign = (bits >> 16) & 0x8000;
+        let a = bits & 0x7FFF_FFFF;
+        // f16 normals: re-bias the exponent and round the 13 dropped bits to
+        // nearest even with one add. A carry into the exponent, up to ∞, is
+        // the correctly rounded result.
+        let normal = a.wrapping_sub(REBIAS).wrapping_add(0xFFF + ((a >> 13) & 1)) >> 13;
+        // f16 subnormals and zero: adding 0.5 puts the f16 unit 2⁻²⁴ at the
+        // f32 ulp, so the FPU's own round-to-nearest-even does the rounding.
+        let sub = (f32::from_bits(a) + 0.5)
+            .to_bits()
+            .wrapping_sub(0.5f32.to_bits());
+        // 2¹⁶ and up saturates to ∞; NaN stays NaN with the quiet bit set.
+        let inf_nan = if a > F32_INF {
+            0x7E00 | ((a >> 13) & FRAC_MASK as u32)
+        } else {
+            EXP_MASK as u32
+        };
+        let out = if a >= F32_F16_OVERFLOW {
+            inf_nan
+        } else if a < F32_F16_MIN_NORMAL {
+            sub
+        } else {
+            normal
+        };
+        F16((sign | out) as u16)
+    }
+
+    /// Converts to `f32` exactly (widening is lossless). Branchless, like
+    /// [`F16::from_f32`].
+    pub fn to_f32(self) -> f32 {
+        let h = self.0 as u32;
+        let sign = (h & 0x8000) << 16;
+        // Exponent and fraction, shifted to their f32 positions.
+        let em = (h & 0x7FFF) << 13;
+        let normal = em + REBIAS;
+        // Subnormals and zero: frac × 2⁻²⁴ is (2⁻¹⁴ + frac × 2⁻²⁴) − 2⁻¹⁴,
+        // and the subtraction is exact.
+        let min_normal = f32::from_bits(F32_F16_MIN_NORMAL);
+        let sub = (f32::from_bits(em + F32_F16_MIN_NORMAL) - min_normal).to_bits();
+        // ±∞ and NaN; a NaN gets the quiet bit.
+        let f16_inf = (EXP_MASK as u32) << 13;
+        let inf_nan = F32_INF | em | if em > f16_inf { 0x0040_0000 } else { 0 };
+        let bits = if em >= f16_inf {
+            inf_nan
+        } else if em < 1 << 23 {
+            sub
+        } else {
+            normal
+        };
+        f32::from_bits(sign | bits)
+    }
+
+    /// Raw little-endian bytes.
+    pub fn to_le_bytes(self) -> [u8; 2] {
+        self.0.to_le_bytes()
+    }
+
+    /// From raw little-endian bytes.
+    pub fn from_le_bytes(b: [u8; 2]) -> F16 {
+        F16(u16::from_le_bytes(b))
+    }
+
+    /// True for either NaN encoding.
+    pub fn is_nan(self) -> bool {
+        (self.0 & EXP_MASK) == EXP_MASK && (self.0 & FRAC_MASK) != 0
+    }
+
+    /// True for ±∞.
+    pub fn is_infinite(self) -> bool {
+        (self.0 & EXP_MASK) == EXP_MASK && (self.0 & FRAC_MASK) == 0
+    }
+
+    /// True for zero, subnormal or normal values.
+    pub fn is_finite(self) -> bool {
+        (self.0 & EXP_MASK) != EXP_MASK
+    }
+}
+
+impl fmt::Display for F16 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.to_f32())
+    }
+}
+
+impl From<F16> for f32 {
+    fn from(h: F16) -> f32 {
+        h.to_f32()
+    }
+}
+
+/// The original branchy conversions, kept as the oracle the branchless
+/// ones are tested against.
+#[cfg(test)]
+mod reference {
+    use super::{EXP_MASK, F16, FRAC_MASK};
+
     pub fn from_f32(x: f32) -> F16 {
         let bits = x.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
@@ -90,11 +200,10 @@ impl F16 {
         F16(sign)
     }
 
-    /// Converts to `f32` exactly (widening is lossless).
-    pub fn to_f32(self) -> f32 {
-        let sign = ((self.0 & 0x8000) as u32) << 16;
-        let exp = (self.0 & EXP_MASK) >> 10;
-        let frac = (self.0 & FRAC_MASK) as u32;
+    pub fn to_f32(h: F16) -> f32 {
+        let sign = ((h.0 & 0x8000) as u32) << 16;
+        let exp = (h.0 & EXP_MASK) >> 10;
+        let frac = (h.0 & FRAC_MASK) as u32;
         let bits = match exp {
             0 => {
                 if frac == 0 {
@@ -122,48 +231,12 @@ impl F16 {
         };
         f32::from_bits(bits)
     }
-
-    /// Raw little-endian bytes.
-    pub fn to_le_bytes(self) -> [u8; 2] {
-        self.0.to_le_bytes()
-    }
-
-    /// From raw little-endian bytes.
-    pub fn from_le_bytes(b: [u8; 2]) -> F16 {
-        F16(u16::from_le_bytes(b))
-    }
-
-    /// True for either NaN encoding.
-    pub fn is_nan(self) -> bool {
-        (self.0 & EXP_MASK) == EXP_MASK && (self.0 & FRAC_MASK) != 0
-    }
-
-    /// True for ±∞.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & EXP_MASK) == EXP_MASK && (self.0 & FRAC_MASK) == 0
-    }
-
-    /// True for zero, subnormal or normal values.
-    pub fn is_finite(self) -> bool {
-        (self.0 & EXP_MASK) != EXP_MASK
-    }
-}
-
-impl fmt::Display for F16 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.to_f32())
-    }
-}
-
-impl From<F16> for f32 {
-    fn from(h: F16) -> f32 {
-        h.to_f32()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn exact_small_integers_round_trip() {
@@ -262,6 +335,75 @@ mod tests {
             } else {
                 assert_eq!(F16::from_f32(h.to_f32()), h, "bits {bits:#06x}");
             }
+        }
+    }
+
+    #[test]
+    fn decode_matches_reference_for_all_f16() {
+        for bits in 0..=u16::MAX {
+            let (got, want) = (F16(bits).to_f32(), reference::to_f32(F16(bits)));
+            assert_eq!(got.to_bits(), want.to_bits(), "bits {bits:#06x}");
+        }
+    }
+
+    /// Every finite f16, the exact f32 midpoint to its upper neighbour, and
+    /// that midpoint ±1 ulp: every round-to-nearest-even tie and carry,
+    /// into the exponent and to ∞ included.
+    #[test]
+    fn encode_matches_reference_at_every_rounding_boundary() {
+        for bits in (0..=u16::MAX).filter(|&b| F16(b).is_finite()) {
+            let v = F16(bits).to_f32();
+            // Half an f16 ulp is 2^(e − 26) for biased exponent e (1 for
+            // subnormals), and v ± it is exact in f32.
+            let e = ((bits & EXP_MASK) >> 10).max(1) as u32;
+            let half_ulp = f32::from_bits((e + 127 - 26) << 23);
+            let mid = v + half_ulp.copysign(v);
+            for x in [
+                v,
+                mid,
+                f32::from_bits(mid.to_bits() - 1),
+                f32::from_bits(mid.to_bits() + 1),
+            ] {
+                assert_eq!(
+                    F16::from_f32(x),
+                    reference::from_f32(x),
+                    "f16 {bits:#06x}, f32 {:#010x}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn encode_matches_reference(raw in any::<u32>(), class in 0u8..5, exp in 100u32..146) {
+            let sign_frac = raw & 0x807F_FFFF;
+            let bits = match class {
+                0 => raw,
+                // f32 zeros and subnormals.
+                1 => sign_frac,
+                // ±∞ and NaN payloads.
+                2 => sign_frac | 0xFF << 23,
+                // Around the f16 range, where the rounding happens.
+                3 => sign_frac | exp << 23,
+                // The same with the low 12 bits clear: half are exact ties.
+                _ => (sign_frac & !0xFFF) | exp << 23,
+            };
+            let x = f32::from_bits(bits);
+            prop_assert_eq!(F16::from_f32(x), reference::from_f32(x), "f32 {:#010x}", bits);
+        }
+    }
+
+    /// All 2³² f32 bit patterns; 20–35 s single-threaded in release.
+    /// Run with `cargo test --release -p optim-math -- --ignored f16_encode_exhaustive`.
+    #[test]
+    #[ignore]
+    fn f16_encode_exhaustive() {
+        for bits in 0..=u32::MAX {
+            let x = f32::from_bits(bits);
+            assert_eq!(F16::from_f32(x), reference::from_f32(x), "f32 {bits:#010x}");
         }
     }
 }

@@ -163,6 +163,35 @@ fn narrow(dtype: GradDtype, x: f32) -> [u8; 2] {
     }
 }
 
+/// Widens the 16-bit values in `src` (2 B each) into `dst`, up to the
+/// shorter of the two. One `match` per slice, not per element, so the
+/// loop is a straight-line conversion the compiler can vectorize.
+fn decode_grads(dtype: GradDtype, src: &[u8], dst: &mut [f32]) {
+    let pairs = dst.iter_mut().zip(src.chunks_exact(2));
+    match dtype {
+        GradDtype::F16 => {
+            pairs.for_each(|(d, s)| *d = F16::from_le_bytes(s.try_into().unwrap()).to_f32())
+        }
+        GradDtype::Bf16 => {
+            pairs.for_each(|(d, s)| *d = Bf16::from_le_bytes(s.try_into().unwrap()).to_f32())
+        }
+    }
+}
+
+/// Narrows `src` into 16-bit values in `dst` (2 B each), up to the shorter
+/// of the two; the slice-level sibling of [`decode_grads`].
+fn encode_into(dtype: GradDtype, src: &[f32], dst: &mut [u8]) {
+    let pairs = src.iter().zip(dst.chunks_exact_mut(2));
+    match dtype {
+        GradDtype::F16 => {
+            pairs.for_each(|(s, d)| d.copy_from_slice(&F16::from_f32(*s).to_le_bytes()))
+        }
+        GradDtype::Bf16 => {
+            pairs.for_each(|(s, d)| d.copy_from_slice(&Bf16::from_f32(*s).to_le_bytes()))
+        }
+    }
+}
+
 /// Applies `opt` element-wise over raw state buffers.
 ///
 /// * `w32` — fp32 master weights, 4 B/element, updated in place.
@@ -362,19 +391,11 @@ pub fn update_chunk_batched<O: Optimizer>(
                 *dst = f32::from_le_bytes(src.try_into().unwrap());
             }
         }
-        let gb = &grads[2 * base..2 * (base + len)];
-        match grad_dtype {
-            GradDtype::F16 => {
-                for (dst, src) in gf[..len].iter_mut().zip(gb.chunks_exact(2)) {
-                    *dst = F16::from_le_bytes(src.try_into().unwrap()).to_f32();
-                }
-            }
-            GradDtype::Bf16 => {
-                for (dst, src) in gf[..len].iter_mut().zip(gb.chunks_exact(2)) {
-                    *dst = Bf16::from_le_bytes(src.try_into().unwrap()).to_f32();
-                }
-            }
-        }
+        decode_grads(
+            grad_dtype,
+            &grads[2 * base..2 * (base + len)],
+            &mut gf[..len],
+        );
         // The update sweep: statically dispatched, so the rule inlines and
         // the per-element loop is a straight-line float kernel.
         let mut sv = [0.0f32; MAX_SLOTS];
@@ -402,19 +423,11 @@ pub fn update_chunk_batched<O: Optimizer>(
                 dst.copy_from_slice(&src.to_le_bytes());
             }
         }
-        let wo = &mut w16_out[2 * base..2 * (base + len)];
-        match grad_dtype {
-            GradDtype::F16 => {
-                for (src, dst) in wf[..len].iter().zip(wo.chunks_exact_mut(2)) {
-                    dst.copy_from_slice(&F16::from_f32(*src).to_le_bytes());
-                }
-            }
-            GradDtype::Bf16 => {
-                for (src, dst) in wf[..len].iter().zip(wo.chunks_exact_mut(2)) {
-                    dst.copy_from_slice(&Bf16::from_f32(*src).to_le_bytes());
-                }
-            }
-        }
+        encode_into(
+            grad_dtype,
+            &wf[..len],
+            &mut w16_out[2 * base..2 * (base + len)],
+        );
         base += len;
     }
     Ok(n)
@@ -438,10 +451,8 @@ impl StateBuffers {
         let slots = (0..opt.state_slots())
             .map(|_| vec![0u8; 4 * weights.len()])
             .collect();
-        let w16 = weights
-            .iter()
-            .flat_map(|&w| narrow(grad_dtype, w))
-            .collect();
+        let mut w16 = vec![0u8; 2 * weights.len()];
+        encode_into(grad_dtype, weights, &mut w16);
         StateBuffers { w32, slots, w16 }
     }
 
@@ -487,7 +498,9 @@ impl StateBuffers {
 
 /// Encodes a slice of f32 gradients into raw 16-bit bytes.
 pub fn encode_grads(grads: &[f32], dtype: GradDtype) -> Vec<u8> {
-    grads.iter().flat_map(|&g| narrow(dtype, g)).collect()
+    let mut out = vec![0u8; 2 * grads.len()];
+    encode_grads_into(grads, dtype, &mut out);
+    out
 }
 
 /// Encodes f32 gradients into a caller-supplied byte buffer (2 B/element).
@@ -502,9 +515,7 @@ pub fn encode_grads_into(grads: &[f32], dtype: GradDtype, out: &mut [u8]) {
         out.len(),
         grads.len()
     );
-    for (g, dst) in grads.iter().zip(out.chunks_exact_mut(2)) {
-        dst.copy_from_slice(&narrow(dtype, *g));
-    }
+    encode_into(dtype, grads, out);
 }
 
 #[cfg(test)]

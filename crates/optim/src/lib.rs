@@ -11,9 +11,9 @@
 //!   scratch (round-to-nearest-even, subnormals, infinities, NaN), since the
 //!   dependency policy excludes the `half` crate.
 //! * [`Optimizer`] and its implementations ([`Adam`], [`AdamW`],
-//!   [`SgdMomentum`], [`Adagrad`]) — scalar update rules with explicit
-//!   per-parameter auxiliary state ("slots"), matching how optimizer state
-//!   is laid out on flash.
+//!   [`SgdMomentum`], [`Adagrad`], [`Lion`]) — scalar update rules with
+//!   explicit per-parameter auxiliary state ("slots"), matching how
+//!   optimizer state is laid out on flash.
 //! * [`compress`] — top-k gradient compression with error feedback, the
 //!   extension that shrinks the one remaining PCIe stream.
 //! * [`kernels`] — byte-buffer update kernels: the element-wise pass over
