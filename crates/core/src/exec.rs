@@ -17,16 +17,15 @@
 use crate::config::{ExecutionTier, GradStaging, OptimStoreConfig};
 use crate::energy::EnergyModel;
 use crate::layout::{StateComponent, StateLayout};
-use crate::pages::{self, OperandPage, UpdatePages};
+use crate::pages::{self, UpdatePages};
 use crate::protocol::{ProtocolError, UpdateCommand};
 use crate::report::{CounterSnapshot, RecoveryReport, StepReport};
-use bytes::Bytes;
 use optim_math::kernels::KernelError;
 use optim_math::state::StateLayoutSpec;
 use optim_math::{Optimizer, F16};
 use simkit::pool::PageBuf;
 use simkit::{SimDuration, SimTime, Timeline, Window};
-use ssdsim::{Device, ScrubReport, SsdConfig, SsdError};
+use ssdsim::{Device, ReadPath, ScrubReport, SsdConfig, SsdError};
 use std::error::Error;
 use std::fmt;
 
@@ -57,16 +56,6 @@ pub enum CoreError {
     Kernel(KernelError),
     /// The step's update command did not decode.
     Protocol(ProtocolError),
-    /// A functional device returned no bytes for a state page: the read
-    /// path lost data it must carry.
-    MissingData {
-        /// Update group the page belongs to.
-        group: u64,
-        /// The page's state tensor.
-        component: StateComponent,
-        /// The page's index within the tensor's pages for the group.
-        idx: u32,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -83,14 +72,6 @@ impl fmt::Display for CoreError {
             CoreError::Ssd(e) => write!(f, "ssd: {e}"),
             CoreError::Kernel(e) => write!(f, "update kernel: {e}"),
             CoreError::Protocol(e) => write!(f, "update command: {e}"),
-            CoreError::MissingData {
-                group,
-                component,
-                idx,
-            } => write!(
-                f,
-                "functional read of group {group} {component:?}[{idx}] returned no data"
-            ),
         }
     }
 }
@@ -151,12 +132,17 @@ struct PendingWrite {
     /// Engine completion per sub-group (fp32 page-pair); identical
     /// entries under group-granular scheduling.
     compute_end: [SimTime; 2],
-    /// Operand pages as read, with their bytes (functional devices only:
-    /// a phantom read carries none, so its group keeps an empty list).
-    read_pages: Vec<OperandPage>,
-    /// The streamed gradient page (input to the A2 kernel pass).
+    /// The kernel buffers the operands were read into (functional
+    /// devices only), updated in place by A2 and written back by B.
+    pages: Option<UpdatePages>,
+    /// The gradient page the A2 kernel consumes: the streamed one, or the
+    /// staged one as read back from flash.
     grad_page: Option<PageBuf>,
 }
+
+/// A group's operands as read on a functional device: its state pages in
+/// the kernel buffers and, when staged, its gradient page.
+type Operands = (Option<UpdatePages>, Option<PageBuf>);
 
 /// What a step has done so far: when its last write persists, and how
 /// many groups it skipped and replayed.
@@ -419,9 +405,9 @@ impl OptimStoreDevice {
         for batch_start in (0..num_groups).step_by(batch as usize) {
             let groups: Vec<u64> = (batch_start..(batch_start + batch).min(num_groups)).collect();
             let preps = self.prep_grads(grads, &groups);
-            let pending = self.issue_batch(&groups, preps, at, &mut tally)?;
-            let updates = self.run_kernels(&pending, &cmd)?;
-            self.write_back(&pending, &updates, &mut tally)?;
+            let mut pending = self.issue_batch(&groups, preps, at, &mut tally)?;
+            self.run_kernels(&mut pending, &cmd)?;
+            self.write_back(&pending, &mut tally)?;
         }
         self.commit_step(at, tally, scrub, &before)
     }
@@ -557,7 +543,7 @@ impl OptimStoreDevice {
             // side effects on state pages. Bounded by
             // [`OptimStoreConfig::max_group_replays`].
             let mut replays_left = self.cfg.max_group_replays;
-            let (read_pages, sub_start) = loop {
+            let ((pages, staged_grad), sub_start) = loop {
                 match self.read_group_operands(g, grad_ready, at) {
                     Ok(ok) => break ok,
                     Err(CoreError::Ssd(SsdError::UncorrectableRead { .. })) if replays_left > 0 => {
@@ -583,41 +569,41 @@ impl OptimStoreDevice {
             pending.push(PendingWrite {
                 g,
                 compute_end,
-                read_pages,
-                grad_page: prep.page,
+                pages,
+                grad_page: staged_grad.or(prep.page),
             });
         }
         Ok(pending)
     }
 
-    /// Phase A2: the optimizer kernel and write-back page assembly for
-    /// every pending group of a functional device. Each group's update
-    /// depends only on its own operand pages and gradient — the paper's
-    /// element-wise independence argument — so the kernels fan out on the
-    /// pool and merge back in group order before any write-back is issued.
+    /// Phase A2: the optimizer kernel for every pending group of a
+    /// functional device, in place on the buffers its operands were read
+    /// into. Each group's update depends only on its own operand pages and
+    /// gradient — the paper's element-wise independence argument — so the
+    /// kernels fan out on the pool before any write-back is issued.
     fn run_kernels(
         &self,
-        pending: &[PendingWrite],
+        pending: &mut [PendingWrite],
         cmd: &UpdateCommand,
-    ) -> Result<Vec<Option<UpdatePages>>, CoreError> {
+    ) -> Result<(), CoreError> {
         if !self.device.is_functional() {
-            return Ok(pending.iter().map(|_| None).collect());
+            return Ok(());
         }
-        let pb = self.page_bytes();
-        simkit::par::map_indexed(pending, |_, p| {
-            let mut up = UpdatePages::gather(pb, self.layout.slots(), p.g, &p.read_pages)?;
-            // A staged gradient feeds the kernel straight from the read
-            // buffer; a missing streamed one reaches it empty and is
-            // rejected as a length mismatch.
-            let grad_bytes: &[u8] = if self.layout.grad_staged() {
-                pages::staged_grad(&p.read_pages, p.g)?
-            } else {
-                p.grad_page.as_deref().unwrap_or_default()
+        simkit::par::map_indexed_mut(pending, |_, p| {
+            let Some(up) = p.pages.as_mut() else {
+                return Ok(());
             };
-            let opt = self.optimizer.as_ref();
-            up.apply(opt, grad_bytes, cmd.grad_dtype, cmd.step)
-                .map_err(CoreError::Kernel)?;
-            Ok(Some(up))
+            // A missing gradient reaches the kernel empty and is rejected
+            // as a length mismatch.
+            let grad_bytes = p.grad_page.as_deref().unwrap_or_default();
+            up.apply(
+                self.optimizer.as_ref(),
+                grad_bytes,
+                cmd.grad_dtype,
+                cmd.step,
+            )
+            .map(drop)
+            .map_err(CoreError::Kernel)
         })
         .into_iter()
         .collect()
@@ -628,16 +614,15 @@ impl OptimStoreDevice {
     fn write_back(
         &mut self,
         pending: &[PendingWrite],
-        updates: &[Option<UpdatePages>],
         tally: &mut StepTally,
     ) -> Result<(), CoreError> {
-        for (p, up) in pending.iter().zip(updates) {
+        for p in pending {
             // Indexed, not iterated: `write_page` needs `&mut self`.
             for i in 0..self.write_set.len() {
                 let (comp, idx) = self.write_set[i];
-                // Write-back slices the joined kernel buffers in place —
-                // `up` is populated exactly when the device is functional.
-                let data: Option<&[u8]> = up.as_ref().map(|up| up.page(comp, idx));
+                // Write-back slices the kernel buffers in place — `pages`
+                // is populated exactly when the device is functional.
+                let data: Option<&[u8]> = p.pages.as_ref().map(|up| up.page(comp, idx));
                 // The 16-bit weight page spans both sub-groups; fp32 pages
                 // belong to their own sub-group.
                 let ready = match comp {
@@ -733,9 +718,11 @@ impl OptimStoreDevice {
         }
     }
 
-    /// Issues every operand read of update group `g`, returning the pages
-    /// that carried bytes and the per-sub-group readiness times (earliest
-    /// engine start).
+    /// Issues every operand read of update group `g`. On a functional
+    /// device each state page lands straight in its half of the group's
+    /// checked-out kernel buffers, and a staged gradient page in a pooled
+    /// page. Returns both (`None` on a phantom device) and the
+    /// per-sub-group readiness times (earliest engine start).
     /// Re-invoked verbatim by the replay loop of [`Self::issue_batch`]
     /// when a read surfaces an uncorrectable media fault.
     fn read_group_operands(
@@ -743,20 +730,22 @@ impl OptimStoreDevice {
         g: u64,
         grad_ready: SimTime,
         at: SimTime,
-    ) -> Result<(Vec<OperandPage>, [SimTime; 2]), CoreError> {
+    ) -> Result<(Operands, [SimTime; 2]), CoreError> {
         // Track operand readiness per sub-group (fp32 page-pair): the grad
         // (and a staged grad page) feeds both.
         let mut sub_start = [grad_ready; 2];
-        let kept = if self.device.is_functional() {
-            self.read_set.len()
-        } else {
-            0
-        };
-        let mut read_pages: Vec<OperandPage> = Vec::with_capacity(kept);
+        let functional = self.device.is_functional();
+        let pb = self.page_bytes();
+        let mut pages = functional.then(|| UpdatePages::checkout(pb, self.layout.slots()));
+        let mut grad = (functional && self.layout.grad_staged()).then(|| PageBuf::scratch(pb));
         // Indexed, not iterated: `read_operand` needs `&mut self`.
         for i in 0..self.read_set.len() {
             let (comp, idx) = self.read_set[i];
-            let (win, data) = self.read_operand(g, comp, idx, at)?;
+            let out = match comp {
+                StateComponent::Grad => grad.as_deref_mut(),
+                _ => pages.as_mut().map(|up| up.operand_mut(comp, idx)),
+            };
+            let win = self.read_operand(g, comp, idx, at, out)?;
             match comp {
                 StateComponent::Grad => {
                     sub_start[0] = sub_start[0].max(win.end);
@@ -767,35 +756,35 @@ impl OptimStoreDevice {
                     sub_start[k] = sub_start[k].max(win.end);
                 }
             }
-            if data.is_some() {
-                read_pages.push((comp, idx, data));
-            }
         }
-        Ok((read_pages, sub_start))
+        Ok(((pages, grad), sub_start))
     }
 
     /// Reads operand page `(comp, idx)` of group `g` into the engine that
-    /// updates it, issued at `at`.
+    /// updates it, issued at `at`, with the bytes landing in `out`.
     fn read_operand(
         &mut self,
         g: u64,
         comp: StateComponent,
         idx: u32,
         at: SimTime,
-    ) -> Result<(Window, Option<Bytes>), CoreError> {
+        out: Option<&mut [u8]>,
+    ) -> Result<Window, CoreError> {
         let lpn = self.layout.lpn(g, comp, idx);
-        Ok(match (self.cfg.tier, self.layout.is_local(g, comp, idx)) {
-            (ExecutionTier::DieNdp, true) => self.device.internal_read_array(lpn, at)?,
-            (ExecutionTier::DieNdp, false) => {
-                // Remote operand: array + source bus, then hop over the
-                // engine die's bus into its buffer.
-                let (w, d) = self.device.internal_read_channel(lpn, at)?;
-                let end = self.channel_hop(g, self.page_bytes() as u64, w.end);
-                (Window { end, ..w }, d)
-            }
-            (ExecutionTier::ChannelNdp, _) => self.device.internal_read_channel(lpn, at)?,
-            (ExecutionTier::HostNvme, _) => self.device.host_read_page(lpn, at)?,
-        })
+        let local = self.layout.is_local(g, comp, idx);
+        let path = match (self.cfg.tier, local) {
+            (ExecutionTier::DieNdp, true) => ReadPath::Array,
+            (ExecutionTier::DieNdp, false) | (ExecutionTier::ChannelNdp, _) => ReadPath::Channel,
+            (ExecutionTier::HostNvme, _) => ReadPath::Host,
+        };
+        let w = self.device.read_into(lpn, path, at, out)?;
+        if self.cfg.tier != ExecutionTier::DieNdp || local {
+            return Ok(w);
+        }
+        // Remote operand: array + source bus, then hop over the engine
+        // die's bus into its buffer.
+        let end = self.channel_hop(g, self.page_bytes() as u64, w.end);
+        Ok(Window { end, ..w })
     }
 
     /// Writes updated page `(comp, idx)` of group `g` back out-of-place
@@ -830,7 +819,8 @@ impl OptimStoreDevice {
     /// last step whose commit record survived, so the rolled-back step can
     /// simply be run again. When `grads` is supplied (functional mode),
     /// that replay happens here — afterwards, state is bit-identical to a
-    /// run that never crashed.
+    /// run that never crashed. A device built without a journal has nothing
+    /// to mount from and fails with [`SsdError::NoJournal`].
     pub fn recover(
         &mut self,
         grads: Option<&[f32]>,
@@ -866,25 +856,21 @@ impl OptimStoreDevice {
                 "read_master_weights needs functional mode",
             ));
         }
-        let read = match self.cfg.tier {
-            ExecutionTier::HostNvme => Device::host_read_page,
-            ExecutionTier::ChannelNdp | ExecutionTier::DieNdp => Device::internal_read_array,
+        let path = match self.cfg.tier {
+            ExecutionTier::HostNvme => ReadPath::Host,
+            ExecutionTier::ChannelNdp | ExecutionTier::DieNdp => ReadPath::Array,
         };
         let per_page = self.layout.page_bytes() / 4;
+        let mut page = vec![0u8; self.page_bytes()];
         let mut out = Vec::with_capacity(self.layout.params() as usize);
         for g in 0..self.layout.num_groups() {
             let mut left = self.layout.group(g).param_count as usize;
             for idx in 0..2u32 {
                 let lpn = self.layout.lpn(g, StateComponent::Master, idx);
-                let (_, data) = read(&mut self.device, lpn, at)?;
-                let data = data.ok_or(CoreError::MissingData {
-                    group: g,
-                    component: StateComponent::Master,
-                    idx,
-                })?;
+                self.device.read_into(lpn, path, at, Some(&mut page))?;
                 let n = left.min(per_page);
                 out.extend(
-                    data[..4 * n]
+                    page[..4 * n]
                         .chunks_exact(4)
                         .map(|c| f32::from_le_bytes(c.try_into().expect("4-byte chunk"))),
                 );
@@ -902,18 +888,15 @@ impl OptimStoreDevice {
                 "read_weights16 needs functional mode",
             ));
         }
+        let mut page = vec![0u8; self.page_bytes()];
         let mut out = Vec::with_capacity(self.layout.params() as usize);
         for g in 0..self.layout.num_groups() {
             let group = self.layout.group(g);
             let lpn = self.layout.lpn(g, StateComponent::Weight16, 0);
-            let (_, data) = self.device.internal_read_array(lpn, at)?;
-            let raw = data.ok_or(CoreError::MissingData {
-                group: g,
-                component: StateComponent::Weight16,
-                idx: 0,
-            })?;
+            self.device
+                .read_into(lpn, ReadPath::Array, at, Some(&mut page))?;
             for i in 0..group.param_count as usize {
-                out.push(F16::from_le_bytes(raw[2 * i..2 * i + 2].try_into().unwrap()).to_f32());
+                out.push(F16::from_le_bytes(page[2 * i..2 * i + 2].try_into().unwrap()).to_f32());
             }
         }
         Ok(out)
@@ -933,7 +916,7 @@ impl OptimStoreDevice {
         for g in 0..self.layout.num_groups() {
             for &(comp, idx) in self.write_set.iter() {
                 let lpn = self.layout.lpn(g, comp, idx);
-                let (win, _) = self.device.host_read_page(lpn, at)?;
+                let win = self.device.read_into(lpn, ReadPath::Host, at, None)?;
                 end = end.max(win.end);
                 bytes += self.page_bytes() as u64;
             }
@@ -1535,6 +1518,15 @@ mod tests {
         let r2 = dev.run_step(Some(&grads), rec.end).unwrap();
         assert_eq!(dev.step_count(), 2);
         assert!(r2.end > rec.end);
+    }
+
+    #[test]
+    fn recover_on_a_journal_free_device_is_a_typed_error() {
+        let mut dev = functional(1000);
+        let t0 = dev.load_weights(&vec![0.5; 1000], SimTime::ZERO).unwrap();
+        let err = dev.recover(Some(&vec![0.1; 1000]), t0).unwrap_err();
+        assert!(matches!(err, CoreError::Ssd(SsdError::NoJournal)), "{err}");
+        assert_eq!(dev.step_count(), 0, "nothing was replayed");
     }
 
     #[test]

@@ -9,14 +9,14 @@
 //!   against the device;
 //! * [`load_state_image`] writes every group's pages in one order,
 //!   functional or phantom;
-//! * [`encode_grad_page`] packs one group's gradient page, and
-//!   [`staged_grad`] finds a staged one among the operands read;
+//! * [`encode_grad_page`] packs one group's gradient page;
 //! * [`UpdatePages`] is the per-group kernel working set: the group's
 //!   master/slot page pairs joined into contiguous buffers for
-//!   [`optim_math::kernels::update_chunk`], each half written back to its
-//!   own page. It is built on [`simkit::pool::PageBuf`], so the
-//!   steady-state step path checks buffers out of the pool instead of
-//!   allocating, and write-back slices the joined buffers in place.
+//!   [`optim_math::kernels::update_chunk`]. Each operand page is read
+//!   straight into its half, and each half is written back to its own
+//!   page. It is built on [`simkit::pool::PageBuf`], so the steady-state
+//!   step path checks buffers out of the pool instead of allocating, and
+//!   neither the reads nor the write-back copy through a staging buffer.
 //!
 //! The step accounting — one [`crate::report::CounterSnapshot`] per step
 //! edge and [`crate::StepReport::from_counters`] — lives beside the report.
@@ -24,17 +24,13 @@
 use crate::config::LayoutPolicy;
 use crate::exec::CoreError;
 use crate::layout::{StateComponent, StateLayout};
-use bytes::Bytes;
 use optim_math::kernels::{encode_grads_into, update_chunk, KernelError};
 use optim_math::state::{GradDtype, StateLayoutSpec};
 use optim_math::{Optimizer, F16};
 use simkit::pool::PageBuf;
 use simkit::SimTime;
 use ssdsim::Device;
-
-/// One operand page as the read phase returns it: component, page index
-/// and the bytes read (`None` on phantom devices).
-pub type OperandPage = (StateComponent, u32, Option<Bytes>);
+use std::ops::Range;
 
 /// Checks that `optimizer` runs the rule `spec` lays out, and that the
 /// layout of `params` parameters under `policy` fits `device`. Returns the
@@ -151,32 +147,6 @@ pub fn encode_grad_page(layout: &StateLayout, g: u64, grads: &[f32], dtype: Grad
     page
 }
 
-/// The bytes of operand page `(component, idx)` among group `group`'s read
-/// pages, or [`CoreError::MissingData`] if the page was not read or carries
-/// no data.
-fn operand(
-    read_pages: &[OperandPage],
-    group: u64,
-    component: StateComponent,
-    idx: u32,
-) -> Result<&[u8], CoreError> {
-    read_pages
-        .iter()
-        .find(|(c, i, _)| *c == component && *i == idx)
-        .and_then(|(_, _, d)| d.as_deref())
-        .ok_or(CoreError::MissingData {
-            group,
-            component,
-            idx,
-        })
-}
-
-/// The staged gradient page among group `group`'s operands; the kernel
-/// reads it straight from the read buffer, with no staging copy.
-pub fn staged_grad(read_pages: &[OperandPage], group: u64) -> Result<&[u8], CoreError> {
-    operand(read_pages, group, StateComponent::Grad, 0)
-}
-
 /// The kernel working set for one update group: joined fp32 master pages,
 /// joined per-slot pages, and the 16-bit working-weight output page — all
 /// pool-recycled.
@@ -193,37 +163,38 @@ pub struct UpdatePages {
 }
 
 impl UpdatePages {
-    /// Gathers group `group`'s operand pages (as returned by the read
-    /// phase) into pooled kernel buffers. `read_pages` must contain data
-    /// for `(Master, 0..2)` and `(Slot(s), 0..2)` for every `s < nslots`;
-    /// a missing one is [`CoreError::MissingData`].
-    pub fn gather(
-        pb: usize,
-        nslots: u8,
-        group: u64,
-        read_pages: &[OperandPage],
-    ) -> Result<Self, CoreError> {
-        let find = |comp: StateComponent, idx: u32| operand(read_pages, group, comp, idx);
-        let mut w32 = PageBuf::zeroed(2 * pb);
-        w32[..pb].copy_from_slice(find(StateComponent::Master, 0)?);
-        w32[pb..].copy_from_slice(find(StateComponent::Master, 1)?);
-        let slots = (0..nslots)
-            .map(|s| {
-                let mut buf = PageBuf::zeroed(2 * pb);
-                buf[..pb].copy_from_slice(find(StateComponent::Slot(s), 0)?);
-                buf[pb..].copy_from_slice(find(StateComponent::Slot(s), 1)?);
-                Ok(buf)
-            })
-            .collect::<Result<_, CoreError>>()?;
-        Ok(UpdatePages {
-            w32,
-            slots,
-            w16: PageBuf::zeroed(pb),
+    /// Checks one group's kernel buffers out of the pool, without zero-fill:
+    /// the operand reads ([`Self::operand_mut`]) overwrite every input byte
+    /// and the kernel every output byte.
+    pub fn checkout(pb: usize, nslots: u8) -> Self {
+        UpdatePages {
+            w32: PageBuf::scratch(2 * pb),
+            slots: (0..nslots).map(|_| PageBuf::scratch(2 * pb)).collect(),
+            w16: PageBuf::scratch(pb),
             pb,
-        })
+        }
     }
 
-    /// Runs one optimizer step over the gathered buffers in place.
+    /// Where fp32 page `idx` sits in its component's joined buffer.
+    fn span(&self, idx: u32) -> Range<usize> {
+        assert!(idx < 2, "fp32 components have two pages, got index {idx}");
+        let at = idx as usize * self.pb;
+        at..at + self.pb
+    }
+
+    /// The buffer half that operand page `(comp, idx)` is read into.
+    pub fn operand_mut(&mut self, comp: StateComponent, idx: u32) -> &mut [u8] {
+        let span = self.span(idx);
+        match comp {
+            StateComponent::Master => &mut self.w32[span],
+            StateComponent::Slot(s) => &mut self.slots[s as usize][span],
+            StateComponent::Weight16 | StateComponent::Grad => {
+                panic!("{comp:?} pages are not kernel state operands")
+            }
+        }
+    }
+
+    /// Runs one optimizer step over the operand buffers in place.
     pub fn apply(
         &mut self,
         opt: &dyn Optimizer,
@@ -247,17 +218,9 @@ impl UpdatePages {
     /// buffers (no copy). `idx` selects the fp32 page half; `Weight16` has
     /// a single page.
     pub fn page(&self, comp: StateComponent, idx: u32) -> &[u8] {
-        let pb = self.pb;
-        fn half(buf: &[u8], pb: usize, idx: u32) -> &[u8] {
-            match idx {
-                0 => &buf[..pb],
-                1 => &buf[pb..],
-                _ => panic!("fp32 components have two pages, got index {idx}"),
-            }
-        }
         match comp {
-            StateComponent::Master => half(&self.w32, pb, idx),
-            StateComponent::Slot(s) => half(&self.slots[s as usize], pb, idx),
+            StateComponent::Master => &self.w32[self.span(idx)],
+            StateComponent::Slot(s) => &self.slots[s as usize][self.span(idx)],
             StateComponent::Weight16 => &self.w16,
             StateComponent::Grad => panic!("gradient pages are inputs, not write-backs"),
         }
@@ -270,40 +233,8 @@ mod tests {
     use optim_math::kernels::{encode_grads, StateBuffers};
     use optim_math::Adam;
 
-    fn bytes_of(v: Vec<u8>) -> Bytes {
-        Bytes::from(v)
-    }
-
     #[test]
-    fn gather_without_data_is_a_typed_error() {
-        // Phantom read pages carry no bytes: the kernel path reports which
-        // page it was missing instead of panicking.
-        let read_pages = vec![
-            (StateComponent::Master, 0, Some(bytes_of(vec![0; 64]))),
-            (StateComponent::Master, 1, None),
-        ];
-        let err = UpdatePages::gather(64, 0, 7, &read_pages).unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::MissingData {
-                group: 7,
-                component: StateComponent::Master,
-                idx: 1
-            }
-        ));
-        assert!(err.to_string().contains("group 7 Master[1]"));
-        assert!(matches!(
-            staged_grad(&read_pages, 3),
-            Err(CoreError::MissingData {
-                group: 3,
-                component: StateComponent::Grad,
-                idx: 0
-            })
-        ));
-    }
-
-    #[test]
-    fn gather_apply_page_round_trip_matches_state_buffers() {
+    fn checkout_apply_page_round_trip_matches_state_buffers() {
         let pb = 64; // 16 params per page half, 32 per group
         let n = pb / 2;
         let adam = Adam::default();
@@ -315,41 +246,23 @@ mod tests {
         let mut reference = StateBuffers::init(&adam, &weights, GradDtype::F16);
         reference.step(&adam, &grads, GradDtype::F16, 1).unwrap();
 
-        // Pooled path: the same state presented as read pages.
+        // Pooled path: the same state read page by page into the halves of
+        // a checkout whose buffers still hold another group's bytes.
+        let mut stale = UpdatePages::checkout(pb, 2);
+        stale.operand_mut(StateComponent::Master, 0).fill(0xA5);
+        stale.w16.fill(0xA5);
+        drop(stale);
         let init = StateBuffers::init(&adam, &weights, GradDtype::F16);
-        let read_pages = vec![
-            (
-                StateComponent::Master,
-                0,
-                Some(bytes_of(init.w32[..pb].to_vec())),
-            ),
-            (
-                StateComponent::Master,
-                1,
-                Some(bytes_of(init.w32[pb..].to_vec())),
-            ),
-            (
-                StateComponent::Slot(0),
-                0,
-                Some(bytes_of(init.slots[0][..pb].to_vec())),
-            ),
-            (
-                StateComponent::Slot(0),
-                1,
-                Some(bytes_of(init.slots[0][pb..].to_vec())),
-            ),
-            (
-                StateComponent::Slot(1),
-                0,
-                Some(bytes_of(init.slots[1][..pb].to_vec())),
-            ),
-            (
-                StateComponent::Slot(1),
-                1,
-                Some(bytes_of(init.slots[1][pb..].to_vec())),
-            ),
-        ];
-        let mut up = UpdatePages::gather(pb, 2, 0, &read_pages).unwrap();
+        let mut up = UpdatePages::checkout(pb, 2);
+        for idx in 0..2u32 {
+            let half = idx as usize * pb..(idx as usize + 1) * pb;
+            up.operand_mut(StateComponent::Master, idx)
+                .copy_from_slice(&init.w32[half.clone()]);
+            for s in 0..2u8 {
+                up.operand_mut(StateComponent::Slot(s), idx)
+                    .copy_from_slice(&init.slots[s as usize][half.clone()]);
+            }
+        }
         up.apply(&adam, &grads, GradDtype::F16, 1).unwrap();
 
         assert_eq!(up.page(StateComponent::Master, 0), &reference.w32[..pb]);
@@ -363,5 +276,11 @@ mod tests {
             &reference.slots[1][pb..]
         );
         assert_eq!(up.page(StateComponent::Weight16, 0), &reference.w16[..]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not kernel state operands")]
+    fn gradient_pages_are_not_state_operands() {
+        UpdatePages::checkout(64, 1).operand_mut(StateComponent::Grad, 0);
     }
 }

@@ -5,10 +5,9 @@ use crate::error::NandError;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::geometry::{BlockAddr, NandGeometry, PhysPage};
 use crate::power::PageOob;
-use crate::store::{new_block_table, Backing, BlockState, PageState};
+use crate::store::{new_block_table, Backing, BlockState, PageArena, PageState};
 use crate::timing::NandConfig;
 use crate::wear::{read_retries, AgingConfig, RberMemo, RberModel};
-use bytes::Bytes;
 use simkit::stats::Counter;
 use simkit::{SimTime, Timeline, Window};
 use std::collections::HashSet;
@@ -115,11 +114,10 @@ impl Die {
 
     /// Creates a die that stores real page contents (functional mode).
     pub fn new_functional(id: u32, config: NandConfig) -> Self {
-        Self::with_backing(id, config, Backing::data())
+        Self::with_backing(id, config, Backing::Data(PageArena::new(&config.geometry)))
     }
 
-    /// Creates a die with an explicit backing store.
-    pub fn with_backing(id: u32, config: NandConfig, backing: Backing) -> Self {
+    fn with_backing(id: u32, config: NandConfig, backing: Backing) -> Self {
         let planes = (0..config.geometry.planes)
             .map(|p| Timeline::new(format!("die{id}.plane{p}")))
             .collect();
@@ -227,6 +225,7 @@ impl Die {
     }
 
     /// Number of currently torn pages on this die.
+    #[cfg(test)]
     pub fn torn_pages(&self) -> u64 {
         self.torn.len() as u64
     }
@@ -294,19 +293,34 @@ impl Die {
         Ok(&mut self.blocks[self.config.geometry.block_index(b) as usize])
     }
 
-    /// Reads page `p`, starting no earlier than `at`.
+    /// Reads page `p`, starting no earlier than `at`, and returns the array
+    /// occupancy window.
     ///
-    /// Returns the array occupancy window and, in functional mode, the page
-    /// contents. Reading a `Free` (never-programmed) page is an error.
+    /// In functional mode the page contents are copied into `out`, which
+    /// must be exactly one page long; phantom dies leave it untouched.
+    /// `None` senses the page without delivering it. Reading a `Free`
+    /// (never-programmed) page is an error.
     pub fn read_page(
         &mut self,
         p: PhysPage,
         at: SimTime,
-    ) -> Result<(Window, Option<Bytes>), NandError> {
+        out: Option<&mut [u8]>,
+    ) -> Result<Window, NandError> {
         if !self.config.geometry.contains(p) {
             return Err(NandError::BadAddress(p));
         }
-        let block = &self.blocks[self.config.geometry.block_index(p.block_addr()) as usize];
+        let page_bytes = self.config.geometry.page_bytes as usize;
+        if let Some(out) = &out {
+            if out.len() != page_bytes {
+                return Err(NandError::WrongLength {
+                    page: p,
+                    got: out.len(),
+                    want: page_bytes,
+                });
+            }
+        }
+        let block_idx = self.config.geometry.block_index(p.block_addr()) as usize;
+        let block = &self.blocks[block_idx];
         if block.page_state(p.page) == PageState::Free {
             return Err(NandError::ReadUnwritten(p));
         }
@@ -332,12 +346,9 @@ impl Die {
                 return Err(NandError::PowerLoss { at: crash });
             }
         }
-        let block_idx = self.config.geometry.block_index(p.block_addr()) as usize;
         let win = self.planes[p.plane as usize].acquire(at, t_read);
         self.stats.reads.incr();
-        self.stats
-            .bytes_read
-            .add(self.config.geometry.page_bytes as u64);
+        self.stats.bytes_read.add(page_bytes as u64);
         if self.aging.is_some() {
             // The sense disturbs the block's neighbouring cells; the clock
             // only ticks while the aging model is armed so the disarmed
@@ -363,14 +374,16 @@ impl Die {
                 });
             }
         }
-        let data = if self.backing.is_functional() {
-            let idx = self.config.geometry.page_index(p);
+        if let Backing::Data(arena) = &self.backing {
             // A programmed page in functional mode must have contents.
-            Some(self.backing.get(idx).ok_or(NandError::NoData(p))?)
-        } else {
-            None
-        };
-        Ok((win, data))
+            let data = arena
+                .get(block_idx, p.page as usize)
+                .ok_or(NandError::NoData(p))?;
+            if let Some(out) = out {
+                out.copy_from_slice(data);
+            }
+        }
+        Ok(win)
     }
 
     /// Programs page `p` with optional contents, starting no earlier than
@@ -452,9 +465,8 @@ impl Die {
         self.blocks[block_idx].mark_programmed(p.page);
         // Restart the block's retention clock: fresh charge.
         self.blocks[block_idx].stamp_program(win.end.as_ns());
-        if let Some(d) = data {
-            self.backing
-                .put(geo.page_index(p), Bytes::copy_from_slice(d));
+        if let (Backing::Data(arena), Some(d)) = (&mut self.backing, data) {
+            arena.put(block_idx, p.page as usize, d);
         }
         self.stats.programs.incr();
         self.stats.bytes_programmed.add(geo.page_bytes as u64);
@@ -499,12 +511,12 @@ impl Die {
         }
         self.blocks[block_idx].mark_erased();
         self.rber.cover(self.blocks[block_idx].erase_count());
-        // A phantom die with no torn page has no per-page state to drop.
-        if self.backing.is_functional() || !self.torn.is_empty() {
+        if let Backing::Data(arena) = &mut self.backing {
+            arena.erase_block(block_idx);
+        }
+        if !self.torn.is_empty() {
             for page in 0..geo.pages_per_block {
-                let idx = geo.page_index(b.page(page));
-                self.backing.remove(idx);
-                self.torn.remove(&idx);
+                self.torn.remove(&geo.page_index(b.page(page)));
             }
         }
         // One slab drop clears every stamp in the block.
@@ -525,6 +537,7 @@ impl Die {
     }
 
     /// Maximum erase count across all blocks (wear-levelling metric).
+    #[cfg(test)]
     pub fn max_erase_count(&self) -> u64 {
         self.blocks
             .iter()
@@ -568,6 +581,13 @@ mod tests {
         vec![byte; die.config().geometry.page_bytes as usize]
     }
 
+    /// Reads `p` into a page buffer that starts out as `0xEE` bytes.
+    fn read(d: &mut Die, p: PhysPage, at: SimTime) -> Result<(Window, Vec<u8>), NandError> {
+        let mut out = fill(d, 0xEE);
+        let w = d.read_page(p, at, Some(&mut out))?;
+        Ok((w, out))
+    }
+
     #[test]
     fn program_then_read_round_trips() {
         let mut d = die();
@@ -575,8 +595,8 @@ mod tests {
         let data = fill(&d, 0x5A);
         let w = d.program_page(p, SimTime::ZERO, Some(&data)).unwrap();
         assert_eq!(w.duration(), d.config().timing.t_program);
-        let (r, out) = d.read_page(p, w.end).unwrap();
-        assert_eq!(out.unwrap().as_ref(), &data[..]);
+        let (r, out) = read(&mut d, p, w.end).unwrap();
+        assert_eq!(out, data);
         assert!(r.start >= w.end);
         assert_eq!(d.stats().reads.get(), 1);
         assert_eq!(d.stats().programs.get(), 1);
@@ -586,7 +606,7 @@ mod tests {
     fn read_of_unwritten_page_fails() {
         let mut d = die();
         let err = d
-            .read_page(page_of(&d, 0, 0, 0), SimTime::ZERO)
+            .read_page(page_of(&d, 0, 0, 0), SimTime::ZERO, None)
             .unwrap_err();
         assert_eq!(
             err,
@@ -631,6 +651,19 @@ mod tests {
             .program_page(page_of(&d, 0, 0, 0), SimTime::ZERO, Some(&[0u8; 3]))
             .unwrap_err();
         assert!(matches!(err, NandError::WrongLength { got: 3, .. }));
+        let p = page_of(&d, 0, 0, 0);
+        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 1)))
+            .unwrap();
+        let before = d.stats().reads.get();
+        let err = d
+            .read_page(p, SimTime::ZERO, Some(&mut [0u8; 3]))
+            .unwrap_err();
+        assert!(matches!(err, NandError::WrongLength { got: 3, .. }));
+        assert_eq!(
+            d.stats().reads.get(),
+            before,
+            "a rejected read senses nothing"
+        );
     }
 
     #[test]
@@ -651,8 +684,11 @@ mod tests {
             page: 0,
         };
         d.program_page(p, SimTime::ZERO, None).unwrap();
-        let (_, data) = d.read_page(p, SimTime::ZERO).unwrap();
-        assert_eq!(data, None);
+        let (_, out) = read(&mut d, p, SimTime::ZERO).unwrap();
+        assert!(
+            out.iter().all(|&b| b == 0xEE),
+            "a phantom read delivers nothing"
+        );
     }
 
     #[test]
@@ -666,7 +702,7 @@ mod tests {
             .unwrap();
         assert_eq!(w.duration(), d.config().timing.t_erase);
         assert!(matches!(
-            d.read_page(p, SimTime::ZERO).unwrap_err(),
+            d.read_page(p, SimTime::ZERO, None).unwrap_err(),
             NandError::ReadUnwritten(_)
         ));
         // Programmable again from page 0.
@@ -705,17 +741,14 @@ mod tests {
             .unwrap();
         }
         let t0 = d
-            .read_page(page_of(&d, 0, 0, 0), SimTime::from_secs(1))
-            .unwrap()
-            .0;
+            .read_page(page_of(&d, 0, 0, 0), SimTime::from_secs(1), None)
+            .unwrap();
         let t1 = d
-            .read_page(page_of(&d, 0, 0, 1), SimTime::from_secs(2))
-            .unwrap()
-            .0;
+            .read_page(page_of(&d, 0, 0, 1), SimTime::from_secs(2), None)
+            .unwrap();
         let t2 = d
-            .read_page(page_of(&d, 0, 0, 2), SimTime::from_secs(3))
-            .unwrap()
-            .0;
+            .read_page(page_of(&d, 0, 0, 2), SimTime::from_secs(3), None)
+            .unwrap();
         assert_eq!(t0.duration(), SimDuration::from_us(40));
         assert_eq!(t1.duration(), SimDuration::from_us(60));
         assert_eq!(t2.duration(), SimDuration::from_us(85));
@@ -754,7 +787,7 @@ mod tests {
             page: 0,
         };
         assert!(matches!(
-            d.read_page(bad, SimTime::ZERO),
+            d.read_page(bad, SimTime::ZERO, None),
             Err(NandError::BadAddress(_))
         ));
         assert!(matches!(
@@ -775,10 +808,16 @@ mod tests {
         let p0 = page_of(&d, 0, 0, 0);
         d.program_page(p0, SimTime::ZERO, Some(&fill(&d, 1)))
             .unwrap();
-        let fresh = d.read_page(p0, SimTime::from_secs(1)).unwrap().0.duration();
+        let fresh = d
+            .read_page(p0, SimTime::from_secs(1), None)
+            .unwrap()
+            .duration();
         // Age to rated endurance: reads need several retries.
         d.simulate_wear(d.config().cell.rated_pe_cycles());
-        let worn = d.read_page(p0, SimTime::from_secs(2)).unwrap().0.duration();
+        let worn = d
+            .read_page(p0, SimTime::from_secs(2), None)
+            .unwrap()
+            .duration();
         assert!(
             worn >= fresh * 4,
             "worn read {worn} should be several times fresh {fresh}"
@@ -851,8 +890,8 @@ mod tests {
         let err = d.erase_block(b, SimTime::ZERO).unwrap_err();
         assert!(matches!(err, NandError::EraseFailed { block, .. } if block == b));
         // The block did not reset: its data is still readable.
-        let (_, data) = d.read_page(p, SimTime::ZERO).unwrap();
-        assert_eq!(data.unwrap().as_ref(), &fill(&d, 3)[..]);
+        let (_, data) = read(&mut d, p, SimTime::ZERO).unwrap();
+        assert_eq!(data, fill(&d, 3));
         assert_eq!(d.fault_stats().unwrap().erase_failures, 1);
     }
 
@@ -870,7 +909,7 @@ mod tests {
             wear_coupling: false,
         });
         let before = d.plane_free_at(0);
-        let err = d.read_page(p, before).unwrap_err();
+        let err = d.read_page(p, before, None).unwrap_err();
         match err {
             NandError::ReadUncorrectable { page, busy_until } => {
                 assert_eq!(page, p);
@@ -946,7 +985,7 @@ mod tests {
         // After power returns, reading the torn page charges the sense but
         // always fails uncorrectable — without consuming any fault draw.
         d.set_power_loss(None);
-        let err = d.read_page(p, crash).unwrap_err();
+        let err = d.read_page(p, crash, None).unwrap_err();
         assert!(matches!(err, NandError::ReadUncorrectable { page, .. } if page == p));
         // Erase heals the tear.
         d.erase_block(BlockAddr { plane: 0, block: 0 }, crash)
@@ -969,8 +1008,8 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, NandError::PowerLoss { at: crash });
         d.set_power_loss(None);
-        let (_, data) = d.read_page(p, quiet).unwrap();
-        assert_eq!(data.unwrap().as_ref(), &fill(&d, 4)[..]);
+        let (_, data) = read(&mut d, p, quiet).unwrap();
+        assert_eq!(data, fill(&d, 4));
     }
 
     #[test]
@@ -983,8 +1022,8 @@ mod tests {
             .program_page(p, SimTime::ZERO, Some(&fill(&d, 2)))
             .unwrap();
         assert!(w.end < SimTime::from_secs(1));
-        let (r, data) = d.read_page(p, w.end).unwrap();
-        assert_eq!(data.unwrap().as_ref(), &fill(&d, 2)[..]);
+        let (r, data) = read(&mut d, p, w.end).unwrap();
+        assert_eq!(data, fill(&d, 2));
         assert!(r.end < SimTime::from_secs(1));
     }
 
@@ -1017,16 +1056,18 @@ mod tests {
             retention_per_sec: 0.0,
         });
         let b = BlockAddr { plane: 0, block: 0 };
-        let fresh = d.read_page(p, SimTime::from_secs(1)).unwrap().0.duration();
+        let fresh = d
+            .read_page(p, SimTime::from_secs(1), None)
+            .unwrap()
+            .duration();
         // Hammer the page: each sense raises the block's RBER.
         for i in 0..200u64 {
-            let _ = d.read_page(p, SimTime::from_secs(2 + i));
+            let _ = d.read_page(p, SimTime::from_secs(2 + i), None);
         }
         assert_eq!(d.block(b).unwrap().reads_since_erase(), 201);
         let hot = d
-            .read_page(p, SimTime::from_secs(500))
+            .read_page(p, SimTime::from_secs(500), None)
             .unwrap()
-            .0
             .duration();
         assert!(
             hot > fresh,
@@ -1063,16 +1104,15 @@ mod tests {
         );
         // An hour-stale read takes retries; a fresh read does not.
         let aged_read = d
-            .read_page(p, w.end + SimDuration::from_secs(3600))
+            .read_page(p, w.end + SimDuration::from_secs(3600), None)
             .unwrap()
-            .0
             .duration();
         // Erase + reprogram refreshes the charge: fast again.
         d.erase_block(b, SimTime::from_secs(7200)).unwrap();
         let w2 = d
             .program_page(p, SimTime::from_secs(7300), Some(&fill(&d, 2)))
             .unwrap();
-        let fresh_read = d.read_page(p, w2.end).unwrap().0.duration();
+        let fresh_read = d.read_page(p, w2.end, None).unwrap().duration();
         assert!(aged_read > fresh_read, "{aged_read} vs {fresh_read}");
     }
 
@@ -1089,7 +1129,7 @@ mod tests {
         d.program_page(p, SimTime::ZERO, Some(&fill(&d, 1)))
             .unwrap();
         for i in 0..50u64 {
-            d.read_page(p, SimTime::from_secs(1 + i)).unwrap();
+            d.read_page(p, SimTime::from_secs(1 + i), None).unwrap();
         }
         let b = BlockAddr { plane: 0, block: 0 };
         // Disarmed: the disturb clock never ticks and effective RBER is
@@ -1113,15 +1153,15 @@ mod tests {
             .unwrap();
         d.corrupt_page(p).unwrap();
         for i in 0..3u64 {
-            let err = d.read_page(p, SimTime::from_secs(1 + i)).unwrap_err();
+            let err = d.read_page(p, SimTime::from_secs(1 + i), None).unwrap_err();
             assert!(matches!(err, NandError::ReadUncorrectable { page, .. } if page == p));
         }
         d.erase_block(BlockAddr { plane: 0, block: 0 }, SimTime::from_secs(10))
             .unwrap();
         d.program_page(p, SimTime::from_secs(11), Some(&fill(&d, 8)))
             .unwrap();
-        let (_, data) = d.read_page(p, SimTime::from_secs(12)).unwrap();
-        assert_eq!(data.unwrap().as_ref(), &fill(&d, 8)[..]);
+        let (_, data) = read(&mut d, p, SimTime::from_secs(12)).unwrap();
+        assert_eq!(data, fill(&d, 8));
     }
 
     #[test]
@@ -1132,5 +1172,121 @@ mod tests {
             .unwrap()
             .retire();
         assert_eq!(d.retired_blocks(), 1);
+    }
+
+    mod store_model {
+        //! The functional page store against a `HashMap` model: random
+        //! program, erase, read and torn-program sequences on a small die.
+
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::{HashMap, HashSet};
+
+        const PLANES: u32 = 2;
+        const BLOCKS: u32 = 3;
+        const PAGES: u32 = 8;
+        const PAGE_BYTES: usize = 32;
+
+        fn small_die() -> Die {
+            Die::new_functional(
+                3,
+                NandConfig {
+                    geometry: NandGeometry {
+                        planes: PLANES,
+                        blocks_per_plane: BLOCKS,
+                        pages_per_block: PAGES,
+                        page_bytes: PAGE_BYTES as u32,
+                    },
+                    ..NandConfig::tiny_test_die()
+                },
+            )
+        }
+
+        /// Distinct contents for the `n`-th program of the run.
+        fn contents(n: u32) -> Vec<u8> {
+            (0..PAGE_BYTES)
+                .map(|i| (n as usize * 31 + i * 7) as u8)
+                .collect()
+        }
+
+        fn arena(d: &Die) -> &PageArena {
+            match &d.backing {
+                Backing::Data(arena) => arena,
+                Backing::Phantom => unreachable!("the model die is functional"),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn page_store_matches_a_hashmap_model(
+                ops in prop::collection::vec((0u8..8, 0..PLANES, 0..BLOCKS, 0..PAGES), 1..160)
+            ) {
+                let mut d = small_die();
+                let geo = d.config().geometry;
+                let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+                let mut torn: HashSet<u64> = HashSet::new();
+                let mut cursor: HashMap<(u32, u32), u32> = HashMap::new();
+                let (mut programs, mut peak) = (0u32, 0usize);
+                let mut t = SimTime::ZERO;
+                for (op, plane, block, page) in ops {
+                    t += SimDuration::from_ms(10);
+                    let b = BlockAddr { plane, block };
+                    let next = cursor.entry((plane, block)).or_insert(0);
+                    match op {
+                        // Program the block's next page (often), or tear it.
+                        0..=3 | 7 if *next < PAGES => {
+                            let p = b.page(*next);
+                            let data = contents(programs);
+                            programs += 1;
+                            if op == 7 {
+                                let start = t.max(d.plane_free_at(plane));
+                                d.set_power_loss(Some(start + SimDuration::from_ns(1)));
+                                let r = d.program_page(p, t, Some(&data));
+                                d.set_power_loss(None);
+                                prop_assert!(matches!(r, Err(NandError::PowerLoss { .. })));
+                                torn.insert(geo.page_index(p));
+                            } else {
+                                d.program_page(p, t, Some(&data)).unwrap();
+                                model.insert(geo.page_index(p), data);
+                            }
+                            *next += 1;
+                        }
+                        4 => {
+                            d.erase_block(b, t).unwrap();
+                            for pg in 0..PAGES {
+                                let idx = geo.page_index(b.page(pg));
+                                model.remove(&idx);
+                                torn.remove(&idx);
+                            }
+                            *next = 0;
+                        }
+                        _ => {
+                            let p = b.page(page);
+                            let idx = geo.page_index(p);
+                            let mut out = vec![0xEE; PAGE_BYTES];
+                            let r = d.read_page(p, t, Some(&mut out));
+                            if let Some(want) = model.get(&idx) {
+                                prop_assert!(r.is_ok(), "read of {p} failed: {r:?}");
+                                prop_assert_eq!(&out, want, "bytes of {}", p);
+                            } else {
+                                if torn.contains(&idx) {
+                                    prop_assert!(matches!(r, Err(NandError::ReadUncorrectable { .. })));
+                                } else {
+                                    prop_assert_eq!(r, Err(NandError::ReadUnwritten(p)));
+                                }
+                                prop_assert!(out.iter().all(|&x| x == 0xEE), "failed read wrote {p}");
+                            }
+                        }
+                    }
+                    peak = peak.max(model.len());
+                    // Torn pages take no slot; erased ones give theirs back,
+                    // and the arena only grows when no freed slot is left.
+                    prop_assert_eq!(arena(&d).live_slots(), model.len());
+                    prop_assert_eq!(arena(&d).slots_used(), peak);
+                }
+            }
+        }
     }
 }

@@ -116,7 +116,7 @@ impl fmt::Display for NandError {
                 write!(f, "page {p} was programmed without data (phantom)")
             }
             NandError::WrongLength { page, got, want } => {
-                write!(f, "program of {page} with {got} bytes (page size {want})")
+                write!(f, "transfer of {page} with {got} bytes (page size {want})")
             }
             NandError::ProgramFailed { page, busy_until } => {
                 write!(f, "program of {page} reported bad status at {busy_until}")

@@ -18,10 +18,10 @@
 //!   programmed sequentially and only after an erase; violating clients get
 //!   a [`NandError`], which is how the FTL tests prove the mapping layer is
 //!   honest.
-//! * **Data** ([`store::Backing`]): pages can carry real bytes (functional
-//!   mode, verified bit-exactly by the integration tests) or be *phantom*
-//!   (timing/accounting only) so 175-billion-parameter experiments fit in
-//!   host memory.
+//! * **Data** ([`store`]): pages can carry real bytes (functional mode,
+//!   kept in a per-die slot arena and verified bit-exactly by the
+//!   integration tests) or be *phantom* (timing/accounting only) so
+//!   175-billion-parameter experiments fit in host memory.
 //! * **Wear** ([`wear`]): per-block P/E counts and an analytic raw-bit-error
 //!   model, feeding the endurance experiment (reconstructed Figure 11), plus
 //!   an additive aging model ([`AgingConfig`]) where RBER also grows with
@@ -49,9 +49,10 @@
 //! // Program then read one page, functionally.
 //! let data = vec![0xAB; die.config().geometry.page_bytes as usize];
 //! let w = die.program_page(page, SimTime::ZERO, Some(&data)).unwrap();
-//! let (r, out) = die.read_page(page, w.end).unwrap();
+//! let mut out = vec![0; data.len()];
+//! let r = die.read_page(page, w.end, Some(&mut out)).unwrap();
 //! assert!(r.end > w.end);
-//! assert_eq!(out.unwrap()[0], 0xAB);
+//! assert_eq!(out, data);
 //! ```
 
 #![warn(missing_docs)]

@@ -7,13 +7,11 @@
 //! a bitset allocated on the block's first invalidation and dropped on
 //! erase. A block that was never invalidated costs no heap at all.
 //!
-//! The *contents* of pages are optional: [`Backing::Data`] keeps real bytes
-//! for functional verification, [`Backing::Phantom`] keeps none so that
-//! terabyte-scale timing experiments fit in host memory.
+//! The *contents* of pages are optional: a functional die keeps real bytes
+//! in a slot arena for functional verification, a phantom die keeps none so
+//! that terabyte-scale timing experiments fit in host memory.
 
 use crate::geometry::NandGeometry;
-use bytes::Bytes;
-use std::collections::HashMap;
 
 /// Lifecycle state of one physical page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -208,55 +206,135 @@ impl BlockState {
     }
 }
 
+/// Page slots per arena chunk. At 4 KiB pages a chunk is 32 KiB: small
+/// enough that the system allocator serves it from its heap and hands a
+/// dropped device's chunks to the next device, instead of mapping fresh
+/// memory whose every page faults on first write (64-slot chunks more than
+/// doubled a tiny functional device's build-and-load time on a 2-vCPU
+/// x86-64 Linux host), and small enough that a die's partly used last
+/// chunk wastes little.
+const SLOTS_PER_CHUNK: usize = 8;
+
+/// Slot-table entry of a page that holds no bytes.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Where page contents live.
-#[derive(Debug, Clone)]
-pub enum Backing {
-    /// No data is stored; reads return `None`. Timing and state tracking
+#[derive(Debug)]
+pub(crate) enum Backing {
+    /// No data is stored; reads deliver none. Timing and state tracking
     /// still function. Use for capacity-scale experiments.
     Phantom,
-    /// Real bytes per page, keyed by flat page index within the die.
-    Data(HashMap<u64, Bytes>),
+    /// Real bytes per page, in a slot arena.
+    Data(PageArena),
 }
 
 impl Backing {
-    /// An empty functional store.
-    pub fn data() -> Self {
-        Backing::Data(HashMap::new())
-    }
-
     /// True if this store keeps real bytes.
-    pub fn is_functional(&self) -> bool {
+    pub(crate) fn is_functional(&self) -> bool {
         matches!(self, Backing::Data(_))
     }
+}
 
-    /// Stores `bytes` for page `index` (no-op for phantom).
-    pub fn put(&mut self, index: u64, bytes: Bytes) {
-        if let Backing::Data(map) = self {
-            map.insert(index, bytes);
+/// The functional page store of one die: a slot arena.
+///
+/// Page bytes live in fixed-size chunks of [`SLOTS_PER_CHUNK`] page slots,
+/// allocated zeroed when the arena first needs one and never moved or
+/// grown afterwards. Each erase block has a slot table (created at its
+/// first program, kept across erases) saying which slot holds each page. A
+/// program copies into a slot from the free list, or the next never-used
+/// one; an erase hands its block's slots back to the free list; a read
+/// borrows the slot. In steady state no operation touches the allocator.
+pub(crate) struct PageArena {
+    page_bytes: usize,
+    pages_per_block: usize,
+    /// Per erase block, the slot of each page ([`NO_SLOT`] when the page
+    /// holds no bytes).
+    tables: Vec<Option<Box<[u32]>>>,
+    chunks: Vec<Box<[u8]>>,
+    /// Slots handed back by erases, reused before fresh ones.
+    free: Vec<u32>,
+    /// Slots ever handed out: the next fresh slot.
+    used: u32,
+}
+
+impl PageArena {
+    /// An empty store for a die of geometry `geo`.
+    pub(crate) fn new(geo: &NandGeometry) -> Self {
+        PageArena {
+            page_bytes: geo.page_bytes as usize,
+            pages_per_block: geo.pages_per_block as usize,
+            tables: (0..geo.blocks_per_die()).map(|_| None).collect(),
+            chunks: Vec::new(),
+            free: Vec::new(),
+            used: 0,
         }
     }
 
-    /// Contents of page `index`, if stored.
-    pub fn get(&self, index: u64) -> Option<Bytes> {
-        match self {
-            Backing::Phantom => None,
-            Backing::Data(map) => map.get(&index).cloned(),
+    /// Byte range of `slot` within its chunk.
+    fn span(&self, slot: u32) -> (usize, std::ops::Range<usize>) {
+        let slot = slot as usize;
+        let at = (slot % SLOTS_PER_CHUNK) * self.page_bytes;
+        (slot / SLOTS_PER_CHUNK, at..at + self.page_bytes)
+    }
+
+    /// Stores `data` (one page) as page `page` of flat block `block`.
+    pub(crate) fn put(&mut self, block: usize, page: usize, data: &[u8]) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            if (self.used as usize).is_multiple_of(SLOTS_PER_CHUNK) {
+                let chunk = vec![0u8; SLOTS_PER_CHUNK * self.page_bytes];
+                self.chunks.push(chunk.into_boxed_slice());
+            }
+            self.used += 1;
+            self.used - 1
+        });
+        let ppb = self.pages_per_block;
+        let table = self.tables[block].get_or_insert_with(|| vec![NO_SLOT; ppb].into());
+        debug_assert_eq!(table[page], NO_SLOT, "page programmed twice");
+        table[page] = slot;
+        let (chunk, span) = self.span(slot);
+        self.chunks[chunk][span].copy_from_slice(data);
+    }
+
+    /// The bytes of page `page` of flat block `block`, if it holds any.
+    pub(crate) fn get(&self, block: usize, page: usize) -> Option<&[u8]> {
+        let slot = self.tables[block].as_ref()?[page];
+        if slot == NO_SLOT {
+            return None;
+        }
+        let (chunk, span) = self.span(slot);
+        Some(&self.chunks[chunk][span])
+    }
+
+    /// Hands every slot of flat block `block` back to the free list.
+    pub(crate) fn erase_block(&mut self, block: usize) {
+        if let Some(table) = &mut self.tables[block] {
+            for slot in table.iter_mut().filter(|s| **s != NO_SLOT) {
+                self.free.push(std::mem::replace(slot, NO_SLOT));
+            }
         }
     }
 
-    /// Drops contents of page `index` (after erase).
-    pub fn remove(&mut self, index: u64) {
-        if let Backing::Data(map) = self {
-            map.remove(&index);
-        }
+    /// Slots currently holding a page.
+    #[cfg(test)]
+    pub(crate) fn live_slots(&self) -> usize {
+        self.used as usize - self.free.len()
     }
 
-    /// Number of pages with stored contents.
-    pub fn stored_pages(&self) -> usize {
-        match self {
-            Backing::Phantom => 0,
-            Backing::Data(map) => map.len(),
-        }
+    /// Slots ever handed out (the arena's high-water mark).
+    #[cfg(test)]
+    pub(crate) fn slots_used(&self) -> usize {
+        self.used as usize
+    }
+}
+
+impl std::fmt::Debug for PageArena {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PageArena")
+            .field("page_bytes", &self.page_bytes)
+            .field("chunks", &self.chunks.len())
+            .field("slots_used", &self.used)
+            .field("free", &self.free.len())
+            .finish()
     }
 }
 
@@ -372,24 +450,64 @@ mod tests {
         assert!(b.is_retired());
     }
 
-    #[test]
-    fn phantom_backing_stores_nothing() {
-        let mut s = Backing::Phantom;
-        s.put(7, Bytes::from_static(b"abc"));
-        assert_eq!(s.get(7), None);
-        assert_eq!(s.stored_pages(), 0);
-        assert!(!s.is_functional());
+    fn arena_geo() -> NandGeometry {
+        NandGeometry {
+            planes: 1,
+            blocks_per_plane: 4,
+            pages_per_block: 40,
+            page_bytes: 16,
+        }
     }
 
     #[test]
     fn data_backing_round_trips() {
-        let mut s = Backing::data();
-        assert!(s.is_functional());
-        s.put(7, Bytes::from_static(b"abc"));
-        assert_eq!(s.get(7).as_deref(), Some(&b"abc"[..]));
-        assert_eq!(s.stored_pages(), 1);
-        s.remove(7);
-        assert_eq!(s.get(7), None);
+        let mut a = PageArena::new(&arena_geo());
+        assert_eq!(a.get(0, 0), None);
+        for page in 0..40 {
+            a.put(0, page, &[page as u8; 16]);
+        }
+        a.put(1, 0, &[0xAB; 16]);
+        assert_eq!(a.chunks.len(), 6, "41 slots span six chunks");
+        assert_eq!(a.get(0, 7), Some(&[7u8; 16][..]));
+        assert_eq!(a.get(1, 0), Some(&[0xAB; 16][..]));
+        assert_eq!(a.get(1, 1), None);
+        assert_eq!((a.live_slots(), a.slots_used()), (41, 41));
+        a.erase_block(0);
+        assert_eq!(a.get(0, 7), None);
+        assert_eq!((a.live_slots(), a.slots_used()), (1, 41));
+        // Refilling the erased block reuses its slots: no growth.
+        for page in 0..40 {
+            a.put(0, page, &[0x40 | page as u8; 16]);
+        }
+        assert_eq!((a.live_slots(), a.slots_used()), (41, 41));
+        assert_eq!(a.get(0, 39), Some(&[0x40 | 39u8; 16][..]));
+        assert_eq!(a.get(1, 0), Some(&[0xAB; 16][..]), "other blocks untouched");
+    }
+
+    #[test]
+    fn arena_chunks_never_move() {
+        let mut a = PageArena::new(&arena_geo());
+        a.put(2, 0, &[1; 16]);
+        let first = a.chunks[0].as_ptr();
+        for page in 0..40 {
+            a.put(3, page, &[2; 16]);
+        }
+        for page in 1..40 {
+            a.put(2, page, &[3; 16]);
+        }
+        assert_eq!(a.chunks.len(), 10, "80 slots span ten chunks");
+        assert_eq!(
+            a.chunks[0].as_ptr(),
+            first,
+            "a full chunk is never reallocated"
+        );
+        assert_eq!(a.get(2, 0), Some(&[1u8; 16][..]));
+    }
+
+    #[test]
+    fn phantom_backing_stores_nothing() {
+        assert!(!Backing::Phantom.is_functional());
+        assert!(Backing::Data(PageArena::new(&arena_geo())).is_functional());
     }
 
     #[test]

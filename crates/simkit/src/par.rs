@@ -119,6 +119,48 @@ where
         .collect()
 }
 
+/// [`map_indexed`] over mutable items: applies `f` to every item of
+/// `items` on the worker pool, in place, and returns the results in input
+/// order.
+///
+/// Workers take contiguous runs of `items` (the borrow checker hands each
+/// one its own `&mut` run), so unlike [`map_indexed`] the split is static:
+/// it suits items of similar cost. The output is exactly what the serial
+/// loop `items.iter_mut().enumerate().map(f).collect()` produces, for any
+/// pool width.
+pub fn map_indexed_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    let workers = threads().min(items.len());
+    if workers <= 1 {
+        return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let run = items.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks_mut(run)
+            .enumerate()
+            .map(|(c, chunk)| {
+                let f = &f;
+                scope.spawn(move || {
+                    chunk
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(i, t)| f(c * run + i, t))
+                        .collect::<Vec<R>>()
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("pool worker must not panic"))
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,6 +193,25 @@ mod tests {
         assert_eq!(out, (0..24).map(|x| x * 10).collect::<Vec<_>>());
     }
 
+    /// Squares every item in place under `map_indexed_mut`, checking both
+    /// the items and the in-order results.
+    fn check_map_indexed_mut(len: u64) {
+        let mut items: Vec<u64> = (0..len).collect();
+        let out = map_indexed_mut(&mut items, |i, x| {
+            *x = x.wrapping_mul(*x) ^ 7;
+            i
+        });
+        assert_eq!(out, (0..len as usize).collect::<Vec<_>>());
+        assert!(items.iter().zip(0..).all(|(&x, i)| x == (i * i) ^ 7));
+    }
+
+    #[test]
+    fn map_indexed_mut_updates_in_place_in_order() {
+        for len in [0, 1, 2, 101] {
+            check_map_indexed_mut(len);
+        }
+    }
+
     #[test]
     fn index_argument_matches_position() {
         let items = vec!["a", "b", "c", "d"];
@@ -167,6 +228,7 @@ mod tests {
             map_indexed(&items, |_, &x| x + 1),
             (1..=100).collect::<Vec<_>>()
         );
+        check_map_indexed_mut(101);
         set_threads(1);
         assert_eq!(
             map_indexed(&items, |_, &x| x + 1),

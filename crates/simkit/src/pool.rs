@@ -4,8 +4,9 @@
 //! through every step: gradient staging, operand gather, write-back. Naïve
 //! code allocates a fresh `Vec<u8>` per page per step; this module recycles
 //! them instead. [`PageBuf`] is a drop-recycled owned byte buffer —
-//! checkout via [`PageBuf::zeroed`] or [`PageBuf::copy_of`], and the
-//! backing allocation returns to the pool when the buffer is dropped.
+//! checkout via [`PageBuf::zeroed`], [`PageBuf::copy_of`] or
+//! [`PageBuf::scratch`], and the backing allocation returns to the pool
+//! when the buffer is dropped.
 //!
 //! # Design: thread-local fast path, global injector
 //!
@@ -23,11 +24,13 @@
 //!
 //! # Determinism
 //!
-//! The pool affects *where an allocation comes from*, never the bytes in
-//! it: both constructors fully initialize the buffer. Whether a phase runs
-//! serial or eight-wide, a `PageBuf` holds exactly the bytes its
-//! constructor wrote, so the PR 4 serial/parallel bit-exactness invariant
-//! is untouched.
+//! The pool affects *where an allocation comes from*, never the bytes a
+//! caller reads: [`PageBuf::zeroed`] and [`PageBuf::copy_of`] fully
+//! initialize the buffer, and [`PageBuf::scratch`] is only for callers that
+//! overwrite every byte first (a flash read into the buffer, a kernel
+//! output). Whether a phase runs serial or eight-wide, a `PageBuf` holds
+//! exactly the bytes its user wrote, so serial/parallel bit-exactness is
+//! untouched.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -121,38 +124,43 @@ pub struct PageBuf {
 impl PageBuf {
     /// Checks out a buffer of `len` bytes, all zero.
     pub fn zeroed(len: usize) -> Self {
-        CHECKOUTS.fetch_add(1, Ordering::Relaxed);
-        match checkout_raw() {
-            Some(mut buf) => {
-                RECYCLED.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                buf.resize(len, 0);
-                PageBuf { buf }
-            }
-            None => {
-                FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-                PageBuf {
-                    buf: vec![0u8; len],
-                }
-            }
-        }
+        Self::checkout(|buf| {
+            buf.clear();
+            buf.resize(len, 0);
+        })
     }
 
     /// Checks out a buffer initialized as a copy of `src`.
     pub fn copy_of(src: &[u8]) -> Self {
+        Self::checkout(|buf| {
+            buf.clear();
+            buf.extend_from_slice(src);
+        })
+    }
+
+    /// Checks out a buffer of `len` bytes without clearing it: a recycled
+    /// buffer keeps whatever bytes it held (only growth is zero-filled).
+    /// For callers that overwrite every byte before reading any.
+    pub fn scratch(len: usize) -> Self {
+        Self::checkout(|buf| buf.resize(len, 0))
+    }
+
+    /// Takes an allocation from the pool (or a fresh, empty one), counts
+    /// the checkout, and lets `fill` set its length and contents.
+    fn checkout(fill: impl FnOnce(&mut Vec<u8>)) -> Self {
         CHECKOUTS.fetch_add(1, Ordering::Relaxed);
-        match checkout_raw() {
-            Some(mut buf) => {
+        let mut buf = match checkout_raw() {
+            Some(buf) => {
                 RECYCLED.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                buf.extend_from_slice(src);
-                PageBuf { buf }
+                buf
             }
             None => {
                 FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-                PageBuf { buf: src.to_vec() }
+                Vec::new()
             }
-        }
+        };
+        fill(&mut buf);
+        PageBuf { buf }
     }
 
     /// Buffer length in bytes.
@@ -240,6 +248,19 @@ mod tests {
         }
         let b = PageBuf::zeroed(512);
         assert!(b.iter().all(|&x| x == 0), "recycled buffer not re-zeroed");
+    }
+
+    #[test]
+    fn scratch_has_the_requested_length_and_recycles() {
+        for len in [512, 64, 1024] {
+            let mut b = PageBuf::scratch(len);
+            assert_eq!(b.len(), len);
+            b.iter_mut().for_each(|x| *x = 0xFF);
+        }
+        let before = stats();
+        let b = PageBuf::scratch(256);
+        assert_eq!(b.len(), 256);
+        assert!(stats().recycled > before.recycled);
     }
 
     #[test]

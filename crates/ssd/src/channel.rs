@@ -1,6 +1,5 @@
 //! One flash channel: an ONFI bus shared by several dies.
 
-use bytes::Bytes;
 use nandsim::{Die, NandError, OnfiBus, PhysPage};
 use simkit::{SimTime, Window};
 
@@ -57,25 +56,24 @@ impl Channel {
         &mut self.bus
     }
 
-    /// Reads a page from a die **to the controller**: array read, then a
-    /// bus transfer of the page. Returns the combined window (start of the
-    /// array read to end of the bus transfer) and the data.
+    /// Reads a page from a die **to the controller**: array read (into
+    /// `out`, see [`Die::read_page`]), then a bus transfer of the page.
+    /// Returns the combined window (start of the array read to end of the
+    /// bus transfer).
     pub fn read_to_controller(
         &mut self,
         die_index: u32,
         page: PhysPage,
         at: SimTime,
-    ) -> Result<(Window, Option<Bytes>), NandError> {
+        out: Option<&mut [u8]>,
+    ) -> Result<Window, NandError> {
         let page_bytes = self.dies[die_index as usize].config().geometry.page_bytes as u64;
-        let (array, data) = self.dies[die_index as usize].read_page(page, at)?;
+        let array = self.dies[die_index as usize].read_page(page, at, out)?;
         let bus = self.bus.transfer(array.end, page_bytes);
-        Ok((
-            Window {
-                start: array.start,
-                end: bus.end,
-            },
-            data,
-        ))
+        Ok(Window {
+            start: array.start,
+            end: bus.end,
+        })
     }
 
     /// Programs a page **from the controller**: a bus transfer of the page
@@ -120,8 +118,9 @@ mod tests {
         let w = ch
             .program_from_controller(0, p, Some(&data), SimTime::ZERO)
             .unwrap();
-        let (r, out) = ch.read_to_controller(0, p, w.end).unwrap();
-        assert_eq!(out.unwrap().as_ref(), &data[..]);
+        let mut out = vec![0u8; data.len()];
+        let r = ch.read_to_controller(0, p, w.end, Some(&mut out)).unwrap();
+        assert_eq!(out, data);
         // Window covers array read + bus transfer: longer than tR alone.
         let t_read = ch.die(0).config().timing.t_read_lower;
         assert!(r.duration() > t_read);

@@ -100,6 +100,7 @@ impl Device {
             0 => 0,
             _ => geo.pages_per_block,
         };
+        let mut page = self.scratch_page();
         for page_idx in 0..pages {
             if self.die(die_id).block(victim_addr)?.page_state(page_idx) != PageState::Valid {
                 continue;
@@ -112,11 +113,12 @@ impl Device {
                 .ftl
                 .owner_of(src_ppa, self.die(die_id))
                 .ok_or(SsdError::OrphanPage(src_ppa))?;
-            let (read_win, data) = self.read_with_retry(owner, src_ppa, at, ReadRoute::Array)?;
+            let read_win =
+                self.read_with_retry(owner, src_ppa, at, ReadRoute::Array, page.as_deref_mut())?;
             self.program_no_gc(
                 owner,
                 die_id,
-                data.as_deref(),
+                page.as_deref(),
                 read_win.end,
                 false,
                 None,
@@ -244,16 +246,18 @@ impl Device {
             })
             .collect();
         let mut t = at;
+        let mut page = self.scratch_page();
         for (owner, src) in victims {
             let src_ppa = Ppa {
                 die: die_id,
                 page: src,
             };
-            let (read_win, data) = self.read_with_retry(owner, src_ppa, t, ReadRoute::Array)?;
+            let read_win =
+                self.read_with_retry(owner, src_ppa, t, ReadRoute::Array, page.as_deref_mut())?;
             let win = self.program_no_gc(
                 owner,
                 die_id,
-                data.as_deref(),
+                page.as_deref(),
                 read_win.end,
                 false,
                 Some(src.plane),

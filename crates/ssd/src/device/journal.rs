@@ -12,6 +12,7 @@ use crate::error::SsdError;
 use crate::ftl::Ftl;
 use crate::trace::OpKind;
 use nandsim::{BlockAddr, NandError, PageOob, PhysPage};
+use simkit::pool::PageBuf;
 use simkit::SimTime;
 
 /// Flat index of the die holding the mapping-journal blocks. Real
@@ -280,7 +281,7 @@ impl Device {
         let mut t = at;
         if !entries.is_empty() {
             let per_page = (self.page_bytes() / JOURNAL_ENTRY_BYTES).max(1);
-            let data_buf = self.functional.then(|| vec![0u8; self.page_bytes()]);
+            let data_buf = self.functional.then(|| PageBuf::zeroed(self.page_bytes()));
             for chunk in entries.chunks(per_page) {
                 t = self.program_journal_page(chunk, data_buf.as_deref(), t)?;
             }

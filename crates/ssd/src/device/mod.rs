@@ -19,12 +19,12 @@ use crate::error::SsdError;
 use crate::ftl::Ftl;
 use crate::stats::DeviceStats;
 use crate::trace::{OpKind, TraceEvent, TraceLog};
-use bytes::Bytes;
 use gc::StaticWl;
 use journal::Journal;
 use nandsim::{Die, FaultStats, NandError, OnfiBus, PowerLossConfig};
 use rain::Rain;
 use scrub::Scrub;
+use simkit::pool::PageBuf;
 use simkit::{BandwidthLink, SimTime, Window};
 use std::collections::BTreeSet;
 
@@ -87,6 +87,19 @@ enum ProgramKind {
     /// epoch when readable) so the unreadable original deterministically
     /// loses mount's winner selection.
     Reconstruct(Ppa),
+}
+
+/// Where a front-door read ([`Device::read_into`]) delivers its page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadPath {
+    /// Into the die's page register, where an on-die engine consumes it:
+    /// an array read only, with no bus, DRAM or PCIe traffic.
+    Array,
+    /// To the controller, as a channel-level engine reads an operand: the
+    /// array read plus the channel bus transfer.
+    Channel,
+    /// To the host: the channel path, then controller DRAM and PCIe out.
+    Host,
 }
 
 /// Which physical path a retried read takes.
@@ -388,27 +401,15 @@ impl Device {
         })
     }
 
-    /// Reads one host page: array read → channel bus → DRAM → PCIe out.
+    /// Reads one host page: array read → channel bus → DRAM → PCIe out
+    /// ([`ReadPath::Host`]). On a functional device the page arrives in a
+    /// pooled buffer.
     pub fn host_read_page(
         &mut self,
         lpn: Lpn,
         at: SimTime,
-    ) -> Result<(Window, Option<Bytes>), SsdError> {
-        let (chan_win, data) = self.read_mapped(lpn, at, ReadRoute::Channel)?;
-        let bytes = self.page_bytes() as u64;
-        // Store-and-forward through controller DRAM: one write, one read.
-        let dram_in = self.dram.transfer(chan_win.end, bytes);
-        let dram = self.dram.transfer(dram_in.end, bytes);
-        let pcie = self.pcie_out.transfer(dram.end, bytes);
-        self.stats.pcie_out_busy += pcie.duration();
-        self.stats.host_reads.incr();
-        Ok((
-            Window {
-                start: chan_win.start,
-                end: pcie.end,
-            },
-            data,
-        ))
+    ) -> Result<(Window, Option<PageBuf>), SsdError> {
+        self.read_pooled(lpn, ReadPath::Host, at)
     }
 
     /// Unmaps a logical page (TRIM), invalidating its physical page.
@@ -424,49 +425,89 @@ impl Device {
         Ok(())
     }
 
-    /// **In-storage read, die-local.** Array read only — the page lands in
-    /// the die's page register where an on-die engine consumes it. No bus,
-    /// DRAM, or PCIe traffic.
+    /// **In-storage read, die-local** ([`ReadPath::Array`]): the page lands
+    /// in the die's page register where an on-die engine consumes it. No
+    /// bus, DRAM, or PCIe traffic.
     pub fn internal_read_array(
         &mut self,
         lpn: Lpn,
         at: SimTime,
-    ) -> Result<(Window, Option<Bytes>), SsdError> {
-        let read = self.read_mapped(lpn, at, ReadRoute::Array)?;
-        self.stats.ndp_reads.incr();
-        Ok(read)
+    ) -> Result<(Window, Option<PageBuf>), SsdError> {
+        self.read_pooled(lpn, ReadPath::Array, at)
     }
 
-    /// **In-storage read, to the controller.** Array read plus the channel
-    /// bus transfer — what a channel-level engine pays per operand page.
+    /// **In-storage read, to the controller** ([`ReadPath::Channel`]):
+    /// array read plus the channel bus transfer — what a channel-level
+    /// engine pays per operand page.
     pub fn internal_read_channel(
         &mut self,
         lpn: Lpn,
         at: SimTime,
-    ) -> Result<(Window, Option<Bytes>), SsdError> {
-        let read = self.read_mapped(lpn, at, ReadRoute::Channel)?;
-        self.stats.ndp_reads.incr();
-        Ok(read)
+    ) -> Result<(Window, Option<PageBuf>), SsdError> {
+        self.read_pooled(lpn, ReadPath::Channel, at)
     }
 
-    /// Shared prologue of the read front doors: the device is alive and
-    /// `lpn` is host-addressable and mapped; then the retried read on
-    /// `route`, traced.
-    fn read_mapped(
+    /// [`Self::read_into`] a pooled page buffer (none on a phantom device).
+    fn read_pooled(
         &mut self,
         lpn: Lpn,
+        path: ReadPath,
         at: SimTime,
-        route: ReadRoute,
-    ) -> Result<(Window, Option<Bytes>), SsdError> {
+    ) -> Result<(Window, Option<PageBuf>), SsdError> {
+        let mut page = self.scratch_page();
+        let win = self.read_into(lpn, path, at, page.as_deref_mut())?;
+        Ok((win, page))
+    }
+
+    /// A pooled page-sized buffer with unspecified contents on a
+    /// functional device, for a read to overwrite; none on a phantom one.
+    pub(super) fn scratch_page(&self) -> Option<PageBuf> {
+        self.functional.then(|| PageBuf::scratch(self.page_bytes()))
+    }
+
+    /// Reads mapped page `lpn` along `path`, starting no earlier than `at`,
+    /// and returns the read's window. The one front door every read goes
+    /// through: the device is alive and `lpn` is host-addressable and
+    /// mapped; then the retried read (with RAIN reconstruction), traced,
+    /// and for [`ReadPath::Host`] the DRAM and PCIe legs.
+    ///
+    /// On a functional device the page's bytes land in `out`, which must be
+    /// one page long; a phantom device leaves it untouched. With `None` the
+    /// read is timed and accounted but delivers nothing.
+    pub fn read_into(
+        &mut self,
+        lpn: Lpn,
+        path: ReadPath,
+        at: SimTime,
+        out: Option<&mut [u8]>,
+    ) -> Result<Window, SsdError> {
         self.check_alive()?;
         self.check_lpn(lpn)?;
         let ppa = self.ftl.lookup(lpn).ok_or(SsdError::Unmapped(lpn))?;
-        let (win, data) = {
-            let r = self.read_with_retry(lpn, ppa, at, route);
+        let route = match path {
+            ReadPath::Array => ReadRoute::Array,
+            ReadPath::Channel | ReadPath::Host => ReadRoute::Channel,
+        };
+        let win = {
+            let r = self.read_with_retry(lpn, ppa, at, route, out);
             self.observe(r)?
         };
         self.trace_op(OpKind::Read, Some(lpn), ppa.die, win);
-        Ok((win, data))
+        if path != ReadPath::Host {
+            self.stats.ndp_reads.incr();
+            return Ok(win);
+        }
+        let bytes = self.page_bytes() as u64;
+        // Store-and-forward through controller DRAM: one write, one read.
+        let dram_in = self.dram.transfer(win.end, bytes);
+        let dram = self.dram.transfer(dram_in.end, bytes);
+        let pcie = self.pcie_out.transfer(dram.end, bytes);
+        self.stats.pcie_out_busy += pcie.duration();
+        self.stats.host_reads.incr();
+        Ok(Window {
+            start: win.start,
+            end: pcie.end,
+        })
     }
 
     /// The one read path under the bounded retry policy
@@ -475,22 +516,25 @@ impl Device {
     /// time (the die senses the page again), so faults degrade latency
     /// honestly; a failed attempt never crosses the bus — no data left the
     /// die. Exhausted retries fall back to RAIN stripe reconstruction,
-    /// except on [`ReadRoute::Peer`].
+    /// except on [`ReadRoute::Peer`]. A functional page's bytes land in
+    /// `out` (see [`Die::read_page`]).
     fn read_with_retry(
         &mut self,
         lpn: Lpn,
         ppa: Ppa,
         at: SimTime,
         route: ReadRoute,
-    ) -> Result<(Window, Option<Bytes>), SsdError> {
+        mut out: Option<&mut [u8]>,
+    ) -> Result<Window, SsdError> {
         let t_read = self.config.nand.timing.t_read_lower;
         let mut t = at;
         for attempt in 0..=READ_RETRIES {
             let channel = &mut self.channels[ppa.die.channel as usize];
+            let buf = out.as_deref_mut();
             let attempt_result = match route {
-                ReadRoute::Array => channel.die_mut(ppa.die.index).read_page(ppa.page, t),
+                ReadRoute::Array => channel.die_mut(ppa.die.index).read_page(ppa.page, t, buf),
                 ReadRoute::Channel | ReadRoute::Peer => {
-                    channel.read_to_controller(ppa.die.index, ppa.page, t)
+                    channel.read_to_controller(ppa.die.index, ppa.page, t, buf)
                 }
             };
             match attempt_result {
@@ -518,7 +562,7 @@ impl Device {
             }
         }
         if route != ReadRoute::Peer {
-            if let Some(ok) = self.try_reconstruct(lpn, ppa, t)? {
+            if let Some(ok) = self.try_reconstruct(lpn, ppa, t, out)? {
                 return Ok(ok);
             }
             // Terminal: not even parity could serve the page.
@@ -946,7 +990,7 @@ mod tests {
         let mut dev = Device::new(SsdConfig::tiny());
         let w = dev.host_write_page(Lpn(0), None, SimTime::ZERO).unwrap();
         let (r, data) = dev.host_read_page(Lpn(0), w.end).unwrap();
-        assert_eq!(data, None);
+        assert!(data.is_none());
         assert!(r.end > w.end);
     }
 
@@ -1457,6 +1501,16 @@ mod tests {
         let end = dev.commit_epoch(SimTime::from_us(3)).unwrap();
         assert_eq!(end, SimTime::from_us(3), "commit_epoch is a no-op");
         assert_eq!(dev.stats().journal_flushes.get(), 0);
+    }
+
+    #[test]
+    fn mount_without_a_journal_is_a_typed_error() {
+        let mut dev = Device::new(SsdConfig::tiny());
+        let w = dev.host_write_page(Lpn(0), None, SimTime::ZERO).unwrap();
+        assert_eq!(dev.mount(w.end), Err(SsdError::NoJournal));
+        assert_eq!(dev.stats().mounts.get(), 0);
+        // Nothing changed: the device keeps serving.
+        dev.host_read_page(Lpn(0), w.end).unwrap();
     }
 
     #[test]

@@ -46,12 +46,11 @@ impl Device {
     /// Idempotent by construction: everything is computed into locals and
     /// installed at the very end, so a second power loss *during* mount
     /// (double crash) leaves flash untouched and a later mount succeeds.
-    ///
-    /// # Panics
-    /// Panics on a journal-free device.
+    /// A journal-free device has nothing to mount from:
+    /// [`SsdError::NoJournal`], with the device unchanged.
     pub fn mount(&mut self, at: SimTime) -> Result<MountReport, SsdError> {
         let Some(journal) = &mut self.journal else {
-            panic!("mount requires a journal-enabled device");
+            return Err(SsdError::NoJournal);
         };
         journal.lose_ram();
         // A still-armed crash instant in the future kills this mount too

@@ -8,7 +8,7 @@
 use super::{Device, ProgramKind, ReadRoute};
 use crate::address::{DieId, Lpn, Ppa};
 use crate::error::SsdError;
-use bytes::Bytes;
+use simkit::pool::PageBuf;
 use simkit::{SimTime, Window};
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -45,9 +45,9 @@ impl Rain {
 }
 
 /// XORs `data` into the functional accumulator (phantom reads carry none).
-fn xor_into(acc: &mut Option<Vec<u8>>, data: Option<&Bytes>) {
-    if let (Some(acc), Some(d)) = (acc.as_mut(), data) {
-        for (a, b) in acc.iter_mut().zip(d.iter()) {
+fn xor_into(acc: &mut Option<PageBuf>, data: Option<&[u8]>) {
+    if let (Some(acc), Some(d)) = (acc, data) {
+        for (a, b) in acc.iter_mut().zip(d) {
             *a ^= b;
         }
     }
@@ -122,7 +122,8 @@ impl Device {
     ) -> Result<SimTime, SsdError> {
         let lo = stripe * width;
         let parity = self.parity_lpn(stripe);
-        let mut acc: Option<Vec<u8>> = self.functional.then(|| vec![0u8; self.page_bytes()]);
+        let mut acc = self.functional.then(|| PageBuf::zeroed(self.page_bytes()));
+        let mut peer = self.scratch_page();
         let mut t = at;
         let mut any_member = false;
         for m in lo..(lo + width).min(self.logical_pages) {
@@ -131,9 +132,9 @@ impl Device {
                 continue; // unmapped member: XOR identity
             };
             any_member = true;
-            let (win, data) = self.read_with_retry(lpn, ppa, at, ReadRoute::Peer)?;
+            let win = self.read_with_retry(lpn, ppa, at, ReadRoute::Peer, peer.as_deref_mut())?;
             t = t.max(win.end);
-            xor_into(&mut acc, data.as_ref());
+            xor_into(&mut acc, peer.as_deref());
         }
         if !any_member {
             if let Some(stale) = self.ftl.trim(parity) {
@@ -160,7 +161,8 @@ impl Device {
 
     /// Degraded read: serves `lpn` from its stripe peers after the retry
     /// policy gave up on the mapped page, then re-homes the reconstructed
-    /// content on a fresh physical page and remaps the FTL.
+    /// content on a fresh physical page and remaps the FTL. A functional
+    /// device also copies the content into `out`.
     ///
     /// Returns `Ok(None)` — the loss stays uncorrectable — when RAIN is
     /// off, the stripe's parity is stale (dirtied this epoch), the parity
@@ -172,7 +174,8 @@ impl Device {
         lpn: Lpn,
         failed: Ppa,
         at: SimTime,
-    ) -> Result<Option<(Window, Option<Bytes>)>, SsdError> {
+        out: Option<&mut [u8]>,
+    ) -> Result<Option<Window>, SsdError> {
         let Some(rain) = &self.rain else {
             return Ok(None);
         };
@@ -182,7 +185,8 @@ impl Device {
         }
         let members = rain.members(stripe, self.logical_pages);
         let parity = self.parity_lpn(stripe);
-        let mut acc: Option<Vec<u8>> = self.functional.then(|| vec![0u8; self.page_bytes()]);
+        let mut acc = self.functional.then(|| PageBuf::zeroed(self.page_bytes()));
+        let mut buf = self.scratch_page();
         let mut t = at;
         for peer in members.chain(std::iter::once(parity.0)).map(Lpn) {
             if peer == lpn {
@@ -194,10 +198,10 @@ impl Device {
                 }
                 continue; // unmapped member: XOR identity
             };
-            match self.read_with_retry(peer, peer_ppa, at, ReadRoute::Peer) {
-                Ok((win, data)) => {
+            match self.read_with_retry(peer, peer_ppa, at, ReadRoute::Peer, buf.as_deref_mut()) {
+                Ok(win) => {
                     t = t.max(win.end);
-                    xor_into(&mut acc, data.as_ref());
+                    xor_into(&mut acc, buf.as_deref());
                 }
                 Err(SsdError::UncorrectableRead { .. }) => return Ok(None),
                 Err(e) => return Err(e),
@@ -214,12 +218,12 @@ impl Device {
             ProgramKind::Reconstruct(failed),
         )?;
         self.stats.parity_reconstructions.incr();
-        Ok(Some((
-            Window {
-                start: at,
-                end: win.end,
-            },
-            acc.map(Bytes::from),
-        )))
+        if let (Some(out), Some(acc)) = (out, &acc) {
+            out.copy_from_slice(acc);
+        }
+        Ok(Some(Window {
+            start: at,
+            end: win.end,
+        }))
     }
 }

@@ -72,6 +72,7 @@ impl Device {
 
         let mut t = at;
         let mut examined = 0u64;
+        let mut page = self.scratch_page();
         while report.pages_read < budget && examined < total {
             let lpn = Lpn(scrub.cursor);
             scrub.cursor = (scrub.cursor + 1) % total;
@@ -82,7 +83,8 @@ impl Device {
             report.pages_read += 1;
             self.stats.scrub_reads.incr();
             let repaired_before = self.stats.parity_reconstructions.get();
-            let (win, data) = match self.read_with_retry(lpn, ppa, t, ReadRoute::Array) {
+            let read = self.read_with_retry(lpn, ppa, t, ReadRoute::Array, page.as_deref_mut());
+            let win = match read {
                 Err(SsdError::UncorrectableRead { .. }) => {
                     // Double loss: the patrol keeps sweeping — later
                     // stripes may still be repairable.
@@ -109,7 +111,7 @@ impl Device {
                     let r = self.program_no_gc(
                         lpn,
                         ppa.die,
-                        data.as_deref(),
+                        page.as_deref(),
                         t,
                         false,
                         None,

@@ -51,6 +51,9 @@ pub enum SsdError {
     /// FTL's reverse map, so relocation cannot tell whose data it is: the
     /// mapping tables are inconsistent (a bug, not a media fault).
     OrphanPage(Ppa),
+    /// [`crate::Device::mount`] was called on a device built without a
+    /// journal ([`crate::SsdConfig::journal`]): there is nothing to replay.
+    NoJournal,
 }
 
 impl fmt::Display for SsdError {
@@ -74,6 +77,7 @@ impl fmt::Display for SsdError {
             SsdError::OrphanPage(ppa) => {
                 write!(f, "valid page {ppa} has no logical owner")
             }
+            SsdError::NoJournal => write!(f, "mount needs a journal-enabled device"),
         }
     }
 }
@@ -136,5 +140,6 @@ mod tests {
         });
         assert!(orphan.to_string().contains("has no logical owner"));
         assert!(Error::source(&orphan).is_none());
+        assert!(SsdError::NoJournal.to_string().contains("journal"));
     }
 }

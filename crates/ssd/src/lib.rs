@@ -46,7 +46,7 @@
 //! let page = vec![7u8; dev.config().nand.geometry.page_bytes as usize];
 //! let w = dev.host_write_page(Lpn(0), Some(&page), SimTime::ZERO).unwrap();
 //! let (r, data) = dev.host_read_page(Lpn(0), w.end).unwrap();
-//! assert_eq!(data.unwrap().as_ref(), &page[..]);
+//! assert_eq!(&data.unwrap()[..], &page[..]);
 //! assert!(r.end > w.end);
 //! ```
 
@@ -66,7 +66,7 @@ pub mod trace;
 pub use address::{DieId, Lpn, Ppa};
 pub use channel::Channel;
 pub use config::{GcPolicy, JournalConfig, PciGen, RainConfig, ScrubConfig, SsdConfig};
-pub use device::{Device, MountReport, ScrubReport};
+pub use device::{Device, MountReport, ReadPath, ScrubReport};
 pub use error::SsdError;
 pub use stats::{erase_histogram, wear_imbalance, DeviceStats, UtilizationReport};
 

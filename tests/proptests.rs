@@ -274,7 +274,7 @@ proptest! {
                     }
                 }
                 1 => {
-                    let r = die.read_page(p, SimTime::ZERO);
+                    let r = die.read_page(p, SimTime::ZERO, None);
                     if page < cursor {
                         prop_assert!(r.is_ok(), "legal read rejected");
                     } else {
