@@ -16,7 +16,7 @@
 
 use crate::config::{ExecutionTier, GradStaging, OptimStoreConfig};
 use crate::energy::EnergyModel;
-use crate::layout::{StateComponent, StateLayout};
+use crate::layout::{GroupBase, StateComponent, StateLayout};
 use crate::pages::{self, UpdatePages};
 use crate::protocol::{ProtocolError, UpdateCommand};
 use crate::report::{CounterSnapshot, RecoveryReport, StepReport};
@@ -25,7 +25,7 @@ use optim_math::state::StateLayoutSpec;
 use optim_math::{Optimizer, F16};
 use simkit::pool::PageBuf;
 use simkit::{SimDuration, SimTime, Timeline, Window};
-use ssdsim::{Device, ReadPath, ScrubReport, SsdConfig, SsdError};
+use ssdsim::{Device, Lpn, ReadPath, ScrubReport, SsdConfig, SsdError};
 use std::error::Error;
 use std::fmt;
 
@@ -100,10 +100,10 @@ pub struct OptimStoreDevice {
     cfg: OptimStoreConfig,
     spec: StateLayoutSpec,
     layout: StateLayout,
-    /// The page plan every group follows, built once from the layout:
-    /// `(component, page-idx)` in read order and in write-back order.
-    read_set: Box<[(StateComponent, u32)]>,
-    write_set: Box<[(StateComponent, u32)]>,
+    /// The page plan every group follows, built once from the layout: its
+    /// pages in read order and in write-back order.
+    read_set: Box<[PlanPage]>,
+    write_set: Box<[PlanPage]>,
     optimizer: Box<dyn Optimizer>,
     engines: Vec<Timeline>,
     energy_model: EnergyModel,
@@ -112,6 +112,37 @@ pub struct OptimStoreDevice {
     /// above this count are treated as all-zero-gradient when
     /// `skip_zero_gradients` is on.
     phantom_hot_groups: Option<u64>,
+}
+
+/// One page of the plan every group follows: a component page and its
+/// offset within a co-located group record.
+#[derive(Debug, Clone, Copy)]
+struct PlanPage {
+    comp: StateComponent,
+    idx: u32,
+    offset: u32,
+}
+
+impl PlanPage {
+    /// The plan of `(component, page-idx)` pages `set` on `layout`.
+    fn plan(layout: &StateLayout, set: Vec<(StateComponent, u32)>) -> Box<[PlanPage]> {
+        set.into_iter()
+            .map(|(comp, idx)| PlanPage {
+                comp,
+                idx,
+                offset: layout.page_offset(comp, idx),
+            })
+            .collect()
+    }
+
+    /// This page's LPN in group `g`, whose record starts at `base`
+    /// ([`StateLayout::group_base`]; `None` for a striped layout).
+    fn lpn(self, layout: &StateLayout, g: u64, base: Option<GroupBase>) -> Lpn {
+        match base {
+            Some(base) => base.lpn(self.offset),
+            None => layout.lpn(g, self.comp, self.idx),
+        }
+    }
 }
 
 /// One group's gradient, prepared off the timing plane (phase A0).
@@ -162,7 +193,7 @@ impl OptimStoreDevice {
         optimizer: Box<dyn Optimizer>,
         spec: StateLayoutSpec,
     ) -> Result<Self, CoreError> {
-        Self::build(Device::new(ssd), cfg, params, optimizer, spec)
+        Self::build(ssd, Device::new, cfg, params, optimizer, spec)
     }
 
     /// Creates a functional device (stores and updates real bytes).
@@ -173,17 +204,23 @@ impl OptimStoreDevice {
         optimizer: Box<dyn Optimizer>,
         spec: StateLayoutSpec,
     ) -> Result<Self, CoreError> {
-        Self::build(Device::new_functional(ssd), cfg, params, optimizer, spec)
+        Self::build(ssd, Device::new_functional, cfg, params, optimizer, spec)
     }
 
+    /// Validates both configurations, so a bad SSD geometry surfaces as
+    /// [`CoreError::Config`] rather than a panic in `device`, then builds
+    /// the device and fits the layout.
     fn build(
-        device: Device,
+        ssd: SsdConfig,
+        device: fn(SsdConfig) -> Device,
         cfg: OptimStoreConfig,
         params: u64,
         optimizer: Box<dyn Optimizer>,
         spec: StateLayoutSpec,
     ) -> Result<Self, CoreError> {
+        ssd.validate().map_err(CoreError::Config)?;
         cfg.validate().map_err(CoreError::Config)?;
+        let device = device(ssd);
         let grad_staged = cfg.grad_staging == GradStaging::StoreToFlash;
         let layout = pages::fit_layout(
             &device,
@@ -193,8 +230,8 @@ impl OptimStoreDevice {
             &spec,
             grad_staged,
         )?;
-        let read_set: Box<[_]> = layout.read_set().into();
-        let write_set: Box<[_]> = layout.write_set().into();
+        let read_set = PlanPage::plan(&layout, layout.read_set());
+        let write_set = PlanPage::plan(&layout, layout.write_set());
         // An engine double-buffers update groups: one group's operands and
         // results must fit half its SRAM.
         let group_bytes = (read_set.len() + write_set.len()) as u64
@@ -517,8 +554,14 @@ impl OptimStoreDevice {
         at: SimTime,
         tally: &mut StepTally,
     ) -> Result<Vec<PendingWrite>, CoreError> {
+        // Engine service times are the same for every group of the batch:
+        // a gradient scan, a sub-group half and a whole group.
         let pb = self.page_bytes() as u64;
         let rate = self.cfg.engine.bytes_per_sec;
+        let work_bytes = (self.read_set.len() + self.write_set.len()) as u64 * pb;
+        let scan = SimDuration::for_transfer(pb, rate);
+        let half = SimDuration::for_transfer(work_bytes / 2, rate);
+        let whole = SimDuration::for_transfer(work_bytes, rate);
         let mut pending = Vec::with_capacity(groups.len());
         for (&g, prep) in groups.iter().zip(preps) {
             let grad_ready = self.deliver_grad(g, &prep, at)?;
@@ -526,8 +569,7 @@ impl OptimStoreDevice {
             // Lazy skip: an all-zero gradient page leaves the group's state
             // untouched (the engine merely scanned the gradient).
             if prep.cold {
-                let w =
-                    self.engines[engine].acquire(grad_ready, SimDuration::for_transfer(pb, rate));
+                let w = self.engines[engine].acquire(grad_ready, scan);
                 tally.end = tally.end.max(w.end);
                 tally.skipped += 1;
                 continue;
@@ -554,17 +596,14 @@ impl OptimStoreDevice {
                 }
             };
 
-            let work_bytes = (self.read_set.len() + self.write_set.len()) as u64 * pb;
             let engine = &mut self.engines[engine];
             let compute_end: [SimTime; 2] = if self.cfg.engine.subgroup_pipelining {
-                let half = SimDuration::for_transfer(work_bytes / 2, rate);
                 let c0 = engine.acquire(sub_start[0], half);
                 let c1 = engine.acquire(sub_start[1], half);
                 [c0.end, c1.end]
             } else {
-                let service = SimDuration::for_transfer(work_bytes, rate);
-                let whole = engine.acquire(sub_start[0].max(sub_start[1]), service);
-                [whole.end, whole.end]
+                let w = engine.acquire(sub_start[0].max(sub_start[1]), whole);
+                [w.end, w.end]
             };
             pending.push(PendingWrite {
                 g,
@@ -617,19 +656,21 @@ impl OptimStoreDevice {
         tally: &mut StepTally,
     ) -> Result<(), CoreError> {
         for p in pending {
+            let base = self.layout.group_base(p.g);
             // Indexed, not iterated: `write_page` needs `&mut self`.
             for i in 0..self.write_set.len() {
-                let (comp, idx) = self.write_set[i];
+                let page = self.write_set[i];
                 // Write-back slices the kernel buffers in place — `pages`
                 // is populated exactly when the device is functional.
-                let data: Option<&[u8]> = p.pages.as_ref().map(|up| up.page(comp, idx));
+                let data: Option<&[u8]> = p.pages.as_ref().map(|up| up.page(page.comp, page.idx));
                 // The 16-bit weight page spans both sub-groups; fp32 pages
                 // belong to their own sub-group.
-                let ready = match comp {
+                let ready = match page.comp {
                     StateComponent::Weight16 => p.compute_end[0].max(p.compute_end[1]),
-                    _ => p.compute_end[(idx as usize).min(1)],
+                    _ => p.compute_end[(page.idx as usize).min(1)],
                 };
-                let win = self.write_page(p.g, comp, idx, data, ready)?;
+                let lpn = page.lpn(&self.layout, p.g, base);
+                let win = self.write_page(p.g, lpn, page, data, ready)?;
                 tally.end = tally.end.max(win.end);
             }
         }
@@ -738,21 +779,23 @@ impl OptimStoreDevice {
         let pb = self.page_bytes();
         let mut pages = functional.then(|| UpdatePages::checkout(pb, self.layout.slots()));
         let mut grad = (functional && self.layout.grad_staged()).then(|| PageBuf::scratch(pb));
+        let base = self.layout.group_base(g);
         // Indexed, not iterated: `read_operand` needs `&mut self`.
         for i in 0..self.read_set.len() {
-            let (comp, idx) = self.read_set[i];
-            let out = match comp {
+            let page = self.read_set[i];
+            let out = match page.comp {
                 StateComponent::Grad => grad.as_deref_mut(),
-                _ => pages.as_mut().map(|up| up.operand_mut(comp, idx)),
+                _ => pages.as_mut().map(|up| up.operand_mut(page.comp, page.idx)),
             };
-            let win = self.read_operand(g, comp, idx, at, out)?;
-            match comp {
+            let lpn = page.lpn(&self.layout, g, base);
+            let win = self.read_operand(g, lpn, page, at, out)?;
+            match page.comp {
                 StateComponent::Grad => {
                     sub_start[0] = sub_start[0].max(win.end);
                     sub_start[1] = sub_start[1].max(win.end);
                 }
                 _ => {
-                    let k = (idx as usize).min(1);
+                    let k = (page.idx as usize).min(1);
                     sub_start[k] = sub_start[k].max(win.end);
                 }
             }
@@ -760,18 +803,17 @@ impl OptimStoreDevice {
         Ok(((pages, grad), sub_start))
     }
 
-    /// Reads operand page `(comp, idx)` of group `g` into the engine that
+    /// Reads operand `page` of group `g`, at `lpn`, into the engine that
     /// updates it, issued at `at`, with the bytes landing in `out`.
     fn read_operand(
         &mut self,
         g: u64,
-        comp: StateComponent,
-        idx: u32,
+        lpn: Lpn,
+        page: PlanPage,
         at: SimTime,
         out: Option<&mut [u8]>,
     ) -> Result<Window, CoreError> {
-        let lpn = self.layout.lpn(g, comp, idx);
-        let local = self.layout.is_local(g, comp, idx);
+        let local = self.layout.is_local(g, page.comp, page.idx);
         let path = match (self.cfg.tier, local) {
             (ExecutionTier::DieNdp, true) => ReadPath::Array,
             (ExecutionTier::DieNdp, false) | (ExecutionTier::ChannelNdp, _) => ReadPath::Channel,
@@ -787,18 +829,18 @@ impl OptimStoreDevice {
         Ok(Window { end, ..w })
     }
 
-    /// Writes updated page `(comp, idx)` of group `g` back out-of-place
-    /// from its engine, once the engine is done at `ready`.
+    /// Writes updated `page` of group `g` back out-of-place to `lpn` from
+    /// its engine, once the engine is done at `ready`.
     fn write_page(
         &mut self,
         g: u64,
-        comp: StateComponent,
-        idx: u32,
+        lpn: Lpn,
+        page: PlanPage,
         data: Option<&[u8]>,
         ready: SimTime,
     ) -> Result<Window, CoreError> {
-        let lpn = self.layout.lpn(g, comp, idx);
-        let (start, cross_bus) = match (self.cfg.tier, self.layout.is_local(g, comp, idx)) {
+        let local = self.layout.is_local(g, page.comp, page.idx);
+        let (start, cross_bus) = match (self.cfg.tier, local) {
             (ExecutionTier::HostNvme, _) => {
                 return Ok(self.device.host_write_page(lpn, data, ready)?)
             }
@@ -914,8 +956,9 @@ impl OptimStoreDevice {
         let mut end = at;
         let mut bytes = 0u64;
         for g in 0..self.layout.num_groups() {
-            for &(comp, idx) in self.write_set.iter() {
-                let lpn = self.layout.lpn(g, comp, idx);
+            let base = self.layout.group_base(g);
+            for &page in self.write_set.iter() {
+                let lpn = page.lpn(&self.layout, g, base);
                 let win = self.device.read_into(lpn, ReadPath::Host, at, None)?;
                 end = end.max(win.end);
                 bytes += self.page_bytes() as u64;
@@ -959,6 +1002,52 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::CapacityExceeded { .. }));
+    }
+
+    #[test]
+    fn plan_pages_address_the_layout_lpns() {
+        for policy in [LayoutPolicy::CoLocated, LayoutPolicy::TensorStriped] {
+            for grad_staged in [false, true] {
+                let layout = StateLayout::new(policy, 100_000, 2, 4096, 6, grad_staged);
+                let read = PlanPage::plan(&layout, layout.read_set());
+                let write = PlanPage::plan(&layout, layout.write_set());
+                for g in 0..layout.num_groups() {
+                    let base = layout.group_base(g);
+                    for p in read.iter().chain(write.iter()) {
+                        assert_eq!(
+                            p.lpn(&layout, g, base),
+                            layout.lpn(g, p.comp, p.idx),
+                            "{policy:?} group {g} {:?}[{}]",
+                            p.comp,
+                            p.idx
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn die_count_past_the_packed_ppa_limit_is_a_config_error() {
+        let build = |channels| {
+            OptimStoreDevice::new(
+                SsdConfig {
+                    channels,
+                    dies_per_channel: 1,
+                    ..SsdConfig::tiny()
+                },
+                OptimStoreConfig::die_ndp(),
+                1000,
+                Box::new(Adam::default()),
+                spec(),
+            )
+        };
+        build(ssdsim::DieId::MAX_CHANNELS).unwrap();
+        let err = build(ssdsim::DieId::MAX_CHANNELS + 1).unwrap_err();
+        assert!(
+            matches!(&err, CoreError::Config(msg) if msg.contains("channels")),
+            "{err}"
+        );
     }
 
     #[test]

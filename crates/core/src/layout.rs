@@ -63,6 +63,24 @@ impl UpdateGroup {
     }
 }
 
+/// Where a co-located group's record starts in LPN space. Page `offset`
+/// of the record ([`StateLayout::page_offset`]) is LPN
+/// `base + offset · D` for `D` dies, so a caller that visits many pages
+/// of one group pays the row division once ([`StateLayout::group_base`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupBase {
+    base: u64,
+    dies: u64,
+}
+
+impl GroupBase {
+    /// The LPN of the record's page at `offset`.
+    #[inline]
+    pub fn lpn(self, offset: u32) -> Lpn {
+        Lpn(self.base + offset as u64 * self.dies)
+    }
+}
+
 /// The state layout of one model on one device.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StateLayout {
@@ -217,16 +235,11 @@ impl StateLayout {
     /// Panics on out-of-range `g`, `idx`, slot number, or a `Grad` request
     /// when gradients are not staged.
     pub fn lpn(&self, g: u64, component: StateComponent, idx: u32) -> Lpn {
-        assert!(g < self.num_groups, "group {g} out of range");
-        let offset = self.component_offset(component, idx);
-        match self.policy {
-            LayoutPolicy::CoLocated => {
-                let d = self.dies as u64;
-                let die = g % d;
-                let row = (g / d) * self.lpns_per_group() as u64 + offset as u64;
-                Lpn(row * d + die)
-            }
-            LayoutPolicy::TensorStriped => {
+        let base = self.group_base(g);
+        let offset = self.page_offset(component, idx);
+        match base {
+            Some(base) => base.lpn(offset),
+            None => {
                 // Tensors are laid out sequentially: all w32 pages, then
                 // each slot tensor, then w16, then grad.
                 let groups = self.num_groups;
@@ -241,6 +254,23 @@ impl StateLayout {
                 Lpn(base + within)
             }
         }
+    }
+
+    /// Where group `g`'s record starts under [`LayoutPolicy::CoLocated`]:
+    /// its rows of `D` LPNs begin at `(g / D) · lpns_per_group · D`, and the
+    /// group takes column `g mod D`. `None` under
+    /// [`LayoutPolicy::TensorStriped`], whose pages follow per-tensor
+    /// arithmetic ([`Self::lpn`]).
+    ///
+    /// # Panics
+    /// Panics if `g >= num_groups()`.
+    pub fn group_base(&self, g: u64) -> Option<GroupBase> {
+        assert!(g < self.num_groups, "group {g} out of range");
+        let d = self.dies as u64;
+        (self.policy == LayoutPolicy::CoLocated).then(|| GroupBase {
+            base: (g / d) * self.lpns_per_group() as u64 * d + g % d,
+            dies: d,
+        })
     }
 
     /// The die an LPN resides on under the device's round-robin striping.
@@ -261,8 +291,13 @@ impl StateLayout {
         }
     }
 
-    /// Page offset of a component within a co-located group record.
-    fn component_offset(&self, component: StateComponent, idx: u32) -> u32 {
+    /// Offset of page `idx` of `component` within a co-located group
+    /// record (see [`GroupBase`]).
+    ///
+    /// # Panics
+    /// Panics on an out-of-range `idx` or slot number, or a `Grad` request
+    /// when gradients are not staged.
+    pub fn page_offset(&self, component: StateComponent, idx: u32) -> u32 {
         match component {
             StateComponent::Master => {
                 assert!(idx < 2, "fp32 component has 2 pages");
@@ -363,6 +398,27 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn group_base_plus_offset_is_the_row_formula() {
+        let staged = StateLayout::new(LayoutPolicy::CoLocated, 300_000, 2, 4096, 6, true);
+        for l in [co(300_000, 6), co(50_000, 1), staged] {
+            let d = l.dies() as u64;
+            let per_group = l.lpns_per_group() as u64;
+            for g in 0..l.num_groups() {
+                let base = l.group_base(g).expect("co-located");
+                for (comp, idx) in l.read_set().into_iter().chain(l.write_set()) {
+                    let offset = l.page_offset(comp, idx);
+                    // LPN = (row · lpns_per_group + offset) · D + g mod D.
+                    let row = (g / d) * per_group + offset as u64;
+                    let want = Lpn(row * d + g % d);
+                    assert_eq!(base.lpn(offset), want, "group {g} {comp:?}[{idx}]");
+                    assert_eq!(l.lpn(g, comp, idx), want);
+                }
+            }
+        }
+        assert_eq!(striped(50_000, 4).group_base(0), None);
     }
 
     #[test]

@@ -134,18 +134,14 @@ impl SimDuration {
         if bytes_per_sec == 0 {
             return SimDuration::MAX;
         }
-        if bytes == 0 {
-            return SimDuration::ZERO;
+        // ns = ceil(bytes * 1e9 / bps). Every page-sized transfer's
+        // numerator fits a u64, whose division is far cheaper than the
+        // u128 one that larger transfers need to avoid overflow.
+        if let Some(num) = bytes.checked_mul(1_000_000_000) {
+            return SimDuration(num.div_ceil(bytes_per_sec));
         }
-        // ns = ceil(bytes * 1e9 / bps), computed in u128 to avoid overflow.
-        let num = bytes as u128 * 1_000_000_000u128;
-        let bps = bytes_per_sec as u128;
-        let ns = num.div_ceil(bps);
-        if ns > u64::MAX as u128 {
-            SimDuration::MAX
-        } else {
-            SimDuration(ns as u64)
-        }
+        let ns = (bytes as u128 * 1_000_000_000).div_ceil(bytes_per_sec as u128);
+        SimDuration(u64::try_from(ns).unwrap_or(u64::MAX))
     }
 
     /// Span in nanoseconds.
@@ -324,6 +320,7 @@ fn format_ns(ns: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_scale_correctly() {
@@ -376,6 +373,54 @@ mod tests {
         // Large transfer that would overflow u64 math in ns without u128.
         let d = SimDuration::for_transfer(u64::MAX / 2, 1_000_000_000);
         assert_eq!(d.as_ns(), u64::MAX / 2);
+    }
+
+    /// The transfer time as computed before the u64 fast path: always in
+    /// u128.
+    fn for_transfer_u128(bytes: u64, bytes_per_sec: u64) -> SimDuration {
+        if bytes_per_sec == 0 {
+            return SimDuration::MAX;
+        }
+        if bytes == 0 {
+            return SimDuration::ZERO;
+        }
+        let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(bytes_per_sec as u128);
+        if ns > u64::MAX as u128 {
+            SimDuration::MAX
+        } else {
+            SimDuration(ns as u64)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The u64 fast path and the u128 path agree with the u128 formula:
+        /// page-sized and arbitrary transfers, and byte counts on both
+        /// sides of where `bytes · 10⁹` stops fitting a u64.
+        #[test]
+        fn transfer_time_matches_u128_formula(
+            kind in 0u8..4,
+            raw in any::<u64>(),
+            delta in 0u64..64,
+            rate in any::<u64>(),
+            small_rate in 0u64..20_000_000_000,
+        ) {
+            let boundary = u64::MAX / 1_000_000_000;
+            let bytes = match kind {
+                0 => raw % (1 << 20),
+                1 => boundary - delta,
+                2 => boundary + 1 + delta,
+                _ => raw,
+            };
+            for bps in [rate, small_rate, 1] {
+                prop_assert_eq!(
+                    SimDuration::for_transfer(bytes, bps),
+                    for_transfer_u128(bytes, bps),
+                    "bytes {} bps {}", bytes, bps
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Device configuration and the Table-2 presets.
 
+use crate::address::DieId;
 use nandsim::{AgingConfig, FaultConfig, NandConfig};
 use serde::{Deserialize, Serialize};
 
@@ -295,8 +296,22 @@ impl SsdConfig {
         if self.channels == 0 || self.dies_per_channel == 0 {
             return Err("device needs at least one channel and one die".into());
         }
+        if self.channels > DieId::MAX_CHANNELS {
+            return Err(format!(
+                "{} channels exceed the packed-PPA limit ({})",
+                self.channels,
+                DieId::MAX_CHANNELS
+            ));
+        }
+        if self.dies_per_channel > DieId::MAX_DIES_PER_CHANNEL {
+            return Err(format!(
+                "{} dies per channel exceed the packed-PPA limit ({})",
+                self.dies_per_channel,
+                DieId::MAX_DIES_PER_CHANNEL
+            ));
+        }
         if self.total_dies() > 0xFFFF {
-            return Err("die count exceeds the packed-PPA limit (65535)".into());
+            return Err("die count exceeds the device limit (65535)".into());
         }
         if !(0.0..0.9).contains(&self.overprovision) {
             return Err(format!(
@@ -355,6 +370,23 @@ mod tests {
         ] {
             cfg.validate().unwrap();
         }
+    }
+
+    #[test]
+    fn die_fields_of_the_packed_ppa_bound_the_geometry() {
+        let geometry = |channels, dies_per_channel| SsdConfig {
+            channels,
+            dies_per_channel,
+            ..SsdConfig::tiny()
+        };
+        geometry(DieId::MAX_CHANNELS, 1).validate().unwrap();
+        geometry(1, DieId::MAX_DIES_PER_CHANNEL).validate().unwrap();
+        let err = geometry(DieId::MAX_CHANNELS + 1, 1).validate().unwrap_err();
+        assert!(err.contains("1025 channels"), "{err}");
+        let err = geometry(1, DieId::MAX_DIES_PER_CHANNEL + 1)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("1025 dies per channel"), "{err}");
     }
 
     #[test]

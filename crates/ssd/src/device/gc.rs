@@ -6,7 +6,7 @@ use super::{Device, ProgramKind, ReadRoute};
 use crate::address::{DieId, Lpn, Ppa};
 use crate::error::SsdError;
 use crate::trace::OpKind;
-use nandsim::store::PageState;
+use nandsim::store::{BlockState, PageState};
 use nandsim::{BlockAddr, NandError, PhysPage};
 use simkit::{SimTime, Window};
 
@@ -18,6 +18,35 @@ pub(super) struct StaticWl {
     pub(super) threshold: u64,
     /// Per-die erases since the die's last scan (cheap cadence gate).
     pub(super) erases_since_scan: Vec<u64>,
+}
+
+/// The GC victim among a die's blocks, given in flat order: the full,
+/// unretired block with the fewest valid pages and at least one invalid
+/// page, ties to the lowest flat index, that `excluded` (blocks being
+/// filled, journal blocks) does not claim. The per-block filters run
+/// first and `excluded` is asked only about a block that would beat the
+/// best so far. A block with no valid page ends the scan: no later block
+/// can beat `(0, flat)`, and in steady state every victim is all-stale.
+fn pick_victim<'a>(
+    blocks: impl Iterator<Item = (u64, &'a BlockState)>,
+    pages_per_block: u32,
+    mut excluded: impl FnMut(u64) -> bool,
+) -> Option<u64> {
+    let mut best: Option<(u32, u64)> = None;
+    for (flat, b) in blocks {
+        let valid = b.valid_pages();
+        if b.next_programmable().is_some() || valid == pages_per_block || b.is_retired() {
+            continue; // not full yet, nothing reclaimable, or out of service
+        }
+        if best.is_some_and(|best| (valid, flat) >= best) || excluded(flat) {
+            continue;
+        }
+        best = Some((valid, flat));
+        if valid == 0 {
+            break;
+        }
+    }
+    best.map(|(_, flat)| flat)
 }
 
 impl Device {
@@ -51,31 +80,15 @@ impl Device {
     /// One GC pass on a die: pick the fullest-of-invalid victim, relocate
     /// its valid pages die-locally (copyback — no bus traffic), erase it.
     /// Returns `false` if no block was worth collecting.
-    ///
-    /// The victim is the full, unretired block with the fewest valid pages
-    /// and at least one invalid page, ties to the lowest flat index, that
-    /// is neither being filled nor a journal block. The scan runs the
-    /// per-block filters first and asks about active and journal blocks
-    /// only for a block that would beat the best so far; only the winner's
-    /// flat index is turned into an address.
     fn gc_once(&mut self, die_id: DieId, at: SimTime) -> Result<bool, SsdError> {
         let die_flat = die_id.flat(self.config.dies_per_channel);
         let geo = self.config.nand.geometry;
-        let mut best: Option<(u32, u64)> = None;
-        for (flat, b) in self.die(die_id).iter_blocks() {
-            let valid = b.valid_pages();
-            if b.next_programmable().is_some() || valid == geo.pages_per_block || b.is_retired() {
-                continue; // not full yet, nothing reclaimable, or out of service
-            }
-            if best.is_some_and(|best| (valid, flat) >= best) {
-                continue;
-            }
-            if self.ftl.is_active(die_flat, flat) || self.is_journal_block(die_flat, flat) {
-                continue;
-            }
-            best = Some((valid, flat));
-        }
-        let Some((_, flat)) = best else {
+        let pick = pick_victim(
+            self.die(die_id).iter_blocks(),
+            geo.pages_per_block,
+            |flat| self.ftl.is_active(die_flat, flat) || self.is_journal_block(die_flat, flat),
+        );
+        let Some(flat) = pick else {
             return Ok(false);
         };
         self.relocate_and_erase(die_id, geo.block_at(flat), at)?;
@@ -111,7 +124,7 @@ impl Device {
             };
             let owner = self
                 .ftl
-                .owner_of(src_ppa, self.die(die_id))
+                .owner_of(src_ppa)
                 .ok_or(SsdError::OrphanPage(src_ppa))?;
             let read_win =
                 self.read_with_retry(owner, src_ppa, at, ReadRoute::Array, page.as_deref_mut())?;
@@ -131,11 +144,7 @@ impl Device {
         match channel.die_mut(die_id.index).erase_block(victim_addr, at) {
             Ok(erase_win) => {
                 self.trace_op(OpKind::Erase, None, die_id, erase_win);
-                self.ftl.reclaim_block(
-                    die_flat,
-                    victim_addr,
-                    self.channels[die_id.channel as usize].die(die_id.index),
-                );
+                self.ftl.reclaim_block(die_flat, victim_addr);
                 // The erase may have pushed the block past its rated P/E
                 // cycles: a wear-retired block must not re-enter the pool.
                 if self.die(die_id).block(victim_addr)?.is_retired() {
@@ -171,8 +180,18 @@ impl Device {
     /// exceeds the configured threshold, migrate the coldest *data* block
     /// (lowest erase count among full blocks holding valid pages) so its
     /// low-wear cells rejoin the free pool. Dynamic allocation alone can
-    /// never recycle a block whose data is simply never rewritten.
+    /// never recycle a block whose data is simply never rewritten. Without
+    /// static wear levelling this is one inlined branch.
+    #[inline]
     pub(super) fn maybe_static_wl(&mut self, die_id: DieId, at: SimTime) -> Result<(), SsdError> {
+        if self.wl.is_none() {
+            return Ok(());
+        }
+        self.static_wl_pass(die_id, at)
+    }
+
+    #[inline(never)]
+    fn static_wl_pass(&mut self, die_id: DieId, at: SimTime) -> Result<(), SsdError> {
         let die_flat = die_id.flat(self.config.dies_per_channel);
         let Some(wl) = &mut self.wl else {
             return Ok(());
@@ -242,7 +261,7 @@ impl Device {
                 }
                 let page = block.page(idx);
                 let ppa = Ppa { die: die_id, page };
-                self.ftl.owner_of(ppa, die).map(|lpn| (lpn, page))
+                self.ftl.owner_of(ppa).map(|lpn| (lpn, page))
             })
             .collect();
         let mut t = at;
@@ -267,5 +286,76 @@ impl Device {
             t = win.end;
         }
         Ok(t)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nandsim::{Die, NandConfig, NandGeometry};
+    use proptest::prelude::*;
+
+    /// The victim scan as it was before the early exit: every block is
+    /// visited.
+    fn pick_victim_full_scan<'a>(
+        blocks: impl Iterator<Item = (u64, &'a BlockState)>,
+        pages_per_block: u32,
+        mut excluded: impl FnMut(u64) -> bool,
+    ) -> Option<u64> {
+        let mut best: Option<(u32, u64)> = None;
+        for (flat, b) in blocks {
+            let valid = b.valid_pages();
+            if b.next_programmable().is_some() || valid == pages_per_block || b.is_retired() {
+                continue;
+            }
+            if best.is_some_and(|best| (valid, flat) >= best) || excluded(flat) {
+                continue;
+            }
+            best = Some((valid, flat));
+        }
+        best.map(|(_, flat)| flat)
+    }
+
+    const PAGES: u32 = 4;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Over random full, partial, retired and active blocks with any
+        /// valid count, the early-exit pick equals the full scan's.
+        #[test]
+        fn early_exit_pick_matches_full_scan(
+            blocks in prop::collection::vec((0..=PAGES, 0..=PAGES, 0u8..8, 0u8..4), 16..17)
+        ) {
+            let geometry = NandGeometry {
+                planes: 2,
+                blocks_per_plane: 8,
+                pages_per_block: PAGES,
+                ..NandConfig::tiny_test_die().geometry
+            };
+            let mut die = Die::new(0, NandConfig { geometry, ..NandConfig::tiny_test_die() });
+            let mut active = Vec::new();
+            for (flat, &(programmed, invalid, retired, act)) in blocks.iter().enumerate() {
+                let addr = geometry.block_at(flat as u64);
+                for page in 0..programmed {
+                    die.program_page(addr.page(page), SimTime::ZERO, None).unwrap();
+                }
+                let state = die.block_mut(addr).unwrap();
+                for page in 0..invalid.min(programmed) {
+                    state.invalidate(page);
+                }
+                if retired == 0 {
+                    state.retire();
+                }
+                if act == 0 {
+                    active.push(flat as u64);
+                }
+            }
+            let excluded = |flat: u64| active.contains(&flat);
+            prop_assert_eq!(
+                pick_victim(die.iter_blocks(), PAGES, excluded),
+                pick_victim_full_scan(die.iter_blocks(), PAGES, excluded)
+            );
+        }
     }
 }

@@ -742,7 +742,17 @@ impl Device {
         self.trace.as_ref().map(TraceLog::events)
     }
 
+    /// Records an operation when tracing is on; otherwise one inlined
+    /// branch.
+    #[inline]
     fn trace_op(&mut self, kind: OpKind, lpn: Option<Lpn>, die: DieId, win: Window) {
+        if self.trace.is_some() {
+            self.record_op(kind, lpn, die, win);
+        }
+    }
+
+    #[inline(never)]
+    fn record_op(&mut self, kind: OpKind, lpn: Option<Lpn>, die: DieId, win: Window) {
         if let Some(t) = &mut self.trace {
             t.record(TraceEvent {
                 kind,

@@ -80,7 +80,16 @@ impl Device {
     /// Marks `lpn`'s stripe parity stale. Only *logical content changes*
     /// dirty a stripe (fresh programs, trim); relocations move bytes
     /// without changing them, so parity stays valid across GC and rescue.
+    /// Without RAIN this is one inlined branch.
+    #[inline]
     pub(super) fn mark_stripe_dirty(&mut self, lpn: Lpn) {
+        if self.rain.is_some() {
+            self.mark_stripe_dirty_armed(lpn);
+        }
+    }
+
+    #[inline(never)]
+    fn mark_stripe_dirty_armed(&mut self, lpn: Lpn) {
         if let Some(rain) = &mut self.rain {
             if lpn.0 < self.logical_pages {
                 rain.dirty.insert(lpn.0 / rain.width);

@@ -17,7 +17,10 @@ pub struct DieAlloc {
     /// Erased, ready-to-program blocks per plane (block index within the
     /// plane).
     free: Vec<Vec<u32>>,
-    /// Round-robin cursor over planes.
+    /// Blocks across every pool of `free`, kept by each pool mutation so
+    /// the per-program space check reads one field.
+    free_count: usize,
+    /// Round-robin cursor over planes (always below the plane count).
     next_plane: u32,
 }
 
@@ -30,13 +33,14 @@ impl DieAlloc {
             free: (0..geo.planes)
                 .map(|_| (0..geo.blocks_per_plane).collect())
                 .collect(),
+            free_count: geo.blocks_per_die() as usize,
             next_plane: 0,
         }
     }
 
     /// Number of erased blocks available (excluding active blocks).
     pub fn free_blocks(&self) -> usize {
-        self.free.iter().map(Vec::len).sum()
+        self.free_count
     }
 
     /// The block currently being filled on `plane`.
@@ -52,6 +56,7 @@ impl DieAlloc {
     /// Returns an erased block to its plane's pool (after GC erased it).
     pub fn push_free(&mut self, block: BlockAddr) {
         self.free[block.plane as usize].push(block.block);
+        self.free_count += 1;
     }
 
     /// Removes a block from allocation permanently (the device retired it
@@ -62,7 +67,10 @@ impl DieAlloc {
         if self.actives[plane] == Some(block) {
             self.actives[plane] = None;
         }
-        self.free[plane].retain(|&b| b != block.block);
+        let pool = &mut self.free[plane];
+        let before = pool.len();
+        pool.retain(|&b| b != block.block);
+        self.free_count -= before - pool.len();
     }
 
     /// Takes an erased block out of allocation entirely. Journal blocks are
@@ -91,6 +99,7 @@ impl DieAlloc {
         }
         let (_, plane, block) = best?;
         self.free[plane as usize].retain(|&b| b != block);
+        self.free_count -= 1;
         Some(BlockAddr { plane, block })
     }
 
@@ -105,6 +114,7 @@ impl DieAlloc {
         let mut alloc = DieAlloc {
             actives: vec![None; geo.planes as usize],
             free: (0..geo.planes).map(|_| Vec::new()).collect(),
+            free_count: 0,
             next_plane: 0,
         };
         for (flat, b) in die.iter_blocks() {
@@ -113,7 +123,7 @@ impl DieAlloc {
                 continue;
             }
             match b.next_programmable() {
-                Some(0) => alloc.free[addr.plane as usize].push(addr.block),
+                Some(0) => alloc.push_free(addr),
                 Some(_) => {
                     let slot = &mut alloc.actives[addr.plane as usize];
                     if slot.map(|cur| addr.block < cur.block).unwrap_or(true) {
@@ -150,12 +160,14 @@ impl DieAlloc {
     /// die has no erased block left.
     pub fn next_page(&mut self, die: &Die, wear_leveling: bool) -> Option<PhysPage> {
         let planes = self.actives.len() as u32;
-        for attempt in 0..planes {
-            let plane = (self.next_plane + attempt) % planes;
+        let wrap = |p: u32| if p + 1 == planes { 0 } else { p + 1 };
+        let mut plane = self.next_plane;
+        for _ in 0..planes {
             if let Some(page) = self.next_page_on_plane(plane, die, wear_leveling) {
-                self.next_plane = (plane + 1) % planes;
+                self.next_plane = wrap(plane);
                 return Some(page);
             }
+            plane = wrap(plane);
         }
         None
     }
@@ -195,6 +207,7 @@ impl DieAlloc {
         } else {
             pool.pop().expect("pool is non-empty")
         };
+        self.free_count -= 1;
         let addr = BlockAddr { plane, block: pick };
         debug_assert!(
             die.block(addr)
@@ -384,6 +397,82 @@ mod tests {
         let p = a.next_page_preferring(0, &d, true).unwrap();
         assert_eq!(p.block_addr(), partial);
         assert_eq!(p.page, 2);
+    }
+
+    mod prop_model {
+        use super::*;
+        use nandsim::NandGeometry;
+        use proptest::prelude::*;
+
+        const PLANES: u32 = 2;
+        const BLOCKS: u32 = 4;
+
+        fn small_die() -> Die {
+            Die::new(
+                0,
+                NandConfig {
+                    geometry: NandGeometry {
+                        planes: PLANES,
+                        blocks_per_plane: BLOCKS,
+                        pages_per_block: 4,
+                        ..NandConfig::tiny_test_die().geometry
+                    },
+                    ..NandConfig::tiny_test_die()
+                },
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The kept free-block count equals the summed plane pools
+            /// after every kind of pool mutation.
+            #[test]
+            fn free_count_matches_summed_pools(
+                ops in prop::collection::vec((0u8..7, 0..PLANES, 0..BLOCKS), 1..200)
+            ) {
+                let mut d = small_die();
+                let mut a = DieAlloc::new(&d);
+                for (op, plane, block) in ops {
+                    let b = BlockAddr { plane, block };
+                    match op {
+                        0 | 1 => {
+                            if let Some(p) = a.next_page(&d, op == 0) {
+                                d.program_page(p, SimTime::ZERO, None).unwrap();
+                            }
+                        }
+                        2 => {
+                            if let Some(p) = a.next_page_preferring(plane, &d, true) {
+                                d.program_page(p, SimTime::ZERO, None).unwrap();
+                            }
+                        }
+                        // Reclaim a full block that is neither active nor
+                        // out of service, as GC does.
+                        3 => {
+                            let state = d.block(b).unwrap();
+                            if state.next_programmable().is_none()
+                                && !state.is_retired()
+                                && a.active_blocks().all(|x| x != b)
+                            {
+                                d.erase_block(b, SimTime::ZERO).unwrap();
+                                a.push_free(b);
+                            }
+                        }
+                        4 => {
+                            d.block_mut(b).unwrap().retire();
+                            a.discard_block(b);
+                        }
+                        5 => {
+                            a.take_block(&d, plane == 0);
+                        }
+                        _ => a = DieAlloc::from_scan(&d, &[b]),
+                    }
+                    let pooled: usize = a.free.iter().map(Vec::len).sum();
+                    prop_assert_eq!(a.free_blocks(), pooled);
+                    prop_assert!(a.next_plane < PLANES);
+                }
+            }
+        }
     }
 
     #[test]

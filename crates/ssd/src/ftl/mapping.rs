@@ -13,17 +13,15 @@ const CHUNK: usize = 1 << 16;
 #[derive(Debug)]
 pub struct L2pTable {
     chunks: Vec<Option<Box<[u64; CHUNK]>>>,
-    dies_per_channel: u32,
     mapped: u64,
 }
 
 impl L2pTable {
     /// Creates a table covering `logical_pages` pages.
-    pub fn new(logical_pages: u64, dies_per_channel: u32) -> Self {
+    pub fn new(logical_pages: u64) -> Self {
         let n_chunks = (logical_pages as usize).div_ceil(CHUNK);
         L2pTable {
             chunks: (0..n_chunks).map(|_| None).collect(),
-            dies_per_channel,
             mapped: 0,
         }
     }
@@ -32,7 +30,7 @@ impl L2pTable {
     pub fn get(&self, lpn: Lpn) -> Option<Ppa> {
         let idx = lpn.0 as usize;
         let chunk = self.chunks.get(idx / CHUNK)?.as_ref()?;
-        Ppa::unpack(chunk[idx % CHUNK], self.dies_per_channel)
+        Ppa::unpack(chunk[idx % CHUNK])
     }
 
     /// Sets the mapping of `lpn`, returning the previous one (now stale).
@@ -43,8 +41,8 @@ impl L2pTable {
             // Zero means "unmapped" thanks to the presence bit in `pack`.
             vec![0u64; CHUNK].into_boxed_slice().try_into().unwrap()
         });
-        let old = Ppa::unpack(chunk[idx % CHUNK], self.dies_per_channel);
-        chunk[idx % CHUNK] = ppa.pack(self.dies_per_channel);
+        let old = Ppa::unpack(chunk[idx % CHUNK]);
+        chunk[idx % CHUNK] = ppa.pack();
         if old.is_none() {
             self.mapped += 1;
         }
@@ -55,7 +53,7 @@ impl L2pTable {
     pub fn clear(&mut self, lpn: Lpn) -> Option<Ppa> {
         let idx = lpn.0 as usize;
         let chunk = self.chunks.get_mut(idx / CHUNK)?.as_mut()?;
-        let old = Ppa::unpack(chunk[idx % CHUNK], self.dies_per_channel);
+        let old = Ppa::unpack(chunk[idx % CHUNK]);
         chunk[idx % CHUNK] = 0;
         if old.is_some() {
             self.mapped -= 1;
@@ -80,9 +78,11 @@ impl L2pTable {
 /// Layout mirrors the chunked L2P: one dense lane per die, indexed by the
 /// die's flat block index, each entry a lazily boxed per-page slab of
 /// `lpn + 1` values (0 = none). A die's lane itself materializes only once
-/// the die holds a mapping, and block slabs are dropped on erase — so
-/// phantom terabyte geometries pay only for blocks actually in use while
-/// every lookup is two array indexings instead of a hash probe.
+/// the die holds a mapping, and an erased block's slab is zeroed and kept
+/// on a spare list for the next block that starts filling — so phantom
+/// terabyte geometries pay only for blocks actually in use, steady-state
+/// GC recycles slabs instead of allocating them, and every lookup is two
+/// array indexings instead of a hash probe.
 #[derive(Debug)]
 pub struct ReverseMap {
     /// `dies[die_flat]` — empty until the die's first mapping, then
@@ -92,6 +92,8 @@ pub struct ReverseMap {
     pages_per_block: usize,
     /// Live (allocated) block slabs, across all dies.
     tracked: usize,
+    /// Zeroed slabs of erased blocks, ready for reuse.
+    spare: Vec<Box<[u64]>>,
 }
 
 impl ReverseMap {
@@ -103,6 +105,7 @@ impl ReverseMap {
             blocks_per_die: blocks_per_die as usize,
             pages_per_block: pages_per_block as usize,
             tracked: 0,
+            spare: Vec::new(),
         }
     }
 
@@ -114,12 +117,13 @@ impl ReverseMap {
         if lane.is_empty() {
             lane.resize_with(self.blocks_per_die, || None);
         }
-        let slab = &mut lane[block_flat as usize];
-        if slab.is_none() {
-            *slab = Some(vec![0u64; self.pages_per_block].into_boxed_slice());
+        let slab = lane[block_flat as usize].get_or_insert_with(|| {
             self.tracked += 1;
-        }
-        slab.as_mut().expect("slab just ensured")[page as usize] = lpn.0 + 1;
+            self.spare
+                .pop()
+                .unwrap_or_else(|| vec![0u64; self.pages_per_block].into_boxed_slice())
+        });
+        slab[page as usize] = lpn.0 + 1;
     }
 
     /// The logical owner of a physical page, if recorded.
@@ -133,16 +137,17 @@ impl ReverseMap {
         (v != 0).then(|| Lpn(v - 1))
     }
 
-    /// Forgets a whole block (after erase).
+    /// Forgets a whole block (after erase): its slab is zeroed and spared.
     pub fn clear_block(&mut self, die_flat: u32, block_flat: u64) {
-        if let Some(slab) = self
+        if let Some(mut slab) = self
             .dies
             .get_mut(die_flat as usize)
             .and_then(|lane| lane.get_mut(block_flat as usize))
+            .and_then(Option::take)
         {
-            if slab.take().is_some() {
-                self.tracked -= 1;
-            }
+            slab.fill(0);
+            self.spare.push(slab);
+            self.tracked -= 1;
         }
     }
 
@@ -174,7 +179,7 @@ mod tests {
 
     #[test]
     fn l2p_set_get_clear() {
-        let mut t = L2pTable::new(1 << 20, 4);
+        let mut t = L2pTable::new(1 << 20);
         assert_eq!(t.get(Lpn(12345)), None);
         assert_eq!(t.set(Lpn(12345), ppa(1, 2, 3, 4)), None);
         assert_eq!(t.get(Lpn(12345)), Some(ppa(1, 2, 3, 4)));
@@ -189,7 +194,7 @@ mod tests {
 
     #[test]
     fn l2p_chunks_allocate_lazily() {
-        let mut t = L2pTable::new(1 << 24, 4);
+        let mut t = L2pTable::new(1 << 24);
         let before = t.chunks.iter().filter(|c| c.is_some()).count();
         assert_eq!(before, 0);
         t.set(Lpn(0), ppa(0, 0, 0, 0));
@@ -200,7 +205,7 @@ mod tests {
 
     #[test]
     fn l2p_capacity() {
-        let t = L2pTable::new(100, 4);
+        let t = L2pTable::new(100);
         assert!(t.capacity() >= 100);
     }
 
@@ -233,6 +238,24 @@ mod tests {
             "only touched dies materialize a lane"
         );
         assert_eq!(r.get(5, (1 << 20) - 1, 63), Some(Lpn(2)));
+    }
+
+    #[test]
+    fn recycled_slab_reads_empty() {
+        let mut r = ReverseMap::new(2, 4, 8);
+        for page in 0..8 {
+            r.set(0, 1, page, Lpn(100 + page as u64));
+        }
+        let slab = r.dies[0][1].as_deref().map(<[u64]>::as_ptr);
+        r.clear_block(0, 1);
+        // Another die's block starts filling and takes the spared slab.
+        r.set(1, 3, 0, Lpn(7));
+        assert_eq!(r.dies[1][3].as_deref().map(<[u64]>::as_ptr), slab);
+        assert_eq!(r.get(1, 3, 0), Some(Lpn(7)));
+        for page in 1..8 {
+            assert_eq!(r.get(1, 3, page), None, "page {page}");
+        }
+        assert_eq!(r.tracked_blocks(), 1);
     }
 
     #[test]

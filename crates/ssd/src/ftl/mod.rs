@@ -42,7 +42,7 @@ impl Ftl {
         Ftl {
             // Sized to the addressable space: host-visible pages plus (with
             // RAIN armed) the internal parity LPNs beyond them.
-            l2p: L2pTable::new(config.addressable_pages(), config.dies_per_channel),
+            l2p: L2pTable::new(config.addressable_pages()),
             rmap: ReverseMap::new(
                 config.total_dies(),
                 geo.blocks_per_die(),
@@ -124,8 +124,7 @@ impl Ftl {
 
     /// The logical owner of a physical page (GC uses this to relocate
     /// valid pages).
-    pub fn owner_of(&self, ppa: Ppa, die: &Die) -> Option<Lpn> {
-        let _ = die;
+    pub fn owner_of(&self, ppa: Ppa) -> Option<Lpn> {
         let die_flat = ppa.die.flat(self.dies_per_channel);
         let key = rmap_key(ppa.page.block_addr(), self.blocks_per_plane);
         self.rmap.get(die_flat, key, ppa.page.page)
@@ -133,8 +132,7 @@ impl Ftl {
 
     /// Forgets a block's reverse mappings and returns it to the free pool
     /// (after the caller erased it).
-    pub fn reclaim_block(&mut self, die_flat: u32, block: nandsim::BlockAddr, die: &Die) {
-        let _ = die;
+    pub fn reclaim_block(&mut self, die_flat: u32, block: nandsim::BlockAddr) {
         self.rmap
             .clear_block(die_flat, rmap_key(block, self.blocks_per_plane));
         self.alloc[die_flat as usize].push_free(block);
@@ -174,8 +172,7 @@ impl Ftl {
         self.l2p.clear(lpn)
     }
 
-    /// Dies-per-channel used for PPA packing (needed by callers converting
-    /// flat die indices).
+    /// Dies per channel (needed by callers converting flat die indices).
     pub fn dies_per_channel(&self) -> u32 {
         self.dies_per_channel
     }
@@ -217,7 +214,7 @@ mod tests {
         };
         assert_eq!(ftl.commit_program(Lpn(42), ppa), None);
         assert_eq!(ftl.lookup(Lpn(42)), Some(ppa));
-        assert_eq!(ftl.owner_of(ppa, &dies[3]), Some(Lpn(42)));
+        assert_eq!(ftl.owner_of(ppa), Some(Lpn(42)));
         assert_eq!(ftl.mapped_pages(), 1);
     }
 
@@ -251,8 +248,40 @@ mod tests {
         dies[0].program_page(p, SimTime::ZERO, None).unwrap();
         assert_eq!(ftl.free_blocks(0), before - 1);
         dies[0].erase_block(p.block_addr(), SimTime::ZERO).unwrap();
-        ftl.reclaim_block(0, p.block_addr(), &dies[0]);
+        ftl.reclaim_block(0, p.block_addr());
         assert_eq!(ftl.free_blocks(0), before);
+    }
+
+    #[test]
+    fn recycled_reverse_map_slab_has_no_owners() {
+        let (_cfg, dies, mut ftl) = setup();
+        let ppb = dies[0].config().geometry.pages_per_block;
+        let die = DieId::from_flat(0, ftl.dies_per_channel());
+        let a = ftl.take_free_block(0, &dies[0], true).unwrap();
+        for page in 0..ppb {
+            let ppa = Ppa {
+                die,
+                page: a.page(page),
+            };
+            ftl.commit_program(Lpn(page as u64), ppa);
+        }
+        ftl.reclaim_block(0, a);
+        // Block B's first program takes over A's spared slab.
+        let b = nandsim::BlockAddr { plane: 1, block: 5 };
+        let first = Ppa {
+            die,
+            page: b.page(0),
+        };
+        ftl.commit_program(Lpn(500), first);
+        assert_eq!(ftl.owner_of(first), Some(Lpn(500)));
+        for page in 1..ppb {
+            let ppa = Ppa {
+                die,
+                page: b.page(page),
+            };
+            assert_eq!(ftl.owner_of(ppa), None, "unwritten page {page}");
+        }
+        assert_eq!(ftl.rmap.tracked_blocks(), 1);
     }
 
     #[test]
@@ -296,7 +325,7 @@ mod tests {
         };
         ftl.record_shadow(Lpn(3), ppa2);
         assert_eq!(ftl.lookup(Lpn(3)), Some(ppa1), "l2p must not move");
-        assert_eq!(ftl.owner_of(ppa2, &dies[0]), Some(Lpn(3)));
+        assert_eq!(ftl.owner_of(ppa2), Some(Lpn(3)));
     }
 
     #[test]
