@@ -133,6 +133,42 @@ mod tests {
         StateLayoutSpec::new(OptimizerKind::Adam, GradDtype::F16)
     }
 
+    /// An invalid geometry comes back as a typed error from either
+    /// constructor; nothing reaches `Device::new`'s panic.
+    #[test]
+    fn invalid_geometry_is_a_config_error() {
+        let ssd = SsdConfig {
+            dies_per_channel: 1_025,
+            ..SsdConfig::tiny()
+        };
+        for functional in [false, true] {
+            let built = if functional {
+                HostNvmeBaseline::new_functional(
+                    ssd,
+                    HostNvmeConfig::default(),
+                    1_000,
+                    Box::new(Adam::default()),
+                    spec(),
+                )
+            } else {
+                HostNvmeBaseline::new(
+                    ssd,
+                    HostNvmeConfig::default(),
+                    1_000,
+                    Box::new(Adam::default()),
+                    spec(),
+                )
+            };
+            match built {
+                Err(CoreError::Config(msg)) => {
+                    assert!(msg.contains("1025 dies per channel"), "{msg}")
+                }
+                Err(e) => panic!("expected a config error, got {e}"),
+                Ok(_) => panic!("an invalid geometry was accepted"),
+            }
+        }
+    }
+
     #[test]
     fn functional_step_runs_and_decreases_weights() {
         let params = 5_000usize;

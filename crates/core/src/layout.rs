@@ -206,7 +206,8 @@ impl StateLayout {
     }
 
     /// The group covering parameter `p`.
-    pub fn group_of_param(&self, p: u64) -> u64 {
+    #[cfg(test)]
+    fn group_of_param(&self, p: u64) -> u64 {
         assert!(p < self.params, "param {p} out of range");
         p / self.params_per_group()
     }
@@ -217,7 +218,8 @@ impl StateLayout {
     }
 
     /// Groups hosted on die `die_flat`.
-    pub fn groups_on_die(&self, die_flat: u32) -> u64 {
+    #[cfg(test)]
+    fn groups_on_die(&self, die_flat: u32) -> u64 {
         let g = self.num_groups();
         let d = self.dies as u64;
         let f = die_flat as u64;

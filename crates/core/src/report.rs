@@ -216,7 +216,8 @@ impl StepReport {
     }
 
     /// Effective update bandwidth: state bytes (read+written) per second.
-    pub fn state_bytes_per_sec(&self) -> f64 {
+    #[cfg(test)]
+    fn state_bytes_per_sec(&self) -> f64 {
         let s = self.duration.as_secs_f64();
         if s == 0.0 {
             return 0.0;
@@ -225,7 +226,8 @@ impl StepReport {
     }
 
     /// Speedup of this step relative to `baseline`.
-    pub fn speedup_over(&self, baseline: &StepReport) -> f64 {
+    #[cfg(test)]
+    fn speedup_over(&self, baseline: &StepReport) -> f64 {
         let mine = self.duration.as_secs_f64();
         if mine == 0.0 {
             return f64::INFINITY;

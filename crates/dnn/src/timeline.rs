@@ -33,7 +33,8 @@ impl IterationBreakdown {
     ///
     /// # Panics
     /// Panics if `overlap_permille > 1000`.
-    pub fn overlapped(compute: SimDuration, optimizer: SimDuration, overlap_permille: u16) -> Self {
+    #[cfg(test)]
+    fn overlapped(compute: SimDuration, optimizer: SimDuration, overlap_permille: u16) -> Self {
         assert!(overlap_permille <= 1000, "overlap is a per-mille fraction");
         IterationBreakdown {
             compute,
@@ -68,7 +69,8 @@ impl IterationBreakdown {
 
     /// Iteration speedup when replacing this breakdown's optimizer phase
     /// with `faster` (same compute, same overlap policy).
-    pub fn speedup_with(&self, faster: SimDuration) -> f64 {
+    #[cfg(test)]
+    fn speedup_with(&self, faster: SimDuration) -> f64 {
         let new = IterationBreakdown {
             optimizer: faster,
             ..*self

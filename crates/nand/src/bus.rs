@@ -11,48 +11,43 @@ use simkit::{BandwidthLink, SimDuration, SimTime, Window};
 
 /// An ONFI bus: a [`BandwidthLink`] at the configured transfer rate plus a
 /// fixed command/address overhead per operation.
+///
+/// The overhead is modelled as bus occupancy: it is converted once, at
+/// construction, into equivalent bus bytes (rounded up) and their transfer
+/// time, and every data transfer holds the bus for its payload followed by
+/// that overhead.
 #[derive(Debug, Clone)]
 pub struct OnfiBus {
     link: BandwidthLink,
-    cmd_overhead: SimDuration,
+    /// The command/address overhead in equivalent bus bytes.
+    overhead_bytes: u64,
+    /// Bus time of `overhead_bytes`.
+    overhead: SimDuration,
 }
 
 impl OnfiBus {
     /// Creates a bus from channel `timing` (rate = `io_mts` MT/s).
     pub fn new(name: impl Into<String>, timing: &NandTiming) -> Self {
+        let rate = timing.bus_bytes_per_sec();
+        let overhead_bytes = (timing.t_cmd_overhead.as_secs_f64() * rate as f64).ceil() as u64;
         OnfiBus {
-            link: BandwidthLink::new(name, timing.bus_bytes_per_sec()),
-            cmd_overhead: timing.t_cmd_overhead,
+            link: BandwidthLink::new(name, rate),
+            overhead_bytes,
+            overhead: SimDuration::for_transfer(overhead_bytes, rate),
         }
     }
 
     /// Schedules a data transfer of `bytes` (either direction) arriving at
-    /// `earliest`; the window includes the command/address overhead.
+    /// `earliest`; the window covers the payload and then the
+    /// command/address overhead.
     pub fn transfer(&mut self, earliest: SimTime, bytes: u64) -> Window {
-        // Model the command cycles as part of the bus occupancy: a transfer
-        // of B bytes holds the bus for overhead + B/rate.
-        let w = self.link.transfer(earliest, bytes);
-        // Extend occupancy by issuing a zero-byte "transfer" is not possible
-        // through the link; instead account the overhead by a second
-        // acquisition immediately after. Simpler: fold overhead into the
-        // returned window and the link's busy-until via an overhead-sized
-        // dummy transfer.
-        let overhead_bytes = self.overhead_bytes();
-        if overhead_bytes > 0 {
-            let w2 = self.link.transfer(w.end, overhead_bytes);
-            Window {
-                start: w.start,
-                end: w2.end,
-            }
-        } else {
-            w
-        }
+        self.link
+            .transfer_then(earliest, bytes, self.overhead_bytes, self.overhead)
     }
 
     /// Schedules a pure command (no data payload), e.g. an erase issue.
     pub fn command(&mut self, earliest: SimTime) -> Window {
-        let overhead_bytes = self.overhead_bytes().max(1);
-        self.link.transfer(earliest, overhead_bytes)
+        self.link.transfer(earliest, self.overhead_bytes.max(1))
     }
 
     /// The instant at which the bus next becomes free.
@@ -84,19 +79,12 @@ impl OnfiBus {
     pub fn reset(&mut self) {
         self.link.reset();
     }
-
-    /// Command/address overhead expressed in equivalent bus bytes.
-    fn overhead_bytes(&self) -> u64 {
-        // bytes = overhead_seconds * rate, rounded up.
-        let secs = self.cmd_overhead.as_secs_f64();
-        (secs * self.link.bytes_per_sec() as f64).ceil() as u64
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::NandTiming;
+    use crate::timing::{NandConfig, NandTiming};
 
     #[test]
     fn transfer_includes_overhead() {
@@ -107,6 +95,30 @@ mod tests {
         let pure = SimDuration::for_transfer(16 * 1024, t.bus_bytes_per_sec());
         assert!(w.duration() >= pure + SimDuration::from_ns(399));
         assert!(w.duration() < pure + SimDuration::from_ns(800));
+    }
+
+    /// A page transfer holds the bus for its payload and then the
+    /// overhead's equivalent bytes, each at the bus rate, on every die
+    /// timing the simulator ships.
+    #[test]
+    fn page_window_is_payload_plus_overhead_bytes() {
+        for config in [NandConfig::tlc_1tb_die(), NandConfig::tiny_test_die()] {
+            let t = config.timing;
+            let rate = t.bus_bytes_per_sec();
+            let page = config.geometry.page_bytes as u64;
+            let overhead_bytes = (t.t_cmd_overhead.as_secs_f64() * rate as f64).ceil() as u64;
+            let want = SimDuration::for_transfer(page, rate)
+                + SimDuration::for_transfer(overhead_bytes, rate);
+            let mut bus = OnfiBus::new("ch0", &t);
+            let mut at = SimTime::ZERO;
+            for _ in 0..3 {
+                let w = bus.transfer(at, page);
+                assert_eq!(w.start, at);
+                assert_eq!(w.duration(), want);
+                at = w.end + SimDuration::from_ns(5);
+            }
+            assert_eq!(bus.bytes_moved(), 3 * (page + overhead_bytes));
+        }
     }
 
     #[test]

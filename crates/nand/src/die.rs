@@ -5,9 +5,10 @@ use crate::error::NandError;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::geometry::{BlockAddr, NandGeometry, PhysPage};
 use crate::power::PageOob;
-use crate::store::{new_block_table, Backing, BlockState, PageArena, PageState};
+use crate::store::{new_block_table, new_invalid_bits, Backing, BlockState, PageArena, PageState};
 use crate::timing::NandConfig;
 use crate::wear::{read_retries, AgingConfig, RberMemo, RberModel};
+use simkit::slab::Slabs;
 use simkit::stats::Counter;
 use simkit::{SimTime, Timeline, Window};
 use std::collections::HashSet;
@@ -41,6 +42,8 @@ pub struct Die {
     config: NandConfig,
     planes: Vec<Timeline>,
     blocks: Vec<BlockState>,
+    /// Invalid-page bitsets of the blocks that hold an invalid page.
+    invalid: Slabs,
     backing: Backing,
     stats: DieStats,
     /// The cells' P/E curve, memoized by erase count for this die's blocks.
@@ -65,20 +68,25 @@ pub struct Die {
 
 /// Dense per-block OOB store: one lazily allocated slab of
 /// `pages_per_block` stamp slots per erase block, indexed by the die's
-/// flat block index. Mirrors the FTL's chunked L2P — geometries with
+/// flat block index. The block table itself is allocated on the first
+/// stamp, so a die that never stamps (any device without a journal) pays
+/// nothing for it. Mirrors the FTL's chunked L2P — geometries with
 /// terabytes of phantom capacity pay only for blocks that hold stamped
 /// pages — while lookups and the whole-block clear on erase are plain
 /// array operations instead of per-page hash traffic.
 #[derive(Debug)]
 struct OobTable {
+    /// Empty until the first stamp, then one entry per erase block.
     blocks: Vec<Option<Box<[Option<PageOob>]>>>,
+    blocks_per_die: usize,
     pages_per_block: u64,
 }
 
 impl OobTable {
     fn new(geo: &NandGeometry) -> Self {
         OobTable {
-            blocks: (0..geo.blocks_per_die()).map(|_| None).collect(),
+            blocks: Vec::new(),
+            blocks_per_die: geo.blocks_per_die() as usize,
             pages_per_block: geo.pages_per_block as u64,
         }
     }
@@ -87,6 +95,9 @@ impl OobTable {
     /// [`NandGeometry::page_index`]).
     fn set(&mut self, idx: u64, oob: PageOob) {
         let ppb = self.pages_per_block;
+        if self.blocks.is_empty() {
+            self.blocks.resize_with(self.blocks_per_die, || None);
+        }
         let slab = self.blocks[(idx / ppb) as usize]
             .get_or_insert_with(|| vec![None; ppb as usize].into_boxed_slice());
         slab[(idx % ppb) as usize] = Some(oob);
@@ -94,7 +105,8 @@ impl OobTable {
 
     fn get(&self, idx: u64) -> Option<PageOob> {
         let ppb = self.pages_per_block;
-        self.blocks[(idx / ppb) as usize]
+        self.blocks
+            .get((idx / ppb) as usize)?
             .as_ref()
             .and_then(|slab| slab[(idx % ppb) as usize])
     }
@@ -102,7 +114,9 @@ impl OobTable {
     /// Drops every stamp in the block with flat index `block_idx` (as
     /// produced by [`NandGeometry::block_index`]).
     fn clear_block(&mut self, block_idx: u64) {
-        self.blocks[block_idx as usize] = None;
+        if let Some(slab) = self.blocks.get_mut(block_idx as usize) {
+            *slab = None;
+        }
     }
 }
 
@@ -126,6 +140,7 @@ impl Die {
             config,
             planes,
             blocks: new_block_table(&config.geometry),
+            invalid: new_invalid_bits(&config.geometry),
             backing,
             stats: DieStats::default(),
             rber: RberMemo::new(
@@ -194,11 +209,7 @@ impl Die {
     /// the block is erased. Deterministic hook for exercising the
     /// reconstruction path. The page must have been programmed.
     pub fn corrupt_page(&mut self, p: PhysPage) -> Result<(), NandError> {
-        if !self.config.geometry.contains(p) {
-            return Err(NandError::BadAddress(p));
-        }
-        let block = &self.blocks[self.config.geometry.block_index(p.block_addr()) as usize];
-        if block.page_state(p.page) == PageState::Free {
+        if self.page_state(p)? == PageState::Free {
             return Err(NandError::ReadUnwritten(p));
         }
         self.torn.insert(self.config.geometry.page_index(p));
@@ -285,12 +296,47 @@ impl Die {
         Ok(&self.blocks[self.config.geometry.block_index(b) as usize])
     }
 
-    /// Mutable per-block state, for the FTL's invalidation bookkeeping.
-    pub fn block_mut(&mut self, b: BlockAddr) -> Result<&mut BlockState, NandError> {
+    /// Flat index of the block holding `p`, if `p` is on this die.
+    #[inline]
+    fn block_of(&self, p: PhysPage) -> Result<usize, NandError> {
+        if !self.config.geometry.contains(p) {
+            return Err(NandError::BadAddress(p));
+        }
+        Ok(self.config.geometry.block_index(p.block_addr()) as usize)
+    }
+
+    /// Lifecycle state of page `p`.
+    pub fn page_state(&self, p: PhysPage) -> Result<PageState, NandError> {
+        let block = &self.blocks[self.block_of(p)?];
+        Ok(block.page_state(p.page, &self.invalid))
+    }
+
+    /// Marks a `Valid` page `Invalid` (its logical contents moved
+    /// elsewhere; the FTL's invalidation bookkeeping). Returns `false` if
+    /// the page was not valid.
+    #[inline]
+    pub fn invalidate(&mut self, p: PhysPage) -> Result<bool, NandError> {
+        let block = self.block_of(p)?;
+        Ok(self.blocks[block].invalidate(p.page, &mut self.invalid))
+    }
+
+    /// Forces a programmed page's validity (mount recovery rebuilds the
+    /// Valid/Invalid partition from scanned OOB stamps rather than the
+    /// lost RAM state). Returns `false` — and changes nothing — for a
+    /// `Free` page, which has no validity to rewrite.
+    pub fn set_validity(&mut self, p: PhysPage, valid: bool) -> Result<bool, NandError> {
+        let block = self.block_of(p)?;
+        Ok(self.blocks[block].set_validity(p.page, valid, &mut self.invalid))
+    }
+
+    /// Retires block `b` (no further programs or erases), as the FTL does
+    /// to a block that reported a media fault.
+    pub fn retire_block(&mut self, b: BlockAddr) -> Result<(), NandError> {
         if !self.config.geometry.contains_block(b) {
             return Err(NandError::BadBlock(b));
         }
-        Ok(&mut self.blocks[self.config.geometry.block_index(b) as usize])
+        self.blocks[self.config.geometry.block_index(b) as usize].retire();
+        Ok(())
     }
 
     /// Reads page `p`, starting no earlier than `at`, and returns the array
@@ -321,7 +367,7 @@ impl Die {
         }
         let block_idx = self.config.geometry.block_index(p.block_addr()) as usize;
         let block = &self.blocks[block_idx];
-        if block.page_state(p.page) == PageState::Free {
+        if block.page_state(p.page, &self.invalid) == PageState::Free {
             return Err(NandError::ReadUnwritten(p));
         }
         // Worn (and, with aging armed, disturbed/stale) cells need
@@ -509,7 +555,7 @@ impl Die {
                 });
             }
         }
-        self.blocks[block_idx].mark_erased();
+        self.blocks[block_idx].mark_erased(&mut self.invalid);
         self.rber.cover(self.blocks[block_idx].erase_count());
         if let Backing::Data(arena) = &mut self.backing {
             arena.erase_block(block_idx);
@@ -530,6 +576,9 @@ impl Die {
 
     /// Ages every block by `pe` artificial program/erase cycles (for
     /// end-of-life experiments; does not retire blocks or touch data).
+    ///
+    /// # Panics
+    /// If a block's erase count would reach `u32::MAX`.
     pub fn simulate_wear(&mut self, pe: u64) {
         for b in &mut self.blocks {
             b.add_wear(pe);
@@ -1168,10 +1217,87 @@ mod tests {
     fn retired_block_counting() {
         let mut d = die();
         assert_eq!(d.retired_blocks(), 0);
-        d.block_mut(BlockAddr { plane: 0, block: 2 })
-            .unwrap()
-            .retire();
+        d.retire_block(BlockAddr { plane: 0, block: 2 }).unwrap();
         assert_eq!(d.retired_blocks(), 1);
+        assert_eq!(
+            d.retire_block(BlockAddr { plane: 9, block: 0 }),
+            Err(NandError::BadBlock(BlockAddr { plane: 9, block: 0 }))
+        );
+    }
+
+    mod validity_model {
+        //! Page validity against a `HashMap` model: random programs,
+        //! invalidations, forced validity and erases across blocks, so
+        //! invalid bitsets are taken, recycled between blocks and handed
+        //! back.
+
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::HashMap;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn page_validity_matches_a_map_model(
+                ops in prop::collection::vec((0u8..5, 0u32..2, 0u32..3, 0u32..70), 1..300)
+            ) {
+                // 70 pages per block: bitsets two words wide.
+                let geometry = NandGeometry {
+                    planes: 2,
+                    blocks_per_plane: 3,
+                    pages_per_block: 70,
+                    ..NandConfig::tiny_test_die().geometry
+                };
+                let mut d = Die::new(0, NandConfig { geometry, ..NandConfig::tiny_test_die() });
+                let mut model: HashMap<PhysPage, PageState> = HashMap::new();
+                for (op, plane, block, page) in ops {
+                    let b = BlockAddr { plane, block };
+                    let p = b.page(page);
+                    let state = model.get(&p).copied().unwrap_or(PageState::Free);
+                    match op {
+                        // Fill the block up to and including `page`.
+                        0 => {
+                            while let Some(next) = d.block(b).unwrap().next_programmable() {
+                                if next > page {
+                                    break;
+                                }
+                                d.program_page(b.page(next), SimTime::ZERO, None).unwrap();
+                                model.insert(b.page(next), PageState::Valid);
+                            }
+                        }
+                        1 => {
+                            prop_assert_eq!(d.invalidate(p).unwrap(), state == PageState::Valid);
+                            if state == PageState::Valid {
+                                model.insert(p, PageState::Invalid);
+                            }
+                        }
+                        2 | 3 => {
+                            let valid = op == 2;
+                            prop_assert_eq!(d.set_validity(p, valid).unwrap(), state != PageState::Free);
+                            if state != PageState::Free {
+                                let now = if valid { PageState::Valid } else { PageState::Invalid };
+                                model.insert(p, now);
+                            }
+                        }
+                        _ => {
+                            d.erase_block(b, SimTime::ZERO).unwrap();
+                            model.retain(|q, _| q.block_addr() != b);
+                        }
+                    }
+                    for q in (0..2).flat_map(|pl| (0..3).map(move |bl| BlockAddr { plane: pl, block: bl })) {
+                        let mut valid = 0;
+                        for pg in 0..70 {
+                            let want = model.get(&q.page(pg)).copied().unwrap_or(PageState::Free);
+                            prop_assert_eq!(d.page_state(q.page(pg)).unwrap(), want, "{:?}", q.page(pg));
+                            valid += u32::from(want == PageState::Valid);
+                        }
+                        prop_assert_eq!(d.block(q).unwrap().valid_pages(), valid);
+                    }
+                    prop_assert!(d.invalid.live() <= 6, "at most one bitset per block");
+                }
+            }
+        }
     }
 
     mod store_model {

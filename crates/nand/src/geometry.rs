@@ -21,6 +21,10 @@ pub struct NandGeometry {
 }
 
 impl NandGeometry {
+    /// The most pages an erase block may have: a block's write cursor and
+    /// valid-page count are kept in 16 bits.
+    pub const MAX_PAGES_PER_BLOCK: u32 = u16::MAX as u32;
+
     /// Total pages on the die.
     pub fn pages_per_die(&self) -> u64 {
         self.planes as u64 * self.blocks_per_plane as u64 * self.pages_per_block as u64

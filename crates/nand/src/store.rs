@@ -4,14 +4,18 @@
 //! (the FTL depends on it). A block stores no per-page state for it:
 //! programs are sequential, so pages at or past the write cursor are
 //! `Free`, and a page below it is `Invalid` exactly when its bit is set in
-//! a bitset allocated on the block's first invalidation and dropped on
-//! erase. A block that was never invalidated costs no heap at all.
+//! the block's invalid bitset. Bitsets live in the die's [`Slabs`] store,
+//! taken on a block's first invalidation and handed back on erase; the
+//! block holds only the slab index. A [`BlockState`] is therefore 32 bytes
+//! of plain data with no drop glue, so a die's block table is built and
+//! dropped as one allocation.
 //!
 //! The *contents* of pages are optional: a functional die keeps real bytes
 //! in a slot arena for functional verification, a phantom die keeps none so
 //! that terabyte-scale timing experiments fit in host memory.
 
 use crate::geometry::NandGeometry;
+use simkit::slab::{Slabs, NO_SLAB};
 
 /// Lifecycle state of one physical page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,101 +28,123 @@ pub enum PageState {
     Invalid,
 }
 
-/// Per-block bookkeeping: page states, sequential-program cursor, wear.
-#[derive(Debug, Clone)]
+/// `last_program_ns` of a block not programmed since its last erase.
+const NEVER_PROGRAMMED: u64 = u64::MAX;
+
+/// Per-block bookkeeping: sequential-program cursor, validity count, wear
+/// and aging clocks.
+///
+/// Page-level validity lives in an invalid bitset in the die's slab store
+/// (see the [module docs](self)); the die's page-state methods combine the
+/// two.
+#[derive(Debug)]
 pub struct BlockState {
-    pages_per_block: u32,
-    /// Index of the next page that may legally be programmed; every page
-    /// at or past it is `Free`.
-    write_cursor: u32,
-    /// One bit per page, set for programmed pages that are `Invalid`.
-    /// `None` until the first invalidation since the last erase.
-    invalid: Option<Box<[u64]>>,
-    /// Number of pages currently `Valid`.
-    valid_pages: u32,
-    /// Completed program/erase cycles.
-    erase_count: u64,
-    /// True once the block exceeded its rated endurance and was retired.
-    retired: bool,
+    /// Simulated time (ns) of the most recent program into this block
+    /// (retention clock), or [`NEVER_PROGRAMMED`] since the last erase.
+    last_program_ns: u64,
     /// Reads issued against any page of this block since its last erase
     /// (read-disturb clock).
     reads_since_erase: u64,
-    /// Simulated time (ns) of the most recent program into this block
-    /// (retention clock), or `None` if never programmed since erase.
-    last_program_ns: Option<u64>,
+    /// Completed program/erase cycles.
+    erase_count: u32,
+    /// Slab of the invalid bitset (one bit per page, set for programmed
+    /// pages that are `Invalid`), or [`NO_SLAB`] until the first
+    /// invalidation since the last erase.
+    invalid: u32,
+    /// Index of the next page that may legally be programmed; every page
+    /// at or past it is `Free`.
+    write_cursor: u16,
+    /// Number of pages currently `Valid`.
+    valid_pages: u16,
+    pages_per_block: u16,
+    /// True once the block exceeded its rated endurance and was retired.
+    retired: bool,
 }
 
 impl BlockState {
     /// A freshly erased block with zero wear.
+    ///
+    /// # Panics
+    /// If `pages_per_block` exceeds [`NandGeometry::MAX_PAGES_PER_BLOCK`].
     pub fn new(pages_per_block: u32) -> Self {
+        let pages_per_block = u16::try_from(pages_per_block)
+            .ok()
+            .filter(|&p| p as u32 <= NandGeometry::MAX_PAGES_PER_BLOCK)
+            .unwrap_or_else(|| {
+                panic!(
+                    "{pages_per_block} pages per block exceed the limit ({})",
+                    NandGeometry::MAX_PAGES_PER_BLOCK
+                )
+            });
         BlockState {
-            pages_per_block,
-            write_cursor: 0,
-            invalid: None,
-            valid_pages: 0,
-            erase_count: 0,
-            retired: false,
+            last_program_ns: NEVER_PROGRAMMED,
             reads_since_erase: 0,
-            last_program_ns: None,
+            erase_count: 0,
+            invalid: NO_SLAB,
+            write_cursor: 0,
+            valid_pages: 0,
+            pages_per_block,
+            retired: false,
         }
     }
 
-    /// State of page `page`.
+    /// State of page `page`, whose invalid bit (if any) is in `bits`.
     ///
     /// # Panics
     /// If `page` is not below the block's page count.
-    pub fn page_state(&self, page: u32) -> PageState {
+    pub(crate) fn page_state(&self, page: u32, bits: &Slabs) -> PageState {
         assert!(
-            page < self.pages_per_block,
+            page < self.pages_per_block as u32,
             "page {page} out of range for a {}-page block",
             self.pages_per_block
         );
-        if page >= self.write_cursor {
+        if page >= self.write_cursor as u32 {
             PageState::Free
-        } else if self.invalid_bit(page) {
+        } else if self.invalid_bit(page, bits) {
             PageState::Invalid
         } else {
             PageState::Valid
         }
     }
 
-    fn invalid_bit(&self, page: u32) -> bool {
-        self.invalid
-            .as_ref()
-            .is_some_and(|w| w[page as usize / 64] & (1 << (page % 64)) != 0)
+    fn invalid_bit(&self, page: u32, bits: &Slabs) -> bool {
+        self.invalid != NO_SLAB
+            && bits.word(self.invalid, page as usize / 64) & (1 << (page % 64)) != 0
     }
 
-    /// Sets or clears `page`'s invalid bit, allocating the bitset only to
-    /// set a bit.
-    fn set_invalid_bit(&mut self, page: u32, invalid: bool) {
+    /// Sets or clears `page`'s invalid bit, taking a slab only to set a
+    /// bit.
+    fn set_invalid_bit(&mut self, page: u32, invalid: bool, bits: &mut Slabs) {
         let (word, bit) = (page as usize / 64, 1u64 << (page % 64));
         if invalid {
-            let words = self.pages_per_block.div_ceil(64) as usize;
-            self.invalid.get_or_insert_with(|| vec![0; words].into())[word] |= bit;
-        } else if let Some(w) = &mut self.invalid {
-            w[word] &= !bit;
+            if self.invalid == NO_SLAB {
+                self.invalid = bits.alloc();
+            }
+            *bits.word_mut(self.invalid, word) |= bit;
+        } else if self.invalid != NO_SLAB {
+            *bits.word_mut(self.invalid, word) &= !bit;
         }
     }
 
     /// The next page index that may legally be programmed, or `None` if the
     /// block is full.
     pub fn next_programmable(&self) -> Option<u32> {
-        (self.write_cursor < self.pages_per_block).then_some(self.write_cursor)
+        (self.write_cursor < self.pages_per_block).then_some(self.write_cursor as u32)
     }
 
     /// Number of `Valid` pages.
     pub fn valid_pages(&self) -> u32 {
-        self.valid_pages
+        self.valid_pages as u32
     }
 
     /// Number of `Free` (programmable) pages remaining.
     pub fn free_pages(&self) -> u32 {
-        self.pages_per_block - self.write_cursor
+        (self.pages_per_block - self.write_cursor) as u32
     }
 
     /// Completed P/E cycles.
     pub fn erase_count(&self) -> u64 {
-        self.erase_count
+        self.erase_count as u64
     }
 
     /// Reads since the last erase (read-disturb clock).
@@ -127,8 +153,10 @@ impl BlockState {
     }
 
     /// Simulated time (ns) of the most recent program, if any since erase.
+    /// A program that ended at `u64::MAX` ns (saturated time) reads as
+    /// none; both give a retention age of zero.
     pub fn last_program_ns(&self) -> Option<u64> {
-        self.last_program_ns
+        (self.last_program_ns != NEVER_PROGRAMMED).then_some(self.last_program_ns)
     }
 
     /// Advances the read-disturb clock by one sense.
@@ -138,7 +166,7 @@ impl BlockState {
 
     /// Restarts the retention clock at `now_ns` (called on every program).
     pub(crate) fn stamp_program(&mut self, now_ns: u64) {
-        self.last_program_ns = Some(now_ns);
+        self.last_program_ns = now_ns;
     }
 
     /// True if the block was retired for wear.
@@ -147,35 +175,48 @@ impl BlockState {
     }
 
     /// Retires the block (no further programs or erases).
-    pub fn retire(&mut self) {
+    pub(crate) fn retire(&mut self) {
         self.retired = true;
     }
 
     /// Marks `page` programmed. Caller must have validated ordering.
     pub(crate) fn mark_programmed(&mut self, page: u32) {
-        debug_assert_eq!(page, self.write_cursor);
+        debug_assert_eq!(page, self.write_cursor as u32);
         self.write_cursor += 1;
         self.valid_pages += 1;
     }
 
     /// Marks a `Valid` page `Invalid` (its logical contents moved elsewhere).
-    /// Returns `false` if the page was not valid.
-    pub fn invalidate(&mut self, page: u32) -> bool {
-        if self.page_state(page) == PageState::Valid {
-            self.set_invalid_bit(page, true);
-            self.valid_pages -= 1;
-            true
-        } else {
-            false
+    /// Returns `false` if the page was not valid. One bitset lookup: a
+    /// programmed page of a block without a bitset is valid.
+    pub(crate) fn invalidate(&mut self, page: u32, bits: &mut Slabs) -> bool {
+        assert!(
+            page < self.pages_per_block as u32,
+            "page {page} out of range for a {}-page block",
+            self.pages_per_block
+        );
+        if page >= self.write_cursor as u32 {
+            return false; // free
         }
+        if self.invalid == NO_SLAB {
+            self.invalid = bits.alloc();
+        }
+        let (word, bit) = (
+            bits.word_mut(self.invalid, page as usize / 64),
+            1 << (page % 64),
+        );
+        if *word & bit != 0 {
+            return false; // already invalid
+        }
+        *word |= bit;
+        self.valid_pages -= 1;
+        true
     }
 
-    /// Forces a programmed page's validity (mount recovery rebuilds the
-    /// Valid/Invalid partition from scanned OOB stamps rather than the
-    /// lost RAM state). Returns `false` — and changes nothing — for a
-    /// `Free` page, which has no validity to rewrite.
-    pub fn set_validity(&mut self, page: u32, valid: bool) -> bool {
-        match self.page_state(page) {
+    /// Forces a programmed page's validity. Returns `false` — and changes
+    /// nothing — for a `Free` page, which has no validity to rewrite.
+    pub(crate) fn set_validity(&mut self, page: u32, valid: bool, bits: &mut Slabs) -> bool {
+        match self.page_state(page, bits) {
             PageState::Free => false,
             current => {
                 if current == PageState::Valid && !valid {
@@ -183,7 +224,7 @@ impl BlockState {
                 } else if current == PageState::Invalid && valid {
                     self.valid_pages += 1;
                 }
-                self.set_invalid_bit(page, !valid);
+                self.set_invalid_bit(page, !valid, bits);
                 true
             }
         }
@@ -191,19 +232,37 @@ impl BlockState {
 
     /// Adds artificial wear (experiments age a device without erasing it
     /// billions of times). Does not retire the block.
+    ///
+    /// # Panics
+    /// If the erase count would reach `u32::MAX`. The bound leaves room
+    /// for the one further erase a worn block takes before it retires.
     pub(crate) fn add_wear(&mut self, pe: u64) {
-        self.erase_count += pe;
+        self.erase_count = (self.erase_count as u64)
+            .checked_add(pe)
+            .filter(|&count| count < u32::MAX as u64)
+            .unwrap_or_else(|| panic!("{pe} added P/E cycles overflow a block's erase count"))
+            as u32;
     }
 
-    /// Resets the block after an erase and bumps the wear counter.
-    pub(crate) fn mark_erased(&mut self) {
+    /// Resets the block after an erase, hands its invalid bitset back to
+    /// `bits` and bumps the wear counter.
+    pub(crate) fn mark_erased(&mut self, bits: &mut Slabs) {
+        if self.invalid != NO_SLAB {
+            bits.release(self.invalid);
+            self.invalid = NO_SLAB;
+        }
         self.write_cursor = 0;
-        self.invalid = None;
         self.valid_pages = 0;
         self.erase_count += 1;
         self.reads_since_erase = 0;
-        self.last_program_ns = None;
+        self.last_program_ns = NEVER_PROGRAMMED;
     }
+}
+
+/// The invalid-bitset store for a die of geometry `geo`: one slab of
+/// `⌈pages_per_block / 64⌉` words per block that holds an invalid page.
+pub(crate) fn new_invalid_bits(geo: &NandGeometry) -> Slabs {
+    Slabs::new(geo.pages_per_block.div_ceil(64).max(1) as usize)
 }
 
 /// Page slots per arena chunk. At 4 KiB pages a chunk is 32 KiB: small
@@ -339,9 +398,14 @@ impl std::fmt::Debug for PageArena {
 }
 
 /// Builds the per-block state table for a die of geometry `geo`.
+///
+/// # Panics
+/// If the geometry's pages per block exceed
+/// [`NandGeometry::MAX_PAGES_PER_BLOCK`].
 pub fn new_block_table(geo: &NandGeometry) -> Vec<BlockState> {
+    let erased = BlockState::new(geo.pages_per_block);
     (0..geo.blocks_per_die())
-        .map(|_| BlockState::new(geo.pages_per_block))
+        .map(|_| BlockState { ..erased })
         .collect()
 }
 
@@ -349,8 +413,20 @@ pub fn new_block_table(geo: &NandGeometry) -> Vec<BlockState> {
 mod tests {
     use super::*;
 
+    /// A bitset store for blocks of `pages` pages.
+    fn bits(pages: u32) -> Slabs {
+        Slabs::new(pages.div_ceil(64) as usize)
+    }
+
+    #[test]
+    fn block_state_is_compact_plain_data() {
+        assert!(std::mem::size_of::<BlockState>() <= 32);
+        assert!(!std::mem::needs_drop::<BlockState>());
+    }
+
     #[test]
     fn block_lifecycle() {
+        let mut s = bits(4);
         let mut b = BlockState::new(4);
         assert_eq!(b.next_programmable(), Some(0));
         assert_eq!(b.free_pages(), 4);
@@ -358,61 +434,98 @@ mod tests {
         b.mark_programmed(1);
         assert_eq!(b.valid_pages(), 2);
         assert_eq!(b.next_programmable(), Some(2));
-        assert!(b.invalidate(0));
-        assert!(!b.invalidate(0), "double invalidate must be rejected");
+        assert!(b.invalidate(0, &mut s));
+        assert!(
+            !b.invalidate(0, &mut s),
+            "double invalidate must be rejected"
+        );
         assert_eq!(b.valid_pages(), 1);
-        assert_eq!(b.page_state(0), PageState::Invalid);
-        b.mark_erased();
+        assert_eq!(b.page_state(0, &s), PageState::Invalid);
+        b.mark_erased(&mut s);
         assert_eq!(b.erase_count(), 1);
         assert_eq!(b.valid_pages(), 0);
         assert_eq!(b.next_programmable(), Some(0));
-        assert_eq!(b.page_state(0), PageState::Free);
+        assert_eq!(b.page_state(0, &s), PageState::Free);
     }
 
     #[test]
     fn set_validity_rebuilds_partition() {
+        let mut s = bits(4);
         let mut b = BlockState::new(4);
-        assert!(!b.set_validity(0, true), "free pages have no validity");
+        assert!(
+            !b.set_validity(0, true, &mut s),
+            "free pages have no validity"
+        );
         b.mark_programmed(0);
         b.mark_programmed(1);
-        assert!(b.set_validity(0, false));
+        assert!(b.set_validity(0, false, &mut s));
         assert_eq!(b.valid_pages(), 1);
-        assert!(b.set_validity(0, true));
+        assert!(b.set_validity(0, true, &mut s));
         assert_eq!(b.valid_pages(), 2);
-        assert!(b.set_validity(0, true), "idempotent re-set keeps the count");
+        assert!(
+            b.set_validity(0, true, &mut s),
+            "idempotent re-set keeps the count"
+        );
         assert_eq!(b.valid_pages(), 2);
     }
 
     #[test]
     fn invalid_bitset_is_lazy_and_dropped_on_erase() {
+        let mut s = bits(130);
         let mut b = BlockState::new(130);
         for page in 0..130 {
             b.mark_programmed(page);
         }
-        assert!(b.invalid.is_none(), "programs alone allocate nothing");
-        assert!(b.set_validity(64, true));
-        assert!(
-            b.invalid.is_none(),
-            "re-validating a valid page allocates nothing"
-        );
-        assert!(b.invalidate(129));
-        assert_eq!(b.invalid.as_ref().map(|w| w.len()), Some(3));
-        assert!(b.set_validity(63, false));
-        assert_eq!(b.page_state(63), PageState::Invalid);
-        assert_eq!(b.page_state(64), PageState::Valid);
-        assert_eq!(b.page_state(129), PageState::Invalid);
+        assert_eq!(b.invalid, NO_SLAB, "programs alone take no slab");
+        assert!(b.set_validity(64, true, &mut s));
+        assert_eq!(s.live(), 0, "re-validating a valid page takes nothing");
+        assert!(b.invalidate(129, &mut s));
+        assert_eq!(s.live(), 1);
+        assert!(b.set_validity(63, false, &mut s));
+        assert_eq!(b.page_state(63, &s), PageState::Invalid);
+        assert_eq!(b.page_state(64, &s), PageState::Valid);
+        assert_eq!(b.page_state(129, &s), PageState::Invalid);
         assert_eq!(b.valid_pages(), 128);
-        b.mark_erased();
-        assert!(b.invalid.is_none(), "erase drops the bitset");
-        assert_eq!(b.page_state(129), PageState::Free);
+        b.mark_erased(&mut s);
+        assert_eq!(
+            (b.invalid, s.live()),
+            (NO_SLAB, 0),
+            "erase hands the slab back"
+        );
+        assert_eq!(b.page_state(129, &s), PageState::Free);
+        // The next block to invalidate reuses the slab, cleared.
+        let mut c = BlockState::new(130);
+        for page in 0..130 {
+            c.mark_programmed(page);
+        }
+        assert!(c.invalidate(0, &mut s));
+        assert_eq!(c.page_state(63, &s), PageState::Valid);
+        assert_eq!(c.page_state(129, &s), PageState::Valid);
         b.mark_programmed(0);
-        assert_eq!(b.page_state(0), PageState::Valid);
+        assert_eq!(b.page_state(0, &s), PageState::Valid);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn page_past_the_block_panics() {
-        BlockState::new(4).page_state(4);
+        BlockState::new(4).page_state(4, &bits(4));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the limit")]
+    fn oversized_blocks_are_rejected() {
+        BlockState::new(NandGeometry::MAX_PAGES_PER_BLOCK + 1);
+    }
+
+    #[test]
+    fn wear_is_bounded_explicitly() {
+        let mut b = BlockState::new(4);
+        b.add_wear(u32::MAX as u64 - 1);
+        assert_eq!(b.erase_count(), u32::MAX as u64 - 1);
+        b.mark_erased(&mut bits(4));
+        assert_eq!(b.erase_count(), u32::MAX as u64);
+        let overflow = std::panic::catch_unwind(|| BlockState::new(4).add_wear(u32::MAX as u64));
+        assert!(overflow.is_err(), "wear past the counter must panic");
     }
 
     #[test]
@@ -428,7 +541,7 @@ mod tests {
         assert_eq!(b.last_program_ns(), Some(500));
         b.stamp_program(900); // later program restarts retention
         assert_eq!(b.last_program_ns(), Some(900));
-        b.mark_erased();
+        b.mark_erased(&mut bits(4));
         assert_eq!(b.reads_since_erase(), 0);
         assert_eq!(b.last_program_ns(), None);
     }

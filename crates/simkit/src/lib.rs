@@ -12,6 +12,9 @@
 //!   windows.
 //! * [`stats`] — counters and histograms used for every report the
 //!   simulators produce.
+//! * [`slab`] — fixed-width `u64` slabs behind `u32` indices, recycled
+//!   through a spare list, for per-block metadata that drop-free tables
+//!   point into.
 //! * [`par`] — the deterministic parallel *data plane*: a scoped worker
 //!   pool whose [`par::map_indexed`] returns results in input order, so
 //!   byte-level work parallelizes while the timing plane stays serial.
@@ -46,6 +49,7 @@ mod time;
 
 pub mod par;
 pub mod pool;
+pub mod slab;
 pub mod stats;
 
 pub use resource::{BandwidthLink, Timeline, Window};

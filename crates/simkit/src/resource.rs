@@ -102,11 +102,18 @@ impl Timeline {
 /// each occupies the pipe for `bytes / bandwidth`.
 ///
 /// Examples: an ONFI channel bus, the PCIe host link, a DRAM port.
+///
+/// A link's traffic is mostly one size (a flash page), so it keeps the
+/// duration of the last size it moved and divides only when the size
+/// changes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BandwidthLink {
     timeline: Timeline,
     bytes_per_sec: u64,
     bytes_moved: u64,
+    /// The last transfer size and its [`SimDuration::for_transfer`].
+    memo_bytes: u64,
+    memo: SimDuration,
 }
 
 impl BandwidthLink {
@@ -116,15 +123,39 @@ impl BandwidthLink {
             timeline: Timeline::new(name),
             bytes_per_sec,
             bytes_moved: 0,
+            memo_bytes: 0,
+            memo: SimDuration::for_transfer(0, bytes_per_sec),
         }
     }
 
     /// Schedules a transfer of `bytes` arriving at `earliest`; returns its
     /// occupancy window.
     pub fn transfer(&mut self, earliest: SimTime, bytes: u64) -> Window {
-        let dur = SimDuration::for_transfer(bytes, self.bytes_per_sec);
-        self.bytes_moved = self.bytes_moved.saturating_add(bytes);
-        self.timeline.acquire(earliest, dur)
+        self.transfer_then(earliest, bytes, 0, SimDuration::ZERO)
+    }
+
+    /// Schedules a transfer of `bytes` followed back to back by a fixed
+    /// tail of `tail_bytes` that holds the link for `tail`, such as a
+    /// per-operation command overhead. The caller computes `tail` once, as
+    /// `SimDuration::for_transfer(tail_bytes, self.bytes_per_sec())`; the
+    /// window and the statistics then equal those of two back-to-back
+    /// transfers, except that [`transfers`](Self::transfers) counts one.
+    pub fn transfer_then(
+        &mut self,
+        earliest: SimTime,
+        bytes: u64,
+        tail_bytes: u64,
+        tail: SimDuration,
+    ) -> Window {
+        if bytes != self.memo_bytes {
+            self.memo_bytes = bytes;
+            self.memo = SimDuration::for_transfer(bytes, self.bytes_per_sec);
+        }
+        self.bytes_moved = self
+            .bytes_moved
+            .saturating_add(bytes)
+            .saturating_add(tail_bytes);
+        self.timeline.acquire(earliest, self.memo + tail)
     }
 
     /// The instant at which the link next becomes free.
@@ -172,6 +203,7 @@ impl BandwidthLink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn timeline_serializes_requests() {
@@ -215,6 +247,57 @@ mod tests {
         let w2 = l.transfer(SimTime::ZERO, 1_000);
         assert_eq!(w1.end, w2.start);
         assert_eq!(l.transfers(), 2);
+    }
+
+    /// The cost of a transfer on a link that just moved another size.
+    fn fresh_after(bps: u64, before: u64, bytes: u64) -> SimDuration {
+        let mut l = BandwidthLink::new("bus", bps);
+        l.transfer(SimTime::ZERO, before);
+        l.reset();
+        l.transfer(SimTime::ZERO, bytes).duration()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over sizes on both sides of the point where `bytes · 10⁹`
+        /// overflows a `u64`, repeated or alternating, every window equals
+        /// `for_transfer` and a tail adds exactly its own duration.
+        #[test]
+        fn memoized_transfers_match_for_transfer(
+            which in 0usize..4,
+            sizes in prop::collection::vec((0u8..4, -3i64..4), 1..12),
+            rate in 1u64..u64::MAX,
+            tail_bytes in 0u64..2048,
+        ) {
+            const EDGE: u64 = u64::MAX / 1_000_000_000;
+            let bps = [rate, 1, 1_200_000_000, u64::MAX][which];
+            let tail = SimDuration::for_transfer(tail_bytes, bps);
+            let mut link = BandwidthLink::new("bus", bps);
+            for (base, delta) in sizes {
+                let base = [0, 16_384, EDGE, u64::MAX - 3][base as usize];
+                let bytes = base.saturating_add_signed(delta);
+                let want = SimDuration::for_transfer(bytes, bps);
+                // `reset` clears occupancy but keeps the memo, so each
+                // window starts at zero and only saturates at `SimTime::MAX`.
+                link.reset();
+                let w = link.transfer(SimTime::ZERO, bytes);
+                prop_assert_eq!(w.end, SimTime::ZERO + want, "{} B at {} B/s", bytes, bps);
+                prop_assert_eq!(fresh_after(bps, bytes ^ 1, bytes), want);
+                let w2 = link.transfer_then(SimTime::ZERO, bytes, tail_bytes, tail);
+                prop_assert_eq!((w2.start, w2.end), (w.end, w.end + (want + tail)));
+            }
+        }
+    }
+
+    #[test]
+    fn tail_counts_bytes_and_busy_time() {
+        let mut l = BandwidthLink::new("bus", 1_000_000_000);
+        let w = l.transfer_then(SimTime::ZERO, 1_000, 10, SimDuration::from_ns(10));
+        assert_eq!(w.duration(), SimDuration::from_ns(1_010));
+        assert_eq!(l.bytes_moved(), 1_010);
+        assert_eq!(l.busy_total(), SimDuration::from_ns(1_010));
+        assert_eq!(l.transfers(), 1);
     }
 
     #[test]

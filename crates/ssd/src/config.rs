@@ -1,7 +1,7 @@
 //! Device configuration and the Table-2 presets.
 
 use crate::address::DieId;
-use nandsim::{AgingConfig, FaultConfig, NandConfig};
+use nandsim::{AgingConfig, FaultConfig, NandConfig, NandGeometry};
 use serde::{Deserialize, Serialize};
 
 /// PCIe host-link generation/width presets (per-direction bandwidth).
@@ -313,6 +313,13 @@ impl SsdConfig {
         if self.total_dies() > 0xFFFF {
             return Err("die count exceeds the device limit (65535)".into());
         }
+        let pages_per_block = self.nand.geometry.pages_per_block;
+        if pages_per_block > NandGeometry::MAX_PAGES_PER_BLOCK {
+            return Err(format!(
+                "{pages_per_block} pages per block exceed the block-state limit ({})",
+                NandGeometry::MAX_PAGES_PER_BLOCK
+            ));
+        }
         if !(0.0..0.9).contains(&self.overprovision) {
             return Err(format!(
                 "overprovision must be in [0, 0.9), got {}",
@@ -387,6 +394,22 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.contains("1025 dies per channel"), "{err}");
+    }
+
+    #[test]
+    fn block_state_bounds_pages_per_block() {
+        let with_pages = |pages_per_block| {
+            let mut cfg = SsdConfig::tiny();
+            cfg.nand.geometry.pages_per_block = pages_per_block;
+            cfg
+        };
+        with_pages(NandGeometry::MAX_PAGES_PER_BLOCK)
+            .validate()
+            .unwrap();
+        let err = with_pages(NandGeometry::MAX_PAGES_PER_BLOCK + 1)
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("65536 pages per block"), "{err}");
     }
 
     #[test]

@@ -115,7 +115,7 @@ impl Device {
         };
         let mut page = self.scratch_page();
         for page_idx in 0..pages {
-            if self.die(die_id).block(victim_addr)?.page_state(page_idx) != PageState::Valid {
+            if self.die(die_id).page_state(victim_addr.page(page_idx))? != PageState::Valid {
                 continue;
             }
             let src_ppa = Ppa {
@@ -144,7 +144,8 @@ impl Device {
         match channel.die_mut(die_id.index).erase_block(victim_addr, at) {
             Ok(erase_win) => {
                 self.trace_op(OpKind::Erase, None, die_id, erase_win);
-                self.ftl.reclaim_block(die_flat, victim_addr);
+                let die = self.channels[die_id.channel as usize].die(die_id.index);
+                self.ftl.reclaim_block(die_flat, die, victim_addr);
                 // The erase may have pushed the block past its rated P/E
                 // cycles: a wear-retired block must not re-enter the pool.
                 if self.die(die_id).block(victim_addr)?.is_retired() {
@@ -232,8 +233,7 @@ impl Device {
     fn retire(&mut self, die_id: DieId, block: BlockAddr) -> Result<(), SsdError> {
         self.channels[die_id.channel as usize]
             .die_mut(die_id.index)
-            .block_mut(block)?
-            .retire();
+            .retire_block(block)?;
         self.ftl
             .discard_block(die_id.flat(self.config.dies_per_channel), block);
         self.stats.retired_blocks.incr();
@@ -255,11 +255,10 @@ impl Device {
         let geo = self.config.nand.geometry;
         let victims: Vec<(Lpn, PhysPage)> = (0..geo.pages_per_block)
             .filter_map(|idx| {
-                let die = self.die(die_id);
-                if die.block(block).ok()?.page_state(idx) != PageState::Valid {
+                let page = block.page(idx);
+                if self.die(die_id).page_state(page).ok()? != PageState::Valid {
                     return None;
                 }
-                let page = block.page(idx);
                 let ppa = Ppa { die: die_id, page };
                 self.ftl.owner_of(ppa).map(|lpn| (lpn, page))
             })
@@ -340,12 +339,11 @@ mod tests {
                 for page in 0..programmed {
                     die.program_page(addr.page(page), SimTime::ZERO, None).unwrap();
                 }
-                let state = die.block_mut(addr).unwrap();
                 for page in 0..invalid.min(programmed) {
-                    state.invalidate(page);
+                    die.invalidate(addr.page(page)).unwrap();
                 }
                 if retired == 0 {
-                    state.retire();
+                    die.retire_block(addr).unwrap();
                 }
                 if act == 0 {
                     active.push(flat as u64);

@@ -346,11 +346,10 @@ impl Device {
         if self.ftl.free_blocks(JOURNAL_DIE_FLAT) == 0 {
             self.ensure_space(die_id, at)?;
         }
-        let wear = self.config.gc.wear_leveling;
         let block = {
             let channel = &self.channels[die_id.channel as usize];
             self.ftl
-                .take_free_block(JOURNAL_DIE_FLAT, channel.die(die_id.index), wear)
+                .take_free_block(JOURNAL_DIE_FLAT, channel.die(die_id.index))
         }
         .ok_or(SsdError::OutOfSpace(die_id))?;
         if let Some(journal) = &mut self.journal {

@@ -119,11 +119,20 @@ enum ReadRoute {
 
 impl Device {
     /// Creates a phantom-mode device (timing and state only, no page data).
+    ///
+    /// # Panics
+    /// If `config` fails [`SsdConfig::validate`]. Callers that take a
+    /// configuration from outside check it first:
+    /// `optimstore_core::OptimStoreDevice::new` returns a failed check as
+    /// `CoreError::Config`.
     pub fn new(config: SsdConfig) -> Self {
         Self::build(config, false)
     }
 
     /// Creates a functional device that stores every page's bytes.
+    ///
+    /// # Panics
+    /// If `config` fails [`SsdConfig::validate`], as [`Device::new`].
     pub fn new_functional(config: SsdConfig) -> Self {
         Self::build(config, true)
     }
@@ -650,15 +659,14 @@ impl Device {
         kind: ProgramKind,
     ) -> Result<Window, SsdError> {
         let die_flat = die_id.flat(self.config.dies_per_channel);
-        let wear = self.config.gc.wear_leveling;
         let mut at = at;
         let mut prefer = prefer_plane;
         loop {
             let channel = &mut self.channels[die_id.channel as usize];
             let die = channel.die(die_id.index);
             let page = match prefer {
-                Some(p) => self.ftl.allocate_page_preferring(die_flat, die, p, wear),
-                None => self.ftl.allocate_page(die_flat, die, wear),
+                Some(p) => self.ftl.allocate_page_preferring(die_flat, die, p),
+                None => self.ftl.allocate_page(die_flat, die),
             }
             .ok_or(SsdError::OutOfSpace(die_id))?;
             let attempt = if cross_bus {
@@ -825,9 +833,8 @@ impl Device {
 /// Marks a stale physical page invalid on its die.
 fn invalidate(channels: &mut [Channel], stale: Ppa) {
     let die = channels[stale.die.channel as usize].die_mut(stale.die.index);
-    if let Ok(block) = die.block_mut(stale.page.block_addr()) {
-        block.invalidate(stale.page.page);
-    }
+    // A mapped page is on its die, so the address is always in range.
+    let _ = die.invalidate(stale.page);
 }
 
 #[cfg(test)]

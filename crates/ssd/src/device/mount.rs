@@ -243,15 +243,16 @@ impl Device {
                 .collect();
             let die = self.channels[die_id.channel as usize].die_mut(die_id.index);
             for (page, valid) in updates {
-                if let Ok(block) = die.block_mut(page.block_addr()) {
-                    block.set_validity(page.page, valid);
-                }
+                // Scanned pages are on the die: the address is in range.
+                let _ = die.set_validity(page, valid);
             }
             let exclude = match &self.journal {
                 Some(j) if die_flat == JOURNAL_DIE_FLAT => &j.blocks[..],
                 _ => &[],
             };
-            ftl.set_allocator(die_flat, DieAlloc::from_scan(self.die(die_id), exclude));
+            let alloc =
+                DieAlloc::from_scan(self.die(die_id), exclude, self.config.gc.wear_leveling);
+            ftl.set_allocator(die_flat, alloc);
         }
         self.ftl = ftl;
         if let Some(journal) = &mut self.journal {

@@ -6,8 +6,19 @@
 //! its multi-plane program bandwidth — without it every write in a stream
 //! would land in one plane's active block and serialize. This is the
 //! standard "superblock" policy of production FTLs.
+//!
+//! With wear levelling each plane's pool is kept ordered by
+//! `(erase_count, block)`: a reclaimed block is inserted where its key
+//! belongs (a binary search over the pool), and opening a block pops the
+//! front. The pick is the pool's lowest erase count, ties to the lowest
+//! block index — what a scan of the pool would choose — at O(log pool)
+//! instead of O(pool). The order stays valid because a pooled block is
+//! never erased (GC erases only full blocks, the journal none) and
+//! [`Die::simulate_wear`] ages every block alike. Without wear levelling a
+//! pool is a LIFO stack.
 
 use nandsim::{BlockAddr, Die, PhysPage};
+use std::collections::VecDeque;
 
 /// Allocation state for one die.
 #[derive(Debug)]
@@ -15,27 +26,37 @@ pub struct DieAlloc {
     /// Block currently being filled on each plane.
     actives: Vec<Option<BlockAddr>>,
     /// Erased, ready-to-program blocks per plane (block index within the
-    /// plane).
-    free: Vec<Vec<u32>>,
+    /// plane): ordered by `(erase_count, block)` when `wear_leveling`, in
+    /// reclaim order otherwise.
+    free: Vec<VecDeque<u32>>,
     /// Blocks across every pool of `free`, kept by each pool mutation so
     /// the per-program space check reads one field.
     free_count: usize,
     /// Round-robin cursor over planes (always below the plane count).
     next_plane: u32,
+    /// Open the least-worn block first (else the last reclaimed).
+    wear_leveling: bool,
 }
 
 impl DieAlloc {
     /// Fresh allocator: every block of the die is erased and free.
-    pub fn new(die: &Die) -> Self {
+    pub fn new(die: &Die, wear_leveling: bool) -> Self {
         let geo = die.config().geometry;
-        DieAlloc {
+        let mut alloc = DieAlloc {
             actives: vec![None; geo.planes as usize],
             free: (0..geo.planes)
                 .map(|_| (0..geo.blocks_per_plane).collect())
                 .collect(),
             free_count: geo.blocks_per_die() as usize,
             next_plane: 0,
+            wear_leveling,
+        };
+        // A die that never erased has uniform wear, so block order is
+        // already `(erase_count, block)` order.
+        if die.stats().erases.get() > 0 {
+            alloc.order_pools(die);
         }
+        alloc
     }
 
     /// Number of erased blocks available (excluding active blocks).
@@ -43,19 +64,21 @@ impl DieAlloc {
         self.free_count
     }
 
-    /// The block currently being filled on `plane`.
-    pub fn active_block_on(&self, plane: u32) -> Option<BlockAddr> {
-        self.actives[plane as usize]
-    }
-
     /// All currently active blocks.
     pub fn active_blocks(&self) -> impl Iterator<Item = BlockAddr> + '_ {
         self.actives.iter().filter_map(|a| *a)
     }
 
-    /// Returns an erased block to its plane's pool (after GC erased it).
-    pub fn push_free(&mut self, block: BlockAddr) {
-        self.free[block.plane as usize].push(block.block);
+    /// Returns `block`, which `die` has just erased, to its plane's pool.
+    pub fn reclaim_block(&mut self, die: &Die, block: BlockAddr) {
+        let pool = &mut self.free[block.plane as usize];
+        if self.wear_leveling {
+            let key = wear_key(die, block.plane, block.block);
+            let at = pool.partition_point(|&b| wear_key(die, block.plane, b) < key);
+            pool.insert(at, block.block);
+        } else {
+            pool.push_back(block.block);
+        }
         self.free_count += 1;
     }
 
@@ -76,31 +99,31 @@ impl DieAlloc {
     /// Takes an erased block out of allocation entirely. Journal blocks are
     /// carved out this way: they hold FTL metadata, are never handed to
     /// `next_page`, and never become GC victims. The pick mirrors
-    /// `next_page`'s wear policy (lowest erase count, then lowest plane and
-    /// block index, deterministically).
-    pub fn take_block(&mut self, die: &Die, wear_leveling: bool) -> Option<BlockAddr> {
-        let mut best: Option<(u64, u32, u32)> = None;
-        for (plane, pool) in self.free.iter().enumerate() {
-            for &b in pool {
-                let wear = if wear_leveling {
-                    let addr = BlockAddr {
-                        plane: plane as u32,
-                        block: b,
-                    };
-                    die.block(addr).expect("free block exists").erase_count()
-                } else {
-                    0
-                };
-                let key = (wear, plane as u32, b);
-                if best.map(|k| key < k).unwrap_or(true) {
-                    best = Some(key);
-                }
-            }
-        }
-        let (_, plane, block) = best?;
-        self.free[plane as usize].retain(|&b| b != block);
+    /// `next_page`'s wear policy: with wear levelling the lowest erase
+    /// count, then the lowest plane and block index; without, the lowest
+    /// plane and block index.
+    pub fn take_block(&mut self, die: &Die) -> Option<BlockAddr> {
+        let (plane, at) = if self.wear_leveling {
+            // Each pool's front is its own minimum.
+            let (_, plane, _) = (0..self.free.len())
+                .filter_map(|plane| {
+                    let (wear, b) = wear_key(die, plane as u32, *self.free[plane].front()?);
+                    Some((wear, plane, b))
+                })
+                .min()?;
+            (plane, 0)
+        } else {
+            self.free.iter().enumerate().find_map(|(plane, pool)| {
+                let (at, _) = pool.iter().enumerate().min_by_key(|&(_, &b)| b)?;
+                Some((plane, at))
+            })?
+        };
+        let block = self.free[plane].remove(at)?;
         self.free_count -= 1;
-        Some(BlockAddr { plane, block })
+        Some(BlockAddr {
+            plane: plane as u32,
+            block,
+        })
     }
 
     /// Rebuilds allocation state from physical block state (mount recovery:
@@ -109,13 +132,14 @@ impl DieAlloc {
     /// as the active block (lowest block index wins, deterministically —
     /// any other partial block simply leaves allocation until GC reclaims
     /// it); retired and `exclude`d blocks stay out.
-    pub fn from_scan(die: &Die, exclude: &[BlockAddr]) -> Self {
+    pub fn from_scan(die: &Die, exclude: &[BlockAddr], wear_leveling: bool) -> Self {
         let geo = die.config().geometry;
         let mut alloc = DieAlloc {
             actives: vec![None; geo.planes as usize],
-            free: (0..geo.planes).map(|_| Vec::new()).collect(),
+            free: (0..geo.planes).map(|_| VecDeque::new()).collect(),
             free_count: 0,
             next_plane: 0,
+            wear_leveling,
         };
         for (flat, b) in die.iter_blocks() {
             let addr = geo.block_at(flat);
@@ -123,7 +147,10 @@ impl DieAlloc {
                 continue;
             }
             match b.next_programmable() {
-                Some(0) => alloc.push_free(addr),
+                Some(0) => {
+                    alloc.free[addr.plane as usize].push_back(addr.block);
+                    alloc.free_count += 1;
+                }
                 Some(_) => {
                     let slot = &mut alloc.actives[addr.plane as usize];
                     if slot.map(|cur| addr.block < cur.block).unwrap_or(true) {
@@ -133,21 +160,27 @@ impl DieAlloc {
                 None => {} // full: leaves allocation until GC reclaims it
             }
         }
+        alloc.order_pools(die);
         alloc
+    }
+
+    /// Sorts every pool by `(erase_count, block)` under wear levelling.
+    fn order_pools(&mut self, die: &Die) {
+        if self.wear_leveling {
+            for (plane, pool) in self.free.iter_mut().enumerate() {
+                pool.make_contiguous()
+                    .sort_by_key(|&b| wear_key(die, plane as u32, b));
+            }
+        }
     }
 
     /// Next physical page on a *specific* plane, falling back to any plane
     /// when it has nothing left. Media-fault recovery re-homes a failed
     /// program plane-locally when possible so the remap costs no extra
     /// plane switch.
-    pub fn next_page_preferring(
-        &mut self,
-        plane: u32,
-        die: &Die,
-        wear_leveling: bool,
-    ) -> Option<PhysPage> {
-        self.next_page_on_plane(plane, die, wear_leveling)
-            .or_else(|| self.next_page(die, wear_leveling))
+    pub fn next_page_preferring(&mut self, plane: u32, die: &Die) -> Option<PhysPage> {
+        self.next_page_on_plane(plane, die)
+            .or_else(|| self.next_page(die))
     }
 
     /// Next physical page to program on this die.
@@ -155,15 +188,15 @@ impl DieAlloc {
     /// Planes are visited round-robin so a write stream stripes across all
     /// of them. Within a plane, the active block fills sequentially; a new
     /// block is opened from the plane's pool when it fills (lowest erase
-    /// count first when `wear_leveling`, LIFO otherwise). Falls back to
+    /// count first with wear levelling, LIFO otherwise). Falls back to
     /// other planes when one runs dry; returns `None` only when the whole
     /// die has no erased block left.
-    pub fn next_page(&mut self, die: &Die, wear_leveling: bool) -> Option<PhysPage> {
+    pub fn next_page(&mut self, die: &Die) -> Option<PhysPage> {
         let planes = self.actives.len() as u32;
         let wrap = |p: u32| if p + 1 == planes { 0 } else { p + 1 };
         let mut plane = self.next_plane;
         for _ in 0..planes {
-            if let Some(page) = self.next_page_on_plane(plane, die, wear_leveling) {
+            if let Some(page) = self.next_page_on_plane(plane, die) {
                 self.next_plane = wrap(plane);
                 return Some(page);
             }
@@ -172,12 +205,7 @@ impl DieAlloc {
         None
     }
 
-    fn next_page_on_plane(
-        &mut self,
-        plane: u32,
-        die: &Die,
-        wear_leveling: bool,
-    ) -> Option<PhysPage> {
+    fn next_page_on_plane(&mut self, plane: u32, die: &Die) -> Option<PhysPage> {
         if let Some(active) = self.actives[plane as usize] {
             if let Ok(block) = die.block(active) {
                 if let Some(page) = block.next_programmable() {
@@ -188,24 +216,10 @@ impl DieAlloc {
             self.actives[plane as usize] = None;
         }
         let pool = &mut self.free[plane as usize];
-        if pool.is_empty() {
-            return None;
-        }
-        let pick = if wear_leveling {
-            // Lowest erase count first; index ties break deterministically.
-            let best = pool
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &b)| {
-                    let addr = BlockAddr { plane, block: b };
-                    let state = die.block(addr).expect("free block exists");
-                    (state.erase_count(), b)
-                })
-                .map(|(i, _)| i)
-                .expect("pool is non-empty");
-            pool.swap_remove(best)
+        let pick = if self.wear_leveling {
+            pool.pop_front()?
         } else {
-            pool.pop().expect("pool is non-empty")
+            pool.pop_back()?
         };
         self.free_count -= 1;
         let addr = BlockAddr { plane, block: pick };
@@ -218,6 +232,14 @@ impl DieAlloc {
         self.actives[plane as usize] = Some(addr);
         Some(addr.page(0))
     }
+}
+
+/// The wear-aware pool order of block `block` on `plane`.
+fn wear_key(die: &Die, plane: u32, block: u32) -> (u64, u32) {
+    let state = die
+        .block(BlockAddr { plane, block })
+        .expect("free block exists");
+    (state.erase_count(), block)
 }
 
 #[cfg(test)]
@@ -233,7 +255,7 @@ mod tests {
     #[test]
     fn fresh_allocator_has_all_blocks_free() {
         let d = die();
-        let a = DieAlloc::new(&d);
+        let a = DieAlloc::new(&d, true);
         assert_eq!(a.free_blocks() as u64, d.config().geometry.blocks_per_die());
         assert_eq!(a.active_blocks().count(), 0);
     }
@@ -241,11 +263,11 @@ mod tests {
     #[test]
     fn consecutive_allocations_stripe_across_planes() {
         let mut d = die();
-        let mut a = DieAlloc::new(&d);
+        let mut a = DieAlloc::new(&d, true);
         let planes = d.config().geometry.planes;
         let mut seen = Vec::new();
         for _ in 0..planes * 2 {
-            let p = a.next_page(&d, true).unwrap();
+            let p = a.next_page(&d).unwrap();
             d.program_page(p, SimTime::ZERO, None).unwrap();
             seen.push(p.plane);
         }
@@ -260,14 +282,14 @@ mod tests {
     #[test]
     fn within_a_plane_pages_are_sequential() {
         let mut d = die();
-        let mut a = DieAlloc::new(&d);
+        let mut a = DieAlloc::new(&d, true);
         let planes = d.config().geometry.planes;
         let ppb = d.config().geometry.pages_per_block;
         // Allocate planes × ppb pages: each plane's block fills fully and
         // sequentially.
         let mut per_plane_pages: Vec<Vec<u32>> = vec![Vec::new(); planes as usize];
         for _ in 0..planes * ppb {
-            let p = a.next_page(&d, true).unwrap();
+            let p = a.next_page(&d).unwrap();
             d.program_page(p, SimTime::ZERO, None).unwrap();
             per_plane_pages[p.plane as usize].push(p.page);
         }
@@ -275,7 +297,7 @@ mod tests {
             assert_eq!(pages, (0..ppb).collect::<Vec<_>>());
         }
         // Next allocation opens fresh blocks.
-        let p = a.next_page(&d, true).unwrap();
+        let p = a.next_page(&d).unwrap();
         assert_eq!(p.page, 0);
     }
 
@@ -289,41 +311,67 @@ mod tests {
                     .unwrap();
             }
         }
-        let mut a = DieAlloc::new(&d);
+        let mut a = DieAlloc::new(&d, true);
         for _ in 0..d.config().geometry.planes {
-            let p = a.next_page(&d, true).unwrap();
+            let p = a.next_page(&d).unwrap();
             assert_ne!(p.block, 0, "wear levelling must avoid the hot block");
             d.program_page(p, SimTime::ZERO, None).unwrap();
         }
     }
 
     #[test]
+    fn equal_wear_breaks_ties_to_the_lowest_block() {
+        let mut d = die();
+        let mut a = DieAlloc::new(&d, true);
+        while let Some(p) = a.next_page(&d) {
+            d.program_page(p, SimTime::ZERO, None).unwrap();
+        }
+        // Reclaim three plane-0 blocks out of index order, each erased once.
+        for block in [5, 3, 4] {
+            let b = BlockAddr { plane: 0, block };
+            d.erase_block(b, SimTime::ZERO).unwrap();
+            a.reclaim_block(&d, b);
+        }
+        let picks: Vec<u32> = (0..3)
+            .map(|_| {
+                let p = a.next_page_preferring(0, &d).unwrap();
+                for page in 0..d.config().geometry.pages_per_block {
+                    d.program_page(p.block_addr().page(page), SimTime::ZERO, None)
+                        .unwrap();
+                }
+                p.block
+            })
+            .collect();
+        assert_eq!(picks, [3, 4, 5]);
+    }
+
+    #[test]
     fn lifo_policy_reuses_last_freed() {
         let d = die();
-        let mut a = DieAlloc::new(&d);
+        let mut a = DieAlloc::new(&d, false);
         let last = d.config().geometry.blocks_per_plane - 1;
-        let p = a.next_page(&d, false).unwrap();
+        let p = a.next_page(&d).unwrap();
         assert_eq!(p.block, last);
     }
 
     #[test]
     fn discard_removes_active_and_pooled_blocks() {
         let mut d = die();
-        let mut a = DieAlloc::new(&d);
+        let mut a = DieAlloc::new(&d, true);
         let total = a.free_blocks();
         // Open an active block on plane 0.
-        let p = a.next_page(&d, true).unwrap();
+        let p = a.next_page(&d).unwrap();
         d.program_page(p, SimTime::ZERO, None).unwrap();
         let active = p.block_addr();
         a.discard_block(active);
-        assert_eq!(a.active_block_on(active.plane), None);
+        assert_eq!(a.actives[active.plane as usize], None);
         // Discard a never-opened pool block too.
         let pooled = BlockAddr { plane: 1, block: 5 };
         a.discard_block(pooled);
         assert_eq!(a.free_blocks(), total - 2);
         // Neither block is ever allocated again.
         let mut seen = std::collections::HashSet::new();
-        while let Some(p) = a.next_page(&d, true) {
+        while let Some(p) = a.next_page(&d) {
             d.program_page(p, SimTime::ZERO, None).unwrap();
             seen.insert(p.block_addr());
         }
@@ -334,13 +382,13 @@ mod tests {
     #[test]
     fn preferring_allocation_stays_plane_local_until_dry() {
         let mut d = die();
-        let mut a = DieAlloc::new(&d);
-        let p = a.next_page_preferring(1, &d, true).unwrap();
+        let mut a = DieAlloc::new(&d, true);
+        let p = a.next_page_preferring(1, &d).unwrap();
         assert_eq!(p.plane, 1);
         d.program_page(p, SimTime::ZERO, None).unwrap();
         // Drain plane 1 completely: the preference falls back to plane 0.
         loop {
-            let q = a.next_page_preferring(1, &d, true).unwrap();
+            let q = a.next_page_preferring(1, &d).unwrap();
             d.program_page(q, SimTime::ZERO, None).unwrap();
             if q.plane != 1 {
                 assert_eq!(q.plane, 0);
@@ -352,14 +400,14 @@ mod tests {
     #[test]
     fn take_block_removes_from_allocation_for_good() {
         let mut d = die();
-        let mut a = DieAlloc::new(&d);
+        let mut a = DieAlloc::new(&d, true);
         let total = a.free_blocks();
-        let taken = a.take_block(&d, true).unwrap();
+        let taken = a.take_block(&d).unwrap();
         assert_eq!(a.free_blocks(), total - 1);
         // Deterministic: a fresh die's pick is plane 0, block 0.
         assert_eq!(taken, BlockAddr { plane: 0, block: 0 });
         let mut seen = std::collections::HashSet::new();
-        while let Some(p) = a.next_page(&d, true) {
+        while let Some(p) = a.next_page(&d) {
             d.program_page(p, SimTime::ZERO, None).unwrap();
             seen.insert(p.block_addr());
         }
@@ -385,27 +433,179 @@ mod tests {
             d.program_page(full.page(pg), SimTime::ZERO, None).unwrap();
         }
         let retired = BlockAddr { plane: 1, block: 3 };
-        d.block_mut(retired).unwrap().retire();
+        d.retire_block(retired).unwrap();
         let excluded = BlockAddr { plane: 0, block: 5 };
 
-        let mut a = DieAlloc::from_scan(&d, &[excluded]);
-        assert_eq!(a.active_block_on(0), Some(partial));
-        assert_eq!(a.active_block_on(1), None, "full blocks are not active");
+        let mut a = DieAlloc::from_scan(&d, &[excluded], true);
+        assert_eq!(a.actives[0], Some(partial));
+        assert_eq!(a.actives[1], None, "full blocks are not active");
         // free = all blocks minus {partial, full, retired, excluded}.
         assert_eq!(a.free_blocks() as u64, geo.blocks_per_die() - 4);
         // The adopted active block continues at its write cursor.
-        let p = a.next_page_preferring(0, &d, true).unwrap();
+        let p = a.next_page_preferring(0, &d).unwrap();
         assert_eq!(p.block_addr(), partial);
         assert_eq!(p.page, 2);
     }
 
+    /// The allocator before its pools were ordered, kept as the oracle of
+    /// the ordered pick: every wear-aware pick scans its pool for the
+    /// lowest `(erase_count, block)`, and the LIFO policy pops a `Vec`.
+    mod scan_oracle {
+        use nandsim::{BlockAddr, Die, PhysPage};
+
+        #[derive(Debug)]
+        pub(super) struct ScanAlloc {
+            pub(super) actives: Vec<Option<BlockAddr>>,
+            pub(super) free: Vec<Vec<u32>>,
+            next_plane: u32,
+        }
+
+        impl ScanAlloc {
+            pub(super) fn new(die: &Die) -> Self {
+                let geo = die.config().geometry;
+                ScanAlloc {
+                    actives: vec![None; geo.planes as usize],
+                    free: (0..geo.planes)
+                        .map(|_| (0..geo.blocks_per_plane).collect())
+                        .collect(),
+                    next_plane: 0,
+                }
+            }
+
+            pub(super) fn push_free(&mut self, block: BlockAddr) {
+                self.free[block.plane as usize].push(block.block);
+            }
+
+            pub(super) fn discard_block(&mut self, block: BlockAddr) {
+                let plane = block.plane as usize;
+                if self.actives[plane] == Some(block) {
+                    self.actives[plane] = None;
+                }
+                self.free[plane].retain(|&b| b != block.block);
+            }
+
+            pub(super) fn take_block(
+                &mut self,
+                die: &Die,
+                wear_leveling: bool,
+            ) -> Option<BlockAddr> {
+                let mut best: Option<(u64, u32, u32)> = None;
+                for (plane, pool) in self.free.iter().enumerate() {
+                    for &b in pool {
+                        let wear = if wear_leveling {
+                            let addr = BlockAddr {
+                                plane: plane as u32,
+                                block: b,
+                            };
+                            die.block(addr).unwrap().erase_count()
+                        } else {
+                            0
+                        };
+                        let key = (wear, plane as u32, b);
+                        if best.map(|k| key < k).unwrap_or(true) {
+                            best = Some(key);
+                        }
+                    }
+                }
+                let (_, plane, block) = best?;
+                self.free[plane as usize].retain(|&b| b != block);
+                Some(BlockAddr { plane, block })
+            }
+
+            pub(super) fn from_scan(die: &Die, exclude: &[BlockAddr]) -> Self {
+                let geo = die.config().geometry;
+                let mut alloc = ScanAlloc {
+                    actives: vec![None; geo.planes as usize],
+                    free: (0..geo.planes).map(|_| Vec::new()).collect(),
+                    next_plane: 0,
+                };
+                for (flat, b) in die.iter_blocks() {
+                    let addr = geo.block_at(flat);
+                    if b.is_retired() || exclude.contains(&addr) {
+                        continue;
+                    }
+                    match b.next_programmable() {
+                        Some(0) => alloc.push_free(addr),
+                        Some(_) => {
+                            let slot = &mut alloc.actives[addr.plane as usize];
+                            if slot.map(|cur| addr.block < cur.block).unwrap_or(true) {
+                                *slot = Some(addr);
+                            }
+                        }
+                        None => {}
+                    }
+                }
+                alloc
+            }
+
+            pub(super) fn next_page_preferring(
+                &mut self,
+                plane: u32,
+                die: &Die,
+                wear_leveling: bool,
+            ) -> Option<PhysPage> {
+                self.next_page_on_plane(plane, die, wear_leveling)
+                    .or_else(|| self.next_page(die, wear_leveling))
+            }
+
+            pub(super) fn next_page(&mut self, die: &Die, wear_leveling: bool) -> Option<PhysPage> {
+                let planes = self.actives.len() as u32;
+                let mut plane = self.next_plane;
+                for _ in 0..planes {
+                    if let Some(page) = self.next_page_on_plane(plane, die, wear_leveling) {
+                        self.next_plane = (plane + 1) % planes;
+                        return Some(page);
+                    }
+                    plane = (plane + 1) % planes;
+                }
+                None
+            }
+
+            fn next_page_on_plane(
+                &mut self,
+                plane: u32,
+                die: &Die,
+                wear_leveling: bool,
+            ) -> Option<PhysPage> {
+                if let Some(active) = self.actives[plane as usize] {
+                    if let Some(page) = die.block(active).ok()?.next_programmable() {
+                        return Some(active.page(page));
+                    }
+                    self.actives[plane as usize] = None;
+                }
+                let pool = &mut self.free[plane as usize];
+                if pool.is_empty() {
+                    return None;
+                }
+                let pick = if wear_leveling {
+                    let best = pool
+                        .iter()
+                        .enumerate()
+                        .min_by_key(|(_, &b)| {
+                            let state = die.block(BlockAddr { plane, block: b }).unwrap();
+                            (state.erase_count(), b)
+                        })
+                        .map(|(i, _)| i)
+                        .unwrap();
+                    pool.swap_remove(best)
+                } else {
+                    pool.pop().unwrap()
+                };
+                let addr = BlockAddr { plane, block: pick };
+                self.actives[plane as usize] = Some(addr);
+                Some(addr.page(0))
+            }
+        }
+    }
+
     mod prop_model {
+        use super::scan_oracle::ScanAlloc;
         use super::*;
         use nandsim::NandGeometry;
         use proptest::prelude::*;
 
         const PLANES: u32 = 2;
-        const BLOCKS: u32 = 4;
+        const BLOCKS: u32 = 6;
 
         fn small_die() -> Die {
             Die::new(
@@ -422,54 +622,142 @@ mod tests {
             )
         }
 
+        /// Erases the full, unretired, inactive block `b` `times` times, as
+        /// GC does once and a wear test more often. Returns `false` (and
+        /// changes nothing) if `b` is not reclaimable.
+        fn erase_victim(
+            d: &mut Die,
+            active: &[Option<BlockAddr>],
+            b: BlockAddr,
+            times: u8,
+        ) -> bool {
+            let state = d.block(b).unwrap();
+            if state.next_programmable().is_some()
+                || state.is_retired()
+                || active.contains(&Some(b))
+            {
+                return false;
+            }
+            d.erase_block(b, SimTime::ZERO).unwrap();
+            for _ in 1..times {
+                if d.erase_block(b, SimTime::ZERO).is_err() {
+                    break;
+                }
+            }
+            true
+        }
+
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
+            #![proptest_config(ProptestConfig::with_cases(128))]
 
             /// The kept free-block count equals the summed plane pools
             /// after every kind of pool mutation.
             #[test]
             fn free_count_matches_summed_pools(
-                ops in prop::collection::vec((0u8..7, 0..PLANES, 0..BLOCKS), 1..200)
+                wl in 0u8..2,
+                ops in prop::collection::vec((0u8..6, 0..PLANES, 0..BLOCKS), 1..200)
             ) {
                 let mut d = small_die();
-                let mut a = DieAlloc::new(&d);
+                let mut a = DieAlloc::new(&d, wl == 0);
                 for (op, plane, block) in ops {
                     let b = BlockAddr { plane, block };
                     match op {
-                        0 | 1 => {
-                            if let Some(p) = a.next_page(&d, op == 0) {
+                        0 => {
+                            if let Some(p) = a.next_page(&d) {
+                                d.program_page(p, SimTime::ZERO, None).unwrap();
+                            }
+                        }
+                        1 => {
+                            if let Some(p) = a.next_page_preferring(plane, &d) {
                                 d.program_page(p, SimTime::ZERO, None).unwrap();
                             }
                         }
                         2 => {
-                            if let Some(p) = a.next_page_preferring(plane, &d, true) {
+                            if erase_victim(&mut d, &a.actives, b, 1) {
+                                a.reclaim_block(&d, b);
+                            }
+                        }
+                        3 => {
+                            d.retire_block(b).unwrap();
+                            a.discard_block(b);
+                        }
+                        4 => {
+                            a.take_block(&d);
+                        }
+                        _ => a = DieAlloc::from_scan(&d, &[b], wl == 0),
+                    }
+                    let pooled: usize = a.free.iter().map(VecDeque::len).sum();
+                    prop_assert_eq!(a.free_blocks(), pooled);
+                    prop_assert!(a.next_plane < PLANES);
+                }
+            }
+
+            /// Over random allocation, reclaim at random erase counts,
+            /// discard, take, rescan and uniform ageing, with wear
+            /// levelling on and off, every pick equals the pool scan's and
+            /// the pools hold the same blocks (in the same order without
+            /// wear levelling).
+            #[test]
+            fn ordered_pools_pick_what_the_scan_picks(
+                wl in 0u8..2,
+                ops in prop::collection::vec((0u8..10, 0..PLANES, 0..BLOCKS, 1u8..3), 1..400)
+            ) {
+                let wear_leveling = wl == 0;
+                let mut d = small_die();
+                let mut a = DieAlloc::new(&d, wear_leveling);
+                let mut o = ScanAlloc::new(&d);
+                for (op, plane, block, times) in ops {
+                    let b = BlockAddr { plane, block };
+                    match op {
+                        // Programs dominate, so blocks fill and get reclaimed
+                        // at equal erase counts: ties the pick must break
+                        // by block index.
+                        0..=3 => {
+                            let (got, want) = if op == 3 {
+                                (
+                                    a.next_page_preferring(plane, &d),
+                                    o.next_page_preferring(plane, &d, wear_leveling),
+                                )
+                            } else {
+                                (a.next_page(&d), o.next_page(&d, wear_leveling))
+                            };
+                            prop_assert_eq!(got, want);
+                            if let Some(p) = got {
                                 d.program_page(p, SimTime::ZERO, None).unwrap();
                             }
                         }
-                        // Reclaim a full block that is neither active nor
-                        // out of service, as GC does.
-                        3 => {
-                            let state = d.block(b).unwrap();
-                            if state.next_programmable().is_none()
-                                && !state.is_retired()
-                                && a.active_blocks().all(|x| x != b)
-                            {
-                                d.erase_block(b, SimTime::ZERO).unwrap();
-                                a.push_free(b);
+                        4 | 5 => {
+                            if erase_victim(&mut d, &a.actives, b, times) {
+                                a.reclaim_block(&d, b);
+                                o.push_free(b);
+                                if d.block(b).unwrap().is_retired() {
+                                    a.discard_block(b);
+                                    o.discard_block(b);
+                                }
                             }
                         }
-                        4 => {
-                            d.block_mut(b).unwrap().retire();
+                        6 => {
+                            d.retire_block(b).unwrap();
                             a.discard_block(b);
+                            o.discard_block(b);
                         }
-                        5 => {
-                            a.take_block(&d, plane == 0);
+                        7 => prop_assert_eq!(a.take_block(&d), o.take_block(&d, wear_leveling)),
+                        8 => {
+                            a = DieAlloc::from_scan(&d, &[b], wear_leveling);
+                            o = ScanAlloc::from_scan(&d, &[b]);
                         }
-                        _ => a = DieAlloc::from_scan(&d, &[b]),
+                        _ => d.simulate_wear(times as u64),
                     }
-                    let pooled: usize = a.free.iter().map(Vec::len).sum();
-                    prop_assert_eq!(a.free_blocks(), pooled);
-                    prop_assert!(a.next_plane < PLANES);
+                    prop_assert_eq!(&a.actives, &o.actives);
+                    for (ours, theirs) in a.free.iter().zip(&o.free) {
+                        let mut ours: Vec<u32> = ours.iter().copied().collect();
+                        let mut theirs = theirs.clone();
+                        if wear_leveling {
+                            ours.sort_unstable();
+                            theirs.sort_unstable();
+                        }
+                        prop_assert_eq!(ours, theirs);
+                    }
                 }
             }
         }
@@ -478,17 +766,17 @@ mod tests {
     #[test]
     fn exhaustion_returns_none_then_push_free_revives() {
         let mut d = die();
-        let mut a = DieAlloc::new(&d);
-        while let Some(p) = a.next_page(&d, true) {
+        let mut a = DieAlloc::new(&d, true);
+        while let Some(p) = a.next_page(&d) {
             d.program_page(p, SimTime::ZERO, None).unwrap();
         }
         assert_eq!(a.free_blocks(), 0);
-        assert_eq!(a.next_page(&d, true), None);
+        assert_eq!(a.next_page(&d), None);
         // Reclaim one block: allocation works again on that plane.
         let b = BlockAddr { plane: 1, block: 3 };
         d.erase_block(b, SimTime::ZERO).unwrap();
-        a.push_free(b);
-        let p = a.next_page(&d, true).unwrap();
+        a.reclaim_block(&d, b);
+        let p = a.next_page(&d).unwrap();
         assert_eq!(p.block_addr(), b);
     }
 }

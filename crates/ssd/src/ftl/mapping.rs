@@ -5,6 +5,7 @@
 //! its optimizer state, so untouched chunks cost nothing.
 
 use crate::address::{Lpn, Ppa};
+use simkit::slab::{Slabs, NO_SLAB};
 
 /// Entries per lazily-allocated L2P chunk (64 Ki pages ≈ 512 KiB per chunk).
 const CHUNK: usize = 1 << 16;
@@ -76,24 +77,22 @@ impl L2pTable {
 /// can find the owner of each valid page.
 ///
 /// Layout mirrors the chunked L2P: one dense lane per die, indexed by the
-/// die's flat block index, each entry a lazily boxed per-page slab of
-/// `lpn + 1` values (0 = none). A die's lane itself materializes only once
-/// the die holds a mapping, and an erased block's slab is zeroed and kept
-/// on a spare list for the next block that starts filling — so phantom
-/// terabyte geometries pay only for blocks actually in use, steady-state
-/// GC recycles slabs instead of allocating them, and every lookup is two
-/// array indexings instead of a hash probe.
+/// die's flat block index, each entry the `u32` index of a per-page slab of
+/// `lpn + 1` values (0 = none) in one [`Slabs`] store shared by every die.
+/// A die's lane materializes only once the die holds a mapping, a block
+/// takes a slab at its first mapping, and an erased block's slab is zeroed
+/// and spared for the next block that starts filling — so phantom
+/// terabyte geometries pay only for blocks actually in use, steady-state GC
+/// recycles slabs instead of allocating them, lanes have no drop glue, and
+/// every lookup is two array indexings instead of a hash probe.
 #[derive(Debug)]
 pub struct ReverseMap {
     /// `dies[die_flat]` — empty until the die's first mapping, then
-    /// `blocks_per_die` slots of per-block page slabs.
-    dies: Vec<Vec<Option<Box<[u64]>>>>,
+    /// `blocks_per_die` slab indices ([`NO_SLAB`] for a block with no
+    /// mapping).
+    dies: Vec<Vec<u32>>,
     blocks_per_die: usize,
-    pages_per_block: usize,
-    /// Live (allocated) block slabs, across all dies.
-    tracked: usize,
-    /// Zeroed slabs of erased blocks, ready for reuse.
-    spare: Vec<Box<[u64]>>,
+    slabs: Slabs,
 }
 
 impl ReverseMap {
@@ -103,9 +102,7 @@ impl ReverseMap {
         ReverseMap {
             dies: (0..total_dies).map(|_| Vec::new()).collect(),
             blocks_per_die: blocks_per_die as usize,
-            pages_per_block: pages_per_block as usize,
-            tracked: 0,
-            spare: Vec::new(),
+            slabs: Slabs::new(pages_per_block as usize),
         }
     }
 
@@ -115,45 +112,40 @@ impl ReverseMap {
     pub fn set(&mut self, die_flat: u32, block_flat: u64, page: u32, lpn: Lpn) {
         let lane = &mut self.dies[die_flat as usize];
         if lane.is_empty() {
-            lane.resize_with(self.blocks_per_die, || None);
+            lane.resize(self.blocks_per_die, NO_SLAB);
         }
-        let slab = lane[block_flat as usize].get_or_insert_with(|| {
-            self.tracked += 1;
-            self.spare
-                .pop()
-                .unwrap_or_else(|| vec![0u64; self.pages_per_block].into_boxed_slice())
-        });
-        slab[page as usize] = lpn.0 + 1;
+        let slab = &mut lane[block_flat as usize];
+        if *slab == NO_SLAB {
+            *slab = self.slabs.alloc();
+        }
+        *self.slabs.word_mut(*slab, page as usize) = lpn.0 + 1;
     }
 
     /// The logical owner of a physical page, if recorded.
     pub fn get(&self, die_flat: u32, block_flat: u64, page: u32) -> Option<Lpn> {
-        let slab = self
-            .dies
-            .get(die_flat as usize)?
-            .get(block_flat as usize)?
-            .as_ref()?;
-        let v = slab[page as usize];
+        let slab = *self.dies.get(die_flat as usize)?.get(block_flat as usize)?;
+        if slab == NO_SLAB {
+            return None;
+        }
+        let v = self.slabs.word(slab, page as usize);
         (v != 0).then(|| Lpn(v - 1))
     }
 
     /// Forgets a whole block (after erase): its slab is zeroed and spared.
     pub fn clear_block(&mut self, die_flat: u32, block_flat: u64) {
-        if let Some(mut slab) = self
+        if let Some(slab) = self
             .dies
             .get_mut(die_flat as usize)
             .and_then(|lane| lane.get_mut(block_flat as usize))
-            .and_then(Option::take)
+            .filter(|slab| **slab != NO_SLAB)
         {
-            slab.fill(0);
-            self.spare.push(slab);
-            self.tracked -= 1;
+            self.slabs.release(std::mem::replace(slab, NO_SLAB));
         }
     }
 
     /// Number of blocks currently tracked (live slabs).
     pub fn tracked_blocks(&self) -> usize {
-        self.tracked
+        self.slabs.live()
     }
 }
 
@@ -162,6 +154,8 @@ mod tests {
     use super::*;
     use crate::address::DieId;
     use nandsim::PhysPage;
+    use proptest::prelude::*;
+    use std::collections::{HashMap, HashSet};
 
     fn ppa(ch: u32, die: u32, block: u32, page: u32) -> Ppa {
         Ppa {
@@ -246,11 +240,12 @@ mod tests {
         for page in 0..8 {
             r.set(0, 1, page, Lpn(100 + page as u64));
         }
-        let slab = r.dies[0][1].as_deref().map(<[u64]>::as_ptr);
+        let slab = r.dies[0][1];
         r.clear_block(0, 1);
+        assert_eq!(r.dies[0][1], NO_SLAB);
         // Another die's block starts filling and takes the spared slab.
         r.set(1, 3, 0, Lpn(7));
-        assert_eq!(r.dies[1][3].as_deref().map(<[u64]>::as_ptr), slab);
+        assert_eq!(r.dies[1][3], slab);
         assert_eq!(r.get(1, 3, 0), Some(Lpn(7)));
         for page in 1..8 {
             assert_eq!(r.get(1, 3, page), None, "page {page}");
@@ -266,5 +261,39 @@ mod tests {
         r.clear_block(1, 2);
         r.clear_block(1, 2);
         assert_eq!(r.tracked_blocks(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random sets and block clears across dies against a map model:
+        /// every page reads its last owner, a cleared block reads empty,
+        /// and a block that takes a recycled slab sees none of the previous
+        /// block's owners.
+        #[test]
+        fn reverse_map_matches_a_map_model(
+            ops in prop::collection::vec((0u8..3, 0u32..3, 0u64..6, 0u32..5, 0u64..1000), 1..300)
+        ) {
+            let mut r = ReverseMap::new(3, 6, 5);
+            let mut model: HashMap<(u32, u64, u32), Lpn> = HashMap::new();
+            for (op, die, block, page, lpn) in ops {
+                if op == 0 {
+                    r.clear_block(die, block);
+                    model.retain(|&(d, b, _), _| (d, b) != (die, block));
+                } else {
+                    r.set(die, block, page, Lpn(lpn));
+                    model.insert((die, block, page), Lpn(lpn));
+                }
+                for d in 0..3 {
+                    for b in 0..6 {
+                        for p in 0..5 {
+                            prop_assert_eq!(r.get(d, b, p), model.get(&(d, b, p)).copied());
+                        }
+                    }
+                }
+                let blocks: HashSet<(u32, u64)> = model.keys().map(|&(d, b, _)| (d, b)).collect();
+                prop_assert_eq!(r.tracked_blocks(), blocks.len());
+            }
+        }
     }
 }

@@ -48,7 +48,10 @@ impl Ftl {
                 geo.blocks_per_die(),
                 geo.pages_per_block,
             ),
-            alloc: dies.into_iter().map(DieAlloc::new).collect(),
+            alloc: dies
+                .into_iter()
+                .map(|die| DieAlloc::new(die, config.gc.wear_leveling))
+                .collect(),
             dies_per_channel: config.dies_per_channel,
             blocks_per_plane: geo.blocks_per_plane,
         }
@@ -84,13 +87,8 @@ impl Ftl {
 
     /// Picks the next physical page to program on `die`, honouring the
     /// wear-levelling policy. Pure allocation — the caller programs it.
-    pub fn allocate_page(
-        &mut self,
-        die_flat: u32,
-        die: &Die,
-        wear_leveling: bool,
-    ) -> Option<nandsim::PhysPage> {
-        self.alloc[die_flat as usize].next_page(die, wear_leveling)
+    pub fn allocate_page(&mut self, die_flat: u32, die: &Die) -> Option<nandsim::PhysPage> {
+        self.alloc[die_flat as usize].next_page(die)
     }
 
     /// Picks the next physical page on `die`, preferring `plane` (used by
@@ -100,9 +98,8 @@ impl Ftl {
         die_flat: u32,
         die: &Die,
         plane: u32,
-        wear_leveling: bool,
     ) -> Option<nandsim::PhysPage> {
-        self.alloc[die_flat as usize].next_page_preferring(plane, die, wear_leveling)
+        self.alloc[die_flat as usize].next_page_preferring(plane, die)
     }
 
     /// Removes a retired block from allocation permanently. Its reverse
@@ -131,22 +128,17 @@ impl Ftl {
     }
 
     /// Forgets a block's reverse mappings and returns it to the free pool
-    /// (after the caller erased it).
-    pub fn reclaim_block(&mut self, die_flat: u32, block: nandsim::BlockAddr) {
+    /// (after the caller erased it on `die`).
+    pub fn reclaim_block(&mut self, die_flat: u32, die: &Die, block: nandsim::BlockAddr) {
         self.rmap
             .clear_block(die_flat, rmap_key(block, self.blocks_per_plane));
-        self.alloc[die_flat as usize].push_free(block);
+        self.alloc[die_flat as usize].reclaim_block(die, block);
     }
 
     /// Takes an erased block out of `die`'s pools entirely (journal blocks
     /// live outside data allocation and are never GC victims).
-    pub fn take_free_block(
-        &mut self,
-        die_flat: u32,
-        die: &Die,
-        wear_leveling: bool,
-    ) -> Option<nandsim::BlockAddr> {
-        self.alloc[die_flat as usize].take_block(die, wear_leveling)
+    pub fn take_free_block(&mut self, die_flat: u32, die: &Die) -> Option<nandsim::BlockAddr> {
+        self.alloc[die_flat as usize].take_block(die)
     }
 
     /// Records the reverse mapping of a *shadow* copy: a relocated physical
@@ -206,7 +198,7 @@ mod tests {
     fn allocate_program_commit_lookup() {
         let (_cfg, mut dies, mut ftl) = setup();
         let die_flat = 3u32;
-        let page = ftl.allocate_page(die_flat, &dies[3], true).unwrap();
+        let page = ftl.allocate_page(die_flat, &dies[3]).unwrap();
         dies[3].program_page(page, SimTime::ZERO, None).unwrap();
         let ppa = Ppa {
             die: DieId::from_flat(die_flat, ftl.dies_per_channel()),
@@ -221,7 +213,7 @@ mod tests {
     #[test]
     fn overwrite_returns_stale_ppa() {
         let (_cfg, mut dies, mut ftl) = setup();
-        let p1 = ftl.allocate_page(0, &dies[0], true).unwrap();
+        let p1 = ftl.allocate_page(0, &dies[0]).unwrap();
         dies[0].program_page(p1, SimTime::ZERO, None).unwrap();
         let ppa1 = Ppa {
             die: DieId::from_flat(0, 2),
@@ -229,7 +221,7 @@ mod tests {
         };
         ftl.commit_program(Lpn(7), ppa1);
 
-        let p2 = ftl.allocate_page(0, &dies[0], true).unwrap();
+        let p2 = ftl.allocate_page(0, &dies[0]).unwrap();
         dies[0].program_page(p2, SimTime::ZERO, None).unwrap();
         let ppa2 = Ppa {
             die: DieId::from_flat(0, 2),
@@ -244,11 +236,11 @@ mod tests {
     fn reclaim_returns_block_to_pool() {
         let (_cfg, mut dies, mut ftl) = setup();
         let before = ftl.free_blocks(0);
-        let p = ftl.allocate_page(0, &dies[0], true).unwrap();
+        let p = ftl.allocate_page(0, &dies[0]).unwrap();
         dies[0].program_page(p, SimTime::ZERO, None).unwrap();
         assert_eq!(ftl.free_blocks(0), before - 1);
         dies[0].erase_block(p.block_addr(), SimTime::ZERO).unwrap();
-        ftl.reclaim_block(0, p.block_addr());
+        ftl.reclaim_block(0, &dies[0], p.block_addr());
         assert_eq!(ftl.free_blocks(0), before);
     }
 
@@ -257,7 +249,7 @@ mod tests {
         let (_cfg, dies, mut ftl) = setup();
         let ppb = dies[0].config().geometry.pages_per_block;
         let die = DieId::from_flat(0, ftl.dies_per_channel());
-        let a = ftl.take_free_block(0, &dies[0], true).unwrap();
+        let a = ftl.take_free_block(0, &dies[0]).unwrap();
         for page in 0..ppb {
             let ppa = Ppa {
                 die,
@@ -265,7 +257,7 @@ mod tests {
             };
             ftl.commit_program(Lpn(page as u64), ppa);
         }
-        ftl.reclaim_block(0, a);
+        ftl.reclaim_block(0, &dies[0], a);
         // Block B's first program takes over A's spared slab.
         let b = nandsim::BlockAddr { plane: 1, block: 5 };
         let first = Ppa {
@@ -307,7 +299,7 @@ mod tests {
     #[test]
     fn shadow_mapping_sets_rmap_without_touching_l2p() {
         let (_cfg, mut dies, mut ftl) = setup();
-        let p1 = ftl.allocate_page(0, &dies[0], true).unwrap();
+        let p1 = ftl.allocate_page(0, &dies[0]).unwrap();
         dies[0].program_page(p1, SimTime::ZERO, None).unwrap();
         let ppa1 = Ppa {
             die: DieId::from_flat(0, ftl.dies_per_channel()),
@@ -317,7 +309,7 @@ mod tests {
 
         // Shadow copy of the same lpn at a second location: reverse-mapped
         // (GC can find the owner) but the L2P target is unchanged.
-        let p2 = ftl.allocate_page(0, &dies[0], true).unwrap();
+        let p2 = ftl.allocate_page(0, &dies[0]).unwrap();
         dies[0].program_page(p2, SimTime::ZERO, None).unwrap();
         let ppa2 = Ppa {
             die: DieId::from_flat(0, ftl.dies_per_channel()),
@@ -332,9 +324,9 @@ mod tests {
     fn take_free_block_and_set_allocator() {
         let (_cfg, dies, mut ftl) = setup();
         let before = ftl.free_blocks(1);
-        let b = ftl.take_free_block(1, &dies[1], true).unwrap();
+        let b = ftl.take_free_block(1, &dies[1]).unwrap();
         assert_eq!(ftl.free_blocks(1), before - 1);
-        ftl.set_allocator(1, DieAlloc::from_scan(&dies[1], &[b]));
+        ftl.set_allocator(1, DieAlloc::from_scan(&dies[1], &[b], true));
         assert_eq!(
             ftl.free_blocks(1),
             before - 1,
@@ -346,8 +338,8 @@ mod tests {
     fn allocator_spreads_only_on_requested_die() {
         let (cfg, dies, mut ftl) = setup();
         let _ = cfg;
-        let p0 = ftl.allocate_page(0, &dies[0], true).unwrap();
-        let p1 = ftl.allocate_page(1, &dies[1], true).unwrap();
+        let p0 = ftl.allocate_page(0, &dies[0]).unwrap();
+        let p1 = ftl.allocate_page(1, &dies[1]).unwrap();
         // Independent per-die cursors.
         assert_eq!(p0.page, 0);
         assert_eq!(p1.page, 0);

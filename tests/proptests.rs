@@ -287,7 +287,7 @@ proptest! {
                 }
                 3 => {
                     let was_valid = pages[page as usize] == PageState::Valid;
-                    prop_assert_eq!(die.block_mut(b).unwrap().invalidate(page), was_valid);
+                    prop_assert_eq!(die.invalidate(p).unwrap(), was_valid);
                     if was_valid {
                         pages[page as usize] = PageState::Invalid;
                     }
@@ -295,16 +295,16 @@ proptest! {
                 _ => {
                     let valid = op == 4;
                     let programmed = pages[page as usize] != PageState::Free;
-                    prop_assert_eq!(die.block_mut(b).unwrap().set_validity(page, valid), programmed);
+                    prop_assert_eq!(die.set_validity(p, valid).unwrap(), programmed);
                     if programmed {
                         pages[page as usize] = if valid { PageState::Valid } else { PageState::Invalid };
                     }
                 }
             }
-            let state = die.block(b).unwrap();
             for (i, &want) in pages.iter().enumerate() {
-                prop_assert_eq!(state.page_state(i as u32), want, "page {} of {:?}", i, b);
+                prop_assert_eq!(die.page_state(b.page(i as u32)).unwrap(), want, "page {} of {:?}", i, b);
             }
+            let state = die.block(b).unwrap();
             let valid = pages.iter().filter(|&&s| s == PageState::Valid).count() as u32;
             let free = pages.iter().filter(|&&s| s == PageState::Free).count() as u32;
             prop_assert_eq!(state.valid_pages(), valid);
