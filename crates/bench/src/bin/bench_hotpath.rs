@@ -25,16 +25,17 @@
 
 use std::time::Instant;
 
+use nandsim::wear::RberModel;
 use optim_math::kernels::{
     encode_grads, set_force_scalar, update_chunk, update_chunk_scalar, StateBuffers,
 };
 use optim_math::state::GradDtype;
 use optim_math::OptimizerKind;
-use optimstore_bench::runners::optimizer_and_spec;
+use optimstore_bench::runners::{bit_exact, optimizer_and_spec};
 use optimstore_core::{OptimStoreConfig, OptimStoreDevice};
 use simkit::pool;
 use simkit::SimTime;
-use ssdsim::{Device, JournalConfig, RainConfig, ScrubConfig, SsdConfig};
+use ssdsim::{JournalConfig, RainConfig, ScrubConfig, SsdConfig};
 use workloads::{GradientGen, WeightInit};
 
 const E2E_PARAMS: u64 = 200_000;
@@ -90,32 +91,24 @@ fn run_kernel(
 ) -> (f64, StateBuffers) {
     let (opt, _) = optimizer_and_spec(kind);
     let mut buf = StateBuffers::init(opt.as_ref(), weights, dtype);
+    let update = if scalar {
+        update_chunk_scalar
+    } else {
+        update_chunk
+    };
     let t = Instant::now();
     for step in 1..=steps {
         let mut refs: Vec<&mut [u8]> = buf.slots.iter_mut().map(|s| s.as_mut_slice()).collect();
-        if scalar {
-            update_chunk_scalar(
-                opt.as_ref(),
-                &mut buf.w32,
-                &mut refs,
-                grads,
-                &mut buf.w16,
-                dtype,
-                step,
-            )
-            .unwrap();
-        } else {
-            update_chunk(
-                opt.as_ref(),
-                &mut buf.w32,
-                &mut refs,
-                grads,
-                &mut buf.w16,
-                dtype,
-                step,
-            )
-            .unwrap();
-        }
+        update(
+            opt.as_ref(),
+            &mut buf.w32,
+            &mut refs,
+            grads,
+            &mut buf.w16,
+            dtype,
+            step,
+        )
+        .unwrap();
     }
     (t.elapsed().as_secs_f64(), buf)
 }
@@ -171,8 +164,8 @@ struct E2eRun {
     fresh_per_step: Vec<u64>,
 }
 
-fn e2e_run(mut dev: OptimStoreDevice, params: u64, steps: u64, grad_seed: u64) -> E2eRun {
-    let weights = WeightInit::default().generate(params as usize);
+fn e2e_run(mut dev: OptimStoreDevice, steps: u64, grad_seed: u64) -> E2eRun {
+    let weights = WeightInit::default().generate(E2E_PARAMS as usize);
     let gen = GradientGen::new(grad_seed);
     let mut at = dev.load_weights(&weights, SimTime::ZERO).expect("load");
     let mut reports = Vec::new();
@@ -181,7 +174,7 @@ fn e2e_run(mut dev: OptimStoreDevice, params: u64, steps: u64, grad_seed: u64) -
     for step in 1..=steps {
         let before = pool::stats();
         let r = dev
-            .run_step(Some(&gen.generate(step, params as usize)), at)
+            .run_step(Some(&gen.generate(step, E2E_PARAMS as usize)), at)
             .expect("step");
         fresh_per_step.push(pool::stats().fresh_allocs - before.fresh_allocs);
         at = r.end;
@@ -211,31 +204,26 @@ struct E2eEntry {
 fn e2e_cell(
     name: &str,
     make_dev: impl Fn() -> OptimStoreDevice,
-    params: u64,
     steps: u64,
     grad_seed: u64,
 ) -> E2eEntry {
     // Warm-up: populate the buffer pool and fault in pages so neither
     // timed run pays first-touch costs the other doesn't.
-    drop(e2e_run(make_dev(), params, steps, grad_seed));
+    drop(e2e_run(make_dev(), steps, grad_seed));
 
     set_force_scalar(true);
-    let scalar = e2e_run(make_dev(), params, steps, grad_seed);
+    let scalar = e2e_run(make_dev(), steps, grad_seed);
     set_force_scalar(false);
-    let batched = e2e_run(make_dev(), params, steps, grad_seed);
+    let batched = e2e_run(make_dev(), steps, grad_seed);
 
     assert_eq!(
         scalar.reports, batched.reports,
         "{name}: StepReports diverged between scalar and batched paths"
     );
-    assert_eq!(scalar.weights.len(), batched.weights.len());
-    for (i, (a, b)) in scalar.weights.iter().zip(&batched.weights).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{name}: master weight {i} diverged between scalar and batched paths"
-        );
-    }
+    assert!(
+        bit_exact(&scalar.weights, &batched.weights),
+        "{name}: master weights diverged between scalar and batched paths"
+    );
     let fresh_first = *batched.fresh_per_step.first().unwrap_or(&0);
     let fresh_steady = batched
         .fresh_per_step
@@ -254,6 +242,19 @@ fn e2e_cell(
     }
 }
 
+/// A functional Adam die-NDP device of `E2E_PARAMS` parameters on `ssd`.
+fn smoke_dev(ssd: SsdConfig) -> OptimStoreDevice {
+    let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
+    OptimStoreDevice::new_functional(
+        ssd,
+        OptimStoreConfig::die_ndp(),
+        E2E_PARAMS,
+        optimizer,
+        spec,
+    )
+    .expect("tiny device fits")
+}
+
 fn f24_smoke_dev() -> OptimStoreDevice {
     // Fault-armed functional cell in the spirit of the F24 grid: seeded
     // media faults on an aged tiny device, exercising retries/replays on
@@ -263,17 +264,8 @@ fn f24_smoke_dev() -> OptimStoreDevice {
         .find(|s| s.fault.is_active())
         .expect("F24 grid has fault-armed cells");
     let ssd = SsdConfig::tiny().with_fault(sched.fault);
-    let rated = ssd.nand.cell.rated_pe_cycles();
-    let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
-    let mut dev = OptimStoreDevice::new_functional(
-        ssd,
-        OptimStoreConfig::die_ndp(),
-        E2E_PARAMS,
-        optimizer,
-        spec,
-    )
-    .expect("tiny device fits");
-    dev.simulate_wear(sched.pe_cycles(rated));
+    let mut dev = smoke_dev(ssd);
+    dev.simulate_wear(sched.pe_cycles(ssd.nand.cell.rated_pe_cycles()));
     dev
 }
 
@@ -282,39 +274,22 @@ fn f25_smoke_dev() -> OptimStoreDevice {
     // state write-back force GC under an every-64-programs journal.
     let mut ssd = SsdConfig::tiny().with_journal(JournalConfig::every(64));
     ssd.nand.geometry.blocks_per_plane = 12;
-    let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
-    OptimStoreDevice::new_functional(
-        ssd,
-        OptimStoreConfig::die_ndp(),
-        E2E_PARAMS,
-        optimizer,
-        spec,
-    )
-    .expect("tiny device fits")
+    smoke_dev(ssd)
 }
 
 fn f26_smoke_dev() -> OptimStoreDevice {
     // Parity + aging + scrub per the F26 sweep.
-    let ceiling = Device::new_functional(SsdConfig::tiny()).channels()[0].dies()[0]
-        .rber_model()
-        .ecc_ceiling;
+    let ceiling = RberModel::for_cell(SsdConfig::tiny().nand.cell).ecc_ceiling;
     let sched = workloads::aging_schedules(26)
         .into_iter()
         .next()
         .expect("F26 grid has schedules");
-    let ssd = SsdConfig::tiny()
-        .with_rain(RainConfig::rotating())
-        .with_aging(sched.aging_config(ceiling))
-        .with_scrub(ScrubConfig::per_step(64));
-    let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
-    OptimStoreDevice::new_functional(
-        ssd,
-        OptimStoreConfig::die_ndp(),
-        E2E_PARAMS,
-        optimizer,
-        spec,
+    smoke_dev(
+        SsdConfig::tiny()
+            .with_rain(RainConfig::rotating())
+            .with_aging(sched.aging_config(ceiling))
+            .with_scrub(ScrubConfig::per_step(64)),
     )
-    .expect("tiny device fits")
 }
 
 fn dtype_name(d: GradDtype) -> &'static str {
@@ -359,45 +334,17 @@ fn main() {
     }
 
     println!("end-to-end functional cells (scalar-pinned vs batched, bit-exact):");
-    let make_functional = || {
-        let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
-        OptimStoreDevice::new_functional(
-            SsdConfig::tiny(),
-            OptimStoreConfig::die_ndp(),
-            E2E_PARAMS,
-            optimizer,
-            spec,
-        )
-        .expect("tiny device fits")
-    };
-    let mut e2e = vec![e2e_cell(
-        "functional-adam-die-ndp",
-        make_functional,
-        E2E_PARAMS,
-        E2E_STEPS,
-        0xB07A,
-    )];
-    e2e.push(e2e_cell(
-        "f24-fault-smoke",
-        f24_smoke_dev,
-        E2E_PARAMS,
-        2,
-        0xF24,
-    ));
-    e2e.push(e2e_cell(
-        "f25-journal-gc-smoke",
-        f25_smoke_dev,
-        E2E_PARAMS,
-        3,
-        0xF25,
-    ));
-    e2e.push(e2e_cell(
-        "f26-reliability-smoke",
-        f26_smoke_dev,
-        E2E_PARAMS,
-        2,
-        0xF26,
-    ));
+    let e2e = [
+        e2e_cell(
+            "functional-adam-die-ndp",
+            || smoke_dev(SsdConfig::tiny()),
+            E2E_STEPS,
+            0xB07A,
+        ),
+        e2e_cell("f24-fault-smoke", f24_smoke_dev, 2, 0xF24),
+        e2e_cell("f25-journal-gc-smoke", f25_smoke_dev, 3, 0xF25),
+        e2e_cell("f26-reliability-smoke", f26_smoke_dev, 2, 0xF26),
+    ];
     for e in &e2e {
         println!(
             "  {:<24} scalar {:>6.1} ms/step  batched {:>6.1} ms/step  pool fresh {} -> {} (first -> steady)",

@@ -2,7 +2,7 @@
 //! (`simkit::par`): runs the functional integration workload (every
 //! optimizer, die- and channel-level NDP) and the fig24/fig26 sweep grids
 //! twice — pool forced to one thread, then to the host's full width —
-//! verifies the two functional runs are bit-identical, and writes the
+//! verifies the two runs of each are bit-identical, and writes the
 //! timings to `BENCH_parallel.json` (path overridable as the first
 //! argument).
 //!
@@ -13,44 +13,38 @@
 use std::time::Instant;
 
 use optim_math::OptimizerKind;
-use optimstore_bench::runners::optimizer_and_spec;
-use optimstore_core::{OptimStoreConfig, OptimStoreDevice};
-use simkit::SimTime;
+use optimstore_bench::experiments::{fig24_fault_sweep, fig26_reliability_sweep};
+use optimstore_bench::runners::{Context, SeededRun};
+use optimstore_core::OptimStoreConfig;
+use simkit::par;
 use ssdsim::SsdConfig;
-use workloads::{GradientGen, WeightInit};
 
-const PARAMS: u64 = 200_000;
+const RUN: SeededRun = SeededRun {
+    params: 200_000,
+    seed: 0xBE2C,
+};
 const STEPS: u64 = 4;
 const FIG24_CAP: u64 = 1 << 20;
 const FIG26_CAP: u64 = 40_000;
 
-/// One functional training cell: fresh device, seeded weights/gradients,
-/// `STEPS` steps, final master weights (the bit-exactness witness).
-fn functional_cell(kind: OptimizerKind, cfg: OptimStoreConfig) -> Vec<f32> {
-    let (optimizer, spec) = optimizer_and_spec(kind);
-    let mut dev = OptimStoreDevice::new_functional(SsdConfig::tiny(), cfg, PARAMS, optimizer, spec)
-        .expect("tiny device fits the functional suite");
-    let weights = WeightInit::default().generate(PARAMS as usize);
-    let mut at = dev.load_weights(&weights, SimTime::ZERO).expect("load");
-    for step in 1..=STEPS {
-        let grads = GradientGen::new(0xBE2C).generate(step, PARAMS as usize);
-        at = dev.run_step(Some(&grads), at).expect("step").end;
-    }
-    dev.read_master_weights(at).expect("readback")
-}
-
-/// The functional integration workload: every optimizer on both NDP tiers.
-/// Cells run through `run_parallel` (so the harness-level pool is
-/// exercised) and each `run_step` inside exercises the executor's
-/// data-plane phases.
-fn functional_suite() -> Vec<Vec<f32>> {
-    let mut jobs: Vec<Box<dyn FnOnce() -> Vec<f32> + Send>> = Vec::new();
-    for kind in OptimizerKind::all() {
-        for cfg in [OptimStoreConfig::die_ndp(), OptimStoreConfig::channel_ndp()] {
-            jobs.push(Box::new(move || functional_cell(kind, cfg)));
-        }
-    }
-    optimstore_bench::runners::run_parallel(jobs)
+/// The functional integration workload: every optimizer on both NDP tiers,
+/// each cell a fresh device trained `STEPS` seeded steps and read back
+/// (the bits of its final master weights are the witness). Cells fan out
+/// on the pool (so the harness level is exercised) and each `run_step`
+/// inside exercises the executor's data-plane phases.
+fn functional_suite() -> Vec<Vec<u32>> {
+    let cells: Vec<_> = OptimizerKind::all()
+        .into_iter()
+        .flat_map(|kind| {
+            [OptimStoreConfig::die_ndp(), OptimStoreConfig::channel_ndp()].map(|cfg| (kind, cfg))
+        })
+        .collect();
+    par::map_indexed(&cells, |_, &(kind, cfg)| {
+        let (mut dev, at) = RUN.load(SsdConfig::tiny(), cfg, kind);
+        let at = RUN.train(&mut dev, 1..=STEPS, at);
+        let weights = dev.read_master_weights(at).expect("readback");
+        weights.iter().map(|w| w.to_bits()).collect::<Vec<_>>()
+    })
 }
 
 fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
@@ -79,23 +73,24 @@ impl Entry {
 /// One untimed warm-up run precedes the measurements so neither timed run
 /// pays first-touch costs (page faults, lazy allocation) the other
 /// doesn't — without it the second run shows a phantom "speedup" even on
-/// a single-core host.
-fn measure<R>(name: &'static str, width: usize, f: impl Fn() -> R) -> (Entry, R, R) {
+/// a single-core host. Panics unless both runs return the same output.
+fn measure<R: PartialEq>(name: &'static str, width: usize, f: impl Fn() -> R) -> Entry {
     simkit::par::set_threads(1);
     drop(timed(&f));
     let (serial_secs, serial_out) = timed(&f);
     simkit::par::set_threads(width);
     let (parallel_secs, parallel_out) = timed(&f);
     simkit::par::set_threads(0);
-    (
-        Entry {
-            name,
-            serial_secs,
-            parallel_secs,
-        },
-        serial_out,
-        parallel_out,
-    )
+    // The whole point of the split: any pool width produces the same bytes.
+    assert!(
+        serial_out == parallel_out,
+        "{name}: parallel run diverged from serial"
+    );
+    Entry {
+        name,
+        serial_secs,
+        parallel_secs,
+    }
 }
 
 fn main() {
@@ -106,16 +101,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
 
-    let (suite, serial_weights, parallel_weights) =
-        measure("functional-suite", width, functional_suite);
-    // The whole point of the split: any pool width produces the same bytes.
-    assert_eq!(serial_weights.len(), parallel_weights.len());
-    for (cell, (a, b)) in serial_weights.iter().zip(&parallel_weights).enumerate() {
-        assert!(
-            a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
-            "cell {cell}: parallel run diverged from serial"
-        );
-    }
+    let suite = measure("functional-suite", width, functional_suite);
     println!(
         "functional suite: serial {:.2}s, parallel {:.2}s ({} threads, {:.2}x), bit-exact",
         suite.serial_secs,
@@ -124,11 +110,11 @@ fn main() {
         suite.speedup()
     );
 
-    let (fig24, _, _) = measure("fig24-fault-sweep", width, || {
-        optimstore_bench::experiments::fig24_fault_sweep(FIG24_CAP)
+    let fig24 = measure("fig24-fault-sweep", width, || {
+        fig24_fault_sweep(&Context::new(FIG24_CAP))
     });
-    let (fig26, _, _) = measure("fig26-reliability-sweep", width, || {
-        optimstore_bench::experiments::fig26_reliability_sweep(FIG26_CAP)
+    let fig26 = measure("fig26-reliability-sweep", width, || {
+        fig26_reliability_sweep(&Context::new(FIG26_CAP))
     });
 
     let entries = [&suite, &fig24, &fig26];

@@ -1,40 +1,42 @@
 //! The reconstructed tables and figures (DESIGN.md §4).
 //!
-//! Each function prints one experiment's rows/series to stdout in the
-//! fixed-width format EXPERIMENTS.md records. [`REGISTRY`] lists them in
-//! output order under the ids the `experiments` binary accepts; each takes
-//! a `cap` (maximum simulated parameters per run) to trade fidelity for
-//! time, [`crate::runners::DEFAULT_SLICE_CAP`] by default.
+//! Each function renders one experiment's rows/series in the fixed-width
+//! format EXPERIMENTS.md records. [`REGISTRY`] lists them in output order
+//! under the ids the `experiments` binary accepts, with the titles that
+//! [`Invocation::run`] prints in each `=== <label>: <title> ===` header
+//! (`T1` for `table1_models`, `F3` for `fig3_motivation`). Each takes
+//! the invocation's [`Context`]: its `cap` (maximum simulated parameters
+//! per run, [`DEFAULT_SLICE_CAP`] by default) trades fidelity for time,
+//! and it simulates each prepare-free phantom cell once for every figure.
 
 use crate::runners::{
-    default_host_cfg, host_tier, measure, optimizer_and_spec, run_cell, run_host_fleet, Measured,
+    bit_exact, granule, host_tier, optimizer_and_spec, run_cell, Context, Measured, SeededRun,
     DEFAULT_SLICE_CAP,
 };
 use crate::table::{bar_chart, fmt_bytes, fmt_rate, fmt_secs, Table};
-use baselines::{HostNvmeBaseline, HostNvmeConfig};
 use dnn_model::{zoo, GpuSpec, IterationBreakdown, TrainingFootprint, ZeroPartition};
-use optim_math::kernels::{encode_grads, StateBuffers};
 use optim_math::state::{GradDtype, StateLayoutSpec};
 use optim_math::OptimizerKind;
 use optimstore_core::endurance::{analytic_erases_per_step, EnduranceReport};
 use optimstore_core::{GradStaging, LayoutPolicy, OptimStoreConfig, OptimStoreDevice};
-use simkit::SimTime;
+use simkit::{par, SimDuration, SimTime};
 use ssdsim::{GcPolicy, Lpn, PciGen, SsdConfig};
-use workloads::{GradientGen, WeightInit};
+use workloads::SlicedRun;
 
 const ADAM: OptimizerKind = OptimizerKind::Adam;
 
-fn header(id: &str, title: &str) {
-    println!();
-    println!("=== {id}: {title} ===");
+/// A duration, formatted.
+fn secs(d: SimDuration) -> String {
+    fmt_secs(d.as_secs_f64())
+}
+
+/// `a / b` as a speedup or slowdown.
+fn ratio(a: SimDuration, b: SimDuration) -> String {
+    format!("{:.2}x", a.as_secs_f64() / b.as_secs_f64())
 }
 
 /// T1 — the model zoo with optimizer-state footprints and per-step traffic.
-pub fn table1_models() {
-    header(
-        "T1",
-        "evaluation models and optimizer-state footprints (Adam, fp16 grads)",
-    );
+pub fn table1_models(_: &Context) -> String {
     let spec = StateLayoutSpec::new(ADAM, GradDtype::F16);
     let mut t = Table::new(&[
         "model",
@@ -55,12 +57,11 @@ pub fn table1_models() {
             fmt_bytes(f.step_traffic_bytes()),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// T2 — the SSD configurations.
-pub fn table2_ssd_config() {
-    header("T2", "SSD configurations");
+pub fn table2_ssd_config(_: &Context) -> String {
     let mut t = Table::new(&[
         "config",
         "channels",
@@ -87,57 +88,44 @@ pub fn table2_ssd_config() {
             fmt_rate(cfg.aggregate_array_program_bytes_per_sec() as f64),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F3 — motivation: optimizer-step share of iteration time under host
 /// offload, across model sizes.
-pub fn fig3_motivation(cap: u64) {
-    header(
-        "F3",
-        "optimizer share of training iteration under host-NVMe offload (A100, batch 8)",
-    );
+pub fn fig3_motivation(ctx: &Context) -> String {
     let ssd = SsdConfig::base();
     let gpu = GpuSpec::a100();
     let mut t = Table::new(&["model", "fwd+bwd", "opt step (host)", "opt share"]);
     for m in zoo::evaluation_models() {
-        let host = measure(&ssd, &host_tier(), ADAM, m.params(), cap);
+        let host = ctx.measure(&ssd, &host_tier(), ADAM, m.params());
         let compute = gpu.iteration_time(&m, 8);
         let it = IterationBreakdown::synchronous(compute, host.step_time);
         t.row(&[
             m.name.into(),
-            fmt_secs(compute.as_secs_f64()),
-            fmt_secs(host.step_time.as_secs_f64()),
+            secs(compute),
+            secs(host.step_time),
             format!("{:.1}%", it.optimizer_share() * 100.0),
         ]);
     }
-    t.print();
+    t.render()
 }
 
-fn three_tiers(ssd: &SsdConfig, params: u64, cap: u64) -> [Measured; 3] {
-    let s1 = *ssd;
-    let s2 = *ssd;
-    let s3 = *ssd;
-    let mut out = crate::runners::run_parallel(vec![
-        Box::new(move || measure(&s1, &host_tier(), ADAM, params, cap))
-            as Box<dyn FnOnce() -> Measured + Send>,
-        Box::new(move || measure(&s2, &OptimStoreConfig::channel_ndp(), ADAM, params, cap)),
-        Box::new(move || measure(&s3, &OptimStoreConfig::die_ndp(), ADAM, params, cap)),
-    ])
-    .into_iter();
-    [
-        out.next().unwrap(),
-        out.next().unwrap(),
-        out.next().unwrap(),
-    ]
+/// Host-NVMe, channel-NDP and die-NDP on `ssd` for a `params`-parameter
+/// Adam model.
+fn three_tiers(ctx: &Context, ssd: &SsdConfig, params: u64) -> [Measured; 3] {
+    let tiers = [
+        host_tier(),
+        OptimStoreConfig::channel_ndp(),
+        OptimStoreConfig::die_ndp(),
+    ];
+    par::map_indexed(&tiers, |_, cfg| ctx.measure(ssd, cfg, ADAM, params))
+        .try_into()
+        .expect("one measurement per tier")
 }
 
 /// F4 — optimizer-step latency per tier across the model zoo.
-pub fn fig4_step_latency(cap: u64) {
-    header(
-        "F4",
-        "optimizer-step latency: host-nvme vs channel-ndp vs die-ndp (base SSD)",
-    );
+pub fn fig4_step_latency(ctx: &Context) -> String {
     let ssd = SsdConfig::base();
     let mut t = Table::new(&[
         "model",
@@ -147,18 +135,13 @@ pub fn fig4_step_latency(cap: u64) {
         "audit err (die)",
         "die bottleneck",
     ]);
-    let chart_model = zoo::gpt3_13b();
-    let mut chart = None;
     for m in zoo::evaluation_models() {
-        let [host, ch, die] = three_tiers(&ssd, m.params(), cap);
-        if m.name == chart_model.name {
-            chart = Some([host.step_time, ch.step_time, die.step_time]);
-        }
+        let [host, ch, die] = three_tiers(ctx, &ssd, m.params());
         t.row(&[
             m.name.into(),
-            fmt_secs(host.step_time.as_secs_f64()),
-            fmt_secs(ch.step_time.as_secs_f64()),
-            fmt_secs(die.step_time.as_secs_f64()),
+            secs(host.step_time),
+            secs(ch.step_time),
+            secs(die.step_time),
             format!("{:.1}%", die.audit_error() * 100.0),
             format!(
                 "{} ({:.0}%)",
@@ -167,78 +150,59 @@ pub fn fig4_step_latency(cap: u64) {
             ),
         ]);
     }
-    t.print();
     // The gpt3-13b row as a bar chart, for the at-a-glance comparison.
-    let [host, ch, die] = chart.expect("the zoo evaluates gpt3-13b");
-    println!("\n{} step time:", chart_model.name);
-    print!(
-        "{}",
-        bar_chart(
-            &[
-                ("host-nvme".into(), host.as_secs_f64()),
-                ("channel-ndp".into(), ch.as_secs_f64()),
-                ("die-ndp".into(), die.as_secs_f64()),
-            ],
-            40,
-            "s",
-        )
-    );
+    let chart_model = zoo::gpt3_13b();
+    let bars: Vec<_> = three_tiers(ctx, &ssd, chart_model.params())
+        .iter()
+        .map(|m| (m.tier.to_string(), m.step_time.as_secs_f64()))
+        .collect();
+    format!(
+        "{}\n{} step time:\n{}",
+        t.render(),
+        chart_model.name,
+        bar_chart(&bars, 40, "s")
+    )
 }
 
-/// F5 — speedups over the host baseline (derived from the F4 runs).
-pub fn fig5_speedup(cap: u64) {
-    header("F5", "speedup over host-nvme offload");
+/// F5 — speedups over the host baseline, derived from F4's cells.
+pub fn fig5_speedup(ctx: &Context) -> String {
     let ssd = SsdConfig::base();
     let mut t = Table::new(&["model", "channel-ndp", "die-ndp"]);
     for m in zoo::evaluation_models() {
-        let [host, ch, die] = three_tiers(&ssd, m.params(), cap);
+        let [host, ch, die] = three_tiers(ctx, &ssd, m.params());
         t.row(&[
             m.name.into(),
-            format!(
-                "{:.2}x",
-                host.step_time.as_secs_f64() / ch.step_time.as_secs_f64()
-            ),
-            format!(
-                "{:.2}x",
-                host.step_time.as_secs_f64() / die.step_time.as_secs_f64()
-            ),
+            ratio(host.step_time, ch.step_time),
+            ratio(host.step_time, die.step_time),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F6 — end-to-end training-iteration speedup (compute + optimizer).
-pub fn fig6_end_to_end(cap: u64) {
-    header(
-        "F6",
-        "end-to-end iteration speedup, die-ndp vs host-nvme (A100, batch 8)",
-    );
+pub fn fig6_end_to_end(ctx: &Context) -> String {
     let ssd = SsdConfig::base();
     let gpu = GpuSpec::a100();
     let mut t = Table::new(&["model", "iter (host)", "iter (die-ndp)", "speedup"]);
     for m in zoo::evaluation_models() {
-        let host = measure(&ssd, &host_tier(), ADAM, m.params(), cap);
-        let die = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, m.params(), cap);
+        let host = ctx.measure(&ssd, &host_tier(), ADAM, m.params());
+        let die = ctx.measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, m.params());
         let compute = gpu.iteration_time(&m, 8);
-        let it_host = IterationBreakdown::synchronous(compute, host.step_time);
-        let it_die = IterationBreakdown::synchronous(compute, die.step_time);
+        let it_host = IterationBreakdown::synchronous(compute, host.step_time).total();
+        let it_die = IterationBreakdown::synchronous(compute, die.step_time).total();
         t.row(&[
             m.name.into(),
-            fmt_secs(it_host.total().as_secs_f64()),
-            fmt_secs(it_die.total().as_secs_f64()),
-            format!(
-                "{:.2}x",
-                it_host.total().as_secs_f64() / it_die.total().as_secs_f64()
-            ),
+            secs(it_host),
+            secs(it_die),
+            ratio(it_host, it_die),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F7 — sensitivity to internal parallelism (channels × dies/channel),
 /// GPT-3 13B.
-pub fn fig7_parallelism(cap: u64) {
-    header("F7", "die-ndp step time vs internal parallelism (gpt3-13b)");
+pub fn fig7_parallelism(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let mut t = Table::new(&[
         "channels",
@@ -260,30 +224,23 @@ pub fn fig7_parallelism(cap: u64) {
             if spec.model_footprint(params) > cfg.logical_bytes() {
                 continue;
             }
-            let die = measure(&cfg, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
-            let host = measure(&cfg, &host_tier(), ADAM, params, cap);
+            let die = ctx.measure(&cfg, &OptimStoreConfig::die_ndp(), ADAM, params);
+            let host = ctx.measure(&cfg, &host_tier(), ADAM, params);
             t.row(&[
                 channels.to_string(),
                 dies.to_string(),
                 (channels * dies).to_string(),
-                fmt_secs(die.step_time.as_secs_f64()),
-                fmt_secs(host.step_time.as_secs_f64()),
-                format!(
-                    "{:.2}x",
-                    host.step_time.as_secs_f64() / die.step_time.as_secs_f64()
-                ),
+                secs(die.step_time),
+                secs(host.step_time),
+                ratio(host.step_time, die.step_time),
             ]);
         }
     }
-    t.print();
+    t.render()
 }
 
 /// F8 — sensitivity to external (PCIe) bandwidth, GPT-3 13B.
-pub fn fig8_pcie(cap: u64) {
-    header(
-        "F8",
-        "step time vs PCIe bandwidth (gpt3-13b, base SSD internals)",
-    );
+pub fn fig8_pcie(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let mut t = Table::new(&[
         "pcie GB/s",
@@ -297,34 +254,26 @@ pub fn fig8_pcie(cap: u64) {
             pcie: PciGen::Custom(gbps * 1_000_000_000),
             ..SsdConfig::base()
         };
-        let host = measure(&cfg, &host_tier(), ADAM, params, cap);
-        let die = measure(&cfg, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
+        let host = ctx.measure(&cfg, &host_tier(), ADAM, params);
+        let die = ctx.measure(&cfg, &OptimStoreConfig::die_ndp(), ADAM, params);
         t.row(&[
             gbps.to_string(),
-            fmt_secs(host.step_time.as_secs_f64()),
-            fmt_secs(die.step_time.as_secs_f64()),
-            format!(
-                "{:.2}x",
-                host.step_time.as_secs_f64() / die.step_time.as_secs_f64()
-            ),
+            secs(host.step_time),
+            secs(die.step_time),
+            ratio(host.step_time, die.step_time),
             host.audit.bottleneck.into(),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F9 — energy per optimizer step, broken down by component.
-pub fn fig9_energy(cap: u64) {
-    header(
-        "F9",
-        "optimizer-step energy (gpt3-13b), joules by component",
-    );
+pub fn fig9_energy(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
-    let ssd = SsdConfig::base();
     let mut t = Table::new(&[
         "tier", "array", "bus", "pcie", "dram", "host", "compute", "total", "pJ/param",
     ]);
-    for m in three_tiers(&ssd, params, cap) {
+    for m in three_tiers(ctx, &SsdConfig::base(), params) {
         let e = m.energy;
         t.row(&[
             m.tier.into(),
@@ -338,45 +287,29 @@ pub fn fig9_energy(cap: u64) {
             format!("{:.1}", e.per_param(params) * 1e12),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F10 — layout ablation: co-located vs tensor-striped placement.
-pub fn fig10_layout(cap: u64) {
-    header(
-        "F10",
-        "layout ablation (gpt3-13b, die-ndp): co-located vs tensor-striped",
-    );
+pub fn fig10_layout(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
-    let co = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
-    let striped = measure(
-        &ssd,
-        &OptimStoreConfig {
-            layout: LayoutPolicy::TensorStriped,
-            ..OptimStoreConfig::die_ndp()
-        },
-        ADAM,
-        params,
-        cap,
-    );
+    let co = ctx.measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params);
+    let striped_cfg = OptimStoreConfig {
+        layout: LayoutPolicy::TensorStriped,
+        ..OptimStoreConfig::die_ndp()
+    };
+    let striped = ctx.measure(&ssd, &striped_cfg, ADAM, params);
     let mut t = Table::new(&["layout", "step time", "bus bytes", "slowdown"]);
-    t.row(&[
-        "co-located".into(),
-        fmt_secs(co.step_time.as_secs_f64()),
-        fmt_bytes(co.traffic.bus),
-        "1.00x".into(),
-    ]);
-    t.row(&[
-        "tensor-striped".into(),
-        fmt_secs(striped.step_time.as_secs_f64()),
-        fmt_bytes(striped.traffic.bus),
-        format!(
-            "{:.2}x",
-            striped.step_time.as_secs_f64() / co.step_time.as_secs_f64()
-        ),
-    ]);
-    t.print();
+    for (name, m) in [("co-located", co), ("tensor-striped", striped)] {
+        t.row(&[
+            name.into(),
+            secs(m.step_time),
+            fmt_bytes(m.traffic.bus),
+            ratio(m.step_time, co.step_time),
+        ]);
+    }
+    t.render()
 }
 
 /// F11 — endurance: erase rate, wear imbalance, projected lifetime.
@@ -384,11 +317,7 @@ pub fn fig10_layout(cap: u64) {
 /// Runs a *fine-tuning* style workload (a hot fraction of state rewritten
 /// every step) on a small functional-scale device so GC and wear levelling
 /// actually engage, with and without wear levelling.
-pub fn fig11_endurance() {
-    header(
-        "F11",
-        "endurance: wear under repeated state rewrites (tiny device, hot/cold split)",
-    );
+pub fn fig11_endurance(_: &Context) -> String {
     let mut t = Table::new(&[
         "policy",
         "steps",
@@ -432,7 +361,6 @@ pub fn fig11_endurance() {
             format!("{:.2e}", rep.projection.steps_to_exhaustion_imbalanced),
         ]);
     }
-    t.print();
 
     // Full-scale analytic projection for the paper's training scenario.
     let ssd = SsdConfig::base();
@@ -442,21 +370,21 @@ pub fn fig11_endurance() {
     let blocks = ssd.total_dies() as u64 * ssd.nand.geometry.blocks_per_die();
     let budget = blocks * ssd.nand.cell.rated_pe_cycles();
     let steps = budget as f64 / per_step;
-    println!(
-        "analytic (gpt3-13b on base SSD, WAF 1.05): {per_step:.0} erases/step, \
-         {steps:.2e} steps to rated wear-out ({:.0} days at 1 step/s)",
+    format!(
+        "{}analytic (gpt3-13b on base SSD, WAF 1.05): {per_step:.0} erases/step, \
+         {steps:.2e} steps to rated wear-out ({:.0} days at 1 step/s)\n",
+        t.render(),
         steps / 86_400.0
-    );
+    )
 }
 
 /// F12 — batch-size sensitivity: optimizer share of the iteration.
-pub fn fig12_batch(cap: u64) {
-    header("F12", "optimizer share vs batch size (gpt3-13b, A100)");
+pub fn fig12_batch(ctx: &Context) -> String {
     let m = zoo::gpt3_13b();
     let ssd = SsdConfig::base();
     let gpu = GpuSpec::a100();
-    let host = measure(&ssd, &host_tier(), ADAM, m.params(), cap);
-    let die = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, m.params(), cap);
+    let host = ctx.measure(&ssd, &host_tier(), ADAM, m.params());
+    let die = ctx.measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, m.params());
     let mut t = Table::new(&["batch", "fwd+bwd", "share (host)", "share (die-ndp)"]);
     for batch in [1u32, 2, 4, 8, 16, 32, 64] {
         let compute = gpu.iteration_time(&m, batch);
@@ -464,17 +392,16 @@ pub fn fig12_batch(cap: u64) {
         let s_die = IterationBreakdown::synchronous(compute, die.step_time);
         t.row(&[
             batch.to_string(),
-            fmt_secs(compute.as_secs_f64()),
+            secs(compute),
             format!("{:.1}%", s_host.optimizer_share() * 100.0),
             format!("{:.1}%", s_die.optimizer_share() * 100.0),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F13 — multi-device scaling (GPT-3 175B sharded ZeRO-style).
-pub fn fig13_scaling(cap: u64) {
-    header("F13", "multi-SSD scaling (gpt3-175b, ZeRO sharding)");
+pub fn fig13_scaling(ctx: &Context) -> String {
     let params = zoo::gpt3_175b().params();
     let ssd = SsdConfig::base();
     let mut t = Table::new(&[
@@ -485,70 +412,45 @@ pub fn fig13_scaling(cap: u64) {
         "speedup",
     ]);
     for devices in [1u32, 2, 4, 8] {
-        let part = ZeroPartition::new(params, devices);
-        let shard = part.max_shard();
+        let shard = ZeroPartition::new(params, devices).max_shard();
         // Die-NDP shards run independently: the fleet step is one shard's
         // simulated step. The host fleet shares one updater (simulated I/O
         // per shard, shared-updater bound across shards).
-        let die = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, shard, cap);
-        let host_time =
-            run_host_fleet(&ssd, &default_host_cfg(), ADAM, params, devices, cap).as_secs_f64();
+        let die = ctx.measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, shard);
+        let host = ctx.host_fleet(&ssd, ADAM, params, devices);
         t.row(&[
             devices.to_string(),
             format!("{:.1} B", shard as f64 / 1e9),
-            fmt_secs(die.step_time.as_secs_f64()),
-            fmt_secs(host_time),
-            format!("{:.2}x", host_time / die.step_time.as_secs_f64()),
+            secs(die.step_time),
+            secs(host),
+            ratio(host, die.step_time),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// T14 — functional correctness: in-storage vs host-reference updates must
 /// be bit-exact.
-pub fn table14_correctness() {
-    header(
-        "T14",
-        "functional correctness: in-storage vs reference (max ULP distance)",
-    );
+pub fn table14_correctness(_: &Context) -> String {
     let mut t = Table::new(&["optimizer", "tier", "params", "steps", "max ULP diff"]);
+    let run = SeededRun {
+        params: 20_000,
+        seed: 99,
+    };
+    let steps = 3u64;
     for kind in [
         OptimizerKind::Adam,
         OptimizerKind::AdamW,
         OptimizerKind::SgdMomentum,
     ] {
+        let expect = run.reference(kind, steps);
         for (tier_name, cfg) in [
             ("die-ndp", OptimStoreConfig::die_ndp()),
             ("channel-ndp", OptimStoreConfig::channel_ndp()),
         ] {
-            let params = 20_000usize;
-            let weights = WeightInit::default().generate(params);
-            let gen = GradientGen::new(99);
-            let (optimizer, spec) = optimizer_and_spec(kind);
-            let mut dev = OptimStoreDevice::new_functional(
-                SsdConfig::tiny(),
-                cfg,
-                params as u64,
-                optimizer,
-                spec,
-            )
-            .unwrap();
-            let mut at = dev.load_weights(&weights, SimTime::ZERO).unwrap();
-            let (reference_opt, _) = optimizer_and_spec(kind);
-            let mut reference =
-                StateBuffers::init(reference_opt.as_ref(), &weights, GradDtype::F16);
-            let steps = 3u64;
-            for s in 1..=steps {
-                let grads = gen.generate(s, params);
-                let r = dev.run_step(Some(&grads), at).unwrap();
-                at = r.end;
-                let gb = encode_grads(&grads, GradDtype::F16);
-                reference
-                    .step(reference_opt.as_ref(), &gb, GradDtype::F16, s)
-                    .unwrap();
-            }
+            let (mut dev, at) = run.load(SsdConfig::tiny(), cfg, kind);
+            let at = run.train(&mut dev, 1..=steps, at);
             let got = dev.read_master_weights(at).unwrap();
-            let expect = reference.weights_f32();
             let max_ulp = got
                 .iter()
                 .zip(&expect)
@@ -558,51 +460,32 @@ pub fn table14_correctness() {
             t.row(&[
                 format!("{kind:?}"),
                 tier_name.into(),
-                params.to_string(),
+                run.params.to_string(),
                 steps.to_string(),
                 max_ulp.to_string(),
             ]);
         }
     }
-    t.print();
 
-    // The host baseline must agree too.
-    let params = 10_000usize;
-    let weights = WeightInit::default().generate(params);
-    let grads = GradientGen::new(7).generate(1, params);
-    let (optimizer, spec) = optimizer_and_spec(ADAM);
-    let mut base = HostNvmeBaseline::new_functional(
-        SsdConfig::tiny(),
-        HostNvmeConfig::default(),
-        params as u64,
-        optimizer,
-        spec,
+    // The host tier must agree too.
+    let run = SeededRun {
+        params: 10_000,
+        seed: 7,
+    };
+    let (mut dev, at) = run.load(SsdConfig::tiny(), host_tier(), ADAM);
+    let at = run.train(&mut dev, 1..=1, at);
+    let agree = bit_exact(
+        &dev.read_master_weights(at).unwrap(),
+        &run.reference(ADAM, 1),
+    );
+    format!(
+        "{}host-nvme baseline bit-exact vs reference: {agree}\n",
+        t.render()
     )
-    .unwrap();
-    let t0 = base.load_weights(&weights, SimTime::ZERO).unwrap();
-    let t1 = base.spill_gradients(Some(&grads), t0).unwrap();
-    let r = base.run_step(t1).unwrap();
-    let host_w = base.read_master_weights(r.end).unwrap();
-    let (ro, _) = optimizer_and_spec(ADAM);
-    let mut reference = StateBuffers::init(ro.as_ref(), &weights, GradDtype::F16);
-    reference
-        .step(
-            ro.as_ref(),
-            &encode_grads(&grads, GradDtype::F16),
-            GradDtype::F16,
-            1,
-        )
-        .unwrap();
-    let agree = host_w
-        .iter()
-        .zip(reference.weights_f32())
-        .all(|(a, b)| a.to_bits() == b.to_bits());
-    println!("host-nvme baseline bit-exact vs reference: {agree}");
 }
 
 /// F15 — optimizer ablation: state size drives step time.
-pub fn fig15_optimizers(cap: u64) {
-    header("F15", "optimizer ablation (gpt3-13b, die-ndp)");
+pub fn fig15_optimizers(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
     let mut t = Table::new(&[
@@ -612,61 +495,46 @@ pub fn fig15_optimizers(cap: u64) {
         "step time",
         "vs adam",
     ]);
-    let adam_time = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params, cap)
-        .step_time
-        .as_secs_f64();
+    let adam = ctx.measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params);
     for kind in OptimizerKind::all() {
         let spec = StateLayoutSpec::new(kind, GradDtype::F16);
-        let m = measure(&ssd, &OptimStoreConfig::die_ndp(), kind, params, cap);
+        let m = ctx.measure(&ssd, &OptimStoreConfig::die_ndp(), kind, params);
         t.row(&[
             format!("{kind:?}"),
             spec.persistent_bytes().to_string(),
             fmt_bytes(spec.model_footprint(params)),
-            fmt_secs(m.step_time.as_secs_f64()),
-            format!("{:.2}x", m.step_time.as_secs_f64() / adam_time),
+            secs(m.step_time),
+            ratio(m.step_time, adam.step_time),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F16 — gradient-staging ablation (stream vs store-to-flash).
-pub fn fig16_grad_staging(cap: u64) {
-    header("F16", "gradient staging ablation (gpt3-13b, die-ndp)");
+pub fn fig16_grad_staging(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
     let mut t = Table::new(&["staging", "step time", "array prog bytes", "slowdown"]);
-    let stream = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params, cap);
-    let store = measure(
-        &ssd,
-        &OptimStoreConfig {
-            grad_staging: GradStaging::StoreToFlash,
-            ..OptimStoreConfig::die_ndp()
-        },
-        ADAM,
-        params,
-        cap,
-    );
-    for (name, m) in [("stream", &stream), ("store-to-flash", &store)] {
+    let stream = ctx.measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, params);
+    let store_cfg = OptimStoreConfig {
+        grad_staging: GradStaging::StoreToFlash,
+        ..OptimStoreConfig::die_ndp()
+    };
+    let store = ctx.measure(&ssd, &store_cfg, ADAM, params);
+    for (name, m) in [("stream", stream), ("store-to-flash", store)] {
         t.row(&[
             name.into(),
-            fmt_secs(m.step_time.as_secs_f64()),
+            secs(m.step_time),
             fmt_bytes(m.traffic.array_program),
-            format!(
-                "{:.2}x",
-                m.step_time.as_secs_f64() / stream.step_time.as_secs_f64()
-            ),
+            ratio(m.step_time, stream.step_time),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F17 — sparse (lazy) updates: frozen-layer fine-tuning with zero-gradient
 /// skipping.
-pub fn fig17_sparse_updates(cap: u64) {
-    header(
-        "F17",
-        "lazy zero-gradient skipping (gpt3-13b, die-ndp, frozen-layer fine-tune)",
-    );
+pub fn fig17_sparse_updates(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
     let mut t = Table::new(&[
@@ -681,12 +549,12 @@ pub fn fig17_sparse_updates(cap: u64) {
             skip_zero_gradients: true,
             ..OptimStoreConfig::die_ndp()
         };
-        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, cap, |dev| {
+        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, ctx.cap, |dev| {
             dev.set_phantom_hot_fraction(hot)
         });
         t.row(&[
             format!("{:.0}%", hot * 100.0),
-            fmt_secs(slice.scale_duration(r2.duration).as_secs_f64()),
+            secs(slice.scale_duration(r2.duration)),
             format!(
                 "{}/{}",
                 slice.scale_count(r2.groups_skipped),
@@ -696,52 +564,45 @@ pub fn fig17_sparse_updates(cap: u64) {
             format!("{:.0}", slice.scale_f64(r2.erases as f64)),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F18 — device aging: optimizer-step time as the NAND wears out
 /// (read-retries inflate tR).
-pub fn fig18_aging(cap: u64) {
-    header(
-        "F18",
-        "step time vs device age (gpt3-13b, die-ndp; read-retries grow with wear)",
-    );
+pub fn fig18_aging(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
     let rated = ssd.nand.cell.rated_pe_cycles();
     let mut t = Table::new(&["age (P/E)", "% of rated", "step time", "vs fresh"]);
-    let mut fresh_time = 0.0f64;
+    let mut fresh = SimDuration::ZERO;
     for frac in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
         let pe = (rated as f64 * frac) as u64;
         let cfg = OptimStoreConfig::die_ndp();
-        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, cap, |dev| dev.simulate_wear(pe));
-        let step = slice.scale_duration(r2.duration).as_secs_f64();
+        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, ctx.cap, |dev| {
+            dev.simulate_wear(pe)
+        });
+        let step = slice.scale_duration(r2.duration);
         if frac == 0.0 {
-            fresh_time = step;
+            fresh = step;
         }
         t.row(&[
             pe.to_string(),
             format!("{:.0}%", frac * 100.0),
-            fmt_secs(step),
-            format!("{:.2}x", step / fresh_time),
+            secs(step),
+            ratio(step, fresh),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F19 — checkpoint overhead: a checkpoint must cross PCIe regardless of
 /// tier, so how much of the NDP win does periodic checkpointing return?
-pub fn fig19_checkpoint(cap: u64) {
-    header(
-        "F19",
-        "checkpoint overhead (gpt3-13b): state readout vs checkpoint interval",
-    );
+pub fn fig19_checkpoint(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
-    let granule = crate::runners::granule(&ssd);
-    let slice = workloads::SlicedRun::plan(params, cap, granule);
+    let slice = SlicedRun::plan(params, ctx.cap, granule(&ssd));
     let (optimizer, spec) = optimizer_and_spec(ADAM);
-    let mut dev = optimstore_core::OptimStoreDevice::new(
+    let mut dev = OptimStoreDevice::new(
         ssd,
         OptimStoreConfig::die_ndp(),
         slice.sim_params,
@@ -755,19 +616,15 @@ pub fn fig19_checkpoint(cap: u64) {
     let (ck_end, ck_bytes) = dev.checkpoint(t1).unwrap();
     let ck_time = slice.scale_duration(ck_end - t1).as_secs_f64();
     let step_time = slice.scale_duration(r1.duration).as_secs_f64();
-    println!(
-        "one checkpoint reads {} in {} ({:.1}x one optimizer step)",
-        fmt_bytes(slice.scale_count(ck_bytes)),
-        fmt_secs(ck_time),
-        ck_time / step_time
-    );
     let mut t = Table::new(&[
         "ckpt every N steps",
         "overhead on die-ndp",
         "overhead on host-nvme",
     ]);
-    let host = measure(&ssd, &host_tier(), ADAM, params, cap);
-    let host_step = host.step_time.as_secs_f64();
+    let host_step = ctx
+        .measure(&ssd, &host_tier(), ADAM, params)
+        .step_time
+        .as_secs_f64();
     for interval in [100u32, 500, 1000, 5000] {
         let die_oh = ck_time / (step_time * interval as f64);
         let host_oh = ck_time / (host_step * interval as f64);
@@ -777,16 +634,18 @@ pub fn fig19_checkpoint(cap: u64) {
             format!("{:.2}%", host_oh * 100.0),
         ]);
     }
-    t.print();
+    format!(
+        "one checkpoint reads {} in {} ({:.1}x one optimizer step)\n{}",
+        fmt_bytes(slice.scale_count(ck_bytes)),
+        fmt_secs(ck_time),
+        ck_time / step_time,
+        t.render()
+    )
 }
 
 /// F20 — gradient compression: top-k delivery breaks the PCIe floor of the
 /// sparse fine-tune case.
-pub fn fig20_compression(cap: u64) {
-    header(
-        "F20",
-        "top-k gradient compression (gpt3-13b, die-ndp, 25% hot fine-tune + lazy skip)",
-    );
+pub fn fig20_compression(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
     let mut t = Table::new(&["gradient stream", "step time", "pcie-in bytes"]);
@@ -800,26 +659,22 @@ pub fn fig20_compression(cap: u64) {
             grad_topk_permille: topk,
             ..OptimStoreConfig::die_ndp()
         };
-        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, cap, |dev| {
+        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, ctx.cap, |dev| {
             dev.set_phantom_hot_fraction(0.25)
         });
         t.row(&[
             name.to_string(),
-            fmt_secs(slice.scale_duration(r2.duration).as_secs_f64()),
+            secs(slice.scale_duration(r2.duration)),
             fmt_bytes(slice.scale_count(r2.traffic.pcie_in)),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// T21 — headline planning table: wall-clock time to train each model for
 /// 100 k steps, host offload vs OptimStore, including the fleet each needs
 /// for capacity + endurance.
-pub fn table21_time_to_train(cap: u64) {
-    header(
-        "T21",
-        "time to train 100k steps (A100 batch 8, fleet sized for capacity+endurance)",
-    );
+pub fn table21_time_to_train(ctx: &Context) -> String {
     const STEPS: f64 = 100_000.0;
     const WAF: f64 = 1.05;
     let ssd = SsdConfig::base();
@@ -845,8 +700,8 @@ pub fn table21_time_to_train(cap: u64) {
         let devices = for_capacity.max(for_endurance);
 
         let shard = ZeroPartition::new(m.params(), devices).max_shard();
-        let die = measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, shard, cap);
-        let host_step = run_host_fleet(&ssd, &default_host_cfg(), ADAM, m.params(), devices, cap);
+        let die = ctx.measure(&ssd, &OptimStoreConfig::die_ndp(), ADAM, shard);
+        let host_step = ctx.host_fleet(&ssd, ADAM, m.params(), devices);
         let compute = gpu.iteration_time(&m, 8);
         let it_host = IterationBreakdown::synchronous(compute, host_step)
             .total()
@@ -865,19 +720,15 @@ pub fn table21_time_to_train(cap: u64) {
             format!("{:.1} days", days(it_host) - days(it_die)),
         ]);
     }
-    t.print();
+    t.render()
 }
 
 /// F22 — 8-bit optimizer state: blockwise-quantized moments shrink flash
 /// footprint, array traffic and wear (analytic, audit-based; the
 /// quantization kernels and their convergence are unit-tested in
 /// `optim-math::quant`).
-pub fn fig22_quantized_state() {
+pub fn fig22_quantized_state(_: &Context) -> String {
     use optimstore_core::audit::audit;
-    header(
-        "F22",
-        "8-bit optimizer state (gpt3-13b, die-ndp; audit-based)",
-    );
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
     let cfg = OptimStoreConfig::die_ndp();
@@ -901,46 +752,41 @@ pub fn fig22_quantized_state() {
             name.into(),
             spec.persistent_bytes().to_string(),
             fmt_bytes(spec.model_footprint(params)),
-            fmt_secs(a.step_time(params).as_secs_f64()),
+            secs(a.step_time(params)),
             format!("{erases:.0}"),
         ]);
     }
-    t.print();
-    println!(
-        "(8-bit moments keep Adam convergent — see optim-math::quant tests — \
-         while cutting write traffic and wear by ~30%)"
-    );
+    format!(
+        "{}(8-bit moments keep Adam convergent — see optim-math::quant tests — \
+         while cutting write traffic and wear by ~30%)\n",
+        t.render()
+    )
 }
 
 /// F23 — scheduler-granularity ablation: group-granular vs sub-group
 /// pipelined engines.
-pub fn fig23_scheduler_granularity(cap: u64) {
-    header(
-        "F23",
-        "engine scheduling granularity (die-ndp): group vs sub-group pipelining",
-    );
+pub fn fig23_scheduler_granularity(ctx: &Context) -> String {
     let ssd = SsdConfig::base();
     let params = zoo::gpt3_13b().params();
     let mut t = Table::new(&["optimizer", "scheduling", "step time", "speedup"]);
     for kind in [ADAM, OptimizerKind::SgdMomentum] {
-        let mut base_time = 0.0f64;
+        let mut base = SimDuration::ZERO;
         for (name, subgroup) in [("group", false), ("sub-group", true)] {
             let mut cfg = OptimStoreConfig::die_ndp();
             cfg.engine.subgroup_pipelining = subgroup;
-            let m = measure(&ssd, &cfg, kind, params, cap);
-            let secs = m.step_time.as_secs_f64();
+            let step = ctx.measure(&ssd, &cfg, kind, params).step_time;
             if !subgroup {
-                base_time = secs;
+                base = step;
             }
             t.row(&[
                 format!("{kind:?}"),
                 name.into(),
-                fmt_secs(secs),
-                format!("{:.2}x", base_time / secs),
+                secs(step),
+                ratio(base, step),
             ]);
         }
     }
-    t.print();
+    t.render()
 }
 
 /// F24 — media-fault sweep: step latency and block retirement as seeded
@@ -951,11 +797,7 @@ pub fn fig23_scheduler_granularity(cap: u64) {
 /// completes, and the cost of recovery shows up as latency, retirement
 /// and write amplification. Seeded injection makes rows reproducible:
 /// re-running prints identical numbers.
-pub fn fig24_fault_sweep(cap: u64) {
-    header(
-        "F24",
-        "media-fault sweep (gpt3-13b, die-ndp): step latency & retirement vs fault rate x age",
-    );
+pub fn fig24_fault_sweep(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let base = SsdConfig::base();
     let rated = base.nand.cell.rated_pe_cycles();
@@ -970,72 +812,51 @@ pub fn fig24_fault_sweep(cap: u64) {
     ]);
     // Every grid cell builds its own seeded device, so the cells fan out on
     // the data-plane pool and merge back in grid order; the per-age-block
-    // fault-free control ratios fold in serially afterwards, exactly as the
-    // serial sweep computed them.
-    struct Cell {
-        rate: f64,
-        age_fraction: f64,
-        step: f64,
-        fails: String,
-        retired: String,
-        rescued: String,
-    }
-    let jobs: Vec<Box<dyn FnOnce() -> Cell + Send>> = workloads::fault_sweep_grid(24)
-        .into_iter()
-        .map(|s| {
-            Box::new(move || {
-                let rate = s.fault.program_fail;
-                let ssd = if s.fault.is_active() {
-                    base.with_fault(s.fault)
-                } else {
-                    base
-                };
-                let cfg = OptimStoreConfig::die_ndp();
-                let (slice, r2, dev) = run_cell(&ssd, &cfg, ADAM, params, cap, |dev| {
-                    dev.simulate_wear(s.pe_cycles(rated))
-                });
-                let st = dev.ssd().stats();
-                Cell {
-                    rate,
-                    age_fraction: s.age_fraction,
-                    step: slice.scale_duration(r2.duration).as_secs_f64(),
-                    fails: format!(
-                        "{}/{}/{}",
-                        st.program_failures.get(),
-                        st.erase_failures.get(),
-                        st.read_retries.get()
-                    ),
-                    retired: st.retired_blocks.get().to_string(),
-                    rescued: st.rescue_copies.get().to_string(),
-                }
-            }) as Box<dyn FnOnce() -> Cell + Send>
-        })
-        .collect();
-    let mut fault_free = 0.0f64;
-    for c in crate::runners::run_parallel(jobs) {
-        if c.rate == 0.0 {
+    // fault-free control ratios fold in serially afterwards.
+    let grid = workloads::fault_sweep_grid(24);
+    let cells = par::map_indexed(&grid, |_, s| {
+        let ssd = if s.fault.is_active() {
+            base.with_fault(s.fault)
+        } else {
+            base
+        };
+        let cfg = OptimStoreConfig::die_ndp();
+        let (slice, r2, dev) = run_cell(&ssd, &cfg, ADAM, params, ctx.cap, |dev| {
+            dev.simulate_wear(s.pe_cycles(rated))
+        });
+        (slice.scale_duration(r2.duration), dev.ssd().stats().clone())
+    });
+    let mut fault_free = SimDuration::ZERO;
+    for (s, (step, st)) in grid.iter().zip(cells) {
+        let rate = s.fault.program_fail;
+        if rate == 0.0 {
             // First column of each age block is its fault-free control.
-            fault_free = c.step;
+            fault_free = step;
         }
         t.row(&[
-            if c.rate == 0.0 {
+            if rate == 0.0 {
                 "0 (control)".into()
             } else {
-                format!("{:.0e}", c.rate)
+                format!("{rate:.0e}")
             },
-            format!("{:.0}% PE", c.age_fraction * 100.0),
-            fmt_secs(c.step),
-            format!("{:.2}x", c.step / fault_free),
-            c.fails,
-            c.retired,
-            c.rescued,
+            format!("{:.0}% PE", s.age_fraction * 100.0),
+            secs(step),
+            ratio(step, fault_free),
+            format!(
+                "{}/{}/{}",
+                st.program_failures.get(),
+                st.erase_failures.get(),
+                st.read_retries.get()
+            ),
+            st.retired_blocks.get().to_string(),
+            st.rescue_copies.get().to_string(),
         ]);
     }
-    t.print();
-    println!(
-        "(counts cover state load + 2 steps on the simulated slice; \
-         seeded injection makes every row deterministic)"
-    );
+    format!(
+        "{}(counts cover state load + 2 steps on the simulated slice; \
+         seeded injection makes every row deterministic)\n",
+        t.render()
+    )
 }
 
 /// F25 — crash-recovery sweep: sudden power loss at every schedule in
@@ -1050,27 +871,23 @@ pub fn fig24_fault_sweep(cap: u64) {
 /// commit-protocol trade-off — tight journaling shrinks the mount's OOB
 /// scan but spends more journal pages during normal operation (and the
 /// longer serial replay of those pages can itself dominate the mount).
-pub fn fig25_crash_sweep(_cap: u64) {
+pub fn fig25_crash_sweep(_: &Context) -> String {
     use ssdsim::trace::OpKind;
     use ssdsim::{JournalConfig, PowerLossConfig, SsdError};
     use workloads::{crash_schedules, CrashPhase};
 
-    header(
-        "F25",
-        "crash-recovery sweep: journal flush interval x crash schedule (functional, bit-exact)",
-    );
-    const PARAMS: u64 = 200_000;
     const STEPS: u64 = 3;
-    let grad = |step: u64| GradientGen::new(0xF25).generate(step, PARAMS as usize);
-    let weights = WeightInit::default().generate(PARAMS as usize);
-    let make_dev = |interval: u32| {
+    let run = SeededRun {
+        params: 200_000,
+        seed: 0xF25,
+    };
+    let journaled = |interval: u32| {
         let mut ssd = SsdConfig::tiny().with_journal(JournalConfig::every(interval));
         // Small enough that three steps of state write-back force GC.
         ssd.nand.geometry.blocks_per_plane = 12;
-        let (optimizer, spec) = optimizer_and_spec(ADAM);
-        OptimStoreDevice::new_functional(ssd, OptimStoreConfig::die_ndp(), PARAMS, optimizer, spec)
-            .unwrap()
+        ssd
     };
+    let die_ndp = OptimStoreConfig::die_ndp();
 
     let mut t = Table::new(&[
         "flush int",
@@ -1086,12 +903,11 @@ pub fn fig25_crash_sweep(_cap: u64) {
     // still fit on die 0 alongside three epochs of state.
     for interval in [16u32, 64, 256] {
         // Uncrashed reference: final weights, step windows, erase windows.
-        let mut refdev = make_dev(interval);
+        let (mut refdev, mut at) = run.load(journaled(interval), die_ndp, ADAM);
         refdev.enable_trace(1 << 17);
-        let mut at = refdev.load_weights(&weights, SimTime::ZERO).unwrap();
         let mut windows = Vec::new();
         for step in 1..=STEPS {
-            let r = refdev.run_step(Some(&grad(step)), at).unwrap();
+            let r = refdev.run_step(Some(&run.grads(step)), at).unwrap();
             windows.push((r.start, r.end));
             at = r.end;
         }
@@ -1107,95 +923,72 @@ pub fn fig25_crash_sweep(_cap: u64) {
         // Every schedule cell crashes its own fresh device against the
         // shared reference windows, so the cells of an interval fan out on
         // the data-plane pool and their rows merge back in schedule order.
-        let jobs: Vec<Box<dyn FnOnce() -> [String; 8] + Send>> = crash_schedules(25)
-            .into_iter()
-            .map(|s| {
-                let windows = &windows;
-                let erases = &erases;
-                let weights = &weights;
-                let master_ref = &master_ref;
-                let make_dev = &make_dev;
-                let grad = &grad;
-                Box::new(move || {
-                    let tc = match s.phase {
-                        CrashPhase::Step { step } | CrashPhase::DuringMount { step } => {
-                            let (start, end) = windows[(step - 1) as usize];
-                            s.instant(start, end)
-                        }
-                        CrashPhase::WriteBack { step } => {
-                            let (start, end) = windows[(step - 1) as usize];
-                            s.instant(start + (end - start).saturating_mul(3) / 4, end)
-                        }
-                        CrashPhase::DuringGc => {
-                            let idx = ((s.fraction * erases.len() as f64) as usize)
-                                .min(erases.len().saturating_sub(1));
-                            let (start, end) = erases[idx];
-                            s.instant(start, end)
-                        }
-                    };
-                    let mut dev = make_dev(interval);
-                    let t0 = dev.load_weights(weights, SimTime::ZERO).unwrap();
-                    dev.ssd_mut().arm_power_loss(PowerLossConfig::at(tc));
-                    let mut at = t0;
-                    let mut failed = 0;
-                    for step in 1..=STEPS {
-                        match dev.run_step(Some(&grad(step)), at) {
-                            Ok(r) => at = r.end,
-                            Err(optimstore_core::CoreError::Ssd(SsdError::PowerLoss {
-                                ..
-                            })) => {
-                                failed = step;
-                                break;
-                            }
-                            Err(e) => panic!("unexpected error: {e}"),
-                        }
+        let rows = par::map_indexed(&crash_schedules(25), |_, s| {
+            let tc = match s.phase {
+                CrashPhase::Step { step } | CrashPhase::DuringMount { step } => {
+                    let (start, end) = windows[(step - 1) as usize];
+                    s.instant(start, end)
+                }
+                CrashPhase::WriteBack { step } => {
+                    let (start, end) = windows[(step - 1) as usize];
+                    s.instant(start + (end - start).saturating_mul(3) / 4, end)
+                }
+                CrashPhase::DuringGc => {
+                    let idx = ((s.fraction * erases.len() as f64) as usize)
+                        .min(erases.len().saturating_sub(1));
+                    let (start, end) = erases[idx];
+                    s.instant(start, end)
+                }
+            };
+            let (mut dev, t0) = run.load(journaled(interval), die_ndp, ADAM);
+            dev.ssd_mut().arm_power_loss(PowerLossConfig::at(tc));
+            let mut at = t0;
+            let mut failed = 0;
+            for step in 1..=STEPS {
+                match dev.run_step(Some(&run.grads(step)), at) {
+                    Ok(r) => at = r.end,
+                    Err(optimstore_core::CoreError::Ssd(SsdError::PowerLoss { .. })) => {
+                        failed = step;
+                        break;
                     }
-                    assert!(failed > 0, "{}: armed crash never fired", s.name);
-                    let crash_at = dev.ssd().power_failed_at().unwrap();
-                    let journal_pages = dev.ssd().stats().journal_pages.get();
-                    if matches!(s.phase, CrashPhase::DuringMount { .. }) {
-                        // Double crash: kill the first mount partway through.
-                        let m0 = crash_at + simkit::SimDuration::from_us(10);
-                        dev.ssd_mut().arm_power_loss(PowerLossConfig::at(
-                            m0 + simkit::SimDuration::from_us(50),
-                        ));
-                        assert!(dev.recover(Some(&grad(failed)), m0).is_err());
-                    }
-                    let mount_at =
-                        dev.ssd().power_failed_at().unwrap() + simkit::SimDuration::from_us(10);
-                    let rec = dev.recover(Some(&grad(failed)), mount_at).unwrap();
-                    let mut at = rec.end;
-                    for step in (failed + 1)..=STEPS {
-                        at = dev.run_step(Some(&grad(step)), at).unwrap().end;
-                    }
-                    let master = dev.read_master_weights(at).unwrap();
-                    let exact = master
-                        .iter()
-                        .zip(master_ref)
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                    [
-                        interval.to_string(),
-                        s.name.into(),
-                        format!("step {failed}"),
-                        journal_pages.to_string(),
-                        rec.mount.pages_scanned.to_string(),
-                        fmt_secs((rec.mount.window.end - rec.mount.window.start).as_secs_f64()),
-                        fmt_secs((rec.end - crash_at).as_secs_f64()),
-                        if exact { "yes".into() } else { "NO".into() },
-                    ]
-                }) as Box<dyn FnOnce() -> [String; 8] + Send>
-            })
-            .collect();
-        for row in crate::runners::run_parallel(jobs) {
+                    Err(e) => panic!("unexpected error: {e}"),
+                }
+            }
+            assert!(failed > 0, "{}: armed crash never fired", s.name);
+            let crash_at = dev.ssd().power_failed_at().unwrap();
+            let journal_pages = dev.ssd().stats().journal_pages.get();
+            if matches!(s.phase, CrashPhase::DuringMount { .. }) {
+                // Double crash: kill the first mount partway through.
+                let m0 = crash_at + SimDuration::from_us(10);
+                dev.ssd_mut()
+                    .arm_power_loss(PowerLossConfig::at(m0 + SimDuration::from_us(50)));
+                assert!(dev.recover(Some(&run.grads(failed)), m0).is_err());
+            }
+            let mount_at = dev.ssd().power_failed_at().unwrap() + SimDuration::from_us(10);
+            let rec = dev.recover(Some(&run.grads(failed)), mount_at).unwrap();
+            let at = run.train(&mut dev, failed + 1..=STEPS, rec.end);
+            let exact = bit_exact(&dev.read_master_weights(at).unwrap(), &master_ref);
+            [
+                interval.to_string(),
+                s.name.into(),
+                format!("step {failed}"),
+                journal_pages.to_string(),
+                rec.mount.pages_scanned.to_string(),
+                secs(rec.mount.window.end - rec.mount.window.start),
+                secs(rec.end - crash_at),
+                if exact { "yes".into() } else { "NO".into() },
+            ]
+        });
+        for row in rows {
             t.row(&row);
         }
     }
-    t.print();
-    println!(
-        "(each row: fresh device, power cut at the schedule's instant, mount + \
+    format!(
+        "{}(each row: fresh device, power cut at the schedule's instant, mount + \
          replay + remaining steps; 'bit-exact' compares final master weights \
-         to the uncrashed reference)"
-    );
+         to the uncrashed reference)\n",
+        t.render()
+    )
 }
 
 /// F26 — reliability sweep: seeded page losses plus media aging (read
@@ -1211,40 +1004,29 @@ pub fn fig25_crash_sweep(_cap: u64) {
 /// — before the step by the patrol scrub when its budget reaches the
 /// victim first, during the step's own reads otherwise — and the final
 /// master weights match the fault-free reference bit for bit.
-pub fn fig26_reliability_sweep(cap: u64) {
+pub fn fig26_reliability_sweep(ctx: &Context) -> String {
+    use nandsim::wear::RberModel;
     use optimstore_core::{StateComponent, StateLayout};
-    use ssdsim::{Device, Lpn, RainConfig, ScrubConfig};
+    use ssdsim::{RainConfig, ScrubConfig};
     use workloads::{aging_schedules, AgingSchedule};
 
-    header(
-        "F26",
-        "reliability sweep: aging schedule x scrub budget x RAIN parity (functional, bit-exact)",
-    );
-    let params = cap.clamp(40_000, 200_000);
     const STEPS: u64 = 4;
     const LOSSES_PER_GAP: usize = 3; // one gap before each step -> 12 victims
-    let grad = |step: u64| GradientGen::new(0xF26).generate(step, params as usize);
-    let weights = WeightInit::default().generate(params as usize);
-    let make_dev = |ssd: SsdConfig| {
-        let (optimizer, spec) = optimizer_and_spec(ADAM);
-        OptimStoreDevice::new_functional(ssd, OptimStoreConfig::die_ndp(), params, optimizer, spec)
-            .unwrap()
+    let run = SeededRun {
+        params: ctx.cap.clamp(40_000, 200_000),
+        seed: 0xF26,
     };
+    let die_ndp = OptimStoreConfig::die_ndp();
     // The aging coefficients are relative to the part's ECC ceiling.
-    let ceiling = Device::new_functional(SsdConfig::tiny()).channels()[0].dies()[0]
-        .rber_model()
-        .ecc_ceiling;
+    let ceiling = RberModel::for_cell(SsdConfig::tiny().nand.cell).ecc_ceiling;
     let stripe_w = SsdConfig::tiny()
         .with_rain(RainConfig::rotating())
         .stripe_data_width()
         .unwrap();
 
     // Fault-free reference: the weights every surviving cell must match.
-    let mut refdev = make_dev(SsdConfig::tiny());
-    let mut at = refdev.load_weights(&weights, SimTime::ZERO).unwrap();
-    for step in 1..=STEPS {
-        at = refdev.run_step(Some(&grad(step)), at).unwrap().end;
-    }
+    let (mut refdev, at) = run.load(SsdConfig::tiny(), die_ndp, ADAM);
+    let at = run.train(&mut refdev, 1..=STEPS, at);
     let master_ref = refdev.read_master_weights(at).unwrap();
 
     // The victim list per injection gap: master-weight pages of seeded
@@ -1292,155 +1074,256 @@ pub fn fig26_reliability_sweep(cap: u64) {
     // Every cell trains its own fresh device against the shared fault-free
     // reference, so the whole schedule x (parity, scrub) grid fans out on
     // the data-plane pool; rows merge back in grid order.
-    let scheds: Vec<_> = aging_schedules(26).into_iter().collect();
-    let mut jobs: Vec<Box<dyn FnOnce() -> [String; 9] + Send>> = Vec::new();
-    for sched in &scheds {
+    let scheds = aging_schedules(26);
+    let grid: Vec<_> = scheds
+        .iter()
+        .flat_map(|sched| {
+            [
+                (false, None, "off"),
+                (true, None, "off"),
+                (true, Some(ScrubConfig::per_step(64)), "64/step"),
+                (true, Some(ScrubConfig::per_step(512)), "512/step"),
+            ]
+            .map(|(parity, scrub, scrub_name)| (sched, parity, scrub, scrub_name))
+        })
+        .collect();
+    let rows = par::map_indexed(&grid, |_, &(sched, parity, scrub, scrub_name)| {
+        let mut ssd = SsdConfig::tiny();
         let aging = sched.aging_config(ceiling);
-        let cells: [(bool, Option<ScrubConfig>, &str); 4] = [
-            (false, None, "off"),
-            (true, None, "off"),
-            (true, Some(ScrubConfig::per_step(64)), "64/step"),
-            (true, Some(ScrubConfig::per_step(512)), "512/step"),
-        ];
-        for (parity, scrub, scrub_name) in cells {
-            let weights = &weights;
-            let master_ref = &master_ref;
-            let grad = &grad;
-            let make_dev = &make_dev;
-            let pick_victims = &pick_victims;
-            jobs.push(Box::new(move || {
-                let mut ssd = SsdConfig::tiny();
-                if aging.is_active() {
-                    ssd = ssd.with_aging(aging);
-                }
-                if parity {
-                    ssd = ssd.with_rain(RainConfig::rotating());
-                }
-                if let Some(s) = scrub {
-                    ssd = ssd.with_scrub(s);
-                }
-                let mut dev = make_dev(ssd);
-                let victims = pick_victims(sched, dev.layout());
-                let hot: Vec<Lpn> = sched
-                    .hot_pages(dev.layout().num_groups())
-                    .iter()
-                    .map(|&g| dev.layout().lpn(g, StateComponent::Weight16, 0))
-                    .collect();
-                let mut at = dev.load_weights(weights, SimTime::ZERO).unwrap();
-                let mut injected = 0u64;
-                let mut traffic = 0u64;
-                let mut failed_at: Option<u64> = None;
-                'run: for step in 1..=STEPS {
-                    // The idle gap: hot re-reads (read disturb), then the
-                    // gap's seeded losses, then the schedule's retention
-                    // pause.
-                    for lpn in &hot {
-                        for _ in 0..sched.hot_reads_per_step {
-                            match dev.ssd_mut().internal_read_array(*lpn, at) {
-                                Ok((w, _)) => at = w.end,
-                                Err(_) => {
-                                    failed_at = Some(step);
-                                    break 'run;
-                                }
-                            }
-                        }
-                    }
-                    for lpn in &victims[(step - 1) as usize] {
-                        dev.ssd_mut().inject_page_loss(*lpn).unwrap();
-                        injected += 1;
-                    }
-                    at += sched.pause_between_steps;
-                    match dev.run_step(Some(&grad(step)), at) {
-                        Ok(r) => {
-                            at = r.end;
-                            traffic += r.traffic.array_read + r.traffic.array_program;
-                        }
+        if aging.is_active() {
+            ssd = ssd.with_aging(aging);
+        }
+        if parity {
+            ssd = ssd.with_rain(RainConfig::rotating());
+        }
+        if let Some(s) = scrub {
+            ssd = ssd.with_scrub(s);
+        }
+        let (mut dev, mut at) = run.load(ssd, die_ndp, ADAM);
+        let victims = pick_victims(sched, dev.layout());
+        let hot: Vec<Lpn> = sched
+            .hot_pages(dev.layout().num_groups())
+            .iter()
+            .map(|&g| dev.layout().lpn(g, StateComponent::Weight16, 0))
+            .collect();
+        let mut injected = 0u64;
+        let mut traffic = 0u64;
+        let mut failed_at: Option<u64> = None;
+        'run: for step in 1..=STEPS {
+            // The idle gap: hot re-reads (read disturb), then the gap's
+            // seeded losses, then the schedule's retention pause.
+            for lpn in &hot {
+                for _ in 0..sched.hot_reads_per_step {
+                    match dev.ssd_mut().internal_read_array(*lpn, at) {
+                        Ok((w, _)) => at = w.end,
                         Err(_) => {
                             failed_at = Some(step);
                             break 'run;
                         }
                     }
                 }
-                let outcome = match failed_at {
-                    Some(step) => format!("LOST@step{step}"),
-                    None => {
-                        let master = dev.read_master_weights(at).unwrap();
-                        let exact = master
-                            .iter()
-                            .zip(master_ref)
-                            .all(|(a, b)| a.to_bits() == b.to_bits());
-                        if exact {
-                            "bit-exact".into()
-                        } else {
-                            "DRIFT".into()
-                        }
-                    }
-                };
-                let st = dev.ssd().stats();
-                [
-                    sched.name.into(),
-                    if parity { "on" } else { "off" }.into(),
-                    scrub_name.into(),
-                    outcome,
-                    injected.to_string(),
-                    st.parity_reconstructions.get().to_string(),
-                    format!(
-                        "{}/{}/{}",
-                        st.scrub_reads.get(),
-                        st.scrub_repairs.get(),
-                        st.scrub_refreshes.get()
-                    ),
-                    st.uncorrectable_reads.get().to_string(),
-                    fmt_bytes(traffic),
-                ]
-            }) as Box<dyn FnOnce() -> [String; 9] + Send>);
+            }
+            for lpn in &victims[(step - 1) as usize] {
+                dev.ssd_mut().inject_page_loss(*lpn).unwrap();
+                injected += 1;
+            }
+            at += sched.pause_between_steps;
+            match dev.run_step(Some(&run.grads(step)), at) {
+                Ok(r) => {
+                    at = r.end;
+                    traffic += r.traffic.array_read + r.traffic.array_program;
+                }
+                Err(_) => {
+                    failed_at = Some(step);
+                    break 'run;
+                }
+            }
         }
-    }
-    for row in crate::runners::run_parallel(jobs) {
+        let outcome = match failed_at {
+            Some(step) => format!("LOST@step{step}"),
+            None if bit_exact(&dev.read_master_weights(at).unwrap(), &master_ref) => {
+                "bit-exact".into()
+            }
+            None => "DRIFT".into(),
+        };
+        let st = dev.ssd().stats();
+        [
+            sched.name.into(),
+            if parity { "on" } else { "off" }.into(),
+            scrub_name.into(),
+            outcome,
+            injected.to_string(),
+            st.parity_reconstructions.get().to_string(),
+            format!(
+                "{}/{}/{}",
+                st.scrub_reads.get(),
+                st.scrub_repairs.get(),
+                st.scrub_refreshes.get()
+            ),
+            st.uncorrectable_reads.get().to_string(),
+            fmt_bytes(traffic),
+        ]
+    });
+    for row in rows {
         t.row(&row);
     }
-    t.print();
-    println!(
-        "(each cell: fresh device, {STEPS} steps, seeded losses injected between \
+    format!(
+        "{}(each cell: fresh device, {STEPS} steps, seeded losses injected between \
          steps into distinct stripes; 'reconstr' counts reads recovered from \
          parity, 'lost' counts reads that stayed uncorrectable; 'bit-exact' \
-         compares final master weights to the fault-free reference)"
-    );
+         compares final master weights to the fault-free reference)\n",
+        t.render()
+    )
 }
 
-/// One registered experiment: its id (the `experiments` binary's argument)
-/// and its entry point, which takes the slice cap.
-pub type Experiment = (&'static str, fn(u64));
+/// One registered experiment: its id (the `experiments` binary's argument),
+/// its header title and its entry point.
+pub type Experiment = (&'static str, &'static str, fn(&Context) -> String);
 
 /// Every experiment, in the order `experiments all` prints them.
 pub static REGISTRY: [Experiment; 26] = [
-    ("table1_models", |_| table1_models()),
-    ("table2_ssd_config", |_| table2_ssd_config()),
-    ("fig3_motivation", fig3_motivation),
-    ("fig4_step_latency", fig4_step_latency),
-    ("fig5_speedup", fig5_speedup),
-    ("fig6_end_to_end", fig6_end_to_end),
-    ("fig7_parallelism", fig7_parallelism),
-    ("fig8_pcie", fig8_pcie),
-    ("fig9_energy", fig9_energy),
-    ("fig10_layout", fig10_layout),
-    ("fig11_endurance", |_| fig11_endurance()),
-    ("fig12_batch", fig12_batch),
-    ("fig13_scaling", fig13_scaling),
-    ("table14_correctness", |_| table14_correctness()),
-    ("fig15_optimizers", fig15_optimizers),
-    ("fig16_grad_staging", fig16_grad_staging),
-    ("fig17_sparse_updates", fig17_sparse_updates),
-    ("fig18_aging", fig18_aging),
-    ("fig19_checkpoint", fig19_checkpoint),
-    ("fig20_compression", fig20_compression),
-    ("table21_time_to_train", table21_time_to_train),
-    ("fig22_quantized_state", |_| fig22_quantized_state()),
-    ("fig23_scheduler_granularity", fig23_scheduler_granularity),
-    ("fig24_fault_sweep", fig24_fault_sweep),
-    ("fig25_crash_sweep", fig25_crash_sweep),
-    ("fig26_reliability_sweep", fig26_reliability_sweep),
+    (
+        "table1_models",
+        "evaluation models and optimizer-state footprints (Adam, fp16 grads)",
+        table1_models,
+    ),
+    ("table2_ssd_config", "SSD configurations", table2_ssd_config),
+    (
+        "fig3_motivation",
+        "optimizer share of training iteration under host-NVMe offload (A100, batch 8)",
+        fig3_motivation,
+    ),
+    (
+        "fig4_step_latency",
+        "optimizer-step latency: host-nvme vs channel-ndp vs die-ndp (base SSD)",
+        fig4_step_latency,
+    ),
+    (
+        "fig5_speedup",
+        "speedup over host-nvme offload",
+        fig5_speedup,
+    ),
+    (
+        "fig6_end_to_end",
+        "end-to-end iteration speedup, die-ndp vs host-nvme (A100, batch 8)",
+        fig6_end_to_end,
+    ),
+    (
+        "fig7_parallelism",
+        "die-ndp step time vs internal parallelism (gpt3-13b)",
+        fig7_parallelism,
+    ),
+    (
+        "fig8_pcie",
+        "step time vs PCIe bandwidth (gpt3-13b, base SSD internals)",
+        fig8_pcie,
+    ),
+    (
+        "fig9_energy",
+        "optimizer-step energy (gpt3-13b), joules by component",
+        fig9_energy,
+    ),
+    (
+        "fig10_layout",
+        "layout ablation (gpt3-13b, die-ndp): co-located vs tensor-striped",
+        fig10_layout,
+    ),
+    (
+        "fig11_endurance",
+        "endurance: wear under repeated state rewrites (tiny device, hot/cold split)",
+        fig11_endurance,
+    ),
+    (
+        "fig12_batch",
+        "optimizer share vs batch size (gpt3-13b, A100)",
+        fig12_batch,
+    ),
+    (
+        "fig13_scaling",
+        "multi-SSD scaling (gpt3-175b, ZeRO sharding)",
+        fig13_scaling,
+    ),
+    (
+        "table14_correctness",
+        "functional correctness: in-storage vs reference (max ULP distance)",
+        table14_correctness,
+    ),
+    (
+        "fig15_optimizers",
+        "optimizer ablation (gpt3-13b, die-ndp)",
+        fig15_optimizers,
+    ),
+    (
+        "fig16_grad_staging",
+        "gradient staging ablation (gpt3-13b, die-ndp)",
+        fig16_grad_staging,
+    ),
+    (
+        "fig17_sparse_updates",
+        "lazy zero-gradient skipping (gpt3-13b, die-ndp, frozen-layer fine-tune)",
+        fig17_sparse_updates,
+    ),
+    (
+        "fig18_aging",
+        "step time vs device age (gpt3-13b, die-ndp; read-retries grow with wear)",
+        fig18_aging,
+    ),
+    (
+        "fig19_checkpoint",
+        "checkpoint overhead (gpt3-13b): state readout vs checkpoint interval",
+        fig19_checkpoint,
+    ),
+    (
+        "fig20_compression",
+        "top-k gradient compression (gpt3-13b, die-ndp, 25% hot fine-tune + lazy skip)",
+        fig20_compression,
+    ),
+    (
+        "table21_time_to_train",
+        "time to train 100k steps (A100 batch 8, fleet sized for capacity+endurance)",
+        table21_time_to_train,
+    ),
+    (
+        "fig22_quantized_state",
+        "8-bit optimizer state (gpt3-13b, die-ndp; audit-based)",
+        fig22_quantized_state,
+    ),
+    (
+        "fig23_scheduler_granularity",
+        "engine scheduling granularity (die-ndp): group vs sub-group pipelining",
+        fig23_scheduler_granularity,
+    ),
+    (
+        "fig24_fault_sweep",
+        "media-fault sweep (gpt3-13b, die-ndp): step latency & retirement vs fault rate x age",
+        fig24_fault_sweep,
+    ),
+    (
+        "fig25_crash_sweep",
+        "crash-recovery sweep: journal flush interval x crash schedule (functional, bit-exact)",
+        fig25_crash_sweep,
+    ),
+    (
+        "fig26_reliability_sweep",
+        "reliability sweep: aging schedule x scrub budget x RAIN parity (functional, bit-exact)",
+        fig26_reliability_sweep,
+    ),
 ];
+
+/// An id's header label: `table1_models` -> `T1`, `fig3_motivation` -> `F3`.
+fn label(id: &str) -> String {
+    let num = id.split('_').next().unwrap_or(id);
+    match num.strip_prefix("table") {
+        Some(n) => format!("T{n}"),
+        None => format!("F{}", num.trim_start_matches("fig")),
+    }
+}
+
+/// Runs one experiment in `ctx` and returns its section of the output:
+/// a blank line, the `=== <label>: <title> ===` header, then its text.
+fn render(&(id, title, run): &Experiment, ctx: &Context) -> String {
+    format!("\n=== {}: {title} ===\n{}", label(id), run(ctx))
+}
 
 /// A parsed `experiments` command line: what to run, and at which cap.
 #[derive(Debug, Clone, Copy)]
@@ -1452,10 +1335,12 @@ pub struct Invocation {
 }
 
 impl Invocation {
-    /// Runs the selected experiments in order.
+    /// Runs the selected experiments in order in one [`Context`], printing
+    /// each section as it completes.
     pub fn run(&self) {
-        for (_, run) in self.experiments {
-            run(self.cap);
+        let ctx = Context::new(self.cap);
+        for exp in self.experiments {
+            print!("{}", render(exp, &ctx));
         }
     }
 }
@@ -1496,7 +1381,7 @@ pub fn parse_args<S: AsRef<str>>(args: &[S]) -> Result<Invocation, ArgError> {
     } else {
         let i = REGISTRY
             .iter()
-            .position(|(name, _)| *name == id)
+            .position(|(name, ..)| *name == id)
             .ok_or_else(|| ArgError::UnknownId(id.to_string()))?;
         &REGISTRY[i..=i]
     };
@@ -1522,7 +1407,7 @@ pub fn usage() -> String {
          cap: simulated parameters per run (default {DEFAULT_SLICE_CAP})\n\
          ids:"
     );
-    for (id, _) in &REGISTRY {
+    for (id, ..) in &REGISTRY {
         u.push_str("\n  ");
         u.push_str(id);
     }
@@ -1532,9 +1417,12 @@ pub fn usage() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use optimstore_core::ExecutionTier;
+
+    const GOLDEN: &str = include_str!("../../../tests/golden/all_experiments.txt");
 
     fn ids(inv: &Invocation) -> Vec<&'static str> {
-        inv.experiments.iter().map(|(id, _)| *id).collect()
+        inv.experiments.iter().map(|(id, ..)| *id).collect()
     }
 
     #[test]
@@ -1587,31 +1475,75 @@ mod tests {
     #[test]
     fn usage_lists_every_id() {
         let u = usage();
-        assert!(REGISTRY.iter().all(|(id, _)| u.contains(id)));
+        assert!(REGISTRY.iter().all(|(id, ..)| u.contains(id)));
     }
 
     /// The registry is the golden output's table of contents: its entries,
-    /// in order, are exactly the `=== <label>:` headers of
+    /// in order, are exactly the `=== <label>: <title> ===` headers of
     /// `tests/golden/all_experiments.txt` (`table1_models` -> `T1`,
     /// `fig3_motivation` -> `F3`, ...).
     #[test]
     fn registry_matches_golden_headers() {
-        let golden = include_str!("../../../tests/golden/all_experiments.txt");
-        let headers: Vec<&str> = golden
-            .lines()
-            .filter_map(|l| l.strip_prefix("=== "))
-            .map(|l| l.split(':').next().unwrap())
-            .collect();
-        let labels: Vec<String> = REGISTRY
+        let headers: Vec<&str> = GOLDEN.lines().filter(|l| l.starts_with("=== ")).collect();
+        let ours: Vec<String> = REGISTRY
             .iter()
-            .map(|(id, _)| {
-                let num = id.split('_').next().unwrap();
-                match num.strip_prefix("table") {
-                    Some(n) => format!("T{n}"),
-                    None => format!("F{}", num.strip_prefix("fig").unwrap()),
-                }
-            })
+            .map(|&(id, title, _)| format!("=== {}: {title} ===", label(id)))
             .collect();
-        assert_eq!(headers, labels);
+        assert_eq!(headers, ours);
+    }
+
+    /// The golden file's section for `id`: from its header's leading blank
+    /// line up to the next section.
+    fn golden_section(id: &str) -> &'static str {
+        let start = GOLDEN
+            .find(&format!("\n=== {}: ", label(id)))
+            .unwrap_or_else(|| panic!("no golden section for {id}"));
+        let len = GOLDEN[start + 1..]
+            .find("\n=== ")
+            .map_or(GOLDEN.len() - start, |n| n + 1);
+        &GOLDEN[start..start + len]
+    }
+
+    /// The cheap experiments render their golden sections byte for byte,
+    /// through the registry and one shared context at the default cap.
+    #[test]
+    fn cheap_experiments_match_golden_sections() {
+        let ctx = Context::new(DEFAULT_SLICE_CAP);
+        for id in [
+            "table1_models",
+            "table2_ssd_config",
+            "fig9_energy",
+            "fig10_layout",
+            "fig11_endurance",
+            "fig12_batch",
+            "table14_correctness",
+            "fig16_grad_staging",
+            "fig19_checkpoint",
+            "fig20_compression",
+            "fig22_quantized_state",
+            "fig23_scheduler_granularity",
+        ] {
+            let exp = REGISTRY.iter().find(|e| e.0 == id).unwrap();
+            assert_eq!(render(exp, &ctx), golden_section(id), "{id}");
+        }
+    }
+
+    /// F4 sweeps seven models over three tiers and F5 divides the same
+    /// runs: every model is above the cap, so both figures scale one
+    /// simulated cell per tier.
+    #[test]
+    fn fig4_and_fig5_share_one_cell_per_tier() {
+        let ctx = Context::new(DEFAULT_SLICE_CAP);
+        fig4_step_latency(&ctx);
+        fig5_speedup(&ctx);
+        let tiers: Vec<_> = ctx.simulated_cells().iter().map(|k| k.1.tier).collect();
+        assert_eq!(tiers.len(), 3, "{tiers:?}");
+        for tier in [
+            ExecutionTier::HostNvme,
+            ExecutionTier::ChannelNdp,
+            ExecutionTier::DieNdp,
+        ] {
+            assert!(tiers.contains(&tier), "{tiers:?}");
+        }
     }
 }

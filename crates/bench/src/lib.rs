@@ -7,12 +7,16 @@
 //! * [`runners`] — one phantom-cell runner for every tier: builds the
 //!   device, runs a warm-up step and a measured step over a
 //!   [`workloads::SlicedRun`] slice, and returns full-model-scaled results
-//!   cross-checked against the analytic audit.
-//! * [`table`] — fixed-width table printing so every experiment's output
+//!   cross-checked against the analytic audit. A per-invocation
+//!   [`runners::Context`] simulates each distinct cell once, and
+//!   [`runners::SeededRun`] is the seeded functional run the bit-exactness
+//!   checks train and compare.
+//! * [`table`] — fixed-width table rendering so every experiment's output
 //!   is grep-able and diff-able (`tests/golden/all_experiments.txt` holds
 //!   it byte for byte).
-//! * [`experiments`] — the experiment implementations, their ordered
-//!   registry and the binary's argument parser.
+//! * [`experiments`] — the experiments, each returning its text; their
+//!   ordered registry of ids and titles; the one place that prints a
+//!   section header; and the binary's argument parser.
 //!
 //! `bench_hotpath` (kernel and hot-path gates), `bench_parallel` (pool
 //! width) and `trace_view` (a gantt of one step) are the other binaries.

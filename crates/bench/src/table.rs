@@ -1,6 +1,6 @@
-//! Fixed-width table printing for experiment output.
+//! Fixed-width table rendering for experiment output.
 
-/// A simple fixed-width table printer.
+/// A simple fixed-width table renderer.
 ///
 /// ```
 /// use optimstore_bench::table::Table;
@@ -64,54 +64,6 @@ impl Table {
         out.push('\n');
         for row in &self.rows {
             out.push_str(&line(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Prints the rendered table to stdout. When `OPTIMSTORE_RESULTS_DIR`
-    /// is set, also appends the table as CSV to
-    /// `<dir>/<first-header>.csv` for downstream plotting.
-    pub fn print(&self) {
-        print!("{}", self.render());
-        if let Ok(dir) = std::env::var("OPTIMSTORE_RESULTS_DIR") {
-            let name: String = self
-                .headers
-                .first()
-                .map(|h| {
-                    h.chars()
-                        .map(|c| if c.is_alphanumeric() { c } else { '_' })
-                        .collect()
-                })
-                .unwrap_or_else(|| "table".into());
-            let path = std::path::Path::new(&dir).join(format!("{name}.csv"));
-            let _ = std::fs::create_dir_all(&dir);
-            let _ = std::fs::write(&path, self.to_csv());
-        }
-    }
-
-    /// Renders the table as RFC-4180-style CSV (quotes doubled, cells with
-    /// commas/quotes/newlines quoted).
-    pub fn to_csv(&self) -> String {
-        fn cell(c: &str) -> String {
-            if c.contains([',', '"', '\n']) {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        }
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| cell(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| cell(c)).collect::<Vec<_>>().join(","));
             out.push('\n');
         }
         out
@@ -205,18 +157,6 @@ mod tests {
     fn wrong_arity_panics() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only-one".into()]);
-    }
-
-    #[test]
-    fn csv_quotes_special_cells() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(&["plain".into(), "with,comma".into()]);
-        t.row(&["has \"quote\"".into(), "x".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "a,b");
-        assert_eq!(lines[1], "plain,\"with,comma\"");
-        assert_eq!(lines[2], "\"has \"\"quote\"\"\",x");
     }
 
     #[test]

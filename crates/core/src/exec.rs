@@ -244,10 +244,10 @@ impl OptimStoreDevice {
         }
         let engines = match cfg.tier {
             ExecutionTier::DieNdp => (0..device.config().total_dies())
-                .map(|d| Timeline::new(format!("ndp-die{d}")))
+                .map(|_| Timeline::new("ndp-die"))
                 .collect(),
             ExecutionTier::ChannelNdp => (0..device.config().channels)
-                .map(|c| Timeline::new(format!("ndp-ch{c}")))
+                .map(|_| Timeline::new("ndp-ch"))
                 .collect(),
             ExecutionTier::HostNvme => vec![Timeline::new("host-updater")],
         };

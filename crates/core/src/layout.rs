@@ -294,7 +294,8 @@ impl StateLayout {
     }
 
     /// Offset of page `idx` of `component` within a co-located group
-    /// record (see [`GroupBase`]).
+    /// record: the group's page `offset` is LPN `base + offset · D` for
+    /// `D` dies.
     ///
     /// # Panics
     /// Panics on an out-of-range `idx` or slot number, or a `Grad` request

@@ -52,6 +52,7 @@ impl GpuSpec {
     }
 
     /// Effective sustained FLOP/s.
+    #[cfg(test)]
     pub fn effective_flops(&self) -> f64 {
         self.peak_fp16_flops * self.mfu
     }

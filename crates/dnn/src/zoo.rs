@@ -70,6 +70,7 @@ impl TransformerConfig {
     /// The model's parameter tensors in global order, with contiguous
     /// offsets. Layer-freezing drivers use this to map layers to parameter
     /// ranges (and therefore to update groups and dies).
+    #[cfg(test)]
     pub fn layer_table(&self) -> Vec<LayerShape> {
         let h = self.hidden as u64;
         let mut out = Vec::new();
@@ -98,6 +99,7 @@ impl TransformerConfig {
 }
 
 /// A tiny model for functional tests (≈1.8 M parameters).
+#[cfg(test)]
 pub fn tiny_1m() -> TransformerConfig {
     TransformerConfig {
         name: "tiny-1m",
@@ -110,6 +112,7 @@ pub fn tiny_1m() -> TransformerConfig {
 }
 
 /// A small functional model (≈13 M parameters).
+#[cfg(test)]
 pub fn mini_13m() -> TransformerConfig {
     TransformerConfig {
         name: "mini-13m",

@@ -27,7 +27,7 @@ pub struct OnfiBus {
 
 impl OnfiBus {
     /// Creates a bus from channel `timing` (rate = `io_mts` MT/s).
-    pub fn new(name: impl Into<String>, timing: &NandTiming) -> Self {
+    pub fn new(name: &'static str, timing: &NandTiming) -> Self {
         let rate = timing.bus_bytes_per_sec();
         let overhead_bytes = (timing.t_cmd_overhead.as_secs_f64() * rate as f64).ceil() as u64;
         OnfiBus {

@@ -133,7 +133,7 @@ impl Die {
 
     fn with_backing(id: u32, config: NandConfig, backing: Backing) -> Self {
         let planes = (0..config.geometry.planes)
-            .map(|p| Timeline::new(format!("die{id}.plane{p}")))
+            .map(|_| Timeline::new("plane"))
             .collect();
         Die {
             id,

@@ -84,6 +84,7 @@ pub enum NandError {
 impl NandError {
     /// True for injected media faults (recoverable by device policy), as
     /// opposed to protocol violations (bugs in the caller).
+    #[cfg(test)]
     pub fn is_media_fault(&self) -> bool {
         matches!(
             self,

@@ -38,8 +38,8 @@ pub struct FaultConfig {
     /// ECC-uncorrectable probability per read operation (at the ECC
     /// ceiling when `wear_coupling` is on).
     pub read_uncorrectable: f64,
-    /// Couple rates to block wear through the die's [`RberModel`]
-    /// (`crate::wear::RberModel`).
+    /// Couple rates to block wear through the die's
+    /// [`RberModel`](crate::wear::RberModel).
     pub wear_coupling: bool,
 }
 

@@ -68,6 +68,7 @@ impl NandGeometry {
     }
 
     /// Inverse of [`page_index`](Self::page_index).
+    #[cfg(test)]
     pub fn page_at(&self, index: u64) -> PhysPage {
         let pages = self.pages_per_block as u64;
         let blocks = self.blocks_per_plane as u64;

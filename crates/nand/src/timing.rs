@@ -41,6 +41,7 @@ pub enum CellKind {
 
 impl CellKind {
     /// Logical pages sharing one wordline.
+    #[cfg(test)]
     pub fn pages_per_wordline(self) -> u32 {
         match self {
             CellKind::Slc => 1,

@@ -50,6 +50,7 @@ impl RberModel {
     }
 
     /// Largest P/E count whose RBER is still within the ECC ceiling.
+    #[cfg(test)]
     pub fn usable_pe_cycles(&self) -> u64 {
         if self.ecc_ceiling <= self.a {
             return 0;
@@ -219,6 +220,7 @@ impl LifetimeProjection {
     }
 
     /// Lifetime in wall-clock days given a steady step time in seconds.
+    #[cfg(test)]
     pub fn days_at(&self, step_seconds: f64) -> f64 {
         self.steps_to_exhaustion_imbalanced * step_seconds / 86_400.0
     }

@@ -105,6 +105,7 @@ impl SparseGrad {
 
     /// Number of selected entries whose index falls in `[start, end)` —
     /// the per-update-group accounting the device scheduler needs.
+    #[cfg(test)]
     pub fn nnz_in_range(&self, start: u64, end: u64) -> usize {
         let lo = self.indices.partition_point(|&i| (i as u64) < start);
         let hi = self.indices.partition_point(|&i| (i as u64) < end);

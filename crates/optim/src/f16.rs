@@ -115,6 +115,7 @@ impl F16 {
     }
 
     /// True for ±∞.
+    #[cfg(test)]
     pub fn is_infinite(self) -> bool {
         (self.0 & EXP_MASK) == EXP_MASK && (self.0 & FRAC_MASK) == 0
     }

@@ -343,7 +343,7 @@ pub fn update_chunk_scalar(
 }
 
 /// Elements per batched block. 256 elements keep the whole scratch set
-/// (weights + gradients + up to [`MAX_SLOTS`] slot lanes) around 6 KiB —
+/// (weights + gradients + up to `MAX_SLOTS` = 4 slot lanes) around 6 KiB —
 /// comfortably L1-resident.
 pub const BATCH_BLOCK: usize = 256;
 

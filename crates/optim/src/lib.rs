@@ -48,6 +48,9 @@ mod optimizer;
 pub mod compress;
 pub mod kernels;
 pub mod norms;
+// Audit-only for now: F22 prices 8-bit moments analytically, and these
+// kernels' unit tests are the convergence evidence its note cites.
+#[cfg(test)]
 pub mod quant;
 pub mod state;
 

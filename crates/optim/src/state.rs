@@ -41,8 +41,9 @@ pub struct StateLayoutSpec {
     pub grad_dtype: GradDtype,
     /// Bytes per auxiliary slot. `None` = fp32 (4 B). `Some(n)` models a
     /// quantized slot encoding (e.g. 8-bit moments with blockwise scales,
-    /// [`crate::quant`]) for capacity/bandwidth studies; the functional
-    /// flash path currently stores slots in fp32 regardless.
+    /// as the test-only `quant` kernels encode them) for capacity and
+    /// bandwidth studies; the functional flash path currently stores slots
+    /// in fp32 regardless.
     pub slot_bytes_each: Option<u64>,
 }
 
@@ -57,7 +58,7 @@ impl StateLayoutSpec {
     }
 
     /// Creates a layout spec with quantized slots of `bytes` each (e.g. 2
-    /// for 8-bit codes + blockwise scales rounded up, per [`crate::quant`]).
+    /// for 8-bit codes + blockwise scales rounded up, as in `quant`).
     pub fn with_quantized_slots(kind: OptimizerKind, grad_dtype: GradDtype, bytes: u64) -> Self {
         StateLayoutSpec {
             kind,
@@ -114,6 +115,7 @@ impl StateLayoutSpec {
     /// `(up, down)` = (to host, from host). The gradient originates on the
     /// accelerator, so it does not cross toward the host; updated state and
     /// the fresh working weight cross back down.
+    #[cfg(test)]
     pub fn pcie_bytes_host_offload(&self) -> (u64, u64) {
         let up = self.state_read_bytes() + self.grad_bytes(); // states + grad staged on flash
         let down = self.state_write_bytes();
@@ -122,6 +124,7 @@ impl StateLayoutSpec {
 
     /// In-storage (NDP) PCIe traffic per parameter per step: only the
     /// gradient crosses, inbound.
+    #[cfg(test)]
     pub fn pcie_bytes_ndp(&self) -> (u64, u64) {
         (0, self.grad_bytes())
     }

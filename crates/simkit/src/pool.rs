@@ -15,12 +15,12 @@
 //! scope — and checked-out buffers routinely migrate to the main thread as
 //! phase results before being dropped. A pure thread-local free list would
 //! therefore never recycle anything. Instead each thread keeps a small
-//! local stack (capacity [`LOCAL_CAP`]) for the common same-thread
+//! local stack (capacity `LOCAL_CAP`, 16) for the common same-thread
 //! checkout/return cycle, backed by a global mutex-protected injector:
 //! checkouts that miss locally grab a batch from the injector; returns
 //! that overflow locally (and every thread-local stack at thread exit)
 //! flush to it. The mutex is uncontended in steady state — workers touch
-//! it once per [`GRAB_BATCH`] pages.
+//! it once per `GRAB_BATCH` (8) pages.
 //!
 //! # Determinism
 //!

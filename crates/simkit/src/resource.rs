@@ -34,17 +34,18 @@ impl Window {
 /// an on-die processing engine's ALU pipe, a GC copy engine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Timeline {
-    name: String,
+    name: &'static str,
     busy_until: SimTime,
     busy_total: SimDuration,
     requests: u64,
 }
 
 impl Timeline {
-    /// Creates an idle resource. `name` appears in utilization reports.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Creates an idle resource. `name` names its class (`"plane"`,
+    /// `"pcie-in"`); an instance is identified by where its owner keeps it.
+    pub fn new(name: &'static str) -> Self {
         Timeline {
-            name: name.into(),
+            name,
             busy_until: SimTime::ZERO,
             busy_total: SimDuration::ZERO,
             requests: 0,
@@ -78,8 +79,8 @@ impl Timeline {
     }
 
     /// Resource name.
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Utilization over `[0, horizon)`; clamped to `[0, 1]`.
@@ -118,7 +119,7 @@ pub struct BandwidthLink {
 
 impl BandwidthLink {
     /// Creates an idle link moving `bytes_per_sec` bytes per second.
-    pub fn new(name: impl Into<String>, bytes_per_sec: u64) -> Self {
+    pub fn new(name: &'static str, bytes_per_sec: u64) -> Self {
         BandwidthLink {
             timeline: Timeline::new(name),
             bytes_per_sec,
@@ -184,7 +185,7 @@ impl BandwidthLink {
     }
 
     /// Link name.
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &'static str {
         self.timeline.name()
     }
 

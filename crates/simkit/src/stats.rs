@@ -117,6 +117,7 @@ impl Histogram {
     }
 
     /// Iterates `(bucket_lower_bound, count)` over non-empty buckets.
+    #[cfg(test)]
     pub fn iter_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.buckets
             .iter()

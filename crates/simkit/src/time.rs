@@ -75,6 +75,7 @@ impl SimTime {
     }
 
     /// Time elapsed since `earlier`, or zero if `earlier` is in the future.
+    #[cfg(test)]
     #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
@@ -160,12 +161,6 @@ impl SimDuration {
     #[inline]
     pub fn as_ms_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    /// True if the span is zero.
-    #[inline]
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 
     /// The longer of two spans.

@@ -195,6 +195,7 @@ impl Journal {
 
 impl Device {
     /// Optimizer-step epoch current writes are stamped with.
+    #[cfg(test)]
     pub fn current_epoch(&self) -> u64 {
         self.journal.as_ref().map_or(0, |j| j.epoch)
     }

@@ -158,7 +158,7 @@ impl Device {
                         die
                     })
                     .collect();
-                let bus = OnfiBus::new(format!("ch{ch}"), &config.nand.timing);
+                let bus = OnfiBus::new("channel-bus", &config.nand.timing);
                 Channel::new(ch, bus, dies)
             })
             .collect();
@@ -443,17 +443,6 @@ impl Device {
         at: SimTime,
     ) -> Result<(Window, Option<PageBuf>), SsdError> {
         self.read_pooled(lpn, ReadPath::Array, at)
-    }
-
-    /// **In-storage read, to the controller** ([`ReadPath::Channel`]):
-    /// array read plus the channel bus transfer — what a channel-level
-    /// engine pays per operand page.
-    pub fn internal_read_channel(
-        &mut self,
-        lpn: Lpn,
-        at: SimTime,
-    ) -> Result<(Window, Option<PageBuf>), SsdError> {
-        self.read_pooled(lpn, ReadPath::Channel, at)
     }
 
     /// [`Self::read_into`] a pooled page buffer (none on a phantom device).

@@ -225,16 +225,12 @@ impl Device {
             }
         }
 
-        // Phase 4 — commit point: rebuild mapping, validity, and allocators
+        // Phase 4 — commit point: rebuild validity, allocators and mapping
         // into fresh structures, then install everything at once.
-        let mut ftl = Ftl::new(&self.config, self.dies());
         let mut sorted: Vec<(PageOob, u32, u64, Ppa)> = winners.values().copied().collect();
         sorted.sort_by_key(|w| w.0.lpn);
-        let mut winning: HashSet<(u32, u64)> = HashSet::new();
-        for (oob, die_flat, idx, ppa) in &sorted {
-            winning.insert((*die_flat, *idx));
-            ftl.commit_program(Lpn(oob.lpn), *ppa);
-        }
+        let winning: HashSet<(u32, u64)> = sorted.iter().map(|w| (w.1, w.2)).collect();
+        let mut alloc = Vec::with_capacity(self.config.total_dies() as usize);
         for die_flat in 0..self.config.total_dies() {
             let die_id = DieId::from_flat(die_flat, dies_per_channel);
             let updates: Vec<(PhysPage, bool)> = self
@@ -250,9 +246,15 @@ impl Device {
                 Some(j) if die_flat == JOURNAL_DIE_FLAT => &j.blocks[..],
                 _ => &[],
             };
-            let alloc =
-                DieAlloc::from_scan(self.die(die_id), exclude, self.config.gc.wear_leveling);
-            ftl.set_allocator(die_flat, alloc);
+            alloc.push(DieAlloc::from_scan(
+                self.die(die_id),
+                exclude,
+                self.config.gc.wear_leveling,
+            ));
+        }
+        let mut ftl = Ftl::with_allocators(&self.config, alloc);
+        for (oob, _, _, ppa) in &sorted {
+            ftl.commit_program(Lpn(oob.lpn), *ppa);
         }
         self.ftl = ftl;
         if let Some(journal) = &mut self.journal {

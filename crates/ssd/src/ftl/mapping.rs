@@ -144,6 +144,7 @@ impl ReverseMap {
     }
 
     /// Number of blocks currently tracked (live slabs).
+    #[cfg(test)]
     pub fn tracked_blocks(&self) -> usize {
         self.slabs.live()
     }

@@ -38,6 +38,18 @@ impl Ftl {
     /// `dies` are the device's dies in flat order; only their geometry is
     /// read.
     pub fn new<'a>(config: &SsdConfig, dies: impl IntoIterator<Item = &'a Die>) -> Self {
+        let alloc = dies
+            .into_iter()
+            .map(|die| DieAlloc::new(die, config.gc.wear_leveling))
+            .collect();
+        Self::with_allocators(config, alloc)
+    }
+
+    /// Creates the FTL for `config` with no page mapped and `alloc` as the
+    /// allocation state of each die, in flat order (mount recovery passes
+    /// the allocators it rebuilt from a physical scan).
+    pub fn with_allocators(config: &SsdConfig, alloc: Vec<DieAlloc>) -> Self {
+        debug_assert_eq!(alloc.len(), config.total_dies() as usize);
         let geo = config.nand.geometry;
         Ftl {
             // Sized to the addressable space: host-visible pages plus (with
@@ -48,10 +60,7 @@ impl Ftl {
                 geo.blocks_per_die(),
                 geo.pages_per_block,
             ),
-            alloc: dies
-                .into_iter()
-                .map(|die| DieAlloc::new(die, config.gc.wear_leveling))
-                .collect(),
+            alloc,
             dies_per_channel: config.dies_per_channel,
             blocks_per_plane: geo.blocks_per_plane,
         }
@@ -151,12 +160,6 @@ impl Ftl {
         let die_flat = ppa.die.flat(self.dies_per_channel);
         let key = rmap_key(ppa.page.block_addr(), self.blocks_per_plane);
         self.rmap.set(die_flat, key, ppa.page.page, lpn);
-    }
-
-    /// Replaces one die's allocation state (mount recovery rebuilds it from
-    /// a physical scan instead of the lost RAM state).
-    pub fn set_allocator(&mut self, die_flat: u32, alloc: DieAlloc) {
-        self.alloc[die_flat as usize] = alloc;
     }
 
     /// Unmaps `lpn` (trim), returning the stale mapping.
@@ -321,17 +324,25 @@ mod tests {
     }
 
     #[test]
-    fn take_free_block_and_set_allocator() {
-        let (_cfg, dies, mut ftl) = setup();
+    fn take_free_block_and_rebuild_from_scan() {
+        let (cfg, dies, mut ftl) = setup();
         let before = ftl.free_blocks(1);
         let b = ftl.take_free_block(1, &dies[1]).unwrap();
         assert_eq!(ftl.free_blocks(1), before - 1);
-        ftl.set_allocator(1, DieAlloc::from_scan(&dies[1], &[b], true));
+        let taken = [b];
+        let scanned: Vec<DieAlloc> = dies
+            .iter()
+            .enumerate()
+            .map(|(i, d)| DieAlloc::from_scan(d, if i == 1 { &taken } else { &[] }, true))
+            .collect();
+        let rebuilt = Ftl::with_allocators(&cfg, scanned);
         assert_eq!(
-            ftl.free_blocks(1),
+            rebuilt.free_blocks(1),
             before - 1,
             "rebuilt allocator honours the exclusion"
         );
+        assert_eq!(rebuilt.free_blocks(0), before);
+        assert_eq!(rebuilt.mapped_pages(), 0);
     }
 
     #[test]

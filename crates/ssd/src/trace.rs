@@ -155,7 +155,8 @@ fn cell_priority(c: char) -> u8 {
 
 /// Renders a text gantt chart of a trace slice: one row per die, one cell
 /// per `resolution` of simulated time, glyph = the highest-priority op
-/// occupying the cell (see [`cell_priority`]).
+/// occupying the cell (faults and reconstructions over erases, over
+/// programs and journal writes, over reads, mount and scrub).
 pub fn gantt(events: &[TraceEvent], resolution: SimDuration, max_cols: usize) -> String {
     if events.is_empty() {
         return "(no events)\n".into();

@@ -52,6 +52,7 @@ impl FaultScenario {
     /// End-of-rated-life device: every fault class is two orders of
     /// magnitude more likely than at midlife, and wear coupling pushes
     /// the effective rates higher still.
+    #[cfg(test)]
     pub fn end_of_life(seed: u64) -> Self {
         FaultScenario {
             name: "end-of-life",
