@@ -31,12 +31,10 @@ use optim_math::kernels::{
 };
 use optim_math::state::GradDtype;
 use optim_math::OptimizerKind;
-use optimstore_bench::runners::{bit_exact, optimizer_and_spec};
-use optimstore_core::{OptimStoreConfig, OptimStoreDevice};
+use optimstore_bench::runners::{bit_exact, optimizer_and_spec, SeededRun};
+use optimstore_core::OptimStoreConfig;
 use simkit::pool;
-use simkit::SimTime;
 use ssdsim::{JournalConfig, RainConfig, ScrubConfig, SsdConfig};
-use workloads::{GradientGen, WeightInit};
 
 const E2E_PARAMS: u64 = 200_000;
 const E2E_STEPS: u64 = 4;
@@ -164,18 +162,25 @@ struct E2eRun {
     fresh_per_step: Vec<u64>,
 }
 
-fn e2e_run(mut dev: OptimStoreDevice, steps: u64, grad_seed: u64) -> E2eRun {
-    let weights = WeightInit::default().generate(E2E_PARAMS as usize);
-    let gen = GradientGen::new(grad_seed);
-    let mut at = dev.load_weights(&weights, SimTime::ZERO).expect("load");
+/// Loads a functional Adam die-NDP device of `E2E_PARAMS` parameters on
+/// `ssd`, ages it by `pe` P/E cycles when `pe` is non-zero, and trains
+/// `steps` seeded steps.
+fn e2e_run(ssd: SsdConfig, pe: u64, steps: u64, grad_seed: u64) -> E2eRun {
+    let run = SeededRun {
+        params: E2E_PARAMS,
+        seed: grad_seed,
+    };
+    let (mut dev, mut at) = run.load(ssd, OptimStoreConfig::die_ndp(), OptimizerKind::Adam);
+    if pe > 0 {
+        dev.simulate_wear(pe);
+    }
     let mut reports = Vec::new();
     let mut fresh_per_step = Vec::new();
     let t = Instant::now();
     for step in 1..=steps {
+        let grads = run.grads(step);
         let before = pool::stats();
-        let r = dev
-            .run_step(Some(&gen.generate(step, E2E_PARAMS as usize)), at)
-            .expect("step");
+        let r = dev.run_step(Some(&grads), at).expect("step");
         fresh_per_step.push(pool::stats().fresh_allocs - before.fresh_allocs);
         at = r.end;
         reports.push(format!("{r:?}"));
@@ -201,20 +206,15 @@ struct E2eEntry {
 /// Runs a functional cell twice — scalar path pinned, then batched — and
 /// asserts the two runs are indistinguishable in every report field and
 /// every master-weight bit.
-fn e2e_cell(
-    name: &str,
-    make_dev: impl Fn() -> OptimStoreDevice,
-    steps: u64,
-    grad_seed: u64,
-) -> E2eEntry {
+fn e2e_cell(name: &str, (ssd, pe): (SsdConfig, u64), steps: u64, grad_seed: u64) -> E2eEntry {
     // Warm-up: populate the buffer pool and fault in pages so neither
     // timed run pays first-touch costs the other doesn't.
-    drop(e2e_run(make_dev(), steps, grad_seed));
+    drop(e2e_run(ssd, pe, steps, grad_seed));
 
     set_force_scalar(true);
-    let scalar = e2e_run(make_dev(), steps, grad_seed);
+    let scalar = e2e_run(ssd, pe, steps, grad_seed);
     set_force_scalar(false);
-    let batched = e2e_run(make_dev(), steps, grad_seed);
+    let batched = e2e_run(ssd, pe, steps, grad_seed);
 
     assert_eq!(
         scalar.reports, batched.reports,
@@ -242,20 +242,8 @@ fn e2e_cell(
     }
 }
 
-/// A functional Adam die-NDP device of `E2E_PARAMS` parameters on `ssd`.
-fn smoke_dev(ssd: SsdConfig) -> OptimStoreDevice {
-    let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
-    OptimStoreDevice::new_functional(
-        ssd,
-        OptimStoreConfig::die_ndp(),
-        E2E_PARAMS,
-        optimizer,
-        spec,
-    )
-    .expect("tiny device fits")
-}
-
-fn f24_smoke_dev() -> OptimStoreDevice {
+/// The device and P/E cycles of each smoke cell.
+fn f24_smoke() -> (SsdConfig, u64) {
     // Fault-armed functional cell in the spirit of the F24 grid: seeded
     // media faults on an aged tiny device, exercising retries/replays on
     // the real data path.
@@ -264,32 +252,29 @@ fn f24_smoke_dev() -> OptimStoreDevice {
         .find(|s| s.fault.is_active())
         .expect("F24 grid has fault-armed cells");
     let ssd = SsdConfig::tiny().with_fault(sched.fault);
-    let mut dev = smoke_dev(ssd);
-    dev.simulate_wear(sched.pe_cycles(ssd.nand.cell.rated_pe_cycles()));
-    dev
+    (ssd, sched.pe_cycles(ssd.nand.cell.rated_pe_cycles()))
 }
 
-fn f25_smoke_dev() -> OptimStoreDevice {
+fn f25_smoke() -> (SsdConfig, u64) {
     // Journaled small-blocks device per the F25 sweep: three steps of
     // state write-back force GC under an every-64-programs journal.
     let mut ssd = SsdConfig::tiny().with_journal(JournalConfig::every(64));
     ssd.nand.geometry.blocks_per_plane = 12;
-    smoke_dev(ssd)
+    (ssd, 0)
 }
 
-fn f26_smoke_dev() -> OptimStoreDevice {
+fn f26_smoke() -> (SsdConfig, u64) {
     // Parity + aging + scrub per the F26 sweep.
     let ceiling = RberModel::for_cell(SsdConfig::tiny().nand.cell).ecc_ceiling;
     let sched = workloads::aging_schedules(26)
         .into_iter()
         .next()
         .expect("F26 grid has schedules");
-    smoke_dev(
-        SsdConfig::tiny()
-            .with_rain(RainConfig::rotating())
-            .with_aging(sched.aging_config(ceiling))
-            .with_scrub(ScrubConfig::per_step(64)),
-    )
+    let ssd = SsdConfig::tiny()
+        .with_rain(RainConfig::rotating())
+        .with_aging(sched.aging_config(ceiling))
+        .with_scrub(ScrubConfig::per_step(64));
+    (ssd, 0)
 }
 
 fn dtype_name(d: GradDtype) -> &'static str {
@@ -337,13 +322,13 @@ fn main() {
     let e2e = [
         e2e_cell(
             "functional-adam-die-ndp",
-            || smoke_dev(SsdConfig::tiny()),
+            (SsdConfig::tiny(), 0),
             E2E_STEPS,
             0xB07A,
         ),
-        e2e_cell("f24-fault-smoke", f24_smoke_dev, 2, 0xF24),
-        e2e_cell("f25-journal-gc-smoke", f25_smoke_dev, 3, 0xF25),
-        e2e_cell("f26-reliability-smoke", f26_smoke_dev, 2, 0xF26),
+        e2e_cell("f24-fault-smoke", f24_smoke(), 2, 0xF24),
+        e2e_cell("f25-journal-gc-smoke", f25_smoke(), 3, 0xF25),
+        e2e_cell("f26-reliability-smoke", f26_smoke(), 2, 0xF26),
     ];
     for e in &e2e {
         println!(

@@ -119,6 +119,6 @@ mod tests {
         assert!(r.erases_per_step > 0.0);
         assert!(r.projection.steps_to_exhaustion.is_finite());
         assert!(r.projection.steps_to_exhaustion_imbalanced <= r.projection.steps_to_exhaustion);
-        assert!(r.projection.steps_to_exhaustion > 0.0);
+        assert!(r.projection.steps_to_exhaustion_imbalanced > 0.0);
     }
 }

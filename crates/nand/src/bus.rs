@@ -27,11 +27,11 @@ pub struct OnfiBus {
 
 impl OnfiBus {
     /// Creates a bus from channel `timing` (rate = `io_mts` MT/s).
-    pub fn new(name: &'static str, timing: &NandTiming) -> Self {
+    pub fn new(timing: &NandTiming) -> Self {
         let rate = timing.bus_bytes_per_sec();
         let overhead_bytes = (timing.t_cmd_overhead.as_secs_f64() * rate as f64).ceil() as u64;
         OnfiBus {
-            link: BandwidthLink::new(name, rate),
+            link: BandwidthLink::new(rate),
             overhead_bytes,
             overhead: SimDuration::for_transfer(overhead_bytes, rate),
         }
@@ -89,7 +89,7 @@ mod tests {
     #[test]
     fn transfer_includes_overhead() {
         let t = NandTiming::tlc();
-        let mut bus = OnfiBus::new("ch0", &t);
+        let mut bus = OnfiBus::new(&t);
         let w = bus.transfer(SimTime::ZERO, 16 * 1024);
         // 16 KiB at 1.2 GB/s ≈ 13.65 µs plus 400 ns overhead.
         let pure = SimDuration::for_transfer(16 * 1024, t.bus_bytes_per_sec());
@@ -109,7 +109,7 @@ mod tests {
             let overhead_bytes = (t.t_cmd_overhead.as_secs_f64() * rate as f64).ceil() as u64;
             let want = SimDuration::for_transfer(page, rate)
                 + SimDuration::for_transfer(overhead_bytes, rate);
-            let mut bus = OnfiBus::new("ch0", &t);
+            let mut bus = OnfiBus::new(&t);
             let mut at = SimTime::ZERO;
             for _ in 0..3 {
                 let w = bus.transfer(at, page);
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn transfers_serialize() {
         let t = NandTiming::tlc();
-        let mut bus = OnfiBus::new("ch0", &t);
+        let mut bus = OnfiBus::new(&t);
         let a = bus.transfer(SimTime::ZERO, 4096);
         let b = bus.transfer(SimTime::ZERO, 4096);
         assert!(b.start >= a.end);
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn command_occupies_briefly() {
         let t = NandTiming::tlc();
-        let mut bus = OnfiBus::new("ch0", &t);
+        let mut bus = OnfiBus::new(&t);
         let w = bus.command(SimTime::ZERO);
         assert!(w.duration() >= SimDuration::from_ns(300));
         assert!(w.duration() <= SimDuration::from_us(1));
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn reset_clears() {
         let t = NandTiming::tlc();
-        let mut bus = OnfiBus::new("ch0", &t);
+        let mut bus = OnfiBus::new(&t);
         bus.transfer(SimTime::ZERO, 4096);
         bus.reset();
         assert_eq!(bus.bytes_moved(), 0);

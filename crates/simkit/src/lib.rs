@@ -29,7 +29,7 @@
 //! use simkit::{BandwidthLink, SimDuration, SimTime, Timeline};
 //!
 //! // A 1 GB/s link transferring 64 KiB starting at t = 1 µs.
-//! let mut link = BandwidthLink::new("pcie", 1_000_000_000);
+//! let mut link = BandwidthLink::new(1_000_000_000);
 //! let win = link.transfer(SimTime::from_us(1), 64 * 1024);
 //! assert_eq!(win.start, SimTime::from_us(1));
 //! assert_eq!(win.end - win.start, SimDuration::from_ns(65_536));

@@ -34,18 +34,16 @@ impl Window {
 /// an on-die processing engine's ALU pipe, a GC copy engine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Timeline {
-    name: &'static str,
     busy_until: SimTime,
     busy_total: SimDuration,
     requests: u64,
 }
 
 impl Timeline {
-    /// Creates an idle resource. `name` names its class (`"plane"`,
-    /// `"pcie-in"`); an instance is identified by where its owner keeps it.
-    pub fn new(name: &'static str) -> Self {
+    /// Creates an idle resource. `_class` says what it models (`"plane"`,
+    /// `"pcie-in"`) at the call site; the timeline does not keep it.
+    pub fn new(_class: &'static str) -> Self {
         Timeline {
-            name,
             busy_until: SimTime::ZERO,
             busy_total: SimDuration::ZERO,
             requests: 0,
@@ -76,11 +74,6 @@ impl Timeline {
     /// Number of requests served.
     pub fn requests(&self) -> u64 {
         self.requests
-    }
-
-    /// Resource name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 
     /// Utilization over `[0, horizon)`; clamped to `[0, 1]`.
@@ -119,9 +112,9 @@ pub struct BandwidthLink {
 
 impl BandwidthLink {
     /// Creates an idle link moving `bytes_per_sec` bytes per second.
-    pub fn new(name: &'static str, bytes_per_sec: u64) -> Self {
+    pub fn new(bytes_per_sec: u64) -> Self {
         BandwidthLink {
-            timeline: Timeline::new(name),
+            timeline: Timeline::new("link"),
             bytes_per_sec,
             bytes_moved: 0,
             memo_bytes: 0,
@@ -184,11 +177,6 @@ impl BandwidthLink {
         self.timeline.requests()
     }
 
-    /// Link name.
-    pub fn name(&self) -> &'static str {
-        self.timeline.name()
-    }
-
     /// Utilization over `[0, horizon)`.
     pub fn utilization(&self, horizon: SimTime) -> f64 {
         self.timeline.utilization(horizon)
@@ -235,7 +223,7 @@ mod tests {
     #[test]
     fn link_transfer_time_matches_bandwidth() {
         // 2 GB/s link, 1 MiB transfer → 524 288 ns.
-        let mut l = BandwidthLink::new("bus", 2_000_000_000);
+        let mut l = BandwidthLink::new(2_000_000_000);
         let w = l.transfer(SimTime::ZERO, 1 << 20);
         assert_eq!(w.duration(), SimDuration::from_ns(524_288));
         assert_eq!(l.bytes_moved(), 1 << 20);
@@ -243,7 +231,7 @@ mod tests {
 
     #[test]
     fn link_back_to_back_transfers_queue() {
-        let mut l = BandwidthLink::new("bus", 1_000_000_000);
+        let mut l = BandwidthLink::new(1_000_000_000);
         let w1 = l.transfer(SimTime::ZERO, 1_000);
         let w2 = l.transfer(SimTime::ZERO, 1_000);
         assert_eq!(w1.end, w2.start);
@@ -252,7 +240,7 @@ mod tests {
 
     /// The cost of a transfer on a link that just moved another size.
     fn fresh_after(bps: u64, before: u64, bytes: u64) -> SimDuration {
-        let mut l = BandwidthLink::new("bus", bps);
+        let mut l = BandwidthLink::new(bps);
         l.transfer(SimTime::ZERO, before);
         l.reset();
         l.transfer(SimTime::ZERO, bytes).duration()
@@ -274,7 +262,7 @@ mod tests {
             const EDGE: u64 = u64::MAX / 1_000_000_000;
             let bps = [rate, 1, 1_200_000_000, u64::MAX][which];
             let tail = SimDuration::for_transfer(tail_bytes, bps);
-            let mut link = BandwidthLink::new("bus", bps);
+            let mut link = BandwidthLink::new(bps);
             for (base, delta) in sizes {
                 let base = [0, 16_384, EDGE, u64::MAX - 3][base as usize];
                 let bytes = base.saturating_add_signed(delta);
@@ -293,7 +281,7 @@ mod tests {
 
     #[test]
     fn tail_counts_bytes_and_busy_time() {
-        let mut l = BandwidthLink::new("bus", 1_000_000_000);
+        let mut l = BandwidthLink::new(1_000_000_000);
         let w = l.transfer_then(SimTime::ZERO, 1_000, 10, SimDuration::from_ns(10));
         assert_eq!(w.duration(), SimDuration::from_ns(1_010));
         assert_eq!(l.bytes_moved(), 1_010);
@@ -303,7 +291,7 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut l = BandwidthLink::new("bus", 1_000_000_000);
+        let mut l = BandwidthLink::new(1_000_000_000);
         l.transfer(SimTime::ZERO, 1_000);
         l.reset();
         assert_eq!(l.bytes_moved(), 0);

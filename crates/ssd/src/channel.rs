@@ -103,7 +103,7 @@ mod tests {
     fn channel() -> Channel {
         let cfg = NandConfig::tiny_test_die();
         let dies = (0..2).map(|i| Die::new_functional(i, cfg)).collect();
-        Channel::new(0, OnfiBus::new("ch0", &cfg.timing), dies)
+        Channel::new(0, OnfiBus::new(&cfg.timing), dies)
     }
 
     #[test]

@@ -158,7 +158,7 @@ impl Device {
                         die
                     })
                     .collect();
-                let bus = OnfiBus::new("channel-bus", &config.nand.timing);
+                let bus = OnfiBus::new(&config.nand.timing);
                 Channel::new(ch, bus, dies)
             })
             .collect();
@@ -167,9 +167,9 @@ impl Device {
         Device {
             channels,
             ftl,
-            pcie_in: BandwidthLink::new("pcie-in", pcie),
-            pcie_out: BandwidthLink::new("pcie-out", pcie),
-            dram: BandwidthLink::new("ctrl-dram", config.dram_bytes_per_sec),
+            pcie_in: BandwidthLink::new(pcie),
+            pcie_out: BandwidthLink::new(pcie),
+            dram: BandwidthLink::new(config.dram_bytes_per_sec),
             stats: DeviceStats::default(),
             functional,
             logical_pages: config.logical_pages(),
