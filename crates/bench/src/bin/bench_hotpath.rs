@@ -25,16 +25,17 @@
 
 use std::time::Instant;
 
-use nandsim::wear::RberModel;
 use optim_math::kernels::{
     encode_grads, set_force_scalar, update_chunk, update_chunk_scalar, StateBuffers,
 };
 use optim_math::state::GradDtype;
 use optim_math::OptimizerKind;
-use optimstore_bench::runners::{bit_exact, optimizer_and_spec, SeededRun};
+use optimstore_bench::runners::{
+    bit_exact, optimizer_and_spec, CrashCell, DegradedCell, SeededRun,
+};
 use optimstore_core::OptimStoreConfig;
 use simkit::pool;
-use ssdsim::{JournalConfig, RainConfig, ScrubConfig, SsdConfig};
+use ssdsim::{ScrubConfig, SsdConfig};
 
 const E2E_PARAMS: u64 = 200_000;
 const E2E_STEPS: u64 = 4;
@@ -242,7 +243,7 @@ fn e2e_cell(name: &str, (ssd, pe): (SsdConfig, u64), steps: u64, grad_seed: u64)
     }
 }
 
-/// The device and P/E cycles of each smoke cell.
+/// The device and P/E cycles of the F24 smoke cell.
 fn f24_smoke() -> (SsdConfig, u64) {
     // Fault-armed functional cell in the spirit of the F24 grid: seeded
     // media faults on an aged tiny device, exercising retries/replays on
@@ -253,28 +254,6 @@ fn f24_smoke() -> (SsdConfig, u64) {
         .expect("F24 grid has fault-armed cells");
     let ssd = SsdConfig::tiny().with_fault(sched.fault);
     (ssd, sched.pe_cycles(ssd.nand.cell.rated_pe_cycles()))
-}
-
-fn f25_smoke() -> (SsdConfig, u64) {
-    // Journaled small-blocks device per the F25 sweep: three steps of
-    // state write-back force GC under an every-64-programs journal.
-    let mut ssd = SsdConfig::tiny().with_journal(JournalConfig::every(64));
-    ssd.nand.geometry.blocks_per_plane = 12;
-    (ssd, 0)
-}
-
-fn f26_smoke() -> (SsdConfig, u64) {
-    // Parity + aging + scrub per the F26 sweep.
-    let ceiling = RberModel::for_cell(SsdConfig::tiny().nand.cell).ecc_ceiling;
-    let sched = workloads::aging_schedules(26)
-        .into_iter()
-        .next()
-        .expect("F26 grid has schedules");
-    let ssd = SsdConfig::tiny()
-        .with_rain(RainConfig::rotating())
-        .with_aging(sched.aging_config(ceiling))
-        .with_scrub(ScrubConfig::per_step(64));
-    (ssd, 0)
 }
 
 fn dtype_name(d: GradDtype) -> &'static str {
@@ -319,6 +298,11 @@ fn main() {
     }
 
     println!("end-to-end functional cells (scalar-pinned vs batched, bit-exact):");
+    let f26_smoke = DegradedCell::ssd(
+        &workloads::aging_schedules(26)[0],
+        true,
+        Some(ScrubConfig::per_step(64)),
+    );
     let e2e = [
         e2e_cell(
             "functional-adam-die-ndp",
@@ -327,8 +311,12 @@ fn main() {
             0xB07A,
         ),
         e2e_cell("f24-fault-smoke", f24_smoke(), 2, 0xF24),
-        e2e_cell("f25-journal-gc-smoke", f25_smoke(), 3, 0xF25),
-        e2e_cell("f26-reliability-smoke", f26_smoke(), 2, 0xF26),
+        // F25's journaled small-block device: three steps of state
+        // write-back force GC under an every-64-programs journal.
+        e2e_cell("f25-journal-gc-smoke", (CrashCell::ssd(64), 0), 3, 0xF25),
+        // An F26 point: parity, the first aging schedule, 64 scrub reads
+        // per step.
+        e2e_cell("f26-reliability-smoke", (f26_smoke, 0), 2, 0xF26),
     ];
     for e in &e2e {
         println!(

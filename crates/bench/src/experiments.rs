@@ -7,11 +7,11 @@
 //! (`T1` for `table1_models`, `F3` for `fig3_motivation`). Each takes
 //! the invocation's [`Context`]: its `cap` (maximum simulated parameters
 //! per run, [`DEFAULT_SLICE_CAP`] by default) trades fidelity for time,
-//! and it simulates each prepare-free phantom cell once for every figure.
+//! and it simulates each phantom cell once for every figure.
 
 use crate::runners::{
-    bit_exact, granule, host_tier, optimizer_and_spec, run_cell, Context, Measured, SeededRun,
-    DEFAULT_SLICE_CAP,
+    bit_exact, granule, host_tier, optimizer_and_spec, Context, CrashCell, DegradedCell, Measured,
+    Prep, SeededRun, DEFAULT_SLICE_CAP,
 };
 use crate::table::{bar_chart, fmt_bytes, fmt_rate, fmt_secs, Table};
 use dnn_model::{zoo, GpuSpec, IterationBreakdown, TrainingFootprint, ZeroPartition};
@@ -549,9 +549,7 @@ pub fn fig17_sparse_updates(ctx: &Context) -> String {
             skip_zero_gradients: true,
             ..OptimStoreConfig::die_ndp()
         };
-        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, ctx.cap, |dev| {
-            dev.set_phantom_hot_fraction(hot)
-        });
+        let (slice, r2, _) = ctx.cell(&ssd, &cfg, ADAM, params, Prep::HotFraction(hot));
         t.row(&[
             format!("{:.0}%", hot * 100.0),
             secs(slice.scale_duration(r2.duration)),
@@ -578,9 +576,7 @@ pub fn fig18_aging(ctx: &Context) -> String {
     for frac in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
         let pe = (rated as f64 * frac) as u64;
         let cfg = OptimStoreConfig::die_ndp();
-        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, ctx.cap, |dev| {
-            dev.simulate_wear(pe)
-        });
+        let (slice, r2, _) = ctx.cell(&ssd, &cfg, ADAM, params, Prep::Wear(pe));
         let step = slice.scale_duration(r2.duration);
         if frac == 0.0 {
             fresh = step;
@@ -659,9 +655,7 @@ pub fn fig20_compression(ctx: &Context) -> String {
             grad_topk_permille: topk,
             ..OptimStoreConfig::die_ndp()
         };
-        let (slice, r2, _) = run_cell(&ssd, &cfg, ADAM, params, ctx.cap, |dev| {
-            dev.set_phantom_hot_fraction(0.25)
-        });
+        let (slice, r2, _) = ctx.cell(&ssd, &cfg, ADAM, params, Prep::HotFraction(0.25));
         t.row(&[
             name.to_string(),
             secs(slice.scale_duration(r2.duration)),
@@ -821,10 +815,8 @@ pub fn fig24_fault_sweep(ctx: &Context) -> String {
             base
         };
         let cfg = OptimStoreConfig::die_ndp();
-        let (slice, r2, dev) = run_cell(&ssd, &cfg, ADAM, params, ctx.cap, |dev| {
-            dev.simulate_wear(s.pe_cycles(rated))
-        });
-        (slice.scale_duration(r2.duration), dev.ssd().stats().clone())
+        let (slice, r2, stats) = ctx.cell(&ssd, &cfg, ADAM, params, Prep::Wear(s.pe_cycles(rated)));
+        (slice.scale_duration(r2.duration), stats)
     });
     let mut fault_free = SimDuration::ZERO;
     for (s, (step, st)) in grid.iter().zip(cells) {
@@ -863,32 +855,17 @@ pub fn fig24_fault_sweep(ctx: &Context) -> String {
 /// [`workloads::crash_schedules`] (early-step, mid-step, write-back tail,
 /// mid-GC-erase, double-crash) across journal flush intervals.
 ///
-/// Runs **functionally** on a deliberately small journaled device so GC
-/// is forced and recovery can be checked bit-for-bit: each row crashes a
-/// fresh device at the schedule's instant, mounts, replays the
-/// interrupted step, finishes training, and compares master weights
-/// against an uncrashed reference. The flush interval sweep exposes the
-/// commit-protocol trade-off — tight journaling shrinks the mount's OOB
-/// scan but spends more journal pages during normal operation (and the
-/// longer serial replay of those pages can itself dominate the mount).
+/// Runs **functionally** on [`CrashCell`]: each row crashes a fresh device,
+/// mounts, replays, finishes training and compares master weights with the
+/// uncrashed reference. Tight journaling shrinks the mount's OOB scan but
+/// spends more journal pages (and their serial replay can itself dominate
+/// the mount).
 pub fn fig25_crash_sweep(_: &Context) -> String {
-    use ssdsim::trace::OpKind;
-    use ssdsim::{JournalConfig, PowerLossConfig, SsdError};
-    use workloads::{crash_schedules, CrashPhase};
-
     const STEPS: u64 = 3;
     let run = SeededRun {
         params: 200_000,
         seed: 0xF25,
     };
-    let journaled = |interval: u32| {
-        let mut ssd = SsdConfig::tiny().with_journal(JournalConfig::every(interval));
-        // Small enough that three steps of state write-back force GC.
-        ssd.nand.geometry.blocks_per_plane = 12;
-        ssd
-    };
-    let die_ndp = OptimStoreConfig::die_ndp();
-
     let mut t = Table::new(&[
         "flush int",
         "schedule",
@@ -902,80 +879,23 @@ pub fn fig25_crash_sweep(_: &Context) -> String {
     // 16 is the tightest interval whose never-reclaimed journal blocks
     // still fit on die 0 alongside three epochs of state.
     for interval in [16u32, 64, 256] {
-        // Uncrashed reference: final weights, step windows, erase windows.
-        let (mut refdev, mut at) = run.load(journaled(interval), die_ndp, ADAM);
-        refdev.enable_trace(1 << 17);
-        let mut windows = Vec::new();
-        for step in 1..=STEPS {
-            let r = refdev.run_step(Some(&run.grads(step)), at).unwrap();
-            windows.push((r.start, r.end));
-            at = r.end;
-        }
-        let master_ref = refdev.read_master_weights(at).unwrap();
-        let erases: Vec<_> = refdev
-            .trace_events()
-            .unwrap()
-            .iter()
-            .filter(|e| e.kind == OpKind::Erase)
-            .map(|e| (e.start, e.end))
-            .collect();
-
-        // Every schedule cell crashes its own fresh device against the
-        // shared reference windows, so the cells of an interval fan out on
-        // the data-plane pool and their rows merge back in schedule order.
-        let rows = par::map_indexed(&crash_schedules(25), |_, s| {
-            let tc = match s.phase {
-                CrashPhase::Step { step } | CrashPhase::DuringMount { step } => {
-                    let (start, end) = windows[(step - 1) as usize];
-                    s.instant(start, end)
-                }
-                CrashPhase::WriteBack { step } => {
-                    let (start, end) = windows[(step - 1) as usize];
-                    s.instant(start + (end - start).saturating_mul(3) / 4, end)
-                }
-                CrashPhase::DuringGc => {
-                    let idx = ((s.fraction * erases.len() as f64) as usize)
-                        .min(erases.len().saturating_sub(1));
-                    let (start, end) = erases[idx];
-                    s.instant(start, end)
-                }
-            };
-            let (mut dev, t0) = run.load(journaled(interval), die_ndp, ADAM);
-            dev.ssd_mut().arm_power_loss(PowerLossConfig::at(tc));
-            let mut at = t0;
-            let mut failed = 0;
-            for step in 1..=STEPS {
-                match dev.run_step(Some(&run.grads(step)), at) {
-                    Ok(r) => at = r.end,
-                    Err(optimstore_core::CoreError::Ssd(SsdError::PowerLoss { .. })) => {
-                        failed = step;
-                        break;
-                    }
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-            }
-            assert!(failed > 0, "{}: armed crash never fired", s.name);
-            let crash_at = dev.ssd().power_failed_at().unwrap();
-            let journal_pages = dev.ssd().stats().journal_pages.get();
-            if matches!(s.phase, CrashPhase::DuringMount { .. }) {
-                // Double crash: kill the first mount partway through.
-                let m0 = crash_at + SimDuration::from_us(10);
-                dev.ssd_mut()
-                    .arm_power_loss(PowerLossConfig::at(m0 + SimDuration::from_us(50)));
-                assert!(dev.recover(Some(&run.grads(failed)), m0).is_err());
-            }
-            let mount_at = dev.ssd().power_failed_at().unwrap() + SimDuration::from_us(10);
-            let rec = dev.recover(Some(&run.grads(failed)), mount_at).unwrap();
-            let at = run.train(&mut dev, failed + 1..=STEPS, rec.end);
-            let exact = bit_exact(&dev.read_master_weights(at).unwrap(), &master_ref);
+        let cell = CrashCell::new(run, interval, STEPS);
+        // Every schedule crashes its own fresh device against the shared
+        // reference, so the schedules of an interval fan out on the
+        // data-plane pool and their rows merge back in schedule order.
+        let rows = par::map_indexed(&workloads::crash_schedules(25), |_, s| {
+            let (mut dev, crash) = cell.crash(s);
+            let rec = crash.recovery;
+            let at = run.train(&mut dev, crash.step + 1..=STEPS, rec.end);
+            let exact = bit_exact(&dev.read_master_weights(at).unwrap(), &cell.master);
             [
                 interval.to_string(),
                 s.name.into(),
-                format!("step {failed}"),
-                journal_pages.to_string(),
+                format!("step {}", crash.step),
+                crash.journal_pages.to_string(),
                 rec.mount.pages_scanned.to_string(),
                 secs(rec.mount.window.end - rec.mount.window.start),
-                secs(rec.end - crash_at),
+                secs(rec.end - crash.at),
                 if exact { "yes".into() } else { "NO".into() },
             ]
         });
@@ -995,71 +915,21 @@ pub fn fig25_crash_sweep(_: &Context) -> String {
 /// disturb + retention) across RAIN parity on/off and scrub budgets,
 /// checked bit-exactly against a fault-free reference.
 ///
-/// Runs **functionally**: each cell trains the same seeded model while a
-/// deterministic loss schedule corrupts mapped state pages between steps
-/// (one victim stripe is never reused, so parity always faces *single*
-/// losses) and the cell's aging schedule adds read-disturb and retention
-/// RBER on top. With parity off the first corrupted operand read aborts
-/// the run; with parity on every loss is reconstructed from stripe peers
-/// — before the step by the patrol scrub when its budget reaches the
-/// victim first, during the step's own reads otherwise — and the final
-/// master weights match the fault-free reference bit for bit.
+/// Runs **functionally** on [`DegradedCell`]. With parity off the first
+/// corrupted operand read aborts the run; with parity on every loss is
+/// reconstructed from stripe peers — by the patrol scrub when its budget
+/// reaches the victim first, by the step's own reads otherwise — and the
+/// final master weights match the fault-free reference bit for bit.
 pub fn fig26_reliability_sweep(ctx: &Context) -> String {
-    use nandsim::wear::RberModel;
-    use optimstore_core::{StateComponent, StateLayout};
-    use ssdsim::{RainConfig, ScrubConfig};
-    use workloads::{aging_schedules, AgingSchedule};
+    use ssdsim::ScrubConfig;
 
     const STEPS: u64 = 4;
-    const LOSSES_PER_GAP: usize = 3; // one gap before each step -> 12 victims
     let run = SeededRun {
         params: ctx.cap.clamp(40_000, 200_000),
         seed: 0xF26,
     };
-    let die_ndp = OptimStoreConfig::die_ndp();
-    // The aging coefficients are relative to the part's ECC ceiling.
-    let ceiling = RberModel::for_cell(SsdConfig::tiny().nand.cell).ecc_ceiling;
-    let stripe_w = SsdConfig::tiny()
-        .with_rain(RainConfig::rotating())
-        .stripe_data_width()
-        .unwrap();
-
-    // Fault-free reference: the weights every surviving cell must match.
-    let (mut refdev, at) = run.load(SsdConfig::tiny(), die_ndp, ADAM);
-    let at = run.train(&mut refdev, 1..=STEPS, at);
-    let master_ref = refdev.read_master_weights(at).unwrap();
-
-    // The victim list per injection gap: master-weight pages of seeded
-    // groups, at most one per RAIN stripe across the *whole* run, so the
-    // losses stay single per stripe and reconstructable. A stripe spans
-    // adjacent groups, and the executor's batched write-backs dirty a
-    // stripe as soon as *any* member group's batch commits its phase-B
-    // writes — a read in a later batch then finds the stripe mid-rebuild
-    // and unreconstructable (honestly: its parity is stale). Victims are
-    // therefore restricted to stripes whose lowest member group is read
-    // in the victim's own batch, so the loss is always hit while the
-    // stripe still matches its last-committed parity.
-    let batch = SsdConfig::tiny().total_dies() as u64;
-    let pick_victims = |sched: &AgingSchedule, layout: &StateLayout| -> Vec<Vec<Lpn>> {
-        let lpg = layout.lpns_per_group() as u64;
-        let draw = sched.victims(layout.num_groups(), layout.num_groups() as usize);
-        let mut used = std::collections::BTreeSet::new();
-        let mut gaps = vec![Vec::new(); STEPS as usize];
-        let mut it = draw.into_iter();
-        'fill: for gap in gaps.iter_mut() {
-            while gap.len() < LOSSES_PER_GAP {
-                let Some(g) = it.next() else { break 'fill };
-                let lpn = layout.lpn(g, StateComponent::Master, 0);
-                let stripe = lpn.0 / stripe_w;
-                let first_member_group = stripe * stripe_w / lpg;
-                if first_member_group / batch == g / batch && used.insert(stripe) {
-                    gap.push(lpn);
-                }
-            }
-        }
-        gaps
-    };
-
+    // One gap before each step, three losses per gap: 12 victims.
+    let cell = DegradedCell::new(run, STEPS, 3);
     let mut t = Table::new(&[
         "schedule",
         "parity",
@@ -1071,88 +941,42 @@ pub fn fig26_reliability_sweep(ctx: &Context) -> String {
         "lost",
         "state traffic",
     ]);
-    // Every cell trains its own fresh device against the shared fault-free
-    // reference, so the whole schedule x (parity, scrub) grid fans out on
-    // the data-plane pool; rows merge back in grid order.
-    let scheds = aging_schedules(26);
+    // Every point trains its own fresh device against the shared
+    // fault-free reference, so the whole schedule x (parity, scrub) grid
+    // fans out on the data-plane pool; rows merge back in grid order.
+    let points = [
+        (false, None, "off"),
+        (true, None, "off"),
+        (true, Some(ScrubConfig::per_step(64)), "64/step"),
+        (true, Some(ScrubConfig::per_step(512)), "512/step"),
+    ];
+    let scheds = workloads::aging_schedules(26);
     let grid: Vec<_> = scheds
         .iter()
-        .flat_map(|sched| {
-            [
-                (false, None, "off"),
-                (true, None, "off"),
-                (true, Some(ScrubConfig::per_step(64)), "64/step"),
-                (true, Some(ScrubConfig::per_step(512)), "512/step"),
-            ]
-            .map(|(parity, scrub, scrub_name)| (sched, parity, scrub, scrub_name))
-        })
+        .flat_map(|sched| points.map(|point| (sched, point)))
         .collect();
-    let rows = par::map_indexed(&grid, |_, &(sched, parity, scrub, scrub_name)| {
-        let mut ssd = SsdConfig::tiny();
-        let aging = sched.aging_config(ceiling);
-        if aging.is_active() {
-            ssd = ssd.with_aging(aging);
-        }
-        if parity {
-            ssd = ssd.with_rain(RainConfig::rotating());
-        }
-        if let Some(s) = scrub {
-            ssd = ssd.with_scrub(s);
-        }
-        let (mut dev, mut at) = run.load(ssd, die_ndp, ADAM);
-        let victims = pick_victims(sched, dev.layout());
-        let hot: Vec<Lpn> = sched
-            .hot_pages(dev.layout().num_groups())
-            .iter()
-            .map(|&g| dev.layout().lpn(g, StateComponent::Weight16, 0))
-            .collect();
-        let mut injected = 0u64;
-        let mut traffic = 0u64;
-        let mut failed_at: Option<u64> = None;
-        'run: for step in 1..=STEPS {
-            // The idle gap: hot re-reads (read disturb), then the gap's
-            // seeded losses, then the schedule's retention pause.
-            for lpn in &hot {
-                for _ in 0..sched.hot_reads_per_step {
-                    match dev.ssd_mut().internal_read_array(*lpn, at) {
-                        Ok((w, _)) => at = w.end,
-                        Err(_) => {
-                            failed_at = Some(step);
-                            break 'run;
-                        }
-                    }
-                }
-            }
-            for lpn in &victims[(step - 1) as usize] {
-                dev.ssd_mut().inject_page_loss(*lpn).unwrap();
-                injected += 1;
-            }
-            at += sched.pause_between_steps;
-            match dev.run_step(Some(&run.grads(step)), at) {
-                Ok(r) => {
-                    at = r.end;
-                    traffic += r.traffic.array_read + r.traffic.array_program;
-                }
-                Err(_) => {
-                    failed_at = Some(step);
-                    break 'run;
-                }
-            }
-        }
-        let outcome = match failed_at {
-            Some(step) => format!("LOST@step{step}"),
-            None if bit_exact(&dev.read_master_weights(at).unwrap(), &master_ref) => {
+    let rows = par::map_indexed(&grid, |_, &(sched, (parity, scrub, scrub_name))| {
+        let (mut dev, at) = run.load_adam(DegradedCell::ssd(sched, parity, scrub));
+        let d = cell.degrade(&mut dev, sched, 1..=STEPS, at);
+        let outcome = match d.outcome {
+            Err((step, _)) => format!("LOST@step{step}"),
+            Ok(at) if bit_exact(&dev.read_master_weights(at).unwrap(), &cell.master) => {
                 "bit-exact".into()
             }
-            None => "DRIFT".into(),
+            Ok(_) => "DRIFT".into(),
         };
+        let traffic: u64 = d
+            .steps
+            .iter()
+            .map(|r| r.traffic.array_read + r.traffic.array_program)
+            .sum();
         let st = dev.ssd().stats();
         [
             sched.name.into(),
             if parity { "on" } else { "off" }.into(),
             scrub_name.into(),
             outcome,
-            injected.to_string(),
+            d.injected.to_string(),
             st.parity_reconstructions.get().to_string(),
             format!(
                 "{}/{}/{}",
@@ -1180,135 +1004,50 @@ pub fn fig26_reliability_sweep(ctx: &Context) -> String {
 /// its header title and its entry point.
 pub type Experiment = (&'static str, &'static str, fn(&Context) -> String);
 
+/// Builds [`REGISTRY`] from `function: title` entries: an experiment's id
+/// is its function's name.
+macro_rules! registry {
+    ($($run:ident: $title:literal,)*) => {
+        [$((stringify!($run), $title, $run as fn(&Context) -> String),)*]
+    };
+}
+
 /// Every experiment, in the order `experiments all` prints them.
-pub static REGISTRY: [Experiment; 26] = [
-    (
-        "table1_models",
-        "evaluation models and optimizer-state footprints (Adam, fp16 grads)",
-        table1_models,
-    ),
-    ("table2_ssd_config", "SSD configurations", table2_ssd_config),
-    (
-        "fig3_motivation",
+pub static REGISTRY: [Experiment; 26] = registry! {
+    table1_models: "evaluation models and optimizer-state footprints (Adam, fp16 grads)",
+    table2_ssd_config: "SSD configurations",
+    fig3_motivation:
         "optimizer share of training iteration under host-NVMe offload (A100, batch 8)",
-        fig3_motivation,
-    ),
-    (
-        "fig4_step_latency",
-        "optimizer-step latency: host-nvme vs channel-ndp vs die-ndp (base SSD)",
-        fig4_step_latency,
-    ),
-    (
-        "fig5_speedup",
-        "speedup over host-nvme offload",
-        fig5_speedup,
-    ),
-    (
-        "fig6_end_to_end",
-        "end-to-end iteration speedup, die-ndp vs host-nvme (A100, batch 8)",
-        fig6_end_to_end,
-    ),
-    (
-        "fig7_parallelism",
-        "die-ndp step time vs internal parallelism (gpt3-13b)",
-        fig7_parallelism,
-    ),
-    (
-        "fig8_pcie",
-        "step time vs PCIe bandwidth (gpt3-13b, base SSD internals)",
-        fig8_pcie,
-    ),
-    (
-        "fig9_energy",
-        "optimizer-step energy (gpt3-13b), joules by component",
-        fig9_energy,
-    ),
-    (
-        "fig10_layout",
-        "layout ablation (gpt3-13b, die-ndp): co-located vs tensor-striped",
-        fig10_layout,
-    ),
-    (
-        "fig11_endurance",
-        "endurance: wear under repeated state rewrites (tiny device, hot/cold split)",
-        fig11_endurance,
-    ),
-    (
-        "fig12_batch",
-        "optimizer share vs batch size (gpt3-13b, A100)",
-        fig12_batch,
-    ),
-    (
-        "fig13_scaling",
-        "multi-SSD scaling (gpt3-175b, ZeRO sharding)",
-        fig13_scaling,
-    ),
-    (
-        "table14_correctness",
-        "functional correctness: in-storage vs reference (max ULP distance)",
-        table14_correctness,
-    ),
-    (
-        "fig15_optimizers",
-        "optimizer ablation (gpt3-13b, die-ndp)",
-        fig15_optimizers,
-    ),
-    (
-        "fig16_grad_staging",
-        "gradient staging ablation (gpt3-13b, die-ndp)",
-        fig16_grad_staging,
-    ),
-    (
-        "fig17_sparse_updates",
-        "lazy zero-gradient skipping (gpt3-13b, die-ndp, frozen-layer fine-tune)",
-        fig17_sparse_updates,
-    ),
-    (
-        "fig18_aging",
-        "step time vs device age (gpt3-13b, die-ndp; read-retries grow with wear)",
-        fig18_aging,
-    ),
-    (
-        "fig19_checkpoint",
-        "checkpoint overhead (gpt3-13b): state readout vs checkpoint interval",
-        fig19_checkpoint,
-    ),
-    (
-        "fig20_compression",
+    fig4_step_latency: "optimizer-step latency: host-nvme vs channel-ndp vs die-ndp (base SSD)",
+    fig5_speedup: "speedup over host-nvme offload",
+    fig6_end_to_end: "end-to-end iteration speedup, die-ndp vs host-nvme (A100, batch 8)",
+    fig7_parallelism: "die-ndp step time vs internal parallelism (gpt3-13b)",
+    fig8_pcie: "step time vs PCIe bandwidth (gpt3-13b, base SSD internals)",
+    fig9_energy: "optimizer-step energy (gpt3-13b), joules by component",
+    fig10_layout: "layout ablation (gpt3-13b, die-ndp): co-located vs tensor-striped",
+    fig11_endurance: "endurance: wear under repeated state rewrites (tiny device, hot/cold split)",
+    fig12_batch: "optimizer share vs batch size (gpt3-13b, A100)",
+    fig13_scaling: "multi-SSD scaling (gpt3-175b, ZeRO sharding)",
+    table14_correctness: "functional correctness: in-storage vs reference (max ULP distance)",
+    fig15_optimizers: "optimizer ablation (gpt3-13b, die-ndp)",
+    fig16_grad_staging: "gradient staging ablation (gpt3-13b, die-ndp)",
+    fig17_sparse_updates: "lazy zero-gradient skipping (gpt3-13b, die-ndp, frozen-layer fine-tune)",
+    fig18_aging: "step time vs device age (gpt3-13b, die-ndp; read-retries grow with wear)",
+    fig19_checkpoint: "checkpoint overhead (gpt3-13b): state readout vs checkpoint interval",
+    fig20_compression:
         "top-k gradient compression (gpt3-13b, die-ndp, 25% hot fine-tune + lazy skip)",
-        fig20_compression,
-    ),
-    (
-        "table21_time_to_train",
+    table21_time_to_train:
         "time to train 100k steps (A100 batch 8, fleet sized for capacity+endurance)",
-        table21_time_to_train,
-    ),
-    (
-        "fig22_quantized_state",
-        "8-bit optimizer state (gpt3-13b, die-ndp; audit-based)",
-        fig22_quantized_state,
-    ),
-    (
-        "fig23_scheduler_granularity",
+    fig22_quantized_state: "8-bit optimizer state (gpt3-13b, die-ndp; audit-based)",
+    fig23_scheduler_granularity:
         "engine scheduling granularity (die-ndp): group vs sub-group pipelining",
-        fig23_scheduler_granularity,
-    ),
-    (
-        "fig24_fault_sweep",
+    fig24_fault_sweep:
         "media-fault sweep (gpt3-13b, die-ndp): step latency & retirement vs fault rate x age",
-        fig24_fault_sweep,
-    ),
-    (
-        "fig25_crash_sweep",
+    fig25_crash_sweep:
         "crash-recovery sweep: journal flush interval x crash schedule (functional, bit-exact)",
-        fig25_crash_sweep,
-    ),
-    (
-        "fig26_reliability_sweep",
+    fig26_reliability_sweep:
         "reliability sweep: aging schedule x scrub budget x RAIN parity (functional, bit-exact)",
-        fig26_reliability_sweep,
-    ),
-];
+};
 
 /// An id's header label: `table1_models` -> `T1`, `fig3_motivation` -> `F3`.
 fn label(id: &str) -> String {
@@ -1518,10 +1257,13 @@ mod tests {
             "fig12_batch",
             "table14_correctness",
             "fig16_grad_staging",
+            "fig17_sparse_updates",
+            "fig18_aging",
             "fig19_checkpoint",
             "fig20_compression",
             "fig22_quantized_state",
             "fig23_scheduler_granularity",
+            "fig24_fault_sweep",
         ] {
             let exp = REGISTRY.iter().find(|e| e.0 == id).unwrap();
             assert_eq!(render(exp, &ctx), golden_section(id), "{id}");
@@ -1545,5 +1287,26 @@ mod tests {
         ] {
             assert!(tiers.contains(&tier), "{tiers:?}");
         }
+    }
+
+    /// Prepared cells are cached by their preparation: F20's dense row is
+    /// F17's 25 % row, and F24's three fault-free control rows are F18's
+    /// 0/50/100 % wear cells.
+    #[test]
+    fn prepared_cells_are_shared_across_figures() {
+        let ctx = Context::new(1 << 20);
+        let mut counts = Vec::new();
+        for fig in [
+            fig17_sparse_updates,
+            fig18_aging,
+            fig20_compression,
+            fig24_fault_sweep,
+        ] {
+            fig(&ctx);
+            counts.push(ctx.simulated_cells().len());
+        }
+        // F17: four hot fractions. F18: five wear levels. F20: three
+        // streams, one shared. F24: twelve grid cells, three shared.
+        assert_eq!(counts, [4, 9, 11, 20]);
     }
 }

@@ -5,12 +5,15 @@
 //! machinery here:
 //!
 //! * [`runners`] — one phantom-cell runner for every tier: builds the
-//!   device, runs a warm-up step and a measured step over a
-//!   [`workloads::SlicedRun`] slice, and returns full-model-scaled results
-//!   cross-checked against the analytic audit. A per-invocation
-//!   [`runners::Context`] simulates each distinct cell once, and
-//!   [`runners::SeededRun`] is the seeded functional run the bit-exactness
-//!   checks train and compare.
+//!   device, applies its preparation (wear or hot fraction), runs a warm-up
+//!   step and a measured step over a [`workloads::SlicedRun`] slice, and
+//!   returns full-model-scaled results cross-checked against the analytic
+//!   audit. A per-invocation [`runners::Context`] simulates each distinct
+//!   cell once, and [`runners::SeededRun`] is the seeded functional run the
+//!   bit-exactness checks train and compare. [`runners::CrashCell`] (F25)
+//!   and [`runners::DegradedCell`] (F26) are the functional sweep cells
+//!   that the figures, `tests/crash_consistency.rs`,
+//!   `tests/reliability.rs` and `bench_hotpath`'s smoke cells share.
 //! * [`table`] — fixed-width table rendering so every experiment's output
 //!   is grep-able and diff-able (`tests/golden/all_experiments.txt` holds
 //!   it byte for byte).

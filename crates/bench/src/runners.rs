@@ -2,23 +2,34 @@
 //! measured steady-state step over a slice, scale to the full model, and
 //! cross-check against the analytic audit. A [`Context`] simulates each
 //! distinct phantom cell once per invocation; a [`SeededRun`] trains a
-//! functional device for the bit-exactness checks.
+//! functional device for the bit-exactness checks. F25 and F26, their
+//! tier-1 tests and `bench_hotpath` share the two functional cells: the
+//! [`CrashCell`] (power cut, mount, replay) and the [`DegradedCell`]
+//! (aging plus seeded page losses).
 
+use std::collections::BTreeSet;
 use std::ops::RangeInclusive;
 use std::sync::Mutex;
 
 use baselines::HostNvmeConfig;
 use dnn_model::ZeroPartition;
+use nandsim::wear::RberModel;
 use optim_math::kernels::{encode_grads, StateBuffers};
 use optim_math::state::{GradDtype, StateLayoutSpec};
 use optim_math::{make_optimizer, AdamParams, MomentumParams, Optimizer, OptimizerKind};
 use optimstore_core::audit::{audit, AuditReport};
 use optimstore_core::energy::EnergyBreakdown;
 use optimstore_core::report::TrafficBytes;
-use optimstore_core::{ExecutionTier, OptimStoreConfig, OptimStoreDevice, StepReport};
+use optimstore_core::{
+    CoreError, ExecutionTier, OptimStoreConfig, OptimStoreDevice, RecoveryReport, StateComponent,
+    StepReport,
+};
 use simkit::{SimDuration, SimTime};
-use ssdsim::SsdConfig;
-use workloads::{GradientGen, SlicedRun, WeightInit};
+use ssdsim::trace::OpKind;
+use ssdsim::{
+    DeviceStats, JournalConfig, Lpn, PowerLossConfig, RainConfig, ScrubConfig, SsdConfig, SsdError,
+};
+use workloads::{AgingSchedule, CrashPhase, CrashSchedule, GradientGen, SlicedRun, WeightInit};
 
 /// Default slice cap: 2²⁵ parameters (≈33 M) — hundreds of update groups
 /// per die, deep into steady state, yet simulated in well under a second.
@@ -103,29 +114,43 @@ fn scale_traffic(t: TrafficBytes, slice: &SlicedRun) -> TrafficBytes {
     }
 }
 
-/// Runs one phantom cell of any tier: plans the slice of a
-/// `params`-parameter model on `ssd` (at most `cap` simulated parameters),
-/// builds the device, lets `prepare` adjust it (wear, sparsity hints),
-/// loads phantom state, then runs a warm-up step and the measured step.
-/// Returns the slice, the measured step's report and the device.
+/// How a phantom cell's device is adjusted before its state load.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Prep {
+    /// A fresh device with every group hot.
+    None,
+    /// The device aged by this many P/E cycles
+    /// ([`OptimStoreDevice::simulate_wear`]).
+    Wear(u64),
+    /// Only this fraction of the groups receives non-zero gradients
+    /// ([`OptimStoreDevice::set_phantom_hot_fraction`]).
+    HotFraction(f64),
+}
+
+/// Runs one phantom cell of any tier: builds the device for a
+/// `sim_params`-parameter slice, applies `prep`, loads phantom state, then
+/// runs a warm-up step and the measured step. Returns the measured step's
+/// report and the device's counters after it.
 ///
 /// The warm-up step fills the pipeline and seeds the FTL's steady state.
 /// The host tier spills each step's gradients to flash first (backward
 /// traffic, not charged to the step); the in-storage tiers start the
 /// measured step once the device is quiet.
-pub fn run_cell(
+fn run_cell(
     ssd: &SsdConfig,
     cfg: &OptimStoreConfig,
     kind: OptimizerKind,
-    params: u64,
-    cap: u64,
-    prepare: impl FnOnce(&mut OptimStoreDevice),
-) -> (SlicedRun, StepReport, OptimStoreDevice) {
-    let slice = SlicedRun::plan(params, cap, granule(ssd));
+    sim_params: u64,
+    prep: Prep,
+) -> (StepReport, DeviceStats) {
     let (optimizer, spec) = optimizer_and_spec(kind);
-    let mut dev = OptimStoreDevice::new(*ssd, *cfg, slice.sim_params, optimizer, spec)
+    let mut dev = OptimStoreDevice::new(*ssd, *cfg, sim_params, optimizer, spec)
         .expect("experiment configuration must fit the device");
-    prepare(&mut dev);
+    match prep {
+        Prep::None => {}
+        Prep::Wear(pe) => dev.simulate_wear(pe),
+        Prep::HotFraction(hot) => dev.set_phantom_hot_fraction(hot),
+    }
     let t0 = dev.load_phantom(SimTime::ZERO).expect("phantom load");
     let r2 = if cfg.tier == ExecutionTier::HostNvme {
         let t1 = dev.spill_gradients(None, t0).expect("spill 1");
@@ -137,12 +162,12 @@ pub fn run_cell(
         let t1 = dev.quiesce_time().max(r1.end);
         dev.run_step(None, t1).expect("measured step")
     };
-    (slice, r2, dev)
+    (r2, dev.ssd().stats().clone())
 }
 
 /// Measures `cfg`'s tier on `ssd` for a `params`-parameter model,
-/// simulating at most `cap` parameters ([`run_cell`] without preparation),
-/// scaled to the full model. Simulates afresh on every call.
+/// simulating at most `cap` parameters on a fresh device, scaled to the
+/// full model. Simulates afresh on every call.
 pub fn measure(
     ssd: &SsdConfig,
     cfg: &OptimStoreConfig,
@@ -181,20 +206,20 @@ fn step_bottleneck(ssd: &SsdConfig, traffic: &TrafficBytes, dur_secs: f64) -> (&
         .unwrap()
 }
 
-/// What [`run_cell`] builds and simulates for a prepare-free cell: the
-/// device, the tier, the optimizer and the simulated slice's size.
-type CellKey = (SsdConfig, OptimStoreConfig, OptimizerKind, u64);
+/// What [`run_cell`] builds and simulates: the device, the tier, the
+/// optimizer, the simulated slice's size and the preparation.
+type CellKey = (SsdConfig, OptimStoreConfig, OptimizerKind, u64, Prep);
 
 /// One invocation's shared measurement state: the slice cap and the
-/// measured step of every prepare-free phantom cell simulated so far.
-/// Every model above the cap simulates the same slice and differs only in
-/// its scale, so a figure that sweeps the zoo, or revisits a tier another
-/// figure measured, scales a shared cell instead of simulating it again.
+/// measured step of every phantom cell simulated so far. Every model above
+/// the cap simulates the same slice and differs only in its scale, so a
+/// figure that sweeps the zoo, or revisits a cell another figure measured,
+/// scales a shared cell instead of simulating it again.
 #[derive(Debug)]
 pub struct Context {
     /// Maximum simulated parameters per run.
     pub(crate) cap: u64,
-    cells: Mutex<Vec<(CellKey, StepReport)>>,
+    cells: Mutex<Vec<(CellKey, StepReport, DeviceStats)>>,
 }
 
 impl Context {
@@ -206,11 +231,41 @@ impl Context {
         }
     }
 
-    /// [`measure`] at this context's cap, simulating each distinct cell
-    /// once. Cells are independent seeded simulations, so a cached report
-    /// is the one a fresh run would produce. (Concurrent callers of one
-    /// missing cell would each simulate and record it; the experiments'
-    /// parallel grids measure distinct cells.)
+    /// The phantom cell of a `params`-parameter model of `kind` on `ssd`
+    /// under `cfg`, its device adjusted by `prep`, at this context's cap:
+    /// the planned slice, the measured step and the device's counters after
+    /// it. Each distinct cell is simulated once. Cells are independent seeded
+    /// simulations, so a cached cell is the one a fresh run would produce.
+    /// (Concurrent callers of one missing cell would each simulate and
+    /// record it; the experiments' parallel grids measure distinct cells.)
+    pub fn cell(
+        &self,
+        ssd: &SsdConfig,
+        cfg: &OptimStoreConfig,
+        kind: OptimizerKind,
+        params: u64,
+        prep: Prep,
+    ) -> (SlicedRun, StepReport, DeviceStats) {
+        let slice = SlicedRun::plan(params, self.cap, granule(ssd));
+        let key = (*ssd, *cfg, kind, slice.sim_params, prep);
+        // The lock is not held while a missing cell simulates.
+        let hit = self
+            .cells
+            .lock()
+            .expect("cell cache")
+            .iter()
+            .find(|c| c.0 == key)
+            .map(|c| (c.1, c.2.clone()));
+        let (step, stats) = hit.unwrap_or_else(|| {
+            let (step, stats) = run_cell(ssd, cfg, kind, slice.sim_params, prep);
+            let cell = (key, step, stats.clone());
+            self.cells.lock().expect("cell cache").push(cell);
+            (step, stats)
+        });
+        (slice, step, stats)
+    }
+
+    /// [`measure`] at this context's cap, through [`Context::cell`].
     pub fn measure(
         &self,
         ssd: &SsdConfig,
@@ -218,16 +273,7 @@ impl Context {
         kind: OptimizerKind,
         params: u64,
     ) -> Measured {
-        let slice = SlicedRun::plan(params, self.cap, granule(ssd));
-        let key = (*ssd, *cfg, kind, slice.sim_params);
-        let cells = self.cells.lock().expect("cell cache");
-        let hit = cells.iter().find(|(k, _)| *k == key).map(|&(_, r)| r);
-        drop(cells);
-        let r2 = hit.unwrap_or_else(|| {
-            let (_, r2, _) = run_cell(ssd, cfg, kind, params, self.cap, |_| {});
-            self.cells.lock().expect("cell cache").push((key, r2));
-            r2
-        });
+        let (slice, r2, _) = self.cell(ssd, cfg, kind, params, Prep::None);
         // Scale the measured step to the full model; pair it with the audit.
         Measured {
             sim_bottleneck: step_bottleneck(ssd, &r2.traffic, r2.duration.as_secs_f64()),
@@ -339,6 +385,317 @@ impl SeededRun {
 /// Whether two weight vectors agree bit for bit.
 pub fn bit_exact(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// What one crash → (second crash) → mount + replay sequence went
+/// through, for callers to print or assert.
+#[derive(Debug, Clone, Copy)]
+pub struct Crash {
+    /// The 1-based step whose `run_step` observed the power loss.
+    pub step: u64,
+    /// When the power failed.
+    pub at: SimTime,
+    /// Journal pages written before the power failed.
+    pub journal_pages: u64,
+    /// When the power failed again, during the first mount (double crash).
+    pub mount_crash: Option<SimTime>,
+    /// The mount that succeeded, and the replay of the crashed step.
+    pub recovery: RecoveryReport,
+}
+
+impl SeededRun {
+    /// Adam on the die-NDP tier: [`SeededRun::load`] for the crash and
+    /// degraded-run cells.
+    pub fn load_adam(&self, ssd: SsdConfig) -> (OptimStoreDevice, SimTime) {
+        self.load(ssd, OptimStoreConfig::die_ndp(), OptimizerKind::Adam)
+    }
+
+    /// Arms `cut` on the in-storage-tier device `dev`, trains steps
+    /// `1..=steps` from `at` into the power loss, then recovers
+    /// ([`SeededRun::recover`]). Panics unless the loss fires.
+    pub fn crash(
+        &self,
+        dev: &mut OptimStoreDevice,
+        mut at: SimTime,
+        steps: u64,
+        cut: PowerLossConfig,
+        double: bool,
+    ) -> Crash {
+        dev.ssd_mut().arm_power_loss(cut);
+        for step in 1..=steps {
+            match dev.run_step(Some(&self.grads(step)), at) {
+                Ok(r) => at = r.end,
+                Err(CoreError::Ssd(SsdError::PowerLoss { .. })) => {
+                    return self.recover(dev, step, double)
+                }
+                Err(e) => panic!("step {step}: unexpected error {e}"),
+            }
+        }
+        panic!("the armed power loss never fired")
+    }
+
+    /// Mounts `dev` 10 µs after the power loss that step `step` observed
+    /// and replays that step. With `double`, the power fails again 50 µs
+    /// into that first mount, which must fail cleanly; a second mount
+    /// 10 µs after the second loss then recovers from scratch.
+    pub fn recover(&self, dev: &mut OptimStoreDevice, step: u64, double: bool) -> Crash {
+        let at = dev.ssd().power_failed_at().expect("the power failed");
+        let journal_pages = dev.ssd().stats().journal_pages.get();
+        let grads = self.grads(step);
+        let mut mount_crash = None;
+        if double {
+            let mount_at = at + SimDuration::from_us(10);
+            let cut = PowerLossConfig::at(mount_at + SimDuration::from_us(50));
+            dev.ssd_mut().arm_power_loss(cut);
+            match dev.recover(Some(&grads), mount_at) {
+                Err(CoreError::Ssd(SsdError::PowerLoss { .. })) => {}
+                other => panic!("the mount survived the second crash: {other:?}"),
+            }
+            mount_crash = dev.ssd().power_failed_at();
+        }
+        let mount_at = mount_crash.unwrap_or(at) + SimDuration::from_us(10);
+        let recovery = dev
+            .recover(Some(&grads), mount_at)
+            .unwrap_or_else(|e| panic!("recovery failed: {e}"));
+        Crash {
+            step,
+            at,
+            journal_pages,
+            mount_crash,
+            recovery,
+        }
+    }
+}
+
+/// F25's crash cell: a seeded run on a journaled device small enough that
+/// its steps force garbage collection, and the traced uncrashed reference
+/// every crash is placed against and compared with. Identical
+/// configurations and inputs give identical timing, so a window measured
+/// on the reference pinpoints the same phase on a crashing run.
+#[derive(Debug)]
+pub struct CrashCell {
+    run: SeededRun,
+    ssd: SsdConfig,
+    steps: u64,
+    /// `(start, end)` of reference step `i + 1`.
+    windows: Vec<(SimTime, SimTime)>,
+    /// `(start, end)` of every reference block erase, in trace order.
+    erases: Vec<(SimTime, SimTime)>,
+    /// When the reference's weight load ended.
+    pub loaded: SimTime,
+    /// The reference's final master weights.
+    pub master: Vec<f32>,
+    /// The reference's final fp16 working weights.
+    pub weights16: Vec<f32>,
+}
+
+impl CrashCell {
+    /// The tiny SSD with a journal flushed every `interval` programs and
+    /// 12 blocks per plane: 200 k parameters of Adam state fill about a
+    /// third of each die, so free blocks run out during step 2 and GC
+    /// collects the previous epoch's pages while training runs.
+    pub fn ssd(interval: u32) -> SsdConfig {
+        let mut ssd = SsdConfig::tiny().with_journal(JournalConfig::every(interval));
+        ssd.nand.geometry.blocks_per_plane = 12;
+        ssd
+    }
+
+    /// Runs the uncrashed reference of `steps` steps of `run` on
+    /// [`CrashCell::ssd`]`(interval)`, tracing its step and erase windows.
+    pub fn new(run: SeededRun, interval: u32, steps: u64) -> Self {
+        let ssd = Self::ssd(interval);
+        let (mut dev, loaded) = run.load_adam(ssd);
+        dev.enable_trace(1 << 17);
+        let mut end = loaded;
+        let windows = (1..=steps)
+            .map(|step| {
+                let r = dev.run_step(Some(&run.grads(step)), end).expect("step");
+                end = r.end;
+                (r.start, r.end)
+            })
+            .collect();
+        let erases: Vec<_> = dev
+            .trace_events()
+            .expect("traced")
+            .iter()
+            .filter(|e| e.kind == OpKind::Erase)
+            .map(|e| (e.start, e.end))
+            .collect();
+        assert!(!erases.is_empty(), "the reference must garbage-collect");
+        CrashCell {
+            master: dev.read_master_weights(end).expect("readback"),
+            weights16: dev.read_weights16(end).expect("readback"),
+            run,
+            ssd,
+            steps,
+            windows,
+            erases,
+            loaded,
+        }
+    }
+
+    /// The instant `s` cuts the power: inside its step's window, the last
+    /// quarter of it for a write-back schedule, or inside the reference
+    /// erase its fraction picks.
+    pub fn instant(&self, s: &CrashSchedule) -> SimTime {
+        let (start, end) = match s.phase {
+            CrashPhase::Step { step } | CrashPhase::DuringMount { step } => {
+                self.windows[(step - 1) as usize]
+            }
+            CrashPhase::WriteBack { step } => {
+                let (start, end) = self.windows[(step - 1) as usize];
+                (start + (end - start).saturating_mul(3) / 4, end)
+            }
+            CrashPhase::DuringGc => {
+                let n = self.erases.len();
+                self.erases[((s.fraction * n as f64) as usize).min(n - 1)]
+            }
+        };
+        s.instant(start, end)
+    }
+
+    /// Loads a fresh device, cuts its power at `s`'s instant (a second
+    /// time during the mount for a double-crash schedule), mounts and
+    /// replays. Returns the recovered device, one step past the
+    /// reference's committed epoch, and what the crash went through.
+    pub fn crash(&self, s: &CrashSchedule) -> (OptimStoreDevice, Crash) {
+        let (mut dev, at) = self.run.load_adam(self.ssd);
+        let cut = PowerLossConfig::at(self.instant(s));
+        let double = matches!(s.phase, CrashPhase::DuringMount { .. });
+        let crash = self.run.crash(&mut dev, at, self.steps, cut, double);
+        (dev, crash)
+    }
+}
+
+/// What one degraded run went through.
+#[derive(Debug)]
+pub struct Degraded {
+    /// The last step's end, or the step whose hot reads or update failed
+    /// and its error.
+    pub outcome: Result<SimTime, (u64, CoreError)>,
+    /// Pages lost before the run ended.
+    pub injected: u64,
+    /// The reports of the steps that completed.
+    pub steps: Vec<StepReport>,
+}
+
+/// F26's degraded-run cell: a seeded run whose media ages under an
+/// [`AgingSchedule`] while seeded page losses hit it between steps, and
+/// the final weights of the same run on a pristine tiny SSD, which every
+/// surviving run must match bit for bit.
+#[derive(Debug)]
+pub struct DegradedCell {
+    /// The training run.
+    pub run: SeededRun,
+    steps: u64,
+    losses_per_gap: usize,
+    /// The fault-free run's final master weights.
+    pub master: Vec<f32>,
+    /// The fault-free run's final fp16 working weights.
+    pub weights16: Vec<f32>,
+}
+
+impl DegradedCell {
+    /// The tiny SSD aged by `sched`, with RAIN parity when `parity` and
+    /// the given patrol scrub.
+    pub fn ssd(sched: &AgingSchedule, parity: bool, scrub: Option<ScrubConfig>) -> SsdConfig {
+        let mut ssd = SsdConfig::tiny();
+        // The aging coefficients are relative to the part's ECC ceiling.
+        let aging = sched.aging_config(RberModel::for_cell(ssd.nand.cell).ecc_ceiling);
+        ssd.aging = aging.is_active().then_some(aging);
+        ssd.rain = parity.then(RainConfig::rotating);
+        ssd.scrub = scrub;
+        ssd
+    }
+
+    /// Trains the fault-free reference of `steps` steps of `run`; each
+    /// degraded run loses `losses_per_gap` pages before each step.
+    pub fn new(run: SeededRun, steps: u64, losses_per_gap: usize) -> Self {
+        let (mut dev, at) = run.load_adam(SsdConfig::tiny());
+        let at = run.train(&mut dev, 1..=steps, at);
+        DegradedCell {
+            run,
+            steps,
+            losses_per_gap,
+            master: dev.read_master_weights(at).expect("readback"),
+            weights16: dev.read_weights16(at).expect("readback"),
+        }
+    }
+
+    /// The pages lost in each gap: master-weight pages of `sched`'s seeded
+    /// groups, at most one per RAIN stripe across the whole run, so parity
+    /// always faces single losses. An earlier batch's write-backs dirty
+    /// every stripe they touch, and a dirty stripe cannot be rebuilt, so a
+    /// victim's stripe must start in the victim's own executor batch: the
+    /// loss is then read while the stripe still matches its last-committed
+    /// parity. The picks are the same with parity on or off.
+    fn victims(&self, sched: &AgingSchedule, dev: &OptimStoreDevice) -> Vec<Vec<Lpn>> {
+        let ssd = dev.ssd().config().with_rain(RainConfig::rotating());
+        let stripe_w = ssd.stripe_data_width().expect("RAIN is on");
+        let batch = ssd.total_dies() as u64;
+        let layout = dev.layout();
+        let lpg = layout.lpns_per_group() as u64;
+        let groups = layout.num_groups();
+        let mut draw = sched.victims(groups, groups as usize).into_iter();
+        let mut used = BTreeSet::new();
+        let mut gaps = vec![Vec::new(); self.steps as usize];
+        'fill: for gap in gaps.iter_mut() {
+            while gap.len() < self.losses_per_gap {
+                let Some(g) = draw.next() else { break 'fill };
+                let lpn = layout.lpn(g, StateComponent::Master, 0);
+                let stripe = lpn.0 / stripe_w;
+                let first_member_group = stripe * stripe_w / lpg;
+                if first_member_group / batch == g / batch && used.insert(stripe) {
+                    gap.push(lpn);
+                }
+            }
+        }
+        gaps
+    }
+
+    /// Runs `steps` on `dev` from `at`. Before each step comes its idle
+    /// gap: `sched`'s hot pages re-read (read disturb), then the gap's
+    /// losses, then the retention pause. Stops at the first failure.
+    pub fn degrade(
+        &self,
+        dev: &mut OptimStoreDevice,
+        sched: &AgingSchedule,
+        steps: RangeInclusive<u64>,
+        mut at: SimTime,
+    ) -> Degraded {
+        let victims = self.victims(sched, dev);
+        let hot: Vec<Lpn> = sched
+            .hot_pages(dev.layout().num_groups())
+            .iter()
+            .map(|&g| dev.layout().lpn(g, StateComponent::Weight16, 0))
+            .collect();
+        let (mut injected, mut reports) = (0, Vec::new());
+        let run_steps = || {
+            for step in steps {
+                for lpn in &hot {
+                    for _ in 0..sched.hot_reads_per_step {
+                        let read = dev.ssd_mut().internal_read_array(*lpn, at);
+                        at = read.map_err(|e| (step, CoreError::Ssd(e)))?.0.end;
+                    }
+                }
+                for lpn in &victims[(step - 1) as usize] {
+                    dev.ssd_mut().inject_page_loss(*lpn).expect("mapped victim");
+                    injected += 1;
+                }
+                at += sched.pause_between_steps;
+                let r = dev.run_step(Some(&self.run.grads(step)), at);
+                let r = r.map_err(|e| (step, e))?;
+                at = r.end;
+                reports.push(r);
+            }
+            Ok(at)
+        };
+        Degraded {
+            outcome: run_steps(),
+            injected,
+            steps: reports,
+        }
+    }
 }
 
 #[cfg(test)]

@@ -205,28 +205,9 @@ impl StateLayout {
         }
     }
 
-    /// The group covering parameter `p`.
-    #[cfg(test)]
-    fn group_of_param(&self, p: u64) -> u64 {
-        assert!(p < self.params, "param {p} out of range");
-        p / self.params_per_group()
-    }
-
     /// Iterates all groups in index order.
     pub fn groups(&self) -> impl Iterator<Item = UpdateGroup> + '_ {
         (0..self.num_groups()).map(move |g| self.group(g))
-    }
-
-    /// Groups hosted on die `die_flat`.
-    #[cfg(test)]
-    fn groups_on_die(&self, die_flat: u32) -> u64 {
-        let g = self.num_groups();
-        let d = self.dies as u64;
-        let f = die_flat as u64;
-        if f >= d {
-            return 0;
-        }
-        g / d + if g % d > f { 1 } else { 0 }
     }
 
     /// The LPN holding page `idx` of `component` for group `g`.
@@ -354,6 +335,25 @@ impl StateLayout {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StateLayout {
+        /// The group covering parameter `p`.
+        fn group_of_param(&self, p: u64) -> u64 {
+            assert!(p < self.params, "param {p} out of range");
+            p / self.params_per_group()
+        }
+
+        /// Groups hosted on die `die_flat`.
+        fn groups_on_die(&self, die_flat: u32) -> u64 {
+            let g = self.num_groups();
+            let d = self.dies as u64;
+            let f = die_flat as u64;
+            if f >= d {
+                return 0;
+            }
+            g / d + if g % d > f { 1 } else { 0 }
+        }
+    }
 
     fn co(params: u64, dies: u32) -> StateLayout {
         StateLayout::new(LayoutPolicy::CoLocated, params, 2, 4096, dies, false)

@@ -214,31 +214,31 @@ impl StepReport {
         }
         self.params as f64 / s
     }
-
-    /// Effective update bandwidth: state bytes (read+written) per second.
-    #[cfg(test)]
-    fn state_bytes_per_sec(&self) -> f64 {
-        let s = self.duration.as_secs_f64();
-        if s == 0.0 {
-            return 0.0;
-        }
-        (self.traffic.array_read + self.traffic.array_program) as f64 / s
-    }
-
-    /// Speedup of this step relative to `baseline`.
-    #[cfg(test)]
-    fn speedup_over(&self, baseline: &StepReport) -> f64 {
-        let mine = self.duration.as_secs_f64();
-        if mine == 0.0 {
-            return f64::INFINITY;
-        }
-        baseline.duration.as_secs_f64() / mine
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StepReport {
+        /// Effective update bandwidth: state bytes (read+written) per second.
+        fn state_bytes_per_sec(&self) -> f64 {
+            let s = self.duration.as_secs_f64();
+            if s == 0.0 {
+                return 0.0;
+            }
+            (self.traffic.array_read + self.traffic.array_program) as f64 / s
+        }
+
+        /// Speedup of this step relative to `baseline`.
+        fn speedup_over(&self, baseline: &StepReport) -> f64 {
+            let mine = self.duration.as_secs_f64();
+            if mine == 0.0 {
+                return f64::INFINITY;
+            }
+            baseline.duration.as_secs_f64() / mine
+        }
+    }
 
     fn report(ms: u64) -> StepReport {
         StepReport {

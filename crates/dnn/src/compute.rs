@@ -50,18 +50,19 @@ impl GpuSpec {
         let flops = model.train_flops(tokens) as f64;
         SimDuration::from_secs_f64(flops / (self.peak_fp16_flops * self.mfu))
     }
-
-    /// Effective sustained FLOP/s.
-    #[cfg(test)]
-    pub fn effective_flops(&self) -> f64 {
-        self.peak_fp16_flops * self.mfu
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::zoo;
+
+    impl GpuSpec {
+        /// Effective sustained FLOP/s.
+        pub fn effective_flops(&self) -> f64 {
+            self.peak_fp16_flops * self.mfu
+        }
+    }
 
     #[test]
     fn iteration_time_scales_with_batch() {

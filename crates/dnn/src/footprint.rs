@@ -85,7 +85,7 @@ mod tests {
 
     #[test]
     fn step_traffic_is_28_bytes_per_param_for_adam() {
-        let f = TrainingFootprint::of(&zoo::tiny_1m(), &adam());
+        let f = TrainingFootprint::of(&TransformerConfig::tiny_1m(), &adam());
         assert_eq!(f.step_traffic_bytes(), f.params * 28);
     }
 

@@ -28,21 +28,6 @@ impl IterationBreakdown {
         }
     }
 
-    /// An iteration where a fraction of the optimizer step overlaps
-    /// compute.
-    ///
-    /// # Panics
-    /// Panics if `overlap_permille > 1000`.
-    #[cfg(test)]
-    fn overlapped(compute: SimDuration, optimizer: SimDuration, overlap_permille: u16) -> Self {
-        assert!(overlap_permille <= 1000, "overlap is a per-mille fraction");
-        IterationBreakdown {
-            compute,
-            optimizer,
-            overlap_permille,
-        }
-    }
-
     /// Exposed (critical-path) optimizer time after overlap.
     pub fn exposed_optimizer(&self) -> SimDuration {
         let hidden = self
@@ -66,22 +51,37 @@ impl IterationBreakdown {
         }
         self.exposed_optimizer().as_secs_f64() / total
     }
-
-    /// Iteration speedup when replacing this breakdown's optimizer phase
-    /// with `faster` (same compute, same overlap policy).
-    #[cfg(test)]
-    fn speedup_with(&self, faster: SimDuration) -> f64 {
-        let new = IterationBreakdown {
-            optimizer: faster,
-            ..*self
-        };
-        self.total().as_secs_f64() / new.total().as_secs_f64()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IterationBreakdown {
+        /// An iteration where a fraction of the optimizer step overlaps
+        /// compute.
+        ///
+        /// # Panics
+        /// Panics if `overlap_permille > 1000`.
+        fn overlapped(compute: SimDuration, optimizer: SimDuration, overlap_permille: u16) -> Self {
+            assert!(overlap_permille <= 1000, "overlap is a per-mille fraction");
+            IterationBreakdown {
+                compute,
+                optimizer,
+                overlap_permille,
+            }
+        }
+
+        /// Iteration speedup when replacing this breakdown's optimizer phase
+        /// with `faster` (same compute, same overlap policy).
+        fn speedup_with(&self, faster: SimDuration) -> f64 {
+            let new = IterationBreakdown {
+                optimizer: faster,
+                ..*self
+            };
+            self.total().as_secs_f64() / new.total().as_secs_f64()
+        }
+    }
 
     #[test]
     fn synchronous_total_is_sum() {

@@ -66,62 +66,6 @@ impl TransformerConfig {
     pub fn train_flops(&self, tokens: u64) -> u64 {
         6u64.saturating_mul(self.params()).saturating_mul(tokens)
     }
-
-    /// The model's parameter tensors in global order, with contiguous
-    /// offsets. Layer-freezing drivers use this to map layers to parameter
-    /// ranges (and therefore to update groups and dies).
-    #[cfg(test)]
-    pub fn layer_table(&self) -> Vec<LayerShape> {
-        let h = self.hidden as u64;
-        let mut out = Vec::new();
-        let mut offset = 0u64;
-        let mut push = |out: &mut Vec<LayerShape>, name: String, params: u64| {
-            out.push(LayerShape {
-                name,
-                offset,
-                params,
-            });
-            offset += params;
-        };
-        push(&mut out, "embed.token".into(), self.vocab as u64 * h);
-        push(&mut out, "embed.position".into(), self.seq_len as u64 * h);
-        for l in 0..self.layers {
-            push(&mut out, format!("block{l}.ln1"), 2 * h);
-            push(&mut out, format!("block{l}.attn.qkv"), 3 * h * h + 3 * h);
-            push(&mut out, format!("block{l}.attn.out"), h * h + h);
-            push(&mut out, format!("block{l}.ln2"), 2 * h);
-            push(&mut out, format!("block{l}.mlp.up"), 4 * h * h + 4 * h);
-            push(&mut out, format!("block{l}.mlp.down"), 4 * h * h + h);
-        }
-        push(&mut out, "final.ln".into(), 2 * h);
-        out
-    }
-}
-
-/// A tiny model for functional tests (≈1.8 M parameters).
-#[cfg(test)]
-pub fn tiny_1m() -> TransformerConfig {
-    TransformerConfig {
-        name: "tiny-1m",
-        layers: 2,
-        hidden: 256,
-        heads: 4,
-        vocab: 1000,
-        seq_len: 128,
-    }
-}
-
-/// A small functional model (≈13 M parameters).
-#[cfg(test)]
-pub fn mini_13m() -> TransformerConfig {
-    TransformerConfig {
-        name: "mini-13m",
-        layers: 6,
-        hidden: 512,
-        heads: 8,
-        vocab: 8000,
-        seq_len: 512,
-    }
 }
 
 /// BERT-Large, 0.34 B.
@@ -225,6 +169,61 @@ pub fn evaluation_models() -> Vec<TransformerConfig> {
 mod tests {
     use super::*;
 
+    impl TransformerConfig {
+        /// The model's parameter tensors in global order, with contiguous
+        /// offsets. Layer-freezing drivers use this to map layers to parameter
+        /// ranges (and therefore to update groups and dies).
+        pub fn layer_table(&self) -> Vec<LayerShape> {
+            let h = self.hidden as u64;
+            let mut out = Vec::new();
+            let mut offset = 0u64;
+            let mut push = |out: &mut Vec<LayerShape>, name: String, params: u64| {
+                out.push(LayerShape {
+                    name,
+                    offset,
+                    params,
+                });
+                offset += params;
+            };
+            push(&mut out, "embed.token".into(), self.vocab as u64 * h);
+            push(&mut out, "embed.position".into(), self.seq_len as u64 * h);
+            for l in 0..self.layers {
+                push(&mut out, format!("block{l}.ln1"), 2 * h);
+                push(&mut out, format!("block{l}.attn.qkv"), 3 * h * h + 3 * h);
+                push(&mut out, format!("block{l}.attn.out"), h * h + h);
+                push(&mut out, format!("block{l}.ln2"), 2 * h);
+                push(&mut out, format!("block{l}.mlp.up"), 4 * h * h + 4 * h);
+                push(&mut out, format!("block{l}.mlp.down"), 4 * h * h + h);
+            }
+            push(&mut out, "final.ln".into(), 2 * h);
+            out
+        }
+
+        /// A tiny model for functional tests (≈1.8 M parameters).
+        pub fn tiny_1m() -> Self {
+            TransformerConfig {
+                name: "tiny-1m",
+                layers: 2,
+                hidden: 256,
+                heads: 4,
+                vocab: 1000,
+                seq_len: 128,
+            }
+        }
+
+        /// A small functional model (≈13 M parameters).
+        pub fn mini_13m() -> Self {
+            TransformerConfig {
+                name: "mini-13m",
+                layers: 6,
+                hidden: 512,
+                heads: 8,
+                vocab: 8000,
+                seq_len: 512,
+            }
+        }
+    }
+
     /// Published parameter counts, in billions, with tolerated relative
     /// error: architecture-derived counts differ from marketing numbers by
     /// a few percent.
@@ -265,13 +264,13 @@ mod tests {
 
     #[test]
     fn tiny_models_are_tiny() {
-        assert!(tiny_1m().params() < 3_000_000);
-        assert!(mini_13m().params() < 30_000_000);
+        assert!(TransformerConfig::tiny_1m().params() < 3_000_000);
+        assert!(TransformerConfig::mini_13m().params() < 30_000_000);
     }
 
     #[test]
     fn layer_table_covers_every_parameter_exactly_once() {
-        for m in [tiny_1m(), bert_large(), gpt3_13b()] {
+        for m in [TransformerConfig::tiny_1m(), bert_large(), gpt3_13b()] {
             let table = m.layer_table();
             let mut expected_offset = 0u64;
             for layer in &table {

@@ -235,12 +235,6 @@ impl Die {
         self.torn.contains(&self.config.geometry.page_index(p))
     }
 
-    /// Number of currently torn pages on this die.
-    #[cfg(test)]
-    pub fn torn_pages(&self) -> u64 {
-        self.torn.len() as u64
-    }
-
     /// Stamps page `p`'s out-of-band area (the controller calls this
     /// immediately after a successful program; a crash between the two is
     /// not observable because both happen within the program window).
@@ -585,16 +579,6 @@ impl Die {
         }
     }
 
-    /// Maximum erase count across all blocks (wear-levelling metric).
-    #[cfg(test)]
-    pub fn max_erase_count(&self) -> u64 {
-        self.blocks
-            .iter()
-            .map(BlockState::erase_count)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Total erases across all blocks.
     pub fn total_erases(&self) -> u64 {
         self.blocks.iter().map(BlockState::erase_count).sum()
@@ -616,6 +600,22 @@ mod tests {
     use super::*;
     use crate::timing::NandConfig;
     use simkit::SimDuration;
+
+    impl Die {
+        /// Number of currently torn pages on this die.
+        pub fn torn_pages(&self) -> u64 {
+            self.torn.len() as u64
+        }
+
+        /// Maximum erase count across all blocks (wear-levelling metric).
+        pub fn max_erase_count(&self) -> u64 {
+            self.blocks
+                .iter()
+                .map(BlockState::erase_count)
+                .max()
+                .unwrap_or(0)
+        }
+    }
 
     fn die() -> Die {
         Die::new_functional(0, NandConfig::tiny_test_die())

@@ -81,19 +81,7 @@ pub enum NandError {
     },
 }
 
-impl NandError {
-    /// True for injected media faults (recoverable by device policy), as
-    /// opposed to protocol violations (bugs in the caller).
-    #[cfg(test)]
-    pub fn is_media_fault(&self) -> bool {
-        matches!(
-            self,
-            NandError::ProgramFailed { .. }
-                | NandError::EraseFailed { .. }
-                | NandError::ReadUncorrectable { .. }
-        )
-    }
-}
+impl NandError {}
 
 impl fmt::Display for NandError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -142,6 +130,19 @@ impl Error for NandError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NandError {
+        /// True for injected media faults (recoverable by device policy), as
+        /// opposed to protocol violations (bugs in the caller).
+        pub fn is_media_fault(&self) -> bool {
+            matches!(
+                self,
+                NandError::ProgramFailed { .. }
+                    | NandError::EraseFailed { .. }
+                    | NandError::ReadUncorrectable { .. }
+            )
+        }
+    }
 
     #[test]
     fn display_messages_are_informative() {

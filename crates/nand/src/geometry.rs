@@ -67,18 +67,6 @@ impl NandGeometry {
             + p.page as u64
     }
 
-    /// Inverse of [`page_index`](Self::page_index).
-    #[cfg(test)]
-    pub fn page_at(&self, index: u64) -> PhysPage {
-        let pages = self.pages_per_block as u64;
-        let blocks = self.blocks_per_plane as u64;
-        let page = (index % pages) as u32;
-        let block_flat = index / pages;
-        let block = (block_flat % blocks) as u32;
-        let plane = (block_flat / blocks) as u32;
-        PhysPage { plane, block, page }
-    }
-
     /// Flat index of a block within the die (`0..blocks_per_die()`).
     pub fn block_index(&self, b: BlockAddr) -> u64 {
         debug_assert!(self.contains_block(b), "block {b:?} out of range");
@@ -145,6 +133,19 @@ impl BlockAddr {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NandGeometry {
+        /// Inverse of [`page_index`](Self::page_index).
+        pub fn page_at(&self, index: u64) -> PhysPage {
+            let pages = self.pages_per_block as u64;
+            let blocks = self.blocks_per_plane as u64;
+            let page = (index % pages) as u32;
+            let block_flat = index / pages;
+            let block = (block_flat % blocks) as u32;
+            let plane = (block_flat / blocks) as u32;
+            PhysPage { plane, block, page }
+        }
+    }
 
     fn geo() -> NandGeometry {
         NandGeometry {

@@ -372,18 +372,6 @@ impl PageArena {
             }
         }
     }
-
-    /// Slots currently holding a page.
-    #[cfg(test)]
-    pub(crate) fn live_slots(&self) -> usize {
-        self.used as usize - self.free.len()
-    }
-
-    /// Slots ever handed out (the arena's high-water mark).
-    #[cfg(test)]
-    pub(crate) fn slots_used(&self) -> usize {
-        self.used as usize
-    }
 }
 
 impl std::fmt::Debug for PageArena {
@@ -412,6 +400,18 @@ pub fn new_block_table(geo: &NandGeometry) -> Vec<BlockState> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl PageArena {
+        /// Slots currently holding a page.
+        pub(crate) fn live_slots(&self) -> usize {
+            self.used as usize - self.free.len()
+        }
+
+        /// Slots ever handed out (the arena's high-water mark).
+        pub(crate) fn slots_used(&self) -> usize {
+            self.used as usize
+        }
+    }
 
     /// A bitset store for blocks of `pages` pages.
     fn bits(pages: u32) -> Slabs {

@@ -40,17 +40,6 @@ pub enum CellKind {
 }
 
 impl CellKind {
-    /// Logical pages sharing one wordline.
-    #[cfg(test)]
-    pub fn pages_per_wordline(self) -> u32 {
-        match self {
-            CellKind::Slc => 1,
-            CellKind::Mlc => 2,
-            CellKind::Tlc => 3,
-            CellKind::Qlc => 4,
-        }
-    }
-
     /// Rated program/erase cycles before the block is retired.
     pub fn rated_pe_cycles(self) -> u64 {
         match self {
@@ -210,6 +199,18 @@ impl NandConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CellKind {
+        /// Logical pages sharing one wordline.
+        pub fn pages_per_wordline(self) -> u32 {
+            match self {
+                CellKind::Slc => 1,
+                CellKind::Mlc => 2,
+                CellKind::Tlc => 3,
+                CellKind::Qlc => 4,
+            }
+        }
+    }
 
     #[test]
     fn cell_kind_properties() {

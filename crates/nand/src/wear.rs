@@ -48,15 +48,6 @@ impl RberModel {
     pub fn rber(&self, pe: u64) -> f64 {
         self.a + self.b * (pe as f64).powf(self.k)
     }
-
-    /// Largest P/E count whose RBER is still within the ECC ceiling.
-    #[cfg(test)]
-    pub fn usable_pe_cycles(&self) -> u64 {
-        if self.ecc_ceiling <= self.a {
-            return 0;
-        }
-        (((self.ecc_ceiling - self.a) / self.b).powf(1.0 / self.k)).floor() as u64
-    }
 }
 
 /// [`RberModel::rber`] memoized by erase count, so a sense or program pays
@@ -218,17 +209,28 @@ impl LifetimeProjection {
             steps_to_exhaustion_imbalanced: uniform / imb,
         }
     }
-
-    /// Lifetime in wall-clock days given a steady step time in seconds.
-    #[cfg(test)]
-    pub fn days_at(&self, step_seconds: f64) -> f64 {
-        self.steps_to_exhaustion_imbalanced * step_seconds / 86_400.0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RberModel {
+        /// Largest P/E count whose RBER is still within the ECC ceiling.
+        pub fn usable_pe_cycles(&self) -> u64 {
+            if self.ecc_ceiling <= self.a {
+                return 0;
+            }
+            (((self.ecc_ceiling - self.a) / self.b).powf(1.0 / self.k)).floor() as u64
+        }
+    }
+
+    impl LifetimeProjection {
+        /// Lifetime in wall-clock days given a steady step time in seconds.
+        pub fn days_at(&self, step_seconds: f64) -> f64 {
+            self.steps_to_exhaustion_imbalanced * step_seconds / 86_400.0
+        }
+    }
 
     #[test]
     fn rber_is_monotone_in_pe() {

@@ -103,15 +103,6 @@ impl SparseGrad {
         SPARSE_HEADER_BYTES + SPARSE_ENTRY_BYTES * self.nnz() as u64
     }
 
-    /// Number of selected entries whose index falls in `[start, end)` —
-    /// the per-update-group accounting the device scheduler needs.
-    #[cfg(test)]
-    pub fn nnz_in_range(&self, start: u64, end: u64) -> usize {
-        let lo = self.indices.partition_point(|&i| (i as u64) < start);
-        let hi = self.indices.partition_point(|&i| (i as u64) < end);
-        hi - lo
-    }
-
     /// Compression ratio versus a dense 2 B/element stream.
     pub fn ratio(&self) -> f64 {
         let dense = 2 * self.n as u64;
@@ -161,6 +152,16 @@ impl ErrorFeedback {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SparseGrad {
+        /// Number of selected entries whose index falls in `[start, end)` —
+        /// the per-update-group accounting the device scheduler needs.
+        pub fn nnz_in_range(&self, start: u64, end: u64) -> usize {
+            let lo = self.indices.partition_point(|&i| (i as u64) < start);
+            let hi = self.indices.partition_point(|&i| (i as u64) < end);
+            hi - lo
+        }
+    }
 
     #[test]
     fn top_k_keeps_the_largest_magnitudes() {

@@ -114,12 +114,6 @@ impl F16 {
         (self.0 & EXP_MASK) == EXP_MASK && (self.0 & FRAC_MASK) != 0
     }
 
-    /// True for ±∞.
-    #[cfg(test)]
-    pub fn is_infinite(self) -> bool {
-        (self.0 & EXP_MASK) == EXP_MASK && (self.0 & FRAC_MASK) == 0
-    }
-
     /// True for zero, subnormal or normal values.
     pub fn is_finite(self) -> bool {
         (self.0 & EXP_MASK) != EXP_MASK
@@ -238,6 +232,13 @@ mod reference {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl F16 {
+        /// True for ±∞.
+        pub fn is_infinite(self) -> bool {
+            (self.0 & EXP_MASK) == EXP_MASK && (self.0 & FRAC_MASK) == 0
+        }
+    }
 
     #[test]
     fn exact_small_integers_round_trip() {

@@ -110,29 +110,29 @@ impl StateLayoutSpec {
     pub fn model_footprint(&self, params: u64) -> u64 {
         self.persistent_bytes().saturating_mul(params)
     }
-
-    /// Host-offload PCIe traffic per parameter per step:
-    /// `(up, down)` = (to host, from host). The gradient originates on the
-    /// accelerator, so it does not cross toward the host; updated state and
-    /// the fresh working weight cross back down.
-    #[cfg(test)]
-    pub fn pcie_bytes_host_offload(&self) -> (u64, u64) {
-        let up = self.state_read_bytes() + self.grad_bytes(); // states + grad staged on flash
-        let down = self.state_write_bytes();
-        (up, down)
-    }
-
-    /// In-storage (NDP) PCIe traffic per parameter per step: only the
-    /// gradient crosses, inbound.
-    #[cfg(test)]
-    pub fn pcie_bytes_ndp(&self) -> (u64, u64) {
-        (0, self.grad_bytes())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StateLayoutSpec {
+        /// Host-offload PCIe traffic per parameter per step:
+        /// `(up, down)` = (to host, from host). The gradient originates on the
+        /// accelerator, so it does not cross toward the host; updated state and
+        /// the fresh working weight cross back down.
+        pub fn pcie_bytes_host_offload(&self) -> (u64, u64) {
+            let up = self.state_read_bytes() + self.grad_bytes(); // states + grad staged on flash
+            let down = self.state_write_bytes();
+            (up, down)
+        }
+
+        /// In-storage (NDP) PCIe traffic per parameter per step: only the
+        /// gradient crosses, inbound.
+        pub fn pcie_bytes_ndp(&self) -> (u64, u64) {
+            (0, self.grad_bytes())
+        }
+    }
 
     fn adam_f16() -> StateLayoutSpec {
         StateLayoutSpec::new(OptimizerKind::Adam, GradDtype::F16)

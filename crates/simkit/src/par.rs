@@ -20,8 +20,11 @@
 //! `OPTIMSTORE_THREADS` environment variable → available parallelism. A
 //! count of 1 short-circuits to an inline serial loop (no threads spawned),
 //! which is also the fallback for tiny inputs — so the pool never costs
-//! anything on the paths it cannot help.
+//! anything on the paths it cannot help. A call made from inside a pool
+//! worker also runs inline: a grid that fans its cells out keeps its
+//! workers, and each cell's own data-plane calls stay on them.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Process-wide thread-count override (0 = unset, resolve from the
@@ -39,10 +42,24 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// The pool width [`map_indexed`] will use: the [`set_threads`] override if
-/// set, else `OPTIMSTORE_THREADS` if parsable and non-zero, else the
-/// machine's available parallelism (1 if unknown).
+thread_local! {
+    /// Whether this thread is a pool worker.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the calling thread as a pool worker for the rest of its life.
+fn enter_worker() {
+    IN_WORKER.with(|w| w.set(true));
+}
+
+/// The pool width [`map_indexed`] will use: 1 inside a pool worker, else
+/// the [`set_threads`] override if set, else `OPTIMSTORE_THREADS` if
+/// parsable and non-zero, else the machine's available parallelism (1 if
+/// unknown).
 pub fn threads() -> usize {
+    if IN_WORKER.with(Cell::get) {
+        return 1;
+    }
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
         return forced;
@@ -89,6 +106,7 @@ where
                 let cursor = &cursor;
                 let f = &f;
                 scope.spawn(move || {
+                    enter_worker();
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -146,6 +164,7 @@ where
             .map(|(c, chunk)| {
                 let f = &f;
                 scope.spawn(move || {
+                    enter_worker();
                     chunk
                         .iter_mut()
                         .enumerate()
@@ -164,6 +183,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// Held by every test that sets the process-wide width override.
+    static WIDTH: Mutex<()> = Mutex::new(());
 
     #[test]
     fn map_indexed_matches_serial_map() {
@@ -221,6 +244,7 @@ mod tests {
 
     #[test]
     fn override_forces_width_and_clears() {
+        let _width = WIDTH.lock().unwrap();
         set_threads(3);
         assert_eq!(threads(), 3);
         let items: Vec<u32> = (0..100).collect();
@@ -236,5 +260,28 @@ mod tests {
         );
         set_threads(0);
         assert!(threads() >= 1);
+    }
+
+    #[test]
+    fn nested_calls_run_inline_on_the_worker() {
+        let _width = WIDTH.lock().unwrap();
+        set_threads(2);
+        let outer: Vec<u64> = (0..4).collect();
+        let out = map_indexed(&outer, |_, &x| {
+            let me = std::thread::current().id();
+            assert_eq!(threads(), 1);
+            let inner: Vec<u64> = (0..50).collect();
+            map_indexed(&inner, |i, &y| {
+                assert_eq!(std::thread::current().id(), me);
+                x * 100 + y + i as u64
+            })
+        });
+        set_threads(0);
+        for (x, row) in out.into_iter().enumerate() {
+            let want: Vec<u64> = (0..50).map(|y| x as u64 * 100 + 2 * y).collect();
+            assert_eq!(row, want);
+        }
+        // The test thread itself is no worker.
+        assert!(!IN_WORKER.with(Cell::get));
     }
 }

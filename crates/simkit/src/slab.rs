@@ -80,13 +80,6 @@ impl Slabs {
         &mut self.words[slab as usize * self.width + i]
     }
 
-    /// The words of `slab`.
-    #[cfg(test)]
-    fn get(&self, slab: u32) -> &[u64] {
-        let at = slab as usize * self.width;
-        &self.words[at..at + self.width]
-    }
-
     fn get_mut(&mut self, slab: u32) -> &mut [u64] {
         let at = slab as usize * self.width;
         &mut self.words[at..at + self.width]
@@ -103,6 +96,14 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use std::collections::HashMap;
+
+    impl Slabs {
+        /// The words of `slab`.
+        fn get(&self, slab: u32) -> &[u64] {
+            let at = slab as usize * self.width;
+            &self.words[at..at + self.width]
+        }
+    }
 
     #[test]
     fn recycled_slab_reads_empty_and_the_store_does_not_grow() {

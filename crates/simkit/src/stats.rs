@@ -115,21 +115,22 @@ impl Histogram {
         }
         Some(self.buckets.len() as u64 * self.bucket_width)
     }
-
-    /// Iterates `(bucket_lower_bound, count)` over non-empty buckets.
-    #[cfg(test)]
-    pub fn iter_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(move |(i, &c)| (i as u64 * self.bucket_width, c))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Histogram {
+        /// Iterates `(bucket_lower_bound, count)` over non-empty buckets.
+        pub fn iter_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+            self.buckets
+                .iter()
+                .enumerate()
+                .filter(|(_, &c)| c > 0)
+                .map(move |(i, &c)| (i as u64 * self.bucket_width, c))
+        }
+    }
 
     #[test]
     fn counter_basics() {

@@ -73,13 +73,6 @@ impl SimTime {
     pub fn min(self, other: SimTime) -> SimTime {
         SimTime(self.0.min(other.0))
     }
-
-    /// Time elapsed since `earlier`, or zero if `earlier` is in the future.
-    #[cfg(test)]
-    #[inline]
-    pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {
@@ -316,6 +309,14 @@ fn format_ns(ns: u64) -> String {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl SimTime {
+        /// Time elapsed since `earlier`, or zero if `earlier` is in the future.
+        #[inline]
+        pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
+            SimDuration(self.0.saturating_sub(earlier.0))
+        }
+    }
 
     #[test]
     fn constructors_scale_correctly() {

@@ -194,12 +194,6 @@ impl Journal {
 }
 
 impl Device {
-    /// Optimizer-step epoch current writes are stamped with.
-    #[cfg(test)]
-    pub fn current_epoch(&self) -> u64 {
-        self.journal.as_ref().map_or(0, |j| j.epoch)
-    }
-
     /// Last epoch whose commit record is durable on flash.
     pub fn committed_epoch(&self) -> u64 {
         self.journal.as_ref().map_or(0, |j| j.committed_epoch)

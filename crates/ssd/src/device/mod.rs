@@ -830,6 +830,13 @@ fn invalidate(channels: &mut [Channel], stale: Ppa) {
 mod tests {
     use super::*;
 
+    impl Device {
+        /// Optimizer-step epoch current writes are stamped with.
+        pub fn current_epoch(&self) -> u64 {
+            self.journal.as_ref().map_or(0, |j| j.epoch)
+        }
+    }
+
     fn page(dev: &Device, fill: u8) -> Vec<u8> {
         vec![fill; dev.page_bytes()]
     }

@@ -142,12 +142,6 @@ impl ReverseMap {
             self.slabs.release(std::mem::replace(slab, NO_SLAB));
         }
     }
-
-    /// Number of blocks currently tracked (live slabs).
-    #[cfg(test)]
-    pub fn tracked_blocks(&self) -> usize {
-        self.slabs.live()
-    }
 }
 
 #[cfg(test)]
@@ -157,6 +151,13 @@ mod tests {
     use nandsim::PhysPage;
     use proptest::prelude::*;
     use std::collections::{HashMap, HashSet};
+
+    impl ReverseMap {
+        /// Number of blocks currently tracked (live slabs).
+        pub fn tracked_blocks(&self) -> usize {
+            self.slabs.live()
+        }
+    }
 
     fn ppa(ch: u32, die: u32, block: u32, page: u32) -> Ppa {
         Ppa {

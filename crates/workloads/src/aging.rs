@@ -211,12 +211,6 @@ pub fn aging_schedules(seed: u64) -> Vec<AgingSchedule> {
     ]
 }
 
-/// Looks a schedule up by its display name (CI matrix entries arrive as
-/// strings through the environment).
-pub fn aging_schedule_by_name(name: &str, seed: u64) -> Option<AgingSchedule> {
-    aging_schedules(seed).into_iter().find(|s| s.name == name)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,9 +303,5 @@ mod tests {
         seeds.dedup();
         assert_eq!(seeds.len(), a.len(), "seeds must be distinct");
         assert_ne!(a[0].seed, aging_schedules(12)[0].seed);
-        for s in &a {
-            assert_eq!(aging_schedule_by_name(s.name, 11), Some(*s));
-        }
-        assert_eq!(aging_schedule_by_name("nope", 11), None);
     }
 }

@@ -49,24 +49,6 @@ impl FaultScenario {
         }
     }
 
-    /// End-of-rated-life device: every fault class is two orders of
-    /// magnitude more likely than at midlife, and wear coupling pushes
-    /// the effective rates higher still.
-    #[cfg(test)]
-    pub fn end_of_life(seed: u64) -> Self {
-        FaultScenario {
-            name: "end-of-life",
-            fault: FaultConfig {
-                seed,
-                program_fail: 1e-3,
-                erase_fail: 1e-4,
-                read_uncorrectable: 1e-2,
-                wear_coupling: true,
-            },
-            age_fraction: 1.0,
-        }
-    }
-
     /// A sweep cell: one uniform raw rate across all fault classes at a
     /// given age, wear-coupled. `rate == 0` produces an inactive config
     /// (the fault-free column of the sweep).
@@ -279,6 +261,25 @@ pub fn crash_schedules(seed: u64) -> Vec<CrashSchedule> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultScenario {
+        /// End-of-rated-life device: every fault class is two orders of
+        /// magnitude more likely than at midlife, and wear coupling pushes
+        /// the effective rates higher still.
+        pub fn end_of_life(seed: u64) -> Self {
+            FaultScenario {
+                name: "end-of-life",
+                fault: FaultConfig {
+                    seed,
+                    program_fail: 1e-3,
+                    erase_fail: 1e-4,
+                    read_uncorrectable: 1e-2,
+                    wear_coupling: true,
+                },
+                age_fraction: 1.0,
+            }
+        }
+    }
 
     #[test]
     fn presets_validate_and_order_by_severity() {

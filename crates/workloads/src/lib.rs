@@ -32,7 +32,7 @@ mod gradients;
 mod slicing;
 mod task;
 
-pub use aging::{aging_schedule_by_name, aging_schedules, AgingSchedule};
+pub use aging::{aging_schedules, AgingSchedule};
 pub use faults::{
     crash_schedules, fault_sweep_grid, CrashPhase, CrashSchedule, FaultScenario, SWEEP_AGES,
     SWEEP_RATES,

@@ -5,28 +5,28 @@
 //! `mount()` + replaying the interrupted step, master weights and fp16
 //! working weights are **bit-identical** to a run that never lost power.
 //!
-//! The crash instants come from [`workloads::crash_schedules`], resolved
-//! against the *reference* run's measured step windows and erase trace.
-//! Identical configurations and inputs produce identical timing, so a
-//! window observed on the uncrashed run pinpoints the same phase on the
-//! crashing run.
+//! The runs are F25's: [`CrashCell`] owns the journaled small-block
+//! device, the uncrashed reference, the rule that resolves a
+//! [`workloads::crash_schedules`] entry against the reference's step and
+//! erase windows, and the crash → mount → replay sequence. These tests
+//! assert on what the cell hands back.
 
 use std::collections::BTreeSet;
 
-use optimstore::optim_math::state::{GradDtype, StateLayoutSpec};
-use optimstore::optim_math::{make_optimizer, AdamParams, MomentumParams, OptimizerKind};
-use optimstore::optimstore_core::{CoreError, OptimStoreConfig, OptimStoreDevice};
-use optimstore::simkit::{SimDuration, SimTime};
-use optimstore::ssdsim::trace::OpKind;
-use optimstore::ssdsim::{JournalConfig, PowerLossConfig, SsdConfig, SsdError};
-use optimstore::workloads::{crash_schedules, CrashPhase, CrashSchedule, GradientGen, WeightInit};
+use optimstore::optimstore_core::CoreError;
+use optimstore::simkit::SimDuration;
+use optimstore::ssdsim::{PowerLossConfig, SsdError};
+use optimstore::workloads::{crash_schedules, CrashPhase};
+use optimstore_bench::runners::{bit_exact, CrashCell, SeededRun};
 
-/// Sized so three steps of out-of-place state write-back exceed physical
-/// capacity: garbage collection *must* run, giving the `during-gc`
-/// schedules a real erase window to land in.
-const PARAMS: usize = 200_000;
+/// 200 k parameters of Adam state on [`CrashCell::ssd`]: three steps of
+/// out-of-place write-back exceed physical capacity, so garbage collection
+/// *must* run and the `during-gc` schedules get a real erase window.
+const RUN: SeededRun = SeededRun {
+    params: 200_000,
+    seed: 0xF25,
+};
 const STEPS: u64 = 3;
-const SEED: u64 = 0xF25;
 
 /// Journal flush interval, overridable by CI's crash-matrix job
 /// (`CRASH_JOURNAL_INTERVAL`). 16 is the tightest interval whose
@@ -48,170 +48,18 @@ fn schedule_selected(name: &str) -> bool {
     }
 }
 
-fn spec() -> StateLayoutSpec {
-    StateLayoutSpec::new(OptimizerKind::Adam, GradDtype::F16)
-}
-
-fn adam() -> Box<dyn optimstore::optim_math::Optimizer> {
-    make_optimizer(
-        OptimizerKind::Adam,
-        AdamParams::default(),
-        MomentumParams::default(),
-    )
-}
-
-/// A journaled SSD small enough that `PARAMS` of optimizer state occupy
-/// roughly a third of each die — free blocks run out during step 2 and GC
-/// has to collect the previous epoch's stale pages while training runs.
-fn crash_ssd() -> SsdConfig {
-    let mut cfg = SsdConfig::tiny().with_journal(JournalConfig::every(journal_interval()));
-    cfg.nand.geometry.blocks_per_plane = 12;
-    cfg
-}
-
-fn make_dev() -> OptimStoreDevice {
-    OptimStoreDevice::new_functional(
-        crash_ssd(),
-        OptimStoreConfig::die_ndp(),
-        PARAMS as u64,
-        adam(),
-        spec(),
-    )
-    .unwrap()
-}
-
-fn weights() -> Vec<f32> {
-    WeightInit::default().generate(PARAMS)
-}
-
-fn grad(step: u64) -> Vec<f32> {
-    GradientGen::new(SEED).generate(step, PARAMS)
-}
-
-fn assert_bit_equal(got: &[f32], expect: &[f32], label: &str) {
-    assert_eq!(got.len(), expect.len(), "{label}: length");
-    for (i, (a, b)) in got.iter().zip(expect).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{label}: param {i} differs ({a} vs {b})"
-        );
-    }
-}
-
-/// What the uncrashed run looked like: final state, per-step windows, and
-/// the erase windows GC produced.
-struct Reference {
-    master: Vec<f32>,
-    weights16: Vec<f32>,
-    /// `(start, end)` of step `i + 1`.
-    windows: Vec<(SimTime, SimTime)>,
-    /// `(start, end)` of every block erase, in trace order.
-    erases: Vec<(SimTime, SimTime)>,
-}
-
-fn reference_run() -> Reference {
-    let mut dev = make_dev();
-    dev.enable_trace(1 << 17);
-    let w = weights();
-    let mut at = dev.load_weights(&w, SimTime::ZERO).unwrap();
-    let mut windows = Vec::new();
-    for step in 1..=STEPS {
-        let r = dev.run_step(Some(&grad(step)), at).unwrap();
-        windows.push((r.start, r.end));
-        at = r.end;
-    }
-    let master = dev.read_master_weights(at).unwrap();
-    let weights16 = dev.read_weights16(at).unwrap();
-    let erases: Vec<(SimTime, SimTime)> = dev
-        .trace_events()
-        .unwrap()
-        .iter()
-        .filter(|e| e.kind == OpKind::Erase)
-        .map(|e| (e.start, e.end))
-        .collect();
-    assert!(
-        !erases.is_empty(),
-        "reference run must garbage-collect, or the during-gc schedules \
-         have no erase window to land in (grow PARAMS or shrink the device)"
-    );
-    Reference {
-        master,
-        weights16,
-        windows,
-        erases,
-    }
-}
-
-/// Resolves a schedule to an absolute crash instant using the reference
-/// run's measured windows.
-fn resolve(s: &CrashSchedule, r: &Reference) -> SimTime {
-    match s.phase {
-        CrashPhase::Step { step } | CrashPhase::DuringMount { step } => {
-            let (start, end) = r.windows[(step - 1) as usize];
-            s.instant(start, end)
-        }
-        CrashPhase::WriteBack { step } => {
-            let (start, end) = r.windows[(step - 1) as usize];
-            let wb_start = start + (end - start).saturating_mul(3) / 4;
-            s.instant(wb_start, end)
-        }
-        CrashPhase::DuringGc => {
-            // Pick an erase by the schedule's fraction, then crash inside
-            // that erase's own window: the power dies mid-erase.
-            let idx = ((s.fraction * r.erases.len() as f64) as usize).min(r.erases.len() - 1);
-            let (start, end) = r.erases[idx];
-            s.instant(start, end)
-        }
-    }
-}
-
-/// Drives training into the armed power loss; returns the 1-based step
-/// whose `run_step` observed the crash.
-fn run_until_crash(dev: &mut OptimStoreDevice, t0: SimTime, label: &str) -> u64 {
-    let mut at = t0;
-    for step in 1..=STEPS {
-        match dev.run_step(Some(&grad(step)), at) {
-            Ok(r) => at = r.end,
-            Err(CoreError::Ssd(SsdError::PowerLoss { .. })) => return step,
-            Err(e) => panic!("{label}: unexpected error {e}"),
-        }
-    }
-    panic!("{label}: armed power loss never fired");
-}
-
-/// Finishes steps `k + 1 ..= STEPS` after recovery and checks the final
-/// state bit-for-bit against the reference.
-fn finish_and_check(dev: &mut OptimStoreDevice, from: SimTime, k: u64, r: &Reference, label: &str) {
-    let mut at = from;
-    for step in (k + 1)..=STEPS {
-        at = dev
-            .run_step(Some(&grad(step)), at)
-            .unwrap_or_else(|e| panic!("{label}: post-recovery step {step} failed: {e}"))
-            .end;
-    }
-    assert_eq!(dev.step_count(), STEPS, "{label}: step counter");
-    let master = dev.read_master_weights(at).unwrap();
-    assert_bit_equal(&master, &r.master, &format!("{label}: master"));
-    let w16 = dev.read_weights16(at).unwrap();
-    assert_bit_equal(&w16, &r.weights16, &format!("{label}: weights16"));
-}
-
 /// The acceptance gate for F25: every crash schedule — twelve distinct
 /// instants covering early-step, mid-step, write-back, mid-GC-erase and
 /// double-crash phases — recovers to bit-identical state, with the mount
 /// report accounting for what was replayed, scanned and discarded.
 #[test]
 fn every_crash_schedule_recovers_bit_identically() {
-    let reference = reference_run();
-    let schedules = crash_schedules(SEED);
+    let cell = CrashCell::new(RUN, journal_interval(), STEPS);
+    let schedules = crash_schedules(0xF25);
     assert!(schedules.len() >= 10);
 
     // The instants must be genuinely distinct (and at least ten of them).
-    let instants: BTreeSet<u64> = schedules
-        .iter()
-        .map(|s| resolve(s, &reference).as_ns())
-        .collect();
+    let instants: BTreeSet<u64> = schedules.iter().map(|s| cell.instant(s).as_ns()).collect();
     assert!(
         instants.len() >= 10,
         "need >= 10 distinct crash instants, got {}",
@@ -223,38 +71,14 @@ fn every_crash_schedule_recovers_bit_identically() {
         if !schedule_selected(s.name) {
             continue;
         }
-        let tc = resolve(s, &reference);
         let label = s.name;
-        let mut dev = make_dev();
-        let t0 = dev.load_weights(&weights(), SimTime::ZERO).unwrap();
-        assert!(tc > t0, "{label}: crash instant precedes training");
-
-        dev.ssd_mut().arm_power_loss(PowerLossConfig::at(tc));
-        let k = run_until_crash(&mut dev, t0, label);
-        let crashed_at = dev.ssd().power_failed_at().unwrap();
-        assert_eq!(crashed_at, tc, "{label}: crash instant");
-        let mount_at = crashed_at + SimDuration::from_us(10);
-
-        let double_crash = matches!(s.phase, CrashPhase::DuringMount { .. });
-        if double_crash {
-            // Double crash: the power fails again 50 µs into the mount's
-            // replay/scan work. The interrupted mount must fail cleanly
-            // and a later retry must succeed from scratch.
-            dev.ssd_mut()
-                .arm_power_loss(PowerLossConfig::at(mount_at + SimDuration::from_us(50)));
-            match dev.recover(Some(&grad(k)), mount_at) {
-                Err(CoreError::Ssd(SsdError::PowerLoss { .. })) => {}
-                other => panic!("{label}: mount survived the second crash: {other:?}"),
-            }
-        }
-
-        let second_at = dev
-            .ssd()
-            .power_failed_at()
-            .expect("device is dead before recovery");
-        let rec = dev
-            .recover(Some(&grad(k)), second_at + SimDuration::from_us(10))
-            .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+        eprintln!("schedule {label}");
+        let tc = cell.instant(s);
+        assert!(tc > cell.loaded, "{label}: crash instant precedes training");
+        let (mut dev, crash) = cell.crash(s);
+        let k = crash.step;
+        let rec = crash.recovery;
+        assert_eq!(crash.at, tc, "{label}: crash instant");
 
         // Accounting: the mount resumed from the last committed epoch,
         // recovered every committed page, and the replay brought the step
@@ -267,20 +91,29 @@ fn every_crash_schedule_recovers_bit_identically() {
             "{label}: journal replay"
         );
         let replayed = rec.replayed.expect("replay requested");
-        assert_eq!(replayed.params, PARAMS as u64, "{label}: replay params");
+        assert_eq!(replayed.params, RUN.params, "{label}: replay params");
         assert_eq!(dev.step_count(), k, "{label}: step after replay");
         // Only *completed* mounts count; an interrupted mount leaves no
         // trace beyond the new crash instant.
         assert_eq!(dev.ssd().stats().mounts.get(), 1, "{label}: mount count");
-        if double_crash {
+        // A double crash kills the first mount 50 µs in; the cell checks
+        // that it fails with a power loss and mounts again from scratch.
+        let double_crash = matches!(s.phase, CrashPhase::DuringMount { .. });
+        assert_eq!(crash.mount_crash.is_some(), double_crash, "{label}");
+        if let Some(second_at) = crash.mount_crash {
             assert!(
-                second_at > crashed_at,
+                second_at > crash.at,
                 "{label}: second crash must postdate the first"
             );
             assert!(rec.mount.window.end > rec.mount.window.start);
         }
 
-        finish_and_check(&mut dev, rec.end, k, &reference, label);
+        let at = RUN.train(&mut dev, k + 1..=STEPS, rec.end);
+        assert_eq!(dev.step_count(), STEPS, "{label}: step counter");
+        let master = dev.read_master_weights(at).unwrap();
+        assert!(bit_exact(&master, &cell.master), "{label}: master");
+        let w16 = dev.read_weights16(at).unwrap();
+        assert!(bit_exact(&w16, &cell.weights16), "{label}: weights16");
     }
 }
 
@@ -289,15 +122,14 @@ fn every_crash_schedule_recovers_bit_identically() {
 /// counter and training continues.
 #[test]
 fn crash_between_steps_needs_no_replay() {
-    let reference = reference_run();
-    let mut dev = make_dev();
-    let t0 = dev.load_weights(&weights(), SimTime::ZERO).unwrap();
-    let r1 = dev.run_step(Some(&grad(1)), t0).unwrap();
+    let cell = CrashCell::new(RUN, journal_interval(), STEPS);
+    let (mut dev, t0) = RUN.load_adam(CrashCell::ssd(journal_interval()));
+    let r1 = dev.run_step(Some(&RUN.grads(1)), t0).unwrap();
 
     // Quiesced after step 1's commit: kill the power on the idle device.
     let tc = r1.end + SimDuration::from_us(5);
     dev.ssd_mut().arm_power_loss(PowerLossConfig::at(tc));
-    let err = dev.run_step(Some(&grad(2)), tc + SimDuration::from_us(5));
+    let err = dev.run_step(Some(&RUN.grads(2)), tc + SimDuration::from_us(5));
     assert!(
         matches!(err, Err(CoreError::Ssd(SsdError::PowerLoss { .. }))),
         "step issued after the crash instant must observe the power loss"
@@ -308,12 +140,9 @@ fn crash_between_steps_needs_no_replay() {
     assert!(rec.replayed.is_none());
     assert_eq!(rec.mount.uncommitted_discarded, 0, "nothing was in flight");
 
-    let mut at = rec.end;
-    for step in 2..=STEPS {
-        at = dev.run_step(Some(&grad(step)), at).unwrap().end;
-    }
+    let at = RUN.train(&mut dev, 2..=STEPS, rec.end);
     let master = dev.read_master_weights(at).unwrap();
-    assert_bit_equal(&master, &reference.master, "between-steps: master");
+    assert!(bit_exact(&master, &cell.master), "between-steps: master");
 }
 
 /// Tighter journaling buys cheaper mounts: with a small flush interval the
@@ -325,42 +154,15 @@ fn journal_interval_shifts_mount_cost_end_to_end() {
     let mut scans = Vec::new();
     let mut journal_pages = Vec::new();
     for interval in [8u32, 256] {
-        let mut cfg = crash_ssd();
-        cfg.journal = Some(JournalConfig::every(interval));
-        let mut dev = OptimStoreDevice::new_functional(
-            cfg,
-            OptimStoreConfig::die_ndp(),
-            PARAMS as u64,
-            adam(),
-            spec(),
-        )
-        .unwrap();
-        let t0 = dev.load_weights(&weights(), SimTime::ZERO).unwrap();
-        let r1 = dev.run_step(Some(&grad(1)), t0).unwrap();
+        let ssd = CrashCell::ssd(interval);
+        let (mut dev, t0) = RUN.load_adam(ssd);
+        let r1 = dev.run_step(Some(&RUN.grads(1)), t0).unwrap();
         let tc = r1.start + (r1.end - r1.start) / 2;
         // Re-run the same prefix on a fresh device with the crash armed.
-        let mut dev = OptimStoreDevice::new_functional(
-            {
-                let mut c = crash_ssd();
-                c.journal = Some(JournalConfig::every(interval));
-                c
-            },
-            OptimStoreConfig::die_ndp(),
-            PARAMS as u64,
-            adam(),
-            spec(),
-        )
-        .unwrap();
-        let t0 = dev.load_weights(&weights(), SimTime::ZERO).unwrap();
-        dev.ssd_mut().arm_power_loss(PowerLossConfig::at(tc));
-        assert!(matches!(
-            dev.run_step(Some(&grad(1)), t0),
-            Err(CoreError::Ssd(SsdError::PowerLoss { .. }))
-        ));
-        let rec = dev
-            .recover(Some(&grad(1)), tc + SimDuration::from_us(10))
-            .unwrap();
-        scans.push(rec.mount.pages_scanned);
+        let (mut dev, t0) = RUN.load_adam(ssd);
+        let crash = RUN.crash(&mut dev, t0, 1, PowerLossConfig::at(tc), false);
+        assert_eq!((crash.step, crash.at), (1, tc));
+        scans.push(crash.recovery.mount.pages_scanned);
         journal_pages.push(dev.ssd().stats().journal_pages.get());
     }
     assert!(

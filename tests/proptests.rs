@@ -440,28 +440,12 @@ proptest! {
         let lo = SimTime::from_ns(t0_ref.as_ns() + 1 + (span * frac) as u64);
         let cfg = PowerLossConfig { seed, window_start: lo, window_end: end_ref };
 
-        let mut dev = crash_dev();
-        let t0 = dev.load_weights(&crash_weights(), SimTime::ZERO).unwrap();
+        let (mut dev, t0) = crash_load();
         prop_assert_eq!(t0, t0_ref);
-        dev.ssd_mut().arm_power_loss(cfg);
-
-        let mut at = t0;
-        let mut failed = None;
-        for step in 1..=CRASH_STEPS {
-            match dev.run_step(Some(&crash_grad(step)), at) {
-                Ok(r) => at = r.end,
-                Err(CoreError::Ssd(SsdError::PowerLoss { .. })) => { failed = Some(step); break; }
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        let k = failed.expect("an instant before the final persist must fire");
-        let tc = dev.ssd().power_failed_at().unwrap();
-        let rec = dev.recover(Some(&crash_grad(k)), tc + SimDuration::from_us(10)).unwrap();
-        prop_assert_eq!(rec.resumed_step, k - 1);
-        let mut at = rec.end;
-        for step in (k + 1)..=CRASH_STEPS {
-            at = dev.run_step(Some(&crash_grad(step)), at).unwrap().end;
-        }
+        let crash = CRASH_RUN.crash(&mut dev, t0, CRASH_STEPS, cfg, false);
+        let k = crash.step;
+        prop_assert_eq!(crash.recovery.resumed_step, k - 1);
+        let at = CRASH_RUN.train(&mut dev, k + 1..=CRASH_STEPS, crash.recovery.end);
         let master = dev.read_master_weights(at).unwrap();
         for (i, (a, b)) in master.iter().zip(&master_ref).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "param {} differs after recovery", i);
@@ -543,38 +527,23 @@ proptest! {
 
 // ——— helpers for the crash-recovery properties ———
 
-use optimstore::optim_math::state::StateLayoutSpec;
 use optimstore::optim_math::{make_optimizer, AdamParams, MomentumParams, OptimizerKind};
-use optimstore::optimstore_core::CoreError;
 use optimstore::simkit::SimDuration;
 use optimstore::ssdsim::{JournalConfig, PowerLossConfig, SsdError};
 use optimstore::workloads::{GradientGen, WeightInit};
+use optimstore_bench::runners::SeededRun;
 use std::sync::OnceLock;
 
-const CRASH_PARAMS: usize = 4_000;
+const CRASH_RUN: SeededRun = SeededRun {
+    params: 4_000,
+    seed: 0xF25F_25F2,
+};
 const CRASH_STEPS: u64 = 2;
 
-fn crash_dev() -> OptimStoreDevice {
-    OptimStoreDevice::new_functional(
-        SsdConfig::tiny().with_journal(JournalConfig::every(8)),
-        OptimStoreConfig::die_ndp(),
-        CRASH_PARAMS as u64,
-        make_optimizer(
-            OptimizerKind::Adam,
-            AdamParams::default(),
-            MomentumParams::default(),
-        ),
-        StateLayoutSpec::new(OptimizerKind::Adam, GradDtype::F16),
-    )
-    .unwrap()
-}
-
-fn crash_weights() -> Vec<f32> {
-    WeightInit::default().generate(CRASH_PARAMS)
-}
-
-fn crash_grad(step: u64) -> Vec<f32> {
-    GradientGen::new(0xF25F_25F2).generate(step, CRASH_PARAMS)
+/// A fresh journaled device with the run's weights loaded, and the load's
+/// end.
+fn crash_load() -> (OptimStoreDevice, SimTime) {
+    CRASH_RUN.load_adam(SsdConfig::tiny().with_journal(JournalConfig::every(8)))
 }
 
 /// The uncrashed reference, computed once: `(load end, final persist end,
@@ -582,12 +551,8 @@ fn crash_grad(step: u64) -> Vec<f32> {
 fn crash_reference() -> (SimTime, SimTime, Vec<f32>) {
     static REF: OnceLock<(SimTime, SimTime, Vec<f32>)> = OnceLock::new();
     REF.get_or_init(|| {
-        let mut dev = crash_dev();
-        let t0 = dev.load_weights(&crash_weights(), SimTime::ZERO).unwrap();
-        let mut at = t0;
-        for step in 1..=CRASH_STEPS {
-            at = dev.run_step(Some(&crash_grad(step)), at).unwrap().end;
-        }
+        let (mut dev, t0) = crash_load();
+        let at = CRASH_RUN.train(&mut dev, 1..=CRASH_STEPS, t0);
         let master = dev.read_master_weights(at).unwrap();
         (t0, at, master)
     })

@@ -7,30 +7,34 @@
 //! with the journal: a power loss in the middle of a degraded step
 //! mounts, replays, and still finishes bit-exact.
 //!
-//! The victim pages come from [`workloads::AgingSchedule::victims`]: at
-//! most one loss per RAIN stripe, restricted to stripes read in the same
-//! executor batch as their lowest member group (a later batch's
-//! write-backs would dirty the stripe before the read — see the picker
-//! comment in `fig26_reliability_sweep`).
+//! The runs are F26's: [`DegradedCell`] owns the device of each (aging
+//! schedule, parity, scrub) point, the fault-free reference, the
+//! one-loss-per-stripe victim picker and the hot-read → loss → pause →
+//! step loop. These tests assert on what the cell hands back.
 
-use optimstore::optim_math::state::{GradDtype, StateLayoutSpec};
-use optimstore::optim_math::{make_optimizer, AdamParams, MomentumParams, OptimizerKind};
-use optimstore::optimstore_core::{
-    CoreError, OptimStoreConfig, OptimStoreDevice, StateComponent, StateLayout,
-};
-use optimstore::simkit::{SimDuration, SimTime};
-use optimstore::ssdsim::{
-    Device, JournalConfig, Lpn, PowerLossConfig, RainConfig, ScrubConfig, SsdConfig, SsdError,
-};
-use optimstore::workloads::{aging_schedules, AgingSchedule, GradientGen, WeightInit};
 use std::sync::OnceLock;
 
-const PARAMS: usize = 200_000;
-const STEPS: u64 = 4;
+use optimstore::optimstore_core::CoreError;
+use optimstore::ssdsim::{JournalConfig, PowerLossConfig, ScrubConfig, SsdError};
+use optimstore::workloads::{aging_schedules, AgingSchedule};
+use optimstore_bench::runners::{bit_exact, DegradedCell, SeededRun};
+
 const SEED: u64 = 0xF26;
-/// One injection gap precedes each step; 3 losses per gap ⇒ 12 victims,
-/// comfortably above the ≥ 10 the acceptance gate demands.
-const LOSSES_PER_GAP: usize = 3;
+const STEPS: u64 = 4;
+
+/// 200 k parameters, four steps, one injection gap before each step and
+/// three losses per gap: 12 victims, comfortably above the ≥ 10 the
+/// acceptance gate demands. Built once for every test.
+fn cell() -> &'static DegradedCell {
+    static CELL: OnceLock<DegradedCell> = OnceLock::new();
+    CELL.get_or_init(|| {
+        let run = SeededRun {
+            params: 200_000,
+            seed: SEED,
+        };
+        DegradedCell::new(run, STEPS, 3)
+    })
+}
 
 /// CI's reliability-matrix job pins the parity axis per cell with
 /// `RELIABILITY_PARITY` (`on` / `off`). Unset = run both sides.
@@ -50,141 +54,6 @@ fn schedule_selected(name: &str) -> bool {
     }
 }
 
-fn spec() -> StateLayoutSpec {
-    StateLayoutSpec::new(OptimizerKind::Adam, GradDtype::F16)
-}
-
-fn adam() -> Box<dyn optimstore::optim_math::Optimizer> {
-    make_optimizer(
-        OptimizerKind::Adam,
-        AdamParams::default(),
-        MomentumParams::default(),
-    )
-}
-
-fn make_dev(ssd: SsdConfig) -> OptimStoreDevice {
-    OptimStoreDevice::new_functional(
-        ssd,
-        OptimStoreConfig::die_ndp(),
-        PARAMS as u64,
-        adam(),
-        spec(),
-    )
-    .unwrap()
-}
-
-fn weights() -> Vec<f32> {
-    WeightInit::default().generate(PARAMS)
-}
-
-fn grad(step: u64) -> Vec<f32> {
-    GradientGen::new(SEED).generate(step, PARAMS)
-}
-
-fn ecc_ceiling() -> f64 {
-    Device::new_functional(SsdConfig::tiny()).channels()[0].dies()[0]
-        .rber_model()
-        .ecc_ceiling
-}
-
-fn assert_bit_equal(got: &[f32], expect: &[f32], label: &str) {
-    assert_eq!(got.len(), expect.len(), "{label}: length");
-    for (i, (a, b)) in got.iter().zip(expect).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{label}: param {i} differs ({a} vs {b})"
-        );
-    }
-}
-
-/// The fault-free run every surviving degraded run must reproduce
-/// bit-for-bit: pristine device, no parity, no scrub, no aging.
-struct Reference {
-    master: Vec<f32>,
-    weights16: Vec<f32>,
-}
-
-fn reference() -> &'static Reference {
-    static REF: OnceLock<Reference> = OnceLock::new();
-    REF.get_or_init(|| {
-        let mut dev = make_dev(SsdConfig::tiny());
-        let mut at = dev.load_weights(&weights(), SimTime::ZERO).unwrap();
-        for step in 1..=STEPS {
-            at = dev.run_step(Some(&grad(step)), at).unwrap().end;
-        }
-        Reference {
-            master: dev.read_master_weights(at).unwrap(),
-            weights16: dev.read_weights16(at).unwrap(),
-        }
-    })
-}
-
-/// Per-gap victim pages: master-weight pages of seeded groups, one loss
-/// per stripe across the whole run, stripe's first member group in the
-/// victim's own executor batch (same picker as `fig26_reliability_sweep`).
-fn pick_victims(sched: &AgingSchedule, layout: &StateLayout) -> Vec<Vec<Lpn>> {
-    let stripe_w = SsdConfig::tiny()
-        .with_rain(RainConfig::rotating())
-        .stripe_data_width()
-        .unwrap();
-    let batch = SsdConfig::tiny().total_dies() as u64;
-    let lpg = layout.lpns_per_group() as u64;
-    let draw = sched.victims(layout.num_groups(), layout.num_groups() as usize);
-    let mut used = std::collections::BTreeSet::new();
-    let mut gaps = vec![Vec::new(); STEPS as usize];
-    let mut it = draw.into_iter();
-    'fill: for gap in gaps.iter_mut() {
-        while gap.len() < LOSSES_PER_GAP {
-            let Some(g) = it.next() else { break 'fill };
-            let lpn = layout.lpn(g, StateComponent::Master, 0);
-            let stripe = lpn.0 / stripe_w;
-            let first_member_group = stripe * stripe_w / lpg;
-            if first_member_group / batch == g / batch && used.insert(stripe) {
-                gap.push(lpn);
-            }
-        }
-    }
-    gaps
-}
-
-/// One degraded training run: hot re-reads, seeded losses and the
-/// retention pause before every step, then the step itself. Returns the
-/// end time and the number of injected losses, or the step's error.
-fn degraded_run(
-    dev: &mut OptimStoreDevice,
-    sched: &AgingSchedule,
-) -> (Result<SimTime, CoreError>, u64) {
-    let victims = pick_victims(sched, dev.layout());
-    let hot: Vec<Lpn> = sched
-        .hot_pages(dev.layout().num_groups())
-        .iter()
-        .map(|&g| dev.layout().lpn(g, StateComponent::Weight16, 0))
-        .collect();
-    let mut at = dev.load_weights(&weights(), SimTime::ZERO).unwrap();
-    let mut injected = 0u64;
-    for step in 1..=STEPS {
-        for lpn in &hot {
-            for _ in 0..sched.hot_reads_per_step {
-                match dev.ssd_mut().internal_read_array(*lpn, at) {
-                    Ok((w, _)) => at = w.end,
-                    Err(e) => return (Err(CoreError::Ssd(e)), injected),
-                }
-            }
-        }
-        for lpn in &victims[(step - 1) as usize] {
-            dev.ssd_mut().inject_page_loss(*lpn).unwrap();
-            injected += 1;
-        }
-        at += sched.pause_between_steps;
-        match dev.run_step(Some(&grad(step)), at) {
-            Ok(r) => at = r.end,
-            Err(e) => return (Err(e), injected),
-        }
-    }
-    (Ok(at), injected)
-}
-
 /// The acceptance gate's surviving half: for every aging schedule, a
 /// parity + scrub device that loses 12 committed pages mid-run finishes
 /// all four steps, reconstructed every loss from stripe peers (nothing
@@ -195,23 +64,20 @@ fn parity_and_scrub_survive_ten_plus_losses_bit_exactly() {
     if !parity_selected("on") {
         return;
     }
-    let ceiling = ecc_ceiling();
+    let cell = cell();
     for sched in aging_schedules(SEED) {
         if !schedule_selected(sched.name) {
             continue;
         }
         sched.validate().unwrap();
         let label = sched.name;
-        let aging = sched.aging_config(ceiling);
-        let mut ssd = SsdConfig::tiny()
-            .with_rain(RainConfig::rotating())
-            .with_scrub(ScrubConfig::per_step(512));
-        if aging.is_active() {
-            ssd = ssd.with_aging(aging);
-        }
-        let mut dev = make_dev(ssd);
-        let (end, injected) = degraded_run(&mut dev, &sched);
-        let at = end.unwrap_or_else(|e| panic!("{label}: degraded run failed: {e}"));
+        let ssd = DegradedCell::ssd(&sched, true, Some(ScrubConfig::per_step(512)));
+        let (mut dev, at) = cell.run.load_adam(ssd);
+        let d = cell.degrade(&mut dev, &sched, 1..=STEPS, at);
+        let at = d
+            .outcome
+            .unwrap_or_else(|(step, e)| panic!("{label}: degraded step {step} failed: {e}"));
+        let injected = d.injected;
         assert!(injected >= 10, "{label}: only {injected} losses injected");
 
         let st = dev.ssd().stats();
@@ -227,9 +93,9 @@ fn parity_and_scrub_survive_ten_plus_losses_bit_exactly() {
         );
 
         let master = dev.read_master_weights(at).unwrap();
-        assert_bit_equal(&master, &reference().master, &format!("{label}: master"));
+        assert!(bit_exact(&master, &cell.master), "{label}: master");
         let w16 = dev.read_weights16(at).unwrap();
-        assert_bit_equal(&w16, &reference().weights16, &format!("{label}: weights16"));
+        assert!(bit_exact(&w16, &cell.weights16), "{label}: weights16");
     }
 }
 
@@ -241,22 +107,20 @@ fn parity_off_same_seed_aborts_with_uncorrectable_read() {
     if !parity_selected("off") {
         return;
     }
-    let ceiling = ecc_ceiling();
+    let cell = cell();
     for sched in aging_schedules(SEED) {
         if !schedule_selected(sched.name) {
             continue;
         }
         let label = sched.name;
-        let aging = sched.aging_config(ceiling);
-        let mut ssd = SsdConfig::tiny();
-        if aging.is_active() {
-            ssd = ssd.with_aging(aging);
-        }
-        let mut dev = make_dev(ssd);
-        let (end, injected) = degraded_run(&mut dev, &sched);
-        assert!(injected >= 1, "{label}: no losses injected before failure");
-        match end {
-            Err(CoreError::Ssd(SsdError::UncorrectableRead { .. })) => {}
+        let (mut dev, at) = cell.run.load_adam(DegradedCell::ssd(&sched, false, None));
+        let d = cell.degrade(&mut dev, &sched, 1..=STEPS, at);
+        assert!(
+            d.injected >= 1,
+            "{label}: no losses injected before failure"
+        );
+        match d.outcome {
+            Err((_, CoreError::Ssd(SsdError::UncorrectableRead { .. }))) => {}
             other => panic!("{label}: expected UncorrectableRead, got {other:?}"),
         }
         assert!(
@@ -273,73 +137,45 @@ fn parity_off_same_seed_aborts_with_uncorrectable_read() {
 /// the still-lost pages again, and the finished run is bit-exact.
 #[test]
 fn rain_scrub_journal_crash_recovery_composes() {
+    let cell = cell();
+    // No aging and no hot reads: only the seeded losses and the pauses.
     let sched = AgingSchedule::benign(SEED);
-    let ssd = || {
-        SsdConfig::tiny()
-            .with_rain(RainConfig::rotating())
-            .with_scrub(ScrubConfig::per_step(512))
-            .with_journal(JournalConfig::every(64))
-    };
+    let ssd = DegradedCell::ssd(&sched, true, Some(ScrubConfig::per_step(512)))
+        .with_journal(JournalConfig::every(64));
 
     // Measure the step windows on an identical, uncrashed run: identical
     // configuration and inputs give identical timing, so step 2's window
     // there pinpoints step 2 here.
-    let mut probe = make_dev(ssd());
-    let victims = pick_victims(&sched, probe.layout());
-    let mut at = probe.load_weights(&weights(), SimTime::ZERO).unwrap();
-    let mut windows = Vec::new();
-    for step in 1..=STEPS {
-        for lpn in &victims[(step - 1) as usize] {
-            probe.ssd_mut().inject_page_loss(*lpn).unwrap();
-        }
-        at += sched.pause_between_steps;
-        let r = probe.run_step(Some(&grad(step)), at).unwrap();
-        windows.push((r.start, r.end));
-        at = r.end;
-    }
+    let (mut probe, at) = cell.run.load_adam(ssd);
+    let windows = cell.degrade(&mut probe, &sched, 1..=STEPS, at).steps;
+    assert_eq!(windows.len(), STEPS as usize);
     assert!(probe.ssd().stats().parity_reconstructions.get() >= 10);
 
     // The real run: crash halfway into step 2, after that gap's losses.
-    let (w2_start, w2_end) = windows[1];
-    let tc = w2_start + (w2_end - w2_start) / 2;
-    let mut dev = make_dev(ssd());
-    let mut at = dev.load_weights(&weights(), SimTime::ZERO).unwrap();
-    let mut crashed_step = 0u64;
-    'run: for step in 1..=STEPS {
-        for lpn in &victims[(step - 1) as usize] {
-            dev.ssd_mut().inject_page_loss(*lpn).unwrap();
-        }
-        if step == 2 {
-            dev.ssd_mut().arm_power_loss(PowerLossConfig::at(tc));
-        }
-        at += sched.pause_between_steps;
-        match dev.run_step(Some(&grad(step)), at) {
-            Ok(r) => at = r.end,
-            Err(CoreError::Ssd(SsdError::PowerLoss { .. })) => {
-                crashed_step = step;
-                break 'run;
-            }
-            Err(e) => panic!("unexpected error before the crash: {e}"),
-        }
-    }
-    assert_eq!(crashed_step, 2, "crash must land inside step 2");
+    let tc = windows[1].start + (windows[1].end - windows[1].start) / 2;
+    let (mut dev, at) = cell.run.load_adam(ssd);
+    dev.ssd_mut().arm_power_loss(PowerLossConfig::at(tc));
+    let d = cell.degrade(&mut dev, &sched, 1..=STEPS, at);
+    assert!(
+        matches!(
+            d.outcome,
+            Err((2, CoreError::Ssd(SsdError::PowerLoss { .. })))
+        ),
+        "crash must land inside step 2: {:?}",
+        d.outcome
+    );
 
-    let mount_at = dev.ssd().power_failed_at().unwrap() + SimDuration::from_us(10);
-    let rec = dev.recover(Some(&grad(2)), mount_at).unwrap();
+    let rec = cell.run.recover(&mut dev, 2, false).recovery;
     assert_eq!(rec.resumed_step, 1, "mount restores the committed epoch");
     assert_eq!(dev.step_count(), 2, "replay re-ran the crashed step");
 
-    let mut at = rec.end;
-    for step in 3..=STEPS {
-        for lpn in &victims[(step - 1) as usize] {
-            dev.ssd_mut().inject_page_loss(*lpn).unwrap();
-        }
-        at += sched.pause_between_steps;
-        at = dev.run_step(Some(&grad(step)), at).unwrap().end;
-    }
+    let at = cell
+        .degrade(&mut dev, &sched, 3..=STEPS, rec.end)
+        .outcome
+        .unwrap_or_else(|(step, e)| panic!("step {step} after the mount failed: {e}"));
     assert_eq!(dev.ssd().stats().uncorrectable_reads.get(), 0);
     let master = dev.read_master_weights(at).unwrap();
-    assert_bit_equal(&master, &reference().master, "crash-compose: master");
+    assert!(bit_exact(&master, &cell.master), "crash-compose: master");
     let w16 = dev.read_weights16(at).unwrap();
-    assert_bit_equal(&w16, &reference().weights16, "crash-compose: weights16");
+    assert!(bit_exact(&w16, &cell.weights16), "crash-compose: weights16");
 }
