@@ -31,7 +31,7 @@ use optim_math::kernels::{
 use optim_math::state::GradDtype;
 use optim_math::OptimizerKind;
 use optimstore_bench::runners::{
-    bit_exact, optimizer_and_spec, CrashCell, DegradedCell, SeededRun,
+    assert_bit_exact, optimizer_and_spec, CrashCell, DegradedCell, SeededRun,
 };
 use optimstore_core::OptimStoreConfig;
 use simkit::pool;
@@ -221,9 +221,10 @@ fn e2e_cell(name: &str, (ssd, pe): (SsdConfig, u64), steps: u64, grad_seed: u64)
         scalar.reports, batched.reports,
         "{name}: StepReports diverged between scalar and batched paths"
     );
-    assert!(
-        bit_exact(&scalar.weights, &batched.weights),
-        "{name}: master weights diverged between scalar and batched paths"
+    assert_bit_exact(
+        &batched.weights,
+        &scalar.weights,
+        &format!("{name}: batched vs scalar master weights"),
     );
     let fresh_first = *batched.fresh_per_step.first().unwrap_or(&0);
     let fresh_steady = batched
@@ -313,7 +314,12 @@ fn main() {
         e2e_cell("f24-fault-smoke", f24_smoke(), 2, 0xF24),
         // F25's journaled small-block device: three steps of state
         // write-back force GC under an every-64-programs journal.
-        e2e_cell("f25-journal-gc-smoke", (CrashCell::ssd(64), 0), 3, 0xF25),
+        e2e_cell(
+            "f25-journal-gc-smoke",
+            (CrashCell::ssd(64), 0),
+            CrashCell::STEPS,
+            0xF25,
+        ),
         // An F26 point: parity, the first aging schedule, 64 scrub reads
         // per step.
         e2e_cell("f26-reliability-smoke", (f26_smoke, 0), 2, 0xF26),

@@ -861,7 +861,6 @@ pub fn fig24_fault_sweep(ctx: &Context) -> String {
 /// spends more journal pages (and their serial replay can itself dominate
 /// the mount).
 pub fn fig25_crash_sweep(_: &Context) -> String {
-    const STEPS: u64 = 3;
     let run = SeededRun {
         params: 200_000,
         seed: 0xF25,
@@ -879,14 +878,14 @@ pub fn fig25_crash_sweep(_: &Context) -> String {
     // 16 is the tightest interval whose never-reclaimed journal blocks
     // still fit on die 0 alongside three epochs of state.
     for interval in [16u32, 64, 256] {
-        let cell = CrashCell::new(run, interval, STEPS);
+        let cell = CrashCell::new(run, interval);
         // Every schedule crashes its own fresh device against the shared
         // reference, so the schedules of an interval fan out on the
         // data-plane pool and their rows merge back in schedule order.
         let rows = par::map_indexed(&workloads::crash_schedules(25), |_, s| {
             let (mut dev, crash) = cell.crash(s);
             let rec = crash.recovery;
-            let at = run.train(&mut dev, crash.step + 1..=STEPS, rec.end);
+            let at = run.train(&mut dev, crash.step + 1..=CrashCell::STEPS, rec.end);
             let exact = bit_exact(&dev.read_master_weights(at).unwrap(), &cell.master);
             [
                 interval.to_string(),
@@ -923,13 +922,11 @@ pub fn fig25_crash_sweep(_: &Context) -> String {
 pub fn fig26_reliability_sweep(ctx: &Context) -> String {
     use ssdsim::ScrubConfig;
 
-    const STEPS: u64 = 4;
     let run = SeededRun {
         params: ctx.cap.clamp(40_000, 200_000),
         seed: 0xF26,
     };
-    // One gap before each step, three losses per gap: 12 victims.
-    let cell = DegradedCell::new(run, STEPS, 3);
+    let cell = DegradedCell::new(run);
     let mut t = Table::new(&[
         "schedule",
         "parity",
@@ -957,7 +954,7 @@ pub fn fig26_reliability_sweep(ctx: &Context) -> String {
         .collect();
     let rows = par::map_indexed(&grid, |_, &(sched, (parity, scrub, scrub_name))| {
         let (mut dev, at) = run.load_adam(DegradedCell::ssd(sched, parity, scrub));
-        let d = cell.degrade(&mut dev, sched, 1..=STEPS, at);
+        let d = cell.degrade(&mut dev, sched, 1..=DegradedCell::STEPS, at);
         let outcome = match d.outcome {
             Err((step, _)) => format!("LOST@step{step}"),
             Ok(at) if bit_exact(&dev.read_master_weights(at).unwrap(), &cell.master) => {
@@ -992,11 +989,12 @@ pub fn fig26_reliability_sweep(ctx: &Context) -> String {
         t.row(&row);
     }
     format!(
-        "{}(each cell: fresh device, {STEPS} steps, seeded losses injected between \
+        "{}(each cell: fresh device, {} steps, seeded losses injected between \
          steps into distinct stripes; 'reconstr' counts reads recovered from \
          parity, 'lost' counts reads that stayed uncorrectable; 'bit-exact' \
          compares final master weights to the fault-free reference)\n",
-        t.render()
+        t.render(),
+        DegradedCell::STEPS
     )
 }
 

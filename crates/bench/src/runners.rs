@@ -387,6 +387,21 @@ pub fn bit_exact(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// Panics unless `got` and `expect` agree bit for bit, naming `label` and
+/// the first differing parameter with both values and their bits.
+#[track_caller]
+pub fn assert_bit_exact(got: &[f32], expect: &[f32], label: &str) {
+    assert_eq!(got.len(), expect.len(), "{label}: length");
+    if let Some(i) = (0..got.len()).find(|&i| got[i].to_bits() != expect[i].to_bits()) {
+        let (a, b) = (got[i], expect[i]);
+        panic!(
+            "{label}: param {i} differs ({a} = {:#010x} vs {b} = {:#010x})",
+            a.to_bits(),
+            b.to_bits()
+        );
+    }
+}
+
 /// What one crash → (second crash) → mount + replay sequence went
 /// through, for callers to print or assert.
 #[derive(Debug, Clone, Copy)]
@@ -476,7 +491,6 @@ impl SeededRun {
 pub struct CrashCell {
     run: SeededRun,
     ssd: SsdConfig,
-    steps: u64,
     /// `(start, end)` of reference step `i + 1`.
     windows: Vec<(SimTime, SimTime)>,
     /// `(start, end)` of every reference block erase, in trace order.
@@ -490,6 +504,9 @@ pub struct CrashCell {
 }
 
 impl CrashCell {
+    /// Steps in every run: enough for GC to collect a committed epoch.
+    pub const STEPS: u64 = 3;
+
     /// The tiny SSD with a journal flushed every `interval` programs and
     /// 12 blocks per plane: 200 k parameters of Adam state fill about a
     /// third of each die, so free blocks run out during step 2 and GC
@@ -500,14 +517,14 @@ impl CrashCell {
         ssd
     }
 
-    /// Runs the uncrashed reference of `steps` steps of `run` on
-    /// [`CrashCell::ssd`]`(interval)`, tracing its step and erase windows.
-    pub fn new(run: SeededRun, interval: u32, steps: u64) -> Self {
+    /// Runs the uncrashed reference of [`CrashCell::STEPS`] steps of `run`
+    /// on [`CrashCell::ssd`]`(interval)`, tracing its step and erase windows.
+    pub fn new(run: SeededRun, interval: u32) -> Self {
         let ssd = Self::ssd(interval);
         let (mut dev, loaded) = run.load_adam(ssd);
         dev.enable_trace(1 << 17);
         let mut end = loaded;
-        let windows = (1..=steps)
+        let windows = (1..=Self::STEPS)
             .map(|step| {
                 let r = dev.run_step(Some(&run.grads(step)), end).expect("step");
                 end = r.end;
@@ -527,7 +544,6 @@ impl CrashCell {
             weights16: dev.read_weights16(end).expect("readback"),
             run,
             ssd,
-            steps,
             windows,
             erases,
             loaded,
@@ -562,7 +578,7 @@ impl CrashCell {
         let (mut dev, at) = self.run.load_adam(self.ssd);
         let cut = PowerLossConfig::at(self.instant(s));
         let double = matches!(s.phase, CrashPhase::DuringMount { .. });
-        let crash = self.run.crash(&mut dev, at, self.steps, cut, double);
+        let crash = self.run.crash(&mut dev, at, Self::STEPS, cut, double);
         (dev, crash)
     }
 }
@@ -587,8 +603,6 @@ pub struct Degraded {
 pub struct DegradedCell {
     /// The training run.
     pub run: SeededRun,
-    steps: u64,
-    losses_per_gap: usize,
     /// The fault-free run's final master weights.
     pub master: Vec<f32>,
     /// The fault-free run's final fp16 working weights.
@@ -596,6 +610,11 @@ pub struct DegradedCell {
 }
 
 impl DegradedCell {
+    /// Steps in every run, each preceded by one gap of losses.
+    pub const STEPS: u64 = 4;
+    /// Pages lost in each gap: 12 victims over the run.
+    pub const LOSSES_PER_GAP: usize = 3;
+
     /// The tiny SSD aged by `sched`, with RAIN parity when `parity` and
     /// the given patrol scrub.
     pub fn ssd(sched: &AgingSchedule, parity: bool, scrub: Option<ScrubConfig>) -> SsdConfig {
@@ -608,15 +627,13 @@ impl DegradedCell {
         ssd
     }
 
-    /// Trains the fault-free reference of `steps` steps of `run`; each
-    /// degraded run loses `losses_per_gap` pages before each step.
-    pub fn new(run: SeededRun, steps: u64, losses_per_gap: usize) -> Self {
+    /// Trains the fault-free reference of [`DegradedCell::STEPS`] steps of
+    /// `run`.
+    pub fn new(run: SeededRun) -> Self {
         let (mut dev, at) = run.load_adam(SsdConfig::tiny());
-        let at = run.train(&mut dev, 1..=steps, at);
+        let at = run.train(&mut dev, 1..=Self::STEPS, at);
         DegradedCell {
             run,
-            steps,
-            losses_per_gap,
             master: dev.read_master_weights(at).expect("readback"),
             weights16: dev.read_weights16(at).expect("readback"),
         }
@@ -638,9 +655,9 @@ impl DegradedCell {
         let groups = layout.num_groups();
         let mut draw = sched.victims(groups, groups as usize).into_iter();
         let mut used = BTreeSet::new();
-        let mut gaps = vec![Vec::new(); self.steps as usize];
+        let mut gaps = vec![Vec::new(); Self::STEPS as usize];
         'fill: for gap in gaps.iter_mut() {
-            while gap.len() < self.losses_per_gap {
+            while gap.len() < Self::LOSSES_PER_GAP {
                 let Some(g) = draw.next() else { break 'fill };
                 let lpn = layout.lpn(g, StateComponent::Master, 0);
                 let stripe = lpn.0 / stripe_w;
@@ -712,6 +729,13 @@ mod tests {
                 .map(|c| c.0)
                 .collect()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "w16: param 1 differs (-0 = 0x80000000 vs 0 = 0x00000000)")]
+    fn assert_bit_exact_names_the_first_differing_param() {
+        assert_bit_exact(&[1.0, 1.0], &[1.0, 1.0], "same");
+        assert_bit_exact(&[1.0, -0.0, 2.0], &[1.0, 0.0, 3.0], "w16");
     }
 
     #[test]

@@ -17,7 +17,7 @@ use optimstore::optimstore_core::CoreError;
 use optimstore::simkit::SimDuration;
 use optimstore::ssdsim::{PowerLossConfig, SsdError};
 use optimstore::workloads::{crash_schedules, CrashPhase};
-use optimstore_bench::runners::{bit_exact, CrashCell, SeededRun};
+use optimstore_bench::runners::{assert_bit_exact, CrashCell, SeededRun};
 
 /// 200 k parameters of Adam state on [`CrashCell::ssd`]: three steps of
 /// out-of-place write-back exceed physical capacity, so garbage collection
@@ -26,7 +26,6 @@ const RUN: SeededRun = SeededRun {
     params: 200_000,
     seed: 0xF25,
 };
-const STEPS: u64 = 3;
 
 /// Journal flush interval, overridable by CI's crash-matrix job
 /// (`CRASH_JOURNAL_INTERVAL`). 16 is the tightest interval whose
@@ -54,7 +53,7 @@ fn schedule_selected(name: &str) -> bool {
 /// report accounting for what was replayed, scanned and discarded.
 #[test]
 fn every_crash_schedule_recovers_bit_identically() {
-    let cell = CrashCell::new(RUN, journal_interval(), STEPS);
+    let cell = CrashCell::new(RUN, journal_interval());
     let schedules = crash_schedules(0xF25);
     assert!(schedules.len() >= 10);
 
@@ -72,6 +71,8 @@ fn every_crash_schedule_recovers_bit_identically() {
             continue;
         }
         let label = s.name;
+        // Names the schedule for a panic raised inside the cell, whose
+        // messages do not carry it.
         eprintln!("schedule {label}");
         let tc = cell.instant(s);
         assert!(tc > cell.loaded, "{label}: crash instant precedes training");
@@ -108,12 +109,12 @@ fn every_crash_schedule_recovers_bit_identically() {
             assert!(rec.mount.window.end > rec.mount.window.start);
         }
 
-        let at = RUN.train(&mut dev, k + 1..=STEPS, rec.end);
-        assert_eq!(dev.step_count(), STEPS, "{label}: step counter");
+        let at = RUN.train(&mut dev, k + 1..=CrashCell::STEPS, rec.end);
+        assert_eq!(dev.step_count(), CrashCell::STEPS, "{label}: step counter");
         let master = dev.read_master_weights(at).unwrap();
-        assert!(bit_exact(&master, &cell.master), "{label}: master");
+        assert_bit_exact(&master, &cell.master, &format!("{label}: master"));
         let w16 = dev.read_weights16(at).unwrap();
-        assert!(bit_exact(&w16, &cell.weights16), "{label}: weights16");
+        assert_bit_exact(&w16, &cell.weights16, &format!("{label}: weights16"));
     }
 }
 
@@ -122,7 +123,7 @@ fn every_crash_schedule_recovers_bit_identically() {
 /// counter and training continues.
 #[test]
 fn crash_between_steps_needs_no_replay() {
-    let cell = CrashCell::new(RUN, journal_interval(), STEPS);
+    let cell = CrashCell::new(RUN, journal_interval());
     let (mut dev, t0) = RUN.load_adam(CrashCell::ssd(journal_interval()));
     let r1 = dev.run_step(Some(&RUN.grads(1)), t0).unwrap();
 
@@ -140,9 +141,9 @@ fn crash_between_steps_needs_no_replay() {
     assert!(rec.replayed.is_none());
     assert_eq!(rec.mount.uncommitted_discarded, 0, "nothing was in flight");
 
-    let at = RUN.train(&mut dev, 2..=STEPS, rec.end);
+    let at = RUN.train(&mut dev, 2..=CrashCell::STEPS, rec.end);
     let master = dev.read_master_weights(at).unwrap();
-    assert!(bit_exact(&master, &cell.master), "between-steps: master");
+    assert_bit_exact(&master, &cell.master, "between-steps: master");
 }
 
 /// Tighter journaling buys cheaper mounts: with a small flush interval the

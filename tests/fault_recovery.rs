@@ -12,6 +12,7 @@ use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice};
 use optimstore::simkit::SimTime;
 use optimstore::ssdsim::{FaultConfig, SsdConfig};
 use optimstore::workloads::{GradientGen, QuadraticTask, WeightInit};
+use optimstore_bench::runners::assert_bit_exact;
 
 const PARAMS: usize = 12_000;
 const STEPS: u64 = 3;
@@ -39,17 +40,6 @@ fn adam() -> Box<dyn optimstore::optim_math::Optimizer> {
         AdamParams::default(),
         MomentumParams::default(),
     )
-}
-
-fn assert_bit_equal(got: &[f32], expect: &[f32], label: &str) {
-    assert_eq!(got.len(), expect.len(), "{label}: length");
-    for (i, (a, b)) in got.iter().zip(expect).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{label}: param {i} differs ({a} vs {b})"
-        );
-    }
 }
 
 /// Runs NDP training on `ssd` and returns the final master weights plus
@@ -107,7 +97,7 @@ fn all_tiers_survive_program_faults_bit_exactly() {
         &gen,
     );
     let (hit, dev) = run_ndp(OptimStoreConfig::die_ndp(), faulty_ssd, &weights, &gen);
-    assert_bit_equal(&hit, &clean, "die-ndp");
+    assert_bit_exact(&hit, &clean, "die-ndp");
     let stats = dev.ssd().stats();
     assert!(
         stats.program_failures.get() > 0,
@@ -126,16 +116,16 @@ fn all_tiers_survive_program_faults_bit_exactly() {
         &gen,
     );
     let (hit_ch, dev_ch) = run_ndp(OptimStoreConfig::channel_ndp(), faulty_ssd, &weights, &gen);
-    assert_bit_equal(&hit_ch, &clean_ch, "channel-ndp");
-    assert_bit_equal(&hit_ch, &clean, "channel-ndp vs die-ndp");
+    assert_bit_exact(&hit_ch, &clean_ch, "channel-ndp");
+    assert_bit_exact(&hit_ch, &clean, "channel-ndp vs die-ndp");
     assert!(dev_ch.ssd().stats().program_failures.get() > 0);
 
     // Host-NVMe offload (no NDP, no replay layer: recovery is entirely
     // the device's).
     let (clean_host, no_faults, no_retired) = run_host(SsdConfig::tiny(), &weights, &gen);
     let (hit_host, faults, retired) = run_host(faulty_ssd, &weights, &gen);
-    assert_bit_equal(&hit_host, &clean_host, "host-nvme");
-    assert_bit_equal(&hit_host, &clean, "host-nvme vs die-ndp");
+    assert_bit_exact(&hit_host, &clean_host, "host-nvme");
+    assert_bit_exact(&hit_host, &clean, "host-nvme vs die-ndp");
     assert_eq!((no_faults, no_retired), (0, 0));
     assert!(faults > 0 && retired > 0);
 }
@@ -180,7 +170,7 @@ fn faulty_training_converges_identically_and_stats_reflect_retirement() {
     let (hit_w, hit_end, hit_dev) = train(SsdConfig::tiny().with_fault(fault(0xBAD5EED)));
 
     // Same trajectory, same optimum: faults never leak into arithmetic.
-    assert_bit_equal(&hit_w, &clean_w, "faulty vs clean training");
+    assert_bit_exact(&hit_w, &clean_w, "faulty vs clean training");
     let final_loss = task.loss(&hit_w);
     assert!(
         final_loss < initial_loss * 0.02,

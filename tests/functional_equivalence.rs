@@ -15,6 +15,7 @@ use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice};
 use optimstore::simkit::SimTime;
 use optimstore::ssdsim::SsdConfig;
 use optimstore::workloads::{GradientGen, WeightInit};
+use optimstore_bench::runners::assert_bit_exact;
 
 const PARAMS: usize = 30_000;
 const STEPS: u64 = 4;
@@ -37,17 +38,6 @@ fn reference_weights(kind: OptimizerKind, weights: &[f32], gen: &GradientGen) ->
         .unwrap();
     }
     buf.weights_f32()
-}
-
-fn assert_bit_equal(got: &[f32], expect: &[f32], label: &str) {
-    assert_eq!(got.len(), expect.len(), "{label}: length");
-    for (i, (a, b)) in got.iter().zip(expect).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "{label}: param {i} differs ({a} vs {b})"
-        );
-    }
 }
 
 fn run_ndp_config(
@@ -83,11 +73,11 @@ fn all_tiers_agree_for_every_optimizer() {
 
         // Die-level NDP (the paper's system).
         let die = run_ndp_config(kind, OptimStoreConfig::die_ndp(), &weights, &gen);
-        assert_bit_equal(&die, &expect, &format!("{kind:?}/die-ndp"));
+        assert_bit_exact(&die, &expect, &format!("{kind:?}/die-ndp"));
 
         // Channel-level NDP.
         let ch = run_ndp_config(kind, OptimStoreConfig::channel_ndp(), &weights, &gen);
-        assert_bit_equal(&ch, &expect, &format!("{kind:?}/channel-ndp"));
+        assert_bit_exact(&ch, &expect, &format!("{kind:?}/channel-ndp"));
 
         // Host-NVMe offload baseline.
         let opt = make_optimizer(kind, AdamParams::default(), MomentumParams::default());
@@ -106,7 +96,7 @@ fn all_tiers_agree_for_every_optimizer() {
             at = host.run_step(t).unwrap().end;
         }
         let host_w = host.read_master_weights(at).unwrap();
-        assert_bit_equal(&host_w, &expect, &format!("{kind:?}/host-nvme"));
+        assert_bit_exact(&host_w, &expect, &format!("{kind:?}/host-nvme"));
 
         // Host-DRAM baseline.
         let opt = make_optimizer(kind, AdamParams::default(), MomentumParams::default());
@@ -124,7 +114,7 @@ fn all_tiers_agree_for_every_optimizer() {
             let grads = gen.generate(step, PARAMS);
             at = dram.run_step(Some(&grads), at).unwrap().end;
         }
-        assert_bit_equal(
+        assert_bit_exact(
             &dram.weights().unwrap(),
             &expect,
             &format!("{kind:?}/host-dram"),
@@ -147,7 +137,7 @@ fn striped_layout_is_slower_but_equally_correct() {
         let grads = gen.generate(step, PARAMS);
         at = dev.run_step(Some(&grads), at).unwrap().end;
     }
-    assert_bit_equal(
+    assert_bit_exact(
         &dev.read_master_weights(at).unwrap(),
         &expect,
         "striped/die-ndp",
@@ -186,7 +176,7 @@ fn bf16_gradients_agree_across_paths() {
     .unwrap();
     let at = dev.load_weights(&weights, SimTime::ZERO).unwrap();
     let at = dev.run_step(Some(&grads), at).unwrap().end;
-    assert_bit_equal(
+    assert_bit_exact(
         &dev.read_master_weights(at).unwrap(),
         &reference.weights_f32(),
         "bf16/die-ndp",

@@ -17,14 +17,13 @@ use std::sync::OnceLock;
 use optimstore::optimstore_core::CoreError;
 use optimstore::ssdsim::{JournalConfig, PowerLossConfig, ScrubConfig, SsdError};
 use optimstore::workloads::{aging_schedules, AgingSchedule};
-use optimstore_bench::runners::{bit_exact, DegradedCell, SeededRun};
+use optimstore_bench::runners::{assert_bit_exact, DegradedCell, SeededRun};
 
 const SEED: u64 = 0xF26;
-const STEPS: u64 = 4;
 
-/// 200 k parameters, four steps, one injection gap before each step and
-/// three losses per gap: 12 victims, comfortably above the ≥ 10 the
-/// acceptance gate demands. Built once for every test.
+/// 200 k parameters; the cell's four steps, each after a gap of three
+/// losses, give 12 victims, comfortably above the ≥ 10 the acceptance
+/// gate demands. Built once for every test.
 fn cell() -> &'static DegradedCell {
     static CELL: OnceLock<DegradedCell> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -32,7 +31,7 @@ fn cell() -> &'static DegradedCell {
             params: 200_000,
             seed: SEED,
         };
-        DegradedCell::new(run, STEPS, 3)
+        DegradedCell::new(run)
     })
 }
 
@@ -73,7 +72,7 @@ fn parity_and_scrub_survive_ten_plus_losses_bit_exactly() {
         let label = sched.name;
         let ssd = DegradedCell::ssd(&sched, true, Some(ScrubConfig::per_step(512)));
         let (mut dev, at) = cell.run.load_adam(ssd);
-        let d = cell.degrade(&mut dev, &sched, 1..=STEPS, at);
+        let d = cell.degrade(&mut dev, &sched, 1..=DegradedCell::STEPS, at);
         let at = d
             .outcome
             .unwrap_or_else(|(step, e)| panic!("{label}: degraded step {step} failed: {e}"));
@@ -93,9 +92,9 @@ fn parity_and_scrub_survive_ten_plus_losses_bit_exactly() {
         );
 
         let master = dev.read_master_weights(at).unwrap();
-        assert!(bit_exact(&master, &cell.master), "{label}: master");
+        assert_bit_exact(&master, &cell.master, &format!("{label}: master"));
         let w16 = dev.read_weights16(at).unwrap();
-        assert!(bit_exact(&w16, &cell.weights16), "{label}: weights16");
+        assert_bit_exact(&w16, &cell.weights16, &format!("{label}: weights16"));
     }
 }
 
@@ -114,7 +113,7 @@ fn parity_off_same_seed_aborts_with_uncorrectable_read() {
         }
         let label = sched.name;
         let (mut dev, at) = cell.run.load_adam(DegradedCell::ssd(&sched, false, None));
-        let d = cell.degrade(&mut dev, &sched, 1..=STEPS, at);
+        let d = cell.degrade(&mut dev, &sched, 1..=DegradedCell::STEPS, at);
         assert!(
             d.injected >= 1,
             "{label}: no losses injected before failure"
@@ -147,15 +146,17 @@ fn rain_scrub_journal_crash_recovery_composes() {
     // configuration and inputs give identical timing, so step 2's window
     // there pinpoints step 2 here.
     let (mut probe, at) = cell.run.load_adam(ssd);
-    let windows = cell.degrade(&mut probe, &sched, 1..=STEPS, at).steps;
-    assert_eq!(windows.len(), STEPS as usize);
+    let windows = cell
+        .degrade(&mut probe, &sched, 1..=DegradedCell::STEPS, at)
+        .steps;
+    assert_eq!(windows.len(), DegradedCell::STEPS as usize);
     assert!(probe.ssd().stats().parity_reconstructions.get() >= 10);
 
     // The real run: crash halfway into step 2, after that gap's losses.
     let tc = windows[1].start + (windows[1].end - windows[1].start) / 2;
     let (mut dev, at) = cell.run.load_adam(ssd);
     dev.ssd_mut().arm_power_loss(PowerLossConfig::at(tc));
-    let d = cell.degrade(&mut dev, &sched, 1..=STEPS, at);
+    let d = cell.degrade(&mut dev, &sched, 1..=DegradedCell::STEPS, at);
     assert!(
         matches!(
             d.outcome,
@@ -170,12 +171,12 @@ fn rain_scrub_journal_crash_recovery_composes() {
     assert_eq!(dev.step_count(), 2, "replay re-ran the crashed step");
 
     let at = cell
-        .degrade(&mut dev, &sched, 3..=STEPS, rec.end)
+        .degrade(&mut dev, &sched, 3..=DegradedCell::STEPS, rec.end)
         .outcome
         .unwrap_or_else(|(step, e)| panic!("step {step} after the mount failed: {e}"));
     assert_eq!(dev.ssd().stats().uncorrectable_reads.get(), 0);
     let master = dev.read_master_weights(at).unwrap();
-    assert!(bit_exact(&master, &cell.master), "crash-compose: master");
+    assert_bit_exact(&master, &cell.master, "crash-compose: master");
     let w16 = dev.read_weights16(at).unwrap();
-    assert!(bit_exact(&w16, &cell.weights16), "crash-compose: weights16");
+    assert_bit_exact(&w16, &cell.weights16, "crash-compose: weights16");
 }
