@@ -33,7 +33,6 @@ use optim_math::OptimizerKind;
 use optimstore_bench::runners::{
     assert_bit_exact, optimizer_and_spec, CrashCell, DegradedCell, SeededRun,
 };
-use optimstore_core::OptimStoreConfig;
 use simkit::pool;
 use ssdsim::{ScrubConfig, SsdConfig};
 
@@ -171,7 +170,7 @@ fn e2e_run(ssd: SsdConfig, pe: u64, steps: u64, grad_seed: u64) -> E2eRun {
         params: E2E_PARAMS,
         seed: grad_seed,
     };
-    let (mut dev, mut at) = run.load(ssd, OptimStoreConfig::die_ndp(), OptimizerKind::Adam);
+    let (mut dev, mut at) = run.load_adam(ssd);
     if pe > 0 {
         dev.simulate_wear(pe);
     }
