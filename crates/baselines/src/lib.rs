@@ -20,6 +20,7 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![deny(unsafe_code)]
 
 mod dram_offload;
 mod host_nvme;

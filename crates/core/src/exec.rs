@@ -20,9 +20,9 @@ use crate::layout::{GroupBase, StateComponent, StateLayout};
 use crate::pages::{self, UpdatePages};
 use crate::protocol::{ProtocolError, UpdateCommand};
 use crate::report::{CounterSnapshot, RecoveryReport, StepReport};
-use optim_math::kernels::KernelError;
+use optim_math::kernels::{widen_into, KernelError};
 use optim_math::state::StateLayoutSpec;
-use optim_math::{Optimizer, F16};
+use optim_math::Optimizer;
 use simkit::pool::PageBuf;
 use simkit::{SimDuration, SimTime, Timeline, Window};
 use ssdsim::{Device, Lpn, ReadPath, ScrubReport, SsdConfig, SsdError};
@@ -372,7 +372,13 @@ impl OptimStoreDevice {
 
     /// Writes the state image ([`pages::load_state_image`]) and commits it.
     fn load(&mut self, weights: Option<&[f32]>, at: SimTime) -> Result<SimTime, CoreError> {
-        let end = pages::load_state_image(&mut self.device, &self.layout, weights, at)?;
+        let end = pages::load_state_image(
+            &mut self.device,
+            &self.layout,
+            weights,
+            self.spec.grad_dtype,
+            at,
+        )?;
         // The initial load is epoch 0, implicitly committed; flushing its
         // commit record makes the mapping journal-covered, so a crash
         // before the first step mounts without a full OOB scan.
@@ -931,15 +937,17 @@ impl OptimStoreDevice {
             ));
         }
         let mut page = vec![0u8; self.page_bytes()];
-        let mut out = Vec::with_capacity(self.layout.params() as usize);
+        let mut out = vec![0.0; self.layout.params() as usize];
         for g in 0..self.layout.num_groups() {
-            let group = self.layout.group(g);
+            let r = self.layout.group(g).param_range();
             let lpn = self.layout.lpn(g, StateComponent::Weight16, 0);
             self.device
                 .read_into(lpn, ReadPath::Array, at, Some(&mut page))?;
-            for i in 0..group.param_count as usize {
-                out.push(F16::from_le_bytes(page[2 * i..2 * i + 2].try_into().unwrap()).to_f32());
-            }
+            widen_into(
+                self.spec.grad_dtype,
+                &page,
+                &mut out[r.start as usize..r.end as usize],
+            );
         }
         Ok(out)
     }
@@ -974,7 +982,7 @@ mod tests {
     use crate::config::LayoutPolicy;
     use optim_math::kernels::{encode_grads, StateBuffers};
     use optim_math::state::GradDtype;
-    use optim_math::{Adam, OptimizerKind};
+    use optim_math::{Adam, OptimizerKind, F16};
 
     fn spec() -> StateLayoutSpec {
         StateLayoutSpec::new(OptimizerKind::Adam, GradDtype::F16)

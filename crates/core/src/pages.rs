@@ -24,9 +24,9 @@
 use crate::config::LayoutPolicy;
 use crate::exec::CoreError;
 use crate::layout::{StateComponent, StateLayout};
-use optim_math::kernels::{encode_grads_into, update_chunk, KernelError};
+use optim_math::kernels::{encode_grads_into, narrow_into, update_chunk, KernelError};
 use optim_math::state::{GradDtype, StateLayoutSpec};
-use optim_math::{Optimizer, F16};
+use optim_math::Optimizer;
 use simkit::pool::PageBuf;
 use simkit::SimTime;
 use ssdsim::Device;
@@ -70,13 +70,14 @@ pub fn fit_layout(
 /// Writes the initial state image through the host interface, every page
 /// issued at `at`: per group, its [`StateLayout::write_set`] and then, when
 /// staged, its gradient page. With `weights` the masters hold them as fp32,
-/// the working weights hold them narrowed to fp16, and slot and gradient
+/// the working weights hold them narrowed to `dtype`, and slot and gradient
 /// pages are zero; without, every page is dataless (phantom). Returns the
 /// time the last page persists. Epoch commit is the caller's.
 pub fn load_state_image(
     device: &mut Device,
     layout: &StateLayout,
     weights: Option<&[f32]>,
+    dtype: GradDtype,
     at: SimTime,
 ) -> Result<SimTime, CoreError> {
     if let Some(w) = weights {
@@ -101,10 +102,11 @@ pub fn load_state_image(
             let r = layout.group(g).param_range();
             w32.fill(0);
             w16.fill(0);
-            for (i, &w) in weights[r.start as usize..r.end as usize].iter().enumerate() {
-                w32[4 * i..4 * i + 4].copy_from_slice(&w.to_le_bytes());
-                w16[2 * i..2 * i + 2].copy_from_slice(&F16::from_f32(w).to_le_bytes());
+            let weights = &weights[r.start as usize..r.end as usize];
+            for (dst, w) in w32.chunks_exact_mut(4).zip(weights) {
+                dst.copy_from_slice(&w.to_le_bytes());
             }
+            narrow_into(dtype, weights, &mut w16);
         }
         for &(comp, idx) in &image {
             let data: Option<&[u8]> = weights.map(|_| match comp {

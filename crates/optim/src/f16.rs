@@ -132,6 +132,120 @@ impl From<F16> for f32 {
     }
 }
 
+/// Widens the little-endian f16 values in `src` (2 B each) into `dst`, up
+/// to the shorter of the two. On an x86-64 CPU with AVX and F16C this runs
+/// the hardware conversion, eight lanes per instruction; elsewhere the
+/// portable loop over [`F16::to_f32`]. Both give the same bits.
+pub(crate) fn widen_slice(src: &[u8], dst: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    if f16c::widen(src, dst) {
+        return;
+    }
+    widen_portable(src, dst);
+}
+
+/// Narrows `src` into little-endian f16 values in `dst` (2 B each), up to
+/// the shorter of the two, rounding to nearest even; dispatched like
+/// [`widen_slice`].
+pub(crate) fn narrow_slice(src: &[f32], dst: &mut [u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if f16c::narrow(src, dst) {
+        return;
+    }
+    narrow_portable(src, dst);
+}
+
+/// The fallback of [`widen_slice`], and the oracle its hardware path is
+/// tested against.
+fn widen_portable(src: &[u8], dst: &mut [f32]) {
+    for (d, s) in dst.iter_mut().zip(src.chunks_exact(2)) {
+        *d = F16::from_le_bytes([s[0], s[1]]).to_f32();
+    }
+}
+
+/// The fallback of [`narrow_slice`], and the oracle its hardware path is
+/// tested against.
+fn narrow_portable(src: &[f32], dst: &mut [u8]) {
+    for (s, d) in src.iter().zip(dst.chunks_exact_mut(2)) {
+        d.copy_from_slice(&F16::from_f32(*s).to_le_bytes());
+    }
+}
+
+/// The x86-64 F16C conversions: `vcvtph2ps` and `vcvtps2ph` with the
+/// round-to-nearest-even immediate, whose results are exactly those of
+/// [`F16::to_f32`] and [`F16::from_f32`] (NaNs quieted, payloads kept).
+/// All of the crate's `unsafe` is in this module.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[deny(clippy::undocumented_unsafe_blocks)]
+mod f16c {
+    use std::arch::x86_64::{
+        __m128i, _mm256_cvtph_ps, _mm256_cvtps_ph, _mm256_loadu_ps, _mm256_storeu_ps,
+        _mm_loadu_si128, _mm_storeu_si128, _MM_FROUND_TO_NEAREST_INT,
+    };
+
+    fn detected() -> bool {
+        is_x86_feature_detected!("avx") && is_x86_feature_detected!("f16c")
+    }
+
+    /// Does [`super::widen_slice`]'s work and returns true, or returns
+    /// false with `dst` untouched when the CPU lacks AVX or F16C.
+    pub(super) fn widen(src: &[u8], dst: &mut [f32]) -> bool {
+        if !detected() {
+            return false;
+        }
+        // SAFETY: `detected` has just confirmed the AVX and F16C features
+        // that `widen_avx` is compiled for.
+        unsafe { widen_avx(src, dst) };
+        true
+    }
+
+    /// Does [`super::narrow_slice`]'s work and returns true, or returns
+    /// false with `dst` untouched when the CPU lacks AVX or F16C.
+    pub(super) fn narrow(src: &[f32], dst: &mut [u8]) -> bool {
+        if !detected() {
+            return false;
+        }
+        // SAFETY: as in `widen`.
+        unsafe { narrow_avx(src, dst) };
+        true
+    }
+
+    #[target_feature(enable = "avx,f16c")]
+    fn widen_avx(src: &[u8], dst: &mut [f32]) {
+        // Trim both to the same element count, so their 8-lane chunks pair
+        // up and the remainders are the same tail.
+        let n = dst.len().min(src.len() / 2);
+        let mut src = src[..2 * n].chunks_exact(16);
+        let mut dst = dst[..n].chunks_exact_mut(8);
+        for (s, d) in (&mut src).zip(&mut dst) {
+            // SAFETY: `s` is 16 readable bytes and `d` 8 writable f32s, the
+            // chunk sizes; both intrinsics take unaligned pointers.
+            unsafe {
+                let f = _mm256_cvtph_ps(_mm_loadu_si128(s.as_ptr().cast::<__m128i>()));
+                _mm256_storeu_ps(d.as_mut_ptr(), f);
+            }
+        }
+        super::widen_portable(src.remainder(), dst.into_remainder());
+    }
+
+    #[target_feature(enable = "avx,f16c")]
+    fn narrow_avx(src: &[f32], dst: &mut [u8]) {
+        let n = src.len().min(dst.len() / 2);
+        let mut src = src[..n].chunks_exact(8);
+        let mut dst = dst[..2 * n].chunks_exact_mut(16);
+        for (s, d) in (&mut src).zip(&mut dst) {
+            // SAFETY: `s` is 8 readable f32s and `d` 16 writable bytes, the
+            // chunk sizes; both intrinsics take unaligned pointers.
+            unsafe {
+                let h = _mm256_cvtps_ph::<_MM_FROUND_TO_NEAREST_INT>(_mm256_loadu_ps(s.as_ptr()));
+                _mm_storeu_si128(d.as_mut_ptr().cast::<__m128i>(), h);
+            }
+        }
+        super::narrow_portable(src.remainder(), dst.into_remainder());
+    }
+}
+
 /// The original branchy conversions, kept as the oracle the branchless
 /// ones are tested against.
 #[cfg(test)]
@@ -348,11 +462,35 @@ mod tests {
         }
     }
 
+    #[test]
+    fn dispatched_decode_matches_for_all_f16() {
+        let src: Vec<u8> = (0..=u16::MAX).flat_map(u16::to_le_bytes).collect();
+        let mut got = vec![0.0f32; 1 << 16];
+        widen_slice(&src, &mut got);
+        for (bits, got) in (0..=u16::MAX).zip(got) {
+            let want = F16(bits).to_f32();
+            assert_eq!(got.to_bits(), want.to_bits(), "bits {bits:#06x}");
+        }
+    }
+
+    /// Asserts that the dispatched slice encode of `xs` is the reference
+    /// encode of each element.
+    fn assert_dispatched_encode_matches(xs: &[f32]) {
+        let mut got = vec![0u8; 2 * xs.len()];
+        narrow_slice(xs, &mut got);
+        for (x, got) in xs.iter().zip(got.chunks_exact(2)) {
+            let got = F16::from_le_bytes([got[0], got[1]]);
+            assert_eq!(got, reference::from_f32(*x), "f32 {:#010x}", x.to_bits());
+        }
+    }
+
     /// Every finite f16, the exact f32 midpoint to its upper neighbour, and
     /// that midpoint ±1 ulp: every round-to-nearest-even tie and carry,
-    /// into the exponent and to ∞ included.
+    /// into the exponent and to ∞ included. Checked one element at a time
+    /// and through the dispatched slice encode.
     #[test]
     fn encode_matches_reference_at_every_rounding_boundary() {
+        let mut all = Vec::new();
         for bits in (0..=u16::MAX).filter(|&b| F16(b).is_finite()) {
             let v = F16(bits).to_f32();
             // Half an f16 ulp is 2^(e − 26) for biased exponent e (1 for
@@ -372,6 +510,33 @@ mod tests {
                     "f16 {bits:#06x}, f32 {:#010x}",
                     x.to_bits()
                 );
+                all.push(x);
+            }
+        }
+        assert_dispatched_encode_matches(&all);
+    }
+
+    /// Lengths 0–17 cover no full 8-lane chunk, one, two, and every tail;
+    /// odd offsets make every access unaligned. A destination longer than
+    /// the source keeps its excess untouched.
+    #[test]
+    fn dispatched_slices_match_portable_at_every_short_length_and_offset() {
+        let xs: Vec<f32> = (0..40).map(|i| (i as f32 - 13.3) * 0.37e-3).collect();
+        let mut bytes = vec![0u8; 2 * xs.len()];
+        narrow_portable(&xs, &mut bytes);
+        for len in 0..=17 {
+            for off in [1, 3, 7] {
+                let (mut got, mut want) = ([0xA5u8; 48], [0xA5u8; 48]);
+                narrow_slice(&xs[off..off + len], &mut got[off..off + 2 * len + 4]);
+                narrow_portable(&xs[off..off + len], &mut want[off..off + 2 * len + 4]);
+                assert_eq!(got, want, "narrow len {len} offset {off}");
+
+                let (mut got, mut want) = ([-1.0f32; 32], [-1.0f32; 32]);
+                let src = &bytes[off..off + 2 * len];
+                widen_slice(src, &mut got[off..off + len + 2]);
+                widen_portable(src, &mut want[off..off + len + 2]);
+                assert_eq!(got.map(f32::to_bits), want.map(f32::to_bits));
+                assert!(got[off + len..].iter().all(|&w| w == -1.0));
             }
         }
     }
@@ -395,17 +560,35 @@ mod tests {
             };
             let x = f32::from_bits(bits);
             prop_assert_eq!(F16::from_f32(x), reference::from_f32(x), "f32 {:#010x}", bits);
+            // Eight lanes through the hardware path where there is one, and
+            // a one-element tail.
+            assert_dispatched_encode_matches(&[x; 9]);
         }
     }
 
-    /// All 2³² f32 bit patterns; 20–35 s single-threaded in release.
+    /// All 2³² f32 bit patterns, one element at a time and through the
+    /// dispatched slice encode; 20–35 s single-threaded in release.
     /// Run with `cargo test --release -p optim-math -- --ignored f16_encode_exhaustive`.
     #[test]
     #[ignore]
     fn f16_encode_exhaustive() {
-        for bits in 0..=u32::MAX {
-            let x = f32::from_bits(bits);
-            assert_eq!(F16::from_f32(x), reference::from_f32(x), "f32 {bits:#010x}");
+        let mut xs = vec![0.0f32; 1 << 16];
+        let mut got = vec![0u8; 2 << 16];
+        for hi in 0..=u16::MAX as u32 {
+            for (lo, x) in xs.iter_mut().enumerate() {
+                *x = f32::from_bits(hi << 16 | lo as u32);
+            }
+            narrow_slice(&xs, &mut got);
+            for (x, got) in xs.iter().zip(got.chunks_exact(2)) {
+                let want = reference::from_f32(*x);
+                assert_eq!(F16::from_f32(*x), want, "f32 {:#010x}", x.to_bits());
+                assert_eq!(
+                    F16::from_le_bytes([got[0], got[1]]),
+                    want,
+                    "slice, f32 {:#010x}",
+                    x.to_bits()
+                );
+            }
         }
     }
 }

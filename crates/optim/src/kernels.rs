@@ -25,7 +25,7 @@
 //! baselines get the fast path without any signature change.
 
 use crate::bf16::Bf16;
-use crate::f16::F16;
+use crate::f16::{self, F16};
 use crate::hyper::{AdamParams, MomentumParams};
 use crate::optimizer::{Adagrad, Adam, AdamW, Lion, Optimizer, OptimizerKind, SgdMomentum};
 use crate::state::GradDtype;
@@ -164,31 +164,28 @@ fn narrow(dtype: GradDtype, x: f32) -> [u8; 2] {
 }
 
 /// Widens the 16-bit values in `src` (2 B each) into `dst`, up to the
-/// shorter of the two. One `match` per slice, not per element, so the
-/// loop is a straight-line conversion the compiler can vectorize.
-fn decode_grads(dtype: GradDtype, src: &[u8], dst: &mut [f32]) {
-    let pairs = dst.iter_mut().zip(src.chunks_exact(2));
+/// shorter of the two. One `match` per slice, not per element: f16 goes
+/// through the CPU's F16C conversion where it has one, bf16 through a
+/// straight-line loop the compiler can vectorize.
+pub fn widen_into(dtype: GradDtype, src: &[u8], dst: &mut [f32]) {
     match dtype {
-        GradDtype::F16 => {
-            pairs.for_each(|(d, s)| *d = F16::from_le_bytes(s.try_into().unwrap()).to_f32())
-        }
-        GradDtype::Bf16 => {
-            pairs.for_each(|(d, s)| *d = Bf16::from_le_bytes(s.try_into().unwrap()).to_f32())
-        }
+        GradDtype::F16 => f16::widen_slice(src, dst),
+        GradDtype::Bf16 => dst
+            .iter_mut()
+            .zip(src.chunks_exact(2))
+            .for_each(|(d, s)| *d = Bf16::from_le_bytes(s.try_into().unwrap()).to_f32()),
     }
 }
 
 /// Narrows `src` into 16-bit values in `dst` (2 B each), up to the shorter
-/// of the two; the slice-level sibling of [`decode_grads`].
-fn encode_into(dtype: GradDtype, src: &[f32], dst: &mut [u8]) {
-    let pairs = src.iter().zip(dst.chunks_exact_mut(2));
+/// of the two; the inverse of [`widen_into`].
+pub fn narrow_into(dtype: GradDtype, src: &[f32], dst: &mut [u8]) {
     match dtype {
-        GradDtype::F16 => {
-            pairs.for_each(|(s, d)| d.copy_from_slice(&F16::from_f32(*s).to_le_bytes()))
-        }
-        GradDtype::Bf16 => {
-            pairs.for_each(|(s, d)| d.copy_from_slice(&Bf16::from_f32(*s).to_le_bytes()))
-        }
+        GradDtype::F16 => f16::narrow_slice(src, dst),
+        GradDtype::Bf16 => src
+            .iter()
+            .zip(dst.chunks_exact_mut(2))
+            .for_each(|(s, d)| d.copy_from_slice(&Bf16::from_f32(*s).to_le_bytes())),
     }
 }
 
@@ -391,7 +388,7 @@ pub fn update_chunk_batched<O: Optimizer>(
                 *dst = f32::from_le_bytes(src.try_into().unwrap());
             }
         }
-        decode_grads(
+        widen_into(
             grad_dtype,
             &grads[2 * base..2 * (base + len)],
             &mut gf[..len],
@@ -423,7 +420,7 @@ pub fn update_chunk_batched<O: Optimizer>(
                 dst.copy_from_slice(&src.to_le_bytes());
             }
         }
-        encode_into(
+        narrow_into(
             grad_dtype,
             &wf[..len],
             &mut w16_out[2 * base..2 * (base + len)],
@@ -452,7 +449,7 @@ impl StateBuffers {
             .map(|_| vec![0u8; 4 * weights.len()])
             .collect();
         let mut w16 = vec![0u8; 2 * weights.len()];
-        encode_into(grad_dtype, weights, &mut w16);
+        narrow_into(grad_dtype, weights, &mut w16);
         StateBuffers { w32, slots, w16 }
     }
 
@@ -515,7 +512,7 @@ pub fn encode_grads_into(grads: &[f32], dtype: GradDtype, out: &mut [u8]) {
         out.len(),
         grads.len()
     );
-    encode_into(dtype, grads, out);
+    narrow_into(dtype, grads, out);
 }
 
 #[cfg(test)]

@@ -38,6 +38,8 @@
 //! assert!(report.traffic.pcie_out == 0); // nothing leaves during the step
 //! ```
 
+#![deny(unsafe_code)]
+
 pub use baselines;
 pub use dnn_model;
 pub use nandsim;

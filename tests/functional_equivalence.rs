@@ -10,7 +10,7 @@ use optimstore::baselines::{
 };
 use optimstore::optim_math::kernels::{encode_grads, StateBuffers};
 use optimstore::optim_math::state::{GradDtype, StateLayoutSpec};
-use optimstore::optim_math::{make_optimizer, AdamParams, MomentumParams, OptimizerKind};
+use optimstore::optim_math::{make_optimizer, AdamParams, Bf16, MomentumParams, OptimizerKind};
 use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice};
 use optimstore::simkit::SimTime;
 use optimstore::ssdsim::SsdConfig;
@@ -151,9 +151,16 @@ fn bf16_gradients_agree_across_paths() {
     let weights = WeightInit::default().generate(10_000);
     let gen = GradientGen::new(5);
 
-    // Reference.
+    // Reference. The working weights are bf16 too, from the load on.
+    let bf16_weights = |buf: &StateBuffers| -> Vec<f32> {
+        buf.w16
+            .chunks_exact(2)
+            .map(|b| Bf16::from_le_bytes([b[0], b[1]]).to_f32())
+            .collect()
+    };
     let opt = make_optimizer(kind, AdamParams::default(), MomentumParams::default());
     let mut reference = StateBuffers::init(opt.as_ref(), &weights, GradDtype::Bf16);
+    let loaded_w16 = bf16_weights(&reference);
     let grads = gen.generate(1, weights.len());
     reference
         .step(
@@ -175,11 +182,21 @@ fn bf16_gradients_agree_across_paths() {
     )
     .unwrap();
     let at = dev.load_weights(&weights, SimTime::ZERO).unwrap();
+    assert_bit_exact(
+        &dev.read_weights16(at).unwrap(),
+        &loaded_w16,
+        "bf16/die-ndp w16 after load",
+    );
     let at = dev.run_step(Some(&grads), at).unwrap().end;
     assert_bit_exact(
         &dev.read_master_weights(at).unwrap(),
         &reference.weights_f32(),
         "bf16/die-ndp",
+    );
+    assert_bit_exact(
+        &dev.read_weights16(at).unwrap(),
+        &bf16_weights(&reference),
+        "bf16/die-ndp w16 after step",
     );
 }
 
