@@ -69,16 +69,18 @@ impl Entry {
     }
 }
 
-/// Times `f` with the pool forced serial, then at the host's full width.
-/// One untimed warm-up run precedes the measurements so neither timed run
-/// pays first-touch costs (page faults, lazy allocation) the other
-/// doesn't — without it the second run shows a phantom "speedup" even on
-/// a single-core host. Panics unless both runs return the same output.
+/// Times `f` with the pool forced serial, then at `width`. Each timed run
+/// follows an untimed one at its own width, so neither pays first-touch
+/// costs (page faults, lazy allocation, workers waking after an idle
+/// stretch) the other doesn't — without the serial warm-up the second run
+/// shows a phantom "speedup" even on a single-core host. Panics unless
+/// both runs return the same output.
 fn measure<R: PartialEq>(name: &'static str, width: usize, f: impl Fn() -> R) -> Entry {
     simkit::par::set_threads(1);
     drop(timed(&f));
     let (serial_secs, serial_out) = timed(&f);
     simkit::par::set_threads(width);
+    drop(timed(&f));
     let (parallel_secs, parallel_out) = timed(&f);
     simkit::par::set_threads(0);
     // The whole point of the split: any pool width produces the same bytes.
