@@ -43,7 +43,10 @@ const E2E_STEPS: u64 = 4;
 /// elems/s. Both dtypes run the same update rule, so the ratio isolates
 /// the 16-bit conversions and does not depend on host speed. A branchy
 /// f16 conversion that keeps the block loops scalar scored 0.15–0.30; the
-/// branchless one scores 0.45–0.75 on a shared 2-vCPU x86-64 host.
+/// branchless portable one, which a CPU without F16C still runs, reads
+/// 0.45–0.75 and once in 30 runs 0.38. With F16C, Adam and AdamW read
+/// 0.64–1.8 and the other rules 0.99–2.2 over 30 full runs, all on a
+/// shared 2-vCPU x86-64 host.
 const F16_VS_BF16_MIN: f64 = 0.4;
 
 struct KernelEntry {
