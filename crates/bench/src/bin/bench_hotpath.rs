@@ -1,21 +1,19 @@
 //! Hot-path regression gate: batched vs scalar optimizer kernels, pooled
 //! page buffers, and end-to-end step latency.
 //!
-//! Three tiers of measurement, every one doubling as a bit-exactness
-//! check (the batched kernel must produce byte-identical state to the
-//! scalar reference, and a batched end-to-end run must produce
-//! field-identical `StepReport`s and bit-identical master weights):
+//! Two tiers of measurement, each doubling as a bit-exactness check:
 //!
 //! 1. **Kernel micro-bench** — elements/second for every optimizer ×
 //!    gradient dtype, scalar loop vs monomorphized batch kernel, on the
-//!    same seeded buffers.
-//! 2. **End-to-end functional steps** — the PR 4 functional cell run twice
-//!    through the *same* call graph, once with the scalar path pinned
-//!    (`set_force_scalar`), once dispatched to the batched kernel; also
-//!    reports the page-buffer pool's fresh-allocation counts for the first
-//!    step vs the steady state.
-//! 3. **F24/F25/F26 smoke cells** — miniature fault-armed, crash/journal/GC,
-//!    and parity+aging+scrub grids, each compared scalar-vs-batched.
+//!    same seeded buffers; the batched kernel must produce byte-identical
+//!    state to the scalar reference.
+//! 2. **End-to-end functional cells** — a plain functional Adam cell and
+//!    miniature F24 (fault-armed), F25 (journal + GC) and F26 (parity,
+//!    aging, scrub) cells. Each runs once untimed on a cold page pool and
+//!    once timed on a warm one: the two runs' `StepReport`s must be
+//!    field-identical, and the timed run's master weights must match the
+//!    host-DRAM reference bit for bit. Also reports the pool's
+//!    fresh-allocation counts for the first step vs the steady state.
 //!
 //! Writes `BENCH_hotpath.json` (path overridable as the first non-flag
 //! argument; pass `--smoke` for a fast CI-matrix variant) and exits
@@ -25,9 +23,7 @@
 
 use std::time::Instant;
 
-use optim_math::kernels::{
-    encode_grads, set_force_scalar, update_chunk, update_chunk_scalar, StateBuffers,
-};
+use optim_math::kernels::{encode_grads, update_chunk, update_chunk_scalar, StateBuffers};
 use optim_math::state::GradDtype;
 use optim_math::OptimizerKind;
 use optimstore_bench::runners::{
@@ -165,14 +161,9 @@ struct E2eRun {
     fresh_per_step: Vec<u64>,
 }
 
-/// Loads a functional Adam die-NDP device of `E2E_PARAMS` parameters on
-/// `ssd`, ages it by `pe` P/E cycles when `pe` is non-zero, and trains
-/// `steps` seeded steps.
-fn e2e_run(ssd: SsdConfig, pe: u64, steps: u64, grad_seed: u64) -> E2eRun {
-    let run = SeededRun {
-        params: E2E_PARAMS,
-        seed: grad_seed,
-    };
+/// Loads `run`'s functional Adam die-NDP device on `ssd`, ages it by `pe`
+/// P/E cycles when `pe` is non-zero, and trains `steps` seeded steps.
+fn e2e_run(run: &SeededRun, ssd: SsdConfig, pe: u64, steps: u64) -> E2eRun {
     let (mut dev, mut at) = run.load_adam(ssd);
     if pe > 0 {
         dev.simulate_wear(pe);
@@ -199,37 +190,36 @@ fn e2e_run(ssd: SsdConfig, pe: u64, steps: u64, grad_seed: u64) -> E2eRun {
 
 struct E2eEntry {
     name: String,
-    scalar_secs: f64,
-    batched_secs: f64,
+    secs: f64,
     steps: u64,
     fresh_first: u64,
     fresh_steady: u64,
 }
 
-/// Runs a functional cell twice — scalar path pinned, then batched — and
-/// asserts the two runs are indistinguishable in every report field and
-/// every master-weight bit.
+/// Runs a functional cell twice — untimed on a cold pool, then timed on a
+/// warm one — and asserts the two runs' reports are field-identical and
+/// the timed run's master weights match the host reference bit for bit.
 fn e2e_cell(name: &str, (ssd, pe): (SsdConfig, u64), steps: u64, grad_seed: u64) -> E2eEntry {
-    // Warm-up: populate the buffer pool and fault in pages so neither
-    // timed run pays first-touch costs the other doesn't.
-    drop(e2e_run(ssd, pe, steps, grad_seed));
-
-    set_force_scalar(true);
-    let scalar = e2e_run(ssd, pe, steps, grad_seed);
-    set_force_scalar(false);
-    let batched = e2e_run(ssd, pe, steps, grad_seed);
+    let run = SeededRun {
+        params: E2E_PARAMS,
+        seed: grad_seed,
+    };
+    // The warm-up also faults in pages, so the timed run pays no
+    // first-touch costs.
+    let cold = e2e_run(&run, ssd, pe, steps);
+    let warm = e2e_run(&run, ssd, pe, steps);
 
     assert_eq!(
-        scalar.reports, batched.reports,
-        "{name}: StepReports diverged between scalar and batched paths"
+        cold.reports, warm.reports,
+        "{name}: StepReports diverged between a cold and a warm page pool"
     );
     assert_bit_exact(
-        &batched.weights,
-        &scalar.weights,
-        &format!("{name}: batched vs scalar master weights"),
+        &warm.weights,
+        &run.reference(OptimizerKind::Adam, steps),
+        &format!("{name}: master weights vs host reference"),
     );
-    let fresh_first = *batched.fresh_per_step.first().unwrap_or(&0);
-    let fresh_steady = batched
+    let fresh_first = *warm.fresh_per_step.first().unwrap_or(&0);
+    let fresh_steady = warm
         .fresh_per_step
         .iter()
         .skip(1)
@@ -238,8 +228,7 @@ fn e2e_cell(name: &str, (ssd, pe): (SsdConfig, u64), steps: u64, grad_seed: u64)
         .unwrap_or(0);
     E2eEntry {
         name: name.to_string(),
-        scalar_secs: scalar.secs,
-        batched_secs: batched.secs,
+        secs: warm.secs,
         steps,
         fresh_first,
         fresh_steady,
@@ -300,7 +289,7 @@ fn main() {
         );
     }
 
-    println!("end-to-end functional cells (scalar-pinned vs batched, bit-exact):");
+    println!("end-to-end functional cells (cold vs warm pool, bit-exact vs host reference):");
     let f26_smoke = DegradedCell::ssd(
         &workloads::aging_schedules(26)[0],
         true,
@@ -328,10 +317,9 @@ fn main() {
     ];
     for e in &e2e {
         println!(
-            "  {:<24} scalar {:>6.1} ms/step  batched {:>6.1} ms/step  pool fresh {} -> {} (first -> steady)",
+            "  {:<24} {:>6.1} ms/step  pool fresh {} -> {} (first -> steady)",
             e.name,
-            e.scalar_secs * 1e3 / e.steps as f64,
-            e.batched_secs * 1e3 / e.steps as f64,
+            e.secs * 1e3 / e.steps as f64,
             e.fresh_first,
             e.fresh_steady
         );
@@ -369,11 +357,10 @@ fn main() {
     json.push_str("  ],\n  \"end_to_end\": [\n");
     for (i, e) in e2e.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"steps\": {}, \"scalar_ms_per_step\": {:.3}, \"batched_ms_per_step\": {:.3}, \"bit_exact\": true, \"pool_fresh_allocs_first_step\": {}, \"pool_fresh_allocs_steady_max\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"steps\": {}, \"ms_per_step\": {:.3}, \"bit_exact\": true, \"pool_fresh_allocs_first_step\": {}, \"pool_fresh_allocs_steady_max\": {}}}{}\n",
             e.name,
             e.steps,
-            e.scalar_secs * 1e3 / e.steps as f64,
-            e.batched_secs * 1e3 / e.steps as f64,
+            e.secs * 1e3 / e.steps as f64,
             e.fresh_first,
             e.fresh_steady,
             if i + 1 < e2e.len() { "," } else { "" }

@@ -1,6 +1,6 @@
 //! Serial-vs-parallel wall-clock for the deterministic data plane
 //! (`simkit::par`): runs the functional integration workload (every
-//! optimizer, die- and channel-level NDP) and the fig24/fig26 sweep grids
+//! optimizer, die- and channel-level NDP) and the fig26 sweep grid
 //! twice — pool forced to one thread, then to the host's full width —
 //! verifies the two runs of each are bit-identical, and writes the
 //! timings to `BENCH_parallel.json` (path overridable as the first
@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use optim_math::OptimizerKind;
-use optimstore_bench::experiments::{fig24_fault_sweep, fig26_reliability_sweep};
+use optimstore_bench::experiments::fig26_reliability_sweep;
 use optimstore_bench::runners::{Context, SeededRun};
 use optimstore_core::OptimStoreConfig;
 use simkit::par;
@@ -24,7 +24,6 @@ const RUN: SeededRun = SeededRun {
     seed: 0xBE2C,
 };
 const STEPS: u64 = 4;
-const FIG24_CAP: u64 = 1 << 20;
 const FIG26_CAP: u64 = 40_000;
 
 /// The functional integration workload: every optimizer on both NDP tiers,
@@ -112,14 +111,11 @@ fn main() {
         suite.speedup()
     );
 
-    let fig24 = measure("fig24-fault-sweep", width, || {
-        fig24_fault_sweep(&Context::new(FIG24_CAP))
-    });
     let fig26 = measure("fig26-reliability-sweep", width, || {
         fig26_reliability_sweep(&Context::new(FIG26_CAP))
     });
 
-    let entries = [&suite, &fig24, &fig26];
+    let entries = [&suite, &fig26];
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"pool_width\": {width},\n"));
     json.push_str("  \"entries\": [\n");

@@ -335,7 +335,6 @@ pub fn fig11_endurance(_: &Context) -> String {
         cfg.gc = GcPolicy {
             wear_leveling: wl,
             static_wl_threshold: static_wl,
-            ..GcPolicy::default()
         };
         let mut dev = ssdsim::Device::new(cfg);
         // Hot/cold split: 20% of pages rewritten every "step" (frozen-layer

@@ -31,7 +31,6 @@ use crate::optimizer::{Adagrad, Adam, AdamW, Lion, Optimizer, OptimizerKind, Sgd
 use crate::state::GradDtype;
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A malformed kernel invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,21 +80,6 @@ impl fmt::Display for KernelError {
 }
 
 impl Error for KernelError {}
-
-/// When set, [`update_chunk`] runs the scalar reference loop instead of
-/// dispatching to the batched kernel. Benches use this to time (and
-/// cross-check) both paths through the *same* end-to-end call graph.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or releases) the scalar reference path in [`update_chunk`].
-pub fn set_force_scalar(on: bool) {
-    FORCE_SCALAR.store(on, Ordering::Relaxed);
-}
-
-/// True if [`update_chunk`] is currently pinned to the scalar reference.
-pub fn force_scalar() -> bool {
-    FORCE_SCALAR.load(Ordering::Relaxed)
-}
 
 /// Shared argument validation; returns the element count.
 fn validate(
@@ -235,9 +219,6 @@ pub fn update_chunk(
     grad_dtype: GradDtype,
     step: u64,
 ) -> Result<usize, KernelError> {
-    if force_scalar() {
-        return update_chunk_scalar(opt, w32, slots, grads, w16_out, grad_dtype, step);
-    }
     // Reconstruct the concrete rule from the wire hyperparameters — the
     // exact bits `hyper_wire` reports, so the monomorphized body computes
     // with the same constants the virtual call would. An external
@@ -796,21 +777,6 @@ mod tests {
         assert_eq!(fast.w32, slow.w32);
         assert_eq!(fast.slots, slow.slots);
         assert_eq!(fast.w16, slow.w16);
-    }
-
-    #[test]
-    fn force_scalar_pins_the_reference_path() {
-        set_force_scalar(true);
-        assert!(force_scalar());
-        let adam = Adam::default();
-        // Still bit-identical — the toggle only selects the implementation.
-        let mut buf = StateBuffers::init(&adam, &[1.0, 2.0], GradDtype::F16);
-        let grads = grads_bytes(2, 0.5);
-        buf.step(&adam, &grads, GradDtype::F16, 1).unwrap();
-        set_force_scalar(false);
-        let mut buf2 = StateBuffers::init(&adam, &[1.0, 2.0], GradDtype::F16);
-        buf2.step(&adam, &grads, GradDtype::F16, 1).unwrap();
-        assert_eq!(buf, buf2);
     }
 
     #[test]

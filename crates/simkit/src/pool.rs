@@ -8,19 +8,14 @@
 //! [`PageBuf::scratch`], and the backing allocation returns to the pool
 //! when the buffer is dropped.
 //!
-//! # Design: thread-local fast path, global injector
+//! # Design: one locked free list
 //!
-//! `simkit::par` runs its deterministic phases on *scoped* worker threads —
-//! fresh OS threads per `map_indexed` call whose thread-locals die with the
-//! scope — and checked-out buffers routinely migrate to the main thread as
-//! phase results before being dropped. A pure thread-local free list would
-//! therefore never recycle anything. Instead each thread keeps a small
-//! local stack (capacity `LOCAL_CAP`, 16) for the common same-thread
-//! checkout/return cycle, backed by a global mutex-protected injector:
-//! checkouts that miss locally grab a batch from the injector; returns
-//! that overflow locally (and every thread-local stack at thread exit)
-//! flush to it. The mutex is uncontended in steady state — workers touch
-//! it once per `GRAB_BATCH` (8) pages.
+//! `simkit::par` runs its deterministic phases on scoped worker threads,
+//! and checked-out buffers routinely migrate to the main thread as phase
+//! results before being dropped. So every thread shares one free list
+//! behind a mutex: whichever thread drops a buffer, the next checkout on
+//! any thread can reuse it. The checkout counters live under the same
+//! lock, so a checkout is one lock round trip.
 //!
 //! # Determinism
 //!
@@ -32,85 +27,28 @@
 //! exactly the bytes its user wrote, so serial/parallel bit-exactness is
 //! untouched.
 
-use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Capacity of each thread-local free stack.
-const LOCAL_CAP: usize = 16;
-
-/// Buffers pulled from the global injector on a local miss.
-const GRAB_BATCH: usize = 8;
-
-/// Global overflow/injector list shared by all threads.
-static GLOBAL_FREE: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
-
-/// Total checkouts served (fresh + recycled).
-static CHECKOUTS: AtomicU64 = AtomicU64::new(0);
-/// Checkouts that had to allocate from the system allocator.
-static FRESH_ALLOCS: AtomicU64 = AtomicU64::new(0);
-/// Checkouts served from a free list (local or global).
-static RECYCLED: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    static LOCAL_FREE: RefCell<LocalStack> = const { RefCell::new(LocalStack(Vec::new())) };
+/// The free list and the lifetime checkout counters.
+struct Pool {
+    free: Vec<Vec<u8>>,
+    /// Total checkouts served (fresh + recycled).
+    checkouts: u64,
+    /// Checkouts that had to allocate from the system allocator.
+    fresh_allocs: u64,
 }
 
-/// Thread-local free stack whose drop (at thread exit) flushes every
-/// surviving buffer to the global injector — this is what lets buffers
-/// allocated on short-lived `simkit::par` workers outlive the worker.
-struct LocalStack(Vec<Vec<u8>>);
+static POOL: Mutex<Pool> = Mutex::new(Pool {
+    free: Vec::new(),
+    checkouts: 0,
+    fresh_allocs: 0,
+});
 
-impl Drop for LocalStack {
-    fn drop(&mut self) {
-        if !self.0.is_empty() {
-            if let Ok(mut g) = GLOBAL_FREE.lock() {
-                g.append(&mut self.0);
-            }
-        }
-    }
-}
-
-/// Pulls a reusable allocation: thread-local stack first, then a batch
-/// from the global injector, else `None` (caller allocates fresh).
-fn checkout_raw() -> Option<Vec<u8>> {
-    LOCAL_FREE
-        .try_with(|local| {
-            let mut local = local.borrow_mut();
-            if let Some(buf) = local.0.pop() {
-                return Some(buf);
-            }
-            let mut g = GLOBAL_FREE.lock().ok()?;
-            if g.is_empty() {
-                return None;
-            }
-            let take = GRAB_BATCH.min(g.len());
-            let at = g.len() - take;
-            local.0.extend(g.drain(at..));
-            drop(g);
-            local.0.pop()
-        })
-        .ok()
-        .flatten()
-}
-
-/// Returns an allocation to the pool (local stack, overflow to global).
-fn recycle_raw(buf: Vec<u8>) {
-    let mut pending = Some(buf);
-    let _ = LOCAL_FREE.try_with(|local| {
-        let mut local = local.borrow_mut();
-        if local.0.len() < LOCAL_CAP {
-            local.0.push(pending.take().expect("buffer consumed twice"));
-        }
-    });
-    if let Some(buf) = pending {
-        // Local stack full or TLS already torn down: hand to the injector
-        // so another thread (or a later phase) reuses it.
-        if let Ok(mut g) = GLOBAL_FREE.lock() {
-            g.push(buf);
-        }
-    }
+/// Locks the pool. A panic while the lock is held cannot leave the free
+/// list or the counters half-updated, so a poisoned lock is still usable.
+fn lock() -> MutexGuard<'static, Pool> {
+    POOL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// An owned, pool-recycled byte buffer.
@@ -148,17 +86,16 @@ impl PageBuf {
     /// Takes an allocation from the pool (or a fresh, empty one), counts
     /// the checkout, and lets `fill` set its length and contents.
     fn checkout(fill: impl FnOnce(&mut Vec<u8>)) -> Self {
-        CHECKOUTS.fetch_add(1, Ordering::Relaxed);
-        let mut buf = match checkout_raw() {
-            Some(buf) => {
-                RECYCLED.fetch_add(1, Ordering::Relaxed);
-                buf
+        let recycled = {
+            let mut pool = lock();
+            pool.checkouts += 1;
+            let buf = pool.free.pop();
+            if buf.is_none() {
+                pool.fresh_allocs += 1;
             }
-            None => {
-                FRESH_ALLOCS.fetch_add(1, Ordering::Relaxed);
-                Vec::new()
-            }
+            buf
         };
+        let mut buf = recycled.unwrap_or_default();
         fill(&mut buf);
         PageBuf { buf }
     }
@@ -178,7 +115,7 @@ impl Drop for PageBuf {
     fn drop(&mut self) {
         let buf = std::mem::take(&mut self.buf);
         if buf.capacity() > 0 {
-            recycle_raw(buf);
+            lock().free.push(buf);
         }
     }
 }
@@ -227,10 +164,11 @@ pub struct PoolStats {
 
 /// Reads the pool's lifetime counters (process-global, monotonic).
 pub fn stats() -> PoolStats {
+    let pool = lock();
     PoolStats {
-        checkouts: CHECKOUTS.load(Ordering::Relaxed),
-        fresh_allocs: FRESH_ALLOCS.load(Ordering::Relaxed),
-        recycled: RECYCLED.load(Ordering::Relaxed),
+        checkouts: pool.checkouts,
+        fresh_allocs: pool.fresh_allocs,
+        recycled: pool.checkouts - pool.fresh_allocs,
     }
 }
 
@@ -304,7 +242,7 @@ mod tests {
     fn buffers_survive_scoped_worker_threads() {
         // Mimic simkit::par: scoped workers allocate, results migrate to
         // the parent, workers die. The allocations must land back in the
-        // pool (via the TLS drop-flush) rather than leak forever.
+        // pool rather than leak forever.
         let made: Vec<PageBuf> = std::thread::scope(|s| {
             (0..8)
                 .map(|i| {

@@ -1,6 +1,7 @@
 //! Device configuration and the Table-2 presets.
 
 use crate::address::DieId;
+use crate::device::GC_HIGH_WATERMARK;
 use nandsim::{AgingConfig, FaultConfig, NandConfig, NandGeometry};
 use serde::{Deserialize, Serialize};
 
@@ -29,13 +30,10 @@ impl PciGen {
     }
 }
 
-/// Garbage-collection and allocation policy knobs.
+/// Block-allocation policy knobs. (GC's free-block watermarks are fixed
+/// in the device, not configured.)
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GcPolicy {
-    /// Start GC on a die when its free-block count drops below this.
-    pub low_watermark: u32,
-    /// Stop GC once the die has at least this many free blocks.
-    pub high_watermark: u32,
     /// Pick the new active block by lowest erase count (dynamic wear
     /// levelling) instead of last-freed order.
     pub wear_leveling: bool,
@@ -49,8 +47,6 @@ pub struct GcPolicy {
 impl Default for GcPolicy {
     fn default() -> Self {
         GcPolicy {
-            low_watermark: 4,
-            high_watermark: 8,
             wear_leveling: true,
             static_wl_threshold: None,
         }
@@ -326,10 +322,7 @@ impl SsdConfig {
                 self.overprovision
             ));
         }
-        if self.gc.low_watermark >= self.gc.high_watermark {
-            return Err("GC low watermark must be below the high watermark".into());
-        }
-        if (self.gc.high_watermark as u64) >= self.nand.geometry.blocks_per_die() {
+        if GC_HIGH_WATERMARK as u64 >= self.nand.geometry.blocks_per_die() {
             return Err("GC high watermark exceeds blocks per die".into());
         }
         if self.dram_bytes_per_sec == 0 {
@@ -454,10 +447,6 @@ mod tests {
 
         let mut cfg = SsdConfig::base();
         cfg.overprovision = 0.95;
-        assert!(cfg.validate().is_err());
-
-        let mut cfg = SsdConfig::base();
-        cfg.gc.low_watermark = cfg.gc.high_watermark;
         assert!(cfg.validate().is_err());
 
         let mut cfg = SsdConfig::base();

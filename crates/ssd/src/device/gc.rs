@@ -49,15 +49,20 @@ fn pick_victim<'a>(
     best.map(|(_, flat)| flat)
 }
 
+/// Start GC on a die when its free-block count drops below this.
+pub(crate) const GC_LOW_WATERMARK: usize = 4;
+/// Stop GC once the die has at least this many free blocks.
+pub(crate) const GC_HIGH_WATERMARK: usize = 8;
+
 impl Device {
     /// Runs garbage collection on a die until its free-block pool is back
-    /// above the low watermark.
+    /// above [`GC_LOW_WATERMARK`].
     pub(super) fn ensure_space(&mut self, die_id: DieId, at: SimTime) -> Result<(), SsdError> {
         let die_flat = die_id.flat(self.config.dies_per_channel);
-        if self.ftl.free_blocks(die_flat) >= self.config.gc.low_watermark as usize {
+        if self.ftl.free_blocks(die_flat) >= GC_LOW_WATERMARK {
             return Ok(());
         }
-        while self.ftl.free_blocks(die_flat) < self.config.gc.high_watermark as usize {
+        while self.ftl.free_blocks(die_flat) < GC_HIGH_WATERMARK {
             if !self.gc_once(die_id, at)? {
                 // No reclaimable block. Fatal only if allocation is truly
                 // impossible: no free blocks and no programmable page in

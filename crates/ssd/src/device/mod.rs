@@ -20,6 +20,7 @@ use crate::ftl::Ftl;
 use crate::stats::DeviceStats;
 use crate::trace::{OpKind, TraceEvent, TraceLog};
 use gc::StaticWl;
+pub(crate) use gc::GC_HIGH_WATERMARK;
 use journal::Journal;
 use nandsim::{Die, FaultStats, NandError, OnfiBus, PowerLossConfig};
 use rain::Rain;

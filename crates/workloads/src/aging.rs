@@ -194,8 +194,8 @@ impl AgingSchedule {
     }
 }
 
-/// The canonical schedule set for the F26 reliability sweep and the
-/// reliability-matrix CI job, each cell with its own seed derived from
+/// The canonical schedule set for the F26 reliability sweep and
+/// `tests/reliability.rs`, each cell with its own seed derived from
 /// `seed` so hot-page sets stay decorrelated across schedules while the
 /// set as a whole is reproducible.
 pub fn aging_schedules(seed: u64) -> Vec<AgingSchedule> {

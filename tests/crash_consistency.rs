@@ -14,7 +14,7 @@
 use std::collections::BTreeSet;
 
 use optimstore::optimstore_core::CoreError;
-use optimstore::simkit::SimDuration;
+use optimstore::simkit::{par, SimDuration};
 use optimstore::ssdsim::{PowerLossConfig, SsdError};
 use optimstore::workloads::{crash_schedules, CrashPhase};
 use optimstore_bench::runners::{assert_bit_exact, CrashCell, SeededRun};
@@ -27,33 +27,26 @@ const RUN: SeededRun = SeededRun {
     seed: 0xF25,
 };
 
-/// Journal flush interval, overridable by CI's crash-matrix job
-/// (`CRASH_JOURNAL_INTERVAL`). 16 is the tightest interval whose
-/// never-reclaimed journal blocks still fit on die 0 of the shrunken
-/// device; the default matches the fig25 midpoint.
-fn journal_interval() -> u32 {
-    std::env::var("CRASH_JOURNAL_INTERVAL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(64)
-}
-
-/// CI's crash-matrix job slices the schedule list per matrix cell with
-/// `CRASH_SCHEDULES` (comma-separated exact names). Unset = run all.
-fn schedule_selected(name: &str) -> bool {
-    match std::env::var("CRASH_SCHEDULES") {
-        Ok(list) => list.split(',').any(|s| s.trim() == name),
-        Err(_) => true,
-    }
-}
+/// The fig25 midpoint journal flush interval, for the tests that need
+/// only one.
+const INTERVAL: u32 = 64;
 
 /// The acceptance gate for F25: every crash schedule — twelve distinct
 /// instants covering early-step, mid-step, write-back, mid-GC-erase and
 /// double-crash phases — recovers to bit-identical state, with the mount
-/// report accounting for what was replayed, scanned and discarded.
+/// report accounting for what was replayed, scanned and discarded. Runs
+/// at each of F25's flush intervals, fanned out like F25 on the
+/// data-plane pool; 16 is the tightest interval whose never-reclaimed
+/// journal blocks still fit on die 0 of the shrunken device.
 #[test]
 fn every_crash_schedule_recovers_bit_identically() {
-    let cell = CrashCell::new(RUN, journal_interval());
+    par::map_indexed(&[16u32, 64, 256], |_, &interval| {
+        every_crash_schedule_recovers_at(interval)
+    });
+}
+
+fn every_crash_schedule_recovers_at(interval: u32) {
+    let cell = CrashCell::new(RUN, interval);
     let schedules = crash_schedules(0xF25);
     assert!(schedules.len() >= 10);
 
@@ -67,13 +60,10 @@ fn every_crash_schedule_recovers_bit_identically() {
 
     for s in &schedules {
         s.validate().unwrap();
-        if !schedule_selected(s.name) {
-            continue;
-        }
-        let label = s.name;
+        let label = format!("interval {interval}, {}", s.name);
         // Names the schedule for a panic raised inside the cell, whose
         // messages do not carry it.
-        eprintln!("schedule {label}");
+        eprintln!("{label}");
         let tc = cell.instant(s);
         assert!(tc > cell.loaded, "{label}: crash instant precedes training");
         let (mut dev, crash) = cell.crash(s);
@@ -123,8 +113,8 @@ fn every_crash_schedule_recovers_bit_identically() {
 /// counter and training continues.
 #[test]
 fn crash_between_steps_needs_no_replay() {
-    let cell = CrashCell::new(RUN, journal_interval());
-    let (mut dev, t0) = RUN.load_adam(CrashCell::ssd(journal_interval()));
+    let cell = CrashCell::new(RUN, INTERVAL);
+    let (mut dev, t0) = RUN.load_adam(CrashCell::ssd(INTERVAL));
     let r1 = dev.run_step(Some(&RUN.grads(1)), t0).unwrap();
 
     // Quiesced after step 1's commit: kill the power on the idle device.

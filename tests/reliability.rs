@@ -35,24 +35,6 @@ fn cell() -> &'static DegradedCell {
     })
 }
 
-/// CI's reliability-matrix job pins the parity axis per cell with
-/// `RELIABILITY_PARITY` (`on` / `off`). Unset = run both sides.
-fn parity_selected(mode: &str) -> bool {
-    match std::env::var("RELIABILITY_PARITY") {
-        Ok(v) => v.trim() == mode,
-        Err(_) => true,
-    }
-}
-
-/// CI slices the aging-schedule list per matrix cell with
-/// `RELIABILITY_SCHEDULES` (comma-separated exact names). Unset = all.
-fn schedule_selected(name: &str) -> bool {
-    match std::env::var("RELIABILITY_SCHEDULES") {
-        Ok(list) => list.split(',').any(|s| s.trim() == name),
-        Err(_) => true,
-    }
-}
-
 /// The acceptance gate's surviving half: for every aging schedule, a
 /// parity + scrub device that loses 12 committed pages mid-run finishes
 /// all four steps, reconstructed every loss from stripe peers (nothing
@@ -60,14 +42,8 @@ fn schedule_selected(name: &str) -> bool {
 /// reference.
 #[test]
 fn parity_and_scrub_survive_ten_plus_losses_bit_exactly() {
-    if !parity_selected("on") {
-        return;
-    }
     let cell = cell();
     for sched in aging_schedules(SEED) {
-        if !schedule_selected(sched.name) {
-            continue;
-        }
         sched.validate().unwrap();
         let label = sched.name;
         let ssd = DegradedCell::ssd(&sched, true, Some(ScrubConfig::per_step(512)));
@@ -103,14 +79,8 @@ fn parity_and_scrub_survive_ten_plus_losses_bit_exactly() {
 /// `UncorrectableRead`, never silent corruption.
 #[test]
 fn parity_off_same_seed_aborts_with_uncorrectable_read() {
-    if !parity_selected("off") {
-        return;
-    }
     let cell = cell();
     for sched in aging_schedules(SEED) {
-        if !schedule_selected(sched.name) {
-            continue;
-        }
         let label = sched.name;
         let (mut dev, at) = cell.run.load_adam(DegradedCell::ssd(&sched, false, None));
         let d = cell.degrade(&mut dev, &sched, 1..=DegradedCell::STEPS, at);
