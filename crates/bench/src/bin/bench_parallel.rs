@@ -1,14 +1,14 @@
 //! Serial-vs-parallel wall-clock for the deterministic data plane
 //! (`simkit::par`): runs the functional integration workload (every
-//! optimizer, die- and channel-level NDP) and the fig26 sweep grid
-//! twice — pool forced to one thread, then to the host's full width —
-//! verifies the two runs of each are bit-identical, and writes the
-//! timings to `BENCH_parallel.json` (path overridable as the first
-//! argument).
+//! optimizer, die- and channel-level NDP) and the fig26 sweep grid with
+//! the pool forced to one thread and at the host's full width, timing the
+//! two widths in alternation, verifies every run of each is bit-identical,
+//! and writes each width's median time to `BENCH_parallel.json` (path
+//! overridable as the first argument).
 //!
-//! Exits non-zero if the parallel functional run is slower than the serial
-//! one on a multi-core host (on a single-core host the comparison is
-//! recorded but not enforced — there is nothing to win).
+//! Exits non-zero if the parallel functional median is slower than the
+//! serial one on a multi-core host (on a single-core host the comparison
+//! is recorded but not enforced — there is nothing to win).
 
 use std::time::Instant;
 
@@ -68,30 +68,48 @@ impl Entry {
     }
 }
 
-/// Times `f` with the pool forced serial, then at `width`. Each timed run
-/// follows an untimed one at its own width, so neither pays first-touch
-/// costs (page faults, lazy allocation, workers waking after an idle
-/// stretch) the other doesn't — without the serial warm-up the second run
-/// shows a phantom "speedup" even on a single-core host. Panics unless
-/// both runs return the same output.
+/// Timed passes per width: an odd count, so the median is one pass.
+const ROUNDS: usize = 3;
+
+/// Times `f` with the pool forced serial and at `width`, and returns each
+/// side's median over [`ROUNDS`] passes. One untimed run at each width
+/// comes first, so neither side pays first-touch costs (page faults, lazy
+/// allocation, workers waking after an idle stretch) the other doesn't.
+/// The timed passes then alternate serial and parallel, so a host that
+/// speeds up or slows down while the binary runs (CPU frequency, vCPU
+/// scheduling after an idle stretch) moves both sides alike instead of
+/// favouring whichever ran last. Panics unless every run returns the
+/// same output.
 fn measure<R: PartialEq>(name: &'static str, width: usize, f: impl Fn() -> R) -> Entry {
     simkit::par::set_threads(1);
-    drop(timed(&f));
-    let (serial_secs, serial_out) = timed(&f);
-    simkit::par::set_threads(width);
-    drop(timed(&f));
-    let (parallel_secs, parallel_out) = timed(&f);
+    let (_, reference) = timed(&f);
+    let run_at = |threads: usize| {
+        simkit::par::set_threads(threads);
+        let (secs, out) = timed(&f);
+        // The whole point of the split: any pool width produces the same bytes.
+        assert!(
+            out == reference,
+            "{name}: a {threads}-thread run diverged from serial"
+        );
+        secs
+    };
+    run_at(width);
+    let (mut serial, mut parallel) = (Vec::new(), Vec::new());
+    for _ in 0..ROUNDS {
+        serial.push(run_at(1));
+        parallel.push(run_at(width));
+    }
     simkit::par::set_threads(0);
-    // The whole point of the split: any pool width produces the same bytes.
-    assert!(
-        serial_out == parallel_out,
-        "{name}: parallel run diverged from serial"
-    );
     Entry {
         name,
-        serial_secs,
-        parallel_secs,
+        serial_secs: median(serial),
+        parallel_secs: median(parallel),
     }
+}
+
+fn median(mut secs: Vec<f64>) -> f64 {
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
 }
 
 fn main() {
@@ -104,7 +122,7 @@ fn main() {
 
     let suite = measure("functional-suite", width, functional_suite);
     println!(
-        "functional suite: serial {:.2}s, parallel {:.2}s ({} threads, {:.2}x), bit-exact",
+        "functional suite, median of {ROUNDS}: serial {:.2}s, parallel {:.2}s ({} threads, {:.2}x), bit-exact",
         suite.serial_secs,
         suite.parallel_secs,
         width,
@@ -118,6 +136,7 @@ fn main() {
     let entries = [&suite, &fig26];
     let mut json = String::from("{\n");
     json.push_str(&format!("  \"pool_width\": {width},\n"));
+    json.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
     json.push_str("  \"entries\": [\n");
     for (i, e) in entries.iter().enumerate() {
         json.push_str(&format!(

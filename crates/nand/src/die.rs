@@ -5,7 +5,7 @@ use crate::error::NandError;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::geometry::{BlockAddr, NandGeometry, PhysPage};
 use crate::power::PageOob;
-use crate::store::{new_block_table, new_invalid_bits, Backing, BlockState, PageArena, PageState};
+use crate::store::{new_invalid_bits, Backing, BlockState, BlockTable, PageArena, PageState};
 use crate::timing::NandConfig;
 use crate::wear::{read_retries, AgingConfig, RberMemo, RberModel};
 use simkit::slab::Slabs;
@@ -41,7 +41,7 @@ pub struct Die {
     id: u32,
     config: NandConfig,
     planes: Vec<Timeline>,
-    blocks: Vec<BlockState>,
+    blocks: BlockTable,
     /// Invalid-page bitsets of the blocks that hold an invalid page.
     invalid: Slabs,
     backing: Backing,
@@ -139,7 +139,7 @@ impl Die {
             id,
             config,
             planes,
-            blocks: new_block_table(&config.geometry),
+            blocks: BlockTable::new(&config.geometry),
             invalid: new_invalid_bits(&config.geometry),
             backing,
             stats: DieStats::default(),
@@ -287,21 +287,21 @@ impl Die {
         if !self.config.geometry.contains_block(b) {
             return Err(NandError::BadBlock(b));
         }
-        Ok(&self.blocks[self.config.geometry.block_index(b) as usize])
+        Ok(self.blocks.get(b))
     }
 
-    /// Flat index of the block holding `p`, if `p` is on this die.
+    /// The block holding `p`, if `p` is on this die.
     #[inline]
-    fn block_of(&self, p: PhysPage) -> Result<usize, NandError> {
+    fn block_of(&self, p: PhysPage) -> Result<BlockAddr, NandError> {
         if !self.config.geometry.contains(p) {
             return Err(NandError::BadAddress(p));
         }
-        Ok(self.config.geometry.block_index(p.block_addr()) as usize)
+        Ok(p.block_addr())
     }
 
     /// Lifecycle state of page `p`.
     pub fn page_state(&self, p: PhysPage) -> Result<PageState, NandError> {
-        let block = &self.blocks[self.block_of(p)?];
+        let block = self.blocks.get(self.block_of(p)?);
         Ok(block.page_state(p.page, &self.invalid))
     }
 
@@ -311,7 +311,10 @@ impl Die {
     #[inline]
     pub fn invalidate(&mut self, p: PhysPage) -> Result<bool, NandError> {
         let block = self.block_of(p)?;
-        Ok(self.blocks[block].invalidate(p.page, &mut self.invalid))
+        Ok(self
+            .blocks
+            .get_mut(block)
+            .invalidate(p.page, &mut self.invalid))
     }
 
     /// Forces a programmed page's validity (mount recovery rebuilds the
@@ -320,7 +323,10 @@ impl Die {
     /// `Free` page, which has no validity to rewrite.
     pub fn set_validity(&mut self, p: PhysPage, valid: bool) -> Result<bool, NandError> {
         let block = self.block_of(p)?;
-        Ok(self.blocks[block].set_validity(p.page, valid, &mut self.invalid))
+        Ok(self
+            .blocks
+            .get_mut(block)
+            .set_validity(p.page, valid, &mut self.invalid))
     }
 
     /// Retires block `b` (no further programs or erases), as the FTL does
@@ -329,7 +335,7 @@ impl Die {
         if !self.config.geometry.contains_block(b) {
             return Err(NandError::BadBlock(b));
         }
-        self.blocks[self.config.geometry.block_index(b) as usize].retire();
+        self.blocks.get_mut(b).retire();
         Ok(())
     }
 
@@ -359,8 +365,7 @@ impl Die {
                 });
             }
         }
-        let block_idx = self.config.geometry.block_index(p.block_addr()) as usize;
-        let block = &self.blocks[block_idx];
+        let block = self.blocks.get(p.block_addr());
         if block.page_state(p.page, &self.invalid) == PageState::Free {
             return Err(NandError::ReadUnwritten(p));
         }
@@ -393,7 +398,7 @@ impl Die {
             // The sense disturbs the block's neighbouring cells; the clock
             // only ticks while the aging model is armed so the disarmed
             // path stays bit-identical to an aging-free die.
-            self.blocks[block_idx].note_read();
+            self.blocks.get_mut(p.block_addr()).note_read();
         }
         if self.torn.contains(&self.config.geometry.page_index(p)) {
             // A torn page holds a partial charge pattern no ECC can fix;
@@ -416,6 +421,7 @@ impl Die {
         }
         if let Backing::Data(arena) = &self.backing {
             // A programmed page in functional mode must have contents.
+            let block_idx = self.config.geometry.block_index(p.block_addr()) as usize;
             let data = arena
                 .get(block_idx, p.page as usize)
                 .ok_or(NandError::NoData(p))?;
@@ -441,8 +447,7 @@ impl Die {
             return Err(NandError::BadAddress(p));
         }
         let geo = self.config.geometry;
-        let block_idx = geo.block_index(p.block_addr()) as usize;
-        let block = &self.blocks[block_idx];
+        let block = self.blocks.get(p.block_addr());
         if block.is_retired() {
             return Err(NandError::WornOut(p.block_addr()));
         }
@@ -484,13 +489,15 @@ impl Die {
                 // no OOB stamp are trustworthy, and every later read fails
                 // until the block is erased.
                 self.planes[p.plane as usize].acquire(at, self.config.timing.t_program);
-                self.blocks[block_idx].mark_programmed(p.page);
+                self.blocks.get_mut(p.block_addr()).mark_programmed(p.page);
                 self.torn.insert(geo.page_index(p));
                 return Err(NandError::PowerLoss { at: crash });
             }
         }
         let win = self.planes[p.plane as usize].acquire(at, self.config.timing.t_program);
-        let rber = self.rber.rber(self.blocks[block_idx].erase_count());
+        let rber = self
+            .rber
+            .rber(self.blocks.get(p.block_addr()).erase_count());
         if let Some(fault) = &mut self.fault {
             if fault.roll_program(rber, self.rber.model().ecc_ceiling) {
                 // Bad program status: the plane was occupied for the full
@@ -502,11 +509,12 @@ impl Die {
                 });
             }
         }
-        self.blocks[block_idx].mark_programmed(p.page);
+        let block = self.blocks.get_mut(p.block_addr());
+        block.mark_programmed(p.page);
         // Restart the block's retention clock: fresh charge.
-        self.blocks[block_idx].stamp_program(win.end.as_ns());
+        block.stamp_program(win.end.as_ns());
         if let (Backing::Data(arena), Some(d)) = (&mut self.backing, data) {
-            arena.put(block_idx, p.page as usize, d);
+            arena.put(geo.block_index(p.block_addr()) as usize, p.page as usize, d);
         }
         self.stats.programs.incr();
         self.stats.bytes_programmed.add(geo.page_bytes as u64);
@@ -524,7 +532,7 @@ impl Die {
         }
         let geo = self.config.geometry;
         let block_idx = geo.block_index(b) as usize;
-        if self.blocks[block_idx].is_retired() {
+        if self.blocks.get(b).is_retired() {
             return Err(NandError::WornOut(b));
         }
         if let Some(crash) = self.power {
@@ -538,7 +546,7 @@ impl Die {
             }
         }
         let win = self.planes[b.plane as usize].acquire(at, self.config.timing.t_erase);
-        let rber = self.rber.rber(self.blocks[block_idx].erase_count());
+        let rber = self.rber.rber(self.blocks.get(b).erase_count());
         if let Some(fault) = &mut self.fault {
             if fault.roll_erase(rber, self.rber.model().ecc_ceiling) {
                 // Bad erase status: the block keeps its stale contents and
@@ -549,8 +557,9 @@ impl Die {
                 });
             }
         }
-        self.blocks[block_idx].mark_erased(&mut self.invalid);
-        self.rber.cover(self.blocks[block_idx].erase_count());
+        let block = self.blocks.get_mut(b);
+        block.mark_erased(&mut self.invalid);
+        self.rber.cover(block.erase_count());
         if let Backing::Data(arena) = &mut self.backing {
             arena.erase_block(block_idx);
         }
@@ -561,8 +570,8 @@ impl Die {
         }
         // One slab drop clears every stamp in the block.
         self.oob.clear_block(block_idx as u64);
-        if self.blocks[block_idx].erase_count() >= self.config.cell.rated_pe_cycles() {
-            self.blocks[block_idx].retire();
+        if block.erase_count() >= self.config.cell.rated_pe_cycles() {
+            block.retire();
         }
         self.stats.erases.incr();
         Ok(win)
@@ -574,9 +583,7 @@ impl Die {
     /// # Panics
     /// If a block's erase count would reach `u32::MAX`.
     pub fn simulate_wear(&mut self, pe: u64) {
-        for b in &mut self.blocks {
-            b.add_wear(pe);
-        }
+        self.blocks.add_wear(pe);
     }
 
     /// Total erases across all blocks.
@@ -584,7 +591,7 @@ impl Die {
         self.blocks.iter().map(BlockState::erase_count).sum()
     }
 
-    /// Iterates `(flat_block_index, &BlockState)`.
+    /// Iterates `(flat_block_index, &BlockState)` in flat index order.
     pub fn iter_blocks(&self) -> impl Iterator<Item = (u64, &BlockState)> {
         self.blocks.iter().enumerate().map(|(i, b)| (i as u64, b))
     }
@@ -1295,6 +1302,138 @@ mod tests {
                         prop_assert_eq!(d.block(q).unwrap().valid_pages(), valid);
                     }
                     prop_assert!(d.invalid.live() <= 6, "at most one bitset per block");
+                }
+            }
+        }
+    }
+
+    mod table_model {
+        //! The grown block table against an eager one: random geometries and
+        //! random programs, invalidations, forced validity, erases,
+        //! retirements and artificial wear, with every block's state and the
+        //! flat-order walk compared after each operation.
+
+        use super::*;
+        use crate::store::new_invalid_bits;
+        use proptest::prelude::*;
+
+        /// Every block's state built up front in flat order, as the die
+        /// kept it before its table grew on first write.
+        struct EagerTable {
+            blocks: Vec<BlockState>,
+            bits: Slabs,
+        }
+
+        impl EagerTable {
+            fn new(geo: NandGeometry) -> Self {
+                EagerTable {
+                    blocks: (0..geo.blocks_per_die())
+                        .map(|_| BlockState::new(geo.pages_per_block))
+                        .collect(),
+                    bits: new_invalid_bits(&geo),
+                }
+            }
+        }
+
+        type Observed = (
+            Option<u32>,
+            u32,
+            u64,
+            u64,
+            Option<u64>,
+            bool,
+            Vec<PageState>,
+        );
+
+        /// Everything a caller can observe of a block of `pages` pages.
+        fn observe(b: &BlockState, bits: &Slabs, pages: u32) -> Observed {
+            let pages = (0..pages).map(|p| b.page_state(p, bits)).collect();
+            (
+                b.next_programmable(),
+                b.valid_pages(),
+                b.erase_count(),
+                b.reads_since_erase(),
+                b.last_program_ns(),
+                b.is_retired(),
+                pages,
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn grown_table_matches_an_eager_one(
+                (planes, blocks_per_plane, pages_per_block) in (1u32..=4, 1u32..=40, 1u32..=6),
+                ops in prop::collection::vec((0u8..7, 0u32..4, 0u32..40, 0u32..6, 0u64..1_600), 1..120)
+            ) {
+                let geo = NandGeometry {
+                    planes,
+                    blocks_per_plane,
+                    pages_per_block,
+                    ..NandConfig::tiny_test_die().geometry
+                };
+                let mut d = Die::new(0, NandConfig { geometry: geo, ..NandConfig::tiny_test_die() });
+                let mut eager = EagerTable::new(geo);
+                let rated = d.config().cell.rated_pe_cycles();
+                let mut t = SimTime::ZERO;
+                for (op, plane, block, page, pe) in ops {
+                    t += SimDuration::from_ms(1);
+                    let b = BlockAddr { plane: plane % geo.planes, block: block % geo.blocks_per_plane };
+                    let p = b.page(page % geo.pages_per_block);
+                    let (want, bits) = (&mut eager.blocks[geo.block_index(b) as usize], &mut eager.bits);
+                    match op {
+                        // Program the block's next page.
+                        0 | 1 => {
+                            let next = want.next_programmable();
+                            let r = d.program_page(b.page(next.unwrap_or(0)), t, None);
+                            prop_assert_eq!(r.is_ok(), next.is_some() && !want.is_retired());
+                            if let Ok(win) = r {
+                                want.mark_programmed(next.unwrap());
+                                want.stamp_program(win.end.as_ns());
+                            }
+                        }
+                        2 => prop_assert_eq!(d.invalidate(p).unwrap(), want.invalidate(p.page, bits)),
+                        3 => {
+                            let valid = pe % 2 == 0;
+                            prop_assert_eq!(d.set_validity(p, valid).unwrap(), want.set_validity(p.page, valid, bits));
+                        }
+                        4 => {
+                            let r = d.erase_block(b, t);
+                            prop_assert_eq!(r.is_ok(), !want.is_retired());
+                            if r.is_ok() {
+                                want.mark_erased(bits);
+                                if want.erase_count() >= rated {
+                                    want.retire();
+                                }
+                            }
+                        }
+                        5 => {
+                            d.retire_block(b).unwrap();
+                            want.retire();
+                        }
+                        _ => {
+                            d.simulate_wear(pe);
+                            for state in &mut eager.blocks {
+                                state.add_wear(pe);
+                            }
+                        }
+                    }
+                    let ppb = geo.pages_per_block;
+                    let want: Vec<_> = eager
+                        .blocks
+                        .iter()
+                        .enumerate()
+                        .map(|(flat, b)| (flat as u64, observe(b, &eager.bits, ppb)))
+                        .collect();
+                    for (flat, want) in &want {
+                        let got = d.block(geo.block_at(*flat)).unwrap();
+                        prop_assert_eq!(&observe(got, &d.invalid, ppb), want, "block {}", flat);
+                    }
+                    let walk: Vec<_> = d.iter_blocks().map(|(flat, b)| (flat, observe(b, &d.invalid, ppb))).collect();
+                    prop_assert_eq!(walk, want);
+                    prop_assert_eq!(d.total_erases(), eager.blocks.iter().map(BlockState::erase_count).sum::<u64>());
+                    prop_assert_eq!(d.retired_blocks(), eager.blocks.iter().filter(|b| b.is_retired()).count() as u64);
                 }
             }
         }

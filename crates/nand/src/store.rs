@@ -7,14 +7,20 @@
 //! the block's invalid bitset. Bitsets live in the die's [`Slabs`] store,
 //! taken on a block's first invalidation and handed back on erase; the
 //! block holds only the slab index. A [`BlockState`] is therefore 32 bytes
-//! of plain data with no drop glue, so a die's block table is built and
-//! dropped as one allocation.
+//! of plain data with no drop glue.
+//!
+//! A die keeps its block states in a `BlockTable`: one vector in
+//! block-major order (slot `block × planes + plane`) that grows to the
+//! highest slot written, while a block past its end reads as one shared
+//! erased state. The wear-levelling allocator opens blocks 0, 1, 2, … on
+//! every plane, so the touched blocks form a prefix of the vector and a
+//! die pays only for them; a lookup stays one bounds check and one index.
 //!
 //! The *contents* of pages are optional: a functional die keeps real bytes
 //! in a slot arena for functional verification, a phantom die keeps none so
 //! that terabyte-scale timing experiments fit in host memory.
 
-use crate::geometry::NandGeometry;
+use crate::geometry::{BlockAddr, NandGeometry};
 use simkit::slab::{Slabs, NO_SLAB};
 
 /// Lifecycle state of one physical page.
@@ -385,16 +391,122 @@ impl std::fmt::Debug for PageArena {
     }
 }
 
-/// Builds the per-block state table for a die of geometry `geo`.
+/// The block states of one die, grown on first write.
 ///
-/// # Panics
-/// If the geometry's pages per block exceed
-/// [`NandGeometry::MAX_PAGES_PER_BLOCK`].
-pub fn new_block_table(geo: &NandGeometry) -> Vec<BlockState> {
-    let erased = BlockState::new(geo.pages_per_block);
-    (0..geo.blocks_per_die())
-        .map(|_| BlockState { ..erased })
-        .collect()
+/// States are stored block-major: the slot of `(plane, block)` is
+/// `block × planes + plane`, so the blocks an allocator opens first (low
+/// indices on every plane) share a short prefix. Slots past the end of
+/// `states` are never-written blocks and read as `erased`. The die's flat
+/// (plane-major) block index keeps its meaning for every caller; only the
+/// storage order differs.
+#[derive(Debug)]
+pub(crate) struct BlockTable {
+    states: Vec<BlockState>,
+    /// What every block past the end of `states` reads as: erased, never
+    /// programmed, never retired, with the uniform wear of
+    /// [`add_wear`](Self::add_wear).
+    erased: BlockState,
+    planes: usize,
+    blocks_per_plane: usize,
+}
+
+impl BlockTable {
+    /// The table of a fresh die of geometry `geo`. Allocates nothing.
+    ///
+    /// # Panics
+    /// If the geometry's pages per block exceed
+    /// [`NandGeometry::MAX_PAGES_PER_BLOCK`].
+    pub(crate) fn new(geo: &NandGeometry) -> Self {
+        BlockTable {
+            states: Vec::new(),
+            erased: BlockState::new(geo.pages_per_block),
+            planes: geo.planes as usize,
+            blocks_per_plane: geo.blocks_per_plane as usize,
+        }
+    }
+
+    #[inline]
+    fn slot(&self, b: BlockAddr) -> usize {
+        b.block as usize * self.planes + b.plane as usize
+    }
+
+    /// The state of block `b`, which must be on the die.
+    #[inline]
+    pub(crate) fn get(&self, b: BlockAddr) -> &BlockState {
+        self.states.get(self.slot(b)).unwrap_or(&self.erased)
+    }
+
+    /// The state of block `b`, mutably, growing the table to hold it.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, b: BlockAddr) -> &mut BlockState {
+        let slot = self.slot(b);
+        if slot >= self.states.len() {
+            let erased = &self.erased;
+            self.states
+                .resize_with(slot + 1, || BlockState { ..*erased });
+        }
+        &mut self.states[slot]
+    }
+
+    /// Every block in flat (plane-major) order: each plane is a strided
+    /// walk of `states` followed by its never-written blocks.
+    pub(crate) fn iter(&self) -> Blocks<'_> {
+        Blocks {
+            table: self,
+            plane: 0,
+            slot: 0,
+            left: if self.planes == 0 {
+                0
+            } else {
+                self.blocks_per_plane
+            },
+        }
+    }
+
+    /// Adds `pe` artificial P/E cycles to every block, written or not.
+    ///
+    /// # Panics
+    /// If a block's erase count would reach `u32::MAX`.
+    pub(crate) fn add_wear(&mut self, pe: u64) {
+        self.erased.add_wear(pe);
+        for b in &mut self.states {
+            b.add_wear(pe);
+        }
+    }
+}
+
+/// The walk of [`BlockTable::iter`]: a strided cursor over `states`, with
+/// no division per block. The same walk built from `flat_map`, `step_by`
+/// and `chain` made the steady-state step 1–2 % slower (GC's victim scan
+/// runs it on every collection).
+pub(crate) struct Blocks<'a> {
+    table: &'a BlockTable,
+    plane: usize,
+    /// Slot of the current plane's next block.
+    slot: usize,
+    /// Blocks of the current plane not yet returned.
+    left: usize,
+}
+
+impl<'a> Iterator for Blocks<'a> {
+    type Item = &'a BlockState;
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a BlockState> {
+        let t = self.table;
+        while self.left == 0 {
+            if self.plane + 1 >= t.planes {
+                return None;
+            }
+            self.plane += 1;
+            self.slot = self.plane;
+            self.left = t.blocks_per_plane;
+        }
+        self.left -= 1;
+        let slot = self.slot;
+        self.slot += t.planes;
+        Some(t.states.get(slot).unwrap_or(&t.erased))
+    }
 }
 
 #[cfg(test)]
@@ -623,6 +735,7 @@ mod tests {
         assert!(Backing::Data(PageArena::new(&arena_geo())).is_functional());
     }
 
+    /// The table walks every block but stores only a block-major prefix.
     #[test]
     fn block_table_size() {
         let geo = NandGeometry {
@@ -631,6 +744,23 @@ mod tests {
             pages_per_block: 4,
             page_bytes: 512,
         };
-        assert_eq!(new_block_table(&geo).len(), 6);
+        let mut t = BlockTable::new(&geo);
+        assert_eq!(t.states.capacity(), 0, "a fresh table allocates nothing");
+        assert_eq!(t.iter().count(), 6);
+        t.get_mut(BlockAddr { plane: 1, block: 0 })
+            .mark_programmed(0);
+        assert_eq!(t.states.len(), 2, "block 0 of both planes is the prefix");
+        t.get_mut(BlockAddr { plane: 0, block: 2 })
+            .mark_programmed(0);
+        assert_eq!(t.states.len(), 5);
+        let cursors: Vec<u32> = t.iter().map(BlockState::free_pages).collect();
+        assert_eq!(
+            cursors,
+            [4, 4, 3, 3, 4, 4],
+            "flat order: plane 0, then plane 1"
+        );
+        t.add_wear(7);
+        assert!(t.iter().all(|b| b.erase_count() == 7));
+        assert_eq!(t.get(BlockAddr { plane: 1, block: 2 }).erase_count(), 7);
     }
 }

@@ -296,6 +296,7 @@ impl Device {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ftl::DieAlloc;
     use nandsim::{Die, NandConfig, NandGeometry};
     use proptest::prelude::*;
 
@@ -322,24 +323,51 @@ mod tests {
 
     const PAGES: u32 = 4;
 
+    /// A phantom die of `planes` × `blocks_per_plane` blocks of
+    /// [`PAGES`] pages.
+    fn small_die(planes: u32, blocks_per_plane: u32) -> Die {
+        let geometry = NandGeometry {
+            planes,
+            blocks_per_plane,
+            pages_per_block: PAGES,
+            ..NandConfig::tiny_test_die().geometry
+        };
+        Die::new(
+            0,
+            NandConfig {
+                geometry,
+                ..NandConfig::tiny_test_die()
+            },
+        )
+    }
+
+    /// Every block of `die` in flat order, each looked up on its own
+    /// rather than through [`Die::iter_blocks`].
+    fn block_by_block(die: &Die) -> Vec<(u64, &BlockState)> {
+        let geo = die.config().geometry;
+        (0..geo.blocks_per_die())
+            .map(|flat| (flat, die.block(geo.block_at(flat)).unwrap()))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Over random full, partial, retired and active blocks with any
-        /// valid count, the early-exit pick equals the full scan's.
+        /// Over random full, partial, retired, active and never-written
+        /// blocks with any valid count, on random geometries, the
+        /// early-exit pick over the die's block walk equals the full
+        /// scan's over block-by-block lookups.
         #[test]
         fn early_exit_pick_matches_full_scan(
-            blocks in prop::collection::vec((0..=PAGES, 0..=PAGES, 0u8..8, 0u8..4), 16..17)
+            (planes, blocks_per_plane) in (1u32..=4, 1u32..=8),
+            blocks in prop::collection::vec((0..=PAGES, 0..=PAGES, 0u8..8, 0u8..4), 32..33)
         ) {
-            let geometry = NandGeometry {
-                planes: 2,
-                blocks_per_plane: 8,
-                pages_per_block: PAGES,
-                ..NandConfig::tiny_test_die().geometry
-            };
-            let mut die = Die::new(0, NandConfig { geometry, ..NandConfig::tiny_test_die() });
+            let mut die = small_die(planes, blocks_per_plane);
+            let geometry = die.config().geometry;
             let mut active = Vec::new();
-            for (flat, &(programmed, invalid, retired, act)) in blocks.iter().enumerate() {
+            for (flat, &(programmed, invalid, retired, act)) in
+                blocks.iter().take(geometry.blocks_per_die() as usize).enumerate()
+            {
                 let addr = geometry.block_at(flat as u64);
                 for page in 0..programmed {
                     die.program_page(addr.page(page), SimTime::ZERO, None).unwrap();
@@ -357,7 +385,38 @@ mod tests {
             let excluded = |flat: u64| active.contains(&flat);
             prop_assert_eq!(
                 pick_victim(die.iter_blocks(), PAGES, excluded),
-                pick_victim_full_scan(die.iter_blocks(), PAGES, excluded)
+                pick_victim_full_scan(block_by_block(&die).into_iter(), PAGES, excluded)
+            );
+        }
+
+        /// Blocks opened by the allocator — lowest index first with wear
+        /// levelling, highest first without — then partly invalidated:
+        /// the pick over the die's block walk equals the full scan's.
+        #[test]
+        fn allocator_filled_pick_matches_full_scan(
+            (planes, blocks_per_plane, wear_leveling) in (1u32..=4, 1u32..=8, any::<bool>()),
+            programs in 0u32..128,
+            invalid in prop::collection::vec(any::<bool>(), 128..129)
+        ) {
+            let mut die = small_die(planes, blocks_per_plane);
+            let mut alloc = DieAlloc::new(&die, wear_leveling);
+            let mut written = Vec::new();
+            for _ in 0..programs {
+                let Some(page) = alloc.next_page(&die) else { break };
+                die.program_page(page, SimTime::ZERO, None).unwrap();
+                written.push(page);
+            }
+            for (page, _) in written.iter().zip(&invalid).filter(|(_, &inv)| inv) {
+                die.invalidate(*page).unwrap();
+            }
+            let active: Vec<u64> = alloc
+                .active_blocks()
+                .map(|b| die.config().geometry.block_index(b))
+                .collect();
+            let excluded = |flat: u64| active.contains(&flat);
+            prop_assert_eq!(
+                pick_victim(die.iter_blocks(), PAGES, excluded),
+                pick_victim_full_scan(block_by_block(&die).into_iter(), PAGES, excluded)
             );
         }
     }

@@ -5,6 +5,7 @@
 //! its optimizer state, so untouched chunks cost nothing.
 
 use crate::address::{Lpn, Ppa};
+use nandsim::BlockAddr;
 use simkit::slab::{Slabs, NO_SLAB};
 
 /// Entries per lazily-allocated L2P chunk (64 Ki pages ≈ 512 KiB per chunk).
@@ -76,45 +77,50 @@ impl L2pTable {
 /// The physical→logical reverse map, kept per block so garbage collection
 /// can find the owner of each valid page.
 ///
-/// Layout mirrors the chunked L2P: one dense lane per die, indexed by the
-/// die's flat block index, each entry the `u32` index of a per-page slab of
-/// `lpn + 1` values (0 = none) in one [`Slabs`] store shared by every die.
-/// A die's lane materializes only once the die holds a mapping, a block
-/// takes a slab at its first mapping, and an erased block's slab is zeroed
-/// and spared for the next block that starts filling — so phantom
-/// terabyte geometries pay only for blocks actually in use, steady-state GC
-/// recycles slabs instead of allocating them, lanes have no drop glue, and
-/// every lookup is two array indexings instead of a hash probe.
+/// Layout mirrors the chunked L2P: one lane per die, each entry the `u32`
+/// index of a per-page slab of `lpn + 1` values (0 = none) in one
+/// [`Slabs`] store shared by every die. A lane is stored block-major (slot
+/// `block × planes + plane`, like the die's block table) and grows to the
+/// highest slot mapped, so a die pays only for the low blocks its
+/// allocator opens first. A block takes a slab at its first mapping, and
+/// an erased block's slab is zeroed and spared for the next block that
+/// starts filling — so phantom terabyte geometries pay only for blocks
+/// actually in use, steady-state GC recycles slabs instead of allocating
+/// them, lanes have no drop glue, and every lookup is two array indexings
+/// instead of a hash probe.
 #[derive(Debug)]
 pub struct ReverseMap {
-    /// `dies[die_flat]` — empty until the die's first mapping, then
-    /// `blocks_per_die` slab indices ([`NO_SLAB`] for a block with no
-    /// mapping).
+    /// `dies[die_flat]` — slab indices by block-major slot ([`NO_SLAB`]
+    /// for a block with no mapping), as long as the highest slot mapped.
     dies: Vec<Vec<u32>>,
-    blocks_per_die: usize,
+    planes: usize,
     slabs: Slabs,
 }
 
 impl ReverseMap {
-    /// Creates a reverse map for `total_dies` dies of `blocks_per_die`
-    /// blocks, each block holding `pages_per_block` pages.
-    pub fn new(total_dies: u32, blocks_per_die: u64, pages_per_block: u32) -> Self {
+    /// Creates a reverse map for `total_dies` dies of `planes` planes, each
+    /// block holding `pages_per_block` pages.
+    pub fn new(total_dies: u32, planes: u32, pages_per_block: u32) -> Self {
         ReverseMap {
             dies: (0..total_dies).map(|_| Vec::new()).collect(),
-            blocks_per_die: blocks_per_die as usize,
+            planes: planes as usize,
             slabs: Slabs::new(pages_per_block as usize),
         }
     }
 
-    /// Records that physical page `(die_flat, block_flat, page)` now holds
-    /// `lpn`. `block_flat` is the die-local dense block index
-    /// (`plane * blocks_per_plane + block`).
-    pub fn set(&mut self, die_flat: u32, block_flat: u64, page: u32, lpn: Lpn) {
+    fn slot(&self, block: BlockAddr) -> usize {
+        block.block as usize * self.planes + block.plane as usize
+    }
+
+    /// Records that page `page` of `block` on die `die_flat` now holds
+    /// `lpn`.
+    pub fn set(&mut self, die_flat: u32, block: BlockAddr, page: u32, lpn: Lpn) {
+        let slot = self.slot(block);
         let lane = &mut self.dies[die_flat as usize];
-        if lane.is_empty() {
-            lane.resize(self.blocks_per_die, NO_SLAB);
+        if slot >= lane.len() {
+            lane.resize(slot + 1, NO_SLAB);
         }
-        let slab = &mut lane[block_flat as usize];
+        let slab = &mut lane[slot];
         if *slab == NO_SLAB {
             *slab = self.slabs.alloc();
         }
@@ -122,8 +128,8 @@ impl ReverseMap {
     }
 
     /// The logical owner of a physical page, if recorded.
-    pub fn get(&self, die_flat: u32, block_flat: u64, page: u32) -> Option<Lpn> {
-        let slab = *self.dies.get(die_flat as usize)?.get(block_flat as usize)?;
+    pub fn get(&self, die_flat: u32, block: BlockAddr, page: u32) -> Option<Lpn> {
+        let slab = *self.dies.get(die_flat as usize)?.get(self.slot(block))?;
         if slab == NO_SLAB {
             return None;
         }
@@ -132,11 +138,12 @@ impl ReverseMap {
     }
 
     /// Forgets a whole block (after erase): its slab is zeroed and spared.
-    pub fn clear_block(&mut self, die_flat: u32, block_flat: u64) {
+    pub fn clear_block(&mut self, die_flat: u32, block: BlockAddr) {
+        let slot = self.slot(block);
         if let Some(slab) = self
             .dies
             .get_mut(die_flat as usize)
-            .and_then(|lane| lane.get_mut(block_flat as usize))
+            .and_then(|lane| lane.get_mut(slot))
             .filter(|slab| **slab != NO_SLAB)
         {
             self.slabs.release(std::mem::replace(slab, NO_SLAB));
@@ -205,63 +212,72 @@ mod tests {
         assert!(t.capacity() >= 100);
     }
 
+    fn blk(plane: u32, block: u32) -> BlockAddr {
+        BlockAddr { plane, block }
+    }
+
     #[test]
     fn reverse_map_round_trips() {
-        let mut r = ReverseMap::new(8, 40, 64);
-        assert_eq!(r.get(3, 7, 5), None);
-        r.set(3, 7, 5, Lpn(0)); // lpn 0 must be representable
-        r.set(3, 7, 6, Lpn(99));
-        assert_eq!(r.get(3, 7, 5), Some(Lpn(0)));
-        assert_eq!(r.get(3, 7, 6), Some(Lpn(99)));
+        let mut r = ReverseMap::new(8, 4, 64);
+        assert_eq!(r.get(3, blk(2, 7), 5), None);
+        r.set(3, blk(2, 7), 5, Lpn(0)); // lpn 0 must be representable
+        r.set(3, blk(2, 7), 6, Lpn(99));
+        assert_eq!(r.get(3, blk(2, 7), 5), Some(Lpn(0)));
+        assert_eq!(r.get(3, blk(2, 7), 6), Some(Lpn(99)));
+        assert_eq!(r.get(3, blk(1, 7), 5), None, "planes keep apart");
         assert_eq!(r.tracked_blocks(), 1);
-        r.clear_block(3, 7);
-        assert_eq!(r.get(3, 7, 5), None);
+        r.clear_block(3, blk(2, 7));
+        assert_eq!(r.get(3, blk(2, 7), 5), None);
         assert_eq!(r.tracked_blocks(), 0);
     }
 
     #[test]
     fn reverse_map_slabs_allocate_lazily() {
-        let mut r = ReverseMap::new(16, 1 << 20, 64);
-        // Untouched dies carry no lane; touched dies one slab per block.
+        let mut r = ReverseMap::new(16, 4, 64);
+        // Untouched dies carry no lane; a touched die's lane reaches only
+        // its highest block-major slot.
         assert_eq!(r.tracked_blocks(), 0);
         assert!(r.dies.iter().all(|lane| lane.is_empty()));
-        r.set(5, 0, 0, Lpn(1));
-        r.set(5, (1 << 20) - 1, 63, Lpn(2));
+        r.set(5, blk(3, 0), 0, Lpn(1));
+        assert_eq!(r.dies[5].len(), 4, "block 0 of every plane is the prefix");
+        r.set(5, blk(1, 9), 63, Lpn(2));
+        assert_eq!(r.dies[5].len(), 9 * 4 + 2);
         assert_eq!(r.tracked_blocks(), 2, "only touched blocks materialize");
         assert_eq!(
             r.dies.iter().filter(|lane| !lane.is_empty()).count(),
             1,
             "only touched dies materialize a lane"
         );
-        assert_eq!(r.get(5, (1 << 20) - 1, 63), Some(Lpn(2)));
+        assert_eq!(r.get(5, blk(1, 9), 63), Some(Lpn(2)));
+        assert_eq!(r.get(5, blk(3, 1 << 20), 0), None, "past the lane: none");
     }
 
     #[test]
     fn recycled_slab_reads_empty() {
-        let mut r = ReverseMap::new(2, 4, 8);
+        let mut r = ReverseMap::new(2, 1, 8);
         for page in 0..8 {
-            r.set(0, 1, page, Lpn(100 + page as u64));
+            r.set(0, blk(0, 1), page, Lpn(100 + page as u64));
         }
         let slab = r.dies[0][1];
-        r.clear_block(0, 1);
+        r.clear_block(0, blk(0, 1));
         assert_eq!(r.dies[0][1], NO_SLAB);
         // Another die's block starts filling and takes the spared slab.
-        r.set(1, 3, 0, Lpn(7));
+        r.set(1, blk(0, 3), 0, Lpn(7));
         assert_eq!(r.dies[1][3], slab);
-        assert_eq!(r.get(1, 3, 0), Some(Lpn(7)));
+        assert_eq!(r.get(1, blk(0, 3), 0), Some(Lpn(7)));
         for page in 1..8 {
-            assert_eq!(r.get(1, 3, page), None, "page {page}");
+            assert_eq!(r.get(1, blk(0, 3), page), None, "page {page}");
         }
         assert_eq!(r.tracked_blocks(), 1);
     }
 
     #[test]
     fn reverse_map_clear_is_idempotent() {
-        let mut r = ReverseMap::new(2, 4, 8);
-        r.clear_block(0, 3); // never set: no-op
-        r.set(1, 2, 7, Lpn(5));
-        r.clear_block(1, 2);
-        r.clear_block(1, 2);
+        let mut r = ReverseMap::new(2, 2, 8);
+        r.clear_block(0, blk(1, 3)); // never set: no-op
+        r.set(1, blk(0, 2), 7, Lpn(5));
+        r.clear_block(1, blk(0, 2));
+        r.clear_block(1, blk(0, 2));
         assert_eq!(r.tracked_blocks(), 0);
     }
 
@@ -274,26 +290,32 @@ mod tests {
         /// block's owners.
         #[test]
         fn reverse_map_matches_a_map_model(
-            ops in prop::collection::vec((0u8..3, 0u32..3, 0u64..6, 0u32..5, 0u64..1000), 1..300)
+            ops in prop::collection::vec(
+                (0u8..3, 0u32..3, 0u32..2, 0u32..3, 0u32..5, 0u64..1000),
+                1..300,
+            )
         ) {
-            let mut r = ReverseMap::new(3, 6, 5);
-            let mut model: HashMap<(u32, u64, u32), Lpn> = HashMap::new();
-            for (op, die, block, page, lpn) in ops {
+            let mut r = ReverseMap::new(3, 2, 5);
+            let mut model: HashMap<(u32, BlockAddr, u32), Lpn> = HashMap::new();
+            for (op, die, plane, block, page, lpn) in ops {
+                let b = blk(plane, block);
                 if op == 0 {
-                    r.clear_block(die, block);
-                    model.retain(|&(d, b, _), _| (d, b) != (die, block));
+                    r.clear_block(die, b);
+                    model.retain(|&(d, mb, _), _| (d, mb) != (die, b));
                 } else {
-                    r.set(die, block, page, Lpn(lpn));
-                    model.insert((die, block, page), Lpn(lpn));
+                    r.set(die, b, page, Lpn(lpn));
+                    model.insert((die, b, page), Lpn(lpn));
                 }
                 for d in 0..3 {
-                    for b in 0..6 {
+                    for (plane, block) in (0..2).flat_map(|pl| (0..3).map(move |bl| (pl, bl))) {
                         for p in 0..5 {
+                            let b = blk(plane, block);
                             prop_assert_eq!(r.get(d, b, p), model.get(&(d, b, p)).copied());
                         }
                     }
                 }
-                let blocks: HashSet<(u32, u64)> = model.keys().map(|&(d, b, _)| (d, b)).collect();
+                let blocks: HashSet<(u32, BlockAddr)> =
+                    model.keys().map(|&(d, b, _)| (d, b)).collect();
                 prop_assert_eq!(r.tracked_blocks(), blocks.len());
             }
         }

@@ -28,9 +28,8 @@ pub struct Ftl {
     rmap: ReverseMap,
     alloc: Vec<DieAlloc>,
     dies_per_channel: u32,
-    /// Blocks per plane, needed to fold `(plane, block)` into the dense
-    /// per-die block index the reverse map is addressed by.
-    blocks_per_plane: u32,
+    /// Die geometry, for the flat block indices GC scans by.
+    geometry: nandsim::NandGeometry,
 }
 
 impl Ftl {
@@ -55,14 +54,10 @@ impl Ftl {
             // Sized to the addressable space: host-visible pages plus (with
             // RAIN armed) the internal parity LPNs beyond them.
             l2p: L2pTable::new(config.addressable_pages()),
-            rmap: ReverseMap::new(
-                config.total_dies(),
-                geo.blocks_per_die(),
-                geo.pages_per_block,
-            ),
+            rmap: ReverseMap::new(config.total_dies(), geo.planes, geo.pages_per_block),
             alloc,
             dies_per_channel: config.dies_per_channel,
-            blocks_per_plane: geo.blocks_per_plane,
+            geometry: geo,
         }
     }
 
@@ -91,7 +86,7 @@ impl Ftl {
     pub fn is_active(&self, die_flat: u32, block_index: u64) -> bool {
         self.alloc[die_flat as usize]
             .active_blocks()
-            .any(|a| rmap_key(a, self.blocks_per_plane) == block_index)
+            .any(|a| self.geometry.block_index(a) == block_index)
     }
 
     /// Picks the next physical page to program on `die`, honouring the
@@ -123,8 +118,8 @@ impl Ftl {
     /// caller must invalidate on its die).
     pub fn commit_program(&mut self, lpn: Lpn, ppa: Ppa) -> Option<Ppa> {
         let die_flat = ppa.die.flat(self.dies_per_channel);
-        let key = rmap_key(ppa.page.block_addr(), self.blocks_per_plane);
-        self.rmap.set(die_flat, key, ppa.page.page, lpn);
+        self.rmap
+            .set(die_flat, ppa.page.block_addr(), ppa.page.page, lpn);
         self.l2p.set(lpn, ppa)
     }
 
@@ -132,15 +127,14 @@ impl Ftl {
     /// valid pages).
     pub fn owner_of(&self, ppa: Ppa) -> Option<Lpn> {
         let die_flat = ppa.die.flat(self.dies_per_channel);
-        let key = rmap_key(ppa.page.block_addr(), self.blocks_per_plane);
-        self.rmap.get(die_flat, key, ppa.page.page)
+        self.rmap
+            .get(die_flat, ppa.page.block_addr(), ppa.page.page)
     }
 
     /// Forgets a block's reverse mappings and returns it to the free pool
     /// (after the caller erased it on `die`).
     pub fn reclaim_block(&mut self, die_flat: u32, die: &Die, block: nandsim::BlockAddr) {
-        self.rmap
-            .clear_block(die_flat, rmap_key(block, self.blocks_per_plane));
+        self.rmap.clear_block(die_flat, block);
         self.alloc[die_flat as usize].reclaim_block(die, block);
     }
 
@@ -158,8 +152,8 @@ impl Ftl {
     /// without touching the L2P table.
     pub fn record_shadow(&mut self, lpn: Lpn, ppa: Ppa) {
         let die_flat = ppa.die.flat(self.dies_per_channel);
-        let key = rmap_key(ppa.page.block_addr(), self.blocks_per_plane);
-        self.rmap.set(die_flat, key, ppa.page.page, lpn);
+        self.rmap
+            .set(die_flat, ppa.page.block_addr(), ppa.page.page, lpn);
     }
 
     /// Unmaps `lpn` (trim), returning the stale mapping.
@@ -171,14 +165,6 @@ impl Ftl {
     pub fn dies_per_channel(&self) -> u32 {
         self.dies_per_channel
     }
-}
-
-/// Reverse-map key for a block: the die-local *dense* block index
-/// (`plane * blocks_per_plane + block`, i.e.
-/// [`nandsim::NandGeometry::block_index`] semantics), which is what lets
-/// [`ReverseMap`] use flat slab arrays instead of a hash map.
-pub fn rmap_key(block: nandsim::BlockAddr, blocks_per_plane: u32) -> u64 {
-    block.plane as u64 * blocks_per_plane as u64 + block.block as u64
 }
 
 #[cfg(test)]
