@@ -447,7 +447,7 @@ impl Die {
             return Err(NandError::BadAddress(p));
         }
         let geo = self.config.geometry;
-        let block = self.blocks.get(p.block_addr());
+        let block = self.blocks.get_mut(p.block_addr());
         if block.is_retired() {
             return Err(NandError::WornOut(p.block_addr()));
         }
@@ -489,15 +489,13 @@ impl Die {
                 // no OOB stamp are trustworthy, and every later read fails
                 // until the block is erased.
                 self.planes[p.plane as usize].acquire(at, self.config.timing.t_program);
-                self.blocks.get_mut(p.block_addr()).mark_programmed(p.page);
+                block.mark_programmed(p.page);
                 self.torn.insert(geo.page_index(p));
                 return Err(NandError::PowerLoss { at: crash });
             }
         }
         let win = self.planes[p.plane as usize].acquire(at, self.config.timing.t_program);
-        let rber = self
-            .rber
-            .rber(self.blocks.get(p.block_addr()).erase_count());
+        let rber = self.rber.rber(block.erase_count());
         if let Some(fault) = &mut self.fault {
             if fault.roll_program(rber, self.rber.model().ecc_ceiling) {
                 // Bad program status: the plane was occupied for the full
@@ -509,7 +507,6 @@ impl Die {
                 });
             }
         }
-        let block = self.blocks.get_mut(p.block_addr());
         block.mark_programmed(p.page);
         // Restart the block's retention clock: fresh charge.
         block.stamp_program(win.end.as_ns());
@@ -532,7 +529,8 @@ impl Die {
         }
         let geo = self.config.geometry;
         let block_idx = geo.block_index(b) as usize;
-        if self.blocks.get(b).is_retired() {
+        let block = self.blocks.get_mut(b);
+        if block.is_retired() {
             return Err(NandError::WornOut(b));
         }
         if let Some(crash) = self.power {
@@ -546,7 +544,7 @@ impl Die {
             }
         }
         let win = self.planes[b.plane as usize].acquire(at, self.config.timing.t_erase);
-        let rber = self.rber.rber(self.blocks.get(b).erase_count());
+        let rber = self.rber.rber(block.erase_count());
         if let Some(fault) = &mut self.fault {
             if fault.roll_erase(rber, self.rber.model().ecc_ceiling) {
                 // Bad erase status: the block keeps its stale contents and
@@ -557,7 +555,6 @@ impl Die {
                 });
             }
         }
-        let block = self.blocks.get_mut(b);
         block.mark_erased(&mut self.invalid);
         self.rber.cover(block.erase_count());
         if let Backing::Data(arena) = &mut self.backing {

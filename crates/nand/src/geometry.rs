@@ -73,6 +73,15 @@ impl NandGeometry {
         b.plane as u64 * self.blocks_per_plane as u64 + b.block as u64
     }
 
+    /// Block-major slot of a block (`block × planes + plane`): the storage
+    /// order of the tables that grow on first write. Blocks an allocator
+    /// opens lowest-first on every plane share a short prefix of slots.
+    #[inline]
+    pub fn block_major_slot(&self, b: BlockAddr) -> usize {
+        debug_assert!(self.contains_block(b), "block {b:?} out of range");
+        b.block as usize * self.planes as usize + b.plane as usize
+    }
+
     /// Inverse of [`block_index`](Self::block_index).
     pub fn block_at(&self, index: u64) -> BlockAddr {
         let blocks = self.blocks_per_plane as u64;

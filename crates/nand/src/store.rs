@@ -11,7 +11,7 @@
 //!
 //! A die keeps its block states in a `BlockTable`: one vector in
 //! block-major order (slot `block × planes + plane`) that grows to the
-//! highest slot written, while a block past its end reads as one shared
+//! highest slot touched, while a block past its end reads as one shared
 //! erased state. The wear-levelling allocator opens blocks 0, 1, 2, … on
 //! every plane, so the touched blocks form a prefix of the vector and a
 //! die pays only for them; a lookup stays one bounds check and one index.
@@ -393,12 +393,12 @@ impl std::fmt::Debug for PageArena {
 
 /// The block states of one die, grown on first write.
 ///
-/// States are stored block-major: the slot of `(plane, block)` is
-/// `block × planes + plane`, so the blocks an allocator opens first (low
-/// indices on every plane) share a short prefix. Slots past the end of
-/// `states` are never-written blocks and read as `erased`. The die's flat
-/// (plane-major) block index keeps its meaning for every caller; only the
-/// storage order differs.
+/// States are stored in [block-major](NandGeometry::block_major_slot)
+/// order, so the blocks an allocator opens first (low indices on every
+/// plane) share a short prefix. Slots past the end of `states` are
+/// never-written blocks and read as `erased`. The die's flat (plane-major)
+/// block index keeps its meaning for every caller; only the storage order
+/// differs.
 #[derive(Debug)]
 pub(crate) struct BlockTable {
     states: Vec<BlockState>,
@@ -406,8 +406,7 @@ pub(crate) struct BlockTable {
     /// programmed, never retired, with the uniform wear of
     /// [`add_wear`](Self::add_wear).
     erased: BlockState,
-    planes: usize,
-    blocks_per_plane: usize,
+    geo: NandGeometry,
 }
 
 impl BlockTable {
@@ -420,26 +419,22 @@ impl BlockTable {
         BlockTable {
             states: Vec::new(),
             erased: BlockState::new(geo.pages_per_block),
-            planes: geo.planes as usize,
-            blocks_per_plane: geo.blocks_per_plane as usize,
+            geo: *geo,
         }
-    }
-
-    #[inline]
-    fn slot(&self, b: BlockAddr) -> usize {
-        b.block as usize * self.planes + b.plane as usize
     }
 
     /// The state of block `b`, which must be on the die.
     #[inline]
     pub(crate) fn get(&self, b: BlockAddr) -> &BlockState {
-        self.states.get(self.slot(b)).unwrap_or(&self.erased)
+        self.states
+            .get(self.geo.block_major_slot(b))
+            .unwrap_or(&self.erased)
     }
 
     /// The state of block `b`, mutably, growing the table to hold it.
     #[inline]
     pub(crate) fn get_mut(&mut self, b: BlockAddr) -> &mut BlockState {
-        let slot = self.slot(b);
+        let slot = self.geo.block_major_slot(b);
         if slot >= self.states.len() {
             let erased = &self.erased;
             self.states
@@ -448,19 +443,13 @@ impl BlockTable {
         &mut self.states[slot]
     }
 
-    /// Every block in flat (plane-major) order: each plane is a strided
-    /// walk of `states` followed by its never-written blocks.
-    pub(crate) fn iter(&self) -> Blocks<'_> {
-        Blocks {
-            table: self,
-            plane: 0,
-            slot: 0,
-            left: if self.planes == 0 {
-                0
-            } else {
-                self.blocks_per_plane
-            },
-        }
+    /// Every block in flat (plane-major) order. Each plane is a strided
+    /// walk of `states` (one multiply-add per block, no division).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &BlockState> {
+        let geo = self.geo;
+        (0..geo.planes).flat_map(move |plane| {
+            (0..geo.blocks_per_plane).map(move |block| self.get(BlockAddr { plane, block }))
+        })
     }
 
     /// Adds `pe` artificial P/E cycles to every block, written or not.
@@ -472,40 +461,6 @@ impl BlockTable {
         for b in &mut self.states {
             b.add_wear(pe);
         }
-    }
-}
-
-/// The walk of [`BlockTable::iter`]: a strided cursor over `states`, with
-/// no division per block. The same walk built from `flat_map`, `step_by`
-/// and `chain` made the steady-state step 1–2 % slower (GC's victim scan
-/// runs it on every collection).
-pub(crate) struct Blocks<'a> {
-    table: &'a BlockTable,
-    plane: usize,
-    /// Slot of the current plane's next block.
-    slot: usize,
-    /// Blocks of the current plane not yet returned.
-    left: usize,
-}
-
-impl<'a> Iterator for Blocks<'a> {
-    type Item = &'a BlockState;
-
-    #[inline]
-    fn next(&mut self) -> Option<&'a BlockState> {
-        let t = self.table;
-        while self.left == 0 {
-            if self.plane + 1 >= t.planes {
-                return None;
-            }
-            self.plane += 1;
-            self.slot = self.plane;
-            self.left = t.blocks_per_plane;
-        }
-        self.left -= 1;
-        let slot = self.slot;
-        self.slot += t.planes;
-        Some(t.states.get(slot).unwrap_or(&t.erased))
     }
 }
 

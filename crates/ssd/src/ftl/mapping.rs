@@ -5,7 +5,7 @@
 //! its optimizer state, so untouched chunks cost nothing.
 
 use crate::address::{Lpn, Ppa};
-use nandsim::BlockAddr;
+use nandsim::{BlockAddr, NandGeometry};
 use simkit::slab::{Slabs, NO_SLAB};
 
 /// Entries per lazily-allocated L2P chunk (64 Ki pages ≈ 512 KiB per chunk).
@@ -79,43 +79,38 @@ impl L2pTable {
 ///
 /// Layout mirrors the chunked L2P: one lane per die, each entry the `u32`
 /// index of a per-page slab of `lpn + 1` values (0 = none) in one
-/// [`Slabs`] store shared by every die. A lane is stored block-major (slot
-/// `block × planes + plane`, like the die's block table) and grows to the
-/// highest slot mapped, so a die pays only for the low blocks its
-/// allocator opens first. A block takes a slab at its first mapping, and
-/// an erased block's slab is zeroed and spared for the next block that
-/// starts filling — so phantom terabyte geometries pay only for blocks
-/// actually in use, steady-state GC recycles slabs instead of allocating
-/// them, lanes have no drop glue, and every lookup is two array indexings
-/// instead of a hash probe.
+/// [`Slabs`] store shared by every die. A lane is stored
+/// [block-major](NandGeometry::block_major_slot), like the die's block
+/// table, and grows to the highest slot mapped, so a die pays only for
+/// the low blocks its allocator opens first. A block takes a slab at its
+/// first mapping, and an erased block's slab is zeroed and spared for the
+/// next block that starts filling — so phantom terabyte geometries pay
+/// only for blocks actually in use, steady-state GC recycles slabs instead
+/// of allocating them, lanes have no drop glue, and every lookup is two
+/// array indexings instead of a hash probe.
 #[derive(Debug)]
 pub struct ReverseMap {
     /// `dies[die_flat]` — slab indices by block-major slot ([`NO_SLAB`]
     /// for a block with no mapping), as long as the highest slot mapped.
     dies: Vec<Vec<u32>>,
-    planes: usize,
+    geo: NandGeometry,
     slabs: Slabs,
 }
 
 impl ReverseMap {
-    /// Creates a reverse map for `total_dies` dies of `planes` planes, each
-    /// block holding `pages_per_block` pages.
-    pub fn new(total_dies: u32, planes: u32, pages_per_block: u32) -> Self {
+    /// Creates a reverse map for `total_dies` dies of geometry `geo`.
+    pub fn new(total_dies: u32, geo: &NandGeometry) -> Self {
         ReverseMap {
             dies: (0..total_dies).map(|_| Vec::new()).collect(),
-            planes: planes as usize,
-            slabs: Slabs::new(pages_per_block as usize),
+            geo: *geo,
+            slabs: Slabs::new(geo.pages_per_block as usize),
         }
-    }
-
-    fn slot(&self, block: BlockAddr) -> usize {
-        block.block as usize * self.planes + block.plane as usize
     }
 
     /// Records that page `page` of `block` on die `die_flat` now holds
     /// `lpn`.
     pub fn set(&mut self, die_flat: u32, block: BlockAddr, page: u32, lpn: Lpn) {
-        let slot = self.slot(block);
+        let slot = self.geo.block_major_slot(block);
         let lane = &mut self.dies[die_flat as usize];
         if slot >= lane.len() {
             lane.resize(slot + 1, NO_SLAB);
@@ -129,7 +124,10 @@ impl ReverseMap {
 
     /// The logical owner of a physical page, if recorded.
     pub fn get(&self, die_flat: u32, block: BlockAddr, page: u32) -> Option<Lpn> {
-        let slab = *self.dies.get(die_flat as usize)?.get(self.slot(block))?;
+        let slab = *self
+            .dies
+            .get(die_flat as usize)?
+            .get(self.geo.block_major_slot(block))?;
         if slab == NO_SLAB {
             return None;
         }
@@ -139,7 +137,7 @@ impl ReverseMap {
 
     /// Forgets a whole block (after erase): its slab is zeroed and spared.
     pub fn clear_block(&mut self, die_flat: u32, block: BlockAddr) {
-        let slot = self.slot(block);
+        let slot = self.geo.block_major_slot(block);
         if let Some(slab) = self
             .dies
             .get_mut(die_flat as usize)
@@ -216,9 +214,18 @@ mod tests {
         BlockAddr { plane, block }
     }
 
+    fn geo(planes: u32, blocks_per_plane: u32, pages_per_block: u32) -> NandGeometry {
+        NandGeometry {
+            planes,
+            blocks_per_plane,
+            pages_per_block,
+            page_bytes: 512,
+        }
+    }
+
     #[test]
     fn reverse_map_round_trips() {
-        let mut r = ReverseMap::new(8, 4, 64);
+        let mut r = ReverseMap::new(8, &geo(4, 8, 64));
         assert_eq!(r.get(3, blk(2, 7), 5), None);
         r.set(3, blk(2, 7), 5, Lpn(0)); // lpn 0 must be representable
         r.set(3, blk(2, 7), 6, Lpn(99));
@@ -233,7 +240,7 @@ mod tests {
 
     #[test]
     fn reverse_map_slabs_allocate_lazily() {
-        let mut r = ReverseMap::new(16, 4, 64);
+        let mut r = ReverseMap::new(16, &geo(4, (1 << 20) + 1, 64));
         // Untouched dies carry no lane; a touched die's lane reaches only
         // its highest block-major slot.
         assert_eq!(r.tracked_blocks(), 0);
@@ -254,7 +261,7 @@ mod tests {
 
     #[test]
     fn recycled_slab_reads_empty() {
-        let mut r = ReverseMap::new(2, 1, 8);
+        let mut r = ReverseMap::new(2, &geo(1, 4, 8));
         for page in 0..8 {
             r.set(0, blk(0, 1), page, Lpn(100 + page as u64));
         }
@@ -273,7 +280,7 @@ mod tests {
 
     #[test]
     fn reverse_map_clear_is_idempotent() {
-        let mut r = ReverseMap::new(2, 2, 8);
+        let mut r = ReverseMap::new(2, &geo(2, 4, 8));
         r.clear_block(0, blk(1, 3)); // never set: no-op
         r.set(1, blk(0, 2), 7, Lpn(5));
         r.clear_block(1, blk(0, 2));
@@ -295,7 +302,7 @@ mod tests {
                 1..300,
             )
         ) {
-            let mut r = ReverseMap::new(3, 2, 5);
+            let mut r = ReverseMap::new(3, &geo(2, 3, 5));
             let mut model: HashMap<(u32, BlockAddr, u32), Lpn> = HashMap::new();
             for (op, die, plane, block, page, lpn) in ops {
                 let b = blk(plane, block);

@@ -54,7 +54,7 @@ impl Ftl {
             // Sized to the addressable space: host-visible pages plus (with
             // RAIN armed) the internal parity LPNs beyond them.
             l2p: L2pTable::new(config.addressable_pages()),
-            rmap: ReverseMap::new(config.total_dies(), geo.planes, geo.pages_per_block),
+            rmap: ReverseMap::new(config.total_dies(), &geo),
             alloc,
             dies_per_channel: config.dies_per_channel,
             geometry: geo,
