@@ -1,13 +1,14 @@
-//! Fixed-width `u64` slabs addressed by `u32` index, recycled through a
-//! spare list.
+//! Fixed-width slabs of integer words addressed by `u32` index, recycled
+//! through a spare list.
 //!
 //! Per-block metadata that only some blocks need — a block's invalid-page
-//! bitset, its reverse-map page slots — lives here instead of in a boxed
-//! slice per block. A table of such blocks then holds one `u32` per block
-//! ([`NO_SLAB`] until the block needs a slab) and has no drop glue, so
-//! building and dropping it costs one allocation, not one per block.
+//! bitset (`u64` words), its reverse-map page slots (`u32` words) — lives
+//! here instead of in a boxed slice per block. A table of such blocks then
+//! holds one `u32` per block ([`NO_SLAB`] until the block needs a slab)
+//! and has no drop glue, so building and dropping it costs one allocation,
+//! not one per block.
 //!
-//! All slabs share one flat `Vec<u64>`, so a word is one multiply and one
+//! All slabs share one flat `Vec`, so a word is one multiply and one
 //! bounds check away from its index. Released slabs are zeroed and reused
 //! before the vector grows ([`Slabs::release`]): a recycled slab reads
 //! empty, exactly like a fresh one, and a store whose blocks cycle through
@@ -16,16 +17,16 @@
 /// The slab index of "no slab".
 pub const NO_SLAB: u32 = u32::MAX;
 
-/// A store of equal-width `u64` slabs.
+/// A store of equal-width slabs of `W` words (zero is the empty word).
 #[derive(Debug)]
-pub struct Slabs {
+pub struct Slabs<W = u64> {
     width: usize,
-    words: Vec<u64>,
+    words: Vec<W>,
     /// Released slabs, zeroed, reused before fresh ones.
     spare: Vec<u32>,
 }
 
-impl Slabs {
+impl<W: Copy + Default> Slabs<W> {
     /// An empty store of slabs `width` words wide. Allocates nothing.
     ///
     /// # Panics
@@ -49,14 +50,15 @@ impl Slabs {
         }
         let slab = self.words.len() / self.width;
         assert!(slab < NO_SLAB as usize, "slab store exhausted");
-        self.words.resize(self.words.len() + self.width, 0);
+        self.words
+            .resize(self.words.len() + self.width, W::default());
         slab as u32
     }
 
     /// Zeroes `slab` and spares it for the next [`alloc`](Self::alloc).
     /// The caller must drop every copy of the index.
     pub fn release(&mut self, slab: u32) {
-        self.get_mut(slab).fill(0);
+        self.get_mut(slab).fill(W::default());
         self.spare.push(slab);
     }
 
@@ -65,7 +67,7 @@ impl Slabs {
     /// # Panics
     /// If `i` is not below the slab width or `slab` was never handed out.
     #[inline]
-    pub fn word(&self, slab: u32, i: usize) -> u64 {
+    pub fn word(&self, slab: u32, i: usize) -> W {
         assert!(i < self.width, "word {i} past a {}-word slab", self.width);
         self.words[slab as usize * self.width + i]
     }
@@ -75,12 +77,12 @@ impl Slabs {
     /// # Panics
     /// As [`word`](Self::word).
     #[inline]
-    pub fn word_mut(&mut self, slab: u32, i: usize) -> &mut u64 {
+    pub fn word_mut(&mut self, slab: u32, i: usize) -> &mut W {
         assert!(i < self.width, "word {i} past a {}-word slab", self.width);
         &mut self.words[slab as usize * self.width + i]
     }
 
-    fn get_mut(&mut self, slab: u32) -> &mut [u64] {
+    fn get_mut(&mut self, slab: u32) -> &mut [W] {
         let at = slab as usize * self.width;
         &mut self.words[at..at + self.width]
     }
@@ -97,9 +99,9 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
 
-    impl Slabs {
+    impl<W: Copy + Default> Slabs<W> {
         /// The words of `slab`.
-        fn get(&self, slab: u32) -> &[u64] {
+        fn get(&self, slab: u32) -> &[W] {
             let at = slab as usize * self.width;
             &self.words[at..at + self.width]
         }
@@ -107,7 +109,7 @@ mod tests {
 
     #[test]
     fn recycled_slab_reads_empty_and_the_store_does_not_grow() {
-        let mut s = Slabs::new(3);
+        let mut s = Slabs::<u64>::new(3);
         assert_eq!(s.words.capacity(), 0, "an empty store allocates nothing");
         let a = s.alloc();
         s.get_mut(a).copy_from_slice(&[1, 2, 3]);
@@ -121,7 +123,7 @@ mod tests {
 
     #[test]
     fn words_address_their_own_slab() {
-        let mut s = Slabs::new(4);
+        let mut s = Slabs::<u64>::new(4);
         let (a, b) = (s.alloc(), s.alloc());
         *s.word_mut(b, 0) = 7;
         *s.word_mut(a, 3) = 9;

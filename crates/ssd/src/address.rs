@@ -1,7 +1,7 @@
 //! Device-level addressing: logical pages, die identifiers, and physical
 //! page addresses spanning the whole device.
 
-use nandsim::PhysPage;
+use nandsim::{NandGeometry, PhysPage};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -29,11 +29,10 @@ pub struct DieId {
 }
 
 impl DieId {
-    /// Channels a packed [`Ppa`] can address (its channel field's range).
-    pub const MAX_CHANNELS: u32 = 1 << PPA_DIE_FIELD_BITS;
-    /// Dies per channel a packed [`Ppa`] can address (its die-index
-    /// field's range).
-    pub const MAX_DIES_PER_CHANNEL: u32 = 1 << PPA_DIE_FIELD_BITS;
+    /// The most channels a device may have.
+    pub const MAX_CHANNELS: u32 = 1 << 10;
+    /// The most dies a channel may carry.
+    pub const MAX_DIES_PER_CHANNEL: u32 = 1 << 10;
 
     /// Flat die index given `dies_per_channel`.
     pub fn flat(&self, dies_per_channel: u32) -> u32 {
@@ -55,10 +54,6 @@ impl fmt::Display for DieId {
     }
 }
 
-/// Width of each of the packed [`Ppa`]'s channel and die-index fields.
-const PPA_DIE_FIELD_BITS: u32 = 10;
-const PPA_DIE_FIELD_MASK: u64 = (1 << PPA_DIE_FIELD_BITS) - 1;
-
 /// A physical page address: a die plus a page within it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Ppa {
@@ -68,39 +63,106 @@ pub struct Ppa {
     pub page: PhysPage,
 }
 
-impl Ppa {
-    /// Packs the address into a `u64` for compact L2P tables.
-    ///
-    /// Layout (low→high): page 16 b | block 20 b | plane 4 b | die index
-    /// 10 b | channel 10 b. The die keeps its two coordinates, so unpacking
-    /// needs no division. A set bit 63 marks "present" so `0` can mean
-    /// "unmapped". [`crate::SsdConfig::validate`] rejects geometries whose
-    /// channels or dies per channel exceed the fields.
-    pub fn pack(&self) -> u64 {
-        debug_assert!(self.die.channel < DieId::MAX_CHANNELS);
-        debug_assert!(self.die.index < DieId::MAX_DIES_PER_CHANNEL);
-        (1u64 << 63)
-            | ((self.die.channel as u64) << 50)
-            | ((self.die.index as u64) << 40)
-            | ((self.page.plane as u64) << 36)
-            | ((self.page.block as u64) << 16)
-            | self.page.page as u64
+/// The 32-bit L2P entry of a [`Ppa`] on one device.
+///
+/// The entry holds a bit-field code of the address, fields low→high page |
+/// block | plane | die index | channel. Each field is ⌈log₂ n⌉ bits wide
+/// for the n values it takes on this device, so a field with one possible
+/// value takes none. The code is stored plus one, so an all-zero entry
+/// means "unmapped" and a fresh table is zero-filled memory. Encoding and
+/// decoding are shifts and masks only. [`crate::SsdConfig::validate`]
+/// rejects a device whose largest entry needs more than 32 bits
+/// ([`entry_bits`](Self::entry_bits)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PpaCodec {
+    /// Each field's shift, low→high: page, block, plane, die index,
+    /// channel. The page field's is always 0, and a field of no bits
+    /// takes shift 0 too, so every shift is below 32 on a device whose
+    /// entries fit.
+    shift: [u32; 5],
+    /// Each field's mask, applied after shifting it down.
+    mask: [u32; 5],
+    /// Bits the largest entry (every field at its maximum, plus one)
+    /// needs.
+    entry_bits: u32,
+}
+
+impl PpaCodec {
+    /// The code of a device of `channels` × `dies_per_channel` dies of
+    /// geometry `geo`.
+    pub fn new(channels: u32, dies_per_channel: u32, geo: &NandGeometry) -> Self {
+        let ranges = [
+            geo.pages_per_block,
+            geo.blocks_per_plane,
+            geo.planes,
+            dies_per_channel,
+            channels,
+        ];
+        let (mut shift, mut mask, mut at, mut top) = ([0; 5], [0; 5], 0, 0u64);
+        for (i, n) in ranges.into_iter().enumerate() {
+            let bits = u32::BITS - n.saturating_sub(1).leading_zeros();
+            if bits > 0 {
+                (shift[i], mask[i]) = (at, ((1u64 << bits) - 1) as u32);
+            }
+            top |= u64::from(n.saturating_sub(1)) << at;
+            at += bits;
+        }
+        PpaCodec {
+            shift,
+            mask,
+            entry_bits: u64::BITS - (top + 1).leading_zeros(),
+        }
     }
 
-    /// Inverse of [`pack`](Self::pack); `None` for the unmapped sentinel.
-    pub fn unpack(packed: u64) -> Option<Ppa> {
-        if packed & (1 << 63) == 0 {
-            return None;
-        }
+    /// Bits the device's largest entry needs; it fits an L2P entry when
+    /// this is at most 32.
+    pub fn entry_bits(&self) -> u32 {
+        self.entry_bits
+    }
+
+    /// The entry of `ppa`, never 0. The caller must hold a codec whose
+    /// entries fit ([`entry_bits`](Self::entry_bits) at most 32), as
+    /// [`L2pTable::new`](crate::ftl::L2pTable::new) checks.
+    #[inline]
+    pub fn encode(&self, ppa: Ppa) -> u32 {
+        let [_, block, plane, index, channel] = self.shift;
+        debug_assert!(self.entry_bits <= u32::BITS, "{} bits", self.entry_bits);
+        debug_assert!(
+            [
+                ppa.page.page,
+                ppa.page.block,
+                ppa.page.plane,
+                ppa.die.index,
+                ppa.die.channel
+            ]
+            .iter()
+            .zip(self.mask)
+            .all(|(&f, m)| f <= m),
+            "{ppa} is off the device"
+        );
+        (ppa.page.page
+            | ppa.page.block << block
+            | ppa.page.plane << plane
+            | ppa.die.index << index
+            | ppa.die.channel << channel)
+            + 1
+    }
+
+    /// Inverse of [`encode`](Self::encode); `None` for the unmapped entry 0.
+    #[inline]
+    pub fn decode(&self, entry: u32) -> Option<Ppa> {
+        let code = entry.checked_sub(1)?;
+        let [_, block, plane, index, channel] = self.shift;
+        let m = self.mask;
         Some(Ppa {
             die: DieId {
-                channel: ((packed >> 50) & PPA_DIE_FIELD_MASK) as u32,
-                index: ((packed >> 40) & PPA_DIE_FIELD_MASK) as u32,
+                channel: code >> channel & m[4],
+                index: code >> index & m[3],
             },
             page: PhysPage {
-                plane: ((packed >> 36) & 0xF) as u32,
-                block: ((packed >> 16) & 0xF_FFFF) as u32,
-                page: (packed & 0xFFFF) as u32,
+                plane: code >> plane & m[2],
+                block: code >> block & m[1],
+                page: code & m[0],
             },
         })
     }
@@ -115,6 +177,7 @@ impl fmt::Display for Ppa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn die_id_flat_round_trips() {
@@ -129,88 +192,85 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ppa_pack_round_trips() {
-        let p = Ppa {
-            die: DieId {
-                channel: 15,
-                index: 7,
-            },
-            page: PhysPage {
-                plane: 3,
-                block: 1363,
-                page: 1535,
-            },
-        };
-        // Every field at its maximum, and each field alone at its maximum
-        // with the others zero: no field spills into a neighbour.
-        let max = Ppa {
-            die: DieId {
-                channel: DieId::MAX_CHANNELS - 1,
-                index: DieId::MAX_DIES_PER_CHANNEL - 1,
-            },
-            page: PhysPage {
-                plane: 0xF,
-                block: 0xF_FFFF,
-                page: 0xFFFF,
-            },
-        };
-        let zero = Ppa {
-            die: DieId {
-                channel: 0,
-                index: 0,
-            },
-            page: PhysPage {
-                plane: 0,
-                block: 0,
-                page: 0,
-            },
-        };
-        let alone = [
-            Ppa {
-                die: DieId {
-                    channel: max.die.channel,
-                    ..zero.die
-                },
-                ..zero
-            },
-            Ppa {
-                die: DieId {
-                    index: max.die.index,
-                    ..zero.die
-                },
-                ..zero
-            },
-            Ppa {
-                page: PhysPage {
-                    plane: max.page.plane,
-                    ..zero.page
-                },
-                ..zero
-            },
-            Ppa {
-                page: PhysPage {
-                    block: max.page.block,
-                    ..zero.page
-                },
-                ..zero
-            },
-            Ppa {
-                page: PhysPage {
-                    page: max.page.page,
-                    ..zero.page
-                },
-                ..zero
-            },
-        ];
-        for q in [p, max, zero].into_iter().chain(alone) {
-            assert_eq!(Ppa::unpack(q.pack()), Some(q), "{q}");
+    fn geometry(pages_per_block: u32, blocks_per_plane: u32, planes: u32) -> NandGeometry {
+        NandGeometry {
+            planes,
+            blocks_per_plane,
+            pages_per_block,
+            page_bytes: 4096,
         }
     }
 
     #[test]
     fn zero_is_unmapped() {
-        assert_eq!(Ppa::unpack(0), None);
+        let codec = PpaCodec::new(8, 8, &geometry(1536, 1364, 4));
+        assert_eq!(codec.decode(0), None);
+    }
+
+    #[test]
+    fn field_widths_are_ceil_log2_of_their_ranges() {
+        // The base TLC die: 11 + 11 + 2 bits, then 3 + 3 for 8 × 8 dies;
+        // F7's 32 × 8 base SSD is exactly 32 bits wide.
+        let base = geometry(1536, 1364, 4);
+        assert_eq!(PpaCodec::new(8, 8, &base).entry_bits(), 30);
+        assert_eq!(PpaCodec::new(32, 8, &base).entry_bits(), 32);
+        assert_eq!(PpaCodec::new(64, 8, &base).entry_bits(), 33);
+        // One value takes no bits; a full 32-bit code plus one needs 33.
+        assert_eq!(PpaCodec::new(1, 1, &geometry(1, 1, 1)).entry_bits(), 1);
+        let full = geometry(1 << 16, 1 << 8, 1 << 2);
+        assert_eq!(PpaCodec::new(1 << 3, 1 << 3, &full).entry_bits(), 33);
+        assert_eq!(PpaCodec::new(1 << 3, (1 << 3) - 1, &full).entry_bits(), 32);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random geometries whose entries fit 32 bits, every address
+        /// round-trips: a random one, every field at its maximum, each
+        /// field alone at its maximum, and the zero address. No entry is
+        /// the unmapped 0.
+        #[test]
+        fn ppa_code_round_trips_on_random_geometries(
+            widths in (0u32..17, 0u32..13, 0u32..5, 0u32..11, 0u32..11),
+            draws in (any::<u64>(), any::<u64>()),
+        ) {
+            let (wp, wb, wl, wd, wc) = widths;
+            // A range of exactly `w` bits: (2^(w-1), 2^w], drawn from `r`.
+            let range = |w: u32, r: u64| match w {
+                0 => 1,
+                w => (1u32 << (w - 1)) + 1 + (r % (1u64 << (w - 1))) as u32,
+            };
+            let (r, s) = draws;
+            let ranges = [
+                range(wp, r),
+                range(wb, r >> 16),
+                range(wl, r >> 32),
+                range(wd, r >> 40),
+                range(wc, r >> 52),
+            ];
+            let codec = PpaCodec::new(ranges[4], ranges[3], &geometry(ranges[0], ranges[1], ranges[2]));
+            if codec.entry_bits() > 32 {
+                continue;
+            }
+            let ppa = |f: [u32; 5]| Ppa {
+                die: DieId { channel: f[4], index: f[3] },
+                page: PhysPage { plane: f[2], block: f[1], page: f[0] },
+            };
+            let max = ranges.map(|n| n - 1);
+            let drawn: [u32; 5] =
+                std::array::from_fn(|i| ((s >> (12 * i)) % u64::from(ranges[i])) as u32);
+            let alone = (0..5).map(|i| {
+                let mut f = [0; 5];
+                f[i] = max[i];
+                f
+            });
+            for f in [drawn, max, [0; 5]].into_iter().chain(alone) {
+                let entry = codec.encode(ppa(f));
+                prop_assert_ne!(entry, 0, "{:?} encodes as unmapped", f);
+                prop_assert_eq!(codec.decode(entry), Some(ppa(f)));
+            }
+            prop_assert_eq!(codec.decode(0), None);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Device configuration and the Table-2 presets.
 
-use crate::address::DieId;
+use crate::address::{DieId, PpaCodec};
 use crate::device::GC_HIGH_WATERMARK;
 use nandsim::{AgingConfig, FaultConfig, NandConfig, NandGeometry};
 use serde::{Deserialize, Serialize};
@@ -294,20 +294,35 @@ impl SsdConfig {
         }
         if self.channels > DieId::MAX_CHANNELS {
             return Err(format!(
-                "{} channels exceed the packed-PPA limit ({})",
+                "{} channels exceed the device limit ({})",
                 self.channels,
                 DieId::MAX_CHANNELS
             ));
         }
         if self.dies_per_channel > DieId::MAX_DIES_PER_CHANNEL {
             return Err(format!(
-                "{} dies per channel exceed the packed-PPA limit ({})",
+                "{} dies per channel exceed the device limit ({})",
                 self.dies_per_channel,
                 DieId::MAX_DIES_PER_CHANNEL
             ));
         }
         if self.total_dies() > 0xFFFF {
             return Err("die count exceeds the device limit (65535)".into());
+        }
+        let geo = &self.nand.geometry;
+        let bits = PpaCodec::new(self.channels, self.dies_per_channel, geo).entry_bits();
+        if bits > u32::BITS {
+            return Err(format!(
+                "a physical page address needs {bits} bits, past the 32-bit L2P entry"
+            ));
+        }
+        // A reverse-map entry holds `lpn + 1` in 32 bits.
+        if self.addressable_pages() > u64::from(u32::MAX) {
+            return Err(format!(
+                "{} addressable pages exceed the 32-bit reverse-map entry (at most {})",
+                self.addressable_pages(),
+                u32::MAX
+            ));
         }
         let pages_per_block = self.nand.geometry.pages_per_block;
         if pages_per_block > NandGeometry::MAX_PAGES_PER_BLOCK {
@@ -387,6 +402,77 @@ mod tests {
             .validate()
             .unwrap_err();
         assert!(err.contains("1025 dies per channel"), "{err}");
+    }
+
+    /// Every device the experiments, perfbench and the integration tests
+    /// build fits both 32-bit entries: the presets, F7's channel × die
+    /// sweep over the base SSD (perfbench's figure cells are three of its
+    /// points, the random-device proptest's 2–16 × 2–8 grid lies inside
+    /// it), and the smaller-block variants. F7's 32 × 8 base SSD is the
+    /// widest at exactly 32 bits; one bit wider is a config error.
+    #[test]
+    fn every_built_geometry_fits_the_32_bit_entries() {
+        let base = |channels, dies_per_channel| SsdConfig {
+            channels,
+            dies_per_channel,
+            ..SsdConfig::base()
+        };
+        let bits = |cfg: &SsdConfig| {
+            PpaCodec::new(cfg.channels, cfg.dies_per_channel, &cfg.nand.geometry).entry_bits()
+        };
+        let mut built = vec![
+            SsdConfig::base(),
+            SsdConfig::big(),
+            SsdConfig::small(),
+            SsdConfig::tiny(),
+        ];
+        for channels in [2, 4, 8, 16, 32] {
+            for dies in [2, 4, 8] {
+                built.push(base(channels, dies));
+            }
+        }
+        for blocks_per_plane in [12, 64] {
+            let mut cfg = base(16, 8);
+            cfg.nand.geometry.blocks_per_plane = blocks_per_plane;
+            built.push(cfg);
+        }
+        for &cfg in &built {
+            cfg.validate().unwrap();
+            cfg.with_rain(RainConfig::rotating()).validate().unwrap();
+        }
+        let widest = built.iter().max_by_key(|cfg| bits(cfg)).unwrap();
+        assert_eq!((widest.channels, widest.dies_per_channel), (32, 8));
+        assert_eq!(bits(widest), 32);
+
+        let err = base(64, 8).validate().unwrap_err();
+        assert!(err.contains("33 bits, past the 32-bit L2P entry"), "{err}");
+        let err = base(32, 16).validate().unwrap_err();
+        assert!(err.contains("33 bits"), "{err}");
+    }
+
+    /// A device whose addresses fit the L2P entry but whose logical pages
+    /// plus RAIN parity pages do not fit the reverse-map entry: 2 dies of
+    /// 4 planes × 16 383 blocks × 32 Ki pages, no over-provisioning.
+    #[test]
+    fn addressable_pages_past_the_reverse_map_entry_are_a_config_error() {
+        let mut cfg = SsdConfig {
+            channels: 1,
+            dies_per_channel: 2,
+            overprovision: 0.0,
+            ..SsdConfig::base()
+        };
+        cfg.nand.geometry = NandGeometry {
+            planes: 4,
+            blocks_per_plane: (1 << 14) - 1,
+            pages_per_block: 1 << 15,
+            page_bytes: 4096,
+        };
+        cfg.validate().unwrap();
+        let err = cfg
+            .with_rain(RainConfig::rotating())
+            .validate()
+            .unwrap_err();
+        assert!(err.contains("exceed the 32-bit reverse-map entry"), "{err}");
     }
 
     #[test]

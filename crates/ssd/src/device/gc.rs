@@ -153,8 +153,8 @@ impl Device {
                 self.ftl.reclaim_block(die_flat, die, victim_addr);
                 // The erase may have pushed the block past its rated P/E
                 // cycles: a wear-retired block must not re-enter the pool.
-                if self.die(die_id).block(victim_addr)?.is_retired() {
-                    self.ftl.discard_block(die_flat, victim_addr);
+                if die.block(victim_addr)?.is_retired() {
+                    self.ftl.discard_block(die_flat, die, victim_addr);
                 }
                 self.stats.erases.incr();
                 if let Some(wl) = &mut self.wl {
@@ -236,11 +236,13 @@ impl Device {
 
     /// Marks `block` bad on its die and takes it out of allocation forever.
     fn retire(&mut self, die_id: DieId, block: BlockAddr) -> Result<(), SsdError> {
-        self.channels[die_id.channel as usize]
-            .die_mut(die_id.index)
-            .retire_block(block)?;
-        self.ftl
-            .discard_block(die_id.flat(self.config.dies_per_channel), block);
+        let channel = &mut self.channels[die_id.channel as usize];
+        channel.die_mut(die_id.index).retire_block(block)?;
+        self.ftl.discard_block(
+            die_id.flat(self.config.dies_per_channel),
+            channel.die(die_id.index),
+            block,
+        );
         self.stats.retired_blocks.incr();
         Ok(())
     }

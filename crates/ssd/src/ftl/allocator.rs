@@ -1,36 +1,49 @@
 //! Per-die block allocation: one append-only active block **per plane**
-//! (superpage striping) plus per-plane pools of erased blocks, optionally
-//! wear-aware.
+//! (superpage striping) plus, per plane, the erased blocks it may open
+//! next, optionally wear-aware.
 //!
 //! Striping consecutive allocations across planes is what lets a die hit
 //! its multi-plane program bandwidth — without it every write in a stream
 //! would land in one plane's active block and serialize. This is the
 //! standard "superblock" policy of production FTLs.
 //!
-//! With wear levelling each plane's pool is kept ordered by
-//! `(erase_count, block)`: a reclaimed block is inserted where its key
-//! belongs (a binary search over the pool), and opening a block pops the
-//! front. The pick is the pool's lowest erase count, ties to the lowest
-//! block index — what a scan of the pool would choose — at O(log pool)
-//! instead of O(pool). The order stays valid because a pooled block is
-//! never erased (GC erases only full blocks, the journal none) and
-//! [`Die::simulate_wear`] ages every block alike. Without wear levelling a
-//! pool is a LIFO stack.
+//! A plane keeps its erased blocks in two places. The blocks it has never
+//! opened are one range of block indices, which costs nothing however
+//! large the die; blocks that GC reclaimed sit in the plane's pool. A
+//! never-opened block has never been erased and [`Die::simulate_wear`]
+//! ages every block alike, so the range's blocks share one erase count,
+//! the lowest on the die.
+//!
+//! With wear levelling each pool is kept ordered by `(erase_count,
+//! block)`: a reclaimed block is inserted where its key belongs (a binary
+//! search over the pool). Opening a block takes the lower key of the
+//! pool's front and the range's first block — what a scan of every erased
+//! block would choose — at O(log pool) instead of O(blocks). The order
+//! stays valid because an erased block is never erased again before it is
+//! opened (GC erases only full blocks, the journal none) and
+//! [`Die::simulate_wear`] ages every block alike. Without wear levelling
+//! a plane's erased blocks are a LIFO stack with the range at the bottom:
+//! reclaimed blocks go first, last in first, then the never-opened blocks
+//! from the top down.
 
 use nandsim::{BlockAddr, Die, PhysPage};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Allocation state for one die.
 #[derive(Debug)]
 pub struct DieAlloc {
     /// Block currently being filled on each plane.
     actives: Vec<Option<BlockAddr>>,
-    /// Erased, ready-to-program blocks per plane (block index within the
-    /// plane): ordered by `(erase_count, block)` when `wear_leveling`, in
-    /// reclaim order otherwise.
+    /// Erased blocks per plane held as a range of block indices, all of one
+    /// erase count: at first the blocks the plane has never opened.
+    fresh: Vec<Range<u32>>,
+    /// The other erased blocks per plane (block index within the plane):
+    /// ordered by `(erase_count, block)` when `wear_leveling`, in reclaim
+    /// order otherwise.
     free: Vec<VecDeque<u32>>,
-    /// Blocks across every pool of `free`, kept by each pool mutation so
-    /// the per-program space check reads one field.
+    /// Erased blocks across every plane's range and pool, kept by each
+    /// mutation so the per-program space check reads one field.
     free_count: usize,
     /// Round-robin cursor over planes (always below the plane count).
     next_plane: u32,
@@ -41,22 +54,30 @@ pub struct DieAlloc {
 impl DieAlloc {
     /// Fresh allocator: every block of the die is erased and free.
     pub fn new(die: &Die, wear_leveling: bool) -> Self {
+        // A die that has erased may carry uneven wear: read it block by
+        // block.
+        if die.stats().erases.get() > 0 {
+            return Self::from_scan(die, &[], wear_leveling);
+        }
         let geo = die.config().geometry;
-        let mut alloc = DieAlloc {
-            actives: vec![None; geo.planes as usize],
-            free: (0..geo.planes)
-                .map(|_| (0..geo.blocks_per_plane).collect())
-                .collect(),
+        DieAlloc {
+            fresh: vec![0..geo.blocks_per_plane; geo.planes as usize],
             free_count: geo.blocks_per_die() as usize,
+            ..Self::empty(die, wear_leveling)
+        }
+    }
+
+    /// An allocator for `die` with no active and no erased block.
+    fn empty(die: &Die, wear_leveling: bool) -> Self {
+        let planes = die.config().geometry.planes as usize;
+        DieAlloc {
+            actives: vec![None; planes],
+            fresh: vec![0..0; planes],
+            free: (0..planes).map(|_| VecDeque::new()).collect(),
+            free_count: 0,
             next_plane: 0,
             wear_leveling,
-        };
-        // A die that never erased has uniform wear, so block order is
-        // already `(erase_count, block)` order.
-        if die.stats().erases.get() > 0 {
-            alloc.order_pools(die);
         }
-        alloc
     }
 
     /// Number of erased blocks available (excluding active blocks).
@@ -71,6 +92,12 @@ impl DieAlloc {
 
     /// Returns `block`, which `die` has just erased, to its plane's pool.
     pub fn reclaim_block(&mut self, die: &Die, block: BlockAddr) {
+        self.pool(die, block);
+        self.free_count += 1;
+    }
+
+    /// Puts `block` in its plane's pool where the pick order wants it.
+    fn pool(&mut self, die: &Die, block: BlockAddr) {
         let pool = &mut self.free[block.plane as usize];
         if self.wear_leveling {
             let key = wear_key(die, block.plane, block.block);
@@ -79,21 +106,47 @@ impl DieAlloc {
         } else {
             pool.push_back(block.block);
         }
-        self.free_count += 1;
     }
 
     /// Removes a block from allocation permanently (the device retired it
-    /// after a media fault). The block may be a plane's active block or sit
-    /// in its free pool; afterwards its pages are never handed out again.
-    pub fn discard_block(&mut self, block: BlockAddr) {
+    /// after a media fault). The block may be a plane's active block or
+    /// one of its erased blocks, opened before or not; afterwards its
+    /// pages are never handed out again.
+    pub fn discard_block(&mut self, die: &Die, block: BlockAddr) {
         let plane = block.plane as usize;
         if self.actives[plane] == Some(block) {
             self.actives[plane] = None;
         }
-        let pool = &mut self.free[plane];
-        let before = pool.len();
-        pool.retain(|&b| b != block.block);
-        self.free_count -= before - pool.len();
+        self.remove_free(die, block);
+    }
+
+    /// Takes `block` out of its plane's erased blocks, if it is one.
+    fn remove_free(&mut self, die: &Die, block: BlockAddr) {
+        let plane = block.plane as usize;
+        let fresh = &mut self.fresh[plane];
+        if fresh.contains(&block.block) {
+            if block.block == fresh.start {
+                fresh.start += 1;
+            } else {
+                // The range stays one run: the blocks above `block` move
+                // to the pool, where they keep their place in the order
+                // (just above the range in a LIFO stack).
+                let above = block.block + 1..fresh.end;
+                fresh.end = block.block;
+                for b in above.rev() {
+                    if self.wear_leveling {
+                        self.pool(die, BlockAddr { block: b, ..block });
+                    } else {
+                        self.free[plane].push_front(b);
+                    }
+                }
+            }
+        } else if let Some(at) = self.free[plane].iter().position(|&b| b == block.block) {
+            self.free[plane].remove(at);
+        } else {
+            return;
+        }
+        self.free_count -= 1;
     }
 
     /// Takes an erased block out of allocation entirely. Journal blocks are
@@ -103,44 +156,47 @@ impl DieAlloc {
     /// count, then the lowest plane and block index; without, the lowest
     /// plane and block index.
     pub fn take_block(&mut self, die: &Die) -> Option<BlockAddr> {
-        let (plane, at) = if self.wear_leveling {
-            // Each pool's front is its own minimum.
-            let (_, plane, _) = (0..self.free.len())
-                .filter_map(|plane| {
-                    let (wear, b) = wear_key(die, plane as u32, *self.free[plane].front()?);
-                    Some((wear, plane, b))
-                })
-                .min()?;
-            (plane, 0)
-        } else {
-            self.free.iter().enumerate().find_map(|(plane, pool)| {
-                let (at, _) = pool.iter().enumerate().min_by_key(|&(_, &b)| b)?;
-                Some((plane, at))
-            })?
-        };
-        let block = self.free[plane].remove(at)?;
-        self.free_count -= 1;
-        Some(BlockAddr {
-            plane: plane as u32,
-            block,
-        })
+        let wear_leveling = self.wear_leveling;
+        let block = (0..self.actives.len() as u32)
+            .flat_map(|plane| {
+                // Each plane's candidates: its range's first block and its
+                // pool's lowest (the front, with wear levelling).
+                let pool = &self.free[plane as usize];
+                let pooled = if wear_leveling {
+                    pool.front()
+                } else {
+                    pool.iter().min()
+                };
+                let first = self.fresh[plane as usize].clone().next();
+                pooled
+                    .copied()
+                    .into_iter()
+                    .chain(first)
+                    .map(move |block| BlockAddr { plane, block })
+            })
+            .min_by_key(|b| {
+                let wear = if wear_leveling {
+                    wear_key(die, b.plane, b.block).0
+                } else {
+                    0
+                };
+                (wear, b.plane, b.block)
+            })?;
+        self.remove_free(die, block);
+        Some(block)
     }
 
     /// Rebuilds allocation state from physical block state (mount recovery:
-    /// the RAM allocator died with the power). Erased blocks join the free
-    /// pools; at most one partially written block per plane is re-adopted
-    /// as the active block (lowest block index wins, deterministically —
-    /// any other partial block simply leaves allocation until GC reclaims
-    /// it); retired and `exclude`d blocks stay out.
+    /// the RAM allocator died with the power). Erased blocks become free:
+    /// on each plane the first run of consecutive ones (of one erase count,
+    /// with wear levelling) is its range, the rest its pool. At most one
+    /// partially written block per plane is re-adopted as the active block
+    /// (lowest block index wins, deterministically — any other partial
+    /// block simply leaves allocation until GC reclaims it); retired and
+    /// `exclude`d blocks stay out.
     pub fn from_scan(die: &Die, exclude: &[BlockAddr], wear_leveling: bool) -> Self {
         let geo = die.config().geometry;
-        let mut alloc = DieAlloc {
-            actives: vec![None; geo.planes as usize],
-            free: (0..geo.planes).map(|_| VecDeque::new()).collect(),
-            free_count: 0,
-            next_plane: 0,
-            wear_leveling,
-        };
+        let mut alloc = Self::empty(die, wear_leveling);
         for (flat, b) in die.iter_blocks() {
             let addr = geo.block_at(flat);
             if b.is_retired() || exclude.contains(&addr) {
@@ -148,7 +204,20 @@ impl DieAlloc {
             }
             match b.next_programmable() {
                 Some(0) => {
-                    alloc.free[addr.plane as usize].push_back(addr.block);
+                    let plane = addr.plane as usize;
+                    let (fresh, pool) = (&mut alloc.fresh[plane], &mut alloc.free[plane]);
+                    if fresh.start == fresh.end {
+                        *fresh = addr.block..addr.block;
+                    }
+                    if pool.is_empty()
+                        && fresh.end == addr.block
+                        && (!wear_leveling
+                            || b.erase_count() == wear_key(die, addr.plane, fresh.start).0)
+                    {
+                        fresh.end += 1;
+                    } else {
+                        pool.push_back(addr.block);
+                    }
                     alloc.free_count += 1;
                 }
                 Some(_) => {
@@ -187,10 +256,10 @@ impl DieAlloc {
     ///
     /// Planes are visited round-robin so a write stream stripes across all
     /// of them. Within a plane, the active block fills sequentially; a new
-    /// block is opened from the plane's pool when it fills (lowest erase
-    /// count first with wear levelling, LIFO otherwise). Falls back to
-    /// other planes when one runs dry; returns `None` only when the whole
-    /// die has no erased block left.
+    /// block is opened from the plane's erased blocks when it fills (lowest
+    /// erase count first with wear levelling, LIFO otherwise). Falls back
+    /// to other planes when one runs dry; returns `None` only when the
+    /// whole die has no erased block left.
     pub fn next_page(&mut self, die: &Die) -> Option<PhysPage> {
         let planes = self.actives.len() as u32;
         let wrap = |p: u32| if p + 1 == planes { 0 } else { p + 1 };
@@ -215,26 +284,39 @@ impl DieAlloc {
             // Full: the block leaves allocation until GC reclaims it.
             self.actives[plane as usize] = None;
         }
-        let pool = &mut self.free[plane as usize];
+        let (pool, fresh) = (
+            &mut self.free[plane as usize],
+            &mut self.fresh[plane as usize],
+        );
         let pick = if self.wear_leveling {
-            pool.pop_front()?
+            let pooled_first = match pool.front() {
+                Some(&b) if fresh.start < fresh.end => {
+                    wear_key(die, plane, b) < wear_key(die, plane, fresh.start)
+                }
+                pooled => pooled.is_some(),
+            };
+            if pooled_first {
+                pool.pop_front()
+            } else {
+                fresh.next()
+            }
         } else {
-            pool.pop_back()?
-        };
+            pool.pop_back().or_else(|| fresh.next_back())
+        }?;
         self.free_count -= 1;
         let addr = BlockAddr { plane, block: pick };
         debug_assert!(
             die.block(addr)
                 .map(|b| b.next_programmable() == Some(0))
                 .unwrap_or(false),
-            "free-pool block must be erased"
+            "free block must be erased"
         );
         self.actives[plane as usize] = Some(addr);
         Some(addr.page(0))
     }
 }
 
-/// The wear-aware pool order of block `block` on `plane`.
+/// The wear-aware pick order of block `block` on `plane`.
 fn wear_key(die: &Die, plane: u32, block: u32) -> (u64, u32) {
     let state = die
         .block(BlockAddr { plane, block })
@@ -363,11 +445,11 @@ mod tests {
         let p = a.next_page(&d).unwrap();
         d.program_page(p, SimTime::ZERO, None).unwrap();
         let active = p.block_addr();
-        a.discard_block(active);
+        a.discard_block(&d, active);
         assert_eq!(a.actives[active.plane as usize], None);
         // Discard a never-opened pool block too.
         let pooled = BlockAddr { plane: 1, block: 5 };
-        a.discard_block(pooled);
+        a.discard_block(&d, pooled);
         assert_eq!(a.free_blocks(), total - 2);
         // Neither block is ever allocated again.
         let mut seen = std::collections::HashSet::new();
@@ -447,8 +529,9 @@ mod tests {
         assert_eq!(p.page, 2);
     }
 
-    /// The allocator before its pools were ordered, kept as the oracle of
-    /// the ordered pick: every wear-aware pick scans its pool for the
+    /// The eager allocator, kept as the oracle of the on-demand ranges and
+    /// the ordered pools: every plane's pool holds all its erased blocks
+    /// from construction on, every wear-aware pick scans the pool for the
     /// lowest `(erase_count, block)`, and the LIFO policy pops a `Vec`.
     mod scan_oracle {
         use nandsim::{BlockAddr, Die, PhysPage};
@@ -679,7 +762,7 @@ mod tests {
                         }
                         3 => {
                             d.retire_block(b).unwrap();
-                            a.discard_block(b);
+                            a.discard_block(&d, b);
                         }
                         4 => {
                             a.take_block(&d);
@@ -687,16 +770,18 @@ mod tests {
                         _ => a = DieAlloc::from_scan(&d, &[b], wl == 0),
                     }
                     let pooled: usize = a.free.iter().map(VecDeque::len).sum();
-                    prop_assert_eq!(a.free_blocks(), pooled);
+                    let fresh: usize = a.fresh.iter().map(|r| r.len()).sum();
+                    prop_assert_eq!(a.free_blocks(), pooled + fresh);
                     prop_assert!(a.next_plane < PLANES);
                 }
             }
 
             /// Over random allocation, reclaim at random erase counts,
-            /// discard, take, rescan and uniform ageing, with wear
-            /// levelling on and off, every pick equals the pool scan's and
-            /// the pools hold the same blocks (in the same order without
-            /// wear levelling).
+            /// discard (of opened and never-opened blocks), take, rescan
+            /// and uniform ageing, with wear levelling on and off, every
+            /// pick equals the eager scan allocator's and each plane's
+            /// range and pool hold the same blocks as its eager pool (in
+            /// the same stack order without wear levelling).
             #[test]
             fn ordered_pools_pick_what_the_scan_picks(
                 wl in 0u8..2,
@@ -731,14 +816,14 @@ mod tests {
                                 a.reclaim_block(&d, b);
                                 o.push_free(b);
                                 if d.block(b).unwrap().is_retired() {
-                                    a.discard_block(b);
+                                    a.discard_block(&d, b);
                                     o.discard_block(b);
                                 }
                             }
                         }
                         6 => {
                             d.retire_block(b).unwrap();
-                            a.discard_block(b);
+                            a.discard_block(&d, b);
                             o.discard_block(b);
                         }
                         7 => prop_assert_eq!(a.take_block(&d), o.take_block(&d, wear_leveling)),
@@ -749,8 +834,9 @@ mod tests {
                         _ => d.simulate_wear(times as u64),
                     }
                     prop_assert_eq!(&a.actives, &o.actives);
-                    for (ours, theirs) in a.free.iter().zip(&o.free) {
-                        let mut ours: Vec<u32> = ours.iter().copied().collect();
+                    for ((fresh, pool), theirs) in a.fresh.iter().zip(&a.free).zip(&o.free) {
+                        // The range lies below the pool in the LIFO stack.
+                        let mut ours: Vec<u32> = fresh.clone().chain(pool.iter().copied()).collect();
                         let mut theirs = theirs.clone();
                         if wear_leveling {
                             ours.sort_unstable();

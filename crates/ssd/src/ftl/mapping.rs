@@ -4,47 +4,59 @@
 //! billion logical pages, but an experiment touches only the range holding
 //! its optimizer state, so untouched chunks cost nothing.
 
-use crate::address::{Lpn, Ppa};
+use crate::address::{Lpn, Ppa, PpaCodec};
 use nandsim::{BlockAddr, NandGeometry};
 use simkit::slab::{Slabs, NO_SLAB};
 
-/// Entries per lazily-allocated L2P chunk (64 Ki pages ≈ 512 KiB per chunk).
+/// Entries per lazily-allocated L2P chunk (64 Ki pages, 256 KiB per chunk).
 const CHUNK: usize = 1 << 16;
 
-/// The logical→physical page map.
+/// The logical→physical page map: one 32-bit [`PpaCodec`] entry per page,
+/// 0 for unmapped.
 #[derive(Debug)]
 pub struct L2pTable {
-    chunks: Vec<Option<Box<[u64; CHUNK]>>>,
+    chunks: Vec<Option<Box<[u32; CHUNK]>>>,
+    codec: PpaCodec,
     mapped: u64,
 }
 
 impl L2pTable {
-    /// Creates a table covering `logical_pages` pages.
-    pub fn new(logical_pages: u64) -> Self {
+    /// Creates a table covering `logical_pages` pages whose entries are
+    /// `codec`'s.
+    ///
+    /// # Panics
+    /// If `codec`'s entries do not fit 32 bits.
+    pub fn new(logical_pages: u64, codec: PpaCodec) -> Self {
+        assert!(
+            codec.entry_bits() <= u32::BITS,
+            "an L2P entry of {} bits does not fit 32",
+            codec.entry_bits()
+        );
         let n_chunks = (logical_pages as usize).div_ceil(CHUNK);
         L2pTable {
             chunks: (0..n_chunks).map(|_| None).collect(),
+            codec,
             mapped: 0,
         }
     }
 
     /// Current mapping of `lpn`, if any.
+    #[inline]
     pub fn get(&self, lpn: Lpn) -> Option<Ppa> {
         let idx = lpn.0 as usize;
         let chunk = self.chunks.get(idx / CHUNK)?.as_ref()?;
-        Ppa::unpack(chunk[idx % CHUNK])
+        self.codec.decode(chunk[idx % CHUNK])
     }
 
     /// Sets the mapping of `lpn`, returning the previous one (now stale).
     pub fn set(&mut self, lpn: Lpn, ppa: Ppa) -> Option<Ppa> {
         let idx = lpn.0 as usize;
         let slot = &mut self.chunks[idx / CHUNK];
-        let chunk = slot.get_or_insert_with(|| {
-            // Zero means "unmapped" thanks to the presence bit in `pack`.
-            vec![0u64; CHUNK].into_boxed_slice().try_into().unwrap()
-        });
-        let old = Ppa::unpack(chunk[idx % CHUNK]);
-        chunk[idx % CHUNK] = ppa.pack();
+        // Zero means "unmapped": the codec stores every address plus one.
+        let chunk =
+            slot.get_or_insert_with(|| vec![0u32; CHUNK].into_boxed_slice().try_into().unwrap());
+        let old = self.codec.decode(chunk[idx % CHUNK]);
+        chunk[idx % CHUNK] = self.codec.encode(ppa);
         if old.is_none() {
             self.mapped += 1;
         }
@@ -55,7 +67,7 @@ impl L2pTable {
     pub fn clear(&mut self, lpn: Lpn) -> Option<Ppa> {
         let idx = lpn.0 as usize;
         let chunk = self.chunks.get_mut(idx / CHUNK)?.as_mut()?;
-        let old = Ppa::unpack(chunk[idx % CHUNK]);
+        let old = self.codec.decode(chunk[idx % CHUNK]);
         chunk[idx % CHUNK] = 0;
         if old.is_some() {
             self.mapped -= 1;
@@ -78,7 +90,7 @@ impl L2pTable {
 /// can find the owner of each valid page.
 ///
 /// Layout mirrors the chunked L2P: one lane per die, each entry the `u32`
-/// index of a per-page slab of `lpn + 1` values (0 = none) in one
+/// index of a per-page slab of `u32` `lpn + 1` values (0 = none) in one
 /// [`Slabs`] store shared by every die. A lane is stored
 /// [block-major](NandGeometry::block_major_slot), like the die's block
 /// table, and grows to the highest slot mapped, so a die pays only for
@@ -94,7 +106,7 @@ pub struct ReverseMap {
     /// for a block with no mapping), as long as the highest slot mapped.
     dies: Vec<Vec<u32>>,
     geo: NandGeometry,
-    slabs: Slabs,
+    slabs: Slabs<u32>,
 }
 
 impl ReverseMap {
@@ -119,7 +131,8 @@ impl ReverseMap {
         if *slab == NO_SLAB {
             *slab = self.slabs.alloc();
         }
-        *self.slabs.word_mut(*slab, page as usize) = lpn.0 + 1;
+        *self.slabs.word_mut(*slab, page as usize) = u32::try_from(lpn.0 + 1)
+            .expect("a validated device's addressable pages fit a 32-bit entry");
     }
 
     /// The logical owner of a physical page, if recorded.
@@ -132,7 +145,7 @@ impl ReverseMap {
             return None;
         }
         let v = self.slabs.word(slab, page as usize);
-        (v != 0).then(|| Lpn(v - 1))
+        (v != 0).then(|| Lpn(u64::from(v) - 1))
     }
 
     /// Forgets a whole block (after erase): its slab is zeroed and spared.
@@ -178,9 +191,14 @@ mod tests {
         }
     }
 
+    /// The base SSD's code: 8 × 8 dies of 4 × 1 364 blocks × 1 536 pages.
+    fn codec() -> PpaCodec {
+        PpaCodec::new(8, 8, &geo(4, 1364, 1536))
+    }
+
     #[test]
     fn l2p_set_get_clear() {
-        let mut t = L2pTable::new(1 << 20);
+        let mut t = L2pTable::new(1 << 20, codec());
         assert_eq!(t.get(Lpn(12345)), None);
         assert_eq!(t.set(Lpn(12345), ppa(1, 2, 3, 4)), None);
         assert_eq!(t.get(Lpn(12345)), Some(ppa(1, 2, 3, 4)));
@@ -195,7 +213,7 @@ mod tests {
 
     #[test]
     fn l2p_chunks_allocate_lazily() {
-        let mut t = L2pTable::new(1 << 24);
+        let mut t = L2pTable::new(1 << 24, codec());
         let before = t.chunks.iter().filter(|c| c.is_some()).count();
         assert_eq!(before, 0);
         t.set(Lpn(0), ppa(0, 0, 0, 0));
@@ -206,7 +224,7 @@ mod tests {
 
     #[test]
     fn l2p_capacity() {
-        let t = L2pTable::new(100);
+        let t = L2pTable::new(100, codec());
         assert!(t.capacity() >= 100);
     }
 
@@ -294,18 +312,20 @@ mod tests {
         /// Random sets and block clears across dies against a map model:
         /// every page reads its last owner, a cleared block reads empty,
         /// and a block that takes a recycled slab sees none of the previous
-        /// block's owners.
+        /// block's owners. Owners come from both ends of the 32-bit entry:
+        /// LPN 0 and LPNs up to `u32::MAX - 1`, the largest it holds.
         #[test]
         fn reverse_map_matches_a_map_model(
             ops in prop::collection::vec(
-                (0u8..3, 0u32..3, 0u32..2, 0u32..3, 0u32..5, 0u64..1000),
+                (0u8..3, 0u32..3, 0u32..2, 0u32..3, 0u32..5, (0u64..1000, any::<bool>())),
                 1..300,
             )
         ) {
             let mut r = ReverseMap::new(3, &geo(2, 3, 5));
             let mut model: HashMap<(u32, BlockAddr, u32), Lpn> = HashMap::new();
-            for (op, die, plane, block, page, lpn) in ops {
+            for (op, die, plane, block, page, (offset, high)) in ops {
                 let b = blk(plane, block);
+                let lpn = if high { u64::from(u32::MAX) - 1 - offset } else { offset };
                 if op == 0 {
                     r.clear_block(die, b);
                     model.retain(|&(d, mb, _), _| (d, mb) != (die, b));

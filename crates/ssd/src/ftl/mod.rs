@@ -17,7 +17,7 @@ mod mapping;
 pub use allocator::DieAlloc;
 pub use mapping::{L2pTable, ReverseMap};
 
-use crate::address::{Lpn, Ppa};
+use crate::address::{Lpn, Ppa, PpaCodec};
 use crate::config::SsdConfig;
 use nandsim::Die;
 
@@ -53,7 +53,10 @@ impl Ftl {
         Ftl {
             // Sized to the addressable space: host-visible pages plus (with
             // RAIN armed) the internal parity LPNs beyond them.
-            l2p: L2pTable::new(config.addressable_pages()),
+            l2p: L2pTable::new(
+                config.addressable_pages(),
+                PpaCodec::new(config.channels, config.dies_per_channel, &geo),
+            ),
             rmap: ReverseMap::new(config.total_dies(), &geo),
             alloc,
             dies_per_channel: config.dies_per_channel,
@@ -106,11 +109,11 @@ impl Ftl {
         self.alloc[die_flat as usize].next_page_preferring(plane, die)
     }
 
-    /// Removes a retired block from allocation permanently. Its reverse
-    /// mappings stay until the rescue relocation supersedes them — retired
-    /// blocks are never erased, so stale entries are unreachable.
-    pub fn discard_block(&mut self, die_flat: u32, block: nandsim::BlockAddr) {
-        self.alloc[die_flat as usize].discard_block(block);
+    /// Removes a retired block of `die` from allocation permanently. Its
+    /// reverse mappings stay until the rescue relocation supersedes them —
+    /// retired blocks are never erased, so stale entries are unreachable.
+    pub fn discard_block(&mut self, die_flat: u32, die: &Die, block: nandsim::BlockAddr) {
+        self.alloc[die_flat as usize].discard_block(die, block);
     }
 
     /// Commits a completed program: maps `lpn → ppa`, records the reverse

@@ -64,7 +64,7 @@ mod stats;
 pub mod ftl;
 pub mod trace;
 
-pub use address::{DieId, Lpn, Ppa};
+pub use address::{DieId, Lpn, Ppa, PpaCodec};
 pub use channel::Channel;
 pub use config::{GcPolicy, JournalConfig, PciGen, RainConfig, ScrubConfig, SsdConfig};
 pub use device::{Device, MountReport, ReadPath, ScrubReport};

@@ -67,7 +67,6 @@ fn held_by<T>(build: impl FnOnce() -> T) -> (T, usize) {
 #[test]
 fn phantom_devices_hold_no_per_page_state() {
     const KIB: usize = 1 << 10;
-    const MB: usize = 1 << 20;
     let start = net();
 
     // One base TLC die: 4 × 1 364 blocks × 1 536 pages. Its block table
@@ -94,22 +93,24 @@ fn phantom_devices_hold_no_per_page_state() {
         dev.load_phantom(SimTime::ZERO).expect("phantom load");
         dev
     });
-    // 5 203 920 B (4.96 MiB) measured on x86-64 Linux; the gate leaves a
+    // 1 975 760 B (1.88 MiB) measured on x86-64 Linux; the gate leaves a
     // quarter on top. The load maps 28 672 pages, one 4-block stripe per
     // die, and invalidates none. By table:
-    // - L2P: one 64 Ki-entry chunk, 512 KiB, plus the 7 612-entry chunk
-    //   index, 59.5 KiB;
-    // - reverse map: 256 page slabs of 1 536 words, 3 MiB; lanes 4 slots
-    //   per die, 1 KiB (5 456 slots per die, 1.33 MiB, before lanes grew
-    //   on first mapping);
-    // - allocator free pools: 4 × 1 364 `u32` per die, 1.33 MiB;
+    // - L2P: one 64 Ki-entry chunk of 32-bit entries, 256 KiB, plus the
+    //   7 612-entry chunk index, 59.5 KiB (a chunk of 64-bit entries was
+    //   512 KiB);
+    // - reverse map: 256 page slabs of 1 536 32-bit words, 1.5 MiB (3 MiB
+    //   at 64 bits); lanes 4 slots per die, 1 KiB;
+    // - allocator: each plane's never-opened blocks are one range and its
+    //   pool holds only reclaimed blocks, so ranges, empty pools and
+    //   active slots take 13 KiB (pools filled with every block took
+    //   1.33 MiB more);
     // - block tables: 4 states per die, 8 KiB (11 MiB before they grew on
     //   first write); invalid bitsets: none;
     // - the rest (dies, plane timelines, layout): about 56 KiB.
     assert!(
-        held < 25 * MB / 4,
-        "a loaded phantom base SSD holds {} MB of heap",
-        held / MB
+        held < 2_470_000,
+        "a loaded phantom base SSD holds {held} B of heap"
     );
     drop(dev);
     assert_eq!(
