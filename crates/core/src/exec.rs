@@ -1290,15 +1290,13 @@ mod tests {
         let pb = dev.ssd().page_bytes() as u64;
         assert_eq!(r.traffic.array_read, groups * 6 * pb);
         assert_eq!(r.traffic.array_program, groups * 7 * pb);
-        // Die-local writes never crossed the bus: bus carries grads only
-        // (plus per-transfer ONFI command overhead).
-        let groups = dev.layout().num_groups();
-        assert!(
-            r.traffic.bus >= expected_pcie && r.traffic.bus < expected_pcie + groups * 1024,
-            "bus bytes {} vs grads {}",
-            r.traffic.bus,
-            expected_pcie
-        );
+        // Die-local writes never crossed the bus: it carries the grads
+        // only, one transfer per group, each charged the ONFI command
+        // overhead's equivalent bytes exactly once.
+        let t = dev.ssd().config().nand.timing;
+        let rate = t.bus_bytes_per_sec() as f64;
+        let overhead_bytes = (t.t_cmd_overhead.as_secs_f64() * rate).ceil() as u64;
+        assert_eq!(r.traffic.bus, expected_pcie + groups * overhead_bytes);
         assert_eq!(r.params, params);
         assert!(r.energy.total() > 0.0);
         // No fault config armed: nothing to replay.

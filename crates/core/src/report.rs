@@ -119,11 +119,12 @@ impl CounterSnapshot {
             dram: device.dram().bytes_moved(),
             ..TrafficBytes::default()
         };
+        let page = device.page_bytes() as u64;
         for ch in device.channels() {
             traffic.bus += ch.bus().bytes_moved();
             for d in ch.dies() {
-                traffic.array_read += d.stats().bytes_read.get();
-                traffic.array_program += d.stats().bytes_programmed.get();
+                traffic.array_read += d.stats().reads.get() * page;
+                traffic.array_program += d.stats().programs.get() * page;
             }
         }
         let stats = device.stats();

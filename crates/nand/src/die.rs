@@ -22,10 +22,6 @@ pub struct DieStats {
     pub programs: Counter,
     /// Block erases executed.
     pub erases: Counter,
-    /// User bytes read from the array.
-    pub bytes_read: Counter,
-    /// User bytes programmed into the array.
-    pub bytes_programmed: Counter,
 }
 
 /// One NAND die: planes of blocks of pages, with timing and wear.
@@ -393,7 +389,6 @@ impl Die {
         }
         let win = self.planes[p.plane as usize].acquire(at, t_read);
         self.stats.reads.incr();
-        self.stats.bytes_read.add(page_bytes as u64);
         if self.aging.is_some() {
             // The sense disturbs the block's neighbouring cells; the clock
             // only ticks while the aging model is armed so the disarmed
@@ -514,7 +509,6 @@ impl Die {
             arena.put(geo.block_index(p.block_addr()) as usize, p.page as usize, d);
         }
         self.stats.programs.incr();
-        self.stats.bytes_programmed.add(geo.page_bytes as u64);
         Ok(win)
     }
 

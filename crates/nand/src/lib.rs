@@ -59,7 +59,6 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
-mod bus;
 mod die;
 mod error;
 mod geometry;
@@ -70,7 +69,6 @@ pub mod power;
 pub mod store;
 pub mod wear;
 
-pub use bus::OnfiBus;
 pub use die::{Die, DieStats};
 pub use error::NandError;
 pub use fault::{FaultConfig, FaultInjector, FaultStats};

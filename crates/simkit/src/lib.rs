@@ -8,10 +8,10 @@
 //! * [`Timeline`] and [`BandwidthLink`] — resource-occupancy models. A
 //!   `Timeline` represents a unit that can do one thing at a time (a NAND
 //!   plane, a DMA engine); a `BandwidthLink` represents a shared byte pipe
-//!   (an ONFI channel, a PCIe link) that converts transfer sizes into busy
-//!   windows.
-//! * [`stats`] — counters and histograms used for every report the
-//!   simulators produce.
+//!   (an ONFI channel, a PCIe link) that converts transfer sizes, plus any
+//!   fixed per-transfer overhead, into busy windows.
+//! * [`stats`] — the event counters every report the simulators produce
+//!   is built from.
 //! * [`slab`] — fixed-width `u64` slabs behind `u32` indices, recycled
 //!   through a spare list, for per-block metadata that drop-free tables
 //!   point into.

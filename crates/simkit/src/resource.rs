@@ -76,14 +76,6 @@ impl Timeline {
         self.requests
     }
 
-    /// Utilization over `[0, horizon)`; clamped to `[0, 1]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy_total.as_secs_f64() / horizon.as_secs_f64()).min(1.0)
-    }
-
     /// Resets occupancy and statistics to the idle state.
     pub fn reset(&mut self) {
         self.busy_until = SimTime::ZERO;
@@ -93,9 +85,14 @@ impl Timeline {
 }
 
 /// A shared byte pipe with a fixed bandwidth: transfers serialize FIFO and
-/// each occupies the pipe for `bytes / bandwidth`.
+/// each occupies the pipe for `bytes / bandwidth`, plus the link's fixed
+/// per-transfer overhead.
 ///
-/// Examples: an ONFI channel bus, the PCIe host link, a DRAM port.
+/// Examples: the PCIe host link and a DRAM port (no overhead), and an ONFI
+/// channel bus, whose command/address cycles hold the bus on every
+/// transfer. Array operations do not occupy a bus: a die-level engine
+/// consumes page-register contents without a transfer, so its operand
+/// bandwidth is the array's, not the bus's.
 ///
 /// A link's traffic is mostly one size (a flash page), so it keeps the
 /// duration of the last size it moved and divides only when the size
@@ -105,51 +102,53 @@ pub struct BandwidthLink {
     timeline: Timeline,
     bytes_per_sec: u64,
     bytes_moved: u64,
-    /// The last transfer size and its [`SimDuration::for_transfer`].
+    /// The per-transfer overhead in equivalent bytes, and their duration.
+    overhead_bytes: u64,
+    overhead: SimDuration,
+    /// The last transfer size, and its [`SimDuration::for_transfer`] plus
+    /// `overhead`.
     memo_bytes: u64,
     memo: SimDuration,
 }
 
 impl BandwidthLink {
-    /// Creates an idle link moving `bytes_per_sec` bytes per second.
+    /// Creates an idle link moving `bytes_per_sec` bytes per second, with
+    /// no per-transfer overhead.
     pub fn new(bytes_per_sec: u64) -> Self {
+        Self::with_overhead(bytes_per_sec, SimDuration::ZERO)
+    }
+
+    /// Creates an idle link that holds the pipe for a fixed `overhead` on
+    /// every transfer, such as an ONFI bus's command/address cycles. The
+    /// overhead is converted once into equivalent bytes (rounded up) and
+    /// their transfer time; each window then covers the payload followed
+    /// by those bytes, and both count in [`bytes_moved`](Self::bytes_moved).
+    pub fn with_overhead(bytes_per_sec: u64, overhead: SimDuration) -> Self {
+        let overhead_bytes = (overhead.as_secs_f64() * bytes_per_sec as f64).ceil() as u64;
+        let overhead = SimDuration::for_transfer(overhead_bytes, bytes_per_sec);
         BandwidthLink {
             timeline: Timeline::new("link"),
             bytes_per_sec,
             bytes_moved: 0,
+            overhead_bytes,
+            overhead,
             memo_bytes: 0,
-            memo: SimDuration::for_transfer(0, bytes_per_sec),
+            memo: SimDuration::for_transfer(0, bytes_per_sec) + overhead,
         }
     }
 
     /// Schedules a transfer of `bytes` arriving at `earliest`; returns its
-    /// occupancy window.
+    /// occupancy window (payload, then the link's overhead).
     pub fn transfer(&mut self, earliest: SimTime, bytes: u64) -> Window {
-        self.transfer_then(earliest, bytes, 0, SimDuration::ZERO)
-    }
-
-    /// Schedules a transfer of `bytes` followed back to back by a fixed
-    /// tail of `tail_bytes` that holds the link for `tail`, such as a
-    /// per-operation command overhead. The caller computes `tail` once, as
-    /// `SimDuration::for_transfer(tail_bytes, self.bytes_per_sec())`; the
-    /// window and the statistics then equal those of two back-to-back
-    /// transfers, except that [`transfers`](Self::transfers) counts one.
-    pub fn transfer_then(
-        &mut self,
-        earliest: SimTime,
-        bytes: u64,
-        tail_bytes: u64,
-        tail: SimDuration,
-    ) -> Window {
         if bytes != self.memo_bytes {
             self.memo_bytes = bytes;
-            self.memo = SimDuration::for_transfer(bytes, self.bytes_per_sec);
+            self.memo = SimDuration::for_transfer(bytes, self.bytes_per_sec) + self.overhead;
         }
         self.bytes_moved = self
             .bytes_moved
             .saturating_add(bytes)
-            .saturating_add(tail_bytes);
-        self.timeline.acquire(earliest, self.memo + tail)
+            .saturating_add(self.overhead_bytes);
+        self.timeline.acquire(earliest, self.memo)
     }
 
     /// The instant at which the link next becomes free.
@@ -175,11 +174,6 @@ impl BandwidthLink {
     /// Number of transfers served.
     pub fn transfers(&self) -> u64 {
         self.timeline.requests()
-    }
-
-    /// Utilization over `[0, horizon)`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        self.timeline.utilization(horizon)
     }
 
     /// Resets occupancy and statistics to the idle state.
@@ -209,15 +203,6 @@ mod tests {
         assert_eq!(c.start, SimTime::from_us(100));
         assert_eq!(t.requests(), 3);
         assert_eq!(t.busy_total(), SimDuration::from_us(85));
-    }
-
-    #[test]
-    fn timeline_utilization() {
-        let mut t = Timeline::new("x");
-        t.acquire(SimTime::ZERO, SimDuration::from_us(25));
-        let u = t.utilization(SimTime::from_us(100));
-        assert!((u - 0.25).abs() < 1e-12);
-        assert_eq!(t.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]
@@ -251,18 +236,22 @@ mod tests {
 
         /// Over sizes on both sides of the point where `bytes · 10⁹`
         /// overflows a `u64`, repeated or alternating, every window equals
-        /// `for_transfer` and a tail adds exactly its own duration.
+        /// `for_transfer`, and a link's overhead adds exactly the duration
+        /// and bytes of its equivalent bytes to every transfer.
         #[test]
         fn memoized_transfers_match_for_transfer(
             which in 0usize..4,
             sizes in prop::collection::vec((0u8..4, -3i64..4), 1..12),
             rate in 1u64..u64::MAX,
-            tail_bytes in 0u64..2048,
+            tail_ns in 0u64..2048,
         ) {
             const EDGE: u64 = u64::MAX / 1_000_000_000;
             let bps = [rate, 1, 1_200_000_000, u64::MAX][which];
+            let overhead = SimDuration::from_ns(tail_ns);
+            let tail_bytes = (overhead.as_secs_f64() * bps as f64).ceil() as u64;
             let tail = SimDuration::for_transfer(tail_bytes, bps);
             let mut link = BandwidthLink::new(bps);
+            let mut bus = BandwidthLink::with_overhead(bps, overhead);
             for (base, delta) in sizes {
                 let base = [0, 16_384, EDGE, u64::MAX - 3][base as usize];
                 let bytes = base.saturating_add_signed(delta);
@@ -273,16 +262,21 @@ mod tests {
                 let w = link.transfer(SimTime::ZERO, bytes);
                 prop_assert_eq!(w.end, SimTime::ZERO + want, "{} B at {} B/s", bytes, bps);
                 prop_assert_eq!(fresh_after(bps, bytes ^ 1, bytes), want);
-                let w2 = link.transfer_then(SimTime::ZERO, bytes, tail_bytes, tail);
-                prop_assert_eq!((w2.start, w2.end), (w.end, w.end + (want + tail)));
+                bus.reset();
+                let w1 = bus.transfer(SimTime::ZERO, bytes);
+                let w2 = bus.transfer(SimTime::ZERO, bytes);
+                prop_assert_eq!(w1.end, SimTime::ZERO + (want + tail));
+                prop_assert_eq!((w2.start, w2.end), (w1.end, w1.end + (want + tail)));
+                let moved = bytes.saturating_add(tail_bytes);
+                prop_assert_eq!(bus.bytes_moved(), moved.saturating_add(moved));
             }
         }
     }
 
     #[test]
     fn tail_counts_bytes_and_busy_time() {
-        let mut l = BandwidthLink::new(1_000_000_000);
-        let w = l.transfer_then(SimTime::ZERO, 1_000, 10, SimDuration::from_ns(10));
+        let mut l = BandwidthLink::with_overhead(1_000_000_000, SimDuration::from_ns(10));
+        let w = l.transfer(SimTime::ZERO, 1_000);
         assert_eq!(w.duration(), SimDuration::from_ns(1_010));
         assert_eq!(l.bytes_moved(), 1_010);
         assert_eq!(l.busy_total(), SimDuration::from_ns(1_010));
@@ -291,12 +285,16 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut l = BandwidthLink::new(1_000_000_000);
-        l.transfer(SimTime::ZERO, 1_000);
-        l.reset();
-        assert_eq!(l.bytes_moved(), 0);
-        assert_eq!(l.free_at(), SimTime::ZERO);
-        assert_eq!(l.busy_total(), SimDuration::ZERO);
+        for mut l in [
+            BandwidthLink::new(1_000_000_000),
+            BandwidthLink::with_overhead(1_200_000_000, SimDuration::from_ns(400)),
+        ] {
+            l.transfer(SimTime::ZERO, 1_000);
+            l.reset();
+            assert_eq!(l.bytes_moved(), 0);
+            assert_eq!(l.free_at(), SimTime::ZERO);
+            assert_eq!(l.busy_total(), SimDuration::ZERO);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::trace::{OpKind, TraceEvent, TraceLog};
 use gc::StaticWl;
 pub(crate) use gc::GC_HIGH_WATERMARK;
 use journal::Journal;
-use nandsim::{Die, FaultStats, NandError, OnfiBus, PowerLossConfig};
+use nandsim::{Die, FaultStats, NandError, PowerLossConfig};
 use rain::Rain;
 use scrub::Scrub;
 use simkit::pool::PageBuf;
@@ -159,7 +159,8 @@ impl Device {
                         die
                     })
                     .collect();
-                let bus = OnfiBus::new(&config.nand.timing);
+                let t = &config.nand.timing;
+                let bus = BandwidthLink::with_overhead(t.bus_bytes_per_sec(), t.t_cmd_overhead);
                 Channel::new(ch, bus, dies)
             })
             .collect();
@@ -759,37 +760,6 @@ impl Device {
                 start: win.start,
                 end: win.end,
             });
-        }
-    }
-
-    /// Utilization of every shared resource over `[0, horizon)`.
-    pub fn utilization(&self, horizon: SimTime) -> crate::stats::UtilizationReport {
-        let dies = self
-            .dies()
-            .map(|d| {
-                let planes = d.config().geometry.planes;
-                // Mean plane busy fraction: total busy over planes*horizon.
-                let busy: f64 = (0..planes)
-                    .map(|p| d.plane_busy_total(p).as_secs_f64())
-                    .sum();
-                if horizon == SimTime::ZERO {
-                    0.0
-                } else {
-                    (busy / (planes as f64 * horizon.as_secs_f64())).min(1.0)
-                }
-            })
-            .collect();
-        crate::stats::UtilizationReport {
-            horizon,
-            pcie_in: self.pcie_in.utilization(horizon),
-            pcie_out: self.pcie_out.utilization(horizon),
-            dram: self.dram.utilization(horizon),
-            buses: self
-                .channels
-                .iter()
-                .map(|c| c.bus().utilization(horizon))
-                .collect(),
-            dies,
         }
     }
 

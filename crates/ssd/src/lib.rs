@@ -17,8 +17,9 @@
 //!   allocation. Exposes *internal* operations (array-only reads, die-local
 //!   programs) that the OptimStore engine uses to bypass the external
 //!   interface — the whole point of in-storage processing.
-//! * [`DeviceStats`] — write amplification, erase histograms, per-link
-//!   utilization; everything the evaluation section reports.
+//! * [`DeviceStats`] — host, NDP, GC and recovery counters and write
+//!   amplification; with [`wear_imbalance`] over [`Device::erase_counts`]
+//!   and each link's busy time, everything the evaluation section reports.
 //! * **Fault recovery** — when [`SsdConfig::fault`] arms seeded injection
 //!   (see [`nandsim::FaultConfig`]), the device recovers: failed programs
 //!   retire the block and re-home the page (rescuing the block's valid
@@ -69,7 +70,7 @@ pub use channel::Channel;
 pub use config::{GcPolicy, JournalConfig, PciGen, RainConfig, ScrubConfig, SsdConfig};
 pub use device::{Device, MountReport, ReadPath, ScrubReport};
 pub use error::SsdError;
-pub use stats::{erase_histogram, wear_imbalance, DeviceStats, UtilizationReport};
+pub use stats::{wear_imbalance, DeviceStats};
 
 // Fault-injection configuration and counters, re-exported so clients that
 // arm [`SsdConfig::fault`] or [`Device::arm_power_loss`] need not depend on

@@ -1,8 +1,7 @@
 //! Device-level statistics: traffic, write amplification, wear spread.
 
-use simkit::stats::{Counter, Histogram};
-use simkit::{SimDuration, SimTime};
-use std::fmt;
+use simkit::stats::Counter;
+use simkit::SimDuration;
 
 /// Counters a [`crate::Device`] maintains across its lifetime.
 #[derive(Debug, Clone, Default)]
@@ -130,18 +129,6 @@ impl DeviceStats {
     }
 }
 
-/// Builds an erase-count histogram across a device's blocks.
-///
-/// `erase_counts` yields one count per block. Bucket width 1 keeps the
-/// spread metric exact for the wear-levelling experiment.
-pub fn erase_histogram(erase_counts: impl Iterator<Item = u64>) -> Histogram {
-    let mut h = Histogram::new(1);
-    for c in erase_counts {
-        h.record(c);
-    }
-    h
-}
-
 /// Wear imbalance: max block erase count ÷ mean (1.0 = perfectly level).
 pub fn wear_imbalance(erase_counts: impl Iterator<Item = u64>) -> f64 {
     let mut max = 0u64;
@@ -242,88 +229,13 @@ mod tests {
         assert_eq!(s.to_snapshot(), want);
     }
 
+    /// Imbalance over level and skewed erase-count distributions.
     #[test]
     fn erase_histogram_and_imbalance() {
         let counts = [3u64, 3, 3, 3];
         assert_eq!(wear_imbalance(counts.iter().copied()), 1.0);
         let skewed = [9u64, 1, 1, 1];
         assert_eq!(wear_imbalance(skewed.iter().copied()), 3.0);
-        let h = erase_histogram(skewed.iter().copied());
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.max(), 9);
         assert_eq!(wear_imbalance(std::iter::empty()), 1.0);
-    }
-}
-
-/// Point-in-time utilization of every shared resource in a device, over
-/// the window `[0, horizon)`. Reading this next to a step report tells you
-/// *which* resource the tier saturated — the experimental narrative in one
-/// struct.
-#[derive(Debug, Clone)]
-pub struct UtilizationReport {
-    /// Horizon the utilizations are normalized over.
-    pub horizon: SimTime,
-    /// Host→device PCIe link utilization.
-    pub pcie_in: f64,
-    /// Device→host PCIe link utilization.
-    pub pcie_out: f64,
-    /// Controller DRAM port utilization.
-    pub dram: f64,
-    /// Per-channel ONFI bus utilization.
-    pub buses: Vec<f64>,
-    /// Mean plane utilization per die (flat die order).
-    pub dies: Vec<f64>,
-}
-
-impl UtilizationReport {
-    /// The busiest resource as `(name, utilization)`.
-    pub fn hottest(&self) -> (String, f64) {
-        let mut best = ("pcie-in".to_string(), self.pcie_in);
-        for (name, u) in [("pcie-out", self.pcie_out), ("ctrl-dram", self.dram)] {
-            if u > best.1 {
-                best = (name.to_string(), u);
-            }
-        }
-        for (i, &u) in self.buses.iter().enumerate() {
-            if u > best.1 {
-                best = (format!("bus-ch{i}"), u);
-            }
-        }
-        for (i, &u) in self.dies.iter().enumerate() {
-            if u > best.1 {
-                best = (format!("die{i}-planes"), u);
-            }
-        }
-        best
-    }
-
-    /// Mean die (plane) utilization across the device.
-    pub fn mean_die(&self) -> f64 {
-        if self.dies.is_empty() {
-            return 0.0;
-        }
-        self.dies.iter().sum::<f64>() / self.dies.len() as f64
-    }
-}
-
-impl fmt::Display for UtilizationReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mean_bus = if self.buses.is_empty() {
-            0.0
-        } else {
-            self.buses.iter().sum::<f64>() / self.buses.len() as f64
-        };
-        write!(
-            f,
-            "util over {}: pcie {:.0}%/{:.0}% dram {:.0}% bus {:.0}% dies {:.0}% (hottest: {} {:.0}%)",
-            self.horizon,
-            self.pcie_in * 100.0,
-            self.pcie_out * 100.0,
-            self.dram * 100.0,
-            mean_bus * 100.0,
-            self.mean_die() * 100.0,
-            self.hottest().0,
-            self.hottest().1 * 100.0,
-        )
     }
 }
