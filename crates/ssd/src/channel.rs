@@ -104,7 +104,6 @@ impl Channel {
 mod tests {
     use super::*;
     use nandsim::{NandConfig, NandTiming};
-    use simkit::SimDuration;
 
     fn bus(t: &NandTiming) -> BandwidthLink {
         BandwidthLink::with_overhead(t.bus_bytes_per_sec(), t.t_cmd_overhead)
@@ -114,54 +113,6 @@ mod tests {
         let cfg = NandConfig::tiny_test_die();
         let dies = (0..2).map(|i| Die::new_functional(i, cfg)).collect();
         Channel::new(0, bus(&cfg.timing), dies)
-    }
-
-    #[test]
-    fn transfer_includes_overhead() {
-        let t = NandTiming::tlc();
-        let mut bus = bus(&t);
-        let w = bus.transfer(SimTime::ZERO, 16 * 1024);
-        // 16 KiB at 1.2 GB/s ≈ 13.65 µs plus 400 ns overhead.
-        let pure = SimDuration::for_transfer(16 * 1024, t.bus_bytes_per_sec());
-        assert!(w.duration() >= pure + SimDuration::from_ns(399));
-        assert!(w.duration() < pure + SimDuration::from_ns(800));
-        // A bare command (no payload) holds the bus for the overhead alone.
-        let c = bus.transfer(SimTime::ZERO, 0);
-        assert!(c.duration() >= SimDuration::from_ns(300));
-        assert!(c.duration() <= SimDuration::from_us(1));
-    }
-
-    /// A page transfer holds the bus for its payload and then the
-    /// overhead's equivalent bytes, each at the bus rate, on every die
-    /// timing the simulator ships.
-    #[test]
-    fn page_window_is_payload_plus_overhead_bytes() {
-        for config in [NandConfig::tlc_1tb_die(), NandConfig::tiny_test_die()] {
-            let t = config.timing;
-            let rate = t.bus_bytes_per_sec();
-            let page = config.geometry.page_bytes as u64;
-            let overhead_bytes = (t.t_cmd_overhead.as_secs_f64() * rate as f64).ceil() as u64;
-            let want = SimDuration::for_transfer(page, rate)
-                + SimDuration::for_transfer(overhead_bytes, rate);
-            let mut bus = bus(&t);
-            let mut at = SimTime::ZERO;
-            for _ in 0..3 {
-                let w = bus.transfer(at, page);
-                assert_eq!(w.start, at);
-                assert_eq!(w.duration(), want);
-                at = w.end + SimDuration::from_ns(5);
-            }
-            assert_eq!(bus.bytes_moved(), 3 * (page + overhead_bytes));
-        }
-    }
-
-    #[test]
-    fn transfers_serialize() {
-        let t = NandTiming::tlc();
-        let mut bus = bus(&t);
-        let a = bus.transfer(SimTime::ZERO, 4096);
-        let b = bus.transfer(SimTime::ZERO, 4096);
-        assert!(b.start >= a.end);
     }
 
     #[test]
