@@ -12,7 +12,7 @@
 use optim_math::kernels::{encode_grads, StateBuffers};
 use optim_math::state::StateLayoutSpec;
 use optim_math::Optimizer;
-use optimstore_core::energy::{ActivityCounts, EnergyModel};
+use optimstore_core::energy::ActivityCounts;
 use optimstore_core::report::TrafficBytes;
 use optimstore_core::{CoreError, StepReport};
 use simkit::{SimDuration, SimTime, Timeline};
@@ -47,7 +47,6 @@ pub struct HostDramBaseline {
     /// Functional state (None in phantom mode).
     buffers: Option<StateBuffers>,
     dram: Timeline,
-    energy_model: EnergyModel,
     step: u64,
 }
 
@@ -83,7 +82,6 @@ impl HostDramBaseline {
             }),
             optimizer,
             dram: Timeline::new("host-dram"),
-            energy_model: EnergyModel::default(),
             step: 0,
         })
     }
@@ -166,7 +164,7 @@ impl HostDramBaseline {
             end: win.end,
             duration: win.end - at,
             traffic: TrafficBytes::default(),
-            energy: counts.energy(&self.energy_model),
+            energy: counts.energy(),
             erases: 0,
             gc_copies: 0,
             groups_total: 0,

@@ -245,7 +245,7 @@ fn f24_smoke() -> (SsdConfig, u64) {
         .find(|s| s.fault.is_active())
         .expect("F24 grid has fault-armed cells");
     let ssd = SsdConfig::tiny().with_fault(sched.fault);
-    (ssd, sched.pe_cycles(ssd.nand.cell.rated_pe_cycles()))
+    (ssd, sched.pe_cycles(ssd.nand.rated_pe_cycles()))
 }
 
 fn dtype_name(d: GradDtype) -> &'static str {

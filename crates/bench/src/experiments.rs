@@ -367,7 +367,7 @@ pub fn fig11_endurance(_: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let per_step = analytic_erases_per_step(params, &spec, &ssd, 1.05);
     let blocks = ssd.total_dies() as u64 * ssd.nand.geometry.blocks_per_die();
-    let budget = blocks * ssd.nand.cell.rated_pe_cycles();
+    let budget = blocks * ssd.nand.rated_pe_cycles();
     let steps = budget as f64 / per_step;
     format!(
         "{}analytic (gpt3-13b on base SSD, WAF 1.05): {per_step:.0} erases/step, \
@@ -569,7 +569,7 @@ pub fn fig17_sparse_updates(ctx: &Context) -> String {
 pub fn fig18_aging(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let ssd = SsdConfig::base();
-    let rated = ssd.nand.cell.rated_pe_cycles();
+    let rated = ssd.nand.rated_pe_cycles();
     let mut t = Table::new(&["age (P/E)", "% of rated", "step time", "vs fresh"]);
     let mut fresh = SimDuration::ZERO;
     for frac in [0.0f64, 0.25, 0.5, 0.75, 1.0] {
@@ -687,7 +687,7 @@ pub fn table21_time_to_train(ctx: &Context) -> String {
         let state = spec.model_footprint(m.params());
         let for_capacity = state.div_ceil(ssd.logical_bytes()).max(1) as u32;
         let blocks = ssd.total_dies() as u64 * ssd.nand.geometry.blocks_per_die();
-        let budget = (blocks * ssd.nand.cell.rated_pe_cycles()) as f64;
+        let budget = (blocks * ssd.nand.rated_pe_cycles()) as f64;
         let erases = analytic_erases_per_step(m.params(), &spec, &ssd, WAF) * STEPS;
         let for_endurance = (erases / budget).ceil().max(1.0) as u32;
         let devices = for_capacity.max(for_endurance);
@@ -793,7 +793,7 @@ pub fn fig23_scheduler_granularity(ctx: &Context) -> String {
 pub fn fig24_fault_sweep(ctx: &Context) -> String {
     let params = zoo::gpt3_13b().params();
     let base = SsdConfig::base();
-    let rated = base.nand.cell.rated_pe_cycles();
+    let rated = base.nand.rated_pe_cycles();
     let mut t = Table::new(&[
         "fault rate",
         "age",

@@ -620,7 +620,7 @@ impl DegradedCell {
     pub fn ssd(sched: &AgingSchedule, parity: bool, scrub: Option<ScrubConfig>) -> SsdConfig {
         let mut ssd = SsdConfig::tiny();
         // The aging coefficients are relative to the part's ECC ceiling.
-        let aging = sched.aging_config(RberModel::for_cell(ssd.nand.cell).ecc_ceiling);
+        let aging = sched.aging_config(RberModel::tlc().ecc_ceiling);
         ssd.aging = aging.is_active().then_some(aging);
         ssd.rain = parity.then(RainConfig::rotating);
         ssd.scrub = scrub;

@@ -40,7 +40,7 @@ impl EnduranceReport {
         let blocks = cfg.total_dies() as u64 * cfg.nand.geometry.blocks_per_die();
         let projection = LifetimeProjection::project(
             blocks,
-            cfg.nand.cell.rated_pe_cycles(),
+            cfg.nand.rated_pe_cycles(),
             erases_per_step,
             imbalance,
         );

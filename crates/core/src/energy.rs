@@ -3,53 +3,31 @@
 //! HPCA papers derive system-level energy from per-component constants ×
 //! activity counts; we do the same. The constants below are published-class
 //! figures for 2020s hardware (NAND sense/program energy, ONFI and PCIe
-//! per-bit link energy, LPDDR access energy); they are fields, not
-//! hard-coded, so sensitivity studies can sweep them. Absolute joules carry
-//! the usual factor-of-two uncertainty — the *ratios* between tiers, which
-//! is what the energy figure reports, are robust because every tier shares
-//! the same constants.
+//! per-bit link energy, LPDDR access energy), and every tier is charged
+//! with the same ones. Absolute joules carry the usual factor-of-two
+//! uncertainty — the *ratios* between tiers, which is what the energy
+//! figure reports, are robust because the constants are shared.
 
 use serde::{Deserialize, Serialize};
-use std::ops::AddAssign;
 
-/// Per-activity energy constants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EnergyModel {
-    /// NAND array read, joules per byte sensed (~0.4 pJ/bit).
-    pub array_read_j_per_byte: f64,
-    /// NAND array program, joules per byte (~1.7 pJ/bit).
-    pub array_program_j_per_byte: f64,
-    /// Block erase, joules per block.
-    pub erase_j_per_block: f64,
-    /// ONFI channel transfer, joules per byte (~2 pJ/bit).
-    pub bus_j_per_byte: f64,
-    /// PCIe transfer end-to-end, joules per byte (~6 pJ/bit).
-    pub pcie_j_per_byte: f64,
-    /// Controller DRAM access, joules per byte (~4 pJ/bit).
-    pub dram_j_per_byte: f64,
-    /// Host-side staging (DRAM + cache hierarchy), joules per byte.
-    pub host_j_per_byte: f64,
-    /// NDP engine compute, joules per state byte processed.
-    pub ndp_compute_j_per_byte: f64,
-    /// Host (CPU/GPU) update compute, joules per state byte processed.
-    pub host_compute_j_per_byte: f64,
-}
-
-impl Default for EnergyModel {
-    fn default() -> Self {
-        EnergyModel {
-            array_read_j_per_byte: 3.2e-12,
-            array_program_j_per_byte: 13.6e-12,
-            erase_j_per_block: 140e-6,
-            bus_j_per_byte: 16e-12,
-            pcie_j_per_byte: 48e-12,
-            dram_j_per_byte: 32e-12,
-            host_j_per_byte: 80e-12,
-            ndp_compute_j_per_byte: 1e-12,
-            host_compute_j_per_byte: 5e-12,
-        }
-    }
-}
+/// NAND array read, joules per byte sensed (~0.4 pJ/bit).
+pub const ARRAY_READ_J_PER_BYTE: f64 = 3.2e-12;
+/// NAND array program, joules per byte (~1.7 pJ/bit).
+pub const ARRAY_PROGRAM_J_PER_BYTE: f64 = 13.6e-12;
+/// Block erase, joules per block.
+pub const ERASE_J_PER_BLOCK: f64 = 140e-6;
+/// ONFI channel transfer, joules per byte (~2 pJ/bit).
+pub const BUS_J_PER_BYTE: f64 = 16e-12;
+/// PCIe transfer end-to-end, joules per byte (~6 pJ/bit).
+pub const PCIE_J_PER_BYTE: f64 = 48e-12;
+/// Controller DRAM access, joules per byte (~4 pJ/bit).
+pub const DRAM_J_PER_BYTE: f64 = 32e-12;
+/// Host-side staging (DRAM + cache hierarchy), joules per byte.
+pub const HOST_J_PER_BYTE: f64 = 80e-12;
+/// NDP engine compute, joules per state byte processed.
+pub const NDP_COMPUTE_J_PER_BYTE: f64 = 1e-12;
+/// Host (CPU/GPU) update compute, joules per state byte processed.
+pub const HOST_COMPUTE_J_PER_BYTE: f64 = 5e-12;
 
 /// Energy consumed, broken down by component (joules).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
@@ -94,19 +72,6 @@ impl EnergyBreakdown {
     }
 }
 
-impl AddAssign for EnergyBreakdown {
-    fn add_assign(&mut self, rhs: EnergyBreakdown) {
-        self.array_read += rhs.array_read;
-        self.array_program += rhs.array_program;
-        self.erase += rhs.erase;
-        self.bus += rhs.bus;
-        self.pcie += rhs.pcie;
-        self.dram += rhs.dram;
-        self.host += rhs.host;
-        self.compute += rhs.compute;
-    }
-}
-
 /// Computes a breakdown from activity counts.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ActivityCounts {
@@ -131,18 +96,18 @@ pub struct ActivityCounts {
 }
 
 impl ActivityCounts {
-    /// Converts counts to joules under `model`.
-    pub fn energy(&self, model: &EnergyModel) -> EnergyBreakdown {
+    /// Converts counts to joules under the constants above.
+    pub fn energy(&self) -> EnergyBreakdown {
         EnergyBreakdown {
-            array_read: self.array_read_bytes as f64 * model.array_read_j_per_byte,
-            array_program: self.array_program_bytes as f64 * model.array_program_j_per_byte,
-            erase: self.erase_blocks as f64 * model.erase_j_per_block,
-            bus: self.bus_bytes as f64 * model.bus_j_per_byte,
-            pcie: self.pcie_bytes as f64 * model.pcie_j_per_byte,
-            dram: self.dram_bytes as f64 * model.dram_j_per_byte,
-            host: self.host_bytes as f64 * model.host_j_per_byte,
-            compute: self.ndp_compute_bytes as f64 * model.ndp_compute_j_per_byte
-                + self.host_compute_bytes as f64 * model.host_compute_j_per_byte,
+            array_read: self.array_read_bytes as f64 * ARRAY_READ_J_PER_BYTE,
+            array_program: self.array_program_bytes as f64 * ARRAY_PROGRAM_J_PER_BYTE,
+            erase: self.erase_blocks as f64 * ERASE_J_PER_BLOCK,
+            bus: self.bus_bytes as f64 * BUS_J_PER_BYTE,
+            pcie: self.pcie_bytes as f64 * PCIE_J_PER_BYTE,
+            dram: self.dram_bytes as f64 * DRAM_J_PER_BYTE,
+            host: self.host_bytes as f64 * HOST_J_PER_BYTE,
+            compute: self.ndp_compute_bytes as f64 * NDP_COMPUTE_J_PER_BYTE
+                + self.host_compute_bytes as f64 * HOST_COMPUTE_J_PER_BYTE,
         }
     }
 }
@@ -164,7 +129,7 @@ mod tests {
             ndp_compute_bytes: 1 << 20,
             host_compute_bytes: 0,
         };
-        let e = counts.energy(&EnergyModel::default());
+        let e = counts.energy();
         let sum =
             e.array_read + e.array_program + e.erase + e.bus + e.pcie + e.dram + e.host + e.compute;
         assert!((e.total() - sum).abs() < 1e-15);
@@ -176,10 +141,11 @@ mod tests {
         // Crossing PCIe must cost more per byte than staying on the bus,
         // which must cost more than staying in the array — the physical
         // fact the energy figure rests on.
-        let m = EnergyModel::default();
-        assert!(m.pcie_j_per_byte > m.bus_j_per_byte);
-        assert!(m.bus_j_per_byte > m.array_read_j_per_byte);
-        assert!(m.host_j_per_byte > m.dram_j_per_byte);
+        const {
+            assert!(PCIE_J_PER_BYTE > BUS_J_PER_BYTE);
+            assert!(BUS_J_PER_BYTE > ARRAY_READ_J_PER_BYTE);
+            assert!(HOST_J_PER_BYTE > DRAM_J_PER_BYTE);
+        }
     }
 
     #[test]
@@ -190,23 +156,5 @@ mod tests {
         };
         assert_eq!(e.per_param(4), 0.5);
         assert_eq!(e.per_param(0), 0.0);
-    }
-
-    #[test]
-    fn add_assign_merges() {
-        let mut a = EnergyBreakdown {
-            bus: 1.0,
-            compute: 2.0,
-            ..Default::default()
-        };
-        let b = EnergyBreakdown {
-            bus: 0.5,
-            erase: 3.0,
-            ..Default::default()
-        };
-        a += b;
-        assert_eq!(a.bus, 1.5);
-        assert_eq!(a.erase, 3.0);
-        assert_eq!(a.compute, 2.0);
     }
 }

@@ -15,7 +15,6 @@
 //! reference.
 
 use crate::config::{ExecutionTier, GradStaging, OptimStoreConfig};
-use crate::energy::EnergyModel;
 use crate::layout::{GroupBase, StateComponent, StateLayout};
 use crate::pages::{self, UpdatePages};
 use crate::protocol::{ProtocolError, UpdateCommand};
@@ -106,7 +105,6 @@ pub struct OptimStoreDevice {
     write_set: Box<[PlanPage]>,
     optimizer: Box<dyn Optimizer>,
     engines: Vec<Timeline>,
-    energy_model: EnergyModel,
     step: u64,
     /// Phantom-mode stand-in for gradient sparsity: groups with index at or
     /// above this count are treated as all-zero-gradient when
@@ -238,7 +236,8 @@ impl OptimStoreDevice {
             * device.config().nand.geometry.page_bytes as u64;
         if group_bytes > cfg.engine.buffer_bytes / 2 {
             return Err(CoreError::Config(format!(
-                "an update group needs {group_bytes} B of engine buffer, but only                  {} B is available for double buffering (buffer_bytes / 2)",
+                "an update group needs {group_bytes} B of engine buffer, but only \
+                 {} B is available for double buffering (buffer_bytes / 2)",
                 cfg.engine.buffer_bytes / 2
             )));
         }
@@ -260,7 +259,6 @@ impl OptimStoreDevice {
             write_set,
             optimizer,
             engines,
-            energy_model: EnergyModel::default(),
             step: 0,
             phantom_hot_groups: None,
         })
@@ -705,7 +703,6 @@ impl OptimStoreDevice {
                 self.cfg.tier,
                 &self.layout,
                 &self.spec,
-                &self.energy_model,
                 Window { start: at, end },
                 delta,
             )
@@ -1521,6 +1518,11 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::Config(_)), "{err}");
+        assert!(
+            err.to_string()
+                .contains("but only 4096 B is available for double buffering"),
+            "{err}"
+        );
     }
 
     fn journaled_functional(params: u64) -> OptimStoreDevice {

@@ -6,7 +6,7 @@
 //! are counted the same way on every side of the comparison.
 
 use crate::config::ExecutionTier;
-use crate::energy::{ActivityCounts, EnergyBreakdown, EnergyModel};
+use crate::energy::{ActivityCounts, EnergyBreakdown};
 use crate::layout::StateLayout;
 use optim_math::state::StateLayoutSpec;
 use serde::{Deserialize, Serialize};
@@ -160,15 +160,15 @@ impl CounterSnapshot {
 impl StepReport {
     /// The report of a step of `layout` on `tier` over `window`, during
     /// which the device did `delta` ([`CounterSnapshot::since`]). Energy is
-    /// `delta` under `model`, with the state update charged to the host
-    /// (which also stages every PCIe byte) on [`ExecutionTier::HostNvme`]
-    /// and to the NDP engines otherwise. Executor-side counts — skipped
-    /// and replayed groups, scrub — are zero for the caller to fill in.
+    /// `delta` under the [`crate::energy`] constants, with the state update
+    /// charged to the host (which also stages every PCIe byte) on
+    /// [`ExecutionTier::HostNvme`] and to the NDP engines otherwise.
+    /// Executor-side counts — skipped and replayed groups, scrub — are zero
+    /// for the caller to fill in.
     pub fn from_counters(
         tier: ExecutionTier,
         layout: &StateLayout,
         spec: &StateLayoutSpec,
-        model: &EnergyModel,
         window: Window,
         delta: CounterSnapshot,
     ) -> StepReport {
@@ -193,7 +193,7 @@ impl StepReport {
             end: window.end,
             duration: window.duration(),
             traffic,
-            energy: counts.energy(model),
+            energy: counts.energy(),
             erases: delta.erases,
             gc_copies: delta.gc_copies,
             groups_total: layout.num_groups(),

@@ -139,10 +139,7 @@ impl Die {
             invalid: new_invalid_bits(&config.geometry),
             backing,
             stats: DieStats::default(),
-            rber: RberMemo::new(
-                RberModel::for_cell(config.cell),
-                config.cell.rated_pe_cycles(),
-            ),
+            rber: RberMemo::new(RberModel::tlc(), config.rated_pe_cycles()),
             fault: None,
             aging: None,
             power: None,
@@ -561,7 +558,7 @@ impl Die {
         }
         // One slab drop clears every stamp in the block.
         self.oob.clear_block(block_idx as u64);
-        if block.erase_count() >= self.config.cell.rated_pe_cycles() {
+        if block.erase_count() >= self.config.rated_pe_cycles() {
             block.retire();
         }
         self.stats.erases.incr();
@@ -803,15 +800,11 @@ mod tests {
 
     #[test]
     fn block_retires_at_rated_endurance() {
-        let cfg = NandConfig {
-            cell: crate::timing::CellKind::Tlc,
-            ..NandConfig::tiny_test_die()
-        };
-        let mut d = Die::new(0, cfg);
+        let mut d = Die::new(0, NandConfig::tiny_test_die());
         let b = BlockAddr { plane: 0, block: 0 };
         // Tiny rated count would take too long; drive the counter directly
         // by erasing rated_pe_cycles times.
-        let rated = d.config().cell.rated_pe_cycles();
+        let rated = d.config().rated_pe_cycles();
         for _ in 0..rated {
             d.erase_block(b, SimTime::ZERO).unwrap();
         }
@@ -860,7 +853,7 @@ mod tests {
             .unwrap()
             .duration();
         // Age to rated endurance: reads need several retries.
-        d.simulate_wear(d.config().cell.rated_pe_cycles());
+        d.simulate_wear(d.config().rated_pe_cycles());
         let worn = d
             .read_page(p0, SimTime::from_secs(2), None)
             .unwrap()
@@ -880,7 +873,7 @@ mod tests {
     #[test]
     fn simulate_wear_does_not_retire() {
         let mut d = die();
-        d.simulate_wear(10 * d.config().cell.rated_pe_cycles());
+        d.simulate_wear(10 * d.config().rated_pe_cycles());
         // Still programmable.
         d.program_page(page_of(&d, 0, 0, 0), SimTime::ZERO, Some(&fill(&d, 0)))
             .unwrap();
@@ -1366,7 +1359,7 @@ mod tests {
                 };
                 let mut d = Die::new(0, NandConfig { geometry: geo, ..NandConfig::tiny_test_die() });
                 let mut eager = EagerTable::new(geo);
-                let rated = d.config().cell.rated_pe_cycles();
+                let rated = d.config().rated_pe_cycles();
                 let mut t = SimTime::ZERO;
                 for (op, plane, block, page, pe) in ops {
                     t += SimDuration::from_ms(1);

@@ -112,7 +112,7 @@ pub struct FaultInjector {
     stats: FaultStats,
 }
 
-pub(crate) fn splitmix(mut z: u64) -> u64 {
+fn splitmix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -128,11 +128,6 @@ impl FaultInjector {
             state,
             stats: FaultStats::default(),
         }
-    }
-
-    /// The configuration this injector was built with.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
     }
 
     /// Injected-fault counters so far.

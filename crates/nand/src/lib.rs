@@ -12,7 +12,7 @@
 //!   transfer the optimizer update performs.
 //! * **Timing** ([`NandTiming`]): array read (`tR`), program (`tPROG`) and
 //!   erase (`tBERS`) latencies, including per-page-type read latencies for
-//!   MLC/TLC (lower pages read faster than upper pages). These latencies are
+//!   TLC (lower pages read faster than upper pages). These latencies are
 //!   what internal bandwidth — the quantity OptimStore exploits — is made of.
 //! * **Program/erase discipline** ([`Die`]): pages within a block must be
 //!   programmed sequentially and only after an erase; violating clients get
@@ -32,11 +32,11 @@
 //!   erase status failures and ECC-uncorrectable reads, wear-coupled
 //!   through the RBER model — the substrate of the recovery subsystem and
 //!   the fault sweep (reconstructed Figure 24).
-//! * **Power loss** ([`power`]): a seeded sudden-power-off instant that
-//!   tears an in-flight page program and refuses all later operations, plus
-//!   the per-page OOB stamps (lpn, epoch, seqno) that mount recovery scans
-//!   to rebuild the mapping — the substrate of the crash-consistency
-//!   subsystem (reconstructed Figure 25).
+//! * **Power loss** ([`power`]): a sudden-power-off instant, fixed by the
+//!   caller, that tears an in-flight page program and refuses all later
+//!   operations, plus the per-page OOB stamps (lpn, epoch, seqno) that
+//!   mount recovery scans to rebuild the mapping — the substrate of the
+//!   crash-consistency subsystem (reconstructed Figure 25).
 //!
 //! ## Example
 //!

@@ -11,10 +11,9 @@
 //! keeps its old contents), which is the worst case for the FTL because a
 //! stale copy of relocated data survives.
 //!
-//! Determinism mirrors `fault.rs`: the crash instant is a pure SplitMix64
-//! function of the configured seed, so a given `(seed, workload)` pair
-//! always tears the same page. A fixed instant can also be requested
-//! directly, which is what schedule-driven crash tests do.
+//! The crash instant is fixed by the caller — a crash schedule or a test
+//! picks it — so a given `(instant, workload)` pair always tears the same
+//! page.
 //!
 //! OOB metadata is the durable half of the story: the controller stamps
 //! every programmed page with its logical owner, the optimizer-step epoch,
@@ -22,9 +21,8 @@
 //! reads these stamps back to rebuild the mapping tables; a torn page has
 //! no trustworthy stamp (the die returns `None` for it) and is discarded.
 
-use crate::fault::splitmix;
 use serde::{Deserialize, Serialize};
-use simkit::{SimDuration, SimTime};
+use simkit::SimTime;
 
 /// Out-of-band metadata stamped alongside every data-page program.
 ///
@@ -45,67 +43,23 @@ pub struct PageOob {
     pub seqno: u64,
 }
 
-/// When the simulated power fails.
-///
-/// The crash instant is either fixed ([`PowerLossConfig::at`]) or drawn
-/// deterministically from `[window_start, window_end)` using the seed
-/// ([`PowerLossConfig::window`]). One config describes one crash; a
-/// double-crash test arms a second config after the first mount begins.
+/// When the simulated power fails: one fixed instant. One config describes
+/// one crash; a double-crash test arms a second config after the first
+/// mount begins.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PowerLossConfig {
-    /// Seed of the crash-instant draw (ignored for a degenerate window).
-    pub seed: u64,
-    /// Earliest instant the power may fail.
-    pub window_start: SimTime,
-    /// Latest instant the power may fail (exclusive unless equal to
-    /// `window_start`).
-    pub window_end: SimTime,
+    at: SimTime,
 }
 
 impl PowerLossConfig {
     /// Power fails at exactly `t`.
     pub fn at(t: SimTime) -> Self {
-        PowerLossConfig {
-            seed: 0,
-            window_start: t,
-            window_end: t,
-        }
+        PowerLossConfig { at: t }
     }
 
-    /// Power fails at a seed-determined instant in `[start, end)`.
-    pub fn window(seed: u64, start: SimTime, end: SimTime) -> Self {
-        PowerLossConfig {
-            seed,
-            window_start: start,
-            window_end: end,
-        }
-    }
-
-    /// The crash instant this configuration describes. Pure: the same
-    /// config always yields the same instant.
+    /// The crash instant this configuration describes.
     pub fn crash_time(&self) -> SimTime {
-        let span = (self.window_end - self.window_start).as_ns();
-        if span == 0 {
-            return self.window_start;
-        }
-        // One SplitMix64 draw, mirroring `FaultInjector`'s stream shape so
-        // power and media faults stay statistically independent even when
-        // sharing a seed.
-        let state = splitmix(self.seed ^ splitmix(0x5D0F_0000_0000_0000))
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let unit = (splitmix(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        self.window_start + SimDuration::from_ns((span as f64 * unit) as u64)
-    }
-
-    /// Validates the window ordering.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.window_end < self.window_start {
-            return Err(format!(
-                "power-loss window ends ({}) before it starts ({})",
-                self.window_end, self.window_start
-            ));
-        }
-        Ok(())
+        self.at
     }
 }
 
@@ -117,36 +71,5 @@ mod tests {
     fn fixed_instant_is_exact() {
         let cfg = PowerLossConfig::at(SimTime::from_us(42));
         assert_eq!(cfg.crash_time(), SimTime::from_us(42));
-        cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn windowed_draw_is_deterministic_and_in_range() {
-        let start = SimTime::from_us(100);
-        let end = SimTime::from_us(200);
-        let a = PowerLossConfig::window(7, start, end).crash_time();
-        let b = PowerLossConfig::window(7, start, end).crash_time();
-        assert_eq!(a, b, "same seed must crash at the same instant");
-        assert!(a >= start && a < end, "crash {a} outside window");
-        let c = PowerLossConfig::window(8, start, end).crash_time();
-        assert_ne!(a, c, "different seeds should crash at different instants");
-    }
-
-    #[test]
-    fn seeds_spread_across_the_window() {
-        let start = SimTime::from_us(0);
-        let end = SimTime::from_us(1000);
-        let mut times: Vec<u64> = (0..64u64)
-            .map(|s| PowerLossConfig::window(s, start, end).crash_time().as_ns())
-            .collect();
-        times.sort_unstable();
-        times.dedup();
-        assert!(times.len() > 32, "draws should not collapse: {times:?}");
-    }
-
-    #[test]
-    fn inverted_window_rejected() {
-        let cfg = PowerLossConfig::window(0, SimTime::from_us(5), SimTime::from_us(1));
-        assert!(cfg.validate().is_err());
     }
 }

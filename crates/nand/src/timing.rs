@@ -8,6 +8,7 @@
 //! robust across the published range.
 
 use crate::geometry::NandGeometry;
+use crate::wear::RATED_PE_CYCLES;
 use serde::{Deserialize, Serialize};
 use simkit::SimDuration;
 
@@ -20,59 +21,10 @@ use simkit::SimDuration;
 pub enum PageType {
     /// Fastest-to-read page of a wordline (single sense level).
     Lower,
-    /// Middle page (TLC and denser only).
+    /// Middle page of a wordline.
     Middle,
     /// Slowest-to-read page of a wordline.
     Upper,
-}
-
-/// Bits stored per cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum CellKind {
-    /// 1 bit/cell: fastest, most durable, least dense.
-    Slc,
-    /// 2 bits/cell.
-    Mlc,
-    /// 3 bits/cell: the mainstream datacenter choice this repo defaults to.
-    Tlc,
-    /// 4 bits/cell: densest, slowest, weakest endurance.
-    Qlc,
-}
-
-impl CellKind {
-    /// Rated program/erase cycles before the block is retired.
-    pub fn rated_pe_cycles(self) -> u64 {
-        match self {
-            CellKind::Slc => 100_000,
-            CellKind::Mlc => 10_000,
-            CellKind::Tlc => 3_000,
-            CellKind::Qlc => 1_000,
-        }
-    }
-
-    /// The page type of page index `page` within a block for this cell kind.
-    pub fn page_type(self, page: u32) -> PageType {
-        match self {
-            CellKind::Slc => PageType::Lower,
-            CellKind::Mlc => {
-                if page.is_multiple_of(2) {
-                    PageType::Lower
-                } else {
-                    PageType::Upper
-                }
-            }
-            CellKind::Tlc => match page % 3 {
-                0 => PageType::Lower,
-                1 => PageType::Middle,
-                _ => PageType::Upper,
-            },
-            CellKind::Qlc => match page % 4 {
-                0 => PageType::Lower,
-                1 | 2 => PageType::Middle,
-                _ => PageType::Upper,
-            },
-        }
-    }
 }
 
 /// Array and interface timing parameters of a die.
@@ -117,15 +69,10 @@ impl NandTiming {
         }
     }
 
-    /// Average array read latency for a cell kind, weighting page types by
-    /// their frequency within a block.
-    pub fn t_read_avg(&self, cell: CellKind) -> SimDuration {
-        match cell {
-            CellKind::Slc => self.t_read_lower,
-            CellKind::Mlc => (self.t_read_lower + self.t_read_upper) / 2,
-            CellKind::Tlc => (self.t_read_lower + self.t_read_middle + self.t_read_upper) / 3,
-            CellKind::Qlc => (self.t_read_lower + self.t_read_middle * 2 + self.t_read_upper) / 4,
-        }
+    /// Average array read latency over a TLC block, whose lower, middle
+    /// and upper pages are equally frequent.
+    pub fn t_read_avg(&self) -> SimDuration {
+        (self.t_read_lower + self.t_read_middle + self.t_read_upper) / 3
     }
 
     /// ONFI bus bandwidth in bytes per second.
@@ -134,13 +81,11 @@ impl NandTiming {
     }
 }
 
-/// Complete static description of one die: geometry, cell kind and timing.
+/// Complete static description of one 3D TLC die: geometry and timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NandConfig {
     /// Physical layout.
     pub geometry: NandGeometry,
-    /// Bits per cell (sets page-type pattern and endurance rating).
-    pub cell: CellKind,
     /// Operation latencies and interface speed.
     pub timing: NandTiming,
 }
@@ -156,7 +101,6 @@ impl NandConfig {
                 pages_per_block: 1536,
                 page_bytes: 16 * 1024,
             },
-            cell: CellKind::Tlc,
             timing: NandTiming::tlc(),
         }
     }
@@ -171,20 +115,30 @@ impl NandConfig {
                 pages_per_block: 32,
                 page_bytes: 4 * 1024,
             },
-            cell: CellKind::Tlc,
             timing: NandTiming::tlc(),
         }
     }
 
-    /// The page type of page index `page` within any block of this die.
+    /// The page type of page index `page` within any block of this die:
+    /// TLC wordlines hold a lower, a middle and an upper page in turn.
     pub fn page_type(&self, page: u32) -> PageType {
-        self.cell.page_type(page)
+        match page % 3 {
+            0 => PageType::Lower,
+            1 => PageType::Middle,
+            _ => PageType::Upper,
+        }
+    }
+
+    /// Rated program/erase cycles before a block is retired
+    /// ([`crate::wear::RATED_PE_CYCLES`]).
+    pub fn rated_pe_cycles(&self) -> u64 {
+        RATED_PE_CYCLES
     }
 
     /// Peak array **read** bandwidth of the whole die with all planes busy,
     /// in bytes per second (page_bytes / avg tR, × planes).
     pub fn array_read_bytes_per_sec(&self) -> u64 {
-        let t = self.timing.t_read_avg(self.cell).as_secs_f64();
+        let t = self.timing.t_read_avg().as_secs_f64();
         ((self.geometry.page_bytes as f64 / t) * self.geometry.planes as f64) as u64
     }
 
@@ -200,29 +154,9 @@ impl NandConfig {
 mod tests {
     use super::*;
 
-    impl CellKind {
-        /// Logical pages sharing one wordline.
-        pub fn pages_per_wordline(self) -> u32 {
-            match self {
-                CellKind::Slc => 1,
-                CellKind::Mlc => 2,
-                CellKind::Tlc => 3,
-                CellKind::Qlc => 4,
-            }
-        }
-    }
-
-    #[test]
-    fn cell_kind_properties() {
-        assert_eq!(CellKind::Slc.pages_per_wordline(), 1);
-        assert_eq!(CellKind::Tlc.pages_per_wordline(), 3);
-        assert!(CellKind::Slc.rated_pe_cycles() > CellKind::Tlc.rated_pe_cycles());
-        assert!(CellKind::Tlc.rated_pe_cycles() > CellKind::Qlc.rated_pe_cycles());
-    }
-
     #[test]
     fn tlc_page_type_pattern() {
-        let c = CellKind::Tlc;
+        let c = NandConfig::tiny_test_die();
         assert_eq!(c.page_type(0), PageType::Lower);
         assert_eq!(c.page_type(1), PageType::Middle);
         assert_eq!(c.page_type(2), PageType::Upper);
@@ -230,18 +164,11 @@ mod tests {
     }
 
     #[test]
-    fn slc_pages_all_lower() {
-        for p in 0..8 {
-            assert_eq!(CellKind::Slc.page_type(p), PageType::Lower);
-        }
-    }
-
-    #[test]
     fn read_latency_ordering() {
         let t = NandTiming::tlc();
         assert!(t.t_read(PageType::Lower) < t.t_read(PageType::Middle));
         assert!(t.t_read(PageType::Middle) < t.t_read(PageType::Upper));
-        let avg = t.t_read_avg(CellKind::Tlc);
+        let avg = t.t_read_avg();
         assert!(avg > t.t_read_lower && avg < t.t_read_upper);
     }
 

@@ -7,8 +7,11 @@
 //! super-linearly with P/E cycles, and a block is usable while the RBER
 //! stays under the ECC correction ceiling.
 
-use crate::timing::CellKind;
 use serde::{Deserialize, Serialize};
+
+/// Rated program/erase cycles of a 3D TLC block: an erase at this count
+/// retires the block.
+pub const RATED_PE_CYCLES: u64 = 3_000;
 
 /// Empirical raw-bit-error-rate model: `rber(pe) = a + b * pe^k`.
 ///
@@ -27,10 +30,10 @@ pub struct RberModel {
 }
 
 impl RberModel {
-    /// Default model for a cell kind, calibrated so the ECC ceiling is
-    /// reached near the rated P/E count.
-    pub fn for_cell(cell: CellKind) -> Self {
-        let rated = cell.rated_pe_cycles() as f64;
+    /// The TLC model, calibrated so the ECC ceiling is reached near
+    /// [`RATED_PE_CYCLES`].
+    pub fn tlc() -> Self {
+        let rated = RATED_PE_CYCLES as f64;
         let ceiling = 1e-3;
         let floor = 1e-8;
         let k = 2.4;
@@ -234,7 +237,7 @@ mod tests {
 
     #[test]
     fn rber_is_monotone_in_pe() {
-        let m = RberModel::for_cell(CellKind::Tlc);
+        let m = RberModel::tlc();
         let mut prev = 0.0;
         for pe in [0u64, 100, 500, 1000, 2000, 3000, 5000] {
             let r = m.rber(pe);
@@ -245,55 +248,46 @@ mod tests {
 
     #[test]
     fn memo_is_bit_exact_over_rated_endurance() {
-        for cell in [CellKind::Slc, CellKind::Mlc, CellKind::Tlc, CellKind::Qlc] {
-            let model = RberModel::for_cell(cell);
-            let rated = cell.rated_pe_cycles();
-            let mut memo = RberMemo::new(model, rated);
-            // A fresh table (count 0 only) and a full one agree with the model.
-            for pe in [0, 1, rated, rated + 1] {
-                assert_eq!(memo.rber(pe).to_bits(), model.rber(pe).to_bits());
-            }
-            memo.cover(u64::MAX);
+        let model = RberModel::tlc();
+        let rated = RATED_PE_CYCLES;
+        let mut memo = RberMemo::new(model, rated);
+        // A fresh table (count 0 only) and a full one agree with the model.
+        for pe in [0, 1, rated, rated + 1] {
+            assert_eq!(memo.rber(pe).to_bits(), model.rber(pe).to_bits());
+        }
+        memo.cover(u64::MAX);
+        assert_eq!(memo.table.len() as u64, rated + 1, "cover is capped");
+        for pe in 0..=rated {
             assert_eq!(
-                memo.table.len() as u64,
-                rated + 1,
-                "{cell:?}: cover is capped"
+                memo.rber(pe).to_bits(),
+                model.rber(pe).to_bits(),
+                "rber({pe})"
             );
-            for pe in 0..=rated {
-                assert_eq!(
-                    memo.rber(pe).to_bits(),
-                    model.rber(pe).to_bits(),
-                    "{cell:?}: rber({pe})"
-                );
-            }
         }
     }
 
     #[test]
     fn ceiling_reached_near_rated_endurance() {
-        for cell in [CellKind::Slc, CellKind::Mlc, CellKind::Tlc, CellKind::Qlc] {
-            let m = RberModel::for_cell(cell);
-            let usable = m.usable_pe_cycles();
-            let rated = cell.rated_pe_cycles();
-            assert!(
-                (usable as f64 - rated as f64).abs() / rated as f64 <= 0.01,
-                "{cell:?}: usable {usable} vs rated {rated}"
-            );
-        }
+        let usable = RberModel::tlc().usable_pe_cycles();
+        let rated = RATED_PE_CYCLES;
+        assert!(
+            (usable as f64 - rated as f64).abs() / rated as f64 <= 0.01,
+            "usable {usable} vs rated {rated}"
+        );
     }
 
     #[test]
     fn fresh_rber_is_tiny() {
-        let m = RberModel::for_cell(CellKind::Tlc);
+        let m = RberModel::tlc();
         assert!(m.rber(0) < 1e-7);
-        assert!(m.rber(CellKind::Tlc.rated_pe_cycles()) >= 9e-4);
+        assert!(m.rber(RATED_PE_CYCLES) >= 9e-4);
     }
 
     #[test]
     fn rber_is_strictly_monotone_past_zero() {
         // The fault injector's wear coupling divides by rber ratios, so the
         // curve must strictly increase once pe > 0 (no flat segments).
-        let m = RberModel::for_cell(CellKind::Tlc);
+        let m = RberModel::tlc();
         let mut prev = m.rber(0);
         for pe in (1..=6000u64).step_by(97) {
             let r = m.rber(pe);
@@ -329,21 +323,19 @@ mod tests {
 
     #[test]
     fn usable_pe_cycles_consistent_with_ceiling() {
-        for cell in [CellKind::Slc, CellKind::Mlc, CellKind::Tlc, CellKind::Qlc] {
-            let m = RberModel::for_cell(cell);
-            let usable = m.usable_pe_cycles();
-            // The last usable cycle is still correctable; the next one
-            // is not (floor() semantics of the inversion).
-            assert!(
-                m.rber(usable) <= m.ecc_ceiling,
-                "{cell:?}: rber({usable}) above ceiling"
-            );
-            assert!(
-                m.rber(usable + 1) > m.ecc_ceiling,
-                "{cell:?}: rber({}) still under ceiling",
-                usable + 1
-            );
-        }
+        let m = RberModel::tlc();
+        let usable = m.usable_pe_cycles();
+        // The last usable cycle is still correctable; the next one is not
+        // (floor() semantics of the inversion).
+        assert!(
+            m.rber(usable) <= m.ecc_ceiling,
+            "rber({usable}) above ceiling"
+        );
+        assert!(
+            m.rber(usable + 1) > m.ecc_ceiling,
+            "rber({}) still under ceiling",
+            usable + 1
+        );
         // A ceiling at (or under) the fresh-block floor leaves no budget.
         let dead = RberModel {
             a: 1e-3,
@@ -429,7 +421,7 @@ mod tests {
     fn aged_rber_drives_retries_and_ceiling_crossing() {
         // A fresh TLC block (negligible P/E rber) pushed past the ECC
         // ceiling purely by read disturb: the retry count saturates.
-        let m = RberModel::for_cell(CellKind::Tlc);
+        let m = RberModel::tlc();
         let a = AgingConfig {
             read_disturb_per_read: 1e-6,
             retention_per_sec: 0.0,

@@ -7,7 +7,7 @@
 //! pages absorb extra reads (read-disturb skew) and how much idle time
 //! elapses between optimizer steps (retention). Defining the schedules
 //! here keeps every consumer on identical rates and derived seeds, exactly
-//! like the [`crate::FaultScenario`] presets do for discrete faults.
+//! like [`crate::fault_sweep_grid`] does for discrete faults.
 
 use nandsim::AgingConfig;
 use serde::{Deserialize, Serialize};

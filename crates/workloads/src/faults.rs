@@ -1,4 +1,4 @@
-//! Named media-fault scenarios for the reliability experiments.
+//! Seeded media-fault scenarios for the reliability experiments.
 //!
 //! The fault-sweep experiment (F24) and the recovery tests need the same
 //! seeded [`FaultConfig`] grids; defining them here keeps every consumer
@@ -12,8 +12,6 @@ use simkit::SimTime;
 /// A seeded media-fault scenario plus the device age it models.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FaultScenario {
-    /// Short display name for table rows.
-    pub name: &'static str,
     /// Injection config to arm through `SsdConfig::fault`.
     pub fault: FaultConfig,
     /// Device age as a fraction of rated P/E cycles (0 = fresh, 1 = at
@@ -23,49 +21,6 @@ pub struct FaultScenario {
 }
 
 impl FaultScenario {
-    /// A fresh, fault-free device (the control row of every sweep).
-    pub fn pristine() -> Self {
-        FaultScenario {
-            name: "pristine",
-            fault: FaultConfig::disabled(),
-            age_fraction: 0.0,
-        }
-    }
-
-    /// Half-life device with occasional media faults — roughly one
-    /// program failure per hundred thousand programs, rarer erase
-    /// failures, and reads that only fail near the ECC ceiling.
-    pub fn midlife(seed: u64) -> Self {
-        FaultScenario {
-            name: "midlife",
-            fault: FaultConfig {
-                seed,
-                program_fail: 1e-5,
-                erase_fail: 1e-6,
-                read_uncorrectable: 1e-4,
-                wear_coupling: true,
-            },
-            age_fraction: 0.5,
-        }
-    }
-
-    /// A sweep cell: one uniform raw rate across all fault classes at a
-    /// given age, wear-coupled. `rate == 0` produces an inactive config
-    /// (the fault-free column of the sweep).
-    pub fn swept(seed: u64, rate: f64, age_fraction: f64) -> Self {
-        FaultScenario {
-            name: "swept",
-            fault: FaultConfig {
-                seed,
-                program_fail: rate,
-                erase_fail: rate,
-                read_uncorrectable: rate,
-                wear_coupling: true,
-            },
-            age_fraction,
-        }
-    }
-
     /// The P/E cycles this scenario's age corresponds to on a part rated
     /// for `rated_pe` cycles.
     pub fn pe_cycles(&self, rated_pe: u64) -> u64 {
@@ -90,7 +45,10 @@ pub fn fault_sweep_grid(seed: u64) -> Vec<FaultScenario> {
             let cell_seed = seed
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add((i as u64) << 32 | j as u64);
-            grid.push(FaultScenario::swept(cell_seed, rate, age));
+            grid.push(FaultScenario {
+                fault: FaultConfig::uniform(cell_seed, rate),
+                age_fraction: age,
+            });
         }
     }
     grid
@@ -262,41 +220,6 @@ pub fn crash_schedules(seed: u64) -> Vec<CrashSchedule> {
 mod tests {
     use super::*;
 
-    impl FaultScenario {
-        /// End-of-rated-life device: every fault class is two orders of
-        /// magnitude more likely than at midlife, and wear coupling pushes
-        /// the effective rates higher still.
-        pub fn end_of_life(seed: u64) -> Self {
-            FaultScenario {
-                name: "end-of-life",
-                fault: FaultConfig {
-                    seed,
-                    program_fail: 1e-3,
-                    erase_fail: 1e-4,
-                    read_uncorrectable: 1e-2,
-                    wear_coupling: true,
-                },
-                age_fraction: 1.0,
-            }
-        }
-    }
-
-    #[test]
-    fn presets_validate_and_order_by_severity() {
-        for s in [
-            FaultScenario::pristine(),
-            FaultScenario::midlife(7),
-            FaultScenario::end_of_life(7),
-        ] {
-            s.fault.validate().unwrap();
-        }
-        assert!(!FaultScenario::pristine().fault.is_active());
-        let mid = FaultScenario::midlife(7).fault;
-        let eol = FaultScenario::end_of_life(7).fault;
-        assert!(eol.program_fail > mid.program_fail);
-        assert!(eol.read_uncorrectable > mid.read_uncorrectable);
-    }
-
     #[test]
     fn grid_is_deterministic_and_valid() {
         let a = fault_sweep_grid(24);
@@ -318,9 +241,13 @@ mod tests {
 
     #[test]
     fn pe_cycles_scale_with_age() {
-        assert_eq!(FaultScenario::pristine().pe_cycles(3000), 0);
-        assert_eq!(FaultScenario::midlife(0).pe_cycles(3000), 1500);
-        assert_eq!(FaultScenario::end_of_life(0).pe_cycles(3000), 3000);
+        let at = |age_fraction| FaultScenario {
+            fault: FaultConfig::disabled(),
+            age_fraction,
+        };
+        assert_eq!(at(0.0).pe_cycles(3000), 0);
+        assert_eq!(at(0.5).pe_cycles(3000), 1500);
+        assert_eq!(at(1.0).pe_cycles(3000), 3000);
     }
 
     #[test]

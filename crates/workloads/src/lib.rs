@@ -16,9 +16,9 @@
 //! * [`QuadraticTask`] — a real (convex, known-optimum) objective so
 //!   end-to-end tests can verify that in-storage training *optimizes*,
 //!   not merely that its arithmetic matches a reference.
-//! * [`FaultScenario`] — named, seeded media-fault scenarios (and the F24
-//!   sweep grid) so the reliability experiments and the recovery tests
-//!   inject identical, reproducible fault streams.
+//! * [`FaultScenario`] — seeded media-fault scenarios and the F24 sweep
+//!   grid, so the reliability experiments and the recovery tests inject
+//!   identical, reproducible fault streams.
 //! * [`AgingSchedule`] — named, seeded media-aging scenarios (read-disturb
 //!   skew, retention pauses) driving the RAIN/scrub reliability sweep
 //!   (F26) the same way.

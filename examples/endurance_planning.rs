@@ -26,7 +26,7 @@ fn devices_needed(params: u64, ssd: &SsdConfig, spec: &StateLayoutSpec) -> u32 {
     let for_capacity = state.div_ceil(ssd.logical_bytes()).max(1) as u32;
     // Endurance requirement: the fleet's total P/E budget must cover the run.
     let blocks_per_dev = ssd.total_dies() as u64 * ssd.nand.geometry.blocks_per_die();
-    let budget_per_dev = (blocks_per_dev * ssd.nand.cell.rated_pe_cycles()) as f64;
+    let budget_per_dev = (blocks_per_dev * ssd.nand.rated_pe_cycles()) as f64;
     let erases_total = analytic_erases_per_step(params, spec, ssd, WAF) * TRAINING_STEPS;
     let for_endurance = (erases_total / budget_per_dev).ceil().max(1.0) as u32;
     for_capacity.max(for_endurance)
@@ -40,7 +40,7 @@ fn main() {
     println!(
         "deployment planning on the base SSD (8 TB TLC, {} rated P/E), \
          {TRAINING_STEPS:.0}-step run, WAF {WAF}\n",
-        ssd.nand.cell.rated_pe_cycles()
+        ssd.nand.rated_pe_cycles()
     );
     println!(
         "{:<16} {:>9} {:>12} {:>14} {:>12} {:>10}",
@@ -52,7 +52,7 @@ fn main() {
         let f = TrainingFootprint::of(&m, &spec);
         let erases = analytic_erases_per_step(m.params(), &spec, &ssd, WAF);
         let blocks = ssd.total_dies() as u64 * ssd.nand.geometry.blocks_per_die();
-        let budget = (blocks * ssd.nand.cell.rated_pe_cycles()) as f64;
+        let budget = (blocks * ssd.nand.rated_pe_cycles()) as f64;
         let one_dev_steps = budget / erases;
         let devs = devices_needed(m.params(), &ssd, &spec);
         // With the fleet, each device holds a shard; erase rate divides.

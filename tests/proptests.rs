@@ -438,7 +438,7 @@ proptest! {
         // the in-window SplitMix64 draw vary per case.
         let span = (end_ref - t0_ref).as_ns() as f64;
         let lo = SimTime::from_ns(t0_ref.as_ns() + 1 + (span * frac) as u64);
-        let cfg = PowerLossConfig { seed, window_start: lo, window_end: end_ref };
+        let cfg = crash_in(seed, lo, end_ref);
 
         let (mut dev, t0) = crash_load();
         prop_assert_eq!(t0, t0_ref);
@@ -489,7 +489,7 @@ proptest! {
         // must discard all of epoch 2.
         dev.begin_epoch(2);
         let window_end = at + SimDuration::from_us(200);
-        dev.arm_power_loss(PowerLossConfig { seed, window_start: at, window_end });
+        dev.arm_power_loss(crash_in(seed, at, window_end));
         let mut epoch2: Vec<u64> = lpns.iter().map(|l| l + 40).collect();
         epoch2.extend(lpns.iter().copied());
         for l in epoch2 {
@@ -533,6 +533,26 @@ use optimstore::ssdsim::{JournalConfig, PowerLossConfig, SsdError};
 use optimstore::workloads::{GradientGen, WeightInit};
 use optimstore_bench::runners::SeededRun;
 use std::sync::OnceLock;
+
+/// Power fails at a seed-determined instant in `[start, end)`, or at
+/// `start` when the window is empty: one SplitMix64 draw on a stream of
+/// its own, so a seed shared with the media fault injector stays
+/// independent of it.
+fn crash_in(seed: u64, start: SimTime, end: SimTime) -> PowerLossConfig {
+    fn splitmix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    let span = (end - start).as_ns();
+    if span == 0 {
+        return PowerLossConfig::at(start);
+    }
+    let state =
+        splitmix(seed ^ splitmix(0x5D0F_0000_0000_0000)).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let unit = (splitmix(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    PowerLossConfig::at(start + SimDuration::from_ns((span as f64 * unit) as u64))
+}
 
 const CRASH_RUN: SeededRun = SeededRun {
     params: 4_000,
@@ -650,11 +670,7 @@ proptest! {
         let at = dev.commit_epoch(at).unwrap();
         dev.begin_epoch(2);
         let at = write_all(&mut dev, 2, at);
-        dev.arm_power_loss(PowerLossConfig {
-            seed,
-            window_start: commit_start,
-            window_end: commit_end,
-        });
+        dev.arm_power_loss(crash_in(seed, commit_start, commit_end));
         let committed_epoch: u8 = match dev.commit_epoch(at) {
             Ok(_) => 2, // the instant landed past the commit's last program
             Err(SsdError::PowerLoss { .. }) => 1,
