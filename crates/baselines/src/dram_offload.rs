@@ -109,11 +109,6 @@ impl HostDramBaseline {
         }
     }
 
-    /// Completed steps.
-    pub fn step_count(&self) -> u64 {
-        self.step
-    }
-
     /// Current master weights (functional mode).
     pub fn weights(&self) -> Option<Vec<f32>> {
         self.buffers.as_ref().map(StateBuffers::weights_f32)
@@ -121,13 +116,14 @@ impl HostDramBaseline {
 
     /// Runs one optimizer step. Timing: the update streams
     /// `read + write` state bytes through host DRAM at the configured
-    /// bandwidth (gradients included; they are already in DRAM).
+    /// bandwidth (gradients included; they are already in DRAM). A
+    /// rejected call leaves the step count alone.
     pub fn run_step(
         &mut self,
         grads: Option<&[f32]>,
         at: SimTime,
     ) -> Result<StepReport, CoreError> {
-        self.step += 1;
+        let step = self.step + 1;
         if let Some(buffers) = &mut self.buffers {
             let grads =
                 grads.ok_or(CoreError::ModeMismatch("functional device needs gradients"))?;
@@ -139,14 +135,10 @@ impl HostDramBaseline {
             }
             let bytes = encode_grads(grads, self.spec.grad_dtype);
             buffers
-                .step(
-                    self.optimizer.as_ref(),
-                    &bytes,
-                    self.spec.grad_dtype,
-                    self.step,
-                )
+                .step(self.optimizer.as_ref(), &bytes, self.spec.grad_dtype, step)
                 .expect("buffer sizes are consistent");
         }
+        self.step = step;
         // Traffic: read state+grad, write state+w16, all through host DRAM.
         let read = self.params * (self.spec.state_read_bytes() + self.spec.grad_bytes());
         let write = self.params * self.spec.state_write_bytes();
@@ -259,6 +251,37 @@ mod tests {
         let r1 = b.run_step(None, SimTime::ZERO).unwrap();
         let r2 = b.run_step(None, SimTime::ZERO).unwrap();
         assert!(r2.end >= r1.end + r1.duration);
-        assert_eq!(b.step_count(), 2);
+        assert_eq!(b.step, 2);
+    }
+
+    #[test]
+    fn rejected_step_does_not_count() {
+        let params = 1000usize;
+        let weights: Vec<f32> = (0..params).map(|i| i as f32 * 1e-3).collect();
+        let grads = vec![0.25f32; params];
+        let mut b = HostDramBaseline::new(
+            HostDramConfig::default(),
+            params as u64,
+            Box::new(Adam::default()),
+            spec(),
+            true,
+        )
+        .unwrap();
+        b.load_weights(&weights).unwrap();
+        assert!(matches!(
+            b.run_step(Some(&grads[1..]), SimTime::ZERO),
+            Err(CoreError::GradLength { got: 999, .. })
+        ));
+        assert!(matches!(
+            b.run_step(None, SimTime::ZERO),
+            Err(CoreError::ModeMismatch(_))
+        ));
+        b.run_step(Some(&grads), SimTime::ZERO).unwrap();
+
+        let adam = Adam::default();
+        let mut reference = StateBuffers::init(&adam, &weights, GradDtype::F16);
+        let gbytes = encode_grads(&grads, GradDtype::F16);
+        reference.step(&adam, &gbytes, GradDtype::F16, 1).unwrap();
+        assert_eq!(b.weights().unwrap(), reference.weights_f32());
     }
 }

@@ -21,8 +21,7 @@ use optimstore_core::audit::{audit, AuditReport};
 use optimstore_core::energy::EnergyBreakdown;
 use optimstore_core::report::TrafficBytes;
 use optimstore_core::{
-    CoreError, ExecutionTier, OptimStoreConfig, OptimStoreDevice, RecoveryReport, StateComponent,
-    StepReport,
+    CoreError, OptimStoreConfig, OptimStoreDevice, RecoveryReport, StateComponent, StepReport,
 };
 use simkit::{SimDuration, SimTime};
 use ssdsim::trace::OpKind;
@@ -132,10 +131,8 @@ pub enum Prep {
 /// runs a warm-up step and the measured step. Returns the measured step's
 /// report and the device's counters after it.
 ///
-/// The warm-up step fills the pipeline and seeds the FTL's steady state.
-/// The host tier spills each step's gradients to flash first (backward
-/// traffic, not charged to the step); the in-storage tiers start the
-/// measured step once the device is quiet.
+/// The warm-up step fills the pipeline and seeds the FTL's steady state;
+/// the measured step starts once the device is quiet.
 fn run_cell(
     ssd: &SsdConfig,
     cfg: &OptimStoreConfig,
@@ -152,16 +149,9 @@ fn run_cell(
         Prep::HotFraction(hot) => dev.set_phantom_hot_fraction(hot),
     }
     let t0 = dev.load_phantom(SimTime::ZERO).expect("phantom load");
-    let r2 = if cfg.tier == ExecutionTier::HostNvme {
-        let t1 = dev.spill_gradients(None, t0).expect("spill 1");
-        let r1 = dev.run_step(None, t1).expect("warm-up step");
-        let t2 = dev.spill_gradients(None, r1.end).expect("spill 2");
-        dev.run_step(None, t2).expect("measured step")
-    } else {
-        let r1 = dev.run_step(None, t0).expect("warm-up step");
-        let t1 = dev.quiesce_time().max(r1.end);
-        dev.run_step(None, t1).expect("measured step")
-    };
+    let r1 = dev.run_step(None, t0).expect("warm-up step");
+    let t1 = dev.quiesce_time().max(r1.end);
+    let r2 = dev.run_step(None, t1).expect("measured step");
     (r2, dev.ssd().stats().clone())
 }
 
@@ -347,7 +337,7 @@ impl SeededRun {
     }
 
     /// Runs `steps` from `at` and returns the last one's end (`at` when
-    /// `steps` is empty). The host tier spills each step's gradients first.
+    /// `steps` is empty).
     pub fn train(
         &self,
         dev: &mut OptimStoreDevice,
@@ -355,13 +345,7 @@ impl SeededRun {
         at: SimTime,
     ) -> SimTime {
         steps.fold(at, |at, step| {
-            let grads = self.grads(step);
-            let r = if dev.config().tier == ExecutionTier::HostNvme {
-                let t = dev.spill_gradients(Some(&grads), at).expect("spill");
-                dev.run_step(None, t)
-            } else {
-                dev.run_step(Some(&grads), at)
-            };
+            let r = dev.run_step(Some(&self.grads(step)), at);
             r.expect("functional step").end
         })
     }

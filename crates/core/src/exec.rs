@@ -384,16 +384,15 @@ impl OptimStoreDevice {
     }
 
     /// Spills gradients to flash (the host tier's backward-phase traffic;
-    /// ZeRO-Infinity offloads gradients to NVMe). Not charged to the
-    /// optimizer step — it overlaps backward compute. Returns the spill
+    /// ZeRO-Infinity offloads gradients to NVMe). Returns the spill
     /// completion time.
-    pub fn spill_gradients(
+    fn spill_gradients(
         &mut self,
         grads: Option<&[f32]>,
         at: SimTime,
     ) -> Result<SimTime, CoreError> {
-        pages::check_grads(&self.device, &self.layout, grads)?;
         let dtype = self.spec.grad_dtype;
+        let grads = grads.filter(|_| self.device.is_functional());
         let mut end = at;
         for g in 0..self.layout.num_groups() {
             let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
@@ -406,10 +405,14 @@ impl OptimStoreDevice {
 
     /// Executes one optimizer step.
     ///
-    /// `grads` must be `Some` on functional in-storage devices (one f32
-    /// per parameter) and is ignored on phantom devices. The host tier
-    /// takes `None`: its gradients were spilled to flash before the step.
-    /// Returns the step's report.
+    /// `grads` must be `Some` on functional devices (one f32 per
+    /// parameter) and is ignored on phantom devices. Returns the step's
+    /// report.
+    ///
+    /// The host tier first spills the gradients to flash from `at`
+    /// (`spill_gradients`, ZeRO-Infinity's backward-phase offload) and
+    /// starts the step when the spill persists; the report counts only
+    /// the step, not the spill, which overlaps backward compute.
     ///
     /// After `begin_step`, groups are processed in *batches* of one
     /// group per die. Each batch runs in four phases, split along the
@@ -435,7 +438,12 @@ impl OptimStoreDevice {
         grads: Option<&[f32]>,
         at: SimTime,
     ) -> Result<StepReport, CoreError> {
-        let (at, scrub, cmd) = self.begin_step(grads, at)?;
+        pages::check_grads(&self.device, &self.layout, grads)?;
+        let (grads, at) = match self.cfg.tier {
+            ExecutionTier::HostNvme => (None, self.spill_gradients(grads, at)?),
+            ExecutionTier::ChannelNdp | ExecutionTier::DieNdp => (grads, at),
+        };
+        let (at, scrub, cmd) = self.begin_step(at)?;
         let before = CounterSnapshot::of(&self.device);
         let mut tally = StepTally {
             end: at,
@@ -453,22 +461,13 @@ impl OptimStoreDevice {
         self.commit_step(at, tally, scrub, &before)
     }
 
-    /// Scrub and begin-epoch: checks the step's gradients, patrols in the
-    /// idle window, opens the step's crash-safe epoch and decodes its
-    /// update command. Returns when the step starts, the patrol's report
-    /// and the command.
+    /// Scrub and begin-epoch: patrols in the idle window, opens the
+    /// step's crash-safe epoch and decodes its update command. Returns
+    /// when the step starts, the patrol's report and the command.
     fn begin_step(
         &mut self,
-        grads: Option<&[f32]>,
         at: SimTime,
     ) -> Result<(SimTime, ScrubReport, UpdateCommand), CoreError> {
-        if self.cfg.tier != ExecutionTier::HostNvme {
-            pages::check_grads(&self.device, &self.layout, grads)?;
-        } else if grads.is_some() {
-            return Err(CoreError::ModeMismatch(
-                "the host tier reads gradients spilled before the step",
-            ));
-        }
         // Patrol scrub in the idle window before the step begins: every
         // stripe is clean here (the previous commit rebuilt parity), so any
         // latent loss the sweep finds is still a *single* loss and
@@ -985,6 +984,10 @@ mod tests {
         StateLayoutSpec::new(OptimizerKind::Adam, GradDtype::F16)
     }
 
+    fn host_nvme() -> OptimStoreConfig {
+        OptimStoreConfig::host_nvme(20_000_000_000)
+    }
+
     fn functional(params: u64) -> OptimStoreDevice {
         OptimStoreDevice::new_functional(
             SsdConfig::tiny(),
@@ -1032,27 +1035,39 @@ mod tests {
         }
     }
 
+    /// An invalid geometry comes back as a typed error from either
+    /// constructor on every tier; nothing reaches `Device::new`'s panic.
     #[test]
     fn die_count_past_the_packed_ppa_limit_is_a_config_error() {
-        let build = |channels| {
-            OptimStoreDevice::new(
-                SsdConfig {
-                    channels,
-                    dies_per_channel: 1,
-                    ..SsdConfig::tiny()
-                },
-                OptimStoreConfig::die_ndp(),
-                1000,
-                Box::new(Adam::default()),
-                spec(),
-            )
+        let build = |channels, dies_per_channel, cfg, functional| {
+            let ssd = SsdConfig {
+                channels,
+                dies_per_channel,
+                ..SsdConfig::tiny()
+            };
+            let adam = Box::new(Adam::default());
+            if functional {
+                OptimStoreDevice::new_functional(ssd, cfg, 1000, adam, spec())
+            } else {
+                OptimStoreDevice::new(ssd, cfg, 1000, adam, spec())
+            }
         };
-        build(ssdsim::DieId::MAX_CHANNELS).unwrap();
-        let err = build(ssdsim::DieId::MAX_CHANNELS + 1).unwrap_err();
-        assert!(
-            matches!(&err, CoreError::Config(msg) if msg.contains("channels")),
-            "{err}"
-        );
+        let max = ssdsim::DieId::MAX_CHANNELS;
+        build(max, 1, OptimStoreConfig::die_ndp(), false).unwrap();
+        for (channels, dies, want) in [
+            (max + 1, 1, "channels"),
+            (1, 1_025, "1025 dies per channel"),
+        ] {
+            for cfg in [OptimStoreConfig::die_ndp(), host_nvme()] {
+                for functional in [false, true] {
+                    let err = build(channels, dies, cfg, functional).unwrap_err();
+                    assert!(
+                        matches!(&err, CoreError::Config(msg) if msg.contains(want)),
+                        "{err}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -1111,11 +1126,15 @@ mod tests {
     #[test]
     fn functional_and_phantom_loads_write_the_same_image() {
         let params = 20_000u64;
-        for grad_staging in [GradStaging::Stream, GradStaging::StoreToFlash] {
-            let cfg = OptimStoreConfig {
-                grad_staging,
-                ..OptimStoreConfig::die_ndp()
-            };
+        let die_ndp = |grad_staging| OptimStoreConfig {
+            grad_staging,
+            ..OptimStoreConfig::die_ndp()
+        };
+        for cfg in [
+            die_ndp(GradStaging::Stream),
+            die_ndp(GradStaging::StoreToFlash),
+            host_nvme(),
+        ] {
             let adam = || Box::new(Adam::default());
             let mut func =
                 OptimStoreDevice::new_functional(SsdConfig::tiny(), cfg, params, adam(), spec())
@@ -1126,7 +1145,7 @@ mod tests {
             let weights = vec![0.5f32; params as usize];
             let t_func = func.load_weights(&weights, SimTime::ZERO).unwrap();
             let t_phantom = phantom.load_phantom(SimTime::ZERO).unwrap();
-            assert_eq!(t_func, t_phantom, "{grad_staging:?}");
+            assert_eq!(t_func, t_phantom, "{cfg:?}");
 
             let (a, b) = (func.ssd().stats(), phantom.ssd().stats());
             let layout = func.layout();
@@ -1236,33 +1255,71 @@ mod tests {
         );
     }
 
+    /// The host tier takes its gradients in `run_step` like every tier:
+    /// it spills them first and starts the step when the spill persists,
+    /// and the report counts only the step — the whole state crosses PCIe
+    /// up and back, the spilled gradient pages do not count.
     #[test]
-    fn host_tier_reads_spilled_gradients_instead_of_taking_them() {
-        let mut dev = OptimStoreDevice::new_functional(
-            SsdConfig::tiny(),
-            OptimStoreConfig::host_nvme(20_000_000_000),
-            1000,
-            Box::new(Adam::default()),
-            spec(),
-        )
-        .unwrap();
-        let t0 = dev.load_weights(&vec![0.5; 1000], SimTime::ZERO).unwrap();
-        let err = dev.run_step(Some(&vec![0.1; 1000]), t0).unwrap_err();
-        assert!(matches!(err, CoreError::ModeMismatch(_)), "{err}");
-        assert_eq!(dev.step_count(), 0);
-        // The loaded (zero) gradient page is read up with the state, and
-        // every updated page comes back down.
-        let r = dev.run_step(None, t0).unwrap();
-        assert_eq!(r.tier, "host-nvme");
-        let pb = dev.ssd().page_bytes() as u64;
-        assert_eq!(
-            r.traffic.pcie_out,
-            dev.layout().read_set().len() as u64 * pb
-        );
-        assert_eq!(
-            r.traffic.pcie_in,
-            dev.layout().write_set().len() as u64 * pb
-        );
+    fn host_tier_spills_its_gradients_then_steps() {
+        let params = 50_000usize;
+        let weights: Vec<f32> = (0..params).map(|i| (i as f32 * 0.01).sin()).collect();
+        let grads: Vec<f32> = (0..params)
+            .map(|i| (i as f32 * 0.007).cos() * 0.1)
+            .collect();
+        for functional in [true, false] {
+            let mk = || {
+                let adam = Box::new(Adam::default());
+                let (ssd, n) = (SsdConfig::tiny(), params as u64);
+                let mut dev = if functional {
+                    OptimStoreDevice::new_functional(ssd, host_nvme(), n, adam, spec())
+                } else {
+                    OptimStoreDevice::new(ssd, host_nvme(), n, adam, spec())
+                }
+                .unwrap();
+                let t0 = if functional {
+                    dev.load_weights(&weights, SimTime::ZERO)
+                } else {
+                    dev.load_phantom(SimTime::ZERO)
+                };
+                (t0.unwrap(), dev)
+            };
+            let grads = Some(&grads[..]).filter(|_| functional);
+            let (t0, mut twin) = mk();
+            let spilled = twin.spill_gradients(grads, t0).unwrap();
+            assert!(spilled > t0);
+
+            let (t0, mut dev) = mk();
+            let r = dev.run_step(grads, t0).unwrap();
+            assert_eq!(r.tier, "host-nvme");
+            assert_eq!(r.start, spilled, "the step starts when the spill persists");
+            assert_eq!(dev.step_count(), 1);
+            assert_eq!(r.params, params as u64);
+            let pages = |set: usize| dev.layout().num_groups() * set as u64;
+            let pb = dev.ssd().page_bytes() as u64;
+            assert_eq!(
+                r.traffic.pcie_out,
+                pages(dev.layout().read_set().len()) * pb
+            );
+            assert_eq!(
+                r.traffic.pcie_in,
+                pages(dev.layout().write_set().len()) * pb
+            );
+            assert!(r.traffic.bus > 0);
+            if functional {
+                let adam = Adam::default();
+                let mut reference = StateBuffers::init(&adam, &weights, GradDtype::F16);
+                let grad_bytes = encode_grads(grads.unwrap(), GradDtype::F16);
+                reference
+                    .step(&adam, &grad_bytes, GradDtype::F16, 1)
+                    .unwrap();
+                let got = dev.read_master_weights(r.end).unwrap();
+                let expect = reference.weights_f32();
+                assert_eq!(got.len(), expect.len());
+                for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+                    assert_eq!(g.to_bits(), e.to_bits(), "param {i}: {g} vs {e}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1329,16 +1386,32 @@ mod tests {
 
     #[test]
     fn grad_length_checked() {
-        let mut dev = functional(1000);
-        let t0 = dev.load_weights(&vec![0.0; 1000], SimTime::ZERO).unwrap();
-        assert!(matches!(
-            dev.run_step(Some(&vec![0.0; 999]), t0),
-            Err(CoreError::GradLength { got: 999, .. })
-        ));
-        assert!(matches!(
-            dev.run_step(None, t0),
-            Err(CoreError::ModeMismatch(_))
-        ));
+        for cfg in [OptimStoreConfig::die_ndp(), host_nvme()] {
+            let mut dev = OptimStoreDevice::new_functional(
+                SsdConfig::tiny(),
+                cfg,
+                1000,
+                Box::new(Adam::default()),
+                spec(),
+            )
+            .unwrap();
+            let t0 = dev.load_weights(&vec![0.0; 1000], SimTime::ZERO).unwrap();
+            let writes = dev.ssd().stats().host_writes.get();
+            assert!(matches!(
+                dev.run_step(Some(&vec![0.0; 999]), t0),
+                Err(CoreError::GradLength { got: 999, .. })
+            ));
+            assert!(matches!(
+                dev.run_step(None, t0),
+                Err(CoreError::ModeMismatch(_))
+            ));
+            assert_eq!(dev.step_count(), 0, "{cfg:?}");
+            assert_eq!(
+                dev.ssd().stats().host_writes.get(),
+                writes,
+                "nothing spilled"
+            );
+        }
     }
 
     #[test]

@@ -966,7 +966,7 @@ mod tests {
     fn inactive_fault_config_disarms() {
         let mut d = die();
         d.set_fault_config(crate::fault::FaultConfig::uniform(9, 1.0));
-        d.set_fault_config(crate::fault::FaultConfig::disabled());
+        d.set_fault_config(crate::fault::FaultConfig::uniform(0, 0.0));
         assert!(d.fault_stats().is_none());
         d.program_page(page_of(&d, 0, 0, 0), SimTime::ZERO, Some(&fill(&d, 0)))
             .unwrap();
@@ -1163,7 +1163,10 @@ mod tests {
             read_disturb_per_read: 1e-5,
             retention_per_sec: 1e-5,
         });
-        d.set_aging(AgingConfig::disabled());
+        d.set_aging(AgingConfig {
+            read_disturb_per_read: 0.0,
+            retention_per_sec: 0.0,
+        });
         assert!(d.aging().is_none());
         let p = page_of(&d, 0, 0, 0);
         d.program_page(p, SimTime::ZERO, Some(&fill(&d, 1)))

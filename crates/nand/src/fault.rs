@@ -44,17 +44,6 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
-    /// All rates zero: the injector draws but never fires.
-    pub fn disabled() -> Self {
-        FaultConfig {
-            seed: 0,
-            program_fail: 0.0,
-            erase_fail: 0.0,
-            read_uncorrectable: 0.0,
-            wear_coupling: true,
-        }
-    }
-
     /// One uniform rate across all three fault classes.
     pub fn uniform(seed: u64, rate: f64) -> Self {
         FaultConfig {
@@ -196,7 +185,7 @@ mod tests {
 
     #[test]
     fn disabled_config_never_fires() {
-        let mut inj = FaultInjector::new(FaultConfig::disabled(), 3);
+        let mut inj = FaultInjector::new(FaultConfig::uniform(0, 0.0), 3);
         for _ in 0..10_000 {
             assert!(!inj.roll_program(1e-3, 1e-3));
             assert!(!inj.roll_erase(1e-3, 1e-3));
@@ -284,7 +273,7 @@ mod tests {
         assert!(c.validate().is_err());
         c = FaultConfig::uniform(0, -0.1);
         assert!(c.validate().is_err());
-        assert!(!FaultConfig::disabled().is_active());
+        assert!(!FaultConfig::uniform(0, 0.0).is_active());
         assert!(FaultConfig::uniform(0, 0.1).is_active());
     }
 }

@@ -124,14 +124,6 @@ pub struct AgingConfig {
 }
 
 impl AgingConfig {
-    /// A configuration that adds no aging at all.
-    pub fn disabled() -> Self {
-        AgingConfig {
-            read_disturb_per_read: 0.0,
-            retention_per_sec: 0.0,
-        }
-    }
-
     /// True if either mechanism contributes.
     pub fn is_active(&self) -> bool {
         self.read_disturb_per_read > 0.0 || self.retention_per_sec > 0.0
@@ -378,7 +370,10 @@ mod tests {
 
     #[test]
     fn disabled_aging_adds_nothing() {
-        let a = AgingConfig::disabled();
+        let a = AgingConfig {
+            read_disturb_per_read: 0.0,
+            retention_per_sec: 0.0,
+        };
         assert!(!a.is_active());
         assert_eq!(a.extra_rber(1_000_000, u64::MAX), 0.0);
         assert!(a.validate().is_ok());

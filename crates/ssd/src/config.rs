@@ -219,12 +219,6 @@ impl SsdConfig {
         self
     }
 
-    /// The same configuration with media aging armed.
-    pub fn with_aging(mut self, aging: AgingConfig) -> Self {
-        self.aging = Some(aging);
-        self
-    }
-
     /// The same configuration with RAIN parity armed.
     pub fn with_rain(mut self, rain: RainConfig) -> Self {
         self.rain = Some(rain);
@@ -550,10 +544,13 @@ mod tests {
         cfg.validate().unwrap();
         assert_eq!(cfg.journal, Some(JournalConfig { flush_interval: 64 }));
 
-        let cfg = SsdConfig::base().with_aging(AgingConfig {
-            read_disturb_per_read: -1.0,
-            retention_per_sec: 0.0,
-        });
+        let cfg = SsdConfig {
+            aging: Some(AgingConfig {
+                read_disturb_per_read: -1.0,
+                retention_per_sec: 0.0,
+            }),
+            ..SsdConfig::base()
+        };
         assert!(cfg.validate().is_err());
 
         let cfg = SsdConfig::base().with_scrub(ScrubConfig::per_step(8));

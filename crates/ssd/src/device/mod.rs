@@ -1665,10 +1665,12 @@ mod tests {
             read_disturb_per_read: 0.0,
             retention_per_sec: ceiling / 50.0,
         };
-        let cfg = SsdConfig::tiny()
-            .with_aging(aging)
-            .with_rain(crate::config::RainConfig::rotating())
-            .with_scrub(crate::config::ScrubConfig::per_step(4096));
+        let cfg = SsdConfig {
+            aging: Some(aging),
+            ..SsdConfig::tiny()
+        }
+        .with_rain(crate::config::RainConfig::rotating())
+        .with_scrub(crate::config::ScrubConfig::per_step(4096));
         let mut dev = Device::new(cfg);
         let mut t = SimTime::ZERO;
         for i in 0..16u64 {

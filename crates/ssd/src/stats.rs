@@ -80,11 +80,6 @@ impl DeviceStats {
         (logical + self.gc_copies.get() + self.rescue_copies.get()) as f64 / logical as f64
     }
 
-    /// Total injected media faults the device observed.
-    pub fn media_faults(&self) -> u64 {
-        self.program_failures.get() + self.erase_failures.get() + self.uncorrectable_reads.get()
-    }
-
     /// Serializes every counter to a stable multi-line `name=value` text
     /// snapshot, one line per field in declaration order (durations in
     /// nanoseconds).
@@ -183,9 +178,6 @@ mod tests {
         s.user_programs.add(100);
         s.rescue_copies.add(15);
         assert!((s.waf() - 1.15).abs() < 1e-12);
-        s.program_failures.add(2);
-        s.uncorrectable_reads.add(1);
-        assert_eq!(s.media_faults(), 3);
     }
 
     #[test]

@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn pe_cycles_scale_with_age() {
         let at = |age_fraction| FaultScenario {
-            fault: FaultConfig::disabled(),
+            fault: FaultConfig::uniform(0, 0.0),
             age_fraction,
         };
         assert_eq!(at(0.0).pe_cycles(3000), 0);

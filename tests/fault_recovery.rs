@@ -5,14 +5,13 @@
 //! and wear, never correctness. The wear it does cost must show up in the
 //! device statistics: retired blocks, rescue copies, higher WAF.
 
-use optimstore::baselines::{HostNvmeBaseline, HostNvmeConfig};
 use optimstore::optim_math::state::{GradDtype, StateLayoutSpec};
 use optimstore::optim_math::{make_optimizer, AdamParams, MomentumParams, OptimizerKind};
 use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice};
 use optimstore::simkit::SimTime;
 use optimstore::ssdsim::{FaultConfig, SsdConfig};
 use optimstore::workloads::{GradientGen, QuadraticTask, WeightInit};
-use optimstore_bench::runners::assert_bit_exact;
+use optimstore_bench::runners::{assert_bit_exact, host_tier};
 
 const PARAMS: usize = 12_000;
 const STEPS: u64 = 3;
@@ -42,8 +41,8 @@ fn adam() -> Box<dyn optimstore::optim_math::Optimizer> {
     )
 }
 
-/// Runs NDP training on `ssd` and returns the final master weights plus
-/// the device (for stats inspection).
+/// Runs training on `ssd` under `cfg` and returns the final master
+/// weights plus the device (for stats inspection).
 fn run_ndp(
     cfg: OptimStoreConfig,
     ssd: SsdConfig,
@@ -59,28 +58,6 @@ fn run_ndp(
     }
     let w = dev.read_master_weights(at).unwrap();
     (w, dev)
-}
-
-fn run_host(ssd: SsdConfig, weights: &[f32], gen: &GradientGen) -> (Vec<f32>, u64, u64) {
-    let mut host = HostNvmeBaseline::new_functional(
-        ssd,
-        HostNvmeConfig::default(),
-        weights.len() as u64,
-        adam(),
-        spec(),
-    )
-    .unwrap();
-    let mut at = host.load_weights(weights, SimTime::ZERO).unwrap();
-    for step in 1..=STEPS {
-        let grads = gen.generate(step, weights.len());
-        let t = host.spill_gradients(Some(&grads), at).unwrap();
-        at = host.run_step(t).unwrap().end;
-    }
-    let w = host.read_master_weights(at).unwrap();
-    let faults =
-        host.ssd().stats().program_failures.get() + host.ssd().stats().erase_failures.get();
-    let retired = host.ssd().stats().retired_blocks.get();
-    (w, faults, retired)
 }
 
 #[test]
@@ -122,11 +99,17 @@ fn all_tiers_survive_program_faults_bit_exactly() {
 
     // Host-NVMe offload (no NDP, no replay layer: recovery is entirely
     // the device's).
-    let (clean_host, no_faults, no_retired) = run_host(SsdConfig::tiny(), &weights, &gen);
-    let (hit_host, faults, retired) = run_host(faulty_ssd, &weights, &gen);
+    let faults_and_retired = |dev: &OptimStoreDevice| {
+        let s = dev.ssd().stats();
+        let faults = s.program_failures.get() + s.erase_failures.get();
+        (faults, s.retired_blocks.get())
+    };
+    let (clean_host, dev) = run_ndp(host_tier(), SsdConfig::tiny(), &weights, &gen);
+    assert_eq!(faults_and_retired(&dev), (0, 0));
+    let (hit_host, dev) = run_ndp(host_tier(), faulty_ssd, &weights, &gen);
     assert_bit_exact(&hit_host, &clean_host, "host-nvme");
     assert_bit_exact(&hit_host, &clean, "host-nvme vs die-ndp");
-    assert_eq!((no_faults, no_retired), (0, 0));
+    let (faults, retired) = faults_and_retired(&dev);
     assert!(faults > 0 && retired > 0);
 }
 
@@ -189,7 +172,10 @@ fn faulty_training_converges_identically_and_stats_reflect_retirement() {
         "retired blocks had valid pages to rescue"
     );
     assert_eq!(clean_stats.retired_blocks.get(), 0);
-    assert_eq!(clean_stats.media_faults(), 0);
+    let media_faults = clean_stats.program_failures.get()
+        + clean_stats.erase_failures.get()
+        + clean_stats.uncorrectable_reads.get();
+    assert_eq!(media_faults, 0);
     // Rescue relocation is write amplification.
     assert!(
         hit_stats.waf() > clean_stats.waf(),

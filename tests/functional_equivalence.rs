@@ -1,21 +1,19 @@
 //! Cross-system functional equivalence: every execution path — die-level
-//! NDP, channel-level NDP, the naive striped-layout NDP, the host-NVMe
-//! baseline, the host-DRAM baseline — must produce **bit-identical**
+//! NDP, channel-level NDP, die-level NDP on the naive tensor-striped
+//! layout, the host-NVMe tier, the host-DRAM baseline — must produce **bit-identical**
 //! optimizer state, because they all run the same kernels; only time,
 //! traffic and energy may differ. Any divergence is a layout, protocol or
 //! scheduling bug.
 
-use optimstore::baselines::{
-    naive_striped_ndp, HostDramBaseline, HostDramConfig, HostNvmeBaseline, HostNvmeConfig,
-};
+use optimstore::baselines::{HostDramBaseline, HostDramConfig};
 use optimstore::optim_math::kernels::{encode_grads, StateBuffers};
 use optimstore::optim_math::state::{GradDtype, StateLayoutSpec};
 use optimstore::optim_math::{make_optimizer, AdamParams, Bf16, MomentumParams, OptimizerKind};
-use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice};
+use optimstore::optimstore_core::{LayoutPolicy, OptimStoreConfig, OptimStoreDevice};
 use optimstore::simkit::SimTime;
 use optimstore::ssdsim::SsdConfig;
 use optimstore::workloads::{GradientGen, WeightInit};
-use optimstore_bench::runners::assert_bit_exact;
+use optimstore_bench::runners::{assert_bit_exact, host_tier};
 
 const PARAMS: usize = 30_000;
 const STEPS: u64 = 4;
@@ -80,23 +78,8 @@ fn all_tiers_agree_for_every_optimizer() {
         assert_bit_exact(&ch, &expect, &format!("{kind:?}/channel-ndp"));
 
         // Host-NVMe offload baseline.
-        let opt = make_optimizer(kind, AdamParams::default(), MomentumParams::default());
-        let mut host = HostNvmeBaseline::new_functional(
-            SsdConfig::tiny(),
-            HostNvmeConfig::default(),
-            PARAMS as u64,
-            opt,
-            spec(kind),
-        )
-        .unwrap();
-        let mut at = host.load_weights(&weights, SimTime::ZERO).unwrap();
-        for step in 1..=STEPS {
-            let grads = gen.generate(step, PARAMS);
-            let t = host.spill_gradients(Some(&grads), at).unwrap();
-            at = host.run_step(t).unwrap().end;
-        }
-        let host_w = host.read_master_weights(at).unwrap();
-        assert_bit_exact(&host_w, &expect, &format!("{kind:?}/host-nvme"));
+        let host = run_ndp_config(kind, host_tier(), &weights, &gen);
+        assert_bit_exact(&host, &expect, &format!("{kind:?}/host-nvme"));
 
         // Host-DRAM baseline.
         let opt = make_optimizer(kind, AdamParams::default(), MomentumParams::default());
@@ -129,19 +112,12 @@ fn striped_layout_is_slower_but_equally_correct() {
     let gen = GradientGen::new(4242);
     let expect = reference_weights(kind, &weights, &gen);
 
-    let opt = make_optimizer(kind, AdamParams::default(), MomentumParams::default());
-    let mut dev =
-        naive_striped_ndp(SsdConfig::tiny(), PARAMS as u64, opt, spec(kind), true).unwrap();
-    let mut at = dev.load_weights(&weights, SimTime::ZERO).unwrap();
-    for step in 1..=STEPS {
-        let grads = gen.generate(step, PARAMS);
-        at = dev.run_step(Some(&grads), at).unwrap().end;
-    }
-    assert_bit_exact(
-        &dev.read_master_weights(at).unwrap(),
-        &expect,
-        "striped/die-ndp",
-    );
+    let striped = OptimStoreConfig {
+        layout: LayoutPolicy::TensorStriped,
+        ..OptimStoreConfig::die_ndp()
+    };
+    let got = run_ndp_config(kind, striped, &weights, &gen);
+    assert_bit_exact(&got, &expect, "striped/die-ndp");
 }
 
 #[test]

@@ -14,9 +14,7 @@
 //! move simulated results keeps this file byte-identical.
 
 use optimstore::optim_math::OptimizerKind;
-use optimstore::optimstore_core::{
-    ExecutionTier, LayoutPolicy, OptimStoreConfig, OptimStoreDevice,
-};
+use optimstore::optimstore_core::{LayoutPolicy, OptimStoreConfig, OptimStoreDevice};
 use optimstore::simkit::SimTime;
 use optimstore::ssdsim::{JournalConfig, Lpn, RainConfig, ScrubConfig, SsdConfig};
 use optimstore_bench::runners::{host_tier, optimizer_and_spec};
@@ -82,9 +80,6 @@ fn render(label: &str, cfg: OptimStoreConfig) -> (String, u64) {
     let copies_before = dev.ssd().stats().gc_copies.get();
     let mut out = format!("=== {label}: params {params}\n");
     for step in 1..=STEPS {
-        if dev.config().tier == ExecutionTier::HostNvme {
-            at = dev.spill_gradients(None, at).expect("gradient spill");
-        }
         let r = dev.run_step(None, at).expect("step");
         at = r.end;
         writeln!(out, "step {step} {r:?}").expect("write to String");

@@ -12,7 +12,6 @@
 //! setting `TIMING_SANITY_PROFILE=full` (the same env-parameterization
 //! pattern as `tests/crash_consistency.rs`).
 
-use optimstore::baselines::{HostNvmeBaseline, HostNvmeConfig};
 use optimstore::optim_math::OptimizerKind;
 use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice, StepReport, TrafficBytes};
 use optimstore::simkit::SimTime;
@@ -233,34 +232,15 @@ fn pinned(r: &StepReport) -> Pinned {
 /// both steps reclaim blocks.
 const PINNED_PARAMS: u64 = 2_500_000;
 
-/// Phantom load plus two steps of one in-storage tier on the tiny device.
-fn two_ndp_steps(cfg: OptimStoreConfig) -> [Pinned; 2] {
+/// Phantom load plus two steps of one tier on the tiny device (the host
+/// tier spills each step's gradients before it starts).
+fn two_steps(cfg: OptimStoreConfig) -> [Pinned; 2] {
     let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
     let mut dev =
         OptimStoreDevice::new(SsdConfig::tiny(), cfg, PINNED_PARAMS, optimizer, spec).unwrap();
     let t0 = dev.load_phantom(SimTime::ZERO).unwrap();
     let r1 = dev.run_step(None, t0).unwrap();
     let r2 = dev.run_step(None, r1.end).unwrap();
-    [pinned(&r1), pinned(&r2)]
-}
-
-/// Phantom load plus two spilled-gradient steps of the host tier on the
-/// tiny device.
-fn two_host_steps() -> [Pinned; 2] {
-    let (optimizer, spec) = optimizer_and_spec(OptimizerKind::Adam);
-    let mut dev = HostNvmeBaseline::new(
-        SsdConfig::tiny(),
-        HostNvmeConfig::default(),
-        PINNED_PARAMS,
-        optimizer,
-        spec,
-    )
-    .unwrap();
-    let t0 = dev.load_phantom(SimTime::ZERO).unwrap();
-    let t1 = dev.spill_gradients(None, t0).unwrap();
-    let r1 = dev.run_step(t1).unwrap();
-    let t2 = dev.spill_gradients(None, r1.end).unwrap();
-    let r2 = dev.run_step(t2).unwrap();
     [pinned(&r1), pinned(&r2)]
 }
 
@@ -289,7 +269,7 @@ const fn traffic(
 fn step_timing_is_pinned_for_every_tier() {
     let ndp_traffic = |bus| traffic(5_001_216, 0, bus, 30_007_296, 35_008_512, 10_002_432);
     assert_eq!(
-        two_ndp_steps(OptimStoreConfig::die_ndp()),
+        two_steps(OptimStoreConfig::die_ndp()),
         [
             (374_858_854, 917_400_866, ndp_traffic(5_587_296), 40, 0),
             (917_400_866, 1_780_915_976, ndp_traffic(5_587_296), 280, 0),
@@ -297,7 +277,7 @@ fn step_timing_is_pinned_for_every_tier() {
         "die-ndp"
     );
     assert_eq!(
-        two_ndp_steps(OptimStoreConfig::channel_ndp()),
+        two_steps(OptimStoreConfig::channel_ndp()),
         [
             (374_858_854, 958_096_560, ndp_traffic(72_634_848), 40, 0),
             (958_096_560, 2_012_451_216, ndp_traffic(72_634_848), 280, 0),
@@ -313,7 +293,7 @@ fn step_timing_is_pinned_for_every_tier() {
         140_034_048,
     );
     assert_eq!(
-        two_host_steps(),
+        two_steps(host_tier()),
         [
             (481_971_522, 1_295_927_152, host_traffic, 120, 0),
             (1_433_032_192, 2_360_790_850, host_traffic, 265, 0),
