@@ -89,7 +89,7 @@ impl HostDramBaseline {
     /// Sets initial weights (functional mode).
     pub fn load_weights(&mut self, weights: &[f32]) -> Result<(), CoreError> {
         if weights.len() as u64 != self.params {
-            return Err(CoreError::GradLength {
+            return Err(CoreError::WeightLength {
                 got: weights.len(),
                 want: self.params,
             });
@@ -252,6 +252,25 @@ mod tests {
         let r2 = b.run_step(None, SimTime::ZERO).unwrap();
         assert!(r2.end >= r1.end + r1.duration);
         assert_eq!(b.step, 2);
+    }
+
+    #[test]
+    fn weight_length_checked() {
+        let mut b = HostDramBaseline::new(
+            HostDramConfig::default(),
+            1000,
+            Box::new(Adam::default()),
+            spec(),
+            true,
+        )
+        .unwrap();
+        assert!(matches!(
+            b.load_weights(&[0.0; 999]),
+            Err(CoreError::WeightLength {
+                got: 999,
+                want: 1000
+            })
+        ));
     }
 
     #[test]

@@ -47,6 +47,13 @@ pub enum CoreError {
         /// Parameters expected.
         want: u64,
     },
+    /// Weight slice length does not match the parameter count.
+    WeightLength {
+        /// Elements supplied.
+        got: usize,
+        /// Parameters expected.
+        want: u64,
+    },
     /// Functional operation requested on a phantom device (or vice versa).
     ModeMismatch(&'static str),
     /// The underlying SSD failed.
@@ -66,6 +73,9 @@ impl fmt::Display for CoreError {
             CoreError::Config(msg) => write!(f, "bad configuration: {msg}"),
             CoreError::GradLength { got, want } => {
                 write!(f, "gradient has {got} elements, model has {want} params")
+            }
+            CoreError::WeightLength { got, want } => {
+                write!(f, "weights have {got} elements, model has {want} params")
             }
             CoreError::ModeMismatch(msg) => write!(f, "mode mismatch: {msg}"),
             CoreError::Ssd(e) => write!(f, "ssd: {e}"),
@@ -1412,6 +1422,19 @@ mod tests {
                 "nothing spilled"
             );
         }
+    }
+
+    #[test]
+    fn weight_length_checked() {
+        let mut dev = functional(1000);
+        assert!(matches!(
+            dev.load_weights(&vec![0.0; 999], SimTime::ZERO),
+            Err(CoreError::WeightLength {
+                got: 999,
+                want: 1000
+            })
+        ));
+        assert_eq!(dev.ssd().stats().host_writes.get(), 0, "nothing loaded");
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub fn load_state_image(
 ) -> Result<SimTime, CoreError> {
     if let Some(w) = weights {
         if w.len() as u64 != layout.params() {
-            return Err(CoreError::GradLength {
+            return Err(CoreError::WeightLength {
                 got: w.len(),
                 want: layout.params(),
             });

@@ -310,6 +310,20 @@ impl Die {
             .invalidate(p.page, &mut self.invalid))
     }
 
+    /// [`Self::invalidate`], and on a functional die the page's bytes go
+    /// back to the page store now rather than at the block's erase: a
+    /// later read of the page fails with [`NandError::NoData`]. For a
+    /// superseded version that nothing may read again.
+    #[inline]
+    pub fn invalidate_and_release(&mut self, p: PhysPage) -> Result<bool, NandError> {
+        let invalidated = self.invalidate(p)?;
+        if let Backing::Data(arena) = &mut self.backing {
+            let block = self.config.geometry.block_index(p.block_addr()) as usize;
+            arena.release(block, p.page as usize);
+        }
+        Ok(invalidated)
+    }
+
     /// Forces a programmed page's validity (mount recovery rebuilds the
     /// Valid/Invalid partition from scanned OOB stamps rather than the
     /// lost RAM state). Returns `false` — and changes nothing — for a
@@ -1428,7 +1442,8 @@ mod tests {
 
     mod store_model {
         //! The functional page store against a `HashMap` model: random
-        //! program, erase, read and torn-program sequences on a small die.
+        //! program, erase, read, torn-program, invalidate and release
+        //! sequences on a small die.
 
         use super::*;
         use proptest::prelude::*;
@@ -1473,12 +1488,15 @@ mod tests {
 
             #[test]
             fn page_store_matches_a_hashmap_model(
-                ops in prop::collection::vec((0u8..8, 0..PLANES, 0..BLOCKS, 0..PAGES), 1..160)
+                ops in prop::collection::vec((0u8..10, 0..PLANES, 0..BLOCKS, 0..PAGES), 1..160)
             ) {
                 let mut d = small_die();
                 let geo = d.config().geometry;
+                // Pages that hold bytes: programmed, not torn, not
+                // released, not erased since.
                 let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
                 let mut torn: HashSet<u64> = HashSet::new();
+                let mut released: HashSet<u64> = HashSet::new();
                 let mut cursor: HashMap<(u32, u32), u32> = HashMap::new();
                 let (mut programs, mut peak) = (0u32, 0usize);
                 let mut t = SimTime::ZERO;
@@ -1511,8 +1529,25 @@ mod tests {
                                 let idx = geo.page_index(b.page(pg));
                                 model.remove(&idx);
                                 torn.remove(&idx);
+                                released.remove(&idx);
                             }
                             *next = 0;
+                        }
+                        // An invalidation alone keeps the bytes.
+                        8 => {
+                            d.invalidate(b.page(page)).unwrap();
+                        }
+                        // A release frees a programmed page's bytes; a free
+                        // page has none to free.
+                        9 => {
+                            let p = b.page(page);
+                            d.invalidate_and_release(p).unwrap();
+                            if page < *next {
+                                let idx = geo.page_index(p);
+                                model.remove(&idx);
+                                released.insert(idx);
+                                prop_assert_eq!(d.page_state(p), Ok(PageState::Invalid));
+                            }
                         }
                         _ => {
                             let p = b.page(page);
@@ -1525,6 +1560,8 @@ mod tests {
                             } else {
                                 if torn.contains(&idx) {
                                     prop_assert!(matches!(r, Err(NandError::ReadUncorrectable { .. })));
+                                } else if released.contains(&idx) {
+                                    prop_assert_eq!(r, Err(NandError::NoData(p)));
                                 } else {
                                     prop_assert_eq!(r, Err(NandError::ReadUnwritten(p)));
                                 }
@@ -1533,8 +1570,9 @@ mod tests {
                         }
                     }
                     peak = peak.max(model.len());
-                    // Torn pages take no slot; erased ones give theirs back,
-                    // and the arena only grows when no freed slot is left.
+                    // Torn pages take no slot; released and erased ones give
+                    // theirs back, and the arena only grows when no freed
+                    // slot is left.
                     prop_assert_eq!(arena(&d).live_slots(), model.len());
                     prop_assert_eq!(arena(&d).slots_used(), peak);
                 }

@@ -19,6 +19,15 @@
 //! The *contents* of pages are optional: a functional die keeps real bytes
 //! in a slot arena for functional verification, a phantom die keeps none so
 //! that terabyte-scale timing experiments fit in host memory.
+//!
+//! A page's bytes outlive its validity only as long as someone may read
+//! them. A version the FTL superseded for good gives its slot back when it
+//! goes invalid (`Die::invalidate_and_release`), so the arena holds about
+//! the die's valid pages and the next program reuses the slot just read.
+//! Every other invalid page keeps its bytes until the block's erase: after
+//! a crash, mount picks each logical page's newest stamped version from
+//! flash alone, and a relocation copy carries its source's stamp, so mount
+//! may pick either twin. The FTL decides which invalidations release.
 
 use crate::geometry::{BlockAddr, NandGeometry};
 use simkit::slab::{Slabs, NO_SLAB};
@@ -306,9 +315,10 @@ impl Backing {
 /// allocated zeroed when the arena first needs one and never moved or
 /// grown afterwards. Each erase block has a slot table (created at its
 /// first program, kept across erases) saying which slot holds each page. A
-/// program copies into a slot from the free list, or the next never-used
-/// one; an erase hands its block's slots back to the free list; a read
-/// borrows the slot. In steady state no operation touches the allocator.
+/// program copies into a slot from the free list (last freed first), or
+/// the next never-used one; a release hands one page's slot back, an erase
+/// every slot its block still holds; a read borrows the slot. In steady
+/// state no operation touches the allocator.
 pub(crate) struct PageArena {
     page_bytes: usize,
     pages_per_block: usize,
@@ -316,7 +326,7 @@ pub(crate) struct PageArena {
     /// holds no bytes).
     tables: Vec<Option<Box<[u32]>>>,
     chunks: Vec<Box<[u8]>>,
-    /// Slots handed back by erases, reused before fresh ones.
+    /// Slots handed back by releases and erases, reused before fresh ones.
     free: Vec<u32>,
     /// Slots ever handed out: the next fresh slot.
     used: u32,
@@ -368,6 +378,18 @@ impl PageArena {
         }
         let (chunk, span) = self.span(slot);
         Some(&self.chunks[chunk][span])
+    }
+
+    /// Hands the slot of page `page` of flat block `block`, if it holds
+    /// one, back to the free list: the page then holds no bytes.
+    #[inline]
+    pub(crate) fn release(&mut self, block: usize, page: usize) {
+        if let Some(table) = &mut self.tables[block] {
+            let slot = std::mem::replace(&mut table[page], NO_SLOT);
+            if slot != NO_SLOT {
+                self.free.push(slot);
+            }
+        }
     }
 
     /// Hands every slot of flat block `block` back to the free list.
@@ -662,6 +684,23 @@ mod tests {
         assert_eq!((a.live_slots(), a.slots_used()), (41, 41));
         assert_eq!(a.get(0, 39), Some(&[0x40 | 39u8; 16][..]));
         assert_eq!(a.get(1, 0), Some(&[0xAB; 16][..]), "other blocks untouched");
+    }
+
+    #[test]
+    fn a_released_slot_is_the_next_one_programmed() {
+        let mut a = PageArena::new(&arena_geo());
+        a.put(0, 0, &[1; 16]);
+        a.put(0, 1, &[2; 16]);
+        a.release(0, 0);
+        a.release(0, 0); // a page without bytes has nothing to release
+        a.release(3, 5); // nor does a block never programmed
+        assert_eq!(a.get(0, 0), None);
+        assert_eq!((a.live_slots(), a.slots_used()), (1, 2));
+        a.put(0, 2, &[3; 16]);
+        assert_eq!(a.tables[0].as_ref().unwrap()[2], 0, "slot 0 reused");
+        assert_eq!((a.live_slots(), a.slots_used()), (2, 2));
+        a.erase_block(0);
+        assert_eq!((a.live_slots(), a.slots_used()), (0, 2));
     }
 
     #[test]

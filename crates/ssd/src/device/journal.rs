@@ -5,7 +5,7 @@
 //! [`crate::SsdConfig::journal`]; a journal-free device takes the exact code
 //! paths (and timing) it took before the subsystem existed.
 
-use super::{invalidate, Device, ProgramKind};
+use super::{invalidate, supersede, Device, ProgramKind};
 use crate::address::{DieId, Lpn, Ppa};
 use crate::channel::Channel;
 use crate::error::SsdError;
@@ -285,7 +285,7 @@ impl Device {
         if let (Some(epoch), Some(journal)) = (commit, &mut self.journal) {
             journal.committed_epoch = epoch;
             for ppa in journal.pending_stale.drain(..) {
-                invalidate(&mut self.channels, ppa);
+                supersede(&mut self.channels, ppa);
             }
         }
         Ok(t)

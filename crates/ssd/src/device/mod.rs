@@ -678,7 +678,7 @@ impl Device {
                         ),
                         None => {
                             if let Some(stale) = self.ftl.commit_program(lpn, ppa) {
-                                invalidate(&mut self.channels, stale);
+                                supersede(&mut self.channels, stale);
                             }
                         }
                     }
@@ -790,11 +790,27 @@ impl Device {
     }
 }
 
-/// Marks a stale physical page invalid on its die.
+/// Marks a stale physical page invalid on its die. On a functional device
+/// its bytes stay until the block is erased, because a mount, which
+/// rebuilds the mapping from OOB stamps alone, may still pick it: a
+/// relocation source carries the same stamp as its copy, and mount breaks
+/// that tie by location, so either twin can win.
 fn invalidate(channels: &mut [Channel], stale: Ppa) {
     let die = channels[stale.die.channel as usize].die_mut(stale.die.index);
     // A mapped page is on its die, so the address is always in range.
     let _ = die.invalidate(stale.page);
+}
+
+/// Marks a superseded physical page invalid on its die and, on a
+/// functional device, frees its bytes at once. This decides which
+/// invalidations release: every one on a journal-free device, which never
+/// mounts, and on a journaled device the deferred ones a durable commit
+/// applies, each of which a committed version with a higher seqno
+/// outranks. Every other invalidation goes through [`invalidate`].
+#[inline]
+fn supersede(channels: &mut [Channel], stale: Ppa) {
+    let die = channels[stale.die.channel as usize].die_mut(stale.die.index);
+    let _ = die.invalidate_and_release(stale.page);
 }
 
 #[cfg(test)]
@@ -1301,6 +1317,103 @@ mod tests {
             let (_, out) = dev.host_read_page(Lpn(i), t).unwrap();
             assert_eq!(out.unwrap()[0], i as u8);
         }
+    }
+
+    /// Reads physical page `ppa` straight off its die.
+    fn read_physical(dev: &mut Device, ppa: Ppa, at: SimTime) -> Result<Vec<u8>, NandError> {
+        let mut out = vec![0; dev.page_bytes()];
+        dev.channels[ppa.die.channel as usize]
+            .die_mut(ppa.die.index)
+            .read_page(ppa.page, at, Some(&mut out))?;
+        Ok(out)
+    }
+
+    #[test]
+    fn journal_free_device_frees_a_superseded_page_at_once() {
+        let mut dev = Device::new_functional(SsdConfig::tiny());
+        let (a, b) = (page(&dev, 1), page(&dev, 2));
+        let t = dev
+            .host_write_page(Lpn(0), Some(&a), SimTime::ZERO)
+            .unwrap()
+            .end;
+        let old = dev.ftl().lookup(Lpn(0)).unwrap();
+        let t = dev.host_write_page(Lpn(0), Some(&b), t).unwrap().end;
+        assert_eq!(
+            read_physical(&mut dev, old, t),
+            Err(NandError::NoData(old.page))
+        );
+    }
+
+    #[test]
+    fn a_commit_frees_the_versions_it_supersedes() {
+        let mut dev = journaled(4);
+        let (a, b) = (page(&dev, 1), page(&dev, 2));
+        dev.begin_epoch(1);
+        let t = dev
+            .host_write_page(Lpn(0), Some(&a), SimTime::ZERO)
+            .unwrap()
+            .end;
+        let t = dev.commit_epoch(t).unwrap();
+        let old = dev.ftl().lookup(Lpn(0)).unwrap();
+        dev.begin_epoch(2);
+        let t = dev.host_write_page(Lpn(0), Some(&b), t).unwrap().end;
+        assert_eq!(
+            read_physical(&mut dev, old, t).unwrap(),
+            a,
+            "the committed version outlives the epoch that supersedes it"
+        );
+        let t = dev.commit_epoch(t).unwrap();
+        assert_eq!(
+            read_physical(&mut dev, old, t),
+            Err(NandError::NoData(old.page))
+        );
+    }
+
+    /// A relocation copy inherits its source's OOB stamp, and mount breaks
+    /// the tie between equal stamps by `(seqno, die, page index)`, so after
+    /// a crash it may pick the source over the copy: the source must stay
+    /// readable until its block is erased. Releasing relocation sources too
+    /// made crash-during-GC recoveries fail with "page ... was programmed
+    /// without data (phantom)".
+    #[test]
+    fn a_relocation_source_keeps_its_bytes_until_its_erase() {
+        let mut dev = journaled(4);
+        let a = page(&dev, 7);
+        dev.begin_epoch(1);
+        let t = dev
+            .host_write_page(Lpn(0), Some(&a), SimTime::ZERO)
+            .unwrap()
+            .end;
+        let t = dev.commit_epoch(t).unwrap();
+        let src = dev.ftl().lookup(Lpn(0)).unwrap();
+        // Garbage collection's copy of a live page.
+        let t = dev
+            .program_no_gc(
+                Lpn(0),
+                src.die,
+                Some(&a),
+                t,
+                false,
+                None,
+                ProgramKind::Relocate(src),
+            )
+            .unwrap()
+            .end;
+        assert_ne!(dev.ftl().lookup(Lpn(0)), Some(src));
+        assert_eq!(
+            dev.die(src.die).page_state(src.page),
+            Ok(nandsim::store::PageState::Invalid)
+        );
+        let t = dev.commit_epoch(t).unwrap();
+        assert_eq!(read_physical(&mut dev, src, t).unwrap(), a);
+        dev.channels[src.die.channel as usize]
+            .die_mut(src.die.index)
+            .erase_block(src.page.block_addr(), t)
+            .unwrap();
+        assert_eq!(
+            read_physical(&mut dev, src, SimTime::from_secs(1)),
+            Err(NandError::ReadUnwritten(src.page))
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Heap traffic and live-heap footprint of a functional device, measured by
 //! a counting global allocator. Page bytes live in each die's slot arena
 //! and operands are read straight into pooled kernel buffers, so a
-//! steady-state step must not allocate per page, and a loaded device must
-//! hold little more heap than the page bytes it stores.
+//! steady-state step must not allocate per page, a loaded device must hold
+//! little more heap than the page bytes it stores, and a trained one little
+//! more than its valid pages.
 //!
 //! The file holds a single test so that no other test's allocations
 //! interleave with the counts.
@@ -79,6 +80,15 @@ fn stored_page_bytes(ssd: &Device) -> usize {
     pages as usize * ssd.page_bytes()
 }
 
+/// Bytes of every valid page of `ssd`: the live versions.
+fn valid_page_bytes(ssd: &Device) -> usize {
+    let dies = ssd.channels().iter().flat_map(|c| c.dies());
+    let pages: u64 = dies
+        .flat_map(|d| d.iter_blocks().map(|(_, b)| b.valid_pages() as u64))
+        .sum();
+    pages as usize * ssd.page_bytes()
+}
+
 #[test]
 fn functional_steps_do_not_allocate_per_page() {
     const MB: usize = 1 << 20;
@@ -136,6 +146,16 @@ fn functional_steps_do_not_allocate_per_page() {
     assert!(
         allocs < programmed,
         "{allocs} heap allocations for {programmed} page programs"
+    );
+
+    // (c) A superseded version gives its bytes back when it goes invalid,
+    // so after steps of out-of-place updates the device still holds about
+    // its live versions, not every page programmed since the last erase.
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    let valid = valid_page_bytes(dev.ssd());
+    assert!(
+        held <= valid + valid / 10 + 2 * MB,
+        "after {step} steps a device holds {held} B of heap for {valid} B of valid pages"
     );
     par::set_threads(0);
 }
