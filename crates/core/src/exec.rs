@@ -24,7 +24,7 @@ use optim_math::state::StateLayoutSpec;
 use optim_math::Optimizer;
 use simkit::pool::PageBuf;
 use simkit::{SimDuration, SimTime, Timeline, Window};
-use ssdsim::{Device, Lpn, ReadPath, ScrubReport, SsdConfig, SsdError};
+use ssdsim::{Device, DieId, Lpn, ReadPath, ScrubReport, SsdConfig, SsdError};
 use std::error::Error;
 use std::fmt;
 
@@ -394,21 +394,21 @@ impl OptimStoreDevice {
     }
 
     /// Spills gradients to flash (the host tier's backward-phase traffic;
-    /// ZeRO-Infinity offloads gradients to NVMe). Returns the spill
+    /// ZeRO-Infinity offloads gradients to NVMe), in the step's batches of
+    /// one group per die, each encoded by `prep_grads`. Returns the spill
     /// completion time.
     fn spill_gradients(
         &mut self,
         grads: Option<&[f32]>,
         at: SimTime,
     ) -> Result<SimTime, CoreError> {
-        let dtype = self.spec.grad_dtype;
-        let grads = grads.filter(|_| self.device.is_functional());
         let mut end = at;
-        for g in 0..self.layout.num_groups() {
-            let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
-            let data = grads.map(|gr| pages::encode_grad_page(&self.layout, g, gr, dtype));
-            let win = self.device.host_write_page(lpn, data.as_deref(), at)?;
-            end = end.max(win.end);
+        for groups in self.batches() {
+            for (g, prep) in groups.iter().zip(self.prep_grads(grads, &groups)) {
+                let lpn = self.layout.lpn(*g, StateComponent::Grad, 0);
+                let win = self.device.host_write_page(lpn, prep.page.as_deref(), at)?;
+                end = end.max(win.end);
+            }
         }
         Ok(end)
     }
@@ -459,10 +459,7 @@ impl OptimStoreDevice {
             end: at,
             ..StepTally::default()
         };
-        let batch = self.device.config().total_dies() as u64;
-        let num_groups = self.layout.num_groups();
-        for batch_start in (0..num_groups).step_by(batch as usize) {
-            let groups: Vec<u64> = (batch_start..(batch_start + batch).min(num_groups)).collect();
+        for groups in self.batches() {
             let preps = self.prep_grads(grads, &groups);
             let mut pending = self.issue_batch(&groups, preps, at, &mut tally)?;
             self.run_kernels(&mut pending, &cmd)?;
@@ -504,6 +501,15 @@ impl OptimStoreDevice {
         debug_assert_eq!(cmd.step, self.step);
         debug_assert_eq!(cmd.hyper, self.optimizer.hyper_wire());
         Ok((at, scrub, cmd))
+    }
+
+    /// The step's batches of group indices, in order, one group per die.
+    fn batches(&self) -> impl Iterator<Item = Vec<u64>> {
+        let batch = self.device.config().total_dies() as u64;
+        let num_groups = self.layout.num_groups();
+        (0..num_groups)
+            .step_by(batch as usize)
+            .map(move |start| (start..(start + batch).min(num_groups)).collect())
     }
 
     /// Phase A0: encode every group's gradient page, count its non-zeros
@@ -718,20 +724,12 @@ impl OptimStoreDevice {
         })
     }
 
-    /// The channel of the die holding group `g`.
-    fn channel(&self, g: u64) -> u32 {
-        self.layout.group(g).die_flat / self.device.config().dies_per_channel
-    }
-
-    /// Moves `bytes` over the bus of group `g`'s channel from `at`;
-    /// returns when they have crossed.
-    fn channel_hop(&mut self, g: u64, bytes: u64, at: SimTime) -> SimTime {
-        let channel = self.channel(g);
-        self.device
-            .channel_mut(channel)
-            .bus_mut()
-            .transfer(at, bytes)
-            .end
+    /// The die holding group `g`.
+    fn die(&self, g: u64) -> DieId {
+        DieId::from_flat(
+            self.layout.group(g).die_flat,
+            self.device.config().dies_per_channel,
+        )
     }
 
     /// Delivers group `g`'s prepared gradient to its engine, starting at
@@ -743,19 +741,18 @@ impl OptimStoreDevice {
             return Ok(at);
         }
         let bytes = prep.wire_bytes;
-        let pcie = self.device.pcie_in_mut().transfer(at, bytes);
-        // Store-and-forward through controller DRAM (write + read).
-        let dram_in = self.device.dram_mut().transfer(pcie.end, bytes);
-        let dram = self.device.dram_mut().transfer(dram_in.end, bytes);
+        let (_, dram_out) = self.device.forward_from_host(bytes, at);
         Ok(match (self.cfg.grad_staging, self.cfg.tier) {
             // Stream over the channel bus into the die-side buffer.
-            (GradStaging::Stream, ExecutionTier::DieNdp) => self.channel_hop(g, bytes, dram.end),
-            (GradStaging::Stream, _) => dram.end,
+            (GradStaging::Stream, ExecutionTier::DieNdp) => {
+                self.device.bus_transfer(self.die(g), bytes, dram_out).end
+            }
+            (GradStaging::Stream, _) => dram_out,
             (GradStaging::StoreToFlash, _) => {
                 let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
                 let page = prep.page.as_deref();
                 self.device
-                    .internal_program(lpn, None, page, dram.end, true)?
+                    .internal_program(lpn, None, page, dram_out, true)?
                     .end
             }
         })
@@ -766,7 +763,7 @@ impl OptimStoreDevice {
     fn engine_index(&self, g: u64) -> usize {
         match self.cfg.tier {
             ExecutionTier::DieNdp => self.layout.group(g).die_flat as usize,
-            ExecutionTier::ChannelNdp => self.channel(g) as usize,
+            ExecutionTier::ChannelNdp => self.die(g).channel as usize,
             ExecutionTier::HostNvme => 0,
         }
     }
@@ -837,7 +834,8 @@ impl OptimStoreDevice {
         }
         // Remote operand: array + source bus, then hop over the engine
         // die's bus into its buffer.
-        let end = self.channel_hop(g, self.page_bytes() as u64, w.end);
+        let pb = self.page_bytes() as u64;
+        let end = self.device.bus_transfer(self.die(g), pb, w.end).end;
         Ok(Window { end, ..w })
     }
 
@@ -860,7 +858,8 @@ impl OptimStoreDevice {
             (ExecutionTier::DieNdp, true) => (ready, false),
             // Hop out of the engine die's channel first.
             (ExecutionTier::DieNdp, false) => {
-                (self.channel_hop(g, self.page_bytes() as u64, ready), true)
+                let pb = self.page_bytes() as u64;
+                (self.device.bus_transfer(self.die(g), pb, ready).end, true)
             }
         };
         Ok(self

@@ -205,11 +205,6 @@ impl StateLayout {
         }
     }
 
-    /// Iterates all groups in index order.
-    pub fn groups(&self) -> impl Iterator<Item = UpdateGroup> + '_ {
-        (0..self.num_groups()).map(move |g| self.group(g))
-    }
-
     /// The LPN holding page `idx` of `component` for group `g`.
     ///
     /// `idx` must be `< 2` for fp32 components and `0` for 16-bit ones.
@@ -380,7 +375,7 @@ mod tests {
     #[test]
     fn groups_round_robin_across_dies() {
         let l = co(100_000, 4);
-        for g in l.groups() {
+        for g in (0..l.num_groups()).map(|g| l.group(g)) {
             assert_eq!(g.die_flat as u64, g.index % 4);
         }
         let per_die: Vec<u64> = (0..4).map(|d| l.groups_on_die(d)).collect();

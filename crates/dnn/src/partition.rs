@@ -62,11 +62,6 @@ impl ZeroPartition {
         let r = self.range_of(0);
         r.end - r.start
     }
-
-    /// Iterates every shard range in order.
-    pub fn ranges(&self) -> impl Iterator<Item = Range<u64>> + '_ {
-        (0..self.devices).map(move |d| self.range_of(d))
-    }
 }
 
 #[cfg(test)]
@@ -79,7 +74,7 @@ mod tests {
             let p = ZeroPartition::new(params, devices);
             let mut covered = 0u64;
             let mut expected_start = 0u64;
-            for r in p.ranges() {
+            for r in (0..devices).map(|d| p.range_of(d)) {
                 assert_eq!(r.start, expected_start, "contiguous");
                 covered += r.end - r.start;
                 expected_start = r.end;
@@ -91,7 +86,10 @@ mod tests {
     #[test]
     fn shard_sizes_differ_by_at_most_one() {
         let p = ZeroPartition::new(100, 7);
-        let sizes: Vec<u64> = p.ranges().map(|r| r.end - r.start).collect();
+        let sizes: Vec<u64> = (0..7)
+            .map(|d| p.range_of(d))
+            .map(|r| r.end - r.start)
+            .collect();
         let min = *sizes.iter().min().unwrap();
         let max = *sizes.iter().max().unwrap();
         assert!(max - min <= 1);

@@ -18,13 +18,6 @@ pub struct LayerShape {
     pub params: u64,
 }
 
-impl LayerShape {
-    /// Half-open global parameter range of this tensor.
-    pub fn range(&self) -> std::ops::Range<u64> {
-        self.offset..self.offset + self.params
-    }
-}
-
 /// Architectural shape of a (decoder-style) transformer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransformerConfig {
@@ -276,7 +269,7 @@ mod tests {
             for layer in &table {
                 assert_eq!(layer.offset, expected_offset, "{}: {}", m.name, layer.name);
                 assert!(layer.params > 0);
-                expected_offset = layer.range().end;
+                expected_offset = layer.offset + layer.params;
             }
             assert_eq!(expected_offset, m.params(), "{}", m.name);
         }

@@ -10,7 +10,7 @@
 //!
 //! * [`update_chunk_scalar`] — the reference loop: one `&dyn Optimizer`
 //!   virtual call per element, per-element byte decode/encode.
-//! * [`update_chunk_batched`] — the hot path: monomorphized over a concrete
+//! * the batched kernel — the hot path: monomorphized over a concrete
 //!   optimizer, it decodes a cache-sized block of elements into scratch
 //!   `f32` arrays, runs the (inlined) update rule over the block, and
 //!   re-encodes. Per element the arithmetic is the *same operations in the
@@ -18,16 +18,14 @@
 //!   only changes how bytes move, never the float sequence — which is what
 //!   keeps the two paths bit-exact.
 //!
-//! [`update_chunk`] is the entry point every caller uses: it dispatches the
-//! `&dyn Optimizer` to the batched kernel via a per-kind match
-//! (reconstructing the concrete rule from [`Optimizer::hyper_wire`], the
-//! same bits the IST-UPDATE command carries), so the executor and the
-//! baselines get the fast path without any signature change.
+//! [`update_chunk`] is the entry point every caller uses: it makes one
+//! virtual call, [`Optimizer::update_chunk`], whose provided body runs the
+//! batched kernel monomorphized over the implementing type. Whatever
+//! `update_scalar` an optimizer states is the rule the kernel runs.
 
 use crate::bf16::Bf16;
 use crate::f16::{self, F16};
-use crate::hyper::{AdamParams, MomentumParams};
-use crate::optimizer::{Adagrad, Adam, AdamW, Lion, Optimizer, OptimizerKind, SgdMomentum};
+use crate::optimizer::Optimizer;
 use crate::state::GradDtype;
 use std::error::Error;
 use std::fmt;
@@ -219,71 +217,7 @@ pub fn update_chunk(
     grad_dtype: GradDtype,
     step: u64,
 ) -> Result<usize, KernelError> {
-    // Reconstruct the concrete rule from the wire hyperparameters — the
-    // exact bits `hyper_wire` reports, so the monomorphized body computes
-    // with the same constants the virtual call would. An external
-    // `Optimizer` impl whose `update_scalar` deviates from the built-in
-    // rule of its `kind()` must call `update_chunk_scalar` directly.
-    let h = opt.hyper_wire();
-    let adam = AdamParams {
-        lr: h[0],
-        beta1: h[1],
-        beta2: h[2],
-        eps: h[3],
-        weight_decay: h[4],
-    };
-    let mom = MomentumParams {
-        lr: h[0],
-        momentum: h[1],
-        eps: h[3],
-    };
-    match opt.kind() {
-        OptimizerKind::Adam => update_chunk_batched(
-            &Adam::new(adam),
-            w32,
-            slots,
-            grads,
-            w16_out,
-            grad_dtype,
-            step,
-        ),
-        OptimizerKind::AdamW => update_chunk_batched(
-            &AdamW::new(adam),
-            w32,
-            slots,
-            grads,
-            w16_out,
-            grad_dtype,
-            step,
-        ),
-        OptimizerKind::SgdMomentum => update_chunk_batched(
-            &SgdMomentum::new(mom),
-            w32,
-            slots,
-            grads,
-            w16_out,
-            grad_dtype,
-            step,
-        ),
-        OptimizerKind::Adagrad => update_chunk_batched(
-            &Adagrad::new(mom),
-            w32,
-            slots,
-            grads,
-            w16_out,
-            grad_dtype,
-            step,
-        ),
-        OptimizerKind::Lion => update_chunk_batched(
-            &Lion::new(adam),
-            w32,
-            slots,
-            grads,
-            w16_out,
-            grad_dtype,
-            step,
-        ),
-    }
+    opt.update_chunk(w32, slots, grads, w16_out, grad_dtype, step)
 }
 
 /// The scalar reference implementation of [`update_chunk`]: one virtual
@@ -328,7 +262,8 @@ pub const BATCH_BLOCK: usize = 256;
 /// Upper bound on auxiliary slots any supported optimizer keeps.
 const MAX_SLOTS: usize = 4;
 
-/// The monomorphized batch kernel behind [`update_chunk`].
+/// The monomorphized batch kernel behind [`update_chunk`], run by
+/// [`Optimizer::update_chunk`].
 ///
 /// Decodes up to [`BATCH_BLOCK`] elements of `w32`/`slots`/`grads` into
 /// stack scratch arrays, applies `opt`'s (statically dispatched, inlined)
@@ -336,7 +271,7 @@ const MAX_SLOTS: usize = 4;
 /// as [`update_chunk_scalar`] and produces bit-identical results: the
 /// per-element float operations and their order are unchanged; only the
 /// byte movement is blocked.
-pub fn update_chunk_batched<O: Optimizer>(
+pub(crate) fn update_chunk_batched<O: Optimizer + ?Sized>(
     opt: &O,
     w32: &mut [u8],
     slots: &mut [&mut [u8]],
@@ -739,6 +674,42 @@ mod tests {
                 assert_batched_matches_scalar(opt.as_ref(), 3 * BATCH_BLOCK + 37, dtype, 3);
             }
         }
+    }
+
+    /// Reports Adam's kind and hyperparameters but updates by a rule of its
+    /// own, which the kernel must run rather than Adam's.
+    #[derive(Debug)]
+    struct NotQuiteAdam(Adam);
+
+    impl Optimizer for NotQuiteAdam {
+        fn kind(&self) -> OptimizerKind {
+            OptimizerKind::Adam
+        }
+
+        fn hyper_wire(&self) -> [f32; 5] {
+            self.0.hyper_wire()
+        }
+
+        fn set_lr(&mut self, lr: f32) {
+            self.0.set_lr(lr);
+        }
+
+        fn update_scalar(&self, w: f32, slots: &mut [f32], grad: f32, step: u64) -> f32 {
+            slots[1] += grad;
+            0.5 * self.0.update_scalar(w, slots, grad, step) + slots[1]
+        }
+    }
+
+    #[test]
+    fn external_optimizer_runs_its_own_rule() {
+        let opt = NotQuiteAdam(Adam::default());
+        assert_batched_matches_scalar(&opt, BATCH_BLOCK + 5, GradDtype::F16, 3);
+        let mut adam = StateBuffers::init(&opt, &[1.0; 8], GradDtype::F16);
+        let mut other = adam.clone();
+        let grads = grads_bytes(8, 0.5);
+        adam.step(&opt.0, &grads, GradDtype::F16, 1).unwrap();
+        other.step(&opt, &grads, GradDtype::F16, 1).unwrap();
+        assert_ne!(adam.w32, other.w32, "the kernel ran Adam's rule");
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! protocol bug — never an arithmetic one.
 
 use crate::hyper::{AdamParams, MomentumParams};
+use crate::kernels::{self, KernelError};
+use crate::state::GradDtype;
 use serde::{Deserialize, Serialize};
 
 /// Identifies an optimizer family (used in configs, reports and the
@@ -106,6 +108,24 @@ pub trait Optimizer: std::fmt::Debug + Send + Sync {
     ///
     /// [`schedules`]: https://docs.rs/dnn-model
     fn set_lr(&mut self, lr: f32);
+
+    /// Applies this rule over raw state buffers with the batched kernel;
+    /// [`kernels::update_chunk`] documents the buffers and calls this.
+    ///
+    /// Provided, and not meant to be overridden: the body monomorphizes
+    /// the kernel over `Self`, so a `&dyn Optimizer` runs its own
+    /// [`update_scalar`](Self::update_scalar) at batched speed.
+    fn update_chunk(
+        &self,
+        w32: &mut [u8],
+        slots: &mut [&mut [u8]],
+        grads: &[u8],
+        w16_out: &mut [u8],
+        grad_dtype: GradDtype,
+        step: u64,
+    ) -> Result<usize, KernelError> {
+        kernels::update_chunk_batched(self, w32, slots, grads, w16_out, grad_dtype, step)
+    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.

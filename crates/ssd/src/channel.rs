@@ -16,7 +16,7 @@ use simkit::{BandwidthLink, SimTime, Window};
 #[derive(Debug)]
 pub struct Channel {
     id: u32,
-    bus: BandwidthLink,
+    pub(crate) bus: BandwidthLink,
     dies: Vec<Die>,
 }
 
@@ -54,11 +54,6 @@ impl Channel {
     /// The shared bus.
     pub fn bus(&self) -> &BandwidthLink {
         &self.bus
-    }
-
-    /// Mutable access to the bus (NDP engines schedule their own traffic).
-    pub fn bus_mut(&mut self) -> &mut BandwidthLink {
-        &mut self.bus
     }
 
     /// Reads a page from a die **to the controller**: array read (into

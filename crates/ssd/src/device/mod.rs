@@ -294,11 +294,6 @@ impl Device {
         &self.channels
     }
 
-    /// Mutable access to one channel (NDP engines schedule bus traffic).
-    pub fn channel_mut(&mut self, ch: u32) -> &mut Channel {
-        &mut self.channels[ch as usize]
-    }
-
     /// A die by id.
     pub fn die(&self, id: DieId) -> &Die {
         self.channels[id.channel as usize].die(id.index)
@@ -319,14 +314,20 @@ impl Device {
         &self.dram
     }
 
-    /// The inbound (host→device) PCIe link.
-    pub fn pcie_in_mut(&mut self) -> &mut BandwidthLink {
-        &mut self.pcie_in
+    /// Moves `bytes` from the host over PCIe into controller DRAM and out
+    /// again (store-and-forward: one DRAM write, one DRAM read), from
+    /// `at`. Returns the PCIe window and when the bytes leave DRAM.
+    pub fn forward_from_host(&mut self, bytes: u64, at: SimTime) -> (Window, SimTime) {
+        let pcie = self.pcie_in.transfer(at, bytes);
+        let dram_in = self.dram.transfer(pcie.end, bytes);
+        let dram = self.dram.transfer(dram_in.end, bytes);
+        (pcie, dram.end)
     }
 
-    /// The controller DRAM port.
-    pub fn dram_mut(&mut self) -> &mut BandwidthLink {
-        &mut self.dram
+    /// Moves `bytes` over the channel bus of `die`, from `at` (an NDP
+    /// engine's operand or gradient hop).
+    pub fn bus_transfer(&mut self, die: DieId, bytes: u64, at: SimTime) -> Window {
+        self.channels[die.channel as usize].bus.transfer(at, bytes)
     }
 
     /// The FTL (read-only view for inspection).
@@ -389,19 +390,15 @@ impl Device {
         at: SimTime,
     ) -> Result<Window, SsdError> {
         self.check_write(lpn, data)?;
-        let bytes = self.page_bytes() as u64;
-        let pcie = self.pcie_in.transfer(at, bytes);
+        let (pcie, dram_out) = self.forward_from_host(self.page_bytes() as u64, at);
         self.stats.pcie_in_busy += pcie.duration();
-        // Store-and-forward through controller DRAM: one write, one read.
-        let dram_in = self.dram.transfer(pcie.end, bytes);
-        let dram = self.dram.transfer(dram_in.end, bytes);
         let die = self
             .ftl
             .lookup(lpn)
             .map(|p| p.die)
             .unwrap_or_else(|| self.die_for_lpn(lpn));
         let win = {
-            let r = self.program_internal(lpn, die, data, dram.end, true);
+            let r = self.program_internal(lpn, die, data, dram_out, true);
             self.observe(r)?
         };
         self.stats.host_writes.incr();
@@ -421,19 +418,6 @@ impl Device {
         at: SimTime,
     ) -> Result<(Window, Option<PageBuf>), SsdError> {
         self.read_pooled(lpn, ReadPath::Host, at)
-    }
-
-    /// Unmaps a logical page (TRIM), invalidating its physical page.
-    pub fn trim(&mut self, lpn: Lpn) -> Result<(), SsdError> {
-        self.check_alive()?;
-        self.check_lpn(lpn)?;
-        if let Some(stale) = self.ftl.trim(lpn) {
-            invalidate(&mut self.channels, stale);
-            // The stripe's logical content changed (this member is now the
-            // XOR identity): its parity must be rebuilt at the next commit.
-            self.mark_stripe_dirty(lpn);
-        }
-        Ok(())
     }
 
     /// **In-storage read, die-local** ([`ReadPath::Array`]): the page lands
@@ -969,20 +953,6 @@ mod tests {
         // Data integrity after GC.
         let (_, out) = dev.host_read_page(Lpn(0), t).unwrap();
         assert_eq!(out.unwrap().as_ref(), &data[..]);
-    }
-
-    #[test]
-    fn trim_invalidates_and_unmaps() {
-        let mut dev = Device::new_functional(SsdConfig::tiny());
-        let data = page(&dev, 3);
-        dev.host_write_page(Lpn(9), Some(&data), SimTime::ZERO)
-            .unwrap();
-        dev.trim(Lpn(9)).unwrap();
-        assert!(dev.ftl().lookup(Lpn(9)).is_none());
-        assert!(matches!(
-            dev.host_read_page(Lpn(9), SimTime::ZERO),
-            Err(SsdError::Unmapped(_))
-        ));
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl Device {
     }
 
     /// Marks `lpn`'s stripe parity stale. Only *logical content changes*
-    /// dirty a stripe (fresh programs, trim); relocations move bytes
+    /// dirty a stripe (fresh programs); relocations move bytes
     /// without changing them, so parity stays valid across GC and rescue.
     /// Without RAIN this is one inlined branch.
     #[inline]

@@ -73,8 +73,8 @@ fn global_norm_reduces_across_shards() {
     // the partial-sum reduction must equal the whole-tensor norm.
     let grads = GradientGen::new(5).generate(1, PARAMS);
     let part = ZeroPartition::new(PARAMS as u64, DEVICES);
-    let shards: Vec<&[f32]> = part
-        .ranges()
+    let shards: Vec<&[f32]> = (0..DEVICES)
+        .map(|d| part.range_of(d))
         .map(|r| &grads[r.start as usize..r.end as usize])
         .collect();
     let sharded = global_norm(shards.iter().copied());

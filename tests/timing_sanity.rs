@@ -1,16 +1,8 @@
 //! Timing sanity across crates: the relationships the paper's argument
 //! rests on must hold in the event simulation, not just the analytic
-//! audit.
-//!
-//! The default profile keeps the full 2²²-parameter simulated slice (the
-//! timing relationships need its steady-state depth) but shrinks every
-//! die's *block count*: device construction, which dominated this suite's
-//! wall-clock at the real part geometry (≈85 s), scales with blocks ×
-//! pages, while steady-state step timing does not — the slice occupies
-//! well under 1% of either geometry, so placement and GC behave
-//! identically. CI's matrix additionally runs the real geometry by
-//! setting `TIMING_SANITY_PROFILE=full` (the same env-parameterization
-//! pattern as `tests/crash_consistency.rs`).
+//! audit. Every run keeps the full 2²²-parameter simulated slice (the
+//! timing relationships need its steady-state depth) on the real part
+//! geometry.
 
 use optimstore::optim_math::OptimizerKind;
 use optimstore::optimstore_core::{OptimStoreConfig, OptimStoreDevice, StepReport, TrafficBytes};
@@ -20,45 +12,26 @@ use optimstore_bench::runners::{host_tier, measure, optimizer_and_spec};
 
 const MODEL: u64 = 1_000_000_000; // 1 B params
 
-/// Simulated-slice cap: `TIMING_SANITY_CAP` env override, else 2²².
-fn cap() -> u64 {
-    std::env::var("TIMING_SANITY_CAP")
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(1 << 22)
-}
-
-/// Applies the suite's geometry profile: the smoke default keeps 64
-/// blocks per plane (≈20x cheaper construction); `TIMING_SANITY_PROFILE=full`
-/// restores the real part geometry.
-fn profiled(mut ssd: SsdConfig) -> SsdConfig {
-    let full = std::env::var("TIMING_SANITY_PROFILE")
-        .map(|v| v.trim() == "full")
-        .unwrap_or(false);
-    if !full {
-        ssd.nand.geometry.blocks_per_plane = 64;
-    }
-    ssd
-}
+/// Simulated-slice cap.
+const CAP: u64 = 1 << 22;
 
 #[test]
 fn tier_ordering_holds_in_simulation() {
-    let ssd = profiled(SsdConfig::base());
-    let host = measure(&ssd, &host_tier(), OptimizerKind::Adam, MODEL, cap());
+    let ssd = SsdConfig::base();
+    let host = measure(&ssd, &host_tier(), OptimizerKind::Adam, MODEL, CAP);
     let ch = measure(
         &ssd,
         &OptimStoreConfig::channel_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     let die = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     assert!(
         die.step_time < ch.step_time && ch.step_time < host.step_time,
@@ -74,21 +47,21 @@ fn tier_ordering_holds_in_simulation() {
 
 #[test]
 fn more_dies_make_die_ndp_faster_not_host() {
-    let small = profiled(SsdConfig::small());
-    let base = profiled(SsdConfig::base());
+    let small = SsdConfig::small();
+    let base = SsdConfig::base();
     let die_small = measure(
         &small,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     let die_base = measure(
         &base,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     // 16 → 64 dies: near-linear internal scaling.
     let scale = die_small.step_time.as_secs_f64() / die_base.step_time.as_secs_f64();
@@ -97,8 +70,8 @@ fn more_dies_make_die_ndp_faster_not_host() {
         "die-ndp scaling with 4x dies was only {scale:.2}x"
     );
 
-    let host_small = measure(&small, &host_tier(), OptimizerKind::Adam, MODEL, cap());
-    let host_base = measure(&base, &host_tier(), OptimizerKind::Adam, MODEL, cap());
+    let host_small = measure(&small, &host_tier(), OptimizerKind::Adam, MODEL, CAP);
+    let host_base = measure(&base, &host_tier(), OptimizerKind::Adam, MODEL, CAP);
     let host_scale = host_small.step_time.as_secs_f64() / host_base.step_time.as_secs_f64();
     assert!(
         host_scale < scale,
@@ -108,13 +81,13 @@ fn more_dies_make_die_ndp_faster_not_host() {
 
 #[test]
 fn host_improves_with_pcie_but_die_ndp_does_not_care() {
-    let mut gen3 = profiled(SsdConfig::base());
+    let mut gen3 = SsdConfig::base();
     gen3.pcie = PciGen::Custom(2_000_000_000);
-    let mut gen5 = profiled(SsdConfig::base());
+    let mut gen5 = SsdConfig::base();
     gen5.pcie = PciGen::Custom(16_000_000_000);
 
-    let host3 = measure(&gen3, &host_tier(), OptimizerKind::Adam, MODEL, cap());
-    let host5 = measure(&gen5, &host_tier(), OptimizerKind::Adam, MODEL, cap());
+    let host3 = measure(&gen3, &host_tier(), OptimizerKind::Adam, MODEL, CAP);
+    let host5 = measure(&gen5, &host_tier(), OptimizerKind::Adam, MODEL, CAP);
     assert!(
         host5.step_time.as_secs_f64() < host3.step_time.as_secs_f64() * 0.8,
         "host must benefit substantially from faster PCIe: {} vs {}",
@@ -127,14 +100,14 @@ fn host_improves_with_pcie_but_die_ndp_does_not_care() {
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     let die5 = measure(
         &gen5,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     let change = (die3.step_time.as_secs_f64() - die5.step_time.as_secs_f64()).abs()
         / die5.step_time.as_secs_f64();
@@ -147,13 +120,13 @@ fn host_improves_with_pcie_but_die_ndp_does_not_care() {
 
 #[test]
 fn traffic_accounting_matches_state_arithmetic() {
-    let ssd = profiled(SsdConfig::base());
+    let ssd = SsdConfig::base();
     let die = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     // Adam: 12 B/param read, 14 B/param written, 2 B/param of gradient in.
     // Page padding inflates by < 1% at this scale.
@@ -164,29 +137,29 @@ fn traffic_accounting_matches_state_arithmetic() {
     assert!((per_param(die.traffic.pcie_in) - 2.0).abs() / 2.0 < tol);
     assert_eq!(die.traffic.pcie_out, 0);
 
-    let host = measure(&ssd, &host_tier(), OptimizerKind::Adam, MODEL, cap());
+    let host = measure(&ssd, &host_tier(), OptimizerKind::Adam, MODEL, CAP);
     assert!((per_param(host.traffic.pcie_out) - 14.0).abs() / 14.0 < tol);
     assert!((per_param(host.traffic.pcie_in) - 14.0).abs() / 14.0 < tol);
 }
 
 #[test]
 fn energy_hierarchy_holds() {
-    let ssd = profiled(SsdConfig::base());
+    let ssd = SsdConfig::base();
     let die = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     let ch = measure(
         &ssd,
         &OptimStoreConfig::channel_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
-    let host = measure(&ssd, &host_tier(), OptimizerKind::Adam, MODEL, cap());
+    let host = measure(&ssd, &host_tier(), OptimizerKind::Adam, MODEL, CAP);
     assert!(die.energy.total() < ch.energy.total());
     assert!(ch.energy.total() < host.energy.total());
     // Most of the host's energy is in moving bytes off-device.
@@ -195,20 +168,20 @@ fn energy_hierarchy_holds() {
 
 #[test]
 fn simulation_is_deterministic() {
-    let ssd = profiled(SsdConfig::base());
+    let ssd = SsdConfig::base();
     let a = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     let b = measure(
         &ssd,
         &OptimStoreConfig::die_ndp(),
         OptimizerKind::Adam,
         MODEL,
-        cap(),
+        CAP,
     );
     assert_eq!(a.step_time, b.step_time);
     assert_eq!(a.traffic, b.traffic);
