@@ -3,15 +3,14 @@
 
 use crate::error::NandError;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
-use crate::geometry::{BlockAddr, NandGeometry, PhysPage};
+use crate::geometry::{BlockAddr, PhysPage};
 use crate::power::PageOob;
 use crate::store::{new_invalid_bits, Backing, BlockState, BlockTable, PageArena, PageState};
 use crate::timing::NandConfig;
 use crate::wear::{read_retries, AgingConfig, RberMemo, RberModel};
-use simkit::slab::Slabs;
+use simkit::slab::{Slabs, NO_SLAB};
 use simkit::stats::Counter;
 use simkit::{SimTime, Timeline, Window};
-use std::collections::HashSet;
 
 /// Operation counters for one die.
 #[derive(Debug, Clone, Default)]
@@ -53,67 +52,29 @@ pub struct Die {
     /// Armed crash instant: operations starting at or after it fail with
     /// [`NandError::PowerLoss`] until a mount disarms it.
     power: Option<SimTime>,
-    /// Flat indices of torn pages (program in flight at the crash): marked
-    /// programmed but every read fails until the block is erased.
-    torn: HashSet<u64>,
-    /// Out-of-band stamps, slab per block. A programmed page without a
-    /// stamp (torn, or written before OOB stamping existed) is untrusted
-    /// by mount recovery.
-    oob: OobTable,
+    /// Per-page OOB state of the blocks that hold a stamp or a torn page:
+    /// one slab of `pages_per_block` slots per such block, taken at its
+    /// first stamp or tear and released by its erase.
+    oob: Slabs<OobSlot>,
+    /// `oob`'s slab of each block by its
+    /// [block-major](crate::NandGeometry::block_major_slot) slot
+    /// ([`NO_SLAB`] for none), as long as the highest slot that took one:
+    /// empty on a die that never stamps or tears.
+    oob_lane: Vec<u32>,
 }
 
-/// Dense per-block OOB store: one lazily allocated slab of
-/// `pages_per_block` stamp slots per erase block, indexed by the die's
-/// flat block index. The block table itself is allocated on the first
-/// stamp, so a die that never stamps (any device without a journal) pays
-/// nothing for it. Mirrors the FTL's chunked L2P — geometries with
-/// terabytes of phantom capacity pay only for blocks that hold stamped
-/// pages — while lookups and the whole-block clear on erase are plain
-/// array operations instead of per-page hash traffic.
-#[derive(Debug)]
-struct OobTable {
-    /// Empty until the first stamp, then one entry per erase block.
-    blocks: Vec<Option<Box<[Option<PageOob>]>>>,
-    blocks_per_die: usize,
-    pages_per_block: u64,
-}
-
-impl OobTable {
-    fn new(geo: &NandGeometry) -> Self {
-        OobTable {
-            blocks: Vec::new(),
-            blocks_per_die: geo.blocks_per_die() as usize,
-            pages_per_block: geo.pages_per_block as u64,
-        }
-    }
-
-    /// Stamps the page at flat index `idx` (as produced by
-    /// [`NandGeometry::page_index`]).
-    fn set(&mut self, idx: u64, oob: PageOob) {
-        let ppb = self.pages_per_block;
-        if self.blocks.is_empty() {
-            self.blocks.resize_with(self.blocks_per_die, || None);
-        }
-        let slab = self.blocks[(idx / ppb) as usize]
-            .get_or_insert_with(|| vec![None; ppb as usize].into_boxed_slice());
-        slab[(idx % ppb) as usize] = Some(oob);
-    }
-
-    fn get(&self, idx: u64) -> Option<PageOob> {
-        let ppb = self.pages_per_block;
-        self.blocks
-            .get((idx / ppb) as usize)?
-            .as_ref()
-            .and_then(|slab| slab[(idx % ppb) as usize])
-    }
-
-    /// Drops every stamp in the block with flat index `block_idx` (as
-    /// produced by [`NandGeometry::block_index`]).
-    fn clear_block(&mut self, block_idx: u64) {
-        if let Some(slab) = self.blocks.get_mut(block_idx as usize) {
-            *slab = None;
-        }
-    }
+/// The out-of-band state of one page.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+enum OobSlot {
+    /// No stamp: the page is free, or was programmed without one, and
+    /// mount recovery does not trust it.
+    #[default]
+    Unstamped,
+    /// The stamp the controller wrote after the page's program.
+    Stamped(PageOob),
+    /// Torn by a power loss mid-program, or corrupted: no stamp is
+    /// trustworthy and every read fails until the block is erased.
+    Torn,
 }
 
 impl Die {
@@ -143,8 +104,8 @@ impl Die {
             fault: None,
             aging: None,
             power: None,
-            torn: HashSet::new(),
-            oob: OobTable::new(&config.geometry),
+            oob: Slabs::new(config.geometry.pages_per_block as usize),
+            oob_lane: Vec::new(),
         }
     }
 
@@ -205,7 +166,7 @@ impl Die {
         if self.page_state(p)? == PageState::Free {
             return Err(NandError::ReadUnwritten(p));
         }
-        self.torn.insert(self.config.geometry.page_index(p));
+        *self.oob_slot_mut(p) = OobSlot::Torn;
         Ok(())
     }
 
@@ -224,25 +185,55 @@ impl Die {
 
     /// True if `p` was torn by a crash mid-program (unreadable until its
     /// block is erased).
+    #[inline]
     pub fn is_torn(&self, p: PhysPage) -> bool {
-        self.torn.contains(&self.config.geometry.page_index(p))
+        self.oob_slot(p) == OobSlot::Torn
     }
 
     /// Stamps page `p`'s out-of-band area (the controller calls this
     /// immediately after a successful program; a crash between the two is
     /// not observable because both happen within the program window).
+    /// A torn page stays torn.
     pub fn put_oob(&mut self, p: PhysPage, oob: PageOob) {
-        self.oob.set(self.config.geometry.page_index(p), oob);
+        let slot = self.oob_slot_mut(p);
+        if *slot != OobSlot::Torn {
+            *slot = OobSlot::Stamped(oob);
+        }
     }
 
     /// The OOB stamp of page `p`, if it has a trustworthy one. Torn pages
     /// and pages programmed without a stamp return `None`.
     pub fn oob(&self, p: PhysPage) -> Option<PageOob> {
-        let idx = self.config.geometry.page_index(p);
-        if self.torn.contains(&idx) {
-            return None;
+        match self.oob_slot(p) {
+            OobSlot::Stamped(oob) => Some(oob),
+            OobSlot::Unstamped | OobSlot::Torn => None,
         }
-        self.oob.get(idx)
+    }
+
+    /// The OOB state of page `p`: unstamped when its block has no slab,
+    /// which a die that never stamps or tears answers without touching
+    /// the store.
+    #[inline]
+    fn oob_slot(&self, p: PhysPage) -> OobSlot {
+        let at = self.config.geometry.block_major_slot(p.block_addr());
+        match self.oob_lane.get(at) {
+            Some(&slab) if slab != NO_SLAB => self.oob.word(slab, p.page as usize),
+            _ => OobSlot::Unstamped,
+        }
+    }
+
+    /// Page `p`'s OOB state, mutably; its block takes a slab if it has
+    /// none.
+    fn oob_slot_mut(&mut self, p: PhysPage) -> &mut OobSlot {
+        let at = self.config.geometry.block_major_slot(p.block_addr());
+        if at >= self.oob_lane.len() {
+            self.oob_lane.resize(at + 1, NO_SLAB);
+        }
+        let slab = &mut self.oob_lane[at];
+        if *slab == NO_SLAB {
+            *slab = self.oob.alloc();
+        }
+        self.oob.word_mut(*slab, p.page as usize)
     }
 
     /// Die identifier (assigned by the channel that owns it).
@@ -406,7 +397,7 @@ impl Die {
             // path stays bit-identical to an aging-free die.
             self.blocks.get_mut(p.block_addr()).note_read();
         }
-        if self.torn.contains(&self.config.geometry.page_index(p)) {
+        if self.is_torn(p) {
             // A torn page holds a partial charge pattern no ECC can fix;
             // the sense still consumed the plane. No fault draw happens —
             // the outcome is certain.
@@ -496,7 +487,7 @@ impl Die {
                 // until the block is erased.
                 self.planes[p.plane as usize].acquire(at, self.config.timing.t_program);
                 block.mark_programmed(p.page);
-                self.torn.insert(geo.page_index(p));
+                *self.oob_slot_mut(p) = OobSlot::Torn;
                 return Err(NandError::PowerLoss { at: crash });
             }
         }
@@ -565,13 +556,14 @@ impl Die {
         if let Backing::Data(arena) = &mut self.backing {
             arena.erase_block(block_idx);
         }
-        if !self.torn.is_empty() {
-            for page in 0..geo.pages_per_block {
-                self.torn.remove(&geo.page_index(b.page(page)));
-            }
+        // One slab release clears every stamp and torn mark in the block.
+        if let Some(slab) = self
+            .oob_lane
+            .get_mut(geo.block_major_slot(b))
+            .filter(|slab| **slab != NO_SLAB)
+        {
+            self.oob.release(std::mem::replace(slab, NO_SLAB));
         }
-        // One slab drop clears every stamp in the block.
-        self.oob.clear_block(block_idx as u64);
         if block.erase_count() >= self.config.rated_pe_cycles() {
             block.retire();
         }
@@ -607,13 +599,19 @@ impl Die {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::NandGeometry;
     use crate::timing::NandConfig;
     use simkit::SimDuration;
 
     impl Die {
         /// Number of currently torn pages on this die.
         pub fn torn_pages(&self) -> u64 {
-            self.torn.len() as u64
+            let pages = self.config.geometry.pages_per_block as usize;
+            let slabs = self.oob_lane.iter().filter(|&&slab| slab != NO_SLAB);
+            slabs
+                .flat_map(|&slab| (0..pages).map(move |i| self.oob.word(slab, i)))
+                .filter(|&slot| slot == OobSlot::Torn)
+                .count() as u64
         }
 
         /// Maximum erase count across all blocks (wear-levelling metric).
@@ -1441,9 +1439,9 @@ mod tests {
     }
 
     mod store_model {
-        //! The functional page store against a `HashMap` model: random
-        //! program, erase, read, torn-program, invalidate and release
-        //! sequences on a small die.
+        //! The functional page store and the OOB store against `HashMap`
+        //! models: random program, erase, read, torn-program, invalidate,
+        //! release, stamp and corrupt sequences on a small die.
 
         use super::*;
         use proptest::prelude::*;
@@ -1488,14 +1486,16 @@ mod tests {
 
             #[test]
             fn page_store_matches_a_hashmap_model(
-                ops in prop::collection::vec((0u8..10, 0..PLANES, 0..BLOCKS, 0..PAGES), 1..160)
+                ops in prop::collection::vec((0u8..12, 0..PLANES, 0..BLOCKS, 0..PAGES), 1..160)
             ) {
                 let mut d = small_die();
                 let geo = d.config().geometry;
-                // Pages that hold bytes: programmed, not torn, not
-                // released, not erased since.
+                // Pages that hold bytes: programmed (a corrupted page
+                // too, not one torn mid-program), not released, not erased
+                // since.
                 let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
                 let mut torn: HashSet<u64> = HashSet::new();
+                let mut stamps: HashMap<u64, PageOob> = HashMap::new();
                 let mut released: HashSet<u64> = HashSet::new();
                 let mut cursor: HashMap<(u32, u32), u32> = HashMap::new();
                 let (mut programs, mut peak) = (0u32, 0usize);
@@ -1530,8 +1530,28 @@ mod tests {
                                 model.remove(&idx);
                                 torn.remove(&idx);
                                 released.remove(&idx);
+                                stamps.remove(&idx);
                             }
                             *next = 0;
+                        }
+                        // Stamp a programmed page (a torn one stays torn),
+                        // or corrupt one; a free page refuses corruption.
+                        10 if page < *next => {
+                            let p = b.page(page);
+                            let oob = PageOob { lpn: u64::from(programs), epoch: u64::from(page), seqno: t.as_ns() };
+                            d.put_oob(p, oob);
+                            stamps.insert(geo.page_index(p), oob);
+                        }
+                        10 | 11 => {
+                            let p = b.page(page);
+                            if page < *next {
+                                // The page keeps its bytes (and its slot),
+                                // but no read returns them.
+                                d.corrupt_page(p).unwrap();
+                                torn.insert(geo.page_index(p));
+                            } else {
+                                prop_assert_eq!(d.corrupt_page(p), Err(NandError::ReadUnwritten(p)));
+                            }
                         }
                         // An invalidation alone keeps the bytes.
                         8 => {
@@ -1554,7 +1574,7 @@ mod tests {
                             let idx = geo.page_index(p);
                             let mut out = vec![0xEE; PAGE_BYTES];
                             let r = d.read_page(p, t, Some(&mut out));
-                            if let Some(want) = model.get(&idx) {
+                            if let Some(want) = model.get(&idx).filter(|_| !torn.contains(&idx)) {
                                 prop_assert!(r.is_ok(), "read of {p} failed: {r:?}");
                                 prop_assert_eq!(&out, want, "bytes of {}", p);
                             } else {
@@ -1568,6 +1588,12 @@ mod tests {
                                 prop_assert!(out.iter().all(|&x| x == 0xEE), "failed read wrote {p}");
                             }
                         }
+                    }
+                    for idx in 0..geo.pages_per_die() {
+                        let p = geo.page_at(idx);
+                        prop_assert_eq!(d.is_torn(p), torn.contains(&idx), "torn mark of {}", p);
+                        let stamp = stamps.get(&idx).filter(|_| !torn.contains(&idx));
+                        prop_assert_eq!(d.oob(p), stamp.copied(), "stamp of {}", p);
                     }
                     peak = peak.max(model.len());
                     // Torn pages take no slot; released and erased ones give

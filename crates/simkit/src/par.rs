@@ -26,6 +26,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Process-wide thread-count override (0 = unset, resolve from the
 /// environment). Runtime-settable so harnesses can compare serial vs
@@ -141,49 +142,29 @@ where
 /// `items` on the worker pool, in place, and returns the results in input
 /// order.
 ///
-/// Workers take contiguous runs of `items` (the borrow checker hands each
-/// one its own `&mut` run), so unlike [`map_indexed`] the split is static:
-/// it suits items of similar cost. The output is exactly what the serial
-/// loop `items.iter_mut().enumerate().map(f).collect()` produces, for any
-/// pool width.
+/// Each item sits behind its own `Mutex`, dealt by [`map_indexed`]'s
+/// cursor; the worker that draws an item is the only one to lock it, so
+/// no lock is ever contended. The output is exactly what the serial loop
+/// `items.iter_mut().enumerate().map(f).collect()` produces, for any pool
+/// width.
 pub fn map_indexed_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    let workers = threads().min(items.len());
-    if workers <= 1 {
+    if threads().min(items.len()) <= 1 {
         return items.iter_mut().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    let run = items.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks_mut(run)
-            .enumerate()
-            .map(|(c, chunk)| {
-                let f = &f;
-                scope.spawn(move || {
-                    enter_worker();
-                    chunk
-                        .iter_mut()
-                        .enumerate()
-                        .map(|(i, t)| f(c * run + i, t))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("pool worker must not panic"))
-            .collect()
+    let items: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    map_indexed(&items, |i, item| {
+        f(i, &mut item.lock().expect("one worker locks each item"))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     /// Held by every test that sets the process-wide width override.
     static WIDTH: Mutex<()> = Mutex::new(());

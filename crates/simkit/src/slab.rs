@@ -1,9 +1,10 @@
-//! Fixed-width slabs of integer words addressed by `u32` index, recycled
+//! Fixed-width slabs of `Copy` words addressed by `u32` index, recycled
 //! through a spare list.
 //!
 //! Per-block metadata that only some blocks need — a block's invalid-page
-//! bitset (`u64` words), its reverse-map page slots (`u32` words) — lives
-//! here instead of in a boxed slice per block. A table of such blocks then
+//! bitset (`u64` words), its reverse-map page slots (`u32` words), its
+//! pages' OOB stamps and torn marks — lives here instead of in a boxed
+//! slice per block. A table of such blocks then
 //! holds one `u32` per block ([`NO_SLAB`] until the block needs a slab)
 //! and has no drop glue, so building and dropping it costs one allocation,
 //! not one per block.
@@ -17,7 +18,8 @@
 /// The slab index of "no slab".
 pub const NO_SLAB: u32 = u32::MAX;
 
-/// A store of equal-width slabs of `W` words (zero is the empty word).
+/// A store of equal-width slabs of `W` words (`W::default()` is the
+/// empty word).
 #[derive(Debug)]
 pub struct Slabs<W = u64> {
     width: usize,

@@ -119,9 +119,8 @@ impl Device {
 
     /// Reads stripe `stripe`'s mapped data members (in parallel — each die
     /// senses independently), XORs them in the controller, and programs the
-    /// parity page out-of-place. A fully trimmed stripe drops its parity
-    /// page instead. A parity page not yet written lands on the die residue
-    /// the stripe's data members do not occupy (members land on
+    /// parity page out-of-place. A parity page not yet written lands on the
+    /// die residue the stripe's data members do not occupy (members land on
     /// `lpn % total_dies`), rotating across stripes like classic RAIN.
     fn rebuild_stripe(
         &mut self,
@@ -134,22 +133,14 @@ impl Device {
         let mut acc = self.functional.then(|| PageBuf::zeroed(self.page_bytes()));
         let mut peer = self.scratch_page();
         let mut t = at;
-        let mut any_member = false;
         for m in lo..(lo + width).min(self.logical_pages) {
             let lpn = Lpn(m);
             let Some(ppa) = self.ftl.lookup(lpn) else {
                 continue; // unmapped member: XOR identity
             };
-            any_member = true;
             let win = self.read_with_retry(lpn, ppa, at, ReadRoute::Peer, peer.as_deref_mut())?;
             t = t.max(win.end);
             xor_into(&mut acc, peer.as_deref());
-        }
-        if !any_member {
-            if let Some(stale) = self.ftl.trim(parity) {
-                super::invalidate(&mut self.channels, stale);
-            }
-            return Ok(t);
         }
         let die = self.ftl.lookup(parity).map(|p| p.die).unwrap_or_else(|| {
             let flat = ((lo + width) % self.config.total_dies() as u64) as u32;

@@ -63,18 +63,6 @@ impl L2pTable {
         old
     }
 
-    /// Clears the mapping of `lpn` (trim), returning the previous one.
-    pub fn clear(&mut self, lpn: Lpn) -> Option<Ppa> {
-        let idx = lpn.0 as usize;
-        let chunk = self.chunks.get_mut(idx / CHUNK)?.as_mut()?;
-        let old = self.codec.decode(chunk[idx % CHUNK]);
-        chunk[idx % CHUNK] = 0;
-        if old.is_some() {
-            self.mapped -= 1;
-        }
-        old
-    }
-
     /// Number of currently mapped logical pages.
     pub fn mapped_pages(&self) -> u64 {
         self.mapped
@@ -197,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn l2p_set_get_clear() {
+    fn l2p_set_get_overwrite() {
         let mut t = L2pTable::new(1 << 20, codec());
         assert_eq!(t.get(Lpn(12345)), None);
         assert_eq!(t.set(Lpn(12345), ppa(1, 2, 3, 4)), None);
@@ -205,10 +193,8 @@ mod tests {
         assert_eq!(t.mapped_pages(), 1);
         // Overwrite returns the stale mapping.
         assert_eq!(t.set(Lpn(12345), ppa(0, 0, 9, 9)), Some(ppa(1, 2, 3, 4)));
+        assert_eq!(t.get(Lpn(12345)), Some(ppa(0, 0, 9, 9)));
         assert_eq!(t.mapped_pages(), 1);
-        assert_eq!(t.clear(Lpn(12345)), Some(ppa(0, 0, 9, 9)));
-        assert_eq!(t.get(Lpn(12345)), None);
-        assert_eq!(t.mapped_pages(), 0);
     }
 
     #[test]

@@ -159,11 +159,6 @@ impl Ftl {
             .set(die_flat, ppa.page.block_addr(), ppa.page.page, lpn);
     }
 
-    /// Unmaps `lpn` (trim), returning the stale mapping.
-    pub fn trim(&mut self, lpn: Lpn) -> Option<Ppa> {
-        self.l2p.clear(lpn)
-    }
-
     /// Dies per channel (needed by callers converting flat die indices).
     pub fn dies_per_channel(&self) -> u32 {
         self.dies_per_channel
@@ -174,7 +169,7 @@ impl Ftl {
 mod tests {
     use super::*;
     use crate::address::DieId;
-    use nandsim::{NandConfig, PhysPage};
+    use nandsim::NandConfig;
     use simkit::SimTime;
 
     fn setup() -> (SsdConfig, Vec<Die>, Ftl) {
@@ -266,26 +261,6 @@ mod tests {
             assert_eq!(ftl.owner_of(ppa), None, "unwritten page {page}");
         }
         assert_eq!(ftl.rmap.tracked_blocks(), 1);
-    }
-
-    #[test]
-    fn trim_unmaps() {
-        let (_cfg, _dies, mut ftl) = setup();
-        let ppa = Ppa {
-            die: DieId {
-                channel: 0,
-                index: 0,
-            },
-            page: PhysPage {
-                plane: 0,
-                block: 0,
-                page: 0,
-            },
-        };
-        ftl.commit_program(Lpn(1), ppa);
-        assert_eq!(ftl.trim(Lpn(1)), Some(ppa));
-        assert_eq!(ftl.lookup(Lpn(1)), None);
-        assert_eq!(ftl.trim(Lpn(1)), None);
     }
 
     #[test]

@@ -77,8 +77,7 @@ pub enum CrashPhase {
         step: u64,
     },
     /// During garbage collection — resolved against an erase window in the
-    /// reference run's trace (falls back to a write-back window when the
-    /// reference run never collected).
+    /// reference run's trace, so the reference run must collect.
     DuringGc,
     /// While the post-crash mount is itself running: the schedule's first
     /// crash interrupts `step`, and a second instant is armed inside the
