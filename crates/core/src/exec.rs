@@ -9,14 +9,18 @@
 //! The tiers differ only in gradient delivery, engine placement and the
 //! operand read and write-back paths, one small function each.
 //!
-//! In functional mode the executor really computes: page bytes are read,
-//! run through [`optim_math::kernels::update_chunk`], and programmed back,
-//! so the integration tests can demand bit-exact agreement with a host-side
-//! reference.
+//! In functional mode the executor really computes, and moves no page
+//! byte it does not have to. Operand reads are timed and accounted but
+//! deliver nothing; the kernel then reads each operand page where it rests
+//! in its die's page store, resolved by its LPN, and writes the new state
+//! into pooled pages ([`pages::Operands`], over
+//! [`optim_math::kernels::update_chunk_into`]); each write-back program
+//! adopts its page as it is. The integration tests demand bit-exact
+//! agreement with a host-side reference.
 
 use crate::config::{ExecutionTier, GradStaging, OptimStoreConfig};
 use crate::layout::{GroupBase, StateComponent, StateLayout};
-use crate::pages::{self, UpdatePages};
+use crate::pages::{self, Operands};
 use crate::protocol::{ProtocolError, UpdateCommand};
 use crate::report::{CounterSnapshot, RecoveryReport, StepReport};
 use optim_math::kernels::{widen_into, KernelError};
@@ -171,17 +175,13 @@ struct PendingWrite {
     /// Engine completion per sub-group (fp32 page-pair); identical
     /// entries under group-granular scheduling.
     compute_end: [SimTime; 2],
-    /// The kernel buffers the operands were read into (functional
-    /// devices only), updated in place by A2 and written back by B.
-    pages: Option<UpdatePages>,
-    /// The gradient page the A2 kernel consumes: the streamed one, or the
-    /// staged one as read back from flash.
+    /// The streamed gradient page the A2 kernel consumes (functional
+    /// devices only); a staged one rests in flash and is read there.
     grad_page: Option<PageBuf>,
+    /// The kernel's output pages in write-set order (functional devices
+    /// only; empty until A2), handed to the programs by B.
+    out: Vec<PageBuf>,
 }
-
-/// A group's operands as read on a functional device: its state pages in
-/// the kernel buffers and, when staged, its gradient page.
-type Operands = (Option<UpdatePages>, Option<PageBuf>);
 
 /// What a step has done so far: when its last write persists, and how
 /// many groups it skipped and replayed.
@@ -406,7 +406,7 @@ impl OptimStoreDevice {
         for groups in self.batches() {
             for (g, prep) in groups.iter().zip(self.prep_grads(grads, &groups)) {
                 let lpn = self.layout.lpn(*g, StateComponent::Grad, 0);
-                let win = self.device.host_write_page(lpn, prep.page.as_deref(), at)?;
+                let win = self.device.host_write_buf(lpn, prep.page, at)?;
                 end = end.max(win.end);
             }
         }
@@ -463,7 +463,7 @@ impl OptimStoreDevice {
             let preps = self.prep_grads(grads, &groups);
             let mut pending = self.issue_batch(&groups, preps, at, &mut tally)?;
             self.run_kernels(&mut pending, &cmd)?;
-            self.write_back(&pending, &mut tally)?;
+            self.write_back(pending, &mut tally)?;
         }
         self.commit_step(at, tally, scrub, &before)
     }
@@ -583,11 +583,12 @@ impl OptimStoreDevice {
         let whole = SimDuration::for_transfer(work_bytes, rate);
         let mut pending = Vec::with_capacity(groups.len());
         for (&g, prep) in groups.iter().zip(preps) {
-            let grad_ready = self.deliver_grad(g, &prep, at)?;
+            let cold = prep.cold;
+            let (grad_ready, grad_page) = self.deliver_grad(g, prep, at)?;
             let engine = self.engine_index(g);
             // Lazy skip: an all-zero gradient page leaves the group's state
             // untouched (the engine merely scanned the gradient).
-            if prep.cold {
+            if cold {
                 let w = self.engines[engine].acquire(grad_ready, scan);
                 tally.end = tally.end.max(w.end);
                 tally.skipped += 1;
@@ -604,7 +605,7 @@ impl OptimStoreDevice {
             // side effects on state pages. Bounded by
             // [`OptimStoreConfig::max_group_replays`].
             let mut replays_left = self.cfg.max_group_replays;
-            let ((pages, staged_grad), sub_start) = loop {
+            let sub_start = loop {
                 match self.read_group_operands(g, grad_ready, at) {
                     Ok(ok) => break ok,
                     Err(CoreError::Ssd(SsdError::UncorrectableRead { .. })) if replays_left > 0 => {
@@ -627,18 +628,23 @@ impl OptimStoreDevice {
             pending.push(PendingWrite {
                 g,
                 compute_end,
-                pages,
-                grad_page: staged_grad.or(prep.page),
+                grad_page,
+                out: Vec::new(),
             });
         }
         Ok(pending)
     }
 
     /// Phase A2: the optimizer kernel for every pending group of a
-    /// functional device, in place on the buffers its operands were read
-    /// into. Each group's update depends only on its own operand pages and
-    /// gradient — the paper's element-wise independence argument — so the
-    /// kernels fan out on the pool before any write-back is issued.
+    /// functional device. Each operand is borrowed where it rests in the
+    /// page store, resolved by its LPN now rather than by the page its
+    /// read sensed: a staged-gradient program, a degraded read's re-home
+    /// or a program-failure rescue later in the batch may have run GC,
+    /// which relocates an operand's page and erases the source. The new
+    /// state goes to fresh pooled pages. Each group's update depends only
+    /// on its own operand pages and gradient — the paper's element-wise
+    /// independence argument — so the kernels fan out on the pool before
+    /// any write-back is issued.
     fn run_kernels(
         &self,
         pending: &mut [PendingWrite],
@@ -647,41 +653,48 @@ impl OptimStoreDevice {
         if !self.device.is_functional() {
             return Ok(());
         }
+        let write_set = self.write_set.iter().map(|page| (page.comp, page.idx));
         simkit::par::map_indexed_mut(pending, |_, p| {
-            let Some(up) = p.pages.as_mut() else {
-                return Ok(());
-            };
-            // A missing gradient reaches the kernel empty and is rejected
-            // as a length mismatch.
-            let grad_bytes = p.grad_page.as_deref().unwrap_or_default();
-            up.apply(
-                self.optimizer.as_ref(),
-                grad_bytes,
-                cmd.grad_dtype,
-                cmd.step,
-            )
-            .map(drop)
-            .map_err(CoreError::Kernel)
+            let mut ops = Operands::default();
+            if let Some(grad) = &p.grad_page {
+                ops.set(StateComponent::Grad, 0, grad);
+            }
+            let base = self.layout.group_base(p.g);
+            for page in self.read_set.iter() {
+                let lpn = page.lpn(&self.layout, p.g, base);
+                ops.set(page.comp, page.idx, self.device.sensed_page(lpn)?);
+            }
+            p.out = ops
+                .update(
+                    self.optimizer.as_ref(),
+                    write_set.clone(),
+                    self.page_bytes(),
+                    cmd.grad_dtype,
+                    cmd.step,
+                )
+                .map_err(CoreError::Kernel)?;
+            Ok(())
         })
         .into_iter()
         .collect()
     }
 
     /// Phase B: every pending group's write-backs, serially in group and
-    /// write-set order.
+    /// write-set order, each program adopting its kernel output page.
     fn write_back(
         &mut self,
-        pending: &[PendingWrite],
+        pending: Vec<PendingWrite>,
         tally: &mut StepTally,
     ) -> Result<(), CoreError> {
         for p in pending {
             let base = self.layout.group_base(p.g);
+            // The output pages, in write-set order — present exactly when
+            // the device is functional.
+            let mut out = p.out.into_iter();
             // Indexed, not iterated: `write_page` needs `&mut self`.
             for i in 0..self.write_set.len() {
                 let page = self.write_set[i];
-                // Write-back slices the kernel buffers in place — `pages`
-                // is populated exactly when the device is functional.
-                let data: Option<&[u8]> = p.pages.as_ref().map(|up| up.page(page.comp, page.idx));
+                let data = out.next();
                 // The 16-bit weight page spans both sub-groups; fp32 pages
                 // belong to their own sub-group.
                 let ready = match page.comp {
@@ -733,27 +746,35 @@ impl OptimStoreDevice {
     }
 
     /// Delivers group `g`'s prepared gradient to its engine, starting at
-    /// `at`; returns when it is there. In-storage tiers store-and-forward
-    /// it through controller DRAM, then stream it to the engine or stage
-    /// it in flash. The host tier spilled it to flash before the step.
-    fn deliver_grad(&mut self, g: u64, prep: &GradPrep, at: SimTime) -> Result<SimTime, CoreError> {
+    /// `at`; returns when it is there, and the page when the engine holds
+    /// it (streamed on a functional device). In-storage tiers
+    /// store-and-forward it through controller DRAM, then stream it to the
+    /// engine or stage it in flash, whose program adopts the page. The
+    /// host tier spilled it to flash before the step.
+    fn deliver_grad(
+        &mut self,
+        g: u64,
+        prep: GradPrep,
+        at: SimTime,
+    ) -> Result<(SimTime, Option<PageBuf>), CoreError> {
         if self.cfg.tier == ExecutionTier::HostNvme {
-            return Ok(at);
+            return Ok((at, prep.page));
         }
         let bytes = prep.wire_bytes;
         let (_, dram_out) = self.device.forward_from_host(bytes, at);
         Ok(match (self.cfg.grad_staging, self.cfg.tier) {
             // Stream over the channel bus into the die-side buffer.
             (GradStaging::Stream, ExecutionTier::DieNdp) => {
-                self.device.bus_transfer(self.die(g), bytes, dram_out).end
+                let end = self.device.bus_transfer(self.die(g), bytes, dram_out).end;
+                (end, prep.page)
             }
-            (GradStaging::Stream, _) => dram_out,
+            (GradStaging::Stream, _) => (dram_out, prep.page),
             (GradStaging::StoreToFlash, _) => {
                 let lpn = self.layout.lpn(g, StateComponent::Grad, 0);
-                let page = prep.page.as_deref();
-                self.device
-                    .internal_program(lpn, None, page, dram_out, true)?
-                    .end
+                let win = self
+                    .device
+                    .internal_program_buf(lpn, None, prep.page, dram_out, true)?;
+                (win.end, None)
             }
         })
     }
@@ -768,36 +789,27 @@ impl OptimStoreDevice {
         }
     }
 
-    /// Issues every operand read of update group `g`. On a functional
-    /// device each state page lands straight in its half of the group's
-    /// checked-out kernel buffers, and a staged gradient page in a pooled
-    /// page. Returns both (`None` on a phantom device) and the
-    /// per-sub-group readiness times (earliest engine start).
-    /// Re-invoked verbatim by the replay loop of [`Self::issue_batch`]
-    /// when a read surfaces an uncorrectable media fault.
+    /// Issues every operand read of update group `g`: timed and
+    /// accounted, but delivering no bytes — the kernel borrows them from
+    /// the page store (`run_kernels`). Returns the per-sub-group readiness
+    /// times (earliest engine start). Re-invoked verbatim by the replay
+    /// loop of [`Self::issue_batch`] when a read surfaces an uncorrectable
+    /// media fault.
     fn read_group_operands(
         &mut self,
         g: u64,
         grad_ready: SimTime,
         at: SimTime,
-    ) -> Result<(Operands, [SimTime; 2]), CoreError> {
+    ) -> Result<[SimTime; 2], CoreError> {
         // Track operand readiness per sub-group (fp32 page-pair): the grad
         // (and a staged grad page) feeds both.
         let mut sub_start = [grad_ready; 2];
-        let functional = self.device.is_functional();
-        let pb = self.page_bytes();
-        let mut pages = functional.then(|| UpdatePages::checkout(pb, self.layout.slots()));
-        let mut grad = (functional && self.layout.grad_staged()).then(|| PageBuf::scratch(pb));
         let base = self.layout.group_base(g);
         // Indexed, not iterated: `read_operand` needs `&mut self`.
         for i in 0..self.read_set.len() {
             let page = self.read_set[i];
-            let out = match page.comp {
-                StateComponent::Grad => grad.as_deref_mut(),
-                _ => pages.as_mut().map(|up| up.operand_mut(page.comp, page.idx)),
-            };
             let lpn = page.lpn(&self.layout, g, base);
-            let win = self.read_operand(g, lpn, page, at, out)?;
+            let win = self.read_operand(g, lpn, page, at)?;
             match page.comp {
                 StateComponent::Grad => {
                     sub_start[0] = sub_start[0].max(win.end);
@@ -809,18 +821,17 @@ impl OptimStoreDevice {
                 }
             }
         }
-        Ok(((pages, grad), sub_start))
+        Ok(sub_start)
     }
 
     /// Reads operand `page` of group `g`, at `lpn`, into the engine that
-    /// updates it, issued at `at`, with the bytes landing in `out`.
+    /// updates it, issued at `at`.
     fn read_operand(
         &mut self,
         g: u64,
         lpn: Lpn,
         page: PlanPage,
         at: SimTime,
-        out: Option<&mut [u8]>,
     ) -> Result<Window, CoreError> {
         let local = self.layout.is_local(g, page.comp, page.idx);
         let path = match (self.cfg.tier, local) {
@@ -828,7 +839,7 @@ impl OptimStoreDevice {
             (ExecutionTier::DieNdp, false) | (ExecutionTier::ChannelNdp, _) => ReadPath::Channel,
             (ExecutionTier::HostNvme, _) => ReadPath::Host,
         };
-        let w = self.device.read_into(lpn, path, at, out)?;
+        let w = self.device.read_into(lpn, path, at, None)?;
         if self.cfg.tier != ExecutionTier::DieNdp || local {
             return Ok(w);
         }
@@ -839,20 +850,21 @@ impl OptimStoreDevice {
         Ok(Window { end, ..w })
     }
 
-    /// Writes updated `page` of group `g` back out-of-place to `lpn` from
-    /// its engine, once the engine is done at `ready`.
+    /// Writes updated `page` of group `g`, the kernel's output `data`,
+    /// back out-of-place to `lpn` from its engine, once the engine is done
+    /// at `ready`.
     fn write_page(
         &mut self,
         g: u64,
         lpn: Lpn,
         page: PlanPage,
-        data: Option<&[u8]>,
+        data: Option<PageBuf>,
         ready: SimTime,
     ) -> Result<Window, CoreError> {
         let local = self.layout.is_local(g, page.comp, page.idx);
         let (start, cross_bus) = match (self.cfg.tier, local) {
             (ExecutionTier::HostNvme, _) => {
-                return Ok(self.device.host_write_page(lpn, data, ready)?)
+                return Ok(self.device.host_write_buf(lpn, data, ready)?)
             }
             (ExecutionTier::ChannelNdp, _) => (ready, true),
             (ExecutionTier::DieNdp, true) => (ready, false),
@@ -864,7 +876,7 @@ impl OptimStoreDevice {
         };
         Ok(self
             .device
-            .internal_program(lpn, None, data, start, cross_bus)?)
+            .internal_program_buf(lpn, None, data, start, cross_bus)?)
     }
 
     /// Remounts the device after a sudden power loss and resynchronizes the

@@ -10,13 +10,13 @@
 //! * [`load_state_image`] writes every group's pages in one order,
 //!   functional or phantom;
 //! * [`encode_grad_page`] packs one group's gradient page;
-//! * [`UpdatePages`] is the per-group kernel working set: the group's
-//!   master/slot page pairs joined into contiguous buffers for
-//!   [`optim_math::kernels::update_chunk`]. Each operand page is read
-//!   straight into its half, and each half is written back to its own
-//!   page. It is built on [`simkit::pool::PageBuf`], so the steady-state
-//!   step path checks buffers out of the pool instead of allocating, and
-//!   neither the reads nor the write-back copy through a staging buffer.
+//! * [`Operands`] is the per-group kernel step: it borrows each operand
+//!   page where it rests in the page store and runs
+//!   [`optim_math::kernels::update_chunk_into`] once per fp32 page into
+//!   fresh [`simkit::pool::PageBuf`]s, which the write-back programs
+//!   adopt. No operand or result page is copied between the store and
+//!   the kernel, and the steady-state step checks its pages out of the
+//!   pool instead of allocating.
 //!
 //! The step accounting — one [`crate::report::CounterSnapshot`] per step
 //! edge and [`crate::StepReport::from_counters`] — lives beside the report.
@@ -24,13 +24,14 @@
 use crate::config::LayoutPolicy;
 use crate::exec::CoreError;
 use crate::layout::{StateComponent, StateLayout};
-use optim_math::kernels::{encode_grads_into, narrow_into, update_chunk, KernelError};
+use optim_math::kernels::{
+    encode_grads_into, narrow_into, update_chunk_into, KernelError, MAX_SLOTS,
+};
 use optim_math::state::{GradDtype, StateLayoutSpec};
 use optim_math::Optimizer;
 use simkit::pool::PageBuf;
 use simkit::SimTime;
 use ssdsim::Device;
-use std::ops::Range;
 
 /// Checks that `optimizer` runs the rule `spec` lays out, and that the
 /// layout of `params` parameters under `policy` fits `device`. Returns the
@@ -49,6 +50,13 @@ pub fn fit_layout(
             optimizer.kind(),
             spec.kind
         )));
+    }
+    let slots = optimizer.state_slots();
+    if slots > MAX_SLOTS {
+        return Err(CoreError::Kernel(KernelError::TooManySlots {
+            got: slots,
+            max: MAX_SLOTS,
+        }));
     }
     let layout = StateLayout::new(
         policy,
@@ -71,8 +79,9 @@ pub fn fit_layout(
 /// issued at `at`: per group, its [`StateLayout::write_set`] and then, when
 /// staged, its gradient page. With `weights` the masters hold them as fp32,
 /// the working weights hold them narrowed to `dtype`, and slot and gradient
-/// pages are zero; without, every page is dataless (phantom). Returns the
-/// time the last page persists. Epoch commit is the caller's.
+/// pages are zero; without, every page is dataless (phantom). Each page is
+/// filled in a pooled buffer that its program adopts. Returns the time the
+/// last page persists. Epoch commit is the caller's.
 pub fn load_state_image(
     device: &mut Device,
     layout: &StateLayout,
@@ -93,32 +102,48 @@ pub fn load_state_image(
     if layout.grad_staged() {
         image.push((StateComponent::Grad, 0));
     }
-    let mut w32 = vec![0u8; 2 * pb];
-    let mut w16 = vec![0u8; pb];
-    let zero = vec![0u8; pb];
     let mut end = at;
     for g in 0..layout.num_groups() {
-        if let Some(weights) = weights {
-            let r = layout.group(g).param_range();
-            w32.fill(0);
-            w16.fill(0);
-            let weights = &weights[r.start as usize..r.end as usize];
-            for (dst, w) in w32.chunks_exact_mut(4).zip(weights) {
-                dst.copy_from_slice(&w.to_le_bytes());
-            }
-            narrow_into(dtype, weights, &mut w16);
-        }
+        let r = layout.group(g).param_range();
+        let group = weights.map(|w| &w[r.start as usize..r.end as usize]);
         for &(comp, idx) in &image {
-            let data: Option<&[u8]> = weights.map(|_| match comp {
-                StateComponent::Master => &w32[idx as usize * pb..(idx as usize + 1) * pb],
-                StateComponent::Weight16 => &w16[..],
-                StateComponent::Slot(_) | StateComponent::Grad => &zero[..],
-            });
+            let page = group.map(|w| image_page(comp, idx, w, dtype, pb));
             let lpn = layout.lpn(g, comp, idx);
-            end = end.max(device.host_write_page(lpn, data, at)?.end);
+            end = end.max(device.host_write_buf(lpn, page, at)?.end);
         }
     }
     Ok(end)
+}
+
+/// Page `(comp, idx)` of the initial image of a group whose weights are
+/// `weights`: fp32 masters (`pb / 4` per page), the working weights
+/// narrowed to `dtype`, or zero; zero past the group's last parameter.
+fn image_page(
+    comp: StateComponent,
+    idx: u32,
+    weights: &[f32],
+    dtype: GradDtype,
+    pb: usize,
+) -> PageBuf {
+    // Without zero-fill: every byte is written below, once.
+    let mut page = PageBuf::scratch(pb);
+    let filled = match comp {
+        StateComponent::Master => {
+            let first = (idx as usize * pb / 4).min(weights.len());
+            let weights = &weights[first..(first + pb / 4).min(weights.len())];
+            for (dst, w) in page.chunks_exact_mut(4).zip(weights) {
+                dst.copy_from_slice(&w.to_le_bytes());
+            }
+            4 * weights.len()
+        }
+        StateComponent::Weight16 => {
+            narrow_into(dtype, weights, &mut page);
+            2 * weights.len()
+        }
+        StateComponent::Slot(_) | StateComponent::Grad => 0,
+    };
+    page[filled..].fill(0);
+    page
 }
 
 /// Checks a step's gradients: a functional device needs one per parameter;
@@ -149,83 +174,83 @@ pub fn encode_grad_page(layout: &StateLayout, g: u64, grads: &[f32], dtype: Grad
     page
 }
 
-/// The kernel working set for one update group: joined fp32 master pages,
-/// joined per-slot pages, and the 16-bit working-weight output page — all
-/// pool-recycled.
-#[derive(Debug)]
-pub struct UpdatePages {
-    /// Joined master-weight pages (`2 * page_bytes`, fp32).
-    w32: PageBuf,
-    /// One joined buffer per auxiliary slot (`2 * page_bytes` each).
-    slots: Vec<PageBuf>,
-    /// 16-bit working-weight output page (`page_bytes`).
-    w16: PageBuf,
-    /// Device page size the buffers are sliced by.
-    pb: usize,
+/// One update group's kernel operands, borrowed where they rest: the
+/// state pages in their dies' page stores ([`ssdsim::Device::sensed_page`])
+/// and the gradient page in the store or in the engine's buffer.
+#[derive(Debug, Default)]
+pub struct Operands<'a> {
+    /// The two fp32 master pages.
+    w32: [&'a [u8]; 2],
+    /// The two pages of each auxiliary slot.
+    slots: [[&'a [u8]; 2]; MAX_SLOTS],
+    /// The 16-bit gradient page.
+    grad: &'a [u8],
 }
 
-impl UpdatePages {
-    /// Checks one group's kernel buffers out of the pool, without zero-fill:
-    /// the operand reads ([`Self::operand_mut`]) overwrite every input byte
-    /// and the kernel every output byte.
-    pub fn checkout(pb: usize, nslots: u8) -> Self {
-        UpdatePages {
-            w32: PageBuf::scratch(2 * pb),
-            slots: (0..nslots).map(|_| PageBuf::scratch(2 * pb)).collect(),
-            w16: PageBuf::scratch(pb),
-            pb,
-        }
-    }
-
-    /// Where fp32 page `idx` sits in its component's joined buffer.
-    fn span(&self, idx: u32) -> Range<usize> {
-        assert!(idx < 2, "fp32 components have two pages, got index {idx}");
-        let at = idx as usize * self.pb;
-        at..at + self.pb
-    }
-
-    /// The buffer half that operand page `(comp, idx)` is read into.
-    pub fn operand_mut(&mut self, comp: StateComponent, idx: u32) -> &mut [u8] {
-        let span = self.span(idx);
+impl<'a> Operands<'a> {
+    /// Records the bytes of operand page `(comp, idx)`.
+    ///
+    /// # Panics
+    /// If `comp` is [`StateComponent::Weight16`], which is an output only,
+    /// or names a page outside the layout.
+    pub fn set(&mut self, comp: StateComponent, idx: u32, bytes: &'a [u8]) {
+        let idx = idx as usize;
         match comp {
-            StateComponent::Master => &mut self.w32[span],
-            StateComponent::Slot(s) => &mut self.slots[s as usize][span],
-            StateComponent::Weight16 | StateComponent::Grad => {
-                panic!("{comp:?} pages are not kernel state operands")
-            }
+            StateComponent::Master => self.w32[idx] = bytes,
+            StateComponent::Slot(s) => self.slots[s as usize][idx] = bytes,
+            StateComponent::Grad => self.grad = bytes,
+            StateComponent::Weight16 => panic!("{comp:?} pages are not kernel operands"),
         }
     }
 
-    /// Runs one optimizer step over the operand buffers in place.
-    pub fn apply(
-        &mut self,
+    /// Runs one optimizer step of `opt` over the operands into fresh
+    /// pooled pages of `pb` bytes, one for each page of
+    /// `write_set` and returned in its order, for the programs to adopt.
+    ///
+    /// The kernel runs once per fp32 page: page `i` of the masters and
+    /// slots pairs with half `i` of the gradient page and of the 16-bit
+    /// weight page. A missing operand reaches the kernel empty and is
+    /// rejected as a length mismatch.
+    pub fn update(
+        &self,
         opt: &dyn Optimizer,
-        grads: &[u8],
+        write_set: impl Iterator<Item = (StateComponent, u32)> + Clone,
+        pb: usize,
         dtype: GradDtype,
         step: u64,
-    ) -> Result<usize, KernelError> {
-        let mut slot_refs: Vec<&mut [u8]> = self.slots.iter_mut().map(|b| &mut b[..]).collect();
-        update_chunk(
-            opt,
-            &mut self.w32,
-            &mut slot_refs,
-            grads,
-            &mut self.w16,
-            dtype,
-            step,
-        )
-    }
-
-    /// The updated bytes for one write-back page, sliced from the joined
-    /// buffers (no copy). `idx` selects the fp32 page half; `Weight16` has
-    /// a single page.
-    pub fn page(&self, comp: StateComponent, idx: u32) -> &[u8] {
-        match comp {
-            StateComponent::Master => &self.w32[self.span(idx)],
-            StateComponent::Slot(s) => &self.slots[s as usize][self.span(idx)],
-            StateComponent::Weight16 => &self.w16,
-            StateComponent::Grad => panic!("gradient pages are inputs, not write-backs"),
+    ) -> Result<Vec<PageBuf>, KernelError> {
+        // Without zero-fill: the kernel writes every byte.
+        let mut out: Vec<PageBuf> = write_set.clone().map(|_| PageBuf::scratch(pb)).collect();
+        let mut w32: [&mut [u8]; 2] = Default::default();
+        let mut slots: [[&mut [u8]; 2]; MAX_SLOTS] = Default::default();
+        let mut w16: &mut [u8] = &mut [];
+        for ((comp, idx), page) in write_set.zip(out.iter_mut()) {
+            let idx = idx as usize;
+            match comp {
+                StateComponent::Master => w32[idx] = page,
+                StateComponent::Slot(s) => slots[s as usize][idx] = page,
+                StateComponent::Weight16 => w16 = page,
+                StateComponent::Grad => panic!("gradient pages are inputs, not write-backs"),
+            }
         }
+        let nslots = opt.state_slots().min(MAX_SLOTS);
+        for (i, w_out) in w32.iter_mut().enumerate() {
+            let half = i * pb / 2..(i + 1) * pb / 2;
+            let src: [&[u8]; MAX_SLOTS] = self.slots.map(|pair| pair[i]);
+            let mut dst: [&mut [u8]; MAX_SLOTS] = slots.each_mut().map(|pair| &mut *pair[i]);
+            update_chunk_into(
+                opt,
+                self.w32[i],
+                &src[..nslots],
+                self.grad.get(half.clone()).unwrap_or_default(),
+                w_out,
+                &mut dst[..nslots],
+                w16.get_mut(half).unwrap_or_default(),
+                dtype,
+                step,
+            )?;
+        }
+        Ok(out)
     }
 }
 
@@ -236,53 +261,102 @@ mod tests {
     use optim_math::Adam;
 
     #[test]
-    fn checkout_apply_page_round_trip_matches_state_buffers() {
-        let pb = 64; // 16 params per page half, 32 per group
+    fn update_writes_fresh_pages_matching_state_buffers() {
+        let pb = 64; // 16 params per fp32 page, 32 per group
         let n = pb / 2;
         let adam = Adam::default();
         let weights: Vec<f32> = (0..n).map(|i| (i as f32) * 0.1 - 0.7).collect();
         let grads_f: Vec<f32> = (0..n).map(|i| ((i as f32) * 0.3).sin()).collect();
         let grads = encode_grads(&grads_f, GradDtype::F16);
 
-        // Reference: the owned-buffer kernel state.
-        let mut reference = StateBuffers::init(&adam, &weights, GradDtype::F16);
+        // Reference: the owned-buffer kernel state, updated in place.
+        let init = StateBuffers::init(&adam, &weights, GradDtype::F16);
+        let mut reference = init.clone();
         reference.step(&adam, &grads, GradDtype::F16, 1).unwrap();
 
-        // Pooled path: the same state read page by page into the halves of
-        // a checkout whose buffers still hold another group's bytes.
-        let mut stale = UpdatePages::checkout(pb, 2);
-        stale.operand_mut(StateComponent::Master, 0).fill(0xA5);
-        stale.w16.fill(0xA5);
-        drop(stale);
-        let init = StateBuffers::init(&adam, &weights, GradDtype::F16);
-        let mut up = UpdatePages::checkout(pb, 2);
+        // The same state borrowed page by page, updated into pooled pages
+        // that still hold another group's bytes.
+        drop(
+            (0..8)
+                .map(|_| PageBuf::copy_of(&[0xA5; 64]))
+                .collect::<Vec<_>>(),
+        );
+        let mut ops = Operands::default();
         for idx in 0..2u32 {
             let half = idx as usize * pb..(idx as usize + 1) * pb;
-            up.operand_mut(StateComponent::Master, idx)
-                .copy_from_slice(&init.w32[half.clone()]);
+            ops.set(StateComponent::Master, idx, &init.w32[half.clone()]);
             for s in 0..2u8 {
-                up.operand_mut(StateComponent::Slot(s), idx)
-                    .copy_from_slice(&init.slots[s as usize][half.clone()]);
+                ops.set(
+                    StateComponent::Slot(s),
+                    idx,
+                    &init.slots[s as usize][half.clone()],
+                );
             }
         }
-        up.apply(&adam, &grads, GradDtype::F16, 1).unwrap();
+        ops.set(StateComponent::Grad, 0, &grads);
+        let write_set = [
+            (StateComponent::Weight16, 0),
+            (StateComponent::Slot(1), 1),
+            (StateComponent::Master, 0),
+            (StateComponent::Slot(0), 0),
+            (StateComponent::Master, 1),
+            (StateComponent::Slot(1), 0),
+            (StateComponent::Slot(0), 1),
+        ];
+        let out = ops
+            .update(&adam, write_set.iter().copied(), pb, GradDtype::F16, 1)
+            .unwrap();
 
-        assert_eq!(up.page(StateComponent::Master, 0), &reference.w32[..pb]);
-        assert_eq!(up.page(StateComponent::Master, 1), &reference.w32[pb..]);
-        assert_eq!(
-            up.page(StateComponent::Slot(0), 0),
-            &reference.slots[0][..pb]
-        );
-        assert_eq!(
-            up.page(StateComponent::Slot(1), 1),
-            &reference.slots[1][pb..]
-        );
-        assert_eq!(up.page(StateComponent::Weight16, 0), &reference.w16[..]);
+        let want = |comp: StateComponent, idx: u32| -> &[u8] {
+            let half = idx as usize * pb..(idx as usize + 1) * pb;
+            match comp {
+                StateComponent::Master => &reference.w32[half],
+                StateComponent::Slot(s) => &reference.slots[s as usize][half],
+                _ => &reference.w16,
+            }
+        };
+        for (&(comp, idx), page) in write_set.iter().zip(&out) {
+            assert_eq!(&page[..], want(comp, idx), "{comp:?} page {idx}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "not kernel state operands")]
-    fn gradient_pages_are_not_state_operands() {
-        UpdatePages::checkout(64, 1).operand_mut(StateComponent::Grad, 0);
+    fn a_missing_gradient_is_a_length_mismatch() {
+        let ops = Operands {
+            w32: [&[0; 64]; 2],
+            slots: [[&[0; 64]; 2]; MAX_SLOTS],
+            grad: &[],
+        };
+        let write_set = [
+            (StateComponent::Master, 0),
+            (StateComponent::Master, 1),
+            (StateComponent::Slot(0), 0),
+            (StateComponent::Slot(0), 1),
+            (StateComponent::Slot(1), 0),
+            (StateComponent::Slot(1), 1),
+            (StateComponent::Weight16, 0),
+        ];
+        let err = ops
+            .update(
+                &Adam::default(),
+                write_set.into_iter(),
+                64,
+                GradDtype::F16,
+                1,
+            )
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            KernelError::LengthMismatch {
+                buffer: "grads",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "not kernel operands")]
+    fn weight16_pages_are_not_operands() {
+        Operands::default().set(StateComponent::Weight16, 0, &[]);
     }
 }

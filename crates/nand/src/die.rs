@@ -5,9 +5,10 @@ use crate::error::NandError;
 use crate::fault::{FaultConfig, FaultInjector, FaultStats};
 use crate::geometry::{BlockAddr, PhysPage};
 use crate::power::PageOob;
-use crate::store::{new_invalid_bits, Backing, BlockState, BlockTable, PageArena, PageState};
+use crate::store::{new_invalid_bits, Backing, BlockState, BlockTable, PageState, PageStore};
 use crate::timing::NandConfig;
 use crate::wear::{read_retries, AgingConfig, RberMemo, RberModel};
+use simkit::pool::PageBuf;
 use simkit::slab::{Slabs, NO_SLAB};
 use simkit::stats::Counter;
 use simkit::{SimTime, Timeline, Window};
@@ -85,7 +86,7 @@ impl Die {
 
     /// Creates a die that stores real page contents (functional mode).
     pub fn new_functional(id: u32, config: NandConfig) -> Self {
-        Self::with_backing(id, config, Backing::Data(PageArena::new(&config.geometry)))
+        Self::with_backing(id, config, Backing::Data(PageStore::new(&config.geometry)))
     }
 
     fn with_backing(id: u32, config: NandConfig, backing: Backing) -> Self {
@@ -308,9 +309,9 @@ impl Die {
     #[inline]
     pub fn invalidate_and_release(&mut self, p: PhysPage) -> Result<bool, NandError> {
         let invalidated = self.invalidate(p)?;
-        if let Backing::Data(arena) = &mut self.backing {
+        if let Backing::Data(store) = &mut self.backing {
             let block = self.config.geometry.block_index(p.block_addr()) as usize;
-            arena.release(block, p.page as usize);
+            store.release(block, p.page as usize);
         }
         Ok(invalidated)
     }
@@ -416,10 +417,10 @@ impl Die {
                 });
             }
         }
-        if let Backing::Data(arena) = &self.backing {
+        if let Backing::Data(store) = &self.backing {
             // A programmed page in functional mode must have contents.
             let block_idx = self.config.geometry.block_index(p.block_addr()) as usize;
-            let data = arena
+            let data = store
                 .get(block_idx, p.page as usize)
                 .ok_or(NandError::NoData(p))?;
             if let Some(out) = out {
@@ -429,16 +430,39 @@ impl Die {
         Ok(win)
     }
 
+    /// Borrows the bytes of page `p` where they rest in the page store,
+    /// with no timing, no fault draw and no read accounting: for a page
+    /// that a timed [`Self::read_page`] already sensed, whose bytes an
+    /// on-die engine consumes from the page register. Fails with
+    /// [`NandError::NoData`] when the page holds no trustworthy bytes: on
+    /// a phantom die, for a free, released or erased page, and for a torn
+    /// one.
+    pub fn page_data(&self, p: PhysPage) -> Result<&[u8], NandError> {
+        if !self.config.geometry.contains(p) {
+            return Err(NandError::BadAddress(p));
+        }
+        let block_idx = self.config.geometry.block_index(p.block_addr()) as usize;
+        match &self.backing {
+            Backing::Data(store) if !self.is_torn(p) => store
+                .get(block_idx, p.page as usize)
+                .ok_or(NandError::NoData(p)),
+            _ => Err(NandError::NoData(p)),
+        }
+    }
+
     /// Programs page `p` with optional contents, starting no earlier than
     /// `at`.
     ///
     /// `data` must be exactly one page long when present. In functional mode
-    /// data is required; in phantom mode it may be omitted.
+    /// data is required; in phantom mode it may be omitted. A functional die
+    /// stores the page buffer itself, taking it out of `data` only when the
+    /// program succeeds: after any error the caller still holds it, to
+    /// re-home the page elsewhere. A phantom die leaves `data` alone.
     pub fn program_page(
         &mut self,
         p: PhysPage,
         at: SimTime,
-        data: Option<&[u8]>,
+        data: &mut Option<PageBuf>,
     ) -> Result<Window, NandError> {
         if !self.config.geometry.contains(p) {
             return Err(NandError::BadAddress(p));
@@ -461,7 +485,7 @@ impl Die {
             }
             Some(_) => {}
         }
-        if let Some(d) = data {
+        if let Some(d) = data.as_deref() {
             if d.len() != geo.page_bytes as usize {
                 return Err(NandError::WrongLength {
                     page: p,
@@ -507,8 +531,10 @@ impl Die {
         block.mark_programmed(p.page);
         // Restart the block's retention clock: fresh charge.
         block.stamp_program(win.end.as_ns());
-        if let (Backing::Data(arena), Some(d)) = (&mut self.backing, data) {
-            arena.put(geo.block_index(p.block_addr()) as usize, p.page as usize, d);
+        if let Backing::Data(store) = &mut self.backing {
+            if let Some(d) = data.take() {
+                store.put(geo.block_index(p.block_addr()) as usize, p.page as usize, d);
+            }
         }
         self.stats.programs.incr();
         Ok(win)
@@ -553,8 +579,8 @@ impl Die {
         }
         block.mark_erased(&mut self.invalid);
         self.rber.cover(block.erase_count());
-        if let Backing::Data(arena) = &mut self.backing {
-            arena.erase_block(block_idx);
+        if let Backing::Data(store) = &mut self.backing {
+            store.erase_block(block_idx);
         }
         // One slab release clears every stamp and torn mark in the block.
         if let Some(slab) = self
@@ -649,7 +675,9 @@ mod tests {
         let mut d = die();
         let p = page_of(&d, 0, 0, 0);
         let data = fill(&d, 0x5A);
-        let w = d.program_page(p, SimTime::ZERO, Some(&data)).unwrap();
+        let w = d
+            .program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&data)))
+            .unwrap();
         assert_eq!(w.duration(), d.config().timing.t_program);
         let (r, out) = read(&mut d, p, w.end).unwrap();
         assert_eq!(out, data);
@@ -678,7 +706,11 @@ mod tests {
     fn out_of_order_program_fails() {
         let mut d = die();
         let err = d
-            .program_page(page_of(&d, 0, 0, 5), SimTime::ZERO, Some(&fill(&d, 0)))
+            .program_page(
+                page_of(&d, 0, 0, 5),
+                SimTime::ZERO,
+                &mut Some(PageBuf::copy_of(&fill(&d, 0))),
+            )
             .unwrap_err();
         assert!(matches!(
             err,
@@ -690,12 +722,16 @@ mod tests {
     fn reprogram_fails() {
         let mut d = die();
         let p = page_of(&d, 0, 0, 0);
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 1)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
             .unwrap();
-        d.program_page(page_of(&d, 0, 0, 1), SimTime::ZERO, Some(&fill(&d, 2)))
-            .unwrap();
+        d.program_page(
+            page_of(&d, 0, 0, 1),
+            SimTime::ZERO,
+            &mut Some(PageBuf::copy_of(&fill(&d, 2))),
+        )
+        .unwrap();
         let err = d
-            .program_page(p, SimTime::ZERO, Some(&fill(&d, 3)))
+            .program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 3))))
             .unwrap_err();
         assert_eq!(err, NandError::Reprogram(p));
     }
@@ -704,11 +740,15 @@ mod tests {
     fn wrong_length_rejected() {
         let mut d = die();
         let err = d
-            .program_page(page_of(&d, 0, 0, 0), SimTime::ZERO, Some(&[0u8; 3]))
+            .program_page(
+                page_of(&d, 0, 0, 0),
+                SimTime::ZERO,
+                &mut Some(PageBuf::copy_of(&[0u8; 3])),
+            )
             .unwrap_err();
         assert!(matches!(err, NandError::WrongLength { got: 3, .. }));
         let p = page_of(&d, 0, 0, 0);
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 1)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
             .unwrap();
         let before = d.stats().reads.get();
         let err = d
@@ -726,7 +766,7 @@ mod tests {
     fn functional_mode_requires_data() {
         let mut d = die();
         let err = d
-            .program_page(page_of(&d, 0, 0, 0), SimTime::ZERO, None)
+            .program_page(page_of(&d, 0, 0, 0), SimTime::ZERO, &mut None)
             .unwrap_err();
         assert!(matches!(err, NandError::NoData(_)));
     }
@@ -739,7 +779,7 @@ mod tests {
             block: 0,
             page: 0,
         };
-        d.program_page(p, SimTime::ZERO, None).unwrap();
+        d.program_page(p, SimTime::ZERO, &mut None).unwrap();
         let (_, out) = read(&mut d, p, SimTime::ZERO).unwrap();
         assert!(
             out.iter().all(|&b| b == 0xEE),
@@ -751,7 +791,7 @@ mod tests {
     fn erase_resets_block_and_discards_data() {
         let mut d = die();
         let p = page_of(&d, 0, 3, 0);
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 9)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 9))))
             .unwrap();
         let w = d
             .erase_block(BlockAddr { plane: 0, block: 3 }, SimTime::ZERO)
@@ -762,7 +802,7 @@ mod tests {
             NandError::ReadUnwritten(_)
         ));
         // Programmable again from page 0.
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 10)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 10))))
             .unwrap();
     }
 
@@ -770,17 +810,29 @@ mod tests {
     fn planes_operate_in_parallel() {
         let mut d = die();
         let a = d
-            .program_page(page_of(&d, 0, 0, 0), SimTime::ZERO, Some(&fill(&d, 0)))
+            .program_page(
+                page_of(&d, 0, 0, 0),
+                SimTime::ZERO,
+                &mut Some(PageBuf::copy_of(&fill(&d, 0))),
+            )
             .unwrap();
         let b = d
-            .program_page(page_of(&d, 1, 0, 0), SimTime::ZERO, Some(&fill(&d, 1)))
+            .program_page(
+                page_of(&d, 1, 0, 0),
+                SimTime::ZERO,
+                &mut Some(PageBuf::copy_of(&fill(&d, 1))),
+            )
             .unwrap();
         // Different planes: both start at t=0.
         assert_eq!(a.start, SimTime::ZERO);
         assert_eq!(b.start, SimTime::ZERO);
         // Same plane: serialized.
         let c = d
-            .program_page(page_of(&d, 0, 0, 1), SimTime::ZERO, Some(&fill(&d, 2)))
+            .program_page(
+                page_of(&d, 0, 0, 1),
+                SimTime::ZERO,
+                &mut Some(PageBuf::copy_of(&fill(&d, 2))),
+            )
             .unwrap();
         assert_eq!(c.start, a.end);
     }
@@ -792,7 +844,7 @@ mod tests {
             d.program_page(
                 page_of(&d, 0, 0, pg),
                 SimTime::ZERO,
-                Some(&fill(&d, pg as u8)),
+                &mut Some(PageBuf::copy_of(&fill(&d, pg as u8))),
             )
             .unwrap();
         }
@@ -858,7 +910,7 @@ mod tests {
     fn worn_blocks_read_slower_via_retries() {
         let mut d = die();
         let p0 = page_of(&d, 0, 0, 0);
-        d.program_page(p0, SimTime::ZERO, Some(&fill(&d, 1)))
+        d.program_page(p0, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
             .unwrap();
         let fresh = d
             .read_page(p0, SimTime::from_secs(1), None)
@@ -877,7 +929,11 @@ mod tests {
         // Programs are unaffected by the retry model.
         let p1 = page_of(&d, 0, 0, 1);
         let w = d
-            .program_page(p1, SimTime::from_secs(3), Some(&fill(&d, 2)))
+            .program_page(
+                p1,
+                SimTime::from_secs(3),
+                &mut Some(PageBuf::copy_of(&fill(&d, 2))),
+            )
             .unwrap();
         assert_eq!(w.duration(), d.config().timing.t_program);
     }
@@ -887,8 +943,12 @@ mod tests {
         let mut d = die();
         d.simulate_wear(10 * d.config().rated_pe_cycles());
         // Still programmable.
-        d.program_page(page_of(&d, 0, 0, 0), SimTime::ZERO, Some(&fill(&d, 0)))
-            .unwrap();
+        d.program_page(
+            page_of(&d, 0, 0, 0),
+            SimTime::ZERO,
+            &mut Some(PageBuf::copy_of(&fill(&d, 0))),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -903,7 +963,7 @@ mod tests {
         });
         let p = page_of(&d, 0, 0, 0);
         let err = d
-            .program_page(p, SimTime::ZERO, Some(&fill(&d, 7)))
+            .program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 7))))
             .unwrap_err();
         let busy = match err {
             NandError::ProgramFailed { page, busy_until } => {
@@ -929,7 +989,7 @@ mod tests {
     fn injected_erase_failure_keeps_block_state() {
         let mut d = die();
         let p = page_of(&d, 0, 0, 0);
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 3)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 3))))
             .unwrap();
         d.set_fault_config(crate::fault::FaultConfig {
             seed: 1,
@@ -951,7 +1011,7 @@ mod tests {
     fn injected_read_failure_still_charges_sense_time() {
         let mut d = die();
         let p = page_of(&d, 0, 0, 0);
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 5)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 5))))
             .unwrap();
         d.set_fault_config(crate::fault::FaultConfig {
             seed: 1,
@@ -980,8 +1040,12 @@ mod tests {
         d.set_fault_config(crate::fault::FaultConfig::uniform(9, 1.0));
         d.set_fault_config(crate::fault::FaultConfig::uniform(0, 0.0));
         assert!(d.fault_stats().is_none());
-        d.program_page(page_of(&d, 0, 0, 0), SimTime::ZERO, Some(&fill(&d, 0)))
-            .unwrap();
+        d.program_page(
+            page_of(&d, 0, 0, 0),
+            SimTime::ZERO,
+            &mut Some(PageBuf::copy_of(&fill(&d, 0))),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -990,7 +1054,11 @@ mod tests {
         d.set_power_loss(Some(SimTime::from_us(10)));
         let p = page_of(&d, 0, 0, 0);
         let err = d
-            .program_page(p, SimTime::from_us(10), Some(&fill(&d, 1)))
+            .program_page(
+                p,
+                SimTime::from_us(10),
+                &mut Some(PageBuf::copy_of(&fill(&d, 1))),
+            )
             .unwrap_err();
         assert_eq!(
             err,
@@ -1007,8 +1075,12 @@ mod tests {
         );
         // Disarm: the device works again (power restored).
         d.set_power_loss(None);
-        d.program_page(p, SimTime::from_us(10), Some(&fill(&d, 1)))
-            .unwrap();
+        d.program_page(
+            p,
+            SimTime::from_us(10),
+            &mut Some(PageBuf::copy_of(&fill(&d, 1))),
+        )
+        .unwrap();
     }
 
     #[test]
@@ -1020,7 +1092,7 @@ mod tests {
         let crash = SimTime::ZERO + t_prog - simkit::SimDuration::from_ns(1);
         d.set_power_loss(Some(crash));
         let err = d
-            .program_page(p, SimTime::ZERO, Some(&fill(&d, 7)))
+            .program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 7))))
             .unwrap_err();
         assert_eq!(err, NandError::PowerLoss { at: crash });
         assert!(d.is_torn(p));
@@ -1050,7 +1122,7 @@ mod tests {
     fn in_flight_erase_keeps_contents() {
         let mut d = die();
         let p = page_of(&d, 0, 2, 0);
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 4)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 4))))
             .unwrap();
         let quiet = d.plane_free_at(0);
         let crash = quiet + simkit::SimDuration::from_ns(1);
@@ -1071,7 +1143,7 @@ mod tests {
         // Crash far enough out that the program completes first.
         d.set_power_loss(Some(SimTime::from_secs(1)));
         let w = d
-            .program_page(p, SimTime::ZERO, Some(&fill(&d, 2)))
+            .program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 2))))
             .unwrap();
         assert!(w.end < SimTime::from_secs(1));
         let (r, data) = read(&mut d, p, w.end).unwrap();
@@ -1083,7 +1155,7 @@ mod tests {
     fn oob_stamps_round_trip_and_clear_on_erase() {
         let mut d = die();
         let p = page_of(&d, 1, 0, 0);
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 1)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
             .unwrap();
         let stamp = crate::power::PageOob {
             lpn: 42,
@@ -1101,7 +1173,7 @@ mod tests {
     fn read_disturb_slows_hot_pages() {
         let mut d = die();
         let p = page_of(&d, 0, 0, 0);
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 1)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
             .unwrap();
         d.set_aging(AgingConfig {
             read_disturb_per_read: 1e-5,
@@ -1143,7 +1215,7 @@ mod tests {
             retention_per_sec: 1e-5,
         });
         let w = d
-            .program_page(p, SimTime::ZERO, Some(&fill(&d, 1)))
+            .program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
             .unwrap();
         let b = BlockAddr { plane: 0, block: 0 };
         let soon = d.effective_rber(b, w.end).unwrap();
@@ -1162,7 +1234,11 @@ mod tests {
         // Erase + reprogram refreshes the charge: fast again.
         d.erase_block(b, SimTime::from_secs(7200)).unwrap();
         let w2 = d
-            .program_page(p, SimTime::from_secs(7300), Some(&fill(&d, 2)))
+            .program_page(
+                p,
+                SimTime::from_secs(7300),
+                &mut Some(PageBuf::copy_of(&fill(&d, 2))),
+            )
             .unwrap();
         let fresh_read = d.read_page(p, w2.end, None).unwrap().duration();
         assert!(aged_read > fresh_read, "{aged_read} vs {fresh_read}");
@@ -1181,7 +1257,7 @@ mod tests {
         });
         assert!(d.aging().is_none());
         let p = page_of(&d, 0, 0, 0);
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 1)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
             .unwrap();
         for i in 0..50u64 {
             d.read_page(p, SimTime::from_secs(1 + i), None).unwrap();
@@ -1204,7 +1280,7 @@ mod tests {
             d.corrupt_page(p),
             Err(NandError::ReadUnwritten(_))
         ));
-        d.program_page(p, SimTime::ZERO, Some(&fill(&d, 7)))
+        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 7))))
             .unwrap();
         d.corrupt_page(p).unwrap();
         for i in 0..3u64 {
@@ -1213,8 +1289,12 @@ mod tests {
         }
         d.erase_block(BlockAddr { plane: 0, block: 0 }, SimTime::from_secs(10))
             .unwrap();
-        d.program_page(p, SimTime::from_secs(11), Some(&fill(&d, 8)))
-            .unwrap();
+        d.program_page(
+            p,
+            SimTime::from_secs(11),
+            &mut Some(PageBuf::copy_of(&fill(&d, 8))),
+        )
+        .unwrap();
         let (_, data) = read(&mut d, p, SimTime::from_secs(12)).unwrap();
         assert_eq!(data, fill(&d, 8));
     }
@@ -1268,7 +1348,7 @@ mod tests {
                                 if next > page {
                                     break;
                                 }
-                                d.program_page(b.page(next), SimTime::ZERO, None).unwrap();
+                                d.program_page(b.page(next), SimTime::ZERO, &mut None).unwrap();
                                 model.insert(b.page(next), PageState::Valid);
                             }
                         }
@@ -1385,7 +1465,7 @@ mod tests {
                         // Program the block's next page.
                         0 | 1 => {
                             let next = want.next_programmable();
-                            let r = d.program_page(b.page(next.unwrap_or(0)), t, None);
+                            let r = d.program_page(b.page(next.unwrap_or(0)), t, &mut None);
                             prop_assert_eq!(r.is_ok(), next.is_some() && !want.is_retired());
                             if let Ok(win) = r {
                                 want.mark_programmed(next.unwrap());
@@ -1474,9 +1554,9 @@ mod tests {
                 .collect()
         }
 
-        fn arena(d: &Die) -> &PageArena {
+        fn store(d: &Die) -> &PageStore {
             match &d.backing {
-                Backing::Data(arena) => arena,
+                Backing::Data(store) => store,
                 Backing::Phantom => unreachable!("the model die is functional"),
             }
         }
@@ -1498,7 +1578,7 @@ mod tests {
                 let mut stamps: HashMap<u64, PageOob> = HashMap::new();
                 let mut released: HashSet<u64> = HashSet::new();
                 let mut cursor: HashMap<(u32, u32), u32> = HashMap::new();
-                let (mut programs, mut peak) = (0u32, 0usize);
+                let mut programs = 0u32;
                 let mut t = SimTime::ZERO;
                 for (op, plane, block, page) in ops {
                     t += SimDuration::from_ms(10);
@@ -1513,12 +1593,12 @@ mod tests {
                             if op == 7 {
                                 let start = t.max(d.plane_free_at(plane));
                                 d.set_power_loss(Some(start + SimDuration::from_ns(1)));
-                                let r = d.program_page(p, t, Some(&data));
+                                let r = d.program_page(p, t, &mut Some(PageBuf::copy_of(&data)));
                                 d.set_power_loss(None);
                                 prop_assert!(matches!(r, Err(NandError::PowerLoss { .. })));
                                 torn.insert(geo.page_index(p));
                             } else {
-                                d.program_page(p, t, Some(&data)).unwrap();
+                                d.program_page(p, t, &mut Some(PageBuf::copy_of(&data))).unwrap();
                                 model.insert(geo.page_index(p), data);
                             }
                             *next += 1;
@@ -1545,8 +1625,8 @@ mod tests {
                         10 | 11 => {
                             let p = b.page(page);
                             if page < *next {
-                                // The page keeps its bytes (and its slot),
-                                // but no read returns them.
+                                // The page keeps its bytes, but no read
+                                // returns them.
                                 d.corrupt_page(p).unwrap();
                                 torn.insert(geo.page_index(p));
                             } else {
@@ -1594,13 +1674,17 @@ mod tests {
                         prop_assert_eq!(d.is_torn(p), torn.contains(&idx), "torn mark of {}", p);
                         let stamp = stamps.get(&idx).filter(|_| !torn.contains(&idx));
                         prop_assert_eq!(d.oob(p), stamp.copied(), "stamp of {}", p);
+                        // The in-place borrow serves exactly the bytes a
+                        // read would.
+                        let bytes = model.get(&idx).filter(|_| !torn.contains(&idx));
+                        match bytes {
+                            Some(want) => prop_assert_eq!(d.page_data(p), Ok(&want[..])),
+                            None => prop_assert_eq!(d.page_data(p), Err(NandError::NoData(p))),
+                        }
                     }
-                    peak = peak.max(model.len());
-                    // Torn pages take no slot; released and erased ones give
-                    // theirs back, and the arena only grows when no freed
-                    // slot is left.
-                    prop_assert_eq!(arena(&d).live_slots(), model.len());
-                    prop_assert_eq!(arena(&d).slots_used(), peak);
+                    // Torn pages store no buffer; released and erased ones
+                    // drop theirs.
+                    prop_assert_eq!(store(&d).live_pages(), model.len());
                 }
             }
         }

@@ -19,7 +19,7 @@
 //!   a [`NandError`], which is how the FTL tests prove the mapping layer is
 //!   honest.
 //! * **Data** ([`store`]): pages can carry real bytes (functional mode,
-//!   kept in a per-die slot arena and verified bit-exactly by the
+//!   one pooled buffer per page, verified bit-exactly by the
 //!   integration tests) or be *phantom* (timing/accounting only) so
 //!   175-billion-parameter experiments fit in host memory.
 //! * **Wear** ([`wear`]): per-block P/E counts and an analytic raw-bit-error
@@ -42,13 +42,16 @@
 //!
 //! ```
 //! use nandsim::{Die, NandConfig, PhysPage};
-//! use simkit::SimTime;
+//! use simkit::{pool::PageBuf, SimTime};
 //!
 //! let mut die = Die::new_functional(0, NandConfig::tlc_1tb_die());
 //! let page = PhysPage { plane: 0, block: 0, page: 0 };
-//! // Program then read one page, functionally.
+//! // Program then read one page, functionally: the die stores the page
+//! // buffer it is handed.
 //! let data = vec![0xAB; die.config().geometry.page_bytes as usize];
-//! let w = die.program_page(page, SimTime::ZERO, Some(&data)).unwrap();
+//! let w = die
+//!     .program_page(page, SimTime::ZERO, &mut Some(PageBuf::copy_of(&data)))
+//!     .unwrap();
 //! let mut out = vec![0; data.len()];
 //! let r = die.read_page(page, w.end, Some(&mut out)).unwrap();
 //! assert!(r.end > w.end);

@@ -17,19 +17,24 @@
 //! die pays only for them; a lookup stays one bounds check and one index.
 //!
 //! The *contents* of pages are optional: a functional die keeps real bytes
-//! in a slot arena for functional verification, a phantom die keeps none so
-//! that terabyte-scale timing experiments fit in host memory.
+//! for functional verification, one pooled [`PageBuf`] per programmed page,
+//! and a phantom die keeps none so that terabyte-scale timing experiments
+//! fit in host memory. A program adopts the buffer it is handed and a read
+//! may borrow it in place, so an on-die update reads its operands where
+//! they rest and programs its results without copying a byte.
 //!
 //! A page's bytes outlive its validity only as long as someone may read
-//! them. A version the FTL superseded for good gives its slot back when it
-//! goes invalid (`Die::invalidate_and_release`), so the arena holds about
-//! the die's valid pages and the next program reuses the slot just read.
-//! Every other invalid page keeps its bytes until the block's erase: after
+//! them. A version the FTL superseded for good drops its buffer back to the
+//! pool when it goes invalid (`Die::invalidate_and_release`), so the store
+//! holds about the die's valid pages and the next program takes the buffer
+//! just dropped. Every other invalid page keeps its bytes until the block's
+//! erase: after
 //! a crash, mount picks each logical page's newest stamped version from
 //! flash alone, and a relocation copy carries its source's stamp, so mount
 //! may pick either twin. The FTL decides which invalidations release.
 
 use crate::geometry::{BlockAddr, NandGeometry};
+use simkit::pool::PageBuf;
 use simkit::slab::{Slabs, NO_SLAB};
 
 /// Lifecycle state of one physical page.
@@ -280,26 +285,14 @@ pub(crate) fn new_invalid_bits(geo: &NandGeometry) -> Slabs {
     Slabs::new(geo.pages_per_block.div_ceil(64).max(1) as usize)
 }
 
-/// Page slots per arena chunk. At 4 KiB pages a chunk is 32 KiB: small
-/// enough that the system allocator serves it from its heap and hands a
-/// dropped device's chunks to the next device, instead of mapping fresh
-/// memory whose every page faults on first write (64-slot chunks more than
-/// doubled a tiny functional device's build-and-load time on a 2-vCPU
-/// x86-64 Linux host), and small enough that a die's partly used last
-/// chunk wastes little.
-const SLOTS_PER_CHUNK: usize = 8;
-
-/// Slot-table entry of a page that holds no bytes.
-const NO_SLOT: u32 = u32::MAX;
-
 /// Where page contents live.
 #[derive(Debug)]
 pub(crate) enum Backing {
     /// No data is stored; reads deliver none. Timing and state tracking
     /// still function. Use for capacity-scale experiments.
     Phantom,
-    /// Real bytes per page, in a slot arena.
-    Data(PageArena),
+    /// Real bytes per page, in pooled page buffers.
+    Data(PageStore),
 }
 
 impl Backing {
@@ -309,107 +302,59 @@ impl Backing {
     }
 }
 
-/// The functional page store of one die: a slot arena.
+/// The functional page store of one die: pooled page buffers.
 ///
-/// Page bytes live in fixed-size chunks of [`SLOTS_PER_CHUNK`] page slots,
-/// allocated zeroed when the arena first needs one and never moved or
-/// grown afterwards. Each erase block has a slot table (created at its
-/// first program, kept across erases) saying which slot holds each page. A
-/// program copies into a slot from the free list (last freed first), or
-/// the next never-used one; a release hands one page's slot back, an erase
-/// every slot its block still holds; a read borrows the slot. In steady
-/// state no operation touches the allocator.
-pub(crate) struct PageArena {
-    page_bytes: usize,
+/// Each erase block has a table (created at its first program, kept
+/// across erases) holding each page's [`PageBuf`], or `None` for a page
+/// without bytes. A program stores the page it is handed, without a copy;
+/// a release drops one page back to the [page pool](simkit::pool), an
+/// erase every page its block still holds; a read borrows the page. The
+/// pool recycles what the store drops, so in steady state a superseded
+/// version's buffer becomes a later program's page and no operation
+/// touches the allocator.
+#[derive(Debug)]
+pub(crate) struct PageStore {
     pages_per_block: usize,
-    /// Per erase block, the slot of each page ([`NO_SLOT`] when the page
-    /// holds no bytes).
-    tables: Vec<Option<Box<[u32]>>>,
-    chunks: Vec<Box<[u8]>>,
-    /// Slots handed back by releases and erases, reused before fresh ones.
-    free: Vec<u32>,
-    /// Slots ever handed out: the next fresh slot.
-    used: u32,
+    /// Per erase block, the bytes of each page (`None` when it holds none).
+    tables: Vec<Option<Box<[Option<PageBuf>]>>>,
 }
 
-impl PageArena {
+impl PageStore {
     /// An empty store for a die of geometry `geo`.
     pub(crate) fn new(geo: &NandGeometry) -> Self {
-        PageArena {
-            page_bytes: geo.page_bytes as usize,
+        PageStore {
             pages_per_block: geo.pages_per_block as usize,
             tables: (0..geo.blocks_per_die()).map(|_| None).collect(),
-            chunks: Vec::new(),
-            free: Vec::new(),
-            used: 0,
         }
     }
 
-    /// Byte range of `slot` within its chunk.
-    fn span(&self, slot: u32) -> (usize, std::ops::Range<usize>) {
-        let slot = slot as usize;
-        let at = (slot % SLOTS_PER_CHUNK) * self.page_bytes;
-        (slot / SLOTS_PER_CHUNK, at..at + self.page_bytes)
-    }
-
     /// Stores `data` (one page) as page `page` of flat block `block`.
-    pub(crate) fn put(&mut self, block: usize, page: usize, data: &[u8]) {
-        let slot = self.free.pop().unwrap_or_else(|| {
-            if (self.used as usize).is_multiple_of(SLOTS_PER_CHUNK) {
-                let chunk = vec![0u8; SLOTS_PER_CHUNK * self.page_bytes];
-                self.chunks.push(chunk.into_boxed_slice());
-            }
-            self.used += 1;
-            self.used - 1
-        });
+    pub(crate) fn put(&mut self, block: usize, page: usize, data: PageBuf) {
         let ppb = self.pages_per_block;
-        let table = self.tables[block].get_or_insert_with(|| vec![NO_SLOT; ppb].into());
-        debug_assert_eq!(table[page], NO_SLOT, "page programmed twice");
-        table[page] = slot;
-        let (chunk, span) = self.span(slot);
-        self.chunks[chunk][span].copy_from_slice(data);
+        let table = self.tables[block].get_or_insert_with(|| (0..ppb).map(|_| None).collect());
+        debug_assert!(table[page].is_none(), "page programmed twice");
+        table[page] = Some(data);
     }
 
     /// The bytes of page `page` of flat block `block`, if it holds any.
     pub(crate) fn get(&self, block: usize, page: usize) -> Option<&[u8]> {
-        let slot = self.tables[block].as_ref()?[page];
-        if slot == NO_SLOT {
-            return None;
-        }
-        let (chunk, span) = self.span(slot);
-        Some(&self.chunks[chunk][span])
+        self.tables[block].as_ref()?[page].as_deref()
     }
 
-    /// Hands the slot of page `page` of flat block `block`, if it holds
-    /// one, back to the free list: the page then holds no bytes.
+    /// Drops the bytes of page `page` of flat block `block`, if it holds
+    /// any, back to the pool: the page then holds no bytes.
     #[inline]
     pub(crate) fn release(&mut self, block: usize, page: usize) {
         if let Some(table) = &mut self.tables[block] {
-            let slot = std::mem::replace(&mut table[page], NO_SLOT);
-            if slot != NO_SLOT {
-                self.free.push(slot);
-            }
+            table[page] = None;
         }
     }
 
-    /// Hands every slot of flat block `block` back to the free list.
+    /// Drops every page of flat block `block` back to the pool.
     pub(crate) fn erase_block(&mut self, block: usize) {
         if let Some(table) = &mut self.tables[block] {
-            for slot in table.iter_mut().filter(|s| **s != NO_SLOT) {
-                self.free.push(std::mem::replace(slot, NO_SLOT));
-            }
+            table.iter_mut().for_each(|page| *page = None);
         }
-    }
-}
-
-impl std::fmt::Debug for PageArena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PageArena")
-            .field("page_bytes", &self.page_bytes)
-            .field("chunks", &self.chunks.len())
-            .field("slots_used", &self.used)
-            .field("free", &self.free.len())
-            .finish()
     }
 }
 
@@ -490,15 +435,14 @@ impl BlockTable {
 mod tests {
     use super::*;
 
-    impl PageArena {
-        /// Slots currently holding a page.
-        pub(crate) fn live_slots(&self) -> usize {
-            self.used as usize - self.free.len()
-        }
-
-        /// Slots ever handed out (the arena's high-water mark).
-        pub(crate) fn slots_used(&self) -> usize {
-            self.used as usize
+    impl PageStore {
+        /// Pages currently holding bytes.
+        pub(crate) fn live_pages(&self) -> usize {
+            let tables = self.tables.iter().flatten();
+            tables
+                .flat_map(|t| t.iter())
+                .filter(|p| p.is_some())
+                .count()
         }
     }
 
@@ -652,7 +596,7 @@ mod tests {
         assert!(b.is_retired());
     }
 
-    fn arena_geo() -> NandGeometry {
+    fn store_geo() -> NandGeometry {
         NandGeometry {
             planes: 1,
             blocks_per_plane: 4,
@@ -663,70 +607,58 @@ mod tests {
 
     #[test]
     fn data_backing_round_trips() {
-        let mut a = PageArena::new(&arena_geo());
+        let mut a = PageStore::new(&store_geo());
         assert_eq!(a.get(0, 0), None);
         for page in 0..40 {
-            a.put(0, page, &[page as u8; 16]);
+            a.put(0, page, PageBuf::copy_of(&[page as u8; 16]));
         }
-        a.put(1, 0, &[0xAB; 16]);
-        assert_eq!(a.chunks.len(), 6, "41 slots span six chunks");
+        a.put(1, 0, PageBuf::copy_of(&[0xAB; 16]));
         assert_eq!(a.get(0, 7), Some(&[7u8; 16][..]));
         assert_eq!(a.get(1, 0), Some(&[0xAB; 16][..]));
         assert_eq!(a.get(1, 1), None);
-        assert_eq!((a.live_slots(), a.slots_used()), (41, 41));
+        assert_eq!(a.live_pages(), 41);
         a.erase_block(0);
         assert_eq!(a.get(0, 7), None);
-        assert_eq!((a.live_slots(), a.slots_used()), (1, 41));
-        // Refilling the erased block reuses its slots: no growth.
+        assert_eq!(a.live_pages(), 1);
         for page in 0..40 {
-            a.put(0, page, &[0x40 | page as u8; 16]);
+            a.put(0, page, PageBuf::copy_of(&[0x40 | page as u8; 16]));
         }
-        assert_eq!((a.live_slots(), a.slots_used()), (41, 41));
+        assert_eq!(a.live_pages(), 41);
         assert_eq!(a.get(0, 39), Some(&[0x40 | 39u8; 16][..]));
         assert_eq!(a.get(1, 0), Some(&[0xAB; 16][..]), "other blocks untouched");
     }
 
     #[test]
-    fn a_released_slot_is_the_next_one_programmed() {
-        let mut a = PageArena::new(&arena_geo());
-        a.put(0, 0, &[1; 16]);
-        a.put(0, 1, &[2; 16]);
+    fn a_released_page_holds_no_bytes() {
+        let mut a = PageStore::new(&store_geo());
+        a.put(0, 0, PageBuf::copy_of(&[1; 16]));
+        a.put(0, 1, PageBuf::copy_of(&[2; 16]));
         a.release(0, 0);
         a.release(0, 0); // a page without bytes has nothing to release
         a.release(3, 5); // nor does a block never programmed
         assert_eq!(a.get(0, 0), None);
-        assert_eq!((a.live_slots(), a.slots_used()), (1, 2));
-        a.put(0, 2, &[3; 16]);
-        assert_eq!(a.tables[0].as_ref().unwrap()[2], 0, "slot 0 reused");
-        assert_eq!((a.live_slots(), a.slots_used()), (2, 2));
+        assert_eq!(a.get(0, 1), Some(&[2; 16][..]));
+        assert_eq!(a.live_pages(), 1);
+        a.put(0, 2, PageBuf::copy_of(&[3; 16]));
+        assert_eq!(a.live_pages(), 2);
         a.erase_block(0);
-        assert_eq!((a.live_slots(), a.slots_used()), (0, 2));
+        assert_eq!(a.live_pages(), 0);
     }
 
+    /// A program stores the very buffer it is handed: no copy.
     #[test]
-    fn arena_chunks_never_move() {
-        let mut a = PageArena::new(&arena_geo());
-        a.put(2, 0, &[1; 16]);
-        let first = a.chunks[0].as_ptr();
-        for page in 0..40 {
-            a.put(3, page, &[2; 16]);
-        }
-        for page in 1..40 {
-            a.put(2, page, &[3; 16]);
-        }
-        assert_eq!(a.chunks.len(), 10, "80 slots span ten chunks");
-        assert_eq!(
-            a.chunks[0].as_ptr(),
-            first,
-            "a full chunk is never reallocated"
-        );
-        assert_eq!(a.get(2, 0), Some(&[1u8; 16][..]));
+    fn a_program_adopts_its_buffer() {
+        let mut a = PageStore::new(&store_geo());
+        let page = PageBuf::copy_of(&[5; 16]);
+        let at = page.as_ptr();
+        a.put(2, 0, page);
+        assert_eq!(a.get(2, 0).map(<[u8]>::as_ptr), Some(at));
     }
 
     #[test]
     fn phantom_backing_stores_nothing() {
         assert!(!Backing::Phantom.is_functional());
-        assert!(Backing::Data(PageArena::new(&arena_geo())).is_functional());
+        assert!(Backing::Data(PageStore::new(&store_geo())).is_functional());
     }
 
     /// The table walks every block but stores only a block-major prefix.

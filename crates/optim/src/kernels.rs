@@ -11,17 +11,28 @@
 //! * [`update_chunk_scalar`] — the reference loop: one `&dyn Optimizer`
 //!   virtual call per element, per-element byte decode/encode.
 //! * the batched kernel — the hot path: monomorphized over a concrete
-//!   optimizer, it decodes a cache-sized block of elements into scratch
-//!   `f32` arrays, runs the (inlined) update rule over the block, and
-//!   re-encodes. Per element the arithmetic is the *same operations in the
-//!   same order* as the scalar loop — elements are independent, so blocking
-//!   only changes how bytes move, never the float sequence — which is what
-//!   keeps the two paths bit-exact.
+//!   optimizer and its slot count, it walks the elements in blocks of
+//!   [`BATCH_BLOCK`]. Per block it widens the gradients, then runs one
+//!   element loop that reads the master weight and the slots from their
+//!   source bytes, applies the (inlined) update rule and writes the
+//!   destination bytes, and finally narrows the new weights into the
+//!   16-bit output. Per element the arithmetic is the *same operations in
+//!   the same order* as the scalar loop — elements are independent, so
+//!   blocking only changes how bytes move, never the float sequence —
+//!   which is what keeps the two paths bit-exact.
 //!
-//! [`update_chunk`] is the entry point every caller uses: it makes one
-//! virtual call, [`Optimizer::update_chunk`], whose provided body runs the
-//! batched kernel monomorphized over the implementing type. Whatever
-//! `update_scalar` an optimizer states is the rule the kernel runs.
+//! The batched kernel has one body and two entry points, each making one
+//! virtual call to a provided [`Optimizer`] method that monomorphizes it
+//! over the implementing type:
+//!
+//! * [`update_chunk_into`] reads the state from source buffers and writes
+//!   the new state to separate destination buffers — the executor's path,
+//!   which reads every operand page where it rests in the die's page store
+//!   and writes fresh pages for the program to adopt;
+//! * [`update_chunk`] updates the state in place — host baselines and
+//!   owned buffers — by copying each block's sources to the stack first.
+//!
+//! Whatever `update_scalar` an optimizer states is the rule both run.
 
 use crate::bf16::Bf16;
 use crate::f16::{self, F16};
@@ -59,6 +70,13 @@ pub enum KernelError {
         /// Slots the optimizer requires.
         want: usize,
     },
+    /// The optimizer keeps more auxiliary slots than the kernels run.
+    TooManySlots {
+        /// Slots the optimizer states.
+        got: usize,
+        /// The most the kernels run ([`MAX_SLOTS`]).
+        max: usize,
+    },
 }
 
 impl fmt::Display for KernelError {
@@ -73,20 +91,50 @@ impl fmt::Display for KernelError {
             KernelError::SlotCountMismatch { got, want } => {
                 write!(f, "{got} slot buffers supplied, optimizer needs {want}")
             }
+            KernelError::TooManySlots { got, max } => {
+                write!(
+                    f,
+                    "optimizer keeps {got} slots, the kernels run at most {max}"
+                )
+            }
         }
     }
 }
 
 impl Error for KernelError {}
 
-/// Shared argument validation; returns the element count.
+/// `Err(LengthMismatch)` unless `got == want`.
+fn check_len(buffer: &'static str, got: usize, want: usize) -> Result<(), KernelError> {
+    if got == want {
+        Ok(())
+    } else {
+        Err(KernelError::LengthMismatch { buffer, got, want })
+    }
+}
+
+/// `Err(SlotLengthMismatch)` for the first of `lens` that is not `want`.
+fn check_slot_lens(lens: impl Iterator<Item = usize>, want: usize) -> Result<(), KernelError> {
+    match lens.enumerate().find(|&(_, got)| got != want) {
+        Some((slot, got)) => Err(KernelError::SlotLengthMismatch { slot, got, want }),
+        None => Ok(()),
+    }
+}
+
+/// Shared argument validation of the state an update reads; returns the
+/// element count.
 fn validate(
     want_slots: usize,
     w32: &[u8],
-    slots: &[&mut [u8]],
+    slots: &[impl AsRef<[u8]>],
     grads: &[u8],
     w16_out: &[u8],
 ) -> Result<usize, KernelError> {
+    if want_slots > MAX_SLOTS {
+        return Err(KernelError::TooManySlots {
+            got: want_slots,
+            max: MAX_SLOTS,
+        });
+    }
     if !w32.len().is_multiple_of(4) {
         return Err(KernelError::LengthMismatch {
             buffer: "w32",
@@ -101,29 +149,9 @@ fn validate(
             want: want_slots,
         });
     }
-    for (i, s) in slots.iter().enumerate() {
-        if s.len() != 4 * n {
-            return Err(KernelError::SlotLengthMismatch {
-                slot: i,
-                got: s.len(),
-                want: 4 * n,
-            });
-        }
-    }
-    if grads.len() != 2 * n {
-        return Err(KernelError::LengthMismatch {
-            buffer: "grads",
-            got: grads.len(),
-            want: 2 * n,
-        });
-    }
-    if w16_out.len() != 2 * n {
-        return Err(KernelError::LengthMismatch {
-            buffer: "w16_out",
-            got: w16_out.len(),
-            want: 2 * n,
-        });
-    }
+    check_slot_lens(slots.iter().map(|s| s.as_ref().len()), 4 * n)?;
+    check_len("grads", grads.len(), 2 * n)?;
+    check_len("w16_out", w16_out.len(), 2 * n)?;
     Ok(n)
 }
 
@@ -171,7 +199,7 @@ pub fn narrow_into(dtype: GradDtype, src: &[f32], dst: &mut [u8]) {
     }
 }
 
-/// Applies `opt` element-wise over raw state buffers.
+/// Applies `opt` element-wise over raw state buffers, in place.
 ///
 /// * `w32` — fp32 master weights, 4 B/element, updated in place.
 /// * `slots` — one buffer per auxiliary slot, each 4 B/element, updated in
@@ -220,6 +248,32 @@ pub fn update_chunk(
     opt.update_chunk(w32, slots, grads, w16_out, grad_dtype, step)
 }
 
+/// Applies `opt` element-wise from source state buffers into destination
+/// ones: [`update_chunk`] without updating in place.
+///
+/// `w32` and `slots` hold the state before the update and are only read;
+/// `w32_out` and `slots_out` receive the state after it and must have the
+/// same lengths. `grads`, `w16_out` and `step` are as in
+/// [`update_chunk`], and the bytes written are exactly the ones
+/// [`update_chunk`] would leave in place. Returns the number of elements
+/// updated.
+#[allow(clippy::too_many_arguments)]
+pub fn update_chunk_into(
+    opt: &dyn Optimizer,
+    w32: &[u8],
+    slots: &[&[u8]],
+    grads: &[u8],
+    w32_out: &mut [u8],
+    slots_out: &mut [&mut [u8]],
+    w16_out: &mut [u8],
+    grad_dtype: GradDtype,
+    step: u64,
+) -> Result<usize, KernelError> {
+    opt.update_chunk_into(
+        w32, slots, grads, w32_out, slots_out, w16_out, grad_dtype, step,
+    )
+}
+
 /// The scalar reference implementation of [`update_chunk`]: one virtual
 /// call and one byte decode/encode per element. Kept as the oracle the
 /// batched kernel is benchmarked and property-tested against.
@@ -235,7 +289,7 @@ pub fn update_chunk_scalar(
     let want_slots = opt.state_slots();
     let n = validate(want_slots, w32, slots, grads, w16_out)?;
 
-    let mut slot_vals = [0.0f32; MAX_SLOTS]; // more than any optimizer uses
+    let mut slot_vals = [0.0f32; MAX_SLOTS];
     for i in 0..n {
         let wi = 4 * i;
         let gi = 2 * i;
@@ -254,23 +308,33 @@ pub fn update_chunk_scalar(
     Ok(n)
 }
 
-/// Elements per batched block. 256 elements keep the whole scratch set
-/// (weights + gradients + up to `MAX_SLOTS` = 4 slot lanes) around 6 KiB —
+/// Elements per batched block. 256 elements keep a block's gradient and
+/// new-weight scratch at 2 KiB, and the in-place entry's stack copies of
+/// the master and up to [`MAX_SLOTS`] slot blocks at 5 KiB more —
 /// comfortably L1-resident.
 pub const BATCH_BLOCK: usize = 256;
 
-/// Upper bound on auxiliary slots any supported optimizer keeps.
-const MAX_SLOTS: usize = 4;
+/// The most auxiliary slots the kernels run; an optimizer that states
+/// more is rejected with [`KernelError::TooManySlots`].
+pub const MAX_SLOTS: usize = 4;
 
-/// The monomorphized batch kernel behind [`update_chunk`], run by
-/// [`Optimizer::update_chunk`].
-///
-/// Decodes up to [`BATCH_BLOCK`] elements of `w32`/`slots`/`grads` into
-/// stack scratch arrays, applies `opt`'s (statically dispatched, inlined)
-/// update rule across the block, and re-encodes. Accepts the same buffers
-/// as [`update_chunk_scalar`] and produces bit-identical results: the
-/// per-element float operations and their order are unchanged; only the
-/// byte movement is blocked.
+/// Runs `$run::<O, K>($args)` for the slot count `K` equal to `$k`,
+/// which must be at most [`MAX_SLOTS`] (one arm per count).
+macro_rules! dispatch_slots {
+    ($k:expr, $run:ident::<$o:ty>($($arg:expr),* $(,)?)) => {
+        match $k {
+            0 => $run::<$o, 0>($($arg),*),
+            1 => $run::<$o, 1>($($arg),*),
+            2 => $run::<$o, 2>($($arg),*),
+            3 => $run::<$o, 3>($($arg),*),
+            4 => $run::<$o, MAX_SLOTS>($($arg),*),
+            got => Err(KernelError::TooManySlots { got, max: MAX_SLOTS }),
+        }
+    };
+}
+
+/// The in-place batched kernel behind [`update_chunk`], run by
+/// [`Optimizer::update_chunk`]: dispatches on the slot count.
 pub(crate) fn update_chunk_batched<O: Optimizer + ?Sized>(
     opt: &O,
     w32: &mut [u8],
@@ -280,70 +344,170 @@ pub(crate) fn update_chunk_batched<O: Optimizer + ?Sized>(
     grad_dtype: GradDtype,
     step: u64,
 ) -> Result<usize, KernelError> {
-    let k = opt.state_slots();
-    let n = validate(k, w32, slots, grads, w16_out)?;
+    dispatch_slots!(
+        opt.state_slots(),
+        in_place::<O>(opt, w32, slots, grads, w16_out, grad_dtype, step)
+    )
+}
 
-    let mut wf = [0.0f32; BATCH_BLOCK];
-    let mut gf = [0.0f32; BATCH_BLOCK];
-    let mut sf = [[0.0f32; BATCH_BLOCK]; MAX_SLOTS];
-    let mut base = 0usize;
-    while base < n {
+/// The out-of-place batched kernel behind [`update_chunk_into`], run by
+/// [`Optimizer::update_chunk_into`]: dispatches on the slot count.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn update_chunk_into_batched<O: Optimizer + ?Sized>(
+    opt: &O,
+    w32: &[u8],
+    slots: &[&[u8]],
+    grads: &[u8],
+    w32_out: &mut [u8],
+    slots_out: &mut [&mut [u8]],
+    w16_out: &mut [u8],
+    grad_dtype: GradDtype,
+    step: u64,
+) -> Result<usize, KernelError> {
+    dispatch_slots!(
+        opt.state_slots(),
+        out_of_place::<O>(opt, w32, slots, grads, w32_out, slots_out, w16_out, grad_dtype, step,)
+    )
+}
+
+/// `slots` as an array of its `K` buffers.
+fn slot_array<T, const K: usize>(slots: &mut [T]) -> Result<&mut [T; K], KernelError> {
+    let got = slots.len();
+    slots
+        .try_into()
+        .map_err(|_| KernelError::SlotCountMismatch { got, want: K })
+}
+
+/// [`update_chunk_batched`] for an optimizer with `K` slots: copies each
+/// block's master and slot bytes to the stack and runs [`out_of_place`]
+/// from the copies back into the buffers.
+fn in_place<O: Optimizer + ?Sized, const K: usize>(
+    opt: &O,
+    w32: &mut [u8],
+    slots: &mut [&mut [u8]],
+    grads: &[u8],
+    w16_out: &mut [u8],
+    grad_dtype: GradDtype,
+    step: u64,
+) -> Result<usize, KernelError> {
+    let n = validate(K, w32, slots, grads, w16_out)?;
+    let slots = slot_array::<_, K>(slots)?;
+    let mut w_src = [0u8; 4 * BATCH_BLOCK];
+    let mut s_src = [[0u8; 4 * BATCH_BLOCK]; K];
+    for base in (0..n).step_by(BATCH_BLOCK) {
         let len = (n - base).min(BATCH_BLOCK);
-        // Decode the block: masters, slot lanes, widened gradients.
-        for (dst, src) in wf[..len]
-            .iter_mut()
-            .zip(w32[4 * base..4 * (base + len)].chunks_exact(4))
-        {
-            *dst = f32::from_le_bytes(src.try_into().unwrap());
+        let (state, half) = (4 * base..4 * (base + len), 2 * base..2 * (base + len));
+        w_src[..4 * len].copy_from_slice(&w32[state.clone()]);
+        for (dst, src) in s_src.iter_mut().zip(slots.iter()) {
+            dst[..4 * len].copy_from_slice(&src[state.clone()]);
         }
-        for (lane, sbuf) in sf.iter_mut().zip(slots.iter()) {
-            for (dst, src) in lane[..len]
-                .iter_mut()
-                .zip(sbuf[4 * base..4 * (base + len)].chunks_exact(4))
-            {
-                *dst = f32::from_le_bytes(src.try_into().unwrap());
-            }
-        }
-        widen_into(
+        out_of_place::<O, K>(
+            opt,
+            &w_src[..4 * len],
+            &s_src.each_ref().map(|s| &s[..4 * len]),
+            &grads[half.clone()],
+            &mut w32[state.clone()],
+            &mut slots.each_mut().map(|s| &mut s[state.clone()]),
+            &mut w16_out[half],
             grad_dtype,
-            &grads[2 * base..2 * (base + len)],
-            &mut gf[..len],
-        );
-        // The update sweep: statically dispatched, so the rule inlines and
-        // the per-element loop is a straight-line float kernel.
-        let mut sv = [0.0f32; MAX_SLOTS];
-        for i in 0..len {
-            for (v, lane) in sv[..k].iter_mut().zip(sf.iter()) {
-                *v = lane[i];
-            }
-            wf[i] = opt.update_scalar(wf[i], &mut sv[..k], gf[i], step);
-            for (v, lane) in sv[..k].iter().zip(sf.iter_mut()) {
-                lane[i] = *v;
-            }
-        }
-        // Re-encode the block.
-        for (src, dst) in wf[..len]
-            .iter()
-            .zip(w32[4 * base..4 * (base + len)].chunks_exact_mut(4))
-        {
-            dst.copy_from_slice(&src.to_le_bytes());
-        }
-        for (lane, sbuf) in sf.iter().zip(slots.iter_mut()) {
-            for (src, dst) in lane[..len]
-                .iter()
-                .zip(sbuf[4 * base..4 * (base + len)].chunks_exact_mut(4))
-            {
-                dst.copy_from_slice(&src.to_le_bytes());
-            }
-        }
-        narrow_into(
-            grad_dtype,
-            &wf[..len],
-            &mut w16_out[2 * base..2 * (base + len)],
-        );
-        base += len;
+            step,
+        )?;
     }
     Ok(n)
+}
+
+/// [`update_chunk_into_batched`] for an optimizer with `K` slots. Per
+/// block it widens the gradients, runs [`update_elements`] from the
+/// sources into the destinations and narrows the new weights into the
+/// 16-bit output.
+#[allow(clippy::too_many_arguments)]
+fn out_of_place<O: Optimizer + ?Sized, const K: usize>(
+    opt: &O,
+    w32: &[u8],
+    slots: &[&[u8]],
+    grads: &[u8],
+    w32_out: &mut [u8],
+    slots_out: &mut [&mut [u8]],
+    w16_out: &mut [u8],
+    grad_dtype: GradDtype,
+    step: u64,
+) -> Result<usize, KernelError> {
+    let n = validate(K, w32, slots, grads, w16_out)?;
+    check_len("w32_out", w32_out.len(), 4 * n)?;
+    let slots_out = slot_array::<_, K>(slots_out)?;
+    check_slot_lens(slots_out.iter().map(|s| s.len()), 4 * n)?;
+    let slots: [&[u8]; K] = slots
+        .try_into()
+        .map_err(|_| KernelError::SlotCountMismatch {
+            got: slots.len(),
+            want: K,
+        })?;
+    // The block's widened gradients and new weights.
+    let mut gf = [0.0f32; BATCH_BLOCK];
+    let mut new_w = [0.0f32; BATCH_BLOCK];
+    for base in (0..n).step_by(BATCH_BLOCK) {
+        let len = (n - base).min(BATCH_BLOCK);
+        let (state, half) = (4 * base..4 * (base + len), 2 * base..2 * (base + len));
+        widen_into(grad_dtype, &grads[half.clone()], &mut gf[..len]);
+        update_elements(
+            opt,
+            &w32[state.clone()],
+            slots.map(|s| &s[state.clone()]),
+            &gf[..len],
+            &mut w32_out[state.clone()],
+            slots_out.each_mut().map(|s| &mut s[state.clone()]),
+            &mut new_w[..len],
+            step,
+        );
+        narrow_into(grad_dtype, &new_w[..len], &mut w16_out[half]);
+    }
+    Ok(n)
+}
+
+/// The one arithmetic body: for each element `i` of `grads` (at most
+/// [`BATCH_BLOCK`]), reads the master weight and the `K` slots from their
+/// source bytes, applies `opt`'s (statically dispatched, inlined) update
+/// rule, writes the new state to the destination bytes and keeps the new
+/// weight in `new_w[i]`. Per element these are the scalar oracle's float
+/// operations in its order.
+///
+/// Every source and destination is re-sliced to the block's exact length
+/// before the element loop, so the compiler knows each index in it is in
+/// bounds: the loop keeps no bounds checks and vectorizes. It stays a
+/// function of its own for the same reason: inlined into its caller, the
+/// loop compiled scalar and ran the functional step's kernels about 2.5×
+/// slower (x86-64, 16 codegen units).
+#[allow(clippy::too_many_arguments)]
+#[inline(never)]
+fn update_elements<O: Optimizer + ?Sized, const K: usize>(
+    opt: &O,
+    w32: &[u8],
+    slots: [&[u8]; K],
+    grads: &[f32],
+    w32_out: &mut [u8],
+    slots_out: [&mut [u8]; K],
+    new_w: &mut [f32],
+    step: u64,
+) {
+    let len = grads.len().min(BATCH_BLOCK);
+    let (w32, w32_out) = (&w32[..4 * len], &mut w32_out[..4 * len]);
+    let slots = slots.map(|s| &s[..4 * len]);
+    let mut slots_out = slots_out.map(|s| &mut s[..4 * len]);
+    let (grads, new_w) = (&grads[..len], &mut new_w[..len]);
+    for i in 0..len {
+        let at = 4 * i..4 * i + 4;
+        let mut sv = [0.0f32; K];
+        for (v, lane) in sv.iter_mut().zip(&slots) {
+            *v = f32::from_le_bytes(lane[at.clone()].try_into().unwrap());
+        }
+        let w = f32::from_le_bytes(w32[at.clone()].try_into().unwrap());
+        let nw = opt.update_scalar(w, &mut sv, grads[i], step);
+        w32_out[at.clone()].copy_from_slice(&nw.to_le_bytes());
+        for (v, lane) in sv.iter().zip(&mut slots_out) {
+            lane[at.clone()].copy_from_slice(&v.to_le_bytes());
+        }
+        new_w[i] = nw;
+    }
 }
 
 /// Convenience owned-buffer state for reference computations and tests.
@@ -710,6 +874,129 @@ mod tests {
         adam.step(&opt.0, &grads, GradDtype::F16, 1).unwrap();
         other.step(&opt, &grads, GradDtype::F16, 1).unwrap();
         assert_ne!(adam.w32, other.w32, "the kernel ran Adam's rule");
+    }
+
+    /// States one slot more than the kernels run.
+    #[derive(Debug)]
+    struct TooManySlots;
+
+    impl Optimizer for TooManySlots {
+        fn kind(&self) -> OptimizerKind {
+            OptimizerKind::Adam
+        }
+
+        fn state_slots(&self) -> usize {
+            MAX_SLOTS + 1
+        }
+
+        fn hyper_wire(&self) -> [f32; 5] {
+            [0.0; 5]
+        }
+
+        fn set_lr(&mut self, _lr: f32) {}
+
+        fn update_scalar(&self, w: f32, _slots: &mut [f32], _grad: f32, _step: u64) -> f32 {
+            w
+        }
+    }
+
+    #[test]
+    fn too_many_slots_is_a_typed_error_in_every_kernel() {
+        let k = MAX_SLOTS + 1;
+        let err = KernelError::TooManySlots {
+            got: k,
+            max: MAX_SLOTS,
+        };
+        let want = Err(err.clone());
+        let (mut w32, mut slots, grads, mut w16) = (
+            vec![0u8; 8],
+            vec![vec![0u8; 8]; k],
+            vec![0u8; 4],
+            vec![0u8; 4],
+        );
+        let mut refs: Vec<&mut [u8]> = slots.iter_mut().map(|s| s.as_mut_slice()).collect();
+        let dtype = GradDtype::F16;
+        let scalar = update_chunk_scalar(
+            &TooManySlots,
+            &mut w32,
+            &mut refs,
+            &grads,
+            &mut w16,
+            dtype,
+            1,
+        );
+        assert_eq!(scalar, want);
+        let batched = update_chunk(
+            &TooManySlots,
+            &mut w32,
+            &mut refs,
+            &grads,
+            &mut w16,
+            dtype,
+            1,
+        );
+        assert_eq!(batched, want);
+        let src = vec![&[0u8; 8][..]; k];
+        let mut out = vec![0u8; 8];
+        let into = update_chunk_into(
+            &TooManySlots,
+            &[0; 8],
+            &src,
+            &grads,
+            &mut out,
+            &mut refs,
+            &mut w16,
+            dtype,
+            1,
+        );
+        assert_eq!(into, want);
+        assert_eq!(
+            err.to_string(),
+            format!("optimizer keeps {k} slots, the kernels run at most {MAX_SLOTS}")
+        );
+    }
+
+    #[test]
+    fn into_mismatched_destinations_are_detected() {
+        let sgd = SgdMomentum::default();
+        let (w32, m, grads) = (vec![0u8; 16], vec![0u8; 16], vec![0u8; 8]);
+        let (mut w_out, mut m_out, mut w16) = (vec![0u8; 12], vec![0u8; 16], vec![0u8; 8]);
+        let run = |w_out: &mut [u8], slots_out: &mut [&mut [u8]], w16: &mut [u8]| {
+            update_chunk_into(
+                &sgd,
+                &w32,
+                &[&m],
+                &grads,
+                w_out,
+                slots_out,
+                w16,
+                GradDtype::F16,
+                1,
+            )
+        };
+        assert_eq!(
+            run(&mut w_out, &mut [&mut m_out], &mut w16),
+            Err(KernelError::LengthMismatch {
+                buffer: "w32_out",
+                got: 12,
+                want: 16
+            })
+        );
+        let mut w_out = vec![0u8; 16];
+        let mut short = vec![0u8; 8];
+        assert_eq!(
+            run(&mut w_out, &mut [&mut short], &mut w16),
+            Err(KernelError::SlotLengthMismatch {
+                slot: 0,
+                got: 8,
+                want: 16
+            })
+        );
+        assert_eq!(
+            run(&mut w_out, &mut [], &mut w16),
+            Err(KernelError::SlotCountMismatch { got: 0, want: 1 })
+        );
+        assert_eq!(run(&mut w_out, &mut [&mut m_out], &mut w16), Ok(4));
     }
 
     #[test]

@@ -126,6 +126,29 @@ pub trait Optimizer: std::fmt::Debug + Send + Sync {
     ) -> Result<usize, KernelError> {
         kernels::update_chunk_batched(self, w32, slots, grads, w16_out, grad_dtype, step)
     }
+
+    /// Applies this rule from source state buffers into destination ones
+    /// with the batched kernel; [`kernels::update_chunk_into`] documents
+    /// the buffers and calls this.
+    ///
+    /// Provided, and not meant to be overridden, like
+    /// [`update_chunk`](Self::update_chunk).
+    #[allow(clippy::too_many_arguments)]
+    fn update_chunk_into(
+        &self,
+        w32: &[u8],
+        slots: &[&[u8]],
+        grads: &[u8],
+        w32_out: &mut [u8],
+        slots_out: &mut [&mut [u8]],
+        w16_out: &mut [u8],
+        grad_dtype: GradDtype,
+        step: u64,
+    ) -> Result<usize, KernelError> {
+        kernels::update_chunk_into_batched(
+            self, w32, slots, grads, w32_out, slots_out, w16_out, grad_dtype, step,
+        )
+    }
 }
 
 /// Adam (Kingma & Ba) with bias correction.

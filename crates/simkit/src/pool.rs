@@ -62,7 +62,7 @@ pub struct PageBuf {
 impl PageBuf {
     /// Checks out a buffer of `len` bytes, all zero.
     pub fn zeroed(len: usize) -> Self {
-        Self::checkout(|buf| {
+        Self::checkout(len, |buf| {
             buf.clear();
             buf.resize(len, 0);
         })
@@ -70,7 +70,7 @@ impl PageBuf {
 
     /// Checks out a buffer initialized as a copy of `src`.
     pub fn copy_of(src: &[u8]) -> Self {
-        Self::checkout(|buf| {
+        Self::checkout(src.len(), |buf| {
             buf.clear();
             buf.extend_from_slice(src);
         })
@@ -80,17 +80,19 @@ impl PageBuf {
     /// buffer keeps whatever bytes it held (only growth is zero-filled).
     /// For callers that overwrite every byte before reading any.
     pub fn scratch(len: usize) -> Self {
-        Self::checkout(|buf| buf.resize(len, 0))
+        Self::checkout(len, |buf| buf.resize(len, 0))
     }
 
     /// Takes an allocation from the pool (or a fresh, empty one), counts
-    /// the checkout, and lets `fill` set its length and contents.
-    fn checkout(fill: impl FnOnce(&mut Vec<u8>)) -> Self {
+    /// the checkout, and lets `fill` set its length (`len`) and contents.
+    /// A recycled buffer too small for `len` grows through the system
+    /// allocator, so it counts as a fresh allocation too.
+    fn checkout(len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Self {
         let recycled = {
             let mut pool = lock();
             pool.checkouts += 1;
             let buf = pool.free.pop();
-            if buf.is_none() {
+            if buf.as_ref().is_none_or(|b| b.capacity() < len) {
                 pool.fresh_allocs += 1;
             }
             buf

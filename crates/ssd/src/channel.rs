@@ -1,6 +1,7 @@
 //! One flash channel: an ONFI bus shared by several dies.
 
 use nandsim::{Die, NandError, PhysPage};
+use simkit::pool::PageBuf;
 use simkit::{BandwidthLink, SimTime, Window};
 
 /// A channel: the bus plus the dies behind it.
@@ -77,12 +78,13 @@ impl Channel {
     }
 
     /// Programs a page **from the controller**: a bus transfer of the page
-    /// followed by the array program.
+    /// followed by the array program, which takes the page buffer out of
+    /// `data` when it succeeds (see [`Die::program_page`]).
     pub fn program_from_controller(
         &mut self,
         die_index: u32,
         page: PhysPage,
-        data: Option<&[u8]>,
+        data: &mut Option<PageBuf>,
         at: SimTime,
     ) -> Result<Window, NandError> {
         let page_bytes = self.dies[die_index as usize].config().geometry.page_bytes as u64;
@@ -120,7 +122,7 @@ mod tests {
         };
         let data = vec![3u8; ch.die(0).config().geometry.page_bytes as usize];
         let w = ch
-            .program_from_controller(0, p, Some(&data), SimTime::ZERO)
+            .program_from_controller(0, p, &mut Some(PageBuf::copy_of(&data)), SimTime::ZERO)
             .unwrap();
         let mut out = vec![0u8; data.len()];
         let r = ch.read_to_controller(0, p, w.end, Some(&mut out)).unwrap();
@@ -142,10 +144,10 @@ mod tests {
         let data = vec![1u8; bytes];
         // Program the same page address on both dies.
         let w0 = ch
-            .program_from_controller(0, p, Some(&data), SimTime::ZERO)
+            .program_from_controller(0, p, &mut Some(PageBuf::copy_of(&data)), SimTime::ZERO)
             .unwrap();
         let w1 = ch
-            .program_from_controller(1, p, Some(&data), SimTime::ZERO)
+            .program_from_controller(1, p, &mut Some(PageBuf::copy_of(&data)), SimTime::ZERO)
             .unwrap();
         // The second program's bus transfer waited for the first.
         assert!(w1.start >= SimTime::ZERO);

@@ -118,7 +118,6 @@ impl Device {
             0 => 0,
             _ => geo.pages_per_block,
         };
-        let mut page = self.scratch_page();
         for page_idx in 0..pages {
             if self.die(die_id).page_state(victim_addr.page(page_idx))? != PageState::Valid {
                 continue;
@@ -131,12 +130,14 @@ impl Device {
                 .ftl
                 .owner_of(src_ppa)
                 .ok_or(SsdError::OrphanPage(src_ppa))?;
+            // The copy reads into a pooled page, which the program adopts.
+            let mut page = self.scratch_page();
             let read_win =
                 self.read_with_retry(owner, src_ppa, at, ReadRoute::Array, page.as_deref_mut())?;
             self.program_no_gc(
                 owner,
                 die_id,
-                page.as_deref(),
+                page,
                 read_win.end,
                 false,
                 None,
@@ -271,18 +272,18 @@ impl Device {
             })
             .collect();
         let mut t = at;
-        let mut page = self.scratch_page();
         for (owner, src) in victims {
             let src_ppa = Ppa {
                 die: die_id,
                 page: src,
             };
+            let mut page = self.scratch_page();
             let read_win =
                 self.read_with_retry(owner, src_ppa, t, ReadRoute::Array, page.as_deref_mut())?;
             let win = self.program_no_gc(
                 owner,
                 die_id,
-                page.as_deref(),
+                page,
                 read_win.end,
                 false,
                 Some(src.plane),
@@ -372,7 +373,7 @@ mod tests {
             {
                 let addr = geometry.block_at(flat as u64);
                 for page in 0..programmed {
-                    die.program_page(addr.page(page), SimTime::ZERO, None).unwrap();
+                    die.program_page(addr.page(page), SimTime::ZERO, &mut None).unwrap();
                 }
                 for page in 0..invalid.min(programmed) {
                     die.invalidate(addr.page(page)).unwrap();
@@ -405,7 +406,7 @@ mod tests {
             let mut written = Vec::new();
             for _ in 0..programs {
                 let Some(page) = alloc.next_page(&die) else { break };
-                die.program_page(page, SimTime::ZERO, None).unwrap();
+                die.program_page(page, SimTime::ZERO, &mut None).unwrap();
                 written.push(page);
             }
             for (page, _) in written.iter().zip(&invalid).filter(|(_, &inv)| inv) {

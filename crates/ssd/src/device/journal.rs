@@ -276,9 +276,9 @@ impl Device {
         let mut t = at;
         if !entries.is_empty() {
             let per_page = (self.page_bytes() / JOURNAL_ENTRY_BYTES).max(1);
-            let data_buf = self.functional.then(|| PageBuf::zeroed(self.page_bytes()));
             for chunk in entries.chunks(per_page) {
-                t = self.program_journal_page(chunk, data_buf.as_deref(), t)?;
+                let data = self.functional.then(|| PageBuf::zeroed(self.page_bytes()));
+                t = self.program_journal_page(chunk, data, t)?;
             }
             self.stats.journal_flushes.incr();
         }
@@ -296,7 +296,7 @@ impl Device {
     fn program_journal_page(
         &mut self,
         entries: &[JournalEntry],
-        data: Option<&[u8]>,
+        mut data: Option<PageBuf>,
         at: SimTime,
     ) -> Result<SimTime, SsdError> {
         let die_id = self.journal_die();
@@ -304,7 +304,7 @@ impl Device {
         loop {
             let page = self.next_journal_page(t)?;
             let channel = &mut self.channels[die_id.channel as usize];
-            match channel.program_from_controller(die_id.index, page, data, t) {
+            match channel.program_from_controller(die_id.index, page, &mut data, t) {
                 Ok(win) => {
                     if let Some(journal) = &mut self.journal {
                         journal.flushed.push(JournalPage {

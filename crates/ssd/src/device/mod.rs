@@ -382,14 +382,26 @@ impl Device {
     }
 
     /// Writes one host page: PCIe in → DRAM → channel bus → array program.
-    /// Returns the full persistence window.
+    /// Returns the full persistence window. The bytes are copied into a
+    /// pooled page; [`Self::host_write_buf`] hands one over instead.
     pub fn host_write_page(
         &mut self,
         lpn: Lpn,
         data: Option<&[u8]>,
         at: SimTime,
     ) -> Result<Window, SsdError> {
-        self.check_write(lpn, data)?;
+        self.host_write_buf(lpn, data.map(PageBuf::copy_of), at)
+    }
+
+    /// [`Self::host_write_page`] of a pooled page, which the die stores
+    /// as it is: no copy.
+    pub fn host_write_buf(
+        &mut self,
+        lpn: Lpn,
+        data: Option<PageBuf>,
+        at: SimTime,
+    ) -> Result<Window, SsdError> {
+        self.check_write(lpn, data.as_deref())?;
         let (pcie, dram_out) = self.forward_from_host(self.page_bytes() as u64, at);
         self.stats.pcie_in_busy += pcie.duration();
         let die = self
@@ -447,6 +459,23 @@ impl Device {
     /// functional device, for a read to overwrite; none on a phantom one.
     pub(super) fn scratch_page(&self) -> Option<PageBuf> {
         self.functional.then(|| PageBuf::scratch(self.page_bytes()))
+    }
+
+    /// Borrows the bytes of mapped page `lpn` where they rest in its die's
+    /// page store: what an on-die engine consumes from the page register
+    /// after sensing the page.
+    ///
+    /// Untimed and unaccounted: valid only for a page that a timed read
+    /// ([`Self::read_into`], usually with `out = None`) already served.
+    /// The page is resolved through the mapping now, so a page that GC
+    /// relocated, or that a degraded read re-homed, since that read is
+    /// still found. Fails with [`SsdError::Unmapped`] for an unmapped
+    /// page and with `NandError::NoData` for one that holds no bytes — a
+    /// phantom device's, or a released one's.
+    pub fn sensed_page(&self, lpn: Lpn) -> Result<&[u8], SsdError> {
+        self.check_lpn(lpn)?;
+        let ppa = self.ftl.lookup(lpn).ok_or(SsdError::Unmapped(lpn))?;
+        Ok(self.die(ppa.die).page_data(ppa.page)?)
     }
 
     /// Reads mapped page `lpn` along `path`, starting no earlier than `at`,
@@ -565,6 +594,9 @@ impl Device {
     /// * `cross_bus` — `true` if the data comes from the controller side
     ///   (channel-level engine or host), `false` if it originates in the
     ///   die's own latches (die-level engine: no bus traffic).
+    ///
+    /// The bytes are copied into a pooled page; [`Self::internal_program_buf`]
+    /// hands one over instead.
     pub fn internal_program(
         &mut self,
         lpn: Lpn,
@@ -573,7 +605,21 @@ impl Device {
         at: SimTime,
         cross_bus: bool,
     ) -> Result<Window, SsdError> {
-        self.check_write(lpn, data)?;
+        self.internal_program_buf(lpn, die, data.map(PageBuf::copy_of), at, cross_bus)
+    }
+
+    /// [`Self::internal_program`] of a pooled page, which the die stores
+    /// as it is: an update engine's output page is programmed without a
+    /// copy.
+    pub fn internal_program_buf(
+        &mut self,
+        lpn: Lpn,
+        die: Option<DieId>,
+        data: Option<PageBuf>,
+        at: SimTime,
+        cross_bus: bool,
+    ) -> Result<Window, SsdError> {
+        self.check_write(lpn, data.as_deref())?;
         let target = self
             .ftl
             .lookup(lpn)
@@ -595,7 +641,7 @@ impl Device {
         &mut self,
         lpn: Lpn,
         die_id: DieId,
-        data: Option<&[u8]>,
+        data: Option<PageBuf>,
         at: SimTime,
         cross_bus: bool,
     ) -> Result<Window, SsdError> {
@@ -622,12 +668,15 @@ impl Device {
     /// remap costs no extra plane switch. The loop terminates because every
     /// failure permanently removes a block from allocation: a die that
     /// keeps failing runs out of blocks and surfaces `OutOfSpace`.
+    ///
+    /// A functional page's buffer `data` is stored as it is; a failed
+    /// attempt leaves it here for the next.
     #[allow(clippy::too_many_arguments)]
     fn program_no_gc(
         &mut self,
         lpn: Lpn,
         die_id: DieId,
-        data: Option<&[u8]>,
+        mut data: Option<PageBuf>,
         at: SimTime,
         cross_bus: bool,
         prefer_plane: Option<u32>,
@@ -645,9 +694,11 @@ impl Device {
             }
             .ok_or(SsdError::OutOfSpace(die_id))?;
             let attempt = if cross_bus {
-                channel.program_from_controller(die_id.index, page, data, at)
+                channel.program_from_controller(die_id.index, page, &mut data, at)
             } else {
-                channel.die_mut(die_id.index).program_page(page, at, data)
+                channel
+                    .die_mut(die_id.index)
+                    .program_page(page, at, &mut data)
             };
             match attempt {
                 Ok(win) => {
@@ -1361,7 +1412,7 @@ mod tests {
             .program_no_gc(
                 Lpn(0),
                 src.die,
-                Some(&a),
+                Some(PageBuf::copy_of(&a)),
                 t,
                 false,
                 None,

@@ -147,22 +147,15 @@ impl Device {
             DieId::from_flat(flat, self.config.dies_per_channel)
         });
         self.ensure_space(die, t)?;
-        let win = self.program_no_gc(
-            parity,
-            die,
-            acc.as_deref(),
-            t,
-            true,
-            None,
-            ProgramKind::Parity,
-        )?;
+        let win = self.program_no_gc(parity, die, acc, t, true, None, ProgramKind::Parity)?;
         Ok(win.end)
     }
 
     /// Degraded read: serves `lpn` from its stripe peers after the retry
     /// policy gave up on the mapped page, then re-homes the reconstructed
     /// content on a fresh physical page and remaps the FTL. A functional
-    /// device also copies the content into `out`.
+    /// device also copies the content into `out`; the re-homed page keeps
+    /// the reconstruction buffer itself.
     ///
     /// Returns `Ok(None)` — the loss stays uncorrectable — when RAIN is
     /// off, the stripe's parity is stale (dirtied this epoch), the parity
@@ -208,19 +201,19 @@ impl Device {
             }
         }
         self.ensure_space(failed.die, t)?;
+        if let (Some(out), Some(acc)) = (out, &acc) {
+            out.copy_from_slice(acc);
+        }
         let win = self.program_no_gc(
             lpn,
             failed.die,
-            acc.as_deref(),
+            acc,
             t,
             true,
             None,
             ProgramKind::Reconstruct(failed),
         )?;
         self.stats.parity_reconstructions.incr();
-        if let (Some(out), Some(acc)) = (out, &acc) {
-            out.copy_from_slice(acc);
-        }
         Ok(Some(Window {
             start: at,
             end: win.end,

@@ -111,7 +111,9 @@ impl Device {
                     let r = self.program_no_gc(
                         lpn,
                         ppa.die,
-                        page.as_deref(),
+                        // The refresh adopts the page just read; the
+                        // sweep reads on into a fresh one.
+                        std::mem::replace(&mut page, self.scratch_page()),
                         t,
                         false,
                         None,

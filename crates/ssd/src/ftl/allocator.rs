@@ -350,7 +350,7 @@ mod tests {
         let mut seen = Vec::new();
         for _ in 0..planes * 2 {
             let p = a.next_page(&d).unwrap();
-            d.program_page(p, SimTime::ZERO, None).unwrap();
+            d.program_page(p, SimTime::ZERO, &mut None).unwrap();
             seen.push(p.plane);
         }
         // First `planes` allocations hit every plane once, then repeat.
@@ -372,7 +372,7 @@ mod tests {
         let mut per_plane_pages: Vec<Vec<u32>> = vec![Vec::new(); planes as usize];
         for _ in 0..planes * ppb {
             let p = a.next_page(&d).unwrap();
-            d.program_page(p, SimTime::ZERO, None).unwrap();
+            d.program_page(p, SimTime::ZERO, &mut None).unwrap();
             per_plane_pages[p.plane as usize].push(p.page);
         }
         for pages in per_plane_pages {
@@ -397,7 +397,7 @@ mod tests {
         for _ in 0..d.config().geometry.planes {
             let p = a.next_page(&d).unwrap();
             assert_ne!(p.block, 0, "wear levelling must avoid the hot block");
-            d.program_page(p, SimTime::ZERO, None).unwrap();
+            d.program_page(p, SimTime::ZERO, &mut None).unwrap();
         }
     }
 
@@ -406,7 +406,7 @@ mod tests {
         let mut d = die();
         let mut a = DieAlloc::new(&d, true);
         while let Some(p) = a.next_page(&d) {
-            d.program_page(p, SimTime::ZERO, None).unwrap();
+            d.program_page(p, SimTime::ZERO, &mut None).unwrap();
         }
         // Reclaim three plane-0 blocks out of index order, each erased once.
         for block in [5, 3, 4] {
@@ -418,7 +418,7 @@ mod tests {
             .map(|_| {
                 let p = a.next_page_preferring(0, &d).unwrap();
                 for page in 0..d.config().geometry.pages_per_block {
-                    d.program_page(p.block_addr().page(page), SimTime::ZERO, None)
+                    d.program_page(p.block_addr().page(page), SimTime::ZERO, &mut None)
                         .unwrap();
                 }
                 p.block
@@ -443,7 +443,7 @@ mod tests {
         let total = a.free_blocks();
         // Open an active block on plane 0.
         let p = a.next_page(&d).unwrap();
-        d.program_page(p, SimTime::ZERO, None).unwrap();
+        d.program_page(p, SimTime::ZERO, &mut None).unwrap();
         let active = p.block_addr();
         a.discard_block(&d, active);
         assert_eq!(a.actives[active.plane as usize], None);
@@ -454,7 +454,7 @@ mod tests {
         // Neither block is ever allocated again.
         let mut seen = std::collections::HashSet::new();
         while let Some(p) = a.next_page(&d) {
-            d.program_page(p, SimTime::ZERO, None).unwrap();
+            d.program_page(p, SimTime::ZERO, &mut None).unwrap();
             seen.insert(p.block_addr());
         }
         assert!(!seen.contains(&active));
@@ -467,11 +467,11 @@ mod tests {
         let mut a = DieAlloc::new(&d, true);
         let p = a.next_page_preferring(1, &d).unwrap();
         assert_eq!(p.plane, 1);
-        d.program_page(p, SimTime::ZERO, None).unwrap();
+        d.program_page(p, SimTime::ZERO, &mut None).unwrap();
         // Drain plane 1 completely: the preference falls back to plane 0.
         loop {
             let q = a.next_page_preferring(1, &d).unwrap();
-            d.program_page(q, SimTime::ZERO, None).unwrap();
+            d.program_page(q, SimTime::ZERO, &mut None).unwrap();
             if q.plane != 1 {
                 assert_eq!(q.plane, 0);
                 break;
@@ -490,7 +490,7 @@ mod tests {
         assert_eq!(taken, BlockAddr { plane: 0, block: 0 });
         let mut seen = std::collections::HashSet::new();
         while let Some(p) = a.next_page(&d) {
-            d.program_page(p, SimTime::ZERO, None).unwrap();
+            d.program_page(p, SimTime::ZERO, &mut None).unwrap();
             seen.insert(p.block_addr());
         }
         assert!(
@@ -507,12 +507,13 @@ mod tests {
         // plane 1, one retired block, one excluded block.
         let partial = BlockAddr { plane: 0, block: 2 };
         for pg in 0..2 {
-            d.program_page(partial.page(pg), SimTime::ZERO, None)
+            d.program_page(partial.page(pg), SimTime::ZERO, &mut None)
                 .unwrap();
         }
         let full = BlockAddr { plane: 1, block: 1 };
         for pg in 0..geo.pages_per_block {
-            d.program_page(full.page(pg), SimTime::ZERO, None).unwrap();
+            d.program_page(full.page(pg), SimTime::ZERO, &mut None)
+                .unwrap();
         }
         let retired = BlockAddr { plane: 1, block: 3 };
         d.retire_block(retired).unwrap();
@@ -747,12 +748,12 @@ mod tests {
                     match op {
                         0 => {
                             if let Some(p) = a.next_page(&d) {
-                                d.program_page(p, SimTime::ZERO, None).unwrap();
+                                d.program_page(p, SimTime::ZERO, &mut None).unwrap();
                             }
                         }
                         1 => {
                             if let Some(p) = a.next_page_preferring(plane, &d) {
-                                d.program_page(p, SimTime::ZERO, None).unwrap();
+                                d.program_page(p, SimTime::ZERO, &mut None).unwrap();
                             }
                         }
                         2 => {
@@ -808,7 +809,7 @@ mod tests {
                             };
                             prop_assert_eq!(got, want);
                             if let Some(p) = got {
-                                d.program_page(p, SimTime::ZERO, None).unwrap();
+                                d.program_page(p, SimTime::ZERO, &mut None).unwrap();
                             }
                         }
                         4 | 5 => {
@@ -854,7 +855,7 @@ mod tests {
         let mut d = die();
         let mut a = DieAlloc::new(&d, true);
         while let Some(p) = a.next_page(&d) {
-            d.program_page(p, SimTime::ZERO, None).unwrap();
+            d.program_page(p, SimTime::ZERO, &mut None).unwrap();
         }
         assert_eq!(a.free_blocks(), 0);
         assert_eq!(a.next_page(&d), None);

@@ -186,7 +186,9 @@ mod tests {
         let (_cfg, mut dies, mut ftl) = setup();
         let die_flat = 3u32;
         let page = ftl.allocate_page(die_flat, &dies[3]).unwrap();
-        dies[3].program_page(page, SimTime::ZERO, None).unwrap();
+        dies[3]
+            .program_page(page, SimTime::ZERO, &mut None)
+            .unwrap();
         let ppa = Ppa {
             die: DieId::from_flat(die_flat, ftl.dies_per_channel()),
             page,
@@ -201,7 +203,7 @@ mod tests {
     fn overwrite_returns_stale_ppa() {
         let (_cfg, mut dies, mut ftl) = setup();
         let p1 = ftl.allocate_page(0, &dies[0]).unwrap();
-        dies[0].program_page(p1, SimTime::ZERO, None).unwrap();
+        dies[0].program_page(p1, SimTime::ZERO, &mut None).unwrap();
         let ppa1 = Ppa {
             die: DieId::from_flat(0, 2),
             page: p1,
@@ -209,7 +211,7 @@ mod tests {
         ftl.commit_program(Lpn(7), ppa1);
 
         let p2 = ftl.allocate_page(0, &dies[0]).unwrap();
-        dies[0].program_page(p2, SimTime::ZERO, None).unwrap();
+        dies[0].program_page(p2, SimTime::ZERO, &mut None).unwrap();
         let ppa2 = Ppa {
             die: DieId::from_flat(0, 2),
             page: p2,
@@ -224,7 +226,7 @@ mod tests {
         let (_cfg, mut dies, mut ftl) = setup();
         let before = ftl.free_blocks(0);
         let p = ftl.allocate_page(0, &dies[0]).unwrap();
-        dies[0].program_page(p, SimTime::ZERO, None).unwrap();
+        dies[0].program_page(p, SimTime::ZERO, &mut None).unwrap();
         assert_eq!(ftl.free_blocks(0), before - 1);
         dies[0].erase_block(p.block_addr(), SimTime::ZERO).unwrap();
         ftl.reclaim_block(0, &dies[0], p.block_addr());
@@ -267,7 +269,7 @@ mod tests {
     fn shadow_mapping_sets_rmap_without_touching_l2p() {
         let (_cfg, mut dies, mut ftl) = setup();
         let p1 = ftl.allocate_page(0, &dies[0]).unwrap();
-        dies[0].program_page(p1, SimTime::ZERO, None).unwrap();
+        dies[0].program_page(p1, SimTime::ZERO, &mut None).unwrap();
         let ppa1 = Ppa {
             die: DieId::from_flat(0, ftl.dies_per_channel()),
             page: p1,
@@ -277,7 +279,7 @@ mod tests {
         // Shadow copy of the same lpn at a second location: reverse-mapped
         // (GC can find the owner) but the L2P target is unchanged.
         let p2 = ftl.allocate_page(0, &dies[0]).unwrap();
-        dies[0].program_page(p2, SimTime::ZERO, None).unwrap();
+        dies[0].program_page(p2, SimTime::ZERO, &mut None).unwrap();
         let ppa2 = Ppa {
             die: DieId::from_flat(0, ftl.dies_per_channel()),
             page: p2,

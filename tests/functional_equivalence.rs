@@ -9,9 +9,11 @@ use optimstore::baselines::{HostDramBaseline, HostDramConfig};
 use optimstore::optim_math::kernels::{encode_grads, StateBuffers};
 use optimstore::optim_math::state::{GradDtype, StateLayoutSpec};
 use optimstore::optim_math::{make_optimizer, AdamParams, Bf16, MomentumParams, OptimizerKind};
-use optimstore::optimstore_core::{LayoutPolicy, OptimStoreConfig, OptimStoreDevice};
+use optimstore::optimstore_core::{
+    GradStaging, LayoutPolicy, OptimStoreConfig, OptimStoreDevice, StateComponent,
+};
 use optimstore::simkit::SimTime;
-use optimstore::ssdsim::SsdConfig;
+use optimstore::ssdsim::{RainConfig, SsdConfig};
 use optimstore::workloads::{GradientGen, WeightInit};
 use optimstore_bench::runners::{assert_bit_exact, host_tier};
 
@@ -280,4 +282,125 @@ proptest! {
             );
         }
     }
+}
+
+// ——— Operands that move between their read and their kernel ———
+
+/// A die-NDP device of 16 blocks per plane whose gradients are staged to
+/// flash, on the tensor-striped layout, skipping all-zero gradient pages.
+/// A group's operands sit on every die, so the staged-gradient program of
+/// a later group of the same batch runs garbage collection on dies holding
+/// operands that were read but not yet updated; when it picks their block,
+/// it relocates them and erases the block.
+fn staged_on_small_flash(ssd: SsdConfig, params: usize) -> OptimStoreDevice {
+    let ssd = SsdConfig {
+        nand: optimstore::nandsim::NandConfig {
+            geometry: optimstore::nandsim::NandGeometry {
+                blocks_per_plane: 16,
+                ..ssd.nand.geometry
+            },
+            ..ssd.nand
+        },
+        ..ssd
+    };
+    let cfg = OptimStoreConfig {
+        grad_staging: GradStaging::StoreToFlash,
+        layout: LayoutPolicy::TensorStriped,
+        skip_zero_gradients: true,
+        ..OptimStoreConfig::die_ndp()
+    };
+    let kind = OptimizerKind::Adam;
+    let opt = make_optimizer(kind, AdamParams::default(), MomentumParams::default());
+    OptimStoreDevice::new_functional(ssd, cfg, params as u64, opt, spec(kind))
+        .expect("the model fits the small device")
+}
+
+/// Trains `dev`, loaded with `weights`, for `steps` seeded steps in which
+/// update group `g` stays frozen (zero gradients, so its pages are not
+/// rewritten) until step `1 + g % 5`: the staggered rewrites leave blocks
+/// of mixed ages, whose collection must relocate live pages. Calls
+/// `before_step` ahead of each step, checks the master weights bit for bit
+/// against the host reference and returns the steps' erases and GC copies.
+fn train_against_reference(
+    dev: &mut OptimStoreDevice,
+    weights: &[f32],
+    steps: u64,
+    mut before_step: impl FnMut(&mut OptimStoreDevice),
+) -> (u64, u64) {
+    let group = dev.layout().params_per_group() as usize;
+    let gen = GradientGen::new(11);
+    let opt = make_optimizer(
+        OptimizerKind::Adam,
+        AdamParams::default(),
+        MomentumParams::default(),
+    );
+    let mut reference = StateBuffers::init(opt.as_ref(), weights, GradDtype::F16);
+    let mut at = dev.load_weights(weights, SimTime::ZERO).unwrap();
+    let (mut erases, mut gc_copies) = (0, 0);
+    for step in 1..=steps {
+        before_step(dev);
+        let mut grads = gen.generate(step, weights.len());
+        for (g, chunk) in grads.chunks_mut(group).enumerate() {
+            if step < 1 + g as u64 % 5 {
+                chunk.fill(0.0);
+            }
+        }
+        let r = dev.run_step(Some(&grads), at).unwrap();
+        at = r.end;
+        erases += r.erases;
+        gc_copies += r.gc_copies;
+        let grads = encode_grads(&grads, GradDtype::F16);
+        reference
+            .step(opt.as_ref(), &grads, GradDtype::F16, step)
+            .unwrap();
+    }
+    assert_bit_exact(
+        &dev.read_master_weights(at).unwrap(),
+        &reference.weights_f32(),
+        "master weights after operands moved mid-batch",
+    );
+    (erases, gc_copies)
+}
+
+#[test]
+fn operands_relocated_between_read_and_kernel_update_exactly() {
+    let params = 700_000;
+    let weights = WeightInit {
+        seed: 5,
+        std_dev: 0.02,
+    }
+    .generate(params);
+    let mut dev = staged_on_small_flash(SsdConfig::tiny(), params);
+    let (erases, gc_copies) = train_against_reference(&mut dev, &weights, 8, |_| {});
+    assert!(erases > 0, "garbage collection never erased");
+    assert!(
+        gc_copies > 0,
+        "garbage collection never relocated a live page"
+    );
+}
+
+#[test]
+fn an_operand_rebuilt_from_parity_mid_batch_updates_exactly() {
+    let params = 600_000;
+    let weights = WeightInit {
+        seed: 6,
+        std_dev: 0.02,
+    }
+    .generate(params);
+    let ssd = SsdConfig::tiny().with_rain(RainConfig::rotating());
+    let mut dev = staged_on_small_flash(ssd, params);
+    let repaired = dev.ssd().stats().parity_reconstructions.get();
+    // Destroy the second master page of group 0, which every step trains,
+    // before every step: its read rebuilds it from parity and re-homes it
+    // on a fresh page while the first batch is in flight.
+    let (erases, _) = train_against_reference(&mut dev, &weights, 8, |dev| {
+        let lpn = dev.layout().lpn(0, StateComponent::Master, 1);
+        dev.ssd_mut().inject_page_loss(lpn).unwrap();
+    });
+    assert_eq!(
+        dev.ssd().stats().parity_reconstructions.get() - repaired,
+        8,
+        "every destroyed operand was rebuilt"
+    );
+    assert!(erases > 0, "garbage collection never erased");
 }

@@ -1,9 +1,11 @@
 //! Heap traffic and live-heap footprint of a functional device, measured by
-//! a counting global allocator. Page bytes live in each die's slot arena
-//! and operands are read straight into pooled kernel buffers, so a
-//! steady-state step must not allocate per page, a loaded device must hold
-//! little more heap than the page bytes it stores, and a trained one little
-//! more than its valid pages.
+//! a counting global allocator. Each die stores its pages as pooled page
+//! buffers; the kernel reads operands where they rest and writes pooled
+//! pages that the programs adopt, and a superseded version's buffer goes
+//! back to the pool for the next kernel output. So a steady-state step
+//! must not allocate per page, a loaded device must hold little more heap
+//! than the page bytes it stores, and a trained one little more than its
+//! valid pages (the pool's idle buffers included).
 //!
 //! The file holds a single test so that no other test's allocations
 //! interleave with the counts.

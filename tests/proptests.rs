@@ -257,7 +257,7 @@ proptest! {
             let p = PhysPage { plane, block, page };
             match op {
                 0 => {
-                    let r = die.program_page(p, SimTime::ZERO, None);
+                    let r = die.program_page(p, SimTime::ZERO, &mut None);
                     if page == cursor {
                         prop_assert!(r.is_ok(), "legal program rejected: {r:?}");
                         pages[page as usize] = PageState::Valid;
@@ -787,8 +787,119 @@ proptest! {
 
 // ——— Batched-kernel bit-exactness and buffer-pool hygiene ———
 
-use optimstore::optim_math::kernels::{update_chunk, update_chunk_scalar};
+use optimstore::optim_math::kernels::{
+    update_chunk, update_chunk_into, update_chunk_scalar, BATCH_BLOCK, MAX_SLOTS,
+};
+use optimstore::optim_math::Optimizer;
 use optimstore::simkit::pool::PageBuf;
+
+/// An update rule keeping `.0` auxiliary slots, each with its own rule, so
+/// that every slot count the batched kernels dispatch on (0 to
+/// `MAX_SLOTS`) runs — the built-in optimizers keep only one or two.
+#[derive(Debug)]
+struct KSlots(usize);
+
+impl Optimizer for KSlots {
+    fn kind(&self) -> OptimizerKind {
+        OptimizerKind::Adam
+    }
+
+    fn state_slots(&self) -> usize {
+        self.0
+    }
+
+    fn hyper_wire(&self) -> [f32; 5] {
+        [0.0; 5]
+    }
+
+    fn set_lr(&mut self, _lr: f32) {}
+
+    fn update_scalar(&self, w: f32, slots: &mut [f32], grad: f32, step: u64) -> f32 {
+        let mut w = w - 1e-3 * grad / step as f32;
+        for (k, s) in slots.iter_mut().enumerate() {
+            *s = 0.9 * *s + (k as f32 + 1.0) * grad;
+            w -= 0.01 * *s;
+        }
+        w
+    }
+}
+
+/// `n` seeded values in `[-scale, scale)`, non-negative when `positive`.
+fn seeded_values(seed: u64, n: usize, scale: f32, positive: bool) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let x = ((state >> 40) as f32 / (1u64 << 24) as f32 * 2.0 - 1.0) * scale;
+            if positive {
+                x.abs()
+            } else {
+                x
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The out-of-place kernel (`update_chunk_into`) and the in-place one
+    /// (`update_chunk`) write byte for byte what the scalar oracle writes,
+    /// for every built-in rule and every slot count, both gradient dtypes,
+    /// and lengths that do and do not fill whole blocks; the out-of-place
+    /// kernel leaves its sources untouched.
+    #[test]
+    fn kernel_into_matches_scalar(
+        rule in 0usize..(5 + MAX_SLOTS + 1),
+        bf16 in any::<bool>(),
+        n in 0usize..(3 * BATCH_BLOCK + 1),
+        step in 1u64..1000,
+        seed in any::<u64>(),
+    ) {
+        let kinds = OptimizerKind::all();
+        let opt: Box<dyn Optimizer> = match kinds.get(rule) {
+            Some(&kind) => make_optimizer(kind, AdamParams::default(), MomentumParams::default()),
+            None => Box::new(KSlots(rule - kinds.len())),
+        };
+        let dtype = if bf16 { GradDtype::Bf16 } else { GradDtype::F16 };
+        let k = opt.state_slots();
+        let to_bytes = |v: Vec<f32>| -> Vec<u8> { v.iter().flat_map(|x| x.to_le_bytes()).collect() };
+        let w32 = to_bytes(seeded_values(seed, n, 2.0, false));
+        // Slot state stays non-negative: second moments and accumulators
+        // are, and no rule then takes the root of a negative.
+        let slots: Vec<Vec<u8>> = (0..k)
+            .map(|s| to_bytes(seeded_values(seed ^ (s as u64 + 1) << 32, n, 0.5, true)))
+            .collect();
+        let grads = encode_grads(&seeded_values(!seed, n, 1.0, false), dtype);
+
+        let mut want = (w32.clone(), slots.clone(), vec![0u8; 2 * n]);
+        {
+            let mut refs: Vec<&mut [u8]> = want.1.iter_mut().map(|s| s.as_mut_slice()).collect();
+            update_chunk_scalar(opt.as_ref(), &mut want.0, &mut refs, &grads, &mut want.2, dtype, step).unwrap();
+        }
+
+        let mut in_place = (w32.clone(), slots.clone(), vec![0x5Au8; 2 * n]);
+        {
+            let mut refs: Vec<&mut [u8]> = in_place.1.iter_mut().map(|s| s.as_mut_slice()).collect();
+            let done = update_chunk(opt.as_ref(), &mut in_place.0, &mut refs, &grads, &mut in_place.2, dtype, step);
+            prop_assert_eq!(done, Ok(n));
+        }
+        prop_assert_eq!(&in_place, &want);
+
+        let mut into = (vec![0xA5u8; 4 * n], vec![vec![0xA5u8; 4 * n]; k], vec![0xA5u8; 2 * n]);
+        {
+            let src: Vec<&[u8]> = slots.iter().map(|s| s.as_slice()).collect();
+            let mut dst: Vec<&mut [u8]> = into.1.iter_mut().map(|s| s.as_mut_slice()).collect();
+            let done = update_chunk_into(
+                opt.as_ref(), &w32, &src, &grads, &mut into.0, &mut dst, &mut into.2, dtype, step,
+            );
+            prop_assert_eq!(done, Ok(n));
+        }
+        prop_assert_eq!(&into, &want);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
