@@ -676,7 +676,7 @@ impl DegradedCell {
                 for lpn in &hot {
                     for _ in 0..sched.hot_reads_per_step {
                         let read = dev.ssd_mut().internal_read_array(*lpn, at);
-                        at = read.map_err(|e| (step, CoreError::Ssd(e)))?.0.end;
+                        at = read.map_err(|e| (step, CoreError::Ssd(e)))?.end;
                     }
                 }
                 for lpn in &victims[(step - 1) as usize] {

@@ -839,7 +839,7 @@ impl OptimStoreDevice {
             (ExecutionTier::DieNdp, false) | (ExecutionTier::ChannelNdp, _) => ReadPath::Channel,
             (ExecutionTier::HostNvme, _) => ReadPath::Host,
         };
-        let w = self.device.read_into(lpn, path, at, None)?;
+        let w = self.device.read(lpn, path, at)?;
         if self.cfg.tier != ExecutionTier::DieNdp || local {
             return Ok(w);
         }
@@ -926,13 +926,13 @@ impl OptimStoreDevice {
             ExecutionTier::ChannelNdp | ExecutionTier::DieNdp => ReadPath::Array,
         };
         let per_page = self.layout.page_bytes() / 4;
-        let mut page = vec![0u8; self.page_bytes()];
         let mut out = Vec::with_capacity(self.layout.params() as usize);
         for g in 0..self.layout.num_groups() {
             let mut left = self.layout.group(g).param_count as usize;
             for idx in 0..2u32 {
                 let lpn = self.layout.lpn(g, StateComponent::Master, idx);
-                self.device.read_into(lpn, path, at, Some(&mut page))?;
+                self.device.read(lpn, path, at)?;
+                let page = self.device.sensed_page(lpn)?;
                 let n = left.min(per_page);
                 out.extend(
                     page[..4 * n]
@@ -953,16 +953,14 @@ impl OptimStoreDevice {
                 "read_weights16 needs functional mode",
             ));
         }
-        let mut page = vec![0u8; self.page_bytes()];
         let mut out = vec![0.0; self.layout.params() as usize];
         for g in 0..self.layout.num_groups() {
             let r = self.layout.group(g).param_range();
             let lpn = self.layout.lpn(g, StateComponent::Weight16, 0);
-            self.device
-                .read_into(lpn, ReadPath::Array, at, Some(&mut page))?;
+            self.device.read(lpn, ReadPath::Array, at)?;
             widen_into(
                 self.spec.grad_dtype,
-                &page,
+                self.device.sensed_page(lpn)?,
                 &mut out[r.start as usize..r.end as usize],
             );
         }
@@ -984,7 +982,7 @@ impl OptimStoreDevice {
             let base = self.layout.group_base(g);
             for &page in self.write_set.iter() {
                 let lpn = page.lpn(&self.layout, g, base);
-                let win = self.device.read_into(lpn, ReadPath::Host, at, None)?;
+                let win = self.device.read(lpn, ReadPath::Host, at)?;
                 end = end.max(win.end);
                 bytes += self.page_bytes() as u64;
             }

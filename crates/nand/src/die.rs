@@ -338,31 +338,15 @@ impl Die {
         Ok(())
     }
 
-    /// Reads page `p`, starting no earlier than `at`, and returns the array
-    /// occupancy window.
-    ///
-    /// In functional mode the page contents are copied into `out`, which
-    /// must be exactly one page long; phantom dies leave it untouched.
-    /// `None` senses the page without delivering it. Reading a `Free`
-    /// (never-programmed) page is an error.
-    pub fn read_page(
-        &mut self,
-        p: PhysPage,
-        at: SimTime,
-        out: Option<&mut [u8]>,
-    ) -> Result<Window, NandError> {
+    /// Senses page `p` into the page register, starting no earlier than
+    /// `at`, and returns the array occupancy window. The read delivers no
+    /// bytes: whoever consumes them borrows them afterwards with
+    /// [`Self::page_data`]. Reading a `Free` (never-programmed) page is an
+    /// error, and so is a functional read of a page with no bytes
+    /// ([`NandError::NoData`]).
+    pub fn read_page(&mut self, p: PhysPage, at: SimTime) -> Result<Window, NandError> {
         if !self.config.geometry.contains(p) {
             return Err(NandError::BadAddress(p));
-        }
-        let page_bytes = self.config.geometry.page_bytes as usize;
-        if let Some(out) = &out {
-            if out.len() != page_bytes {
-                return Err(NandError::WrongLength {
-                    page: p,
-                    got: out.len(),
-                    want: page_bytes,
-                });
-            }
         }
         let block = self.blocks.get(p.block_addr());
         if block.page_state(p.page, &self.invalid) == PageState::Free {
@@ -420,12 +404,9 @@ impl Die {
         if let Backing::Data(store) = &self.backing {
             // A programmed page in functional mode must have contents.
             let block_idx = self.config.geometry.block_index(p.block_addr()) as usize;
-            let data = store
+            store
                 .get(block_idx, p.page as usize)
                 .ok_or(NandError::NoData(p))?;
-            if let Some(out) = out {
-                out.copy_from_slice(data);
-            }
         }
         Ok(win)
     }
@@ -433,7 +414,7 @@ impl Die {
     /// Borrows the bytes of page `p` where they rest in the page store,
     /// with no timing, no fault draw and no read accounting: for a page
     /// that a timed [`Self::read_page`] already sensed, whose bytes an
-    /// on-die engine consumes from the page register. Fails with
+    /// engine consumes from the page register. Fails with
     /// [`NandError::NoData`] when the page holds no trustworthy bytes: on
     /// a phantom die, for a free, released or erased page, and for a torn
     /// one.
@@ -663,11 +644,10 @@ mod tests {
         vec![byte; die.config().geometry.page_bytes as usize]
     }
 
-    /// Reads `p` into a page buffer that starts out as `0xEE` bytes.
+    /// Senses `p`, then copies out the bytes the read served.
     fn read(d: &mut Die, p: PhysPage, at: SimTime) -> Result<(Window, Vec<u8>), NandError> {
-        let mut out = fill(d, 0xEE);
-        let w = d.read_page(p, at, Some(&mut out))?;
-        Ok((w, out))
+        let w = d.read_page(p, at)?;
+        Ok((w, d.page_data(p)?.to_vec()))
     }
 
     #[test]
@@ -690,7 +670,7 @@ mod tests {
     fn read_of_unwritten_page_fails() {
         let mut d = die();
         let err = d
-            .read_page(page_of(&d, 0, 0, 0), SimTime::ZERO, None)
+            .read_page(page_of(&d, 0, 0, 0), SimTime::ZERO)
             .unwrap_err();
         assert_eq!(
             err,
@@ -747,19 +727,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, NandError::WrongLength { got: 3, .. }));
-        let p = page_of(&d, 0, 0, 0);
-        d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
-            .unwrap();
-        let before = d.stats().reads.get();
-        let err = d
-            .read_page(p, SimTime::ZERO, Some(&mut [0u8; 3]))
-            .unwrap_err();
-        assert!(matches!(err, NandError::WrongLength { got: 3, .. }));
-        assert_eq!(
-            d.stats().reads.get(),
-            before,
-            "a rejected read senses nothing"
-        );
     }
 
     #[test]
@@ -780,10 +747,11 @@ mod tests {
             page: 0,
         };
         d.program_page(p, SimTime::ZERO, &mut None).unwrap();
-        let (_, out) = read(&mut d, p, SimTime::ZERO).unwrap();
-        assert!(
-            out.iter().all(|&b| b == 0xEE),
-            "a phantom read delivers nothing"
+        d.read_page(p, SimTime::ZERO).unwrap();
+        assert_eq!(
+            d.page_data(p),
+            Err(NandError::NoData(p)),
+            "a phantom page holds no bytes"
         );
     }
 
@@ -798,7 +766,7 @@ mod tests {
             .unwrap();
         assert_eq!(w.duration(), d.config().timing.t_erase);
         assert!(matches!(
-            d.read_page(p, SimTime::ZERO, None).unwrap_err(),
+            d.read_page(p, SimTime::ZERO).unwrap_err(),
             NandError::ReadUnwritten(_)
         ));
         // Programmable again from page 0.
@@ -849,13 +817,13 @@ mod tests {
             .unwrap();
         }
         let t0 = d
-            .read_page(page_of(&d, 0, 0, 0), SimTime::from_secs(1), None)
+            .read_page(page_of(&d, 0, 0, 0), SimTime::from_secs(1))
             .unwrap();
         let t1 = d
-            .read_page(page_of(&d, 0, 0, 1), SimTime::from_secs(2), None)
+            .read_page(page_of(&d, 0, 0, 1), SimTime::from_secs(2))
             .unwrap();
         let t2 = d
-            .read_page(page_of(&d, 0, 0, 2), SimTime::from_secs(3), None)
+            .read_page(page_of(&d, 0, 0, 2), SimTime::from_secs(3))
             .unwrap();
         assert_eq!(t0.duration(), SimDuration::from_us(40));
         assert_eq!(t1.duration(), SimDuration::from_us(60));
@@ -891,7 +859,7 @@ mod tests {
             page: 0,
         };
         assert!(matches!(
-            d.read_page(bad, SimTime::ZERO, None),
+            d.read_page(bad, SimTime::ZERO),
             Err(NandError::BadAddress(_))
         ));
         assert!(matches!(
@@ -912,16 +880,10 @@ mod tests {
         let p0 = page_of(&d, 0, 0, 0);
         d.program_page(p0, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
             .unwrap();
-        let fresh = d
-            .read_page(p0, SimTime::from_secs(1), None)
-            .unwrap()
-            .duration();
+        let fresh = d.read_page(p0, SimTime::from_secs(1)).unwrap().duration();
         // Age to rated endurance: reads need several retries.
         d.simulate_wear(d.config().rated_pe_cycles());
-        let worn = d
-            .read_page(p0, SimTime::from_secs(2), None)
-            .unwrap()
-            .duration();
+        let worn = d.read_page(p0, SimTime::from_secs(2)).unwrap().duration();
         assert!(
             worn >= fresh * 4,
             "worn read {worn} should be several times fresh {fresh}"
@@ -1021,7 +983,7 @@ mod tests {
             wear_coupling: false,
         });
         let before = d.plane_free_at(0);
-        let err = d.read_page(p, before, None).unwrap_err();
+        let err = d.read_page(p, before).unwrap_err();
         match err {
             NandError::ReadUncorrectable { page, busy_until } => {
                 assert_eq!(page, p);
@@ -1109,7 +1071,7 @@ mod tests {
         // After power returns, reading the torn page charges the sense but
         // always fails uncorrectable — without consuming any fault draw.
         d.set_power_loss(None);
-        let err = d.read_page(p, crash, None).unwrap_err();
+        let err = d.read_page(p, crash).unwrap_err();
         assert!(matches!(err, NandError::ReadUncorrectable { page, .. } if page == p));
         // Erase heals the tear.
         d.erase_block(BlockAddr { plane: 0, block: 0 }, crash)
@@ -1180,19 +1142,13 @@ mod tests {
             retention_per_sec: 0.0,
         });
         let b = BlockAddr { plane: 0, block: 0 };
-        let fresh = d
-            .read_page(p, SimTime::from_secs(1), None)
-            .unwrap()
-            .duration();
+        let fresh = d.read_page(p, SimTime::from_secs(1)).unwrap().duration();
         // Hammer the page: each sense raises the block's RBER.
         for i in 0..200u64 {
-            let _ = d.read_page(p, SimTime::from_secs(2 + i), None);
+            let _ = d.read_page(p, SimTime::from_secs(2 + i));
         }
         assert_eq!(d.block(b).unwrap().reads_since_erase(), 201);
-        let hot = d
-            .read_page(p, SimTime::from_secs(500), None)
-            .unwrap()
-            .duration();
+        let hot = d.read_page(p, SimTime::from_secs(500)).unwrap().duration();
         assert!(
             hot > fresh,
             "disturbed read {hot} should exceed fresh {fresh}"
@@ -1228,7 +1184,7 @@ mod tests {
         );
         // An hour-stale read takes retries; a fresh read does not.
         let aged_read = d
-            .read_page(p, w.end + SimDuration::from_secs(3600), None)
+            .read_page(p, w.end + SimDuration::from_secs(3600))
             .unwrap()
             .duration();
         // Erase + reprogram refreshes the charge: fast again.
@@ -1240,7 +1196,7 @@ mod tests {
                 &mut Some(PageBuf::copy_of(&fill(&d, 2))),
             )
             .unwrap();
-        let fresh_read = d.read_page(p, w2.end, None).unwrap().duration();
+        let fresh_read = d.read_page(p, w2.end).unwrap().duration();
         assert!(aged_read > fresh_read, "{aged_read} vs {fresh_read}");
     }
 
@@ -1260,7 +1216,7 @@ mod tests {
         d.program_page(p, SimTime::ZERO, &mut Some(PageBuf::copy_of(&fill(&d, 1))))
             .unwrap();
         for i in 0..50u64 {
-            d.read_page(p, SimTime::from_secs(1 + i), None).unwrap();
+            d.read_page(p, SimTime::from_secs(1 + i)).unwrap();
         }
         let b = BlockAddr { plane: 0, block: 0 };
         // Disarmed: the disturb clock never ticks and effective RBER is
@@ -1284,7 +1240,7 @@ mod tests {
             .unwrap();
         d.corrupt_page(p).unwrap();
         for i in 0..3u64 {
-            let err = d.read_page(p, SimTime::from_secs(1 + i), None).unwrap_err();
+            let err = d.read_page(p, SimTime::from_secs(1 + i)).unwrap_err();
             assert!(matches!(err, NandError::ReadUncorrectable { page, .. } if page == p));
         }
         d.erase_block(BlockAddr { plane: 0, block: 0 }, SimTime::from_secs(10))
@@ -1652,11 +1608,10 @@ mod tests {
                         _ => {
                             let p = b.page(page);
                             let idx = geo.page_index(p);
-                            let mut out = vec![0xEE; PAGE_BYTES];
-                            let r = d.read_page(p, t, Some(&mut out));
+                            let r = d.read_page(p, t);
                             if let Some(want) = model.get(&idx).filter(|_| !torn.contains(&idx)) {
                                 prop_assert!(r.is_ok(), "read of {p} failed: {r:?}");
-                                prop_assert_eq!(&out, want, "bytes of {}", p);
+                                prop_assert_eq!(d.page_data(p), Ok(&want[..]), "bytes of {}", p);
                             } else {
                                 if torn.contains(&idx) {
                                     prop_assert!(matches!(r, Err(NandError::ReadUncorrectable { .. })));
@@ -1665,7 +1620,6 @@ mod tests {
                                 } else {
                                     prop_assert_eq!(r, Err(NandError::ReadUnwritten(p)));
                                 }
-                                prop_assert!(out.iter().all(|&x| x == 0xEE), "failed read wrote {p}");
                             }
                         }
                     }

@@ -47,15 +47,15 @@
 //! let mut die = Die::new_functional(0, NandConfig::tlc_1tb_die());
 //! let page = PhysPage { plane: 0, block: 0, page: 0 };
 //! // Program then read one page, functionally: the die stores the page
-//! // buffer it is handed.
+//! // buffer it is handed, a read senses the page into the page register,
+//! // and the consumer borrows its bytes where they rest.
 //! let data = vec![0xAB; die.config().geometry.page_bytes as usize];
 //! let w = die
 //!     .program_page(page, SimTime::ZERO, &mut Some(PageBuf::copy_of(&data)))
 //!     .unwrap();
-//! let mut out = vec![0; data.len()];
-//! let r = die.read_page(page, w.end, Some(&mut out)).unwrap();
+//! let r = die.read_page(page, w.end).unwrap();
 //! assert!(r.end > w.end);
-//! assert_eq!(out, data);
+//! assert_eq!(die.page_data(page).unwrap(), &data[..]);
 //! ```
 
 #![warn(missing_docs)]

@@ -21,16 +21,18 @@
 //!   blocking only changes how bytes move, never the float sequence —
 //!   which is what keeps the two paths bit-exact.
 //!
-//! The batched kernel has one body and two entry points, each making one
-//! virtual call to a provided [`Optimizer`] method that monomorphizes it
-//! over the implementing type:
+//! The batched kernel has one body, monomorphized over the implementing
+//! type by the one provided [`Optimizer::update_chunk_into`] method, and
+//! two entry points:
 //!
 //! * [`update_chunk_into`] reads the state from source buffers and writes
 //!   the new state to separate destination buffers — the executor's path,
 //!   which reads every operand page where it rests in the die's page store
 //!   and writes fresh pages for the program to adopt;
 //! * [`update_chunk`] updates the state in place — host baselines and
-//!   owned buffers — by copying each block's sources to the stack first.
+//!   owned buffers — as a plain adapter: it copies each block's sources to
+//!   the stack and runs [`update_chunk_into`]'s method from the copies back
+//!   into the buffers.
 //!
 //! Whatever `update_scalar` an optimizer states is the rule both run.
 
@@ -201,6 +203,10 @@ pub fn narrow_into(dtype: GradDtype, src: &[f32], dst: &mut [u8]) {
 
 /// Applies `opt` element-wise over raw state buffers, in place.
 ///
+/// Each block of [`BATCH_BLOCK`] elements has its master and slot bytes
+/// copied to the stack, and [`Optimizer::update_chunk_into`] runs from the
+/// copies back into the buffers.
+///
 /// * `w32` — fp32 master weights, 4 B/element, updated in place.
 /// * `slots` — one buffer per auxiliary slot, each 4 B/element, updated in
 ///   place. Order is the optimizer's slot order (e.g. Adam: `m`, then `v`).
@@ -245,7 +251,33 @@ pub fn update_chunk(
     grad_dtype: GradDtype,
     step: u64,
 ) -> Result<usize, KernelError> {
-    opt.update_chunk(w32, slots, grads, w16_out, grad_dtype, step)
+    let (n, k) = (
+        validate(opt.state_slots(), w32, slots, grads, w16_out)?,
+        slots.len(),
+    );
+    let mut w_src = [0u8; 4 * BATCH_BLOCK];
+    let mut s_src = [[0u8; 4 * BATCH_BLOCK]; MAX_SLOTS];
+    for base in (0..n).step_by(BATCH_BLOCK) {
+        let len = (n - base).min(BATCH_BLOCK);
+        let (state, half) = (4 * base..4 * (base + len), 2 * base..2 * (base + len));
+        w_src[..4 * len].copy_from_slice(&w32[state.clone()]);
+        let mut s_out: [&mut [u8]; MAX_SLOTS] = Default::default();
+        for ((copy, out), slot) in s_src.iter_mut().zip(&mut s_out).zip(slots.iter_mut()) {
+            copy[..4 * len].copy_from_slice(&slot[state.clone()]);
+            *out = &mut slot[state.clone()];
+        }
+        opt.update_chunk_into(
+            &w_src[..4 * len],
+            &s_src.each_ref().map(|s| &s[..4 * len])[..k],
+            &grads[half.clone()],
+            &mut w32[state],
+            &mut s_out[..k],
+            &mut w16_out[half],
+            grad_dtype,
+            step,
+        )?;
+    }
+    Ok(n)
 }
 
 /// Applies `opt` element-wise from source state buffers into destination
@@ -309,7 +341,7 @@ pub fn update_chunk_scalar(
 }
 
 /// Elements per batched block. 256 elements keep a block's gradient and
-/// new-weight scratch at 2 KiB, and the in-place entry's stack copies of
+/// new-weight scratch at 2 KiB, and [`update_chunk`]'s stack copies of
 /// the master and up to [`MAX_SLOTS`] slot blocks at 5 KiB more —
 /// comfortably L1-resident.
 pub const BATCH_BLOCK: usize = 256;
@@ -333,25 +365,8 @@ macro_rules! dispatch_slots {
     };
 }
 
-/// The in-place batched kernel behind [`update_chunk`], run by
-/// [`Optimizer::update_chunk`]: dispatches on the slot count.
-pub(crate) fn update_chunk_batched<O: Optimizer + ?Sized>(
-    opt: &O,
-    w32: &mut [u8],
-    slots: &mut [&mut [u8]],
-    grads: &[u8],
-    w16_out: &mut [u8],
-    grad_dtype: GradDtype,
-    step: u64,
-) -> Result<usize, KernelError> {
-    dispatch_slots!(
-        opt.state_slots(),
-        in_place::<O>(opt, w32, slots, grads, w16_out, grad_dtype, step)
-    )
-}
-
-/// The out-of-place batched kernel behind [`update_chunk_into`], run by
-/// [`Optimizer::update_chunk_into`]: dispatches on the slot count.
+/// The batched kernel behind [`update_chunk_into`] and [`update_chunk`],
+/// run by [`Optimizer::update_chunk_into`]: dispatches on the slot count.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn update_chunk_into_batched<O: Optimizer + ?Sized>(
     opt: &O,
@@ -368,52 +383,6 @@ pub(crate) fn update_chunk_into_batched<O: Optimizer + ?Sized>(
         opt.state_slots(),
         out_of_place::<O>(opt, w32, slots, grads, w32_out, slots_out, w16_out, grad_dtype, step,)
     )
-}
-
-/// `slots` as an array of its `K` buffers.
-fn slot_array<T, const K: usize>(slots: &mut [T]) -> Result<&mut [T; K], KernelError> {
-    let got = slots.len();
-    slots
-        .try_into()
-        .map_err(|_| KernelError::SlotCountMismatch { got, want: K })
-}
-
-/// [`update_chunk_batched`] for an optimizer with `K` slots: copies each
-/// block's master and slot bytes to the stack and runs [`out_of_place`]
-/// from the copies back into the buffers.
-fn in_place<O: Optimizer + ?Sized, const K: usize>(
-    opt: &O,
-    w32: &mut [u8],
-    slots: &mut [&mut [u8]],
-    grads: &[u8],
-    w16_out: &mut [u8],
-    grad_dtype: GradDtype,
-    step: u64,
-) -> Result<usize, KernelError> {
-    let n = validate(K, w32, slots, grads, w16_out)?;
-    let slots = slot_array::<_, K>(slots)?;
-    let mut w_src = [0u8; 4 * BATCH_BLOCK];
-    let mut s_src = [[0u8; 4 * BATCH_BLOCK]; K];
-    for base in (0..n).step_by(BATCH_BLOCK) {
-        let len = (n - base).min(BATCH_BLOCK);
-        let (state, half) = (4 * base..4 * (base + len), 2 * base..2 * (base + len));
-        w_src[..4 * len].copy_from_slice(&w32[state.clone()]);
-        for (dst, src) in s_src.iter_mut().zip(slots.iter()) {
-            dst[..4 * len].copy_from_slice(&src[state.clone()]);
-        }
-        out_of_place::<O, K>(
-            opt,
-            &w_src[..4 * len],
-            &s_src.each_ref().map(|s| &s[..4 * len]),
-            &grads[half.clone()],
-            &mut w32[state.clone()],
-            &mut slots.each_mut().map(|s| &mut s[state.clone()]),
-            &mut w16_out[half],
-            grad_dtype,
-            step,
-        )?;
-    }
-    Ok(n)
 }
 
 /// [`update_chunk_into_batched`] for an optimizer with `K` slots. Per
@@ -434,7 +403,10 @@ fn out_of_place<O: Optimizer + ?Sized, const K: usize>(
 ) -> Result<usize, KernelError> {
     let n = validate(K, w32, slots, grads, w16_out)?;
     check_len("w32_out", w32_out.len(), 4 * n)?;
-    let slots_out = slot_array::<_, K>(slots_out)?;
+    let got = slots_out.len();
+    let slots_out: &mut [_; K] = slots_out
+        .try_into()
+        .map_err(|_| KernelError::SlotCountMismatch { got, want: K })?;
     check_slot_lens(slots_out.iter().map(|s| s.len()), 4 * n)?;
     let slots: [&[u8]; K] = slots
         .try_into()

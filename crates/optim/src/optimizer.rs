@@ -109,30 +109,14 @@ pub trait Optimizer: std::fmt::Debug + Send + Sync {
     /// [`schedules`]: https://docs.rs/dnn-model
     fn set_lr(&mut self, lr: f32);
 
-    /// Applies this rule over raw state buffers with the batched kernel;
-    /// [`kernels::update_chunk`] documents the buffers and calls this.
+    /// Applies this rule from source state buffers into destination ones
+    /// with the batched kernel; [`kernels::update_chunk_into`] documents
+    /// the buffers and calls this, and the in-place
+    /// [`kernels::update_chunk`] calls it once per block.
     ///
     /// Provided, and not meant to be overridden: the body monomorphizes
     /// the kernel over `Self`, so a `&dyn Optimizer` runs its own
     /// [`update_scalar`](Self::update_scalar) at batched speed.
-    fn update_chunk(
-        &self,
-        w32: &mut [u8],
-        slots: &mut [&mut [u8]],
-        grads: &[u8],
-        w16_out: &mut [u8],
-        grad_dtype: GradDtype,
-        step: u64,
-    ) -> Result<usize, KernelError> {
-        kernels::update_chunk_batched(self, w32, slots, grads, w16_out, grad_dtype, step)
-    }
-
-    /// Applies this rule from source state buffers into destination ones
-    /// with the batched kernel; [`kernels::update_chunk_into`] documents
-    /// the buffers and calls this.
-    ///
-    /// Provided, and not meant to be overridden, like
-    /// [`update_chunk`](Self::update_chunk).
     #[allow(clippy::too_many_arguments)]
     fn update_chunk_into(
         &self,

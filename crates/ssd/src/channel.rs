@@ -57,19 +57,18 @@ impl Channel {
         &self.bus
     }
 
-    /// Reads a page from a die **to the controller**: array read (into
-    /// `out`, see [`Die::read_page`]), then a bus transfer of the page.
-    /// Returns the combined window (start of the array read to end of the
-    /// bus transfer).
+    /// Reads a page from a die **to the controller**: array read (see
+    /// [`Die::read_page`]), then a bus transfer of the page. Returns the
+    /// combined window (start of the array read to end of the bus
+    /// transfer); the bytes stay where [`Die::page_data`] borrows them.
     pub fn read_to_controller(
         &mut self,
         die_index: u32,
         page: PhysPage,
         at: SimTime,
-        out: Option<&mut [u8]>,
     ) -> Result<Window, NandError> {
         let page_bytes = self.dies[die_index as usize].config().geometry.page_bytes as u64;
-        let array = self.dies[die_index as usize].read_page(page, at, out)?;
+        let array = self.dies[die_index as usize].read_page(page, at)?;
         let bus = self.bus.transfer(array.end, page_bytes);
         Ok(Window {
             start: array.start,
@@ -124,9 +123,8 @@ mod tests {
         let w = ch
             .program_from_controller(0, p, &mut Some(PageBuf::copy_of(&data)), SimTime::ZERO)
             .unwrap();
-        let mut out = vec![0u8; data.len()];
-        let r = ch.read_to_controller(0, p, w.end, Some(&mut out)).unwrap();
-        assert_eq!(out, data);
+        let r = ch.read_to_controller(0, p, w.end).unwrap();
+        assert_eq!(ch.die(0).page_data(p), Ok(&data[..]));
         // Window covers array read + bus transfer: longer than tR alone.
         let t_read = ch.die(0).config().timing.t_read_lower;
         assert!(r.duration() > t_read);

@@ -130,14 +130,13 @@ impl Device {
                 .ftl
                 .owner_of(src_ppa)
                 .ok_or(SsdError::OrphanPage(src_ppa))?;
-            // The copy reads into a pooled page, which the program adopts.
-            let mut page = self.scratch_page();
-            let read_win =
-                self.read_with_retry(owner, src_ppa, at, ReadRoute::Array, page.as_deref_mut())?;
+            // The program adopts a pooled copy of the page the read served:
+            // the source, or the fresh page a reconstruction re-homed it on.
+            let (read_win, served) = self.read_with_retry(owner, src_ppa, at, ReadRoute::Array)?;
             self.program_no_gc(
                 owner,
                 die_id,
-                page,
+                self.copy_page(served)?,
                 read_win.end,
                 false,
                 None,
@@ -277,13 +276,11 @@ impl Device {
                 die: die_id,
                 page: src,
             };
-            let mut page = self.scratch_page();
-            let read_win =
-                self.read_with_retry(owner, src_ppa, t, ReadRoute::Array, page.as_deref_mut())?;
-            let win = self.program_no_gc(
+            let (read_win, served) = self.read_with_retry(owner, src_ppa, t, ReadRoute::Array)?;
+            let (win, _) = self.program_no_gc(
                 owner,
                 die_id,
-                page,
+                self.copy_page(served)?,
                 read_win.end,
                 false,
                 Some(src.plane),
@@ -300,8 +297,75 @@ impl Device {
 mod tests {
     use super::*;
     use crate::ftl::DieAlloc;
+    use crate::{RainConfig, SsdConfig};
     use nandsim::{Die, NandConfig, NandGeometry};
     use proptest::prelude::*;
+
+    /// A functional RAIN device whose LPNs `0..32` each hold a page of
+    /// their own fill byte, committed, and the commit's end.
+    fn rained_with_32_pages() -> (Device, SimTime) {
+        let mut dev = Device::new_functional(SsdConfig::tiny().with_rain(RainConfig::rotating()));
+        let mut t = SimTime::ZERO;
+        for i in 0..32u8 {
+            let data = vec![i; dev.page_bytes()];
+            t = dev
+                .host_write_page(Lpn(i.into()), Some(&data), t)
+                .unwrap()
+                .end;
+        }
+        let t = dev.commit_epoch(t).unwrap();
+        (dev, t)
+    }
+
+    /// After Lpn 7's destroyed page was relocated: the relocation read it
+    /// by one parity reconstruction, and the page it moved to holds the
+    /// rebuilt bytes.
+    fn assert_relocated_with_rebuilt_bytes(dev: &mut Device, src: Ppa, t: SimTime) {
+        assert_eq!(dev.stats().parity_reconstructions.get(), 1);
+        assert_ne!(dev.ftl.lookup(Lpn(7)), Some(src));
+        let (_, out) = dev.host_read_page(Lpn(7), t).unwrap();
+        assert_eq!(out.unwrap().as_ref(), &vec![7; dev.page_bytes()][..]);
+    }
+
+    #[test]
+    fn gc_relocates_a_reconstructed_page_with_its_rebuilt_bytes() {
+        let (mut dev, mut t) = rained_with_32_pages();
+        let src = dev.ftl.lookup(Lpn(7)).unwrap();
+        let block = src.page.block_addr();
+        let die_flat = src.die.flat(dev.config.dies_per_channel);
+        let flat = dev.config.nand.geometry.block_index(block);
+        // GC takes only a full block that no allocator is filling: fill
+        // Lpn 7's block with fresh pages on its die first.
+        let fresh = vec![0xA5; dev.page_bytes()];
+        let mut lpn = 32;
+        while dev
+            .die(src.die)
+            .block(block)
+            .unwrap()
+            .next_programmable()
+            .is_some()
+            || dev.ftl.is_active(die_flat, flat)
+        {
+            if dev.die_for_lpn(Lpn(lpn)) == src.die {
+                t = dev.host_write_page(Lpn(lpn), Some(&fresh), t).unwrap().end;
+            }
+            lpn += 1;
+        }
+        let t = dev.commit_epoch(t).unwrap();
+        dev.inject_page_loss(Lpn(7)).unwrap();
+        dev.relocate_and_erase(src.die, block, t).unwrap();
+        assert_relocated_with_rebuilt_bytes(&mut dev, src, t);
+    }
+
+    #[test]
+    fn rescue_relocates_a_reconstructed_page_with_its_rebuilt_bytes() {
+        let (mut dev, t) = rained_with_32_pages();
+        let src = dev.ftl.lookup(Lpn(7)).unwrap();
+        dev.inject_page_loss(Lpn(7)).unwrap();
+        dev.retire_and_rescue(src.die, src.page.block_addr(), t)
+            .unwrap();
+        assert_relocated_with_rebuilt_bytes(&mut dev, src, t);
+    }
 
     /// The victim scan as it was before the early exit: every block is
     /// visited.

@@ -90,7 +90,7 @@ enum ProgramKind {
     Reconstruct(Ppa),
 }
 
-/// Where a front-door read ([`Device::read_into`]) delivers its page.
+/// Where a front-door read ([`Device::read`]) delivers its page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadPath {
     /// Into the die's page register, where an on-die engine consumes it:
@@ -422,54 +422,43 @@ impl Device {
     }
 
     /// Reads one host page: array read → channel bus → DRAM → PCIe out
-    /// ([`ReadPath::Host`]). On a functional device the page arrives in a
-    /// pooled buffer.
+    /// ([`ReadPath::Host`]). On a functional device the host interface
+    /// hands the page over in a pooled copy.
     pub fn host_read_page(
         &mut self,
         lpn: Lpn,
         at: SimTime,
     ) -> Result<(Window, Option<PageBuf>), SsdError> {
-        self.read_pooled(lpn, ReadPath::Host, at)
+        let win = self.read(lpn, ReadPath::Host, at)?;
+        let served = self.ftl.lookup(lpn).ok_or(SsdError::Unmapped(lpn))?;
+        Ok((win, self.copy_page(served)?))
     }
 
     /// **In-storage read, die-local** ([`ReadPath::Array`]): the page lands
     /// in the die's page register where an on-die engine consumes it. No
     /// bus, DRAM, or PCIe traffic.
-    pub fn internal_read_array(
-        &mut self,
-        lpn: Lpn,
-        at: SimTime,
-    ) -> Result<(Window, Option<PageBuf>), SsdError> {
-        self.read_pooled(lpn, ReadPath::Array, at)
+    pub fn internal_read_array(&mut self, lpn: Lpn, at: SimTime) -> Result<Window, SsdError> {
+        self.read(lpn, ReadPath::Array, at)
     }
 
-    /// [`Self::read_into`] a pooled page buffer (none on a phantom device).
-    fn read_pooled(
-        &mut self,
-        lpn: Lpn,
-        path: ReadPath,
-        at: SimTime,
-    ) -> Result<(Window, Option<PageBuf>), SsdError> {
-        let mut page = self.scratch_page();
-        let win = self.read_into(lpn, path, at, page.as_deref_mut())?;
-        Ok((win, page))
-    }
-
-    /// A pooled page-sized buffer with unspecified contents on a
-    /// functional device, for a read to overwrite; none on a phantom one.
-    pub(super) fn scratch_page(&self) -> Option<PageBuf> {
-        self.functional.then(|| PageBuf::scratch(self.page_bytes()))
+    /// A pooled copy of the bytes of `ppa`, a page a read just served, for
+    /// a relocating program to adopt or the host to take; none on a
+    /// phantom device.
+    pub(super) fn copy_page(&self, ppa: Ppa) -> Result<Option<PageBuf>, SsdError> {
+        Ok(match self.functional {
+            true => Some(PageBuf::copy_of(self.die(ppa.die).page_data(ppa.page)?)),
+            false => None,
+        })
     }
 
     /// Borrows the bytes of mapped page `lpn` where they rest in its die's
-    /// page store: what an on-die engine consumes from the page register
-    /// after sensing the page.
+    /// page store: what an engine consumes from the page register or the
+    /// controller after the page was read.
     ///
     /// Untimed and unaccounted: valid only for a page that a timed read
-    /// ([`Self::read_into`], usually with `out = None`) already served.
-    /// The page is resolved through the mapping now, so a page that GC
-    /// relocated, or that a degraded read re-homed, since that read is
-    /// still found. Fails with [`SsdError::Unmapped`] for an unmapped
+    /// ([`Self::read`]) already served. The page is resolved through the
+    /// mapping now, so a page that GC relocated, or that a degraded read
+    /// re-homed, since that read is still found. Fails with [`SsdError::Unmapped`] for an unmapped
     /// page and with `NandError::NoData` for one that holds no bytes — a
     /// phantom device's, or a released one's.
     pub fn sensed_page(&self, lpn: Lpn) -> Result<&[u8], SsdError> {
@@ -484,16 +473,9 @@ impl Device {
     /// mapped; then the retried read (with RAIN reconstruction), traced,
     /// and for [`ReadPath::Host`] the DRAM and PCIe legs.
     ///
-    /// On a functional device the page's bytes land in `out`, which must be
-    /// one page long; a phantom device leaves it untouched. With `None` the
-    /// read is timed and accounted but delivers nothing.
-    pub fn read_into(
-        &mut self,
-        lpn: Lpn,
-        path: ReadPath,
-        at: SimTime,
-        out: Option<&mut [u8]>,
-    ) -> Result<Window, SsdError> {
+    /// The read is timed and accounted but delivers no bytes: a consumer
+    /// borrows them afterwards with [`Self::sensed_page`].
+    pub fn read(&mut self, lpn: Lpn, path: ReadPath, at: SimTime) -> Result<Window, SsdError> {
         self.check_alive()?;
         self.check_lpn(lpn)?;
         let ppa = self.ftl.lookup(lpn).ok_or(SsdError::Unmapped(lpn))?;
@@ -501,8 +483,8 @@ impl Device {
             ReadPath::Array => ReadRoute::Array,
             ReadPath::Channel | ReadPath::Host => ReadRoute::Channel,
         };
-        let win = {
-            let r = self.read_with_retry(lpn, ppa, at, route, out);
+        let (win, _) = {
+            let r = self.read_with_retry(lpn, ppa, at, route);
             self.observe(r)?
         };
         self.trace_op(OpKind::Read, Some(lpn), ppa.die, win);
@@ -529,29 +511,29 @@ impl Device {
     /// time (the die senses the page again), so faults degrade latency
     /// honestly; a failed attempt never crosses the bus — no data left the
     /// die. Exhausted retries fall back to RAIN stripe reconstruction,
-    /// except on [`ReadRoute::Peer`]. A functional page's bytes land in
-    /// `out` (see [`Die::read_page`]).
+    /// except on [`ReadRoute::Peer`].
+    ///
+    /// Returns the window and the page that holds the bytes served: `ppa`
+    /// itself, or the fresh page a reconstruction re-homed them on.
     fn read_with_retry(
         &mut self,
         lpn: Lpn,
         ppa: Ppa,
         at: SimTime,
         route: ReadRoute,
-        mut out: Option<&mut [u8]>,
-    ) -> Result<Window, SsdError> {
+    ) -> Result<(Window, Ppa), SsdError> {
         let t_read = self.config.nand.timing.t_read_lower;
         let mut t = at;
         for attempt in 0..=READ_RETRIES {
             let channel = &mut self.channels[ppa.die.channel as usize];
-            let buf = out.as_deref_mut();
             let attempt_result = match route {
-                ReadRoute::Array => channel.die_mut(ppa.die.index).read_page(ppa.page, t, buf),
+                ReadRoute::Array => channel.die_mut(ppa.die.index).read_page(ppa.page, t),
                 ReadRoute::Channel | ReadRoute::Peer => {
-                    channel.read_to_controller(ppa.die.index, ppa.page, t, buf)
+                    channel.read_to_controller(ppa.die.index, ppa.page, t)
                 }
             };
             match attempt_result {
-                Ok(ok) => return Ok(ok),
+                Ok(win) => return Ok((win, ppa)),
                 Err(NandError::ReadUncorrectable { busy_until, .. }) => {
                     self.trace_op(
                         OpKind::ReadFail,
@@ -575,7 +557,7 @@ impl Device {
             }
         }
         if route != ReadRoute::Peer {
-            if let Some(ok) = self.try_reconstruct(lpn, ppa, t, out)? {
+            if let Some(ok) = self.try_reconstruct(lpn, ppa, t)? {
                 return Ok(ok);
             }
             // Terminal: not even parity could serve the page.
@@ -647,7 +629,8 @@ impl Device {
     ) -> Result<Window, SsdError> {
         self.ensure_space(die_id, at)?;
         self.maybe_static_wl(die_id, at)?;
-        let win = self.program_no_gc(lpn, die_id, data, at, cross_bus, None, ProgramKind::Fresh)?;
+        let (win, _) =
+            self.program_no_gc(lpn, die_id, data, at, cross_bus, None, ProgramKind::Fresh)?;
         // Auto-flush gate: only front-door data programs count. GC and
         // rescue copies flow through program_no_gc directly, so a flush can
         // never re-enter itself via the space it frees.
@@ -670,7 +653,8 @@ impl Device {
     /// keeps failing runs out of blocks and surfaces `OutOfSpace`.
     ///
     /// A functional page's buffer `data` is stored as it is; a failed
-    /// attempt leaves it here for the next.
+    /// attempt leaves it here for the next. Returns the program's window
+    /// and the page it landed on.
     #[allow(clippy::too_many_arguments)]
     fn program_no_gc(
         &mut self,
@@ -681,7 +665,7 @@ impl Device {
         cross_bus: bool,
         prefer_plane: Option<u32>,
         kind: ProgramKind,
-    ) -> Result<Window, SsdError> {
+    ) -> Result<(Window, Ppa), SsdError> {
         let die_flat = die_id.flat(self.config.dies_per_channel);
         let mut at = at;
         let mut prefer = prefer_plane;
@@ -730,7 +714,7 @@ impl Device {
                         ProgramKind::Reconstruct(_) => OpKind::ParityRepair,
                     };
                     self.trace_op(op, Some(lpn), die_id, win);
-                    return Ok(win);
+                    return Ok((win, ppa));
                 }
                 Err(NandError::ProgramFailed {
                     page: failed,
@@ -945,10 +929,9 @@ mod tests {
             .unwrap();
         let pcie_busy_before = dev.stats().pcie_in_busy + dev.stats().pcie_out_busy;
 
-        let (_, out) = dev
-            .internal_read_array(Lpn(1), SimTime::from_secs(1))
+        dev.internal_read_array(Lpn(1), SimTime::from_secs(1))
             .unwrap();
-        assert_eq!(out.unwrap().as_ref(), &data[..]);
+        assert_eq!(dev.sensed_page(Lpn(1)), Ok(&data[..]));
         let new = page(&dev, 10);
         dev.internal_program(Lpn(1), None, Some(&new), SimTime::from_secs(2), false)
             .unwrap();
@@ -1342,11 +1325,9 @@ mod tests {
 
     /// Reads physical page `ppa` straight off its die.
     fn read_physical(dev: &mut Device, ppa: Ppa, at: SimTime) -> Result<Vec<u8>, NandError> {
-        let mut out = vec![0; dev.page_bytes()];
-        dev.channels[ppa.die.channel as usize]
-            .die_mut(ppa.die.index)
-            .read_page(ppa.page, at, Some(&mut out))?;
-        Ok(out)
+        let die = dev.channels[ppa.die.channel as usize].die_mut(ppa.die.index);
+        die.read_page(ppa.page, at)?;
+        Ok(die.page_data(ppa.page)?.to_vec())
     }
 
     #[test]
@@ -1419,6 +1400,7 @@ mod tests {
                 ProgramKind::Relocate(src),
             )
             .unwrap()
+            .0
             .end;
         assert_ne!(dev.ftl().lookup(Lpn(0)), Some(src));
         assert_eq!(

@@ -44,15 +44,6 @@ impl Rain {
     }
 }
 
-/// XORs `data` into the functional accumulator (phantom reads carry none).
-fn xor_into(acc: &mut Option<PageBuf>, data: Option<&[u8]>) {
-    if let (Some(acc), Some(d)) = (acc, data) {
-        for (a, b) in acc.iter_mut().zip(d) {
-            *a ^= b;
-        }
-    }
-}
-
 impl Device {
     /// True when every stripe's parity matches its data (nothing written
     /// since the last [`Self::commit_epoch`]).
@@ -131,31 +122,43 @@ impl Device {
         let lo = stripe * width;
         let parity = self.parity_lpn(stripe);
         let mut acc = self.functional.then(|| PageBuf::zeroed(self.page_bytes()));
-        let mut peer = self.scratch_page();
         let mut t = at;
         for m in lo..(lo + width).min(self.logical_pages) {
             let lpn = Lpn(m);
             let Some(ppa) = self.ftl.lookup(lpn) else {
                 continue; // unmapped member: XOR identity
             };
-            let win = self.read_with_retry(lpn, ppa, at, ReadRoute::Peer, peer.as_deref_mut())?;
+            let (win, served) = self.read_with_retry(lpn, ppa, at, ReadRoute::Peer)?;
             t = t.max(win.end);
-            xor_into(&mut acc, peer.as_deref());
+            self.xor_into(&mut acc, served)?;
         }
         let die = self.ftl.lookup(parity).map(|p| p.die).unwrap_or_else(|| {
             let flat = ((lo + width) % self.config.total_dies() as u64) as u32;
             DieId::from_flat(flat, self.config.dies_per_channel)
         });
         self.ensure_space(die, t)?;
-        let win = self.program_no_gc(parity, die, acc, t, true, None, ProgramKind::Parity)?;
+        let (win, _) = self.program_no_gc(parity, die, acc, t, true, None, ProgramKind::Parity)?;
         Ok(win.end)
+    }
+
+    /// XORs the bytes of `ppa`, a page a peer read just served, into the
+    /// functional accumulator straight from its die's page store (a
+    /// phantom device has neither).
+    fn xor_into(&self, acc: &mut Option<PageBuf>, ppa: Ppa) -> Result<(), SsdError> {
+        if let Some(acc) = acc {
+            let data = self.die(ppa.die).page_data(ppa.page)?;
+            for (a, b) in acc.iter_mut().zip(data) {
+                *a ^= b;
+            }
+        }
+        Ok(())
     }
 
     /// Degraded read: serves `lpn` from its stripe peers after the retry
     /// policy gave up on the mapped page, then re-homes the reconstructed
-    /// content on a fresh physical page and remaps the FTL. A functional
-    /// device also copies the content into `out`; the re-homed page keeps
-    /// the reconstruction buffer itself.
+    /// content on a fresh physical page, which keeps the reconstruction
+    /// buffer itself, and remaps the FTL. Returns the read's window and
+    /// the fresh page.
     ///
     /// Returns `Ok(None)` — the loss stays uncorrectable — when RAIN is
     /// off, the stripe's parity is stale (dirtied this epoch), the parity
@@ -167,8 +170,7 @@ impl Device {
         lpn: Lpn,
         failed: Ppa,
         at: SimTime,
-        out: Option<&mut [u8]>,
-    ) -> Result<Option<Window>, SsdError> {
+    ) -> Result<Option<(Window, Ppa)>, SsdError> {
         let Some(rain) = &self.rain else {
             return Ok(None);
         };
@@ -179,7 +181,6 @@ impl Device {
         let members = rain.members(stripe, self.logical_pages);
         let parity = self.parity_lpn(stripe);
         let mut acc = self.functional.then(|| PageBuf::zeroed(self.page_bytes()));
-        let mut buf = self.scratch_page();
         let mut t = at;
         for peer in members.chain(std::iter::once(parity.0)).map(Lpn) {
             if peer == lpn {
@@ -191,20 +192,17 @@ impl Device {
                 }
                 continue; // unmapped member: XOR identity
             };
-            match self.read_with_retry(peer, peer_ppa, at, ReadRoute::Peer, buf.as_deref_mut()) {
-                Ok(win) => {
+            match self.read_with_retry(peer, peer_ppa, at, ReadRoute::Peer) {
+                Ok((win, served)) => {
                     t = t.max(win.end);
-                    xor_into(&mut acc, buf.as_deref());
+                    self.xor_into(&mut acc, served)?;
                 }
                 Err(SsdError::UncorrectableRead { .. }) => return Ok(None),
                 Err(e) => return Err(e),
             }
         }
         self.ensure_space(failed.die, t)?;
-        if let (Some(out), Some(acc)) = (out, &acc) {
-            out.copy_from_slice(acc);
-        }
-        let win = self.program_no_gc(
+        let (win, fresh) = self.program_no_gc(
             lpn,
             failed.die,
             acc,
@@ -214,9 +212,12 @@ impl Device {
             ProgramKind::Reconstruct(failed),
         )?;
         self.stats.parity_reconstructions.incr();
-        Ok(Some(Window {
-            start: at,
-            end: win.end,
-        }))
+        Ok(Some((
+            Window {
+                start: at,
+                end: win.end,
+            },
+            fresh,
+        )))
     }
 }

@@ -72,7 +72,6 @@ impl Device {
 
         let mut t = at;
         let mut examined = 0u64;
-        let mut page = self.scratch_page();
         while report.pages_read < budget && examined < total {
             let lpn = Lpn(scrub.cursor);
             scrub.cursor = (scrub.cursor + 1) % total;
@@ -83,8 +82,8 @@ impl Device {
             report.pages_read += 1;
             self.stats.scrub_reads.incr();
             let repaired_before = self.stats.parity_reconstructions.get();
-            let read = self.read_with_retry(lpn, ppa, t, ReadRoute::Array, page.as_deref_mut());
-            let win = match read {
+            let read = self.read_with_retry(lpn, ppa, t, ReadRoute::Array);
+            let (win, served) = match read {
                 Err(SsdError::UncorrectableRead { .. }) => {
                     // Double loss: the patrol keeps sweeping — later
                     // stripes may still be repairable.
@@ -106,14 +105,14 @@ impl Device {
             let die = self.die(ppa.die);
             let rber = die.effective_rber(ppa.page.block_addr(), t)?;
             if rber >= REFRESH_FRACTION * die.rber_model().ecc_ceiling {
+                // Copied before GC can move or erase the page just read.
+                let page = self.copy_page(served)?;
                 self.ensure_space(ppa.die, t)?;
-                let refresh = {
+                let (refresh, _) = {
                     let r = self.program_no_gc(
                         lpn,
                         ppa.die,
-                        // The refresh adopts the page just read; the
-                        // sweep reads on into a fresh one.
-                        std::mem::replace(&mut page, self.scratch_page()),
+                        page,
                         t,
                         false,
                         None,

@@ -266,7 +266,7 @@ proptest! {
                     }
                 }
                 1 => {
-                    let r = die.read_page(p, SimTime::ZERO, None);
+                    let r = die.read_page(p, SimTime::ZERO);
                     if page < cursor {
                         prop_assert!(r.is_ok(), "legal read rejected");
                     } else {
